@@ -26,11 +26,11 @@ from repro.algebras import AddPaths, ShortestPathsAlgebra
 from repro.core import (
     RandomSchedule,
     RoutingState,
-    delta_run,
     is_stable,
     synchronous_fixed_point,
 )
-from repro.protocols import LinkConfig, simulate
+from repro.protocols import LinkConfig
+from repro.session import RoutingSession
 from repro.verification import verify_algebra
 from tests.conftest import hop_net
 
@@ -87,9 +87,9 @@ def test_ablation_refresh_interval(benchmark):
         cfg = LinkConfig(min_delay=0.2, max_delay=2.0, loss=0.3)
         rows = []
         for interval in (2.0, 5.0, 10.0, 20.0):
-            res = simulate(net, seed=9, link_config=cfg,
-                           refresh_interval=interval,
-                           quiet_period=4 * interval)
+            res = RoutingSession(net, "incremental").simulate(
+                seed=9, link_config=cfg, refresh_interval=interval,
+                quiet_period=4 * interval).result
             rows.append((interval, res.converged,
                          res.final_state.equals(ref, alg),
                          res.convergence_time, res.stats.sent))
@@ -120,15 +120,17 @@ def test_ablation_delta_window(benchmark):
         alg = net.algebra
         sched = RandomSchedule(5, seed=3, max_delay=6)
         start = RoutingState.filled(7, 5)
-        safe = delta_run(net, sched, start, max_steps=3000)
+        safe = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=3000)
         premature_misjudged = 0
         for seed in range(12):
             s = RandomSchedule(5, seed=seed, max_delay=6)
-            res = delta_run(net, s, start, max_steps=3000,
-                            stability_window=1)
+            res = RoutingSession(net, "incremental").delta(
+                s, start, max_steps=3000, stability_window=1)
             # re-run the remaining steps honestly: is the claimed
             # convergence point really the limit?
-            honest = delta_run(net, s, start, max_steps=3000)
+            honest = RoutingSession(net, "incremental").delta(
+                s, start, max_steps=3000)
             if res.converged and honest.converged and \
                     (res.converged_at or 0) < (honest.converged_at or 0):
                 premature_misjudged += 1

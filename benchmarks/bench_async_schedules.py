@@ -11,7 +11,8 @@ import pytest
 
 from bench_helpers import check_mark, emit, fmt_row
 from repro.core import synchronous_fixed_point
-from repro.protocols import LinkConfig, simulate
+from repro.protocols import LinkConfig
+from repro.session import RoutingSession
 from tests.conftest import bgp_net, hop_net
 
 
@@ -24,9 +25,9 @@ def test_loss_sweep(benchmark):
         rows = []
         for loss in (0.0, 0.1, 0.2, 0.3, 0.4):
             cfg = LinkConfig(min_delay=0.2, max_delay=2.0, loss=loss)
-            res = simulate(net, seed=int(loss * 100),
-                           link_config=cfg, refresh_interval=4.0,
-                           quiet_period=20.0)
+            res = RoutingSession(net, "incremental").simulate(
+                seed=int(loss * 100), link_config=cfg, refresh_interval=4.0,
+                quiet_period=20.0).result
             rows.append((loss, res.converged,
                          res.final_state.equals(reference, alg),
                          res.convergence_time, res.stats.sent))
@@ -54,8 +55,9 @@ def test_duplication_sweep(benchmark):
         rows = []
         for dup in (0.0, 0.2, 0.5, 1.0):
             cfg = LinkConfig(min_delay=0.2, max_delay=2.0, duplicate=dup)
-            res = simulate(net, seed=int(dup * 10) + 3, link_config=cfg,
-                           refresh_interval=5.0, quiet_period=20.0)
+            res = RoutingSession(net, "incremental").simulate(
+                seed=int(dup * 10) + 3, link_config=cfg, refresh_interval=5.0,
+                quiet_period=20.0).result
             rows.append((dup, res.converged,
                          res.final_state.equals(reference, alg),
                          res.stats.duplicated))
@@ -86,9 +88,9 @@ def test_reordering_sweep(benchmark):
             for fifo in (True, False):
                 cfg = LinkConfig(min_delay=0.1, max_delay=window,
                                  fifo=fifo)
-                res = simulate(net, seed=int(window) * 2 + fifo,
-                               link_config=cfg, refresh_interval=5.0,
-                               quiet_period=20.0)
+                res = RoutingSession(net, "incremental").simulate(
+                    seed=int(window) * 2 + fifo, link_config=cfg,
+                    refresh_interval=5.0, quiet_period=20.0).result
                 rows.append((window, fifo, res.converged,
                              res.final_state.equals(reference, alg)))
         return rows
@@ -108,7 +110,7 @@ def test_reordering_sweep(benchmark):
 def test_abstract_schedule_zoo(benchmark):
     """The same invariant at the δ level across qualitatively different
     admissible schedules, including the adversarially stale one."""
-    from repro.core import RoutingState, delta_run, schedule_zoo
+    from repro.core import RoutingState, schedule_zoo
 
     def run():
         net = hop_net(5)
@@ -116,8 +118,8 @@ def test_abstract_schedule_zoo(benchmark):
         reference = synchronous_fixed_point(net)
         rows = []
         for sched in schedule_zoo(5, seeds=(0, 1)):
-            res = delta_run(net, sched,
-                            RoutingState.filled(7, 5), max_steps=3000)
+            res = RoutingSession(net, "incremental").delta(
+                sched, RoutingState.filled(7, 5), max_steps=3000)
             rows.append((repr(sched), res.converged,
                          res.state.equals(reference, alg),
                          res.converged_at))

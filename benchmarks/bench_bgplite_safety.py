@@ -15,13 +15,8 @@ import pytest
 from bench_helpers import check_mark, emit
 from repro.algebras import BGPLiteAlgebra, SetPref, random_policy
 from repro.core import synchronous_fixed_point
-from repro.protocols import (
-    ChangeScript,
-    HOSTILE,
-    Simulator,
-    fail_link,
-    simulate,
-)
+from repro.protocols import ChangeScript, HOSTILE, Simulator, fail_link
+from repro.session import RoutingSession
 from repro.topologies import bgp_policy_factory, erdos_renyi
 from repro.verification import verify_algebra
 
@@ -62,8 +57,9 @@ def test_hostile_network_absolute_convergence(benchmark):
         reference = synchronous_fixed_point(net)
         rows = []
         for seed in range(4):
-            res = simulate(net, seed=seed, link_config=HOSTILE,
-                           refresh_interval=5.0, quiet_period=25.0)
+            res = RoutingSession(net, "incremental").simulate(
+                seed=seed, link_config=HOSTILE, refresh_interval=5.0,
+                quiet_period=25.0).result
             rows.append((seed, res.converged,
                          res.stats.lost, res.stats.duplicated,
                          res.final_state.equals(reference, alg)))

@@ -23,7 +23,8 @@ import pytest
 from bench_helpers import emit, fmt_row
 from repro.algebras import HopCountAlgebra
 from repro.analysis import measure_sync, pv_bounds, rate_sweep
-from repro.core import iterate_sigma, synchronous_fixed_point
+from repro.core import synchronous_fixed_point
+from repro.session import RoutingSession
 from repro.topologies import (
     exploration_clique,
     line,
@@ -75,8 +76,8 @@ def test_rate_path_hunting_churn_quadratic(benchmark):
             for i in range(1, n):
                 net.remove_edge(i, 0)
                 net.remove_edge(0, i)
-            res = iterate_sigma(net, fp, max_rounds=500,
-                                keep_trajectory=True)
+            res = RoutingSession(net, "incremental").sigma(
+                fp, max_rounds=500, keep_trajectory=True)
             churn = 0
             for prev, cur in zip(res.trajectory, res.trajectory[1:]):
                 for a in range(n):

@@ -11,7 +11,8 @@ import pytest
 
 from bench_helpers import emit, fmt_row
 from repro.algebras import HopCountAlgebra
-from repro.core import Network, RoutingState, iterate_sigma
+from repro.core import Network, RoutingState
+from repro.session import RoutingSession
 from repro.topologies import count_to_infinity, count_to_infinity_pv
 
 
@@ -19,7 +20,8 @@ from repro.topologies import count_to_infinity, count_to_infinity_pv
 def test_plain_dv_counts_to_infinity(benchmark):
     def run():
         net, stale = count_to_infinity()
-        res = iterate_sigma(net, stale, max_rounds=60, keep_trajectory=True)
+        res = RoutingSession(net, "incremental").sigma(
+            stale, max_rounds=60, keep_trajectory=True)
         climb = [s.get(1, 0) for s in res.trajectory]
         return res.converged, climb
 
@@ -48,7 +50,8 @@ def test_rip_counts_to_its_bound(benchmark, bound):
         net.set_edge(2, 1, alg.edge(1))
         stale = RoutingState([[0, alg.invalid, alg.invalid],
                               [1, 0, 1], [2, 1, 0]])
-        res = iterate_sigma(net, stale, max_rounds=2 * bound)
+        res = RoutingSession(net, "incremental").sigma(
+            stale, max_rounds=2 * bound)
         return res
 
     res = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -65,7 +68,8 @@ def test_rip_counts_to_its_bound(benchmark, bound):
 def test_path_vector_flushes_immediately(benchmark):
     def run():
         net, stale = count_to_infinity_pv()
-        return net, iterate_sigma(net, stale, max_rounds=20)
+        return net, RoutingSession(net, "incremental").sigma(
+            stale, max_rounds=20)
 
     net, res = benchmark.pedantic(run, rounds=1, iterations=1)
     alg = net.algebra
@@ -94,10 +98,11 @@ def test_crossover_summary(benchmark):
             net.set_edge(2, 1, alg.edge(1))
             stale = RoutingState([[0, alg.invalid, alg.invalid],
                                   [1, 0, 1], [2, 1, 0]])
-            rip_rounds = iterate_sigma(net, stale,
-                                       max_rounds=2 * bound).rounds
+            rip_rounds = RoutingSession(net, "incremental").sigma(
+                stale, max_rounds=2 * bound).rounds
             pv_net, pv_stale = count_to_infinity_pv()
-            pv_rounds = iterate_sigma(pv_net, pv_stale).rounds
+            pv_rounds = RoutingSession(pv_net, "incremental").sigma(
+                pv_stale).rounds
             rows.append((bound, rip_rounds, pv_rounds))
         return rows
 

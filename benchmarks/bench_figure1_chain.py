@@ -20,7 +20,6 @@ import pytest
 
 from bench_helpers import check_mark, emit, fmt_row
 from repro.algebras import bad_gadget
-from repro.analysis import run_absolute_convergence
 from repro.core import (
     DistanceVectorUltrametric,
     PathVectorUltrametric,
@@ -29,6 +28,7 @@ from repro.core import (
     random_state,
     theorem4_preconditions,
 )
+from repro.session import RoutingSession
 from repro.verification import verify_network
 from tests.conftest import bgp_net, finite_net, hop_net, shortest_pv_net
 
@@ -54,8 +54,8 @@ def run_chain(build, kind, seed):
         metric = PathVectorUltrametric(net)
         routes = enumerate_consistent_routes(net.algebra, net)
     checks = theorem4_preconditions(metric, net, states, routes)
-    conv = run_absolute_convergence(net, n_starts=3, seed=seed,
-                                    max_steps=2500)
+    conv = RoutingSession(net, "incremental").converges(
+        n_starts=3, seed=seed, max_steps=2500).grid
     return report, checks, conv
 
 
@@ -103,13 +103,11 @@ def test_figure1_chain_refuses_non_increasing(benchmark):
         # limit cycle D(X, σX) is periodic, so it cannot be strictly
         # decreasing (a strictly decreasing ℕ-chain must terminate) —
         # some trajectory state is a guaranteed counterexample.
-        from repro.core import iterate_sigma
-
-        traj = iterate_sigma(net, RoutingState.identity(net.algebra, net.n),
-                             max_rounds=12, keep_trajectory=True).trajectory
+        traj = RoutingSession(net, "incremental").sigma(
+            max_rounds=12, keep_trajectory=True).trajectory
         orbit = check_strictly_contracting_on_orbits(metric, net, traj)
-        conv = run_absolute_convergence(net, n_starts=2, seed=5,
-                                        max_steps=300)
+        conv = RoutingSession(net, "incremental").converges(
+            n_starts=2, seed=5, max_steps=300).grid
         return report, orbit, conv
 
     report, orbit, conv = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -14,8 +14,8 @@ import pytest
 
 from bench_helpers import check_mark, emit, fmt_row
 from repro.algebras import GaoRexfordAlgebra, GR_INVALID, Rel
-from repro.analysis import measure_sync, run_absolute_convergence
-from repro.core import RoutingState, iterate_sigma
+from repro.analysis import measure_sync
+from repro.session import RoutingSession
 from repro.topologies import gao_rexford_hierarchy
 from repro.verification import verify_algebra
 
@@ -46,8 +46,7 @@ def test_hierarchy_scaling(benchmark):
         for (t1, t2, t3) in [(2, 3, 5), (2, 4, 10), (3, 6, 16)]:
             net, rels = gao_rexford_hierarchy(t1, t2, t3, seed=7)
             m = measure_sync(net)
-            fp = iterate_sigma(
-                net, RoutingState.identity(net.algebra, net.n)).state
+            fp = RoutingSession(net, "incremental").sigma().state
             valley_ok = _valley_free(net, rels, fp)
             rows.append((net.n, m.converged, m.rounds, valley_ok))
         return rows
@@ -82,8 +81,8 @@ def test_uniqueness_beyond_gao_rexford(benchmark):
     (state, schedule) run lands on one fixed point."""
     def run():
         net, _rels = gao_rexford_hierarchy(2, 3, 6, seed=9)
-        return run_absolute_convergence(net, n_starts=8, seed=10,
-                                        max_steps=3000)
+        return RoutingSession(net, "incremental").converges(
+            n_starts=8, seed=10, max_steps=3000).grid
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     emit("GR — uniqueness (the point-2 upgrade)", [
@@ -104,8 +103,7 @@ def test_preference_baseline_comparison(benchmark):
     (locally vs globally optimal routes, Section 1)."""
     def run():
         net, rels = gao_rexford_hierarchy(2, 4, 8, seed=11)
-        gr_fp = iterate_sigma(
-            net, RoutingState.identity(net.algebra, net.n)).state
+        gr_fp = RoutingSession(net, "incremental").sigma().state
         gr_reach = sum(1 for (_i, _j, r) in gr_fp.entries()
                        if r != GR_INVALID)
 
@@ -118,8 +116,7 @@ def test_preference_baseline_comparison(benchmark):
         flat = Network(sp, net.n, name="flat")
         for (i, j) in net.present_edges():
             flat.set_edge(i, j, sp.edge(i, j, base.edge(1)))
-        sp_fp = iterate_sigma(
-            flat, RoutingState.identity(sp, net.n)).state
+        sp_fp = RoutingSession(flat, "incremental").sigma().state
         sp_reach = sum(1 for (_i, _j, r) in sp_fp.entries()
                        if not sp.equal(r, sp.invalid))
         # policy cost: GR's filtered choice can only lengthen paths

@@ -21,7 +21,7 @@ from repro.algebras import (
     ShortestPathsAlgebra,
     WidestPathsAlgebra,
 )
-from repro.core import iterate_sigma, RoutingState
+from repro.session import RoutingSession
 from repro.topologies import erdos_renyi, uniform_weight_factory
 
 
@@ -37,7 +37,7 @@ def run_shortest(n, seed):
     alg = ShortestPathsAlgebra()
     net = erdos_renyi(alg, n, 0.4, uniform_weight_factory(alg, 1, 9),
                       seed=seed)
-    res = iterate_sigma(net, RoutingState.identity(alg, n))
+    res = RoutingSession(net, "incremental").sigma()
     assert res.converged
     g = networkx_graph(net, lambda e: e.weight)
     for i in range(n):
@@ -53,7 +53,7 @@ def run_widest(n, seed):
     alg = WidestPathsAlgebra()
     net = erdos_renyi(alg, n, 0.4, uniform_weight_factory(alg, 1, 9),
                       seed=seed)
-    res = iterate_sigma(net, RoutingState.identity(alg, n))
+    res = RoutingSession(net, "incremental").sigma()
     assert res.converged
     # independent max-min via brute-force over networkx simple paths
     g = networkx_graph(net, lambda e: e.capacity)
@@ -75,7 +75,7 @@ def run_most_reliable(n, seed):
     net = erdos_renyi(alg, n, 0.4,
                       lambda r, _i, _j: alg.edge(r.randint(5, 9) / 10),
                       seed=seed)
-    res = iterate_sigma(net, RoutingState.identity(alg, n))
+    res = RoutingSession(net, "incremental").sigma()
     assert res.converged
     g = networkx_graph(net, lambda e: e.reliability)
     for i in range(n):
@@ -123,7 +123,7 @@ def test_table2_longest_paths_is_the_broken_row(benchmark):
         net = Network(alg, 3)
         for (i, j) in [(0, 1), (1, 0), (1, 2), (2, 1)]:
             net.set_edge(i, j, alg.edge(2))
-        res = iterate_sigma(net, RoutingState.identity(alg, 3))
+        res = RoutingSession(net, "incremental").sigma()
         return alg, res
 
     alg, res = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -14,14 +14,8 @@ import pytest
 
 from bench_helpers import check_mark, emit
 from repro.algebras import AddPaths, ShortestPathsAlgebra, WidestPathsAlgebra
-from repro.analysis import run_absolute_convergence
-from repro.core import (
-    PathVectorUltrametric,
-    RandomSchedule,
-    RoutingState,
-    delta_run,
-    iterate_sigma,
-)
+from repro.core import PathVectorUltrametric, RandomSchedule, RoutingState
+from repro.session import RoutingSession
 from repro.topologies import erdos_renyi, lifted_weight_factory
 from tests.conftest import bgp_net, shortest_pv_net
 
@@ -46,8 +40,8 @@ GRID = [
                          ids=[g[0].split(" /")[0] for g in GRID])
 def test_theorem11_absolute_convergence(benchmark, name, build):
     def run():
-        return run_absolute_convergence(build(), n_starts=12, seed=34,
-                                        max_steps=3000)
+        return RoutingSession(build(), "incremental").converges(
+            n_starts=12, seed=34, max_steps=3000).grid
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     emit("TH11 / Theorem 11 — " + name, [
@@ -72,7 +66,7 @@ def test_theorem11_stale_states_from_real_topology_changes(benchmark):
         rows = []
         state = RoutingState.identity(alg, 5)
         for round_idx in range(4):
-            state = iterate_sigma(net, state).state
+            state = RoutingSession(net, "incremental").sigma(state).state
             # mutate: re-weight a random present edge
             edges = list(net.present_edges())
             (i, j) = edges[rng.randrange(len(edges))]
@@ -80,10 +74,9 @@ def test_theorem11_stale_states_from_real_topology_changes(benchmark):
             metric = PathVectorUltrametric(net)
             stale = sum(1 for (_a, _b, r) in state.entries()
                         if not metric.is_consistent(r))
-            res = delta_run(net, RandomSchedule(5, seed=37 + round_idx),
-                            state, max_steps=3000)
-            ref = iterate_sigma(
-                net, RoutingState.identity(alg, 5)).state
+            res = RoutingSession(net, "incremental").delta(
+                RandomSchedule(5, seed=37 + round_idx), state, max_steps=3000)
+            ref = RoutingSession(net, "incremental").sigma().state
             rows.append((round_idx, (i, j), stale, res.converged,
                          res.state.equals(ref, alg)))
             state = res.state

@@ -25,8 +25,8 @@ from repro.algebras import (
     HopCountAlgebra,
     QuantisedReliabilityAlgebra,
 )
-from repro.analysis import run_absolute_convergence
 from repro.core import Network
+from repro.session import RoutingSession
 from repro.topologies import erdos_renyi, ring, star, uniform_weight_factory
 
 
@@ -68,8 +68,8 @@ GRID = [
 def test_theorem7_absolute_convergence(benchmark, name, build, n):
     def run():
         net = build(n, seed=21)
-        return run_absolute_convergence(net, n_starts=20, seed=22,
-                                        max_steps=3000)
+        return RoutingSession(net, "incremental").converges(
+            n_starts=20, seed=22, max_steps=3000).grid
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     emit("TH7 / Theorem 7 — " + name, [
@@ -86,13 +86,13 @@ def test_theorem7_absolute_convergence(benchmark, name, build, n):
 @pytest.mark.benchmark(group="theorem7")
 def test_theorem7_control_drop_finiteness(benchmark):
     """Strictly increasing, infinite carrier: count-to-infinity."""
-    from repro.core import SynchronousSchedule, delta_run
+    from repro.core import SynchronousSchedule
     from repro.topologies import count_to_infinity
 
     def run():
         net, stale = count_to_infinity()
-        return delta_run(net, SynchronousSchedule(net.n), stale,
-                         max_steps=300)
+        return RoutingSession(net, "incremental").delta(
+            SynchronousSchedule(net.n), stale, max_steps=300)
 
     res = benchmark.pedantic(run, rounds=1, iterations=1)
     emit("TH7 control — drop finiteness (shortest paths, stale state)", [
@@ -107,7 +107,7 @@ def test_theorem7_control_drop_finiteness(benchmark):
 def test_theorem7_control_drop_strictness(benchmark):
     """Increasing-but-not-strict plateau: ghost routes persist, and the
     reached fixed point depends on the starting state."""
-    from repro.core import RoutingState, SynchronousSchedule, delta_run
+    from repro.core import RoutingState, SynchronousSchedule
 
     def run():
         alg = FiniteLevelAlgebra(4)
@@ -118,8 +118,8 @@ def test_theorem7_control_drop_strictness(benchmark):
         outcomes = []
         for v in (2, 3):
             start = RoutingState([[0, 2, v], [2, 0, v], [4, 4, 0]])
-            res = delta_run(net, SynchronousSchedule(3), start,
-                            max_steps=300)
+            res = RoutingSession(net, "incremental").delta(
+                SynchronousSchedule(3), start, max_steps=300)
             outcomes.append((v, res.converged, res.state.get(0, 2)))
         return alg, outcomes
 

@@ -29,6 +29,7 @@ from repro.analysis import (
     sync_oscillates,
 )
 from repro.core import synchronous_fixed_point
+from repro.session import RoutingSession
 from repro.topologies import BACKUP_COMMUNITY, wedgie_bgplite
 
 GADGETS = [
@@ -80,7 +81,6 @@ def test_rfc4264_backup_scenario_is_wedgie_free(benchmark):
     """The operational wedgie story, in the safe policy language:
     primary wins, backup takes over on failure, and restoration returns
     the network to the original state (no hysteresis)."""
-    from repro.core import iterate_sigma
 
     def run():
         net, alg = wedgie_bgplite()
@@ -89,11 +89,11 @@ def test_rfc4264_backup_scenario_is_wedgie_free(benchmark):
         saved = (net.edge(2, 0), net.edge(0, 2))
         net.remove_edge(2, 0)
         net.remove_edge(0, 2)
-        during = iterate_sigma(net, before).state
+        during = RoutingSession(net, "incremental").sigma(before).state
         backup_route = during.get(2, 0)
         net.set_edge(2, 0, saved[0])
         net.set_edge(0, 2, saved[1])
-        after = iterate_sigma(net, during).state
+        after = RoutingSession(net, "incremental").sigma(during).state
         report = multistart_fixed_points(net, n_starts=6, seed=5,
                                          max_steps=800)
         return alg, primary_route, backup_route, \

@@ -4,7 +4,7 @@
 Times the incremental delta-propagation engine (PR 1) against the frozen
 seed implementations in :mod:`naive_engine` on chain / ring / grid /
 sparse-random topologies across several algebras, and the ring-buffer
-``delta_run`` against the unbounded-history seed run.  Finite algebras
+``RoutingSession.delta`` vs the unbounded-history seed run.  Finite algebras
 additionally get a **vectorized** column (PR 2): the int-encoded numpy
 engine of :mod:`repro.core.vectorized`, timed against both baselines on
 the same cases — and a **parallel worker-scaling** column (PR 3): the
@@ -939,8 +939,8 @@ def bench_batched_case(case: Dict, repeats: int) -> Dict:
     """Batched grid vs per-trial vectorized loop for one trial grid.
 
     Warm-vs-warm: the loop reuses one prebuilt serial engine across
-    trials (exactly the ``absolute_convergence_experiment``
-    ``engine="vectorized"`` path), the batched engine is prebuilt and
+    trials (exactly ``RoutingSession.delta_grid`` on the vectorized
+    rung), the batched engine is prebuilt and
     warmed the same way, and both execute the identical (schedule ×
     start) trials to identical results — every trial's convergence
     step and fixed point is cross-checked between the two shapes.

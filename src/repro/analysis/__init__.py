@@ -9,7 +9,6 @@ from .bisimulation import (
 from .convergence import (
     SyncMeasurement,
     measure_sync,
-    run_absolute_convergence,
     sample_starts,
 )
 from .fixed_points import (
@@ -46,7 +45,6 @@ __all__ = [
     "multistart_fixed_points",
     "pv_bounds",
     "rate_sweep",
-    "run_absolute_convergence",
     "RobustnessReport",
     "check_bisimulation",
     "failure_sweep",

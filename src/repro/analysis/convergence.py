@@ -8,20 +8,18 @@ experiment rows the paper's claims translate to:
 * full absolute-convergence experiments over sampled (state, schedule)
   grids, with negative-control support.
 
-Everything here delegates to :class:`repro.session.RoutingSession`;
-:func:`run_absolute_convergence` survives as a deprecation shim for the
-pre-session API.
+Everything here delegates to :class:`repro.session.RoutingSession`
+(whose :meth:`~repro.session.RoutingSession.converges` runs the full
+absolute-convergence grid).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from ..core.asynchronous import AbsoluteConvergenceReport, random_state
-from ..core.capabilities import warn_deprecated
-from ..core.schedule import Schedule
+from ..core.asynchronous import random_state
 from ..core.state import Network, RoutingState
 
 
@@ -61,29 +59,3 @@ def sample_starts(network: Network, n_starts: int, seed: int = 0,
     for _ in range(n_starts):
         starts.append(random_state(network.algebra, network.n, rng))
     return starts
-
-
-def run_absolute_convergence(network: Network, n_starts: int = 5,
-                             schedules: Optional[Sequence[Schedule]] = None,
-                             seed: int = 0, max_steps: int = 2_000,
-                             engine: str = "incremental",
-                             workers: Optional[int] = None
-                             ) -> AbsoluteConvergenceReport:
-    """The Theorem 7/11 experiment with sensible defaults.
-
-    .. deprecated::
-        Thin shim over :meth:`repro.session.RoutingSession.converges`
-        (same sampled starts, same schedule zoo, same trial order).
-        Delegates there and emits a :class:`DeprecationWarning`;
-        results are bit-identical.
-    """
-    warn_deprecated("run_absolute_convergence()",
-                    "RoutingSession.converges()")
-    from ..session import EngineSpec, RoutingSession
-
-    with RoutingSession(network, EngineSpec(engine, workers=workers)) as s:
-        grid = s.converges(n_starts=n_starts, schedules=schedules,
-                           seed=seed, max_steps=max_steps).grid
-    return AbsoluteConvergenceReport(grid.runs, grid.all_converged,
-                                     list(grid.distinct_fixed_points),
-                                     list(grid.convergence_steps))

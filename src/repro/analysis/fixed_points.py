@@ -178,7 +178,7 @@ def sync_oscillates(network: Network, start: Optional[RoutingState] = None,
     The BAD GADGET signature: a state repeats without being a fixed
     point.  Distinguished from unbounded divergence (count-to-infinity,
     where states never repeat): that case returns False here and is
-    detected by ``iterate_sigma(...).converged == False`` without an
+    detected by ``RoutingSession.sigma(...).converged == False`` without an
     early cycle stop.
     """
     from ..session import RoutingSession

@@ -47,7 +47,7 @@ from .analysis import (
     multistart_fixed_points,
     sync_oscillates,
 )
-from .core import ENGINES, Network, UnsupportedEngineError, \
+from .core import LADDER, Network, UnsupportedEngineError, \
     synchronous_fixed_point
 from .protocols import LinkConfig
 from .session import EngineSpec, RoutingSession
@@ -421,7 +421,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=6)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--engine", default="auto",
-                       choices=("auto",) + ENGINES,
+                       choices=("auto",) + LADDER,
                        help="σ/δ engine ladder rung, resolved by "
                             "capability negotiation ('auto', the "
                             "default, starts at the top rung the "
@@ -497,7 +497,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="TCP port to bind (default 0: an ephemeral "
                         "port, reported on stdout)")
     p.add_argument("--engine", default="auto",
-                   choices=("auto",) + ENGINES,
+                   choices=("auto",) + LADDER,
                    help="default engine for sessions whose 'load' "
                         "does not name one")
     p.add_argument("--max-sessions", type=int, default=8,
@@ -569,7 +569,7 @@ def make_parser() -> argparse.ArgumentParser:
                         "and require bit-identical replay phases and "
                         "grid trials")
     p.add_argument("--engine", default="auto",
-                   choices=("auto",) + ENGINES)
+                   choices=("auto",) + LADDER)
     p.add_argument("--max-steps", type=int, default=2000)
     p.add_argument("--progress", action="store_true",
                    help="survey: print one line per finished cell")

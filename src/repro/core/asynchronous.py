@@ -29,10 +29,10 @@ The recursion is implemented in two forms:
   bound keep the full history, as before.  Both forms compute exactly
   the same δᵗ.
 
-``delta_run`` additionally accepts the full engine ladder
-(``engine="vectorized"`` / ``"parallel"``, see
-:mod:`repro.core.vectorized` and :mod:`repro.core.parallel`) with the
-same fallback discipline as :func:`repro.core.synchronous.iterate_sigma`.
+:func:`_delta_run_resolved` is :meth:`repro.session.RoutingSession.delta`'s
+dispatch onto the negotiated rung; the codes-based rungs live in
+:mod:`repro.core.vectorized`, :mod:`repro.core.parallel` and
+:mod:`repro.core.remote`.
 
 Convergence detection
 ---------------------
@@ -49,9 +49,8 @@ to "stable for `stability_window` consecutive steps and σ-fixed".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from .capabilities import warn_deprecated
 from .incremental import BoundedHistory, DeltaRowCache
 from .schedule import Schedule
 from .state import Network, RoutingState
@@ -119,7 +118,7 @@ def _delta_step_tracked(network: Network, schedule: Schedule,
     Inactive nodes keep their previous row *object*; active rows whose
     recomputation leaves every entry equal are shared too.  ``changed``
     reports whether any entry differs from δᵗ⁻¹ — computed during the
-    step, so :func:`delta_run` needs no per-step equality scan.
+    step, so the δ loop needs no per-step equality scan.
     ``history`` is anything indexable by absolute time (a plain list or
     a :class:`~repro.core.incremental.BoundedHistory`).
 
@@ -308,115 +307,6 @@ def _delta_run_serial(network: Network, schedule: Schedule,
     return AsyncResult(False, max_steps, history[max_steps], None,
                        history if keep_history else None,
                        history_retained=len(history))
-
-
-def delta_run(network: Network, schedule: Schedule, start: RoutingState,
-              max_steps: int = 2_000, stability_window: Optional[int] = None,
-              keep_history: bool = False, strict: bool = False,
-              engine: str = "incremental",
-              workers: Optional[int] = None) -> AsyncResult:
-    """Run δ from ``start`` under ``schedule`` until convergence.
-
-    .. deprecated::
-        Thin shim over :meth:`repro.session.RoutingSession.delta` —
-        the session negotiates the engine rung explicitly (recorded
-        reason chain instead of silent fallback), owns pool and
-        shared-memory lifetimes, and returns a typed
-        :class:`~repro.session.DeltaReport`.  Delegates there and emits
-        a :class:`DeprecationWarning`; results are bit-identical.
-
-    ``engine`` selects a rung of the five-engine ladder with the same
-    fallback discipline as before (``"naive"`` is an alias for the
-    strict literal recursion); ``strict=True`` runs
-    :func:`delta_step_literal` with the full history; ``keep_history``
-    retains and returns every state; ``workers`` sizes the parallel
-    pool.  See :func:`_delta_run_serial` for the history/convergence
-    semantics shared by every rung.
-    """
-    warn_deprecated("delta_run()", "RoutingSession.delta()")
-    from ..session import EngineSpec, RoutingSession
-    with RoutingSession(network, EngineSpec(engine, workers=workers)) as s:
-        return s.delta(schedule, start, max_steps=max_steps,
-                       stability_window=stability_window,
-                       keep_history=keep_history, strict=strict).result
-
-
-@dataclass
-class AbsoluteConvergenceReport:
-    """Result of an absolute-convergence experiment (Definition 8).
-
-    δ converges *absolutely* when every (starting state, schedule) pair
-    reaches the same stable state.  The experiment samples both axes
-    and reports the set of distinct final states observed.
-    """
-
-    runs: int
-    all_converged: bool
-    distinct_fixed_points: List[RoutingState]
-    convergence_steps: List[int]
-
-    @property
-    def absolute(self) -> bool:
-        """True when every run converged to one common fixed point."""
-        return self.all_converged and len(self.distinct_fixed_points) == 1
-
-    @property
-    def max_steps(self) -> int:
-        return max(self.convergence_steps) if self.convergence_steps else 0
-
-    @property
-    def mean_steps(self) -> float:
-        if not self.convergence_steps:
-            return 0.0
-        return sum(self.convergence_steps) / len(self.convergence_steps)
-
-
-def absolute_convergence_experiment(
-        network: Network,
-        starts: Sequence[RoutingState],
-        schedules: Sequence[Schedule],
-        max_steps: int = 2_000,
-        engine: str = "incremental",
-        workers: Optional[int] = None) -> AbsoluteConvergenceReport:
-    """Run δ for the cross-product of ``starts`` × ``schedules``.
-
-    This is the executable form of Theorem 7 / Theorem 11: for a finite
-    strictly increasing algebra (or an increasing path algebra) the
-    report must come back with ``absolute == True``.  Negative controls
-    (e.g. SPP DISAGREE) come back with several distinct fixed points or
-    non-convergence.  ``engine`` is forwarded to every
-    :func:`delta_run` (finite algebras benefit from ``"vectorized"`` or
-    ``"parallel"``; one engine — and for ``"parallel"`` one worker pool
-    — is built up front and reused across all runs so edge tables are
-    encoded and workers spawned once, not once per (start × schedule)
-    pair; the pool is torn down in a ``finally`` even when a run
-    raises).  ``workers`` sizes the parallel pool as in
-    :func:`delta_run`.
-
-    ``engine="batched"`` changes the execution *shape*, not the
-    result: instead of a Python loop over (start × schedule) pairs,
-    the whole grid is stacked into one ``(B, n, n)`` code tensor and
-    every δ step runs for all trials per kernel invocation
-    (:func:`repro.core.vectorized.absolute_convergence_batched`),
-    with finished trials dropping out.  Non-finite algebras fall one
-    rung down to ``"parallel"`` (and onward down the ladder) as usual.
-
-    .. deprecated::
-        Thin shim over :meth:`repro.session.RoutingSession.delta_grid`
-        (which reuses one negotiated engine — and for the parallel rung
-        one worker pool — across the whole grid, exactly as this
-        function did).  Delegates there and emits a
-        :class:`DeprecationWarning`; results are bit-identical.
-    """
-    warn_deprecated("absolute_convergence_experiment()",
-                    "RoutingSession.delta_grid()")
-    from ..session import EngineSpec, RoutingSession
-    trials = [(sched, start) for start in starts for sched in schedules]
-    with RoutingSession(network, EngineSpec(engine, workers=workers)) as s:
-        grid = s.delta_grid(trials, max_steps=max_steps)
-    return AbsoluteConvergenceReport(grid.runs, grid.all_converged,
-                                     list(grid.distinct_fixed_points),
-                                     list(grid.convergence_steps))
 
 
 def random_state(algebra: RoutingAlgebra, n: int, rng,

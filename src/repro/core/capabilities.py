@@ -4,15 +4,9 @@ Six engines implement σ/δ (naive → incremental → vectorized → parallel
 → batched → remote), each trading generality for speed — the remote
 rung additionally trading locality: it shards destination columns over
 TCP workers and is only eligible when the caller configured a
-transport.  Before this module the
-ladder lived as ad-hoc ``if supports_…: … else fall back`` chains
-duplicated across ``iterate_sigma``, ``delta_run``,
-``absolute_convergence_experiment``, the simulator's σ-stability check
-and the CLI — and every chain fell back *silently*, so a non-finite
-algebra requested with ``engine="parallel"`` quietly degraded to the
-incremental engine with no signal anywhere.
+transport.
 
-This module centralises the negotiation:
+This module is the one negotiation:
 
 * each engine class advertises a :class:`Capabilities` descriptor
   (``requires_finite_algebra``, ``requires_shared_memory``, ``min_n``,
@@ -39,16 +33,14 @@ chains exactly): **capability** (``no-finite-encoding``,
 ``workers-lt-2``).  The first failing check names the rung's skip
 reason.
 
-The resolver is consumed by :class:`repro.session.RoutingSession` (the
-public facade) and by the legacy selector shims, so every entry point
-negotiates identically.
+The resolver is consumed by :meth:`repro.session.RoutingSession.resolve`,
+so every entry point negotiates identically.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -249,15 +241,6 @@ class EngineResolution:
         chain = "; ".join(f"{s.rung} skipped [{s.code}]: {s.detail}"
                           for s in self.skipped)
         return f"{head} — {chain}"
-
-
-def warn_deprecated(old: str, new: str) -> None:
-    """One :class:`DeprecationWarning` pointing a legacy free function
-    at its :class:`~repro.session.RoutingSession` replacement."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} "
-        "(see repro.session.RoutingSession)",
-        DeprecationWarning, stacklevel=3)
 
 
 # ----------------------------------------------------------------------

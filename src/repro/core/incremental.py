@@ -24,7 +24,7 @@ lists.  The scheme:
 
 Invariant required by :func:`sigma_propagate`: ``state`` is
 ``σ(previous)`` for some state ``previous`` and ``dirty`` is the set of
-entries where they differ.  ``iterate_sigma`` maintains this by seeding
+entries where they differ.  The σ iteration maintains this by seeding
 with :func:`sigma_with_dirty`; after a mid-run ``set_edge`` /
 ``remove_edge`` the invariant is void and the iteration must re-seed
 (the public drivers always start with a full round, so calling them
@@ -32,7 +32,7 @@ again after a topology change is safe).
 
 :class:`BoundedHistory` is the memory half of the engine: δ's data-flow
 function β can only reach back a bounded number of steps on admissible
-bounded-staleness schedules, so ``delta_run`` needs a ring buffer of the
+bounded-staleness schedules, so a δ run needs a ring buffer of the
 last ``max read-back + 2`` states, not the O(steps · n²) full history
 the literal recursion keeps (``strict=True`` restores the latter for
 paper-fidelity tests).
@@ -171,7 +171,7 @@ class DeltaRowCache:
     references on top of the ring's O(window · n²).  Mostly these are
     the *same* objects the ring still holds (the engines share
     unchanged rows structurally), the cache lives only for the duration
-    of one ``delta_run``, and the refolds it saves dominate — but dense
+    of one δ run, and the refolds it saves dominate — but dense
     networks with very stale schedules pay the pin.
     """
 
@@ -205,7 +205,8 @@ class BoundedHistory:
     bounded-staleness schedule sized via
     :meth:`~repro.core.schedule.Schedule.max_read_back` this never
     happens; if it does, the schedule reaches further back than it
-    declared and the caller should use ``delta_run(..., strict=True)``.
+    declared and the caller should use
+    ``RoutingSession.delta(..., strict=True)``.
     """
 
     __slots__ = ("window", "_states", "_base")
@@ -229,7 +230,8 @@ class BoundedHistory:
                 f"δ history for time {t} was evicted (window={self.window}, "
                 f"oldest retained={self._base}); the schedule reads further "
                 f"back than its declared max_read_back — run "
-                f"delta_run(..., strict=True) to keep the full history")
+                f"RoutingSession.delta(..., strict=True) to keep the full "
+                f"history")
         return self._states[idx]
 
     def __len__(self) -> int:

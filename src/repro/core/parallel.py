@@ -49,18 +49,18 @@ Architecture
 Fallback & selection
 --------------------
 
-``engine="parallel"`` is safe to request anywhere: the selectors call
-:func:`parallel_workers`, which returns ``None`` (→ vectorized
-fallback, which itself falls back to incremental for non-finite
-algebras) when the algebra has no finite encoding, when shared memory
-or the platform's process support is missing, when ``workers`` resolves
-to ≤ 1, or — in auto mode (``workers=None``) — when the host has a
-single CPU or the problem is too small (``n <`` :data:`PARALLEL_MIN_N`)
-for process fan-out to pay.  Passing an explicit ``workers >= 2``
-overrides the size heuristics (tests and benchmarks do), but never the
-capability checks.  Constructing :class:`ParallelVectorizedEngine`
-directly raises :class:`~repro.core.algebra.UnsupportedAlgebraError`
-with the reason, mirroring :class:`~repro.core.vectorized.VectorizedEngine`.
+``EngineSpec("parallel")`` is safe to request anywhere: the session's
+negotiation skips the rung (→ vectorized, which itself falls back to
+incremental for non-finite algebras) when the algebra has no finite
+encoding, when shared memory or the platform's process support is
+missing, when ``workers`` resolves to ≤ 1, or — in auto mode
+(``workers=None``) — when the host has a single CPU or the problem is
+too small (``n <`` :data:`PARALLEL_MIN_N`) for process fan-out to pay.
+Passing an explicit ``workers >= 2`` overrides the size heuristics
+(tests and benchmarks do), but never the capability checks.
+Constructing :class:`ParallelVectorizedEngine` directly raises
+:class:`~repro.core.algebra.UnsupportedAlgebraError` with the reason,
+mirroring :class:`~repro.core.vectorized.VectorizedEngine`.
 
 Cache discipline & cleanup
 --------------------------
@@ -735,7 +735,7 @@ class ParallelVectorizedEngine(VectorizedEngine):
         Requires a schedule with a declared staleness bound (reads are
         policed against ``max_read_back + 2``, exactly the
         :class:`~repro.core.incremental.BoundedHistory` window); the
-        ``delta_run`` selector routes unbounded schedules and
+        session's negotiation routes unbounded schedules and
         ``keep_history`` requests to the vectorized engine instead.
         Identical convergence semantics: constant for a full stability
         window *and* σ-stable (the σ probe runs on the master's local
@@ -758,7 +758,8 @@ class ParallelVectorizedEngine(VectorizedEngine):
             raise UnsupportedAlgebraError(
                 "parallel δ needs a bounded-staleness schedule "
                 "(max_read_back() returned None); use "
-                "delta_run(..., engine='vectorized') or strict=True")
+                "EngineSpec(\"vectorized\") or "
+                "RoutingSession.delta(..., strict=True)")
         if stability_window is None:
             stability_window = (max_read_back or 1) + 2
         read_window = max_read_back + 2  # the BoundedHistory window
@@ -809,8 +810,8 @@ class ParallelVectorizedEngine(VectorizedEngine):
                                 f"shared ring (window={read_window}, t={t}); "
                                 "the schedule reads further back than its "
                                 "declared max_read_back — run "
-                                "delta_run(..., strict=True) to keep the "
-                                "full history")
+                                "RoutingSession.delta(..., strict=True) to "
+                                "keep the full history")
                             break
                         times.append(s)
                     if stale_error is not None:
@@ -860,7 +861,7 @@ def iterate_sigma_parallel(network: Network, start: RoutingState,
                            detect_cycles: bool = False,
                            engine: Optional[ParallelVectorizedEngine] = None,
                            workers: Optional[int] = None) -> SyncResult:
-    """Parallel drop-in for :func:`repro.core.synchronous.iterate_sigma`.
+    """The parallel rung's σ iteration (a :class:`SyncResult`).
 
     Pass ``engine`` to reuse a running pool across calls (its caches
     and published snapshots auto-refresh on topology changes); without
@@ -885,7 +886,7 @@ def delta_run_parallel(network: Network, schedule: Schedule,
                        engine: Optional[ParallelVectorizedEngine] = None,
                        workers: Optional[int] = None,
                        window: Optional[int] = None) -> AsyncResult:
-    """Parallel drop-in for :func:`repro.core.asynchronous.delta_run`.
+    """The parallel rung's δ run (an :class:`AsyncResult`).
 
     ``keep_history`` and unbounded schedules delegate to the vectorized
     engine (full decoded histories cannot live in a fixed shared ring);

@@ -1472,7 +1472,8 @@ class RemoteVectorizedEngine(VectorizedEngine):
             raise UnsupportedAlgebraError(
                 "remote δ needs a bounded-staleness schedule "
                 "(max_read_back() returned None); use "
-                "delta_run(..., engine='vectorized') or strict=True")
+                "EngineSpec(\"vectorized\") or "
+                "RoutingSession.delta(..., strict=True)")
         if stability_window is None:
             stability_window = (max_read_back or 1) + 2
         read_window = max_read_back + 2  # the BoundedHistory window
@@ -1570,8 +1571,8 @@ class RemoteVectorizedEngine(VectorizedEngine):
                                 f"worker ring (window={read_window}, t={t}); "
                                 "the schedule reads further back than its "
                                 "declared max_read_back — run "
-                                "delta_run(..., strict=True) to keep the "
-                                "full history")
+                                "RoutingSession.delta(..., strict=True) to "
+                                "keep the full history")
                             break
                         times.append(int(s))
                     if stale_error is not None:
@@ -1633,7 +1634,7 @@ def iterate_sigma_remote(network: Network, start: RoutingState,
                          workers: Optional[int] = None,
                          endpoints: Optional[Sequence] = None,
                          socket_timeout: Optional[float] = None) -> SyncResult:
-    """Remote drop-in for :func:`repro.core.synchronous.iterate_sigma`.
+    """The remote rung's σ iteration (a :class:`SyncResult`).
 
     Pass ``engine`` to reuse live worker connections across calls;
     without one, loopback workers (``workers``, default 2) or the given
@@ -1662,7 +1663,7 @@ def delta_run_remote(network: Network, schedule: Schedule,
                      endpoints: Optional[Sequence] = None,
                      socket_timeout: Optional[float] = None,
                      window: Optional[int] = None) -> AsyncResult:
-    """Remote drop-in for :func:`repro.core.asynchronous.delta_run`.
+    """The remote rung's δ run (an :class:`AsyncResult`).
 
     ``keep_history`` and unbounded schedules delegate to the serial
     vectorized engine (full decoded histories cannot live in the

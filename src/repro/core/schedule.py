@@ -194,7 +194,7 @@ class Schedule(ABC):
         """Upper bound on ``t - β(t, i, j)``, or ``None`` if unknown.
 
         Bounded-staleness schedules declare how far back β can reach;
-        ``delta_run`` sizes its ring-buffer history (and its default
+        a δ run sizes its ring-buffer history (and its default
         convergence window) from this.  The base implementation probes
         the conventional ``max_delay`` / ``delay`` attributes so that
         externally defined schedules keep working; subclasses with a

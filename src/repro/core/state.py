@@ -88,7 +88,9 @@ class AdjacencyMatrix:
 
     @property
     def version(self) -> int:
-        """Monotonic mutation counter; bumped by every set/remove."""
+        """Monotonic mutation counter; bumped by every ``set`` and by
+        every ``remove`` of a present edge (removing an absent one changes
+        nothing, so it keeps the version)."""
         return self._version
 
     def _invalidate(self) -> None:

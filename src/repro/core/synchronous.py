@@ -18,47 +18,29 @@ computation converges when some iterate reaches a stable state.
 Execution engines
 -----------------
 
-Two engines implement the iteration:
+The iteration runs on one rung of the engine ladder (naive →
+incremental → vectorized → parallel → batched → remote), chosen by
+:meth:`repro.session.RoutingSession.resolve`; this module holds the
+session's σ dispatch (:func:`_iterate_sigma_resolved`) and the two
+object-model rungs:
 
-* ``engine="naive"`` — the literal definition: every round recomputes
-  all ``n²`` entries and a full ``equals`` scan detects the fixed
-  point.  Kept as the executable form of Eq. 5 and as the reference the
-  incremental engine is verified against.
-* ``engine="incremental"`` (default) — delta propagation via
-  :mod:`repro.core.incremental`: after a seeding full round, each round
-  recomputes only the entries whose in-neighbours' routes changed in
-  the previous round (the *dirty set*), shares untouched row objects
-  structurally, and declares the fixed point the moment the dirty set
-  is empty — no per-round equality scan.
-* ``engine="vectorized"`` — for finite algebras
-  (:func:`~repro.core.vectorized.supports_vectorized`), routes are
-  int-encoded and σ runs as a numpy table-gather min-product over the
-  dirty columns (:mod:`repro.core.vectorized`).  Algebras without a
-  finite encoding silently fall back to the incremental engine, so the
-  selector is always safe to request.
-* ``engine="parallel"`` — the vectorized engine's column-independent
-  round sharded over a pool of worker processes against shared-memory
-  code matrices (:mod:`repro.core.parallel`).  Falls back to the
-  vectorized engine (and transitively to incremental) when the algebra
-  has no finite encoding, when the platform lacks shared memory, or
-  when ``workers`` resolves to ≤ 1 — e.g. auto mode on a single-CPU
-  host or a problem below :data:`repro.core.parallel.PARALLEL_MIN_N`.
-* ``engine="batched"`` — the multi-trial tensor engine
-  (:class:`~repro.core.vectorized.BatchedVectorizedEngine`): many
-  starts stacked along a batch axis, one kernel invocation per round
-  for all of them.  Built for experiment grids
-  (:func:`~repro.core.asynchronous.absolute_convergence_experiment`);
-  a single run through this selector is the degenerate B = 1 batch,
-  and non-finite algebras fall down the ladder as usual.
+* ``naive`` — the literal definition: every round recomputes all
+  ``n²`` entries and a full ``equals`` scan detects the fixed point.
+  Kept as the executable form of Eq. 5 and as the reference the other
+  rungs are verified against.
+* ``incremental`` — delta propagation via :mod:`repro.core.incremental`:
+  after a seeding full round, each round recomputes only the entries
+  whose in-neighbours' routes changed in the previous round (the
+  *dirty set*), shares untouched row objects structurally, and
+  declares the fixed point the moment the dirty set is empty.
 
-The six-engine ladder (naive → incremental → vectorized → parallel →
-batched → remote, the last sharding destination columns over TCP
-workers) trades generality for speed rung by rung, but every rung
+The codes-based rungs live in :mod:`repro.core.vectorized`,
+:mod:`repro.core.parallel` and :mod:`repro.core.remote`.  Every rung
 computes exactly σ each round, so trajectories and fixed points are
 identical — ``tests/core/test_engine_equivalence.py`` is the
 differential oracle holding them to it.
 
-Both engines read neighbour structure from the cached
+Both object rungs read neighbour structure from the cached
 :class:`~repro.core.state.NetworkTopology`, which is invalidated by
 ``set_edge`` / ``remove_edge``, so iterating again after a topology
 change is always safe.
@@ -69,14 +51,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .capabilities import warn_deprecated
 from .incremental import sigma_propagate, sigma_with_dirty
 from .state import Network, RoutingState
-
-#: The engine selector vocabulary, shared by every σ/δ driver, the
-#: simulator, the CLI and the test matrix — ordered as the ladder.
-ENGINES = ("naive", "incremental", "vectorized", "parallel", "batched",
-           "remote")
 
 
 def sigma(network: Network, state: RoutingState) -> RoutingState:
@@ -205,40 +181,6 @@ def _iterate_sigma_resolved(network: Network, start: RoutingState,
             seen[nxt] = k + 1
         current = nxt
     return SyncResult(False, max_rounds, current, trajectory)
-
-
-def iterate_sigma(network: Network, start: RoutingState, max_rounds: int = 10_000,
-                  keep_trajectory: bool = False,
-                  detect_cycles: bool = False,
-                  engine: str = "incremental",
-                  workers: Optional[int] = None) -> SyncResult:
-    """Iterate σ from ``start`` until a fixed point (or ``max_rounds``).
-
-    .. deprecated::
-        This free function is a thin shim over
-        :meth:`repro.session.RoutingSession.sigma`, which negotiates the
-        engine rung explicitly (:class:`~repro.core.capabilities.EngineResolution`
-        instead of silent fallback), manages pool/shared-memory
-        lifetimes, and returns a typed report.  It delegates there and
-        emits a :class:`DeprecationWarning`; results are bit-identical.
-
-    With ``detect_cycles`` the iteration also stops early when a state
-    repeats (σ has entered a limit cycle — e.g. BAD GADGET oscillation),
-    reporting ``converged=False``.  ``engine`` selects one rung of the
-    ladder (see the module docstring); unsupported requests fall down
-    the ladder exactly as before, now with the skipped rungs logged on
-    the ``repro.engine`` logger.  ``workers`` sizes the parallel pool.
-
-    Returns a :class:`SyncResult`; ``result.rounds`` is the number of σ
-    applications it took to *reach* the fixed point (so a stable start
-    gives ``rounds == 0``).
-    """
-    warn_deprecated("iterate_sigma()", "RoutingSession.sigma()")
-    from ..session import EngineSpec, RoutingSession
-    with RoutingSession(network, EngineSpec(engine, workers=workers)) as s:
-        return s.sigma(start, max_rounds=max_rounds,
-                       keep_trajectory=keep_trajectory,
-                       detect_cycles=detect_cycles).result
 
 
 def synchronous_fixed_point(network: Network,

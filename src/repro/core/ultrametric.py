@@ -325,15 +325,15 @@ def theorem4_preconditions(metric: RouteUltrametric, network: Network,
     be omitted, in which case it is computed by iterating σ from the
     first state.
     """
-    from .synchronous import iterate_sigma
+    from ..session import RoutingSession
 
     checks = check_ultrametric_axioms(metric, routes)
     checks.append(check_bounded(metric, routes))
     checks.append(check_strictly_contracting_on_orbits(metric, network, states))
     if fixed_point is None:
-        result = iterate_sigma(network, states[0] if states else
-                               RoutingState.identity(network.algebra, network.n))
-        fixed_point = result.state if result.converged else None
+        with RoutingSession(network, "incremental") as session:
+            report = session.sigma(states[0] if states else None)
+        fixed_point = report.state if report.converged else None
     if fixed_point is not None:
         checks.append(check_contracting_on_fixed_point(
             metric, network, fixed_point, states, strict=False))

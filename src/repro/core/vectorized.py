@@ -29,20 +29,19 @@ asynchronous rounds are array ops too (`delta_run_vectorized`).
 Capability & fallback
 ---------------------
 
-This is the third rung of the four-engine ladder (naive → incremental
-→ **vectorized** → parallel): :mod:`repro.core.parallel` shards this
-engine's column-independent round over worker processes against
-shared-memory code matrices, and inherits its encoding and snapshot
-machinery from :class:`VectorizedEngine`.
+This is the **vectorized** rung of the engine ladder:
+:mod:`repro.core.parallel` shards this engine's column-independent
+round over worker processes against shared-memory code matrices, and
+inherits its encoding and snapshot machinery from
+:class:`VectorizedEngine`.
 
 The engine needs numpy and a :class:`~repro.algebras.base.AlgebraEncoding`
 (finite carrier, injective preference keys, default route equality).
-:func:`supports_vectorized` reports capability; the public selectors
-(``iterate_sigma(engine="vectorized")``, ``delta_run(...)``,
-``Simulator(engine=...)``) silently fall back to the incremental engine
-for unsupported algebras, while constructing :class:`VectorizedEngine`
-directly raises :class:`~repro.core.algebra.UnsupportedAlgebraError`
-with the reason.
+:func:`supports_vectorized` reports capability;
+:meth:`repro.session.RoutingSession.resolve` skips this rung for
+unsupported algebras (``no-finite-encoding``), while constructing
+:class:`VectorizedEngine` directly raises
+:class:`~repro.core.algebra.UnsupportedAlgebraError` with the reason.
 
 Cache discipline: edge tables are derived from the adjacency matrix and
 rebuilt whenever ``adjacency.version`` moves (checked by
@@ -62,7 +61,7 @@ except ImportError:                      # pragma: no cover - numpy is baked in
     np = None
 
 from .algebra import RoutingAlgebra, UnsupportedAlgebraError
-from .asynchronous import AbsoluteConvergenceReport, AsyncResult
+from .asynchronous import AsyncResult
 from .capabilities import Capabilities, register_engine
 from .incremental import BoundedHistory
 from .schedule import CompiledSchedule, Schedule
@@ -388,11 +387,6 @@ class BatchedVectorizedEngine(VectorizedEngine):
         supports_single_stability_check=False,
     ))
 
-    #: set by the session to force the stacked-tensor dtype
-    #: (:class:`~repro.session.EngineSpec` ``batch_dtype``); ``None``
-    #: keeps the narrowest-fit default of :attr:`_batch_dtype`.
-    batch_dtype_override = None
-
     # -- node-indexed snapshot arrays (degree/offset per node) -----------
 
     def _node_arrays(self):
@@ -413,12 +407,8 @@ class BatchedVectorizedEngine(VectorizedEngine):
         Finite carriers are small (hop bounds, levels); int16 halves
         the memory traffic of every gather/fold/compare in the batched
         step, which is bandwidth-bound.  The margin (``2 · size``)
-        keeps the affine fast path's ``x + w`` sum in range too.  A
-        session-installed :attr:`batch_dtype_override` wins (validated
-        against the carrier at install time).
+        keeps the affine fast path's ``x + w`` sum in range too.
         """
-        if self.batch_dtype_override is not None:
-            return self.batch_dtype_override
         return np.int16 if 2 * self.encoding.size < 32_000 else _DTYPE
 
     def _affine_tables(self):
@@ -581,8 +571,8 @@ class BatchedVectorizedEngine(VectorizedEngine):
                     f"{int(rep_b[k])}'s ring window "
                     f"(window={int(windows[rep_b[k]])}, t={t}); the "
                     "schedule reads further back than its declared "
-                    "max_read_back — run delta_run(..., strict=True) to "
-                    "keep the full history")
+                    "max_read_back — run RoutingSession.delta(..., "
+                    "strict=True) to keep the full history")
             edge_flat = np.repeat(off_arr[ei], ed) + _concat_ranges(ed)
             src_flat = src[edge_flat]
             # -- read-diff skip (vectorized DeltaRowCache) --------------
@@ -782,7 +772,7 @@ def iterate_sigma_vectorized(network: Network, start: RoutingState,
                              detect_cycles: bool = False,
                              engine: Optional[VectorizedEngine] = None
                              ) -> SyncResult:
-    """Vectorized drop-in for :func:`repro.core.synchronous.iterate_sigma`.
+    """The vectorized rung's σ iteration (a :class:`SyncResult`).
 
     Same trajectory, fixed point and round count as the other engines —
     the differential oracle in ``tests/core/test_engine_equivalence.py``
@@ -819,13 +809,13 @@ def delta_run_vectorized(network: Network, schedule: Schedule,
                          keep_history: bool = False,
                          engine: Optional[VectorizedEngine] = None
                          ) -> AsyncResult:
-    """Vectorized drop-in for :func:`repro.core.asynchronous.delta_run`.
+    """The vectorized rung's δ run (an :class:`AsyncResult`).
 
-    Identical history semantics: the code-matrix history is a
-    :class:`~repro.core.incremental.BoundedHistory` ring buffer sized by
-    ``schedule.max_read_back() + 2`` (full list when the schedule
-    declares no bound or ``keep_history`` is set), and convergence uses
-    the same constant-window + σ-stable criterion.
+    Same history semantics as the object-model loop: the code-matrix
+    history is a :class:`~repro.core.incremental.BoundedHistory` ring
+    buffer sized by ``schedule.max_read_back() + 2`` (full list when
+    the schedule declares no bound or ``keep_history`` is set), and
+    convergence uses the same constant-window + σ-stable criterion.
     """
     eng = engine if engine is not None else VectorizedEngine(network)
     eng.refresh()
@@ -958,61 +948,11 @@ def delta_run_batched(network: Network, schedule: Schedule,
                       ) -> AsyncResult:
     """Single-trial δ through the batched kernel (the B = 1 grid).
 
-    Exists so ``delta_run(engine="batched")`` exercises exactly the
-    code path the grid driver uses — the differential oracle runs every
-    engine through the same selectors.
+    Exists so a single :meth:`repro.session.RoutingSession.delta` on
+    the batched rung exercises exactly the code path the grid driver
+    uses — the differential oracle runs every rung through the same
+    session calls.
     """
     eng = engine if engine is not None else BatchedVectorizedEngine(network)
     return eng.delta_grid([(schedule, start)], max_steps=max_steps,
                           stability_window=stability_window)[0]
-
-
-def absolute_convergence_batched(
-        network: Network,
-        starts: Sequence[RoutingState],
-        schedules: Sequence[Schedule],
-        max_steps: int = 2_000,
-        engine: Optional[BatchedVectorizedEngine] = None,
-        batch_size: Optional[int] = 64) -> AbsoluteConvergenceReport:
-    """The absolute-convergence grid as one (chunked) tensor workload.
-
-    Drop-in for
-    :func:`repro.core.asynchronous.absolute_convergence_experiment` on
-    finite algebras: same trial order (starts major), same report —
-    runs, convergence flags, first-occurrence-ordered distinct fixed
-    points and convergence steps.  ``batch_size`` bounds the ring's
-    batch axis (``None`` stacks the whole grid at once).
-    """
-    eng = engine if engine is not None else BatchedVectorizedEngine(network)
-    # compile each distinct schedule once up front — chunked grids
-    # would otherwise re-wrap (and, for undeclared staleness bounds,
-    # re-derive) per chunk; delta_grid's own ensure() is then a no-op
-    compiled: dict = {}
-
-    def _compile(sched):
-        comp = compiled.get(id(sched))
-        if comp is None:
-            comp = CompiledSchedule.ensure(sched, max_steps)
-            compiled[id(sched)] = comp
-        return comp
-
-    trials = [(_compile(sched), start)
-              for start in starts for sched in schedules]
-    chunk = len(trials) if not batch_size else max(1, int(batch_size))
-    results: List[AsyncResult] = []
-    for lo in range(0, len(trials), chunk):
-        results.extend(eng.delta_grid(trials[lo:lo + chunk],
-                                      max_steps=max_steps))
-    alg = network.algebra
-    fixed_points: List[RoutingState] = []
-    steps: List[int] = []
-    all_converged = True
-    for res in results:
-        if not res.converged:
-            all_converged = False
-            continue
-        steps.append(res.converged_at or res.steps)
-        if not any(res.state.equals(fp, alg) for fp in fixed_points):
-            fixed_points.append(res.state)
-    return AbsoluteConvergenceReport(len(trials), all_converged,
-                                     fixed_points, steps)

@@ -9,7 +9,7 @@ from .dynamics import (
 )
 from .messages import HOSTILE, RELIABLE, Announcement, LinkConfig
 from .node import CacheEntry, ProtocolNode
-from .simulator import SimulationResult, Simulator, simulate
+from .simulator import SimulationResult, Simulator
 from .trace import Activation, MessageStats, TableChange, Trace
 
 __all__ = [
@@ -30,5 +30,4 @@ __all__ = [
     "fail_edge",
     "fail_link",
     "set_edge",
-    "simulate",
 ]

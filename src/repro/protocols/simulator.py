@@ -1,6 +1,6 @@
 """Event-driven message-passing DBF simulator.
 
-Where :func:`repro.core.asynchronous.delta_run` executes the paper's δ
+Where :meth:`repro.session.RoutingSession.delta` executes the paper's δ
 recursion against an abstract schedule, this simulator executes a
 *protocol*: nodes hold tables and neighbour caches, send triggered
 updates when their tables change, and periodically refresh their
@@ -39,12 +39,11 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.algebra import Route
-from ..core.capabilities import resolve_engine, warn_deprecated
 from ..core.state import Network, RoutingState
-from ..core.synchronous import ENGINES, is_stable
+from ..core.synchronous import is_stable
 from .messages import LinkConfig, RELIABLE
 from .node import ProtocolNode
 from .trace import Activation, MessageStats, TableChange, Trace
@@ -80,23 +79,19 @@ class Simulator:
     ``link_config`` may be a single :class:`LinkConfig` applied to every
     directed link or a dict keyed by ``(sender, receiver)``; missing
     keys fall back to ``default_link``.
+
+    ``stability_engine`` is the codes-based engine the final σ-stability
+    check runs on — the one :meth:`repro.session.RoutingSession.simulate`
+    negotiated and owns (never closed here).  Without one the check runs
+    the object-model dirty-set scan.
     """
 
     def __init__(self, network: Network, seed: int = 0,
                  link_config=None, default_link: LinkConfig = RELIABLE,
                  refresh_interval: float = 10.0, quiet_period: float = 30.0,
-                 engine: str = "incremental", workers: Optional[int] = None,
-                 stability_engine=None, stability_resolution=None):
-        if engine != "auto" and engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}")
+                 stability_engine=None):
         self.network = network
-        self.engine = engine
-        self.workers = workers           # pool size for engine="parallel"
-        self._vec_engine = None          # built lazily, auto-refreshing
-        #: engine borrowed from a RoutingSession — used for the σ-check
-        #: but never closed here (the session owns its lifetime)
-        self._external_engine = stability_engine
-        self._resolution = stability_resolution
+        self.stability_engine = stability_engine
         self.rng = random.Random(seed)
         self.default_link = default_link
         self._links: Dict[Tuple[int, int], LinkConfig] = {}
@@ -246,60 +241,11 @@ class Simulator:
 
     # -- stability check ------------------------------------------------------------
 
-    def stability_resolution(self):
-        """The negotiated σ-check engine resolution (cached).
-
-        One :class:`~repro.core.capabilities.EngineResolution` per
-        simulator: the batched rung declines single stability checks
-        (``single-stability-check``), and every other skip — non-finite
-        algebra, pool not worthwhile — is recorded in the reason chain
-        and logged on the ``repro.engine`` logger instead of happening
-        silently.
-        """
-        if self._resolution is None:
-            self._resolution = resolve_engine(
-                self.network, self.engine, "stability",
-                workers=self.workers)
-        return self._resolution
-
     def _is_sigma_stable(self, state: RoutingState) -> bool:
-        """σ-stability of the final table (Definition 4), on the
-        negotiated σ-check engine: ``parallel`` runs the check on the
-        shared-memory worker pool (auto-closed when the simulator is
-        collected), ``vectorized`` runs the table-gather σ, and the
-        object engines run the dirty-set scan.  A session-provided
-        engine (:meth:`repro.session.RoutingSession.simulate`) is used
-        directly and never closed here."""
-        resolution = self.stability_resolution()
-        rung = resolution.chosen
-        if rung in ("naive", "incremental"):
-            return is_stable(self.network, state)
-        if self._external_engine is not None:
-            return self._external_engine.is_stable(state)
-        if self._vec_engine is None:
-            if rung == "parallel":
-                from ..core.parallel import ParallelVectorizedEngine
-                self._vec_engine = ParallelVectorizedEngine(
-                    self.network, workers=resolution.workers)
-            else:
-                from ..core.vectorized import VectorizedEngine
-                self._vec_engine = VectorizedEngine(self.network)
-        return self._vec_engine.is_stable(state)
-
-    def close(self) -> None:
-        """Release the σ-check engine.
-
-        Only meaningful for ``engine="parallel"`` (worker processes and
-        shared-memory segments); idempotent, and the engine's own
-        ``weakref.finalize`` backstop covers simulators that are simply
-        dropped.
-        """
-        eng = self._vec_engine
-        if eng is not None and hasattr(eng, "close"):
-            eng.close()
-            # a closed pool refuses to run; drop the reference so a
-            # later run() lazily rebuilds it instead of crashing
-            self._vec_engine = None
+        """σ-stability of the final table (Definition 4)."""
+        if self.stability_engine is not None:
+            return self.stability_engine.is_stable(state)
+        return is_stable(self.network, state)
 
     # -- running --------------------------------------------------------------------
 
@@ -361,26 +307,3 @@ class Simulator:
                 self._refresh_active[i] = True
                 phase = self.rng.uniform(0, self.refresh_interval)
                 self._push(self.now + phase, "refresh", (i,))
-
-
-def simulate(network: Network, start: Optional[RoutingState] = None,
-             seed: int = 0, link_config=None,
-             refresh_interval: float = 10.0, quiet_period: float = 30.0,
-             max_time: float = 10_000.0,
-             engine: str = "incremental",
-             workers: Optional[int] = None) -> SimulationResult:
-    """One-shot convenience wrapper around :class:`Simulator`.
-
-    .. deprecated::
-        Thin shim over :meth:`repro.session.RoutingSession.simulate`,
-        which negotiates the σ-check engine explicitly and manages its
-        lifetime.  Delegates there and emits a
-        :class:`DeprecationWarning`; results are bit-identical.
-    """
-    warn_deprecated("simulate()", "RoutingSession.simulate()")
-    from ..session import EngineSpec, RoutingSession
-    with RoutingSession(network, EngineSpec(engine, workers=workers)) as s:
-        return s.simulate(start, seed=seed, link_config=link_config,
-                          refresh_interval=refresh_interval,
-                          quiet_period=quiet_period,
-                          max_time=max_time).result

@@ -827,6 +827,7 @@ class RoutingServiceDaemon:
                 ERR_BAD_REQUEST,
                 f"edge ({i}, {k}) outside the 0..{n - 1} node range")
         async with entry.lock:
+            before = entry.version
             if verb == "set_edge":
                 edge_seed = int(req.get("edge_seed", 0))
                 fn = entry.factory(random.Random(edge_seed), i, k)
@@ -836,7 +837,9 @@ class RoutingServiceDaemon:
                 entry.network.remove_edge(i, k)
                 entry.mutation_log.append(["remove_edge", i, k, None])
                 edge_seed = None
-            dropped = entry.invalidate()
+            # a write that left the topology as it was (removing an
+            # absent arc) keeps every cached answer valid
+            dropped = entry.invalidate() if entry.version != before else 0
             entry.mutations += 1
             version = entry.version
             # journalled under the lock (journal order == application

@@ -2,12 +2,9 @@
 
 The paper's message is that a single algebraic object ``(A, ⊕, F)``
 determines both the synchronous σ-iteration and the asynchronous δ-run.
-The library grew six execution engines for that object (naive →
-incremental → vectorized → parallel → batched → remote), and with them a sprawl
-of free functions each re-threading ``engine=``/``workers=`` strings
-and silently falling a rung down the ladder on unsupported
-configurations.  This module replaces the sprawl with one negotiated
-facade:
+The library has six execution engines for that object (naive →
+incremental → vectorized → parallel → batched → remote); this module is
+the one negotiated facade over them:
 
 >>> from repro.session import EngineSpec, RoutingSession
 >>> with RoutingSession(net, EngineSpec("auto")) as s:
@@ -38,7 +35,8 @@ What the session owns:
   ``adjacency.version`` moves.
 * **Schedule compilation caching** — compiled α/β forms
   (:class:`~repro.core.schedule.CompiledSchedule`) are cached per
-  schedule object and reused across δ runs and grids.
+  schedule object (the :data:`SCHEDULE_CACHE_SIZE` most recently used)
+  and reused across δ runs and grids.
 * **Structured run reports** — every entry point returns a typed
   dataclass (:class:`SigmaReport`, :class:`DeltaReport`,
   :class:`GridReport`, :class:`ConvergenceReport`,
@@ -47,16 +45,17 @@ What the session owns:
   for δ — the :class:`~repro.core.schedule.RandomSchedule` seed-mapping
   version the run's schedules assume.
 
-The legacy free functions (``iterate_sigma``, ``delta_run``,
-``absolute_convergence_experiment``, ``run_absolute_convergence``,
-``simulate``) survive as deprecation shims that delegate here;
-``tests/core/test_session_api.py`` holds them bit-identical.
+:meth:`RoutingSession.resolve` is the only place a rung is chosen: the
+σ/δ dispatch below it (``_iterate_sigma_resolved`` /
+``_delta_run_resolved``) and the protocol simulator's σ-stability check
+run whatever rung the session negotiated.
 """
 
 from __future__ import annotations
 
 import random
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -82,6 +81,11 @@ from .core.state import Network, RoutingState
 from .core.synchronous import SyncResult, _iterate_sigma_resolved
 from .core.vectorized import sigma_churn, supports_vectorized
 from .core.wire import WireStats
+
+#: compiled schedules one session keeps, least recently used evicted
+#: first — above the distinct-schedule count of any grid the repository
+#: reuses (a ``schedule_zoo`` has 9), so repeated grids still hit.
+SCHEDULE_CACHE_SIZE = 32
 
 
 def schedule_seed_version(schedules) -> Optional[int]:
@@ -111,10 +115,7 @@ class EngineSpec:
     the reason chain.  ``history`` is the default δ history policy:
     ``"bounded"`` (ring buffer), ``"full"`` (retain and return every
     state), or ``"literal"`` (the strict paper recursion — always the
-    naive rung).  ``workers`` sizes the parallel pool, ``window`` the
-    parallel δ IPC window, and ``batch_dtype`` forces the batched
-    engine's stacked-tensor dtype (e.g. ``"int32"``; default: the
-    narrowest dtype that fits the carrier).
+    naive rung).  ``workers`` sizes the parallel pool.
 
     The remote rung needs a transport: ``endpoints`` (``"host:port"``
     strings or ``(host, port)`` pairs, one shard each) or
@@ -141,8 +142,6 @@ class EngineSpec:
 
     engine: str = "auto"
     workers: Optional[int] = None
-    window: Optional[int] = None
-    batch_dtype: Optional[str] = None
     history: str = "bounded"
     strict: bool = False
     remote_workers: Optional[int] = None
@@ -435,7 +434,8 @@ class RoutingSession:
         self.network = network
         self.spec = spec or EngineSpec()
         self._engines: Dict[str, object] = {}
-        self._compiled: Dict[int, Tuple[Schedule, CompiledSchedule]] = {}
+        #: id(schedule) → (schedule, compiled form), least recent first
+        self._compiled: OrderedDict = OrderedDict()
         self._closed = False
         self._finalizer = weakref.finalize(self, _close_engines,
                                            self._engines)
@@ -510,9 +510,6 @@ class RoutingSession:
             elif rung == "batched":
                 from .core.vectorized import BatchedVectorizedEngine
                 eng = BatchedVectorizedEngine(self.network)
-                if self.spec.batch_dtype is not None:
-                    eng.batch_dtype_override = _validated_dtype(
-                        self.spec.batch_dtype, eng.encoding.size)
             elif rung == "remote":
                 from .core.remote import RemoteVectorizedEngine
                 eng = RemoteVectorizedEngine(
@@ -548,15 +545,21 @@ class RoutingSession:
     def compile_schedule(self, schedule: Schedule,
                          horizon: int) -> CompiledSchedule:
         """The session-cached compiled form of ``schedule`` (recompiled
-        only when a longer horizon is requested)."""
+        only when a longer horizon is requested).  The cache is an LRU of
+        :data:`SCHEDULE_CACHE_SIZE` entries, so a long-lived session
+        running fresh schedules holds bounded memory."""
         key = id(schedule)
         entry = self._compiled.get(key)
         if entry is not None and entry[1].horizon >= horizon:
+            self._compiled.move_to_end(key)
             return entry[1]
         comp = CompiledSchedule.ensure(schedule, horizon)
         # the schedule object is retained alongside so the id() key can
-        # never be recycled by the allocator while the cache is alive
+        # never be recycled by the allocator while its entry is alive
         self._compiled[key] = (schedule, comp)
+        self._compiled.move_to_end(key)
+        if len(self._compiled) > SCHEDULE_CACHE_SIZE:
+            self._compiled.popitem(last=False)
         return comp
 
     # -- σ ---------------------------------------------------------------
@@ -636,7 +639,7 @@ class RoutingSession:
         """Run δ under ``schedule``; returns a :class:`DeltaReport`.
 
         ``keep_history`` / ``strict`` default from the spec's history
-        policy (``"full"`` / ``"literal"``); ``window`` overrides the
+        policy (``"full"`` / ``"literal"``); ``window`` sets the
         parallel/remote rung's IPC window for this run.
         """
         self._check_open()
@@ -658,7 +661,7 @@ class RoutingSession:
             stability_window=stability_window, keep_history=keep_history,
             workers=resolution.workers,
             engine_obj=self._engine_obj(resolution),
-            window=window if window is not None else self.spec.window)
+            window=window)
         ipc_commands = ipc_steps = None
         if resolution.chosen in ("parallel", "remote"):
             pool = self._engines.get(resolution.chosen)
@@ -743,8 +746,7 @@ class RoutingSession:
                     net, sched, start, resolution.chosen,
                     max_steps=max_steps, stability_window=stability_window,
                     keep_history=keep_history,
-                    workers=resolution.workers, engine_obj=eng,
-                    window=self.spec.window))
+                    workers=resolution.workers, engine_obj=eng))
         alg = net.algebra
         fixed_points: List[RoutingState] = []
         steps: List[int] = []
@@ -895,13 +897,8 @@ class RoutingSession:
         sim = Simulator(self.network, seed=seed, link_config=link_config,
                         refresh_interval=refresh_interval,
                         quiet_period=quiet_period,
-                        engine=self.spec.engine, workers=self.spec.workers,
-                        stability_engine=self._engine_obj(resolution),
-                        stability_resolution=resolution)
-        try:
-            result = sim.run(start, max_time=max_time)
-        finally:
-            sim.close()
+                        stability_engine=self._engine_obj(resolution))
+        result = sim.run(start, max_time=max_time)
         return SimulationReport(result=result, resolution=resolution,
                                 elapsed_s=perf_counter() - t0)
 
@@ -922,17 +919,3 @@ def _close_engines(engines: Dict[str, object]) -> None:
         if close is not None:
             close()
     engines.clear()
-
-
-def _validated_dtype(name: str, carrier_size: int):
-    """Parse a spec's ``batch_dtype`` and check the carrier fits (with
-    the affine fast path's ``2 ×`` headroom)."""
-    import numpy as np
-    dtype = np.dtype(name)
-    if dtype.kind not in "iu":
-        raise ValueError(f"batch_dtype must be an integer dtype, got {name!r}")
-    if np.iinfo(dtype).max < 2 * carrier_size:
-        raise ValueError(
-            f"batch_dtype {name!r} cannot hold a {carrier_size}-route "
-            "carrier (needs 2× headroom for the affine fast path)")
-    return dtype

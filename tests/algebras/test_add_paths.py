@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.algebras import AddPaths, ShortestPathsAlgebra, WidestPathsAlgebra
-from repro.core import BOTTOM, Network, RoutingState, iterate_sigma
+from repro.core import BOTTOM, Network
+from repro.session import RoutingSession
 from repro.verification import verify_algebra, verify_path_algebra
 
 
@@ -132,7 +133,7 @@ class TestConsistency:
 
         net = shortest_pv_net(4, seed=9)
         alg = net.algebra
-        fp = iterate_sigma(net, RoutingState.identity(alg, 4)).state
+        fp = RoutingSession(net, "incremental").sigma().state
         for (_i, _j, r) in fp.entries():
             assert alg.is_consistent(r, net)
 
@@ -151,7 +152,7 @@ class TestCountToInfinityRepair:
         from repro.topologies import count_to_infinity_pv
 
         net, stale = count_to_infinity_pv()
-        res = iterate_sigma(net, stale, max_rounds=50)
+        res = RoutingSession(net, "incremental").sigma(stale, max_rounds=50)
         assert res.converged
         # destination 0 is unreachable: all routes to it invalid
         alg = net.algebra
@@ -162,7 +163,7 @@ class TestCountToInfinityRepair:
         from repro.topologies import count_to_infinity
 
         net, stale = count_to_infinity()
-        res = iterate_sigma(net, stale, max_rounds=100)
+        res = RoutingSession(net, "incremental").sigma(stale, max_rounds=100)
         assert not res.converged
         # distances grew without bound — the count-to-infinity signature
         assert res.state.get(1, 0) > 50

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.algebras import GaoRexfordAlgebra, GR_INVALID, Rel
-from repro.core import BOTTOM, RoutingState, iterate_sigma
+from repro.core import BOTTOM, RoutingState
+from repro.session import RoutingSession
 from repro.topologies import gao_rexford_hierarchy
 from repro.verification import verify_algebra
 
@@ -84,13 +85,12 @@ class TestHierarchyConvergence:
     def test_unique_convergence_on_hierarchy(self, rng):
         net, rels = gao_rexford_hierarchy(2, 3, 5, seed=1)
         alg = net.algebra
-        reference = iterate_sigma(
-            net, RoutingState.identity(alg, net.n)).state
+        reference = RoutingSession(net, "incremental").sigma().state
         for seed in range(3):
             r = random.Random(seed)
             start = RoutingState.from_function(
                 lambda i, j: alg.sample_route(r), net.n)
-            res = iterate_sigma(net, start)
+            res = RoutingSession(net, "incremental").sigma(start)
             assert res.converged
             assert res.state.equals(reference, alg)
 
@@ -106,7 +106,7 @@ class TestHierarchyConvergence:
         route is learned from a peer/provider it never flows up again."""
         net, rels = gao_rexford_hierarchy(2, 3, 4, seed=3)
         alg = net.algebra
-        fp = iterate_sigma(net, RoutingState.identity(alg, net.n)).state
+        fp = RoutingSession(net, "incremental").sigma().state
         for (_i, _j, r) in fp.entries():
             if r == GR_INVALID or r == alg.trivial:
                 continue

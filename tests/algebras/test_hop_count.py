@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.algebras import ConditionalHopEdge, HopCountAlgebra, UncappedHopEdge
-from repro.core import Network, RoutingState, iterate_sigma
+from repro.core import Network, RoutingState
+from repro.session import RoutingSession
 from repro.verification import verify_algebra
 from tests.conftest import hop_net
 
@@ -77,7 +78,7 @@ class TestConvergenceWithPolicies:
         for _ in range(6):
             start = RoutingState.from_function(
                 lambda i, j: rng.randint(0, 16), 5)
-            res = iterate_sigma(net, start)
+            res = RoutingSession(net, "incremental").sigma(start)
             assert res.converged
             if reference is None:
                 reference = res.state

@@ -11,6 +11,7 @@ from repro.algebras import (
     ShortestPathsAlgebra,
     WidestPathsAlgebra,
 )
+from repro.session import RoutingSession
 from repro.verification import verify_algebra
 
 
@@ -86,7 +87,7 @@ class TestConvergence:
     def test_shortest_widest_network(self, rng):
         """A concrete non-distributive network converges to a *local*
         (not global) optimum — the paper's 'locally optimal routes'."""
-        from repro.core import Network, iterate_sigma, RoutingState
+        from repro.core import Network
 
         alg = shortest_widest()
         w, s = alg.first, alg.second
@@ -99,7 +100,7 @@ class TestConvergence:
         edge(0, 1, 2, 1), edge(1, 0, 2, 1)
         edge(0, 2, 10, 1), edge(2, 0, 10, 1)
         edge(2, 1, 10, 1), edge(1, 2, 10, 1)
-        res = iterate_sigma(net, RoutingState.identity(alg, 3))
+        res = RoutingSession(net, "incremental").sigma()
         assert res.converged
         # node 0 prefers the wide two-hop route to 1
         assert res.state.get(0, 1) == (10, 2)

@@ -15,7 +15,8 @@ from repro.algebras import (
     padding_of,
     strip_padding,
 )
-from repro.core import BOTTOM, Network, RoutingState, iterate_sigma
+from repro.core import BOTTOM, Network
+from repro.session import RoutingSession
 from repro.verification import verify_algebra, verify_path_algebra
 
 
@@ -156,13 +157,11 @@ class TestTrafficEngineering:
                 net.set_edge(i, j, alg.edge(i, j, pol))
             return net
 
-        before = iterate_sigma(
-            build(0), RoutingState.identity(alg, 4)).state
+        before = RoutingSession(build(0), "incremental").sigma().state
         assert before.get(0, 3).path in ((0, 1, 3), (0, 2, 3))
         baseline = before.get(0, 3).path
 
-        after = iterate_sigma(
-            build(3), RoutingState.identity(alg, 4)).state
+        after = RoutingSession(build(3), "incremental").sigma().state
         diverted = after.get(0, 3).path
         if baseline == (0, 1, 3):
             assert diverted == (0, 2, 3)

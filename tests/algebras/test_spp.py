@@ -18,7 +18,7 @@ from repro.analysis import (
     multistart_fixed_points,
     sync_oscillates,
 )
-from repro.core import BOTTOM, RoutingState, iterate_sigma
+from repro.core import BOTTOM, RoutingState
 from repro.verification import verify_algebra
 
 

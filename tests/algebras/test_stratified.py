@@ -15,7 +15,8 @@ from repro.algebras import (
     StratifiedAlgebra,
     valid,
 )
-from repro.core import Network, RoutingState, iterate_sigma
+from repro.core import Network
+from repro.session import RoutingSession
 from repro.verification import verify_algebra
 
 
@@ -106,7 +107,7 @@ class TestConvergence:
         net.set_edge(2, 1, alg.raise_level())
         net.set_edge(2, 3, alg.add(2))
         net.set_edge(3, 2, alg.add(2))
-        res = iterate_sigma(net, RoutingState.identity(alg, 4))
+        res = RoutingSession(net, "incremental").sigma()
         assert res.converged
         # node 0's route to 3 crosses the level boundary once
         assert res.state.get(0, 3) == (1, 1)
@@ -148,8 +149,8 @@ class TestBGPLiteEmbedding:
             else:
                 snet.set_edge(i, j, strat.add(1))
                 bnet.set_edge(i, j, self.embed_edge(bgp, i, j, strat.add(1)))
-        sres = iterate_sigma(snet, RoutingState.identity(strat, 4))
-        bres = iterate_sigma(bnet, RoutingState.identity(bgp, 4))
+        sres = RoutingSession(snet, "incremental").sigma()
+        bres = RoutingSession(bnet, "incremental").sigma()
         assert sres.converged and bres.converged
         # compare reachability and level structure entry-wise
         for i in range(4):

@@ -1,7 +1,8 @@
 """Convergence measurement wrappers."""
 
-from repro.analysis import measure_sync, run_absolute_convergence, sample_starts
+from repro.analysis import measure_sync, sample_starts
 from repro.core import RoutingState, synchronous_fixed_point
+from repro.session import RoutingSession
 from tests.conftest import bgp_net, hop_net
 
 
@@ -42,18 +43,18 @@ class TestSampleStarts:
 
 class TestRunAbsoluteConvergence:
     def test_hop_count_is_absolute(self):
-        report = run_absolute_convergence(hop_net(4), n_starts=3, seed=1,
-                                          max_steps=1500)
+        report = RoutingSession(hop_net(4), "incremental").converges(
+            n_starts=3, seed=1, max_steps=1500).grid
         assert report.absolute
 
     def test_bgp_is_absolute(self):
-        report = run_absolute_convergence(bgp_net(4, seed=2), n_starts=2,
-                                          seed=2, max_steps=1500)
+        report = RoutingSession(bgp_net(4, seed=2), "incremental").converges(
+            n_starts=2, seed=2, max_steps=1500).grid
         assert report.absolute
 
     def test_report_counts_runs(self):
-        report = run_absolute_convergence(hop_net(3), n_starts=2, seed=3,
-                                          max_steps=1500)
+        report = RoutingSession(hop_net(3), "incremental").converges(
+            n_starts=2, seed=3, max_steps=1500).grid
         # (2 starts + identity) x |zoo|
         from repro.core import schedule_zoo
 

@@ -14,6 +14,7 @@ from repro.analysis import (
     sync_oscillates,
 )
 from repro.core import is_stable, RoutingState, synchronous_fixed_point
+from repro.session import RoutingSession
 from tests.conftest import hop_net, shortest_pv_net
 
 
@@ -89,11 +90,11 @@ class TestSyncOscillates:
     def test_divergence_is_not_oscillation(self):
         """Count-to-infinity never repeats a state (distances grow), so
         it is divergence-without-cycle: sync_oscillates must say False
-        while iterate_sigma still reports non-convergence."""
-        from repro.core import iterate_sigma
+        while RoutingSession.sigma still reports non-convergence."""
         from repro.topologies import count_to_infinity
 
         net, stale = count_to_infinity()
         assert not sync_oscillates(net, start=stale, max_rounds=60)
-        res = iterate_sigma(net, stale, max_rounds=60, detect_cycles=True)
+        res = RoutingSession(net, "incremental").sigma(
+            stale, max_rounds=60, detect_cycles=True)
         assert not res.converged

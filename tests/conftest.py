@@ -14,14 +14,13 @@ from repro.algebras import (
     ShortestPathsAlgebra,
     WidestPathsAlgebra,
 )
-from repro.core import ENGINES as ENGINE_CHOICES
-from repro.core import Network
+from repro.core import LADDER, Network
 
 
 def pytest_addoption(parser):
     parser.addoption(
         "--engine", action="store", default="all",
-        choices=("all",) + ENGINE_CHOICES,
+        choices=("all",) + LADDER,
         help="restrict tests using the `engine` fixture to one engine "
              "(default: parametrise over all engines)")
 
@@ -35,7 +34,7 @@ def pytest_generate_tests(metafunc):
     """
     if "engine" in metafunc.fixturenames:
         chosen = metafunc.config.getoption("--engine")
-        engines = ENGINE_CHOICES if chosen == "all" else (chosen,)
+        engines = LADDER if chosen == "all" else (chosen,)
         metafunc.parametrize("engine", engines)
 
 

@@ -8,15 +8,13 @@ from repro.core import (
     RoundRobinSchedule,
     RoutingState,
     SynchronousSchedule,
-    absolute_convergence_experiment,
-    delta_run,
     delta_step,
     is_stable,
-    iterate_sigma,
     random_state,
     sigma,
     synchronous_fixed_point,
 )
+from repro.session import RoutingSession
 from tests.conftest import finite_net, hop_net
 
 
@@ -68,25 +66,26 @@ class TestDeltaConvergence:
         net = hop_net(4)
         alg = net.algebra
         fp = synchronous_fixed_point(net)
-        res = delta_run(net, RandomSchedule(4, seed=seed),
-                        RoutingState.identity(alg, 4))
+        res = RoutingSession(net, "incremental").delta(
+            RandomSchedule(4, seed=seed), RoutingState.identity(alg, 4))
         assert res.converged
         assert res.state.equals(fp, alg)
         assert is_stable(net, res.state)
 
     def test_converged_at_is_consistent(self):
         net = hop_net(4)
-        res = delta_run(net, RandomSchedule(4, seed=5),
-                        RoutingState.filled(net.algebra.invalid, 4))
+        res = RoutingSession(net, "incremental").delta(
+            RandomSchedule(4, seed=5),
+            RoutingState.filled(net.algebra.invalid, 4))
         assert res.converged
         assert res.converged_at is not None
         assert res.converged_at <= res.steps
 
     def test_history_kept_on_request(self):
         net = hop_net(3)
-        res = delta_run(net, SynchronousSchedule(3),
-                        RoutingState.identity(net.algebra, 3),
-                        keep_history=True)
+        res = RoutingSession(net, "incremental").delta(
+            SynchronousSchedule(3), RoutingState.identity(net.algebra, 3),
+            keep_history=True)
         assert res.history is not None
         assert len(res.history) == res.steps + 1
 
@@ -94,7 +93,8 @@ class TestDeltaConvergence:
         from repro.topologies import count_to_infinity
 
         net, stale = count_to_infinity()
-        res = delta_run(net, SynchronousSchedule(net.n), stale, max_steps=40)
+        res = RoutingSession(net, "incremental").delta(
+            SynchronousSchedule(net.n), stale, max_steps=40)
         assert not res.converged
         with pytest.raises(ValueError):
             _ = res.fixed_point
@@ -108,16 +108,16 @@ class TestAbsoluteConvergenceExperiment:
                   RoutingState.filled(3, 4)]
         schedules = [SynchronousSchedule(4), RoundRobinSchedule(4),
                      RandomSchedule(4, seed=9)]
-        report = absolute_convergence_experiment(net, starts, schedules)
+        report = RoutingSession(net, "incremental").delta_grid(
+            [(sched, start) for start in starts for sched in schedules])
         assert report.absolute, f"{len(report.distinct_fixed_points)} FPs"
         assert report.runs == 9
         assert report.max_steps >= 1
         assert report.mean_steps > 0
 
     def test_empty_report_statistics(self):
-        from repro.core.asynchronous import AbsoluteConvergenceReport
-
-        r = AbsoluteConvergenceReport(0, True, [], [])
+        r = RoutingSession(hop_net(3), "incremental").delta_grid([])
+        assert r.runs == 0 and r.all_converged
         assert r.max_steps == 0
         assert r.mean_steps == 0.0
 

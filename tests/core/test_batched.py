@@ -1,10 +1,10 @@
 """Batched-engine specifics: trial stacking, dropout, and the grid driver.
 
 The observational-identity contract lives in the shared oracle
-(``test_engine_equivalence.py``, which covers batched lockstep σ, the
-B = 1 ``delta_run(engine="batched")`` selector and an all-schedules
-``delta_grid``).  This module covers what is unique to multi-trial
-stacking:
+(``test_engine_equivalence.py``, which covers batched lockstep σ, a
+B = 1 ``delta`` on a session pinned to the batched rung and an
+all-schedules ``delta_grid``).  This module covers what is unique to
+multi-trial stacking:
 
 * per-trial convergence masking — trials converging at very different
   steps must each report exactly their solo result while the rest of
@@ -23,7 +23,7 @@ import random
 import pytest
 
 from repro.algebras import HopCountAlgebra, ShortestPathsAlgebra
-from repro.analysis import measure_sync, run_absolute_convergence
+from repro.analysis import measure_sync
 from repro.core import (
     BatchedVectorizedEngine,
     FixedDelaySchedule,
@@ -33,16 +33,13 @@ from repro.core import (
     Schedule,
     SynchronousSchedule,
     UnsupportedAlgebraError,
-    absolute_convergence_batched,
-    absolute_convergence_experiment,
-    delta_run,
-    iterate_sigma,
     iterate_sigma_batched,
     random_state,
     schedule_zoo,
     supports_vectorized,
 )
 from repro.core.state import Network
+from repro.session import RoutingSession
 from repro.topologies import erdos_renyi, uniform_weight_factory
 
 np = pytest.importorskip("numpy")
@@ -75,7 +72,8 @@ class TestTrialMasking:
         grid = eng.delta_grid([(s, start) for s in scheds], max_steps=900)
         steps = set()
         for sched, res in zip(scheds, grid):
-            ref = delta_run(net, sched, start, max_steps=900, strict=True)
+            ref = RoutingSession(net, "incremental").delta(
+                sched, start, max_steps=900, strict=True)
             assert res.converged and ref.converged
             assert res.converged_at == ref.converged_at, repr(sched)
             assert res.state.equals(ref.state, net.algebra), repr(sched)
@@ -89,13 +87,15 @@ class TestTrialMasking:
         start = RoutingState.identity(net.algebra, net.n)
         slow = RoundRobinSchedule(net.n)
         fast = SynchronousSchedule(net.n)
-        ref_slow = delta_run(net, slow, start, max_steps=25, strict=True)
+        ref_slow = RoutingSession(net, "incremental").delta(
+            slow, start, max_steps=25, strict=True)
         eng = BatchedVectorizedEngine(net)
         res_fast, res_slow = eng.delta_grid(
             [(fast, start), (slow, start)], max_steps=25)
         assert res_slow.converged == ref_slow.converged
         assert res_slow.state.equals(ref_slow.state, net.algebra)
-        ref_fast = delta_run(net, fast, start, max_steps=25, strict=True)
+        ref_fast = RoutingSession(net, "incremental").delta(
+            fast, start, max_steps=25, strict=True)
         assert res_fast.converged == ref_fast.converged
         assert res_fast.converged_at == ref_fast.converged_at
 
@@ -107,7 +107,8 @@ class TestTrialMasking:
         eng = BatchedVectorizedEngine(net)
         grid = eng.delta_grid([(sched, s) for s in starts], max_steps=500)
         for s, res in zip(starts, grid):
-            ref = delta_run(net, sched, s, max_steps=500, strict=True)
+            ref = RoutingSession(net, "incremental").delta(
+                sched, s, max_steps=500, strict=True)
             assert res.converged == ref.converged
             assert res.converged_at == ref.converged_at
             assert res.state.equals(ref.state, net.algebra)
@@ -118,11 +119,12 @@ class TestGridDriver:
         net = _net(11, seed=7)
         starts = _starts(net, 2)
         scheds = schedule_zoo(net.n)
-        batched = absolute_convergence_batched(net, starts, scheds,
-                                               max_steps=700)
-        loop = absolute_convergence_experiment(net, starts, scheds,
-                                               max_steps=700,
-                                               engine="incremental")
+        trials = [(sched, start) for start in starts for sched in scheds]
+        batched = RoutingSession(net, "batched").delta_grid(
+            trials, max_steps=700)
+        loop = RoutingSession(net, "incremental").delta_grid(
+            trials, max_steps=700)
+        assert batched.resolution.chosen == "batched"
         assert batched.runs == loop.runs
         assert batched.all_converged == loop.all_converged
         assert batched.convergence_steps == loop.convergence_steps
@@ -136,10 +138,10 @@ class TestGridDriver:
         net = _net(9, seed=8)
         starts = _starts(net, 2)
         scheds = schedule_zoo(net.n)[:5]
-        whole = absolute_convergence_batched(net, starts, scheds,
-                                             max_steps=500, batch_size=None)
-        chunked = absolute_convergence_batched(net, starts, scheds,
-                                               max_steps=500, batch_size=3)
+        trials = [(sched, start) for start in starts for sched in scheds]
+        with RoutingSession(net, "batched") as s:
+            whole = s.delta_grid(trials, max_steps=500, batch_size=None)
+            chunked = s.delta_grid(trials, max_steps=500, batch_size=3)
         assert whole.convergence_steps == chunked.convergence_steps
         assert whole.all_converged == chunked.all_converged
         assert len(whole.distinct_fixed_points) == \
@@ -149,19 +151,21 @@ class TestGridDriver:
         net = _net(10, seed=9)
         starts = _starts(net, 2)
         scheds = schedule_zoo(net.n)[:4]
-        via_selector = absolute_convergence_experiment(
-            net, starts, scheds, max_steps=500, engine="batched")
-        ref = absolute_convergence_experiment(
-            net, starts, scheds, max_steps=500, engine="incremental")
+        via_selector = RoutingSession(net, "batched").delta_grid(
+            [(sched, start) for start in starts for sched in scheds],
+            max_steps=500)
+        ref = RoutingSession(net, "incremental").delta_grid(
+            [(sched, start) for start in starts for sched in scheds],
+            max_steps=500)
         assert via_selector.convergence_steps == ref.convergence_steps
         assert via_selector.absolute == ref.absolute
 
     def test_run_absolute_convergence_accepts_batched(self):
         net = _net(10, seed=10)
-        rep = run_absolute_convergence(net, n_starts=2, seed=1,
-                                       max_steps=600, engine="batched")
-        ref = run_absolute_convergence(net, n_starts=2, seed=1,
-                                       max_steps=600, engine="incremental")
+        rep = RoutingSession(net, "batched").converges(
+            n_starts=2, seed=1, max_steps=600).grid
+        ref = RoutingSession(net, "incremental").converges(
+            n_starts=2, seed=1, max_steps=600).grid
         assert rep.convergence_steps == ref.convergence_steps
         assert rep.absolute == ref.absolute
 
@@ -169,10 +173,10 @@ class TestGridDriver:
         sp = ShortestPathsAlgebra()
         net = erdos_renyi(sp, 8, 0.3, uniform_weight_factory(sp, 1, 5),
                           seed=2)
-        rep = run_absolute_convergence(net, n_starts=1, seed=0,
-                                       max_steps=500, engine="batched")
-        ref = run_absolute_convergence(net, n_starts=1, seed=0,
-                                       max_steps=500, engine="incremental")
+        rep = RoutingSession(net, "batched").converges(
+            n_starts=1, seed=0, max_steps=500).grid
+        ref = RoutingSession(net, "incremental").converges(
+            n_starts=1, seed=0, max_steps=500).grid
         assert rep.convergence_steps == ref.convergence_steps
         assert rep.absolute == ref.absolute
 
@@ -217,7 +221,8 @@ class TestHistoryRing:
 
         net = _net(9, seed=12)
         start = RoutingState.identity(net.algebra, net.n)
-        ref = delta_run(net, Overreaching(net.n), start, max_steps=200)
+        ref = RoutingSession(net, "incremental").delta(
+            Overreaching(net.n), start, max_steps=200)
         res = BatchedVectorizedEngine(net).delta_grid(
             [(Overreaching(net.n), start)], max_steps=200)[0]
         assert res.converged == ref.converged
@@ -239,8 +244,9 @@ class TestHistoryRing:
         res = BatchedVectorizedEngine(net).delta_grid(
             [(Undeclared(net.n, seed=4, max_delay=5), start)],
             max_steps=400)[0]
-        ref = delta_run(net, Undeclared(net.n, seed=4, max_delay=5), start,
-                        max_steps=400, strict=True)
+        ref = RoutingSession(net, "incremental").delta(
+            Undeclared(net.n, seed=4, max_delay=5), start, max_steps=400,
+            strict=True)
         assert res.converged == ref.converged
         assert res.converged_at == ref.converged_at
         assert res.state.equals(ref.state, net.algebra)
@@ -255,7 +261,8 @@ class TestHistoryRing:
         sched = SynchronousSchedule(4)
         res = BatchedVectorizedEngine(net).delta_grid([(sched, start)],
                                                       max_steps=100)[0]
-        ref = delta_run(net, sched, start, max_steps=100, strict=True)
+        ref = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=100, strict=True)
         assert res.converged == ref.converged
         assert res.state.equals(ref.state, alg)
 
@@ -271,7 +278,8 @@ class TestEngineLifecycle:
         net.set_edge(0, net.n - 1, alg.edge(2))
         net.set_edge(net.n - 1, 0, alg.edge(2))
         second = eng.delta_grid([(sched, first.state)], max_steps=400)[0]
-        ref = delta_run(net, sched, first.state, max_steps=400, strict=True)
+        ref = RoutingSession(net, "incremental").delta(
+            sched, first.state, max_steps=400, strict=True)
         assert second.converged == ref.converged
         assert second.converged_at == ref.converged_at
         assert second.state.equals(ref.state, alg)
@@ -296,7 +304,8 @@ class TestEngineLifecycle:
             start = RoutingState.identity(net.algebra, net.n)
             res = BatchedVectorizedEngine(net).delta_grid(
                 [(comp, start)], max_steps=500)[0]
-            ref = delta_run(net, sched, start, max_steps=500, strict=True)
+            ref = RoutingSession(net, "incremental").delta(
+                sched, start, max_steps=500, strict=True)
             assert res.converged == ref.converged, seed
             assert res.converged_at == ref.converged_at, seed
             assert res.state.equals(ref.state, net.algebra), seed
@@ -307,8 +316,8 @@ class TestEngineLifecycle:
         results = iterate_sigma_batched(net, starts, detect_cycles=True,
                                         keep_trajectory=True)
         for s, res in zip(starts, results):
-            ref = iterate_sigma(net, s, engine="naive", detect_cycles=True,
-                                keep_trajectory=True)
+            ref = RoutingSession(net, "naive").sigma(
+                s, detect_cycles=True, keep_trajectory=True)
             assert res.converged == ref.converged
             assert res.rounds == ref.rounds
             assert res.state.equals(ref.state, net.algebra)
@@ -325,7 +334,8 @@ class TestChurnVectorization:
         # the object path, forced: recompute churn from the trajectory
         alg = net.algebra
         start = RoutingState.identity(alg, net.n)
-        result = iterate_sigma(net, start, keep_trajectory=True)
+        result = RoutingSession(net, "incremental").sigma(
+            start, keep_trajectory=True)
         churn = 0
         for prev, cur in zip(result.trajectory, result.trajectory[1:]):
             for i in range(net.n):

@@ -1,9 +1,9 @@
 """Differential oracle: naive vs incremental vs vectorized vs parallel
-vs batched.
+vs batched vs remote.
 
 An engine's speedup only counts if its compressed/sharded/stacked
 iteration reaches exactly the reference fixed points, so this module
-holds every rung of the five-engine ladder to *observational identity*:
+holds every rung of the six-engine ladder to *observational identity*:
 identical per-round lockstep states, identical fixed points and round
 counts for σ, and identical histories/convergence times for δ — across
 every shipped finite algebra, two non-finite controls (which must fall
@@ -13,13 +13,13 @@ The parallel engine is exercised with an explicit ``workers=2`` pool
 (auto mode would decline these small nets and single-CPU CI hosts —
 exactly the fallback it is supposed to take); one pool is shared across
 the lockstep and δ phases of each oracle call and torn down in a
-``finally``, while the σ fixed-point phase goes through the public
-``iterate_sigma(engine="parallel")`` selector so the dispatch path is
+``finally``, while the σ fixed-point phase goes through a
+``RoutingSession`` pinned to the parallel rung so the dispatch path is
 covered too.  Parallel δ runs through the *windowed* IPC protocol at
 its default window, plus an explicit ``window=1`` run (the per-step
 protocol) on the first schedule to pin both wire formats to the same
-results.  The batched engine is exercised per schedule through the
-``delta_run(engine="batched")`` selector (the B = 1 grid) *and* as one
+results.  The batched engine is exercised per schedule through a
+session pinned to the batched rung (the B = 1 grid) *and* as one
 multi-trial ``delta_grid`` over every schedule at once — each trial of
 the grid must match the strict literal recursion for its schedule.
 
@@ -45,7 +45,7 @@ from repro.algebras import (
 )
 from repro.algebras.bgplite import random_policy
 from repro.core import (
-    ENGINES,
+    LADDER,
     AdversarialStaleSchedule,
     BatchedVectorizedEngine,
     FixedDelaySchedule,
@@ -170,8 +170,7 @@ def assert_engines_agree(net, schedules=(), lockstep_rounds=10,
 
     Driven through :class:`repro.session.RoutingSession` — one session
     per ladder rung, so the dispatch path under test is exactly the
-    public facade (and its capability negotiation), not the deprecated
-    free functions:
+    public facade (and its capability negotiation):
 
     * per-round lockstep: naive σ vs incremental dirty-set propagation
       vs the vectorized single-round ``VectorizedEngine.sigma`` vs the
@@ -197,7 +196,7 @@ def assert_engines_agree(net, schedules=(), lockstep_rounds=10,
     bat = BatchedVectorizedEngine(net) if supports_vectorized(alg) else None
     par = (ParallelVectorizedEngine(net, workers=2)
            if supports_parallel(alg) else None)
-    sessions = {e: engine_session(net, e) for e in ENGINES}
+    sessions = {e: engine_session(net, e) for e in LADDER}
     try:
         # -- per-round lockstep --------------------------------------------
         naive = start
@@ -228,7 +227,7 @@ def assert_engines_agree(net, schedules=(), lockstep_rounds=10,
         # -- σ fixed points ------------------------------------------------
         results = {e: sessions[e].sigma(start, max_rounds=max_rounds,
                                         detect_cycles=True)
-                   for e in ENGINES}
+                   for e in LADDER}
         ref = results["naive"]
         for name, res in results.items():
             assert res.converged == ref.converged, name

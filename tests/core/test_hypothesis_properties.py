@@ -23,11 +23,10 @@ from repro.core import (
     RandomSchedule,
     RoutingState,
     check_ultrametric_axioms,
-    delta_run,
     is_stable,
-    iterate_sigma,
     sigma,
 )
+from repro.session import RoutingSession
 
 LEVELS = 5   # carrier {0..5}: small enough for exhaustive sub-checks
 
@@ -125,10 +124,10 @@ class TestSigmaProperties:
     @given(small_networks(), st.data())
     def test_theorem7_sync_unique_fixed_point(self, net, data):
         alg = net.algebra
-        ref = iterate_sigma(net, RoutingState.identity(alg, net.n))
+        ref = RoutingSession(net, "incremental").sigma()
         assert ref.converged
         X = data.draw(states_for(net.n))
-        res = iterate_sigma(net, X)
+        res = RoutingSession(net, "incremental").sigma(X)
         assert res.converged
         assert res.state.equals(ref.state, alg)
         assert is_stable(net, res.state)
@@ -138,10 +137,10 @@ class TestSigmaProperties:
            st.integers(min_value=0, max_value=999))
     def test_theorem7_async_absolute(self, net, data, seed):
         alg = net.algebra
-        ref = iterate_sigma(net, RoutingState.identity(alg, net.n)).state
+        ref = RoutingSession(net, "incremental").sigma().state
         X = data.draw(states_for(net.n))
-        res = delta_run(net, RandomSchedule(net.n, seed=seed), X,
-                        max_steps=600)
+        res = RoutingSession(net, "incremental").delta(
+            RandomSchedule(net.n, seed=seed), X, max_steps=600)
         assert res.converged
         assert res.state.equals(ref, alg)
 
@@ -153,6 +152,6 @@ class TestSigmaProperties:
 
         bound = dv_bounds(net.algebra).sync_round_bound
         X = data.draw(states_for(net.n))
-        res = iterate_sigma(net, X, max_rounds=bound + 1)
+        res = RoutingSession(net, "incremental").sigma(X, max_rounds=bound + 1)
         assert res.converged
         assert res.rounds <= bound

@@ -21,15 +21,14 @@ from repro.core import (
     RoundRobinSchedule,
     RoutingState,
     SynchronousSchedule,
-    delta_run,
     delta_step,
     delta_step_literal,
-    iterate_sigma,
     sigma,
     sigma_propagate,
     sigma_with_dirty,
 )
 from repro.algebras import bad_gadget, good_gadget, increasing_disagree
+from repro.session import RoutingSession
 from repro.topologies import (
     erdos_renyi,
     gao_rexford_hierarchy,
@@ -111,8 +110,8 @@ class TestSigmaEquivalence:
     def test_iterate_sigma_engines_agree(self, name):
         net = NETWORKS[name]()
         start = RoutingState.identity(net.algebra, net.n)
-        inc = iterate_sigma(net, start, engine="incremental")
-        naive = iterate_sigma(net, start, engine="naive")
+        inc = RoutingSession(net, "incremental").sigma(start)
+        naive = RoutingSession(net, "naive").sigma(start)
         assert inc.converged and naive.converged
         assert inc.rounds == naive.rounds
         assert inc.state.equals(naive.state, net.algebra)
@@ -120,13 +119,13 @@ class TestSigmaEquivalence:
     def test_unknown_engine_rejected(self):
         net = _sp_net()
         with pytest.raises(ValueError):
-            iterate_sigma(net, RoutingState.identity(net.algebra, net.n),
-                          engine="quantum")
+            RoutingSession(net, "quantum")
 
     def test_cycle_detection_still_works_incrementally(self):
         net = bad_gadget()
         start = RoutingState.identity(net.algebra, net.n)
-        res = iterate_sigma(net, start, max_rounds=200, detect_cycles=True)
+        res = RoutingSession(net, "incremental").sigma(
+            start, max_rounds=200, detect_cycles=True)
         assert not res.converged
         assert res.rounds < 200        # stopped by the cycle, not the cap
 
@@ -146,7 +145,7 @@ class TestSigmaEquivalence:
 
     def test_stable_state_returns_identical_object(self):
         net = _sp_net(seed=3)
-        fp = iterate_sigma(net, RoutingState.identity(net.algebra, net.n)).state
+        fp = RoutingSession(net, "incremental").sigma().state
         nxt, dirty = sigma_with_dirty(net, fp)
         assert not dirty
         same, dirty2 = sigma_propagate(net, fp, set())
@@ -160,8 +159,8 @@ class TestTopologyChangeRegression:
 
     def _reconverge_both_ways(self, net, state):
         alg = net.algebra
-        inc = iterate_sigma(net, state, engine="incremental")
-        naive = iterate_sigma(net, state, engine="naive")
+        inc = RoutingSession(net, "incremental").sigma(state)
+        naive = RoutingSession(net, "naive").sigma(state)
         assert inc.converged == naive.converged
         assert inc.rounds == naive.rounds
         assert inc.state.equals(naive.state, alg)
@@ -171,7 +170,7 @@ class TestTopologyChangeRegression:
     def test_set_edge_then_reconverge(self, seed):
         net = _sp_net(n=10, p=0.3, seed=seed)
         alg = net.algebra
-        fp = iterate_sigma(net, RoutingState.identity(alg, net.n)).state
+        fp = RoutingSession(net, "incremental").sigma().state
         # install a zero-ish cost shortcut that must reroute traffic
         net.set_edge(0, net.n - 1, alg.edge(1))
         net.set_edge(net.n - 1, 0, alg.edge(1))
@@ -182,7 +181,7 @@ class TestTopologyChangeRegression:
     def test_remove_edge_then_reconverge(self, seed):
         net = _sp_net(n=10, p=0.3, seed=seed)
         alg = net.algebra
-        fp = iterate_sigma(net, RoutingState.identity(alg, net.n)).state
+        fp = RoutingSession(net, "incremental").sigma().state
         i, k = next(iter(net.present_edges()))
         net.remove_edge(i, k)
         self._reconverge_both_ways(net, fp)
@@ -193,11 +192,14 @@ class TestTopologyChangeRegression:
         alg = net.algebra
         sched = RandomSchedule(net.n, seed=2, max_delay=4)
         start = RoutingState.identity(alg, net.n)
-        mid = delta_run(net, sched, start, max_steps=500)
+        mid = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=500)
         assert mid.converged
         net.set_edge(0, net.n - 1, alg.edge(1))
-        bounded = delta_run(net, sched, mid.state, max_steps=500)
-        strict = delta_run(net, sched, mid.state, max_steps=500, strict=True)
+        bounded = RoutingSession(net, "incremental").delta(
+            sched, mid.state, max_steps=500)
+        strict = RoutingSession(net, "incremental").delta(
+            sched, mid.state, max_steps=500, strict=True)
         assert bounded.converged and strict.converged
         assert bounded.state.equals(strict.state, alg)
 
@@ -229,8 +231,10 @@ class TestDeltaEquivalence:
         alg = net.algebra
         start = RoutingState.identity(alg, net.n)
         for sched in self._schedules(net.n):
-            bounded = delta_run(net, sched, start, max_steps=600)
-            strict = delta_run(net, sched, start, max_steps=600, strict=True)
+            bounded = RoutingSession(net, "incremental").delta(
+                sched, start, max_steps=600)
+            strict = RoutingSession(net, "incremental").delta(
+                sched, start, max_steps=600, strict=True)
             assert bounded.converged == strict.converged, repr(sched)
             assert bounded.converged_at == strict.converged_at, repr(sched)
             assert bounded.state.equals(strict.state, alg), repr(sched)
@@ -239,8 +243,10 @@ class TestDeltaEquivalence:
         net = _sp_net(n=10, p=0.3, seed=6)
         sched = RandomSchedule(net.n, seed=1, max_delay=5)
         start = RoutingState.identity(net.algebra, net.n)
-        bounded = delta_run(net, sched, start, max_steps=800)
-        strict = delta_run(net, sched, start, max_steps=800, strict=True)
+        bounded = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=800)
+        strict = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=800, strict=True)
         assert bounded.converged
         mrb = sched.max_read_back()
         assert bounded.history_retained <= mrb + 2
@@ -273,7 +279,8 @@ class TestDeltaEquivalence:
         net = _sp_net(n=6, p=0.4, seed=2)
         sched = HalfTime(net.n)
         start = RoutingState.identity(net.algebra, net.n)
-        res = delta_run(net, sched, start, max_steps=300)   # must not raise
+        res = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=300)   # must not raise
         assert res.converged
         assert res.history_retained == res.steps + 1        # full history
 
@@ -281,7 +288,8 @@ class TestDeltaEquivalence:
         net = _sp_net(n=6, p=0.4, seed=2)
         sched = FixedDelaySchedule(net.n, delay=2)
         start = RoutingState.identity(net.algebra, net.n)
-        res = delta_run(net, sched, start, max_steps=300, keep_history=True)
+        res = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=300, keep_history=True)
         assert res.converged
         assert res.history is not None
         assert len(res.history) == res.steps + 1

@@ -34,15 +34,14 @@ from repro.core import (
     RandomSchedule,
     RoutingState,
     UnsupportedAlgebraError,
-    delta_run,
     delta_run_parallel,
-    iterate_sigma,
     iterate_sigma_parallel,
     parallel_workers,
     supports_parallel,
 )
 from repro.core import parallel as parallel_mod
 from repro.core.schedule import Schedule
+from repro.session import EngineSpec, RoutingSession
 from repro.topologies import erdos_renyi, uniform_weight_factory
 
 pytestmark = [
@@ -190,7 +189,7 @@ class TestInvalidation:
             net.set_edge(0, net.n - 1, alg.edge(1))
             net.set_edge(net.n - 1, 0, alg.edge(1))
             res = eng.iterate(fp)
-            ref = iterate_sigma(net, fp, engine="naive")
+            ref = RoutingSession(net, "naive").sigma(fp)
             assert res.rounds == ref.rounds
             assert res.state.equals(ref.state, alg)
 
@@ -203,7 +202,7 @@ class TestInvalidation:
             removed = next(iter(net.present_edges()))
             net.remove_edge(*removed)
             res = eng.iterate(fp)
-            ref = iterate_sigma(net, fp, engine="naive")
+            ref = RoutingSession(net, "naive").sigma(fp)
             assert res.rounds == ref.rounds
             assert res.state.equals(ref.state, alg)
 
@@ -216,8 +215,8 @@ class TestInvalidation:
             first = eng.delta(sched, start, max_steps=400)
             net.set_edge(1, net.n - 1, alg.edge(2))
             second = eng.delta(sched, first.state, max_steps=400)
-            ref = delta_run(net, sched, first.state, max_steps=400,
-                            strict=True)
+            ref = RoutingSession(net, "incremental").delta(
+                sched, first.state, max_steps=400, strict=True)
             assert second.converged == ref.converged
             assert second.converged_at == ref.converged_at
             assert second.state.equals(ref.state, alg)
@@ -246,8 +245,9 @@ class TestFallbackLadder:
         net = erdos_renyi(sp, 10, 0.3, uniform_weight_factory(sp, 1, 5),
                           seed=2)
         start = RoutingState.identity(sp, net.n)
-        res = iterate_sigma(net, start, engine="parallel", workers=4)
-        ref = iterate_sigma(net, start, engine="naive")
+        with RoutingSession(net, EngineSpec("parallel", workers=4)) as s:
+            res = s.sigma(start)
+        ref = RoutingSession(net, "naive").sigma(start)
         assert res.rounds == ref.rounds
         assert res.state.equals(ref.state, sp)
 
@@ -266,10 +266,10 @@ class TestFallbackLadder:
         net = _net(10, seed=7)
         start = RoutingState.identity(net.algebra, net.n)
         sched = RandomSchedule(net.n, seed=8, max_delay=3)
-        par = delta_run(net, sched, start, max_steps=300, engine="parallel",
-                        workers=2, keep_history=True)
-        vec = delta_run(net, sched, start, max_steps=300, engine="vectorized",
-                        keep_history=True)
+        with RoutingSession(net, EngineSpec("parallel", workers=2)) as s:
+            par = s.delta(sched, start, max_steps=300, keep_history=True)
+        vec = RoutingSession(net, "vectorized").delta(
+            sched, start, max_steps=300, keep_history=True)
         assert par.history is not None and len(par.history) == \
             len(vec.history)
         for a, b in zip(par.history, vec.history):
@@ -291,7 +291,7 @@ class TestSemantics:
                 assert eng.sigma(state).equals(nxt, alg)
                 assert eng.is_stable(state) == state.equals(nxt, alg)
                 state = nxt
-            fixed = iterate_sigma(net, state, engine="naive").state
+            fixed = RoutingSession(net, "naive").sigma(state).state
             assert eng.is_stable(fixed)
 
     def test_block_split_covers_all_columns(self):
@@ -339,7 +339,8 @@ class TestSemantics:
         net = _net(9, seed=12)
         alg = net.algebra
         start = RoutingState.identity(alg, net.n)
-        ref = delta_run(net, Overreaching(net.n), start, max_steps=200)
+        ref = RoutingSession(net, "incremental").delta(
+            Overreaching(net.n), start, max_steps=200)
         par = delta_run_parallel(net, Overreaching(net.n), start,
                                  max_steps=200, workers=2)
         assert par.converged == ref.converged
@@ -373,7 +374,8 @@ class TestSemantics:
         alg = net.algebra
         start = RoutingState.identity(alg, net.n)
         sched = RandomSchedule(net.n, seed=15, max_delay=4)
-        ref = delta_run(net, sched, start, max_steps=400, strict=True)
+        ref = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=400, strict=True)
         with ParallelVectorizedEngine(net, workers=2) as eng:
             for window in (1, 2, 7, 16, 64):
                 res = eng.delta(sched, start, max_steps=400, window=window)
@@ -411,7 +413,8 @@ class TestSemantics:
         alg = net.algebra
         start = RoutingState.identity(alg, net.n)
         sched = FixedDelaySchedule(net.n, delay=3)
-        ref = delta_run(net, sched, start, max_steps=400, strict=True)
+        ref = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=400, strict=True)
         assert ref.converged
         with ParallelVectorizedEngine(net, workers=2) as eng:
             # a window far larger than the whole run: everything happens
@@ -442,8 +445,8 @@ class TestSemantics:
 
         net = _net(10, seed=20)
         start = RoutingState.identity(net.algebra, net.n)
-        ref = delta_run(net, LiesLate(net.n), start, max_steps=400,
-                        engine="vectorized")
+        ref = RoutingSession(net, "vectorized").delta(
+            LiesLate(net.n), start, max_steps=400)
         assert ref.converged and ref.steps < 60
         with ParallelVectorizedEngine(net, workers=2) as eng:
             res = eng.delta(LiesLate(net.n), start, max_steps=400,
@@ -460,7 +463,7 @@ class TestSemantics:
                               seed=11)
         start = RoutingState.identity(alg, rng_net.n)
         res = iterate_sigma_parallel(rng_net, start, workers=3)
-        ref = iterate_sigma(rng_net, start, engine="naive")
+        ref = RoutingSession(rng_net, "naive").sigma(start)
         assert res.converged == ref.converged
         assert res.rounds == ref.rounds
         assert res.state.equals(ref.state, alg)

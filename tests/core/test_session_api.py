@@ -1,27 +1,27 @@
-"""The session facade contract: negotiation, reports, shims, resources.
+"""The session facade contract: negotiation, reports, resources.
 
-Four obligations pinned here:
+Three obligations pinned here:
 
-1. **Deprecation shims are bit-identical** — every legacy free function
-   (``iterate_sigma``, ``delta_run``, ``absolute_convergence_experiment``,
-   ``run_absolute_convergence``, ``simulate``) must produce exactly the
-   result of the session API it delegates to, and must warn exactly
-   once per call.
-2. **Reason chains are exact** — for every (algebra × engine) pair of
+1. **Reason chains are exact** — for every (algebra × engine) pair of
    the oracle matrix the :class:`~repro.core.capabilities.EngineResolution`
    skip chain is asserted code-for-code, and ``strict=True`` raises
    :class:`~repro.core.capabilities.UnsupportedEngineError` where
    fallback used to be silent.
-3. **Resources are managed** — the parallel pool a session builds is
-   closed by the context manager; schedule compilation is cached.
-4. **Metadata is recorded** — the
+2. **Resources are managed** — the parallel pool a session builds is
+   closed by the context manager; schedule compilation is cached in a
+   bounded LRU.
+3. **Metadata is recorded** — the
    :data:`~repro.core.schedule.RandomSchedule.SCHEDULE_SEED_VERSION`
    rides on δ/grid reports.
+4. **Operations are the paper's operators** — on every rung the σ
+   trajectory is the literal σᵏ iteration, δ is the literal δᵗ
+   recursion, a grid is the fold of its single runs, and a simulation
+   matches the object-model simulator.
 """
 
 import random
-import warnings
 
+import numpy as np
 import pytest
 
 from repro.algebras import (
@@ -35,22 +35,24 @@ from repro.algebras import (
 )
 from repro.algebras.bgplite import random_policy
 from repro.core import (
-    ENGINES,
+    LADDER,
     RandomSchedule,
     RoutingState,
     Schedule,
     SynchronousSchedule,
     UnsupportedEngineError,
-    absolute_convergence_experiment,
-    delta_run,
-    iterate_sigma,
+    delta_step_literal,
+    is_stable,
+    random_state,
     resolve_engine,
+    schedule_zoo,
+    sigma,
     supports_parallel,
     supports_vectorized,
 )
-from repro.analysis import run_absolute_convergence
-from repro.protocols import LinkConfig, simulate
+from repro.protocols import LinkConfig, Simulator
 from repro.session import (
+    SCHEDULE_CACHE_SIZE,
     EngineSpec,
     RoutingSession,
     schedule_seed_version,
@@ -127,120 +129,8 @@ class _UnboundedSchedule(Schedule):
         return t - 1
 
 
-def assert_one_warning(record):
-    dep = [w for w in record if issubclass(w.category, DeprecationWarning)]
-    assert len(dep) == 1, \
-        f"expected exactly one DeprecationWarning, saw {len(dep)}"
-
-
-def shim_call(fn, *args, **kwargs):
-    """Call a legacy shim asserting it warns exactly once."""
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        result = fn(*args, **kwargs)
-    assert_one_warning(record)
-    return result
-
-
 # ----------------------------------------------------------------------
-# 1. Shim equivalence (bit-identical + warns exactly once)
-# ----------------------------------------------------------------------
-
-
-class TestShimEquivalence:
-    @pytest.mark.parametrize("build", [_hop, _shortest],
-                             ids=["finite", "non-finite"])
-    @pytest.mark.parametrize("rung", ENGINES)
-    def test_iterate_sigma(self, build, rung):
-        net = build()
-        start = RoutingState.identity(net.algebra, net.n)
-        workers = 2 if rung == "parallel" else None
-        legacy = shim_call(iterate_sigma, net, start, engine=rung,
-                           workers=workers, keep_trajectory=True)
-        with RoutingSession(net, EngineSpec(rung, workers=workers)) as s:
-            report = s.sigma(start, keep_trajectory=True)
-        assert legacy.converged == report.converged
-        assert legacy.rounds == report.rounds
-        assert legacy.state.equals(report.state, net.algebra)
-        assert len(legacy.trajectory) == len(report.trajectory)
-        for a, b in zip(legacy.trajectory, report.trajectory):
-            assert a.equals(b, net.algebra)
-
-    @pytest.mark.parametrize("build", [_finite_chain, _bgplite],
-                             ids=["finite", "non-finite"])
-    @pytest.mark.parametrize("mode", ["default", "strict", "keep_history"])
-    def test_delta_run(self, build, mode):
-        net = build()
-        start = RoutingState.identity(net.algebra, net.n)
-        sched = RandomSchedule(net.n, seed=7, max_delay=4)
-        kwargs = {"strict": mode == "strict",
-                  "keep_history": mode == "keep_history"}
-        legacy = shim_call(delta_run, net, sched, start, max_steps=300,
-                           **kwargs)
-        with RoutingSession(net) as s:
-            report = s.delta(sched, start, max_steps=300, **kwargs)
-        assert legacy.converged == report.converged
-        assert legacy.converged_at == report.converged_at
-        assert legacy.steps == report.steps
-        assert legacy.state.equals(report.state, net.algebra)
-        assert legacy.history_retained == report.history_retained
-        if mode == "keep_history":
-            assert len(legacy.history) == len(report.history)
-
-    @pytest.mark.parametrize("rung", ENGINES)
-    def test_absolute_convergence_experiment(self, rung):
-        net = _hop(8, seed=3)
-        rng = random.Random(0)
-        from repro.core import random_state
-        starts = [RoutingState.identity(net.algebra, net.n),
-                  random_state(net.algebra, net.n, rng)]
-        schedules = [SynchronousSchedule(net.n),
-                     RandomSchedule(net.n, seed=2, max_delay=3)]
-        workers = 2 if rung == "parallel" else None
-        legacy = shim_call(absolute_convergence_experiment, net, starts,
-                           schedules, max_steps=400, engine=rung,
-                           workers=workers)
-        with RoutingSession(net, EngineSpec(rung, workers=workers)) as s:
-            grid = s.delta_grid(
-                [(sched, start) for start in starts for sched in schedules],
-                max_steps=400)
-        assert legacy.runs == grid.runs
-        assert legacy.all_converged == grid.all_converged
-        assert legacy.convergence_steps == grid.convergence_steps
-        assert len(legacy.distinct_fixed_points) == \
-            len(grid.distinct_fixed_points)
-        for a, b in zip(legacy.distinct_fixed_points,
-                        grid.distinct_fixed_points):
-            assert a.equals(b, net.algebra)
-
-    def test_run_absolute_convergence(self):
-        net = _hop(7, seed=5)
-        legacy = shim_call(run_absolute_convergence, net, n_starts=2,
-                           seed=1, max_steps=400)
-        with RoutingSession(net) as s:
-            report = s.converges(n_starts=2, seed=1, max_steps=400)
-        assert legacy.runs == report.grid.runs
-        assert legacy.all_converged == report.grid.all_converged
-        assert legacy.convergence_steps == report.grid.convergence_steps
-        assert legacy.absolute == report.absolute
-
-    def test_simulate(self):
-        net = _hop(6, seed=8)
-        cfg = LinkConfig(min_delay=0.2, max_delay=2.0, loss=0.1,
-                         duplicate=0.05)
-        legacy = shim_call(simulate, net, seed=4, link_config=cfg,
-                           refresh_interval=5.0, quiet_period=20.0)
-        with RoutingSession(net) as s:
-            report = s.simulate(seed=4, link_config=cfg,
-                                refresh_interval=5.0, quiet_period=20.0)
-        assert legacy.converged == report.converged
-        assert legacy.final_state.equals(report.final_state, net.algebra)
-        assert legacy.stats.as_dict() == report.stats.as_dict()
-        assert legacy.convergence_time == report.convergence_time
-
-
-# ----------------------------------------------------------------------
-# 2. Exact reason chains across the oracle matrix
+# 1. Exact reason chains across the oracle matrix
 # ----------------------------------------------------------------------
 
 
@@ -272,7 +162,7 @@ def expected_sigma_chain(net, engine):
 
 class TestReasonChains:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    @pytest.mark.parametrize("rung", ENGINES)
+    @pytest.mark.parametrize("rung", LADDER)
     def test_sigma_chain_exact(self, family, rung):
         net = FAMILIES[family]()
         skips, chosen = expected_sigma_chain(net, rung)
@@ -283,7 +173,7 @@ class TestReasonChains:
         assert res.fell_back == bool(skips)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    @pytest.mark.parametrize("rung", ENGINES)
+    @pytest.mark.parametrize("rung", LADDER)
     def test_strict_raises_exactly_where_fallback_was_silent(self, family,
                                                              rung):
         net = FAMILIES[family]()
@@ -301,7 +191,7 @@ class TestReasonChains:
         for family in FAMILIES:
             net = FAMILIES[family]()
             res = resolve_engine(net, "auto", "sigma", strict=True)
-            assert res.chosen in ENGINES
+            assert res.chosen in LADDER
             # oracle nets are far below PARALLEL_MIN_N, so for finite
             # algebras auto always skips the parallel rung for one of
             # the two sizing reasons; non-finite ones fail the
@@ -387,7 +277,7 @@ class TestReasonChains:
 
 
 # ----------------------------------------------------------------------
-# 3. Managed resources
+# 2. Managed resources
 # ----------------------------------------------------------------------
 
 
@@ -436,6 +326,60 @@ class TestManagedResources:
             comp3 = s.compile_schedule(sched, 500)
             assert comp3 is not comp1 and comp3.horizon >= 500
 
+    def test_schedule_compile_cache_is_bounded(self):
+        """A long-lived session running fresh schedules grid after grid
+        keeps at most SCHEDULE_CACHE_SIZE compiled forms, evicting the
+        least recently used; a schedule it keeps reusing still hits."""
+        net = _hop()
+        start = RoutingState.identity(net.algebra, net.n)
+        reused = RandomSchedule(net.n, seed=0, max_delay=3)
+        grids = SCHEDULE_CACHE_SIZE // 4 + 2
+        with RoutingSession(net, EngineSpec("batched")) as s:
+            first = s.compile_schedule(reused, 200)
+            oldest = None
+            for g in range(grids):
+                fresh = [RandomSchedule(net.n, seed=1 + 4 * g + k,
+                                        max_delay=3) for k in range(4)]
+                oldest = oldest or fresh[0]
+                grid = s.delta_grid(
+                    [(sched, start) for sched in fresh + [reused]],
+                    max_steps=200)
+                assert grid.resolution.chosen == "batched"
+                assert len(s._compiled) <= SCHEDULE_CACHE_SIZE
+            assert 4 * grids + 1 > SCHEDULE_CACHE_SIZE
+            assert id(oldest) not in s._compiled
+            assert s.compile_schedule(reused, 200) is first
+
+    def test_batched_dtype_is_narrowest_fit(self):
+        net = _hop(6)
+        sched = RandomSchedule(net.n, seed=1, max_delay=3)
+        start = RoutingState.identity(net.algebra, net.n)
+        with RoutingSession(net, EngineSpec("batched")) as s:
+            a = s.delta(sched, start, max_steps=200)
+            assert a.resolution.chosen == "batched"
+            assert np.dtype(s._engines["batched"]._batch_dtype) == \
+                np.dtype("int16")
+        with RoutingSession(net, "incremental") as ref:
+            b = ref.delta(sched, start, max_steps=200)
+        assert a.converged == b.converged
+        assert a.converged_at == b.converged_at
+        assert a.state.equals(b.state, net.algebra)
+
+    def test_batched_dtype_widens_for_large_carrier(self):
+        alg = HopCountAlgebra(40_000)    # codes overflow int16
+        net = line(alg, 4, uniform_weight_factory(alg, 1, 2), seed=0)
+        sched = RandomSchedule(net.n, seed=1, max_delay=3)
+        start = random_state(alg, net.n, random.Random(3))
+        with RoutingSession(net, EngineSpec("batched")) as s:
+            a = s.delta(sched, start, max_steps=200)
+            assert a.resolution.chosen == "batched"
+            assert np.dtype(s._engines["batched"]._batch_dtype).itemsize > 2
+        with RoutingSession(net, "incremental") as ref:
+            b = ref.delta(sched, start, max_steps=200)
+        assert a.converged and b.converged
+        assert a.converged_at == b.converged_at
+        assert a.state.equals(b.state, alg)
+
     def test_from_parts_shares_live_adjacency(self):
         net = _hop(6)
         with RoutingSession.from_parts(net.algebra, net.adjacency) as s:
@@ -447,33 +391,9 @@ class TestManagedResources:
             assert fp2.equals(ref.sigma().state, net.algebra)
         assert not fp1.equals(fp2, net.algebra)
 
-    def test_batch_dtype_override(self):
-        import numpy as np
-        net = _hop(6)
-        sched = RandomSchedule(net.n, seed=1, max_delay=3)
-        start = RoutingState.identity(net.algebra, net.n)
-        with RoutingSession(net, EngineSpec("batched")) as plain, \
-                RoutingSession(net, EngineSpec(
-                    "batched", batch_dtype="int32")) as wide:
-            a = plain.delta(sched, start, max_steps=200)
-            b = wide.delta(sched, start, max_steps=200)
-            assert wide._engines["batched"]._batch_dtype == np.dtype("int32")
-        assert a.converged == b.converged
-        assert a.converged_at == b.converged_at
-        assert a.state.equals(b.state, net.algebra)
-
-    def test_batch_dtype_too_narrow_rejected(self):
-        alg = HopCountAlgebra(300)       # carrier too big for int8
-        net = line(alg, 4, uniform_weight_factory(alg, 1, 2), seed=0)
-        with RoutingSession(net, EngineSpec("batched",
-                                            batch_dtype="int8")) as s:
-            with pytest.raises(ValueError):
-                s.delta(SynchronousSchedule(net.n),
-                        RoutingState.identity(alg, net.n), max_steps=50)
-
 
 # ----------------------------------------------------------------------
-# 4. Run-report metadata
+# 3. Run-report metadata
 # ----------------------------------------------------------------------
 
 
@@ -579,13 +499,133 @@ class TestReportMetadata:
         assert grid.results[0].history is not None
 
     def test_simulator_stability_resolution(self):
-        from repro.protocols import Simulator
         net = _hop(6)
-        sim = Simulator(net, engine="batched", workers=2)
-        try:
-            res = sim.stability_resolution()
+        with RoutingSession(net, EngineSpec("batched", workers=2)) as s:
+            res = s.resolve("stability")
             assert res.reason_codes()[0] == ("batched",
                                              "single-stability-check")
             assert res.chosen in ("parallel", "vectorized")
-        finally:
-            sim.close()
+
+
+# ----------------------------------------------------------------------
+# 4. Every operation is the paper's operator, on every rung
+# ----------------------------------------------------------------------
+
+
+def _sigma_iterates(net, start, max_rounds=500):
+    """``[X, σ(X), σ²(X), …]`` by the one-round object-model σ, up to
+    and including the first repeat."""
+    states = [start]
+    for _ in range(max_rounds):
+        states.append(sigma(net, states[-1]))
+        if states[-1].equals(states[-2], net.algebra):
+            return states
+    raise AssertionError("σ did not reach a fixed point")
+
+
+class TestOperatorDefinitions:
+    @pytest.mark.parametrize("build", [_hop, _shortest],
+                             ids=["finite", "non-finite"])
+    @pytest.mark.parametrize("rung", LADDER)
+    def test_sigma_trajectory_is_the_sigma_iteration(self, build, rung):
+        net = build()
+        start = RoutingState.identity(net.algebra, net.n)
+        expected = _sigma_iterates(net, start)
+        workers = 2 if rung == "parallel" else None
+        with RoutingSession(net, EngineSpec(rung, workers=workers)) as s:
+            report = s.sigma(start, keep_trajectory=True)
+        assert report.converged
+        assert report.rounds == len(expected) - 2
+        assert report.state.equals(expected[-1], net.algebra)
+        assert len(report.trajectory) == len(expected)
+        for got, want in zip(report.trajectory, expected):
+            assert got.equals(want, net.algebra)
+
+    @pytest.mark.parametrize("build", [_finite_chain, _bgplite],
+                             ids=["finite", "non-finite"])
+    @pytest.mark.parametrize("mode", ["default", "strict", "keep_history"])
+    def test_delta_is_the_literal_recursion(self, build, mode):
+        net = build()
+        alg = net.algebra
+        start = RoutingState.identity(alg, net.n)
+        sched = RandomSchedule(net.n, seed=7, max_delay=4)
+        horizon = 300
+        history = [start]
+        for t in range(1, horizon + 1):
+            history.append(delta_step_literal(net, sched, history, t))
+        with RoutingSession(net) as s:
+            report = s.delta(sched, start, max_steps=horizon,
+                             strict=mode == "strict",
+                             keep_history=mode == "keep_history")
+        assert report.converged
+        at = report.converged_at
+        assert report.state.equals(history[report.steps], alg)
+        # converged_at is the first step of the literal run's final
+        # constant stretch, and that constant is σ-stable
+        assert all(history[t].equals(history[at], alg)
+                   for t in range(at, horizon + 1))
+        assert at == 0 or not history[at - 1].equals(history[at], alg)
+        assert is_stable(net, report.state)
+        if mode == "default":
+            assert report.history is None
+            assert report.history_retained == sched.max_read_back() + 2
+        else:
+            assert report.history_retained == report.steps + 1
+        if mode == "keep_history":
+            assert len(report.history) == report.steps + 1
+            for got, want in zip(report.history, history):
+                assert got.equals(want, alg)
+
+    @pytest.mark.parametrize("rung", LADDER)
+    def test_grid_folds_its_single_runs(self, rung):
+        net = _hop(8, seed=3)
+        rng = random.Random(0)
+        starts = [RoutingState.identity(net.algebra, net.n),
+                  random_state(net.algebra, net.n, rng)]
+        schedules = [SynchronousSchedule(net.n),
+                     RandomSchedule(net.n, seed=2, max_delay=3)]
+        trials = [(sched, start) for start in starts for sched in schedules]
+        with RoutingSession(net, "naive") as ref:
+            runs = [ref.delta(sched, start, max_steps=400)
+                    for (sched, start) in trials]
+        workers = 2 if rung == "parallel" else None
+        with RoutingSession(net, EngineSpec(rung, workers=workers)) as s:
+            grid = s.delta_grid(trials, max_steps=400)
+        assert grid.runs == len(trials)
+        assert grid.all_converged == all(r.converged for r in runs)
+        assert grid.convergence_steps == [r.converged_at for r in runs]
+        assert len(grid.distinct_fixed_points) == 1
+        for run in runs:
+            assert run.state.equals(grid.distinct_fixed_points[0],
+                                    net.algebra)
+
+    def test_converges_runs_the_zoo_grid(self):
+        net = _hop(7, seed=5)
+        rng = random.Random(1)
+        starts = [RoutingState.identity(net.algebra, net.n)]
+        starts += [random_state(net.algebra, net.n, rng) for _ in range(2)]
+        zoo = schedule_zoo(net.n, seeds=(1, 18))
+        with RoutingSession(net) as s:
+            report = s.converges(n_starts=2, seed=1, max_steps=400)
+            grid = s.delta_grid(
+                [(sched, start) for start in starts for sched in zoo],
+                max_steps=400)
+        assert report.runs == grid.runs == len(starts) * len(zoo)
+        assert report.grid.all_converged == grid.all_converged
+        assert report.grid.convergence_steps == grid.convergence_steps
+        assert report.absolute == grid.absolute
+
+    def test_simulate_matches_the_object_model_simulator(self):
+        net = _hop(6, seed=8)
+        cfg = LinkConfig(min_delay=0.2, max_delay=2.0, loss=0.1,
+                         duplicate=0.05)
+        plain = Simulator(net, seed=4, link_config=cfg,
+                          refresh_interval=5.0, quiet_period=20.0).run()
+        with RoutingSession(net) as s:
+            report = s.simulate(seed=4, link_config=cfg,
+                                refresh_interval=5.0, quiet_period=20.0)
+        assert report.resolution.chosen != "incremental"
+        assert report.converged == plain.converged
+        assert report.final_state.equals(plain.final_state, net.algebra)
+        assert report.stats.as_dict() == plain.stats.as_dict()
+        assert report.convergence_time == plain.convergence_time

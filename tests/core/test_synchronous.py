@@ -7,11 +7,11 @@ from repro.core import (
     Network,
     RoutingState,
     is_stable,
-    iterate_sigma,
     sigma,
     sigma_entry,
     synchronous_fixed_point,
 )
+from repro.session import RoutingSession
 from tests.conftest import hop_net
 
 
@@ -68,13 +68,12 @@ class TestIterateSigma:
     def test_rounds_zero_for_stable_start(self):
         net = hop_net(4)
         fp = synchronous_fixed_point(net)
-        res = iterate_sigma(net, fp)
+        res = RoutingSession(net, "incremental").sigma(fp)
         assert res.converged and res.rounds == 0
 
     def test_trajectory_recorded(self):
         net = hop_net(4)
-        res = iterate_sigma(net, RoutingState.identity(net.algebra, 4),
-                            keep_trajectory=True)
+        res = RoutingSession(net, "incremental").sigma(keep_trajectory=True)
         assert res.converged
         assert len(res.trajectory) >= res.rounds
         assert res.trajectory[-1].equals(res.state, net.algebra) or \
@@ -85,7 +84,7 @@ class TestIterateSigma:
         from repro.topologies import count_to_infinity
 
         net, stale = count_to_infinity()
-        res = iterate_sigma(net, stale, max_rounds=20)
+        res = RoutingSession(net, "incremental").sigma(stale, max_rounds=20)
         assert not res.converged
         with pytest.raises(ValueError):
             _ = res.fixed_point
@@ -94,7 +93,7 @@ class TestIterateSigma:
         from repro.topologies import count_to_infinity
 
         net, stale = count_to_infinity()
-        res = iterate_sigma(net, stale, max_rounds=7)
+        res = RoutingSession(net, "incremental").sigma(stale, max_rounds=7)
         assert res.rounds == 7
 
     def test_longest_paths_converges_to_garbage(self):
@@ -106,7 +105,7 @@ class TestIterateSigma:
         net = Network(alg, 2)
         net.set_edge(0, 1, alg.edge(1))
         net.set_edge(1, 0, alg.edge(1))
-        res = iterate_sigma(net, RoutingState.identity(alg, 2))
+        res = RoutingSession(net, "incremental").sigma()
         assert res.converged
         assert all(r == alg.trivial for (_i, _j, r) in res.state.entries())
 
@@ -118,7 +117,8 @@ class TestConvergenceFromArbitraryStates:
     @pytest.mark.parametrize("fill", [0, 3, 7, 16])
     def test_converges_from_constant_states(self, fill):
         net = hop_net(4, bound=16)
-        res = iterate_sigma(net, RoutingState.filled(fill, 4))
+        res = RoutingSession(net, "incremental").sigma(
+            RoutingState.filled(fill, 4))
         assert res.converged
 
     def test_same_fixed_point_from_different_starts(self, rng):
@@ -129,6 +129,6 @@ class TestConvergenceFromArbitraryStates:
         reference = synchronous_fixed_point(net)
         for _ in range(10):
             start = random_state(alg, 4, rng)
-            res = iterate_sigma(net, start)
+            res = RoutingSession(net, "incremental").sigma(start)
             assert res.converged
             assert res.state.equals(reference, alg)

@@ -21,12 +21,12 @@ from repro.core import (
     check_strictly_contracting_on_orbits,
     check_ultrametric_axioms,
     enumerate_consistent_routes,
-    iterate_sigma,
     random_state,
     route_heights,
     sigma,
     theorem4_preconditions,
 )
+from repro.session import RoutingSession
 from tests.conftest import hop_net, shortest_pv_net
 
 
@@ -196,7 +196,7 @@ class TestLemma9And10:
         net = shortest_pv_net(4, seed=4)
         metric = PathVectorUltrametric(net)
         alg = net.algebra
-        fp = iterate_sigma(net, RoutingState.identity(alg, 4)).state
+        fp = RoutingSession(net, "incremental").sigma().state
         rng = random.Random(7)
         states = [random_state(alg, 4, rng) for _ in range(8)]
         out = check_contracting_on_fixed_point(metric, net, fp, states,
@@ -207,8 +207,7 @@ class TestLemma9And10:
         """Lemma 10's key step: X* cannot contain inconsistent routes."""
         net = shortest_pv_net(4, seed=5)
         metric = PathVectorUltrametric(net)
-        fp = iterate_sigma(
-            net, RoutingState.identity(net.algebra, net.n)).state
+        fp = RoutingSession(net, "incremental").sigma().state
         for (_i, _j, r) in fp.entries():
             assert metric.is_consistent(r)
 

@@ -33,13 +33,12 @@ from repro.core import (
     SynchronousSchedule,
     UnsupportedAlgebraError,
     VectorizedEngine,
-    delta_run,
     delta_run_vectorized,
-    iterate_sigma,
     iterate_sigma_vectorized,
     supports_vectorized,
 )
 from repro.protocols.simulator import Simulator
+from repro.session import EngineSpec, RoutingSession
 from repro.topologies import erdos_renyi, uniform_weight_factory
 
 
@@ -191,8 +190,8 @@ class TestNonFiniteGuard:
         net = erdos_renyi(alg, 8, 0.3, uniform_weight_factory(alg, 1, 5),
                           seed=2)
         start = RoutingState.identity(alg, net.n)
-        vec = iterate_sigma(net, start, engine="vectorized")
-        inc = iterate_sigma(net, start, engine="incremental")
+        vec = RoutingSession(net, "vectorized").sigma(start)
+        inc = RoutingSession(net, "incremental").sigma(start)
         assert vec.converged and vec.rounds == inc.rounds
         assert vec.state.equals(inc.state, alg)
 
@@ -200,21 +199,20 @@ class TestNonFiniteGuard:
         net = good_gadget()
         start = RoutingState.identity(net.algebra, net.n)
         sched = RandomSchedule(net.n, seed=1, max_delay=3)
-        vec = delta_run(net, sched, start, max_steps=400, engine="vectorized")
-        inc = delta_run(net, sched, start, max_steps=400)
+        vec = RoutingSession(net, "vectorized").delta(
+            sched, start, max_steps=400)
+        inc = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=400)
         assert vec.converged == inc.converged
         assert vec.converged_at == inc.converged_at
         assert vec.state.equals(inc.state, net.algebra)
 
     def test_unknown_engine_rejected_everywhere(self):
-        net = _hop_net(4)
-        start = RoutingState.identity(net.algebra, net.n)
+        # every entry point negotiates through EngineSpec, which refuses
         with pytest.raises(ValueError):
-            iterate_sigma(net, start, engine="quantum")
+            EngineSpec("quantum")
         with pytest.raises(ValueError):
-            delta_run(net, SynchronousSchedule(net.n), start, engine="quantum")
-        with pytest.raises(ValueError):
-            Simulator(net, engine="quantum")
+            RoutingSession(_hop_net(4), "quantum")
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +234,7 @@ class TestVectorizedCacheInvalidation:
         net.set_edge(0, net.n - 1, alg.edge(1))
         net.set_edge(net.n - 1, 0, alg.edge(1))
         fp2 = iterate_sigma_vectorized(net, fp, engine=eng).state
-        ref = iterate_sigma(net, fp, engine="naive").state
+        ref = RoutingSession(net, "naive").sigma(fp).state
         assert fp2.equals(ref, alg)
         assert not fp2.equals(fp, alg)       # the shortcut was visible
 
@@ -249,7 +247,7 @@ class TestVectorizedCacheInvalidation:
         i, k = next(iter(net.present_edges()))
         net.remove_edge(i, k)
         fp2 = iterate_sigma_vectorized(net, fp, engine=eng).state
-        ref = iterate_sigma(net, fp, engine="naive").state
+        ref = RoutingSession(net, "naive").sigma(fp).state
         assert fp2.equals(ref, alg)
 
     def test_replacing_edge_function_refreshes_table(self):
@@ -281,13 +279,14 @@ class TestVectorizedCacheInvalidation:
         net.set_edge(0, net.n - 1, alg.edge(1))
         vec = delta_run_vectorized(net, sched, mid.state, max_steps=500,
                                    engine=eng)
-        strict = delta_run(net, sched, mid.state, max_steps=500, strict=True)
+        strict = RoutingSession(net, "incremental").delta(
+            sched, mid.state, max_steps=500, strict=True)
         assert vec.converged and strict.converged
         assert vec.state.equals(strict.state, alg)
 
     def test_simulator_vectorized_stability_follows_changes(self):
         net = _hop_net(8, p=0.4, seed=6)
-        sim = Simulator(net, seed=0, engine="vectorized")
+        sim = Simulator(net, seed=0, stability_engine=VectorizedEngine(net))
         res = sim.run(RoutingState.identity(net.algebra, net.n),
                       max_time=5_000.0)
         assert res.converged
@@ -330,7 +329,8 @@ class TestBoundedHistorySemantics:
         start = RoutingState.identity(net.algebra, net.n)
         vec = delta_run_vectorized(net, sched, start, max_steps=300,
                                    keep_history=True)
-        ref = delta_run(net, sched, start, max_steps=300, keep_history=True)
+        ref = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=300, keep_history=True)
         assert vec.converged and len(vec.history) == len(ref.history)
         for mine, theirs in zip(vec.history, ref.history):
             assert mine.equals(theirs, net.algebra)
@@ -383,8 +383,8 @@ class TestHypothesisDeltaEquivalence:
         net = data.draw(finite_table_networks())
         sched = data.draw(schedules_for(net.n))
         start = RoutingState.identity(net.algebra, net.n)
-        strict = delta_run(net, sched, start, max_steps=60, strict=True,
-                           keep_history=True)
+        strict = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=60, strict=True, keep_history=True)
         vec = delta_run_vectorized(net, sched, start, max_steps=60,
                                    keep_history=True)
         assert vec.converged == strict.converged
@@ -400,7 +400,8 @@ class TestHypothesisDeltaEquivalence:
         net = data.draw(finite_table_networks())
         sched = data.draw(schedules_for(net.n))
         start = RoutingState.identity(net.algebra, net.n)
-        strict = delta_run(net, sched, start, max_steps=60, strict=True)
+        strict = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=60, strict=True)
         vec = delta_run_vectorized(net, sched, start, max_steps=60)
         assert vec.converged == strict.converged
         assert vec.steps == strict.steps

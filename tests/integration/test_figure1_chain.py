@@ -12,16 +12,15 @@ import random
 import pytest
 
 from repro.algebras import FiniteLevelAlgebra, HopCountAlgebra
-from repro.analysis import run_absolute_convergence
 from repro.core import (
     DistanceVectorUltrametric,
     Network,
     PathVectorUltrametric,
     RoutingState,
-    iterate_sigma,
     random_state,
     theorem4_preconditions,
 )
+from repro.session import RoutingSession
 from tests.conftest import finite_net, hop_net, shortest_pv_net
 
 
@@ -73,8 +72,8 @@ class TestArrowsAB:
         routes = list(net.algebra.routes())
         checks = theorem4_preconditions(metric, net, states, routes)
         assert all(c.holds for c in checks)
-        report = run_absolute_convergence(net, n_starts=3, seed=7,
-                                          max_steps=2500)
+        report = RoutingSession(net, "incremental").converges(
+            n_starts=3, seed=7, max_steps=2500).grid
         assert report.absolute
 
     def test_whole_chain_pv(self):
@@ -86,8 +85,8 @@ class TestArrowsAB:
         routes = enumerate_consistent_routes(net.algebra, net)
         checks = theorem4_preconditions(metric, net, states, routes)
         assert all(c.holds for c in checks)
-        report = run_absolute_convergence(net, n_starts=3, seed=10,
-                                          max_steps=2500)
+        report = RoutingSession(net, "incremental").converges(
+            n_starts=3, seed=10, max_steps=2500).grid
         assert report.absolute
 
     def test_chain_breaks_where_it_should(self):

@@ -8,13 +8,9 @@ be an admissible δ-schedule prefix.
 
 import pytest
 
-from repro.core import (
-    RandomSchedule,
-    RoutingState,
-    delta_run,
-    synchronous_fixed_point,
-)
-from repro.protocols import HOSTILE, simulate
+from repro.core import RandomSchedule, RoutingState, synchronous_fixed_point
+from repro.protocols import HOSTILE
+from repro.session import RoutingSession
 from tests.conftest import bgp_net, finite_net, hop_net, shortest_pv_net
 
 
@@ -34,13 +30,13 @@ class TestThreeEnginesAgree:
         alg = net.algebra
         sync_fp = synchronous_fixed_point(net)
 
-        async_res = delta_run(net, RandomSchedule(net.n, seed=5),
-                              RoutingState.identity(alg, net.n),
-                              max_steps=2500)
+        async_res = RoutingSession(net, "incremental").delta(
+            RandomSchedule(net.n, seed=5), RoutingState.identity(alg, net.n),
+            max_steps=2500)
         assert async_res.converged
         assert async_res.state.equals(sync_fp, alg)
 
-        sim_res = simulate(net, seed=6)
+        sim_res = RoutingSession(net, "incremental").simulate(seed=6).result
         assert sim_res.converged
         assert sim_res.final_state.equals(sync_fp, alg)
 
@@ -50,8 +46,9 @@ class TestThreeEnginesAgree:
         net = build()
         alg = net.algebra
         sync_fp = synchronous_fixed_point(net)
-        sim_res = simulate(net, seed=7, link_config=HOSTILE,
-                           refresh_interval=5.0, quiet_period=25.0)
+        sim_res = RoutingSession(net, "incremental").simulate(
+            seed=7, link_config=HOSTILE, refresh_interval=5.0,
+            quiet_period=25.0).result
         assert sim_res.converged
         assert sim_res.final_state.equals(sync_fp, alg)
 
@@ -59,6 +56,6 @@ class TestThreeEnginesAgree:
                              NETWORK_BUILDERS, ids=[n for _, n in NETWORK_BUILDERS])
     def test_simulator_trace_is_admissible_delta_prefix(self, build, name):
         net = build()
-        res = simulate(net, seed=8, link_config=HOSTILE,
-                       refresh_interval=5.0)
+        res = RoutingSession(net, "incremental").simulate(
+            seed=8, link_config=HOSTILE, refresh_interval=5.0).result
         assert res.trace.check_schedule_axioms() == []

@@ -14,14 +14,8 @@ from repro.algebras import (
     ShortestPathsAlgebra,
     WidestPathsAlgebra,
 )
-from repro.analysis import run_absolute_convergence
-from repro.core import (
-    RandomSchedule,
-    RoutingState,
-    delta_run,
-    iterate_sigma,
-    random_state,
-)
+from repro.core import RandomSchedule, RoutingState, random_state
+from repro.session import RoutingSession
 from repro.topologies import lifted_weight_factory, ring
 from tests.conftest import bgp_net, shortest_pv_net
 
@@ -40,8 +34,8 @@ class TestTheorem11Positive:
     ], ids=["shortest-pv", "widest-pv", "bgplite"])
     def test_absolute_convergence(self, build):
         net = build()
-        report = run_absolute_convergence(net, n_starts=3, seed=5,
-                                          max_steps=2500)
+        report = RoutingSession(net, "incremental").converges(
+            n_starts=3, seed=5, max_steps=2500).grid
         assert report.all_converged
         assert report.absolute
 
@@ -49,8 +43,8 @@ class TestTheorem11Positive:
         from repro.topologies import gao_rexford_hierarchy
 
         net, _rels = gao_rexford_hierarchy(2, 3, 4, seed=4)
-        report = run_absolute_convergence(net, n_starts=2, seed=6,
-                                          max_steps=2500)
+        report = RoutingSession(net, "incremental").converges(
+            n_starts=2, seed=6, max_steps=2500).grid
         assert report.absolute
 
 
@@ -61,15 +55,14 @@ class TestInconsistentStates:
         net = shortest_pv_net(5, seed=7)
         alg = net.algebra
         rng = random.Random(8)
-        reference = iterate_sigma(
-            net, RoutingState.identity(alg, 5)).state
+        reference = RoutingSession(net, "incremental").sigma().state
         # build a state of pure ghosts: plausible paths, wrong values
         ghost = RoutingState.from_function(
             lambda i, j: (rng.randint(50, 99),
                           tuple(rng.sample(range(5), 3))) if i != j
             else alg.trivial, 5)
-        res = delta_run(net, RandomSchedule(5, seed=9), ghost,
-                        max_steps=2500)
+        res = RoutingSession(net, "incremental").delta(
+            RandomSchedule(5, seed=9), ghost, max_steps=2500)
         assert res.converged
         assert res.state.equals(reference, alg)
 
@@ -93,13 +86,13 @@ class TestInconsistentStates:
         old state as the new start (Section 3.2), re-converge."""
         net = shortest_pv_net(5, seed=12)
         alg = net.algebra
-        old_fp = iterate_sigma(net, RoutingState.identity(alg, 5)).state
+        old_fp = RoutingSession(net, "incremental").sigma().state
         # re-weight one edge: the old fixed point is now inconsistent
         base = alg.base
         net.set_edge(0, 1, alg.edge(0, 1, base.edge(9)))
-        new_fp = iterate_sigma(net, RoutingState.identity(alg, 5)).state
-        res = delta_run(net, RandomSchedule(5, seed=13), old_fp,
-                        max_steps=2500)
+        new_fp = RoutingSession(net, "incremental").sigma().state
+        res = RoutingSession(net, "incremental").delta(
+            RandomSchedule(5, seed=13), old_fp, max_steps=2500)
         assert res.converged
         assert res.state.equals(new_fp, alg)
 
@@ -110,6 +103,6 @@ class TestStrictnessForFree:
         DV guarantee, but its AddPaths lift converges absolutely —
         Section 5.1's 'P3 upgrades increasing to strictly increasing'."""
         net = widest_pv_net(4, seed=14)
-        report = run_absolute_convergence(net, n_starts=2, seed=15,
-                                          max_steps=2500)
+        report = RoutingSession(net, "incremental").converges(
+            n_starts=2, seed=15, max_steps=2500).grid
         assert report.absolute

@@ -15,8 +15,8 @@ from repro.algebras import (
     LexicographicAlgebra,
     QuantisedReliabilityAlgebra,
 )
-from repro.analysis import run_absolute_convergence
-from repro.core import Network, RoutingState, delta_run, schedule_zoo
+from repro.core import Network, RoutingState, schedule_zoo
+from repro.session import RoutingSession
 from repro.topologies import (
     erdos_renyi,
     line,
@@ -56,8 +56,8 @@ class TestTheorem7Positive:
     @pytest.mark.parametrize("net", list(_networks()),
                              ids=lambda n: f"{n.name}/{n.algebra.name}")
     def test_absolute_convergence(self, net):
-        report = run_absolute_convergence(net, n_starts=3, seed=7,
-                                          max_steps=2500)
+        report = RoutingSession(net, "incremental").converges(
+            n_starts=3, seed=7, max_steps=2500).grid
         assert report.all_converged, "some (state, schedule) run diverged"
         assert report.absolute, (
             f"{len(report.distinct_fixed_points)} distinct fixed points "
@@ -72,7 +72,8 @@ class TestTheorem7Hypotheses:
         from repro.topologies import count_to_infinity
 
         net, stale = count_to_infinity()
-        res = delta_run(net, schedule_zoo(net.n)[0], stale, max_steps=200)
+        res = RoutingSession(net, "incremental").delta(
+            schedule_zoo(net.n)[0], stale, max_steps=200)
         assert not res.converged
 
     def test_drop_strictness_multiple_fixed_points(self):
@@ -110,7 +111,7 @@ class TestConvergenceStepsAreBounded:
     def test_async_steps_recorded_and_finite(self):
         net = ring(HopCountAlgebra(8), 4,
                    uniform_weight_factory(HopCountAlgebra(8), 1, 2), seed=9)
-        report = run_absolute_convergence(net, n_starts=2, seed=11,
-                                          max_steps=2500)
+        report = RoutingSession(net, "incremental").converges(
+            n_starts=2, seed=11, max_steps=2500).grid
         assert report.absolute
         assert 0 < report.mean_steps <= report.max_steps < 2500

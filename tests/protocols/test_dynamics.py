@@ -10,7 +10,6 @@ from repro.protocols import (
     fail_edge,
     fail_link,
     set_edge,
-    simulate,
 )
 from tests.conftest import hop_net, shortest_pv_net
 

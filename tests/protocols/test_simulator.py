@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import RoutingState, is_stable, synchronous_fixed_point
-from repro.protocols import HOSTILE, RELIABLE, LinkConfig, Simulator, simulate
+from repro.protocols import HOSTILE, RELIABLE, LinkConfig, Simulator
+from repro.session import RoutingSession
 from tests.conftest import bgp_net, hop_net, shortest_pv_net
 
 
@@ -11,21 +12,21 @@ class TestReliableConvergence:
     def test_reaches_sigma_fixed_point(self):
         net = hop_net(5)
         fp = synchronous_fixed_point(net)
-        res = simulate(net, seed=1)
+        res = RoutingSession(net, "incremental").simulate(seed=1).result
         assert res.converged and res.quiesced
         assert res.final_state.equals(fp, net.algebra)
 
     def test_path_vector_network(self):
         net = shortest_pv_net(5, seed=2)
         fp = synchronous_fixed_point(net)
-        res = simulate(net, seed=3)
+        res = RoutingSession(net, "incremental").simulate(seed=3).result
         assert res.converged
         assert res.final_state.equals(fp, net.algebra)
 
     def test_bgp_network(self):
         net = bgp_net(5, seed=4)
         fp = synchronous_fixed_point(net)
-        res = simulate(net, seed=5)
+        res = RoutingSession(net, "incremental").simulate(seed=5).result
         assert res.converged
         assert res.final_state.equals(fp, net.algebra)
 
@@ -38,7 +39,8 @@ class TestArbitraryStarts:
         fp = synchronous_fixed_point(net)
         for seed in range(3):
             start = random_state(net.algebra, 4, rng)
-            res = simulate(net, start=start, seed=seed)
+            res = RoutingSession(net, "incremental").simulate(
+                start=start, seed=seed).result
             assert res.converged
             assert res.final_state.equals(fp, net.algebra)
 
@@ -50,15 +52,17 @@ class TestHostileChannels:
     def test_converges_under_loss_dup_reorder(self, seed):
         net = hop_net(5)
         fp = synchronous_fixed_point(net)
-        res = simulate(net, seed=seed, link_config=HOSTILE,
-                       refresh_interval=5.0, quiet_period=25.0)
+        res = RoutingSession(net, "incremental").simulate(
+            seed=seed, link_config=HOSTILE, refresh_interval=5.0,
+            quiet_period=25.0).result
         assert res.converged, "hostile channels must not break convergence"
         assert res.final_state.equals(fp, net.algebra)
 
     def test_pathologies_actually_happened(self):
         net = hop_net(5)
-        res = simulate(net, seed=7, link_config=HOSTILE,
-                       refresh_interval=5.0, quiet_period=25.0)
+        res = RoutingSession(net, "incremental").simulate(
+            seed=7, link_config=HOSTILE, refresh_interval=5.0,
+            quiet_period=25.0).result
         assert res.stats.lost > 0
         assert res.stats.duplicated > 0
         assert res.stats.delivered < res.stats.sent
@@ -66,27 +70,28 @@ class TestHostileChannels:
     def test_fifo_links(self):
         net = hop_net(4)
         cfg = LinkConfig(min_delay=0.1, max_delay=3.0, fifo=True)
-        res = simulate(net, seed=9, link_config=cfg)
+        res = RoutingSession(net, "incremental").simulate(
+            seed=9, link_config=cfg).result
         assert res.converged
 
 
 class TestDeterminism:
     def test_same_seed_same_run(self):
         net = hop_net(4)
-        a = simulate(net.copy(), seed=42, link_config=HOSTILE,
-                     refresh_interval=5.0)
-        b = simulate(net.copy(), seed=42, link_config=HOSTILE,
-                     refresh_interval=5.0)
+        a = RoutingSession(net.copy(), "incremental").simulate(
+            seed=42, link_config=HOSTILE, refresh_interval=5.0).result
+        b = RoutingSession(net.copy(), "incremental").simulate(
+            seed=42, link_config=HOSTILE, refresh_interval=5.0).result
         assert a.final_state == b.final_state
         assert a.stats.as_dict() == b.stats.as_dict()
         assert a.sim_time == b.sim_time
 
     def test_different_seed_different_trace(self):
         net = hop_net(4)
-        a = simulate(net.copy(), seed=1, link_config=HOSTILE,
-                     refresh_interval=5.0)
-        b = simulate(net.copy(), seed=2, link_config=HOSTILE,
-                     refresh_interval=5.0)
+        a = RoutingSession(net.copy(), "incremental").simulate(
+            seed=1, link_config=HOSTILE, refresh_interval=5.0).result
+        b = RoutingSession(net.copy(), "incremental").simulate(
+            seed=2, link_config=HOSTILE, refresh_interval=5.0).result
         assert a.stats.as_dict() != b.stats.as_dict() or \
             a.sim_time != b.sim_time
 
@@ -115,13 +120,13 @@ class TestSimulatorInternals:
 
     def test_quiesced_state_is_stable(self):
         net = hop_net(6)
-        res = simulate(net, seed=11)
+        res = RoutingSession(net, "incremental").simulate(seed=11).result
         assert res.quiesced
         assert is_stable(net, res.final_state)
 
     def test_convergence_time_reported(self):
         net = hop_net(5)
-        res = simulate(net, seed=12)
+        res = RoutingSession(net, "incremental").simulate(seed=12).result
         assert 0 < res.convergence_time <= res.sim_time
 
 

@@ -128,6 +128,19 @@ class TestCacheInvalidation:
             assert c.sigma(a)["cached"] is False   # invalidated
             assert c.sigma(b)["cached"] is True    # untouched
 
+    def test_noop_write_keeps_the_cache(self, daemon):
+        with ServiceClient(port=daemon.port) as c:
+            load = c.load("hop-count", n=12, topology="ring")
+            sid = load["session"]
+            first = c.sigma(sid)
+            # a ring has no arc (0, 6): removing it changes nothing
+            mut = c.remove_edge(sid, 0, 6)
+            assert mut["version"] == load["version"]
+            assert mut["invalidated"] == 0
+            again = c.sigma(sid)
+            assert again["cached"] is True
+            assert again["digest"] == first["digest"]
+
     def test_distinct_params_are_distinct_entries(self, daemon):
         with ServiceClient(port=daemon.port) as c:
             sid = c.load("hop-count", n=12, topology="ring")["session"]

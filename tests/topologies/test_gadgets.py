@@ -4,7 +4,8 @@ import pytest
 
 from repro.algebras import INVALID, InComm
 from repro.analysis import measure_sync, multistart_fixed_points
-from repro.core import RoutingState, iterate_sigma, synchronous_fixed_point
+from repro.core import synchronous_fixed_point
+from repro.session import RoutingSession
 from repro.topologies import (
     BACKUP_COMMUNITY,
     count_to_infinity,
@@ -25,7 +26,8 @@ class TestCountToInfinityGadget:
 
     def test_divergence_is_monotone(self):
         net, stale = count_to_infinity()
-        res = iterate_sigma(net, stale, max_rounds=30, keep_trajectory=True)
+        res = RoutingSession(net, "incremental").sigma(
+            stale, max_rounds=30, keep_trajectory=True)
         assert not res.converged
         dists = [s.get(1, 0) for s in res.trajectory]
         assert all(b >= a for a, b in zip(dists, dists[1:]))
@@ -33,7 +35,7 @@ class TestCountToInfinityGadget:
 
     def test_pv_flushes_in_bounded_rounds(self):
         net, stale = count_to_infinity_pv()
-        res = iterate_sigma(net, stale, max_rounds=10)
+        res = RoutingSession(net, "incremental").sigma(stale, max_rounds=10)
         assert res.converged
         assert res.rounds <= net.n + 1      # the h_i argument's bound
 
@@ -71,9 +73,9 @@ class TestWedgieBGPLite:
         before = synchronous_fixed_point(net)
         saved = (net.edge(2, 0), net.edge(0, 2))
         net.remove_edge(2, 0), net.remove_edge(0, 2)
-        during = iterate_sigma(net, before).state
+        during = RoutingSession(net, "incremental").sigma(before).state
         net.set_edge(2, 0, saved[0]), net.set_edge(0, 2, saved[1])
-        after = iterate_sigma(net, during).state
+        after = RoutingSession(net, "incremental").sigma(during).state
         assert after.equals(before, alg)
 
 
@@ -86,8 +88,7 @@ class TestRateFamilies:
 
     def test_exploration_clique_converges(self):
         net = exploration_clique(5)
-        res = iterate_sigma(net,
-                            RoutingState.identity(net.algebra, net.n))
+        res = RoutingSession(net, "incremental").sigma()
         assert res.converged
 
     def test_exploration_clique_path_hunting_from_stale_state(self):
@@ -101,7 +102,7 @@ class TestRateFamilies:
             for i in range(1, n):
                 net.remove_edge(i, 0)
                 net.remove_edge(0, i)
-            res = iterate_sigma(net, fp, max_rounds=500)
+            res = RoutingSession(net, "incremental").sigma(fp, max_rounds=500)
             assert res.converged
             rounds.append(res.rounds)
         assert rounds == sorted(rounds)

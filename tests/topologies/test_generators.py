@@ -8,7 +8,8 @@ from repro.algebras import (
     HopCountAlgebra,
     ShortestPathsAlgebra,
 )
-from repro.core import RoutingState, iterate_sigma, synchronous_fixed_point
+from repro.core import synchronous_fixed_point
+from repro.session import RoutingSession
 from repro.topologies import (
     barabasi_albert,
     bgp_policy_factory,
@@ -109,8 +110,7 @@ class TestGaoRexfordHierarchy:
     def test_shape_and_convergence(self):
         net, rels = gao_rexford_hierarchy(2, 3, 6, seed=2)
         assert net.n == 11
-        res = iterate_sigma(net,
-                            RoutingState.identity(net.algebra, net.n))
+        res = RoutingSession(net, "incremental").sigma()
         assert res.converged
 
     def test_tier1_full_peer_mesh(self):
@@ -287,6 +287,5 @@ class TestRouteReflectorHierarchy:
         for node in range(3, net.n):
             assert any(rel == Rel.PROVIDER and i == node
                        for (i, _j), rel in rels.items())
-        res = iterate_sigma(net,
-                            RoutingState.identity(net.algebra, net.n))
+        res = RoutingSession(net, "incremental").sigma()
         assert res.converged

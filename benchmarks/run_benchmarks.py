@@ -14,10 +14,10 @@ finite cases (on single-core runners the scaling sweep is skipped
 cleanly and only engine agreement is recorded).  PR 4 adds a
 **batched-grid** column — the n=100 hop-count absolute-convergence
 grid (≥ 16 trials) run as one ``(B, n, n)`` tensor workload
-(:class:`repro.core.vectorized.BatchedVectorizedEngine`) vs the
-per-trial vectorized loop, every trial cross-checked — and a
-**windowed-IPC** column recording how many δ schedule steps one
-parallel worker command carries at the default window.  PR 6 adds a
+(:class:`repro.core.vectorized.BatchedVectorizedEngine`) vs a loop of
+single δ runs on the vectorized rung, every trial cross-checked — and
+a **windowed-IPC** column recording how many δ schedule steps one
+remote worker command carries at the default window.  PR 6 adds a
 **remote** column: the TCP-sharded coordinator of
 :mod:`repro.core.remote` run against 2 loopback worker subprocesses,
 cross-checked bit-for-bit against the vectorized engine and audited
@@ -77,7 +77,6 @@ from repro.core import (
     RoutingState,
     SynchronousSchedule,
     VectorizedEngine,
-    delta_run_vectorized,
     iterate_sigma_parallel,
     iterate_sigma_vectorized,
     random_state,
@@ -421,9 +420,9 @@ def bench_remote_case(case: Dict, repeats: int) -> Dict:
         ipc_commands, ipc_steps = eng.delta_ipc_commands, eng.delta_ipc_steps
     finally:
         eng.close()
-    ref_delta = delta_run_vectorized(net, sched, dstart,
-                                     max_steps=case["delta_steps"],
-                                     engine=vec_eng)
+    with RoutingSession(net, EngineSpec("vectorized")) as ref:
+        ref_delta = ref.delta(sched, dstart,
+                              max_steps=case["delta_steps"]).result
 
     equal = (rem_res.converged == vec_res.converged and
              rem_res.rounds == vec_res.rounds and
@@ -669,9 +668,8 @@ def _dense_schedules(n: int):
 
 def _batched_cases(scale: str) -> List[Dict]:
     """Batched-grid column: the absolute-convergence grid as one tensor
-    workload vs the per-trial vectorized loop (both warm, same shared
-    serial engine for the loop — the production ``engine="vectorized"``
-    experiment path)."""
+    workload vs a loop of single δ runs on the vectorized rung (both
+    warm; one shared session serves the loop)."""
     hop = HopCountAlgebra(64)
 
     def w(alg, hi=4):
@@ -936,14 +934,15 @@ def bench_parallel_case(case: Dict, repeats: int) -> Dict:
 
 
 def bench_batched_case(case: Dict, repeats: int) -> Dict:
-    """Batched grid vs per-trial vectorized loop for one trial grid.
+    """Batched grid vs a per-trial loop of single δ runs for one grid.
 
-    Warm-vs-warm: the loop reuses one prebuilt serial engine across
-    trials (exactly ``RoutingSession.delta_grid`` on the vectorized
-    rung), the batched engine is prebuilt and
-    warmed the same way, and both execute the identical (schedule ×
-    start) trials to identical results — every trial's convergence
-    step and fixed point is cross-checked between the two shapes.
+    Warm-vs-warm: the loop runs every trial as one
+    ``RoutingSession.delta`` on the vectorized rung (the compiled step
+    with B = 1) through one warmed session, the batched engine is
+    prebuilt and warmed the same way, and both execute the identical
+    (schedule × start) trials to identical results — every trial's
+    convergence step and fixed point is cross-checked between the two
+    shapes.
     """
     import random as _random
 
@@ -958,15 +957,13 @@ def bench_batched_case(case: Dict, repeats: int) -> Dict:
     trials = [(sched, start) for start in starts for sched in schedules]
     max_steps = case["max_steps"]
 
-    vec_eng = VectorizedEngine(net)
+    with RoutingSession(net, EngineSpec("vectorized")) as session:
+        def loop():
+            return [session.delta(sched, start, max_steps=max_steps).result
+                    for (sched, start) in trials]
 
-    def loop():
-        return [delta_run_vectorized(net, sched, start,
-                                     max_steps=max_steps, engine=vec_eng)
-                for (sched, start) in trials]
-
-    loop()                               # warm tables/encodings
-    loop_s, loop_res = _time(loop, repeats)
+        loop()                           # warm tables/encodings
+        loop_s, loop_res = _time(loop, repeats)
 
     bat_eng = BatchedVectorizedEngine(net)
     bat_eng.delta_grid(trials, max_steps=max_steps)   # warm
@@ -992,15 +989,16 @@ def bench_batched_case(case: Dict, repeats: int) -> Dict:
 
 
 def bench_windowed_ipc(scale: str) -> Optional[Dict]:
-    """Windowed parallel δ: IPC commands per schedule step at the
-    default window (16) — the ROADMAP "Parallel δ batching" closure.
+    """Windowed remote δ: worker commands per schedule step at the
+    default window (16), on 2 loopback TCP workers.
 
     The ratio is a protocol property, not a hardware one, so it is
-    measured whenever a 2-worker pool can run at all (single-CPU hosts
-    included) and gated at ≥ 8× on runs long enough to amortise.
+    measured whenever loopback workers can run at all (single-CPU hosts
+    included) and gated at ≥ 8× on runs long enough to amortise; the
+    run is cross-checked against the vectorized rung.
     """
     hop = HopCountAlgebra(64)
-    if scale == "smoke" or not supports_parallel(hop):
+    if scale == "smoke" or not supports_remote(hop):
         return None
     import random as _random
 
@@ -1011,10 +1009,11 @@ def bench_windowed_ipc(scale: str) -> Optional[Dict]:
     # 4-window amortisation threshold the gate requires
     start = random_state(hop, n, _random.Random(1))
     sched = RandomSchedule(n, seed=17, activation_prob=0.1, max_delay=8)
-    with ParallelVectorizedEngine(net, workers=2) as eng:
+    with RemoteVectorizedEngine(net, workers=2) as eng:
         res = eng.delta(sched, start, max_steps=800)
-        serial = delta_run_vectorized(net, sched, start, max_steps=800)
         commands, steps = eng.delta_ipc_commands, eng.delta_ipc_steps
+    with RoutingSession(net, EngineSpec("vectorized")) as ref:
+        serial = ref.delta(sched, start, max_steps=800).result
     from repro.core import DELTA_WINDOW
 
     return dict(
@@ -1218,8 +1217,8 @@ QUICK_PARALLEL_FLOOR = 0.25
 BATCHED_HEADLINE_FLOOR = 3.0
 #: catastrophic-only floor for the current quick run's batched row.
 QUICK_BATCHED_FLOOR = 0.5
-#: windowed parallel δ must amortise at least this many schedule steps
-#: per IPC command at the default window (16) on an amortisable run.
+#: windowed remote δ must amortise at least this many schedule steps
+#: per worker command at the default window (16) on an amortisable run.
 WINDOWED_IPC_FLOOR = 8.0
 #: acceptance floor for the committed remote headline (gnp-400
 #: hop-count): the delta-encoded quantized σ updates must be at least

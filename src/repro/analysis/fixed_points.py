@@ -153,8 +153,8 @@ def multistart_fixed_points(network: Network, n_starts: int = 10,
 
     fixed_points: List[RoutingState] = []
     runs = converged = diverged = 0
-    # one session for the whole grid: engines (and the compiled-schedule
-    # cache) are negotiated once and reused across every trial
+    # one session for the whole grid: engines are negotiated once and
+    # reused across every trial
     with RoutingSession(network) as session:
         for start in starts:
             for sched in schedules:

@@ -30,9 +30,10 @@ The recursion is implemented in two forms:
   the same δᵗ.
 
 :func:`_delta_run_resolved` is :meth:`repro.session.RoutingSession.delta`'s
-dispatch onto the negotiated rung; the codes-based rungs live in
-:mod:`repro.core.vectorized`, :mod:`repro.core.parallel` and
-:mod:`repro.core.remote`.
+dispatch onto the negotiated rung.  The codes-based rungs share one δ
+kernel, the compiled-schedule step of
+:meth:`repro.core.vectorized.VectorizedEngine.delta_grid`, in process
+or (:mod:`repro.core.remote`) on TCP workers.
 
 Convergence detection
 ---------------------
@@ -215,42 +216,29 @@ def _delta_run_resolved(network: Network, schedule: Schedule,
                         stability_window: Optional[int] = None,
                         keep_history: bool = False,
                         workers: Optional[int] = None,
-                        engine_obj=None,
-                        window: Optional[int] = None) -> AsyncResult:
+                        engine_obj=None) -> AsyncResult:
     """Run δ on one *already negotiated* ladder rung (no fallback here).
 
     ``rung`` must come from an
     :class:`~repro.core.capabilities.EngineResolution` — in particular
-    the parallel/batched rungs are only ever chosen for bounded
-    schedules without ``keep_history``.  ``engine_obj`` reuses a
-    prebuilt engine (a :class:`~repro.session.RoutingSession`'s managed
-    instance); ``window`` sets the parallel δ IPC window.  The
-    ``"naive"`` rung runs the strict literal paper recursion.
+    the codes-based rungs are only ever chosen for bounded schedules
+    without ``keep_history``.  ``engine_obj`` is the rung's prebuilt
+    engine (a :class:`~repro.session.RoutingSession`'s managed
+    instance; required on the in-process codes rungs).  The
+    vectorized, parallel and batched rungs all run the one δ kernel, the
+    compiled-schedule step, as a grid of one trial; the remote rung runs
+    it on its TCP workers.  The ``"naive"`` rung runs the strict literal
+    paper recursion.
     """
     if rung == "remote":
         from .remote import delta_run_remote
         return delta_run_remote(
             network, schedule, start, max_steps=max_steps,
-            stability_window=stability_window, keep_history=keep_history,
-            engine=engine_obj, workers=workers, window=window)
-    if rung == "batched":
-        from .vectorized import delta_run_batched
-        return delta_run_batched(
-            network, schedule, start, max_steps=max_steps,
-            stability_window=stability_window, engine=engine_obj)
-    if rung == "parallel":
-        from .parallel import delta_run_parallel
-        return delta_run_parallel(
-            network, schedule, start, max_steps=max_steps,
-            stability_window=stability_window, keep_history=keep_history,
-            engine=engine_obj, workers=workers, window=window)
-    if rung == "vectorized":
-        # local import: vectorized imports AsyncResult from this module
-        from .vectorized import delta_run_vectorized
-        return delta_run_vectorized(
-            network, schedule, start, max_steps=max_steps,
-            stability_window=stability_window, keep_history=keep_history,
-            engine=engine_obj)
+            stability_window=stability_window, engine=engine_obj,
+            workers=workers)
+    if rung in ("vectorized", "parallel", "batched"):
+        return engine_obj.delta_grid([(schedule, start)], max_steps=max_steps,
+                                     stability_window=stability_window)[0]
     return _delta_run_serial(network, schedule, start, max_steps=max_steps,
                              stability_window=stability_window,
                              keep_history=keep_history,

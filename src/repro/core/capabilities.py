@@ -60,9 +60,11 @@ LADDER = ("remote", "batched", "parallel", "vectorized", "incremental",
           "naive")
 
 #: where ``engine="auto"`` starts the walk, per operation: grids of
-#: trials want the batched tensor engine; single runs start at the
-#: parallel rung (whose own sizing heuristics decline small problems).
-AUTO_START = {"sigma": "parallel", "delta": "parallel", "grid": "batched",
+#: trials want the batched tensor engine; a single δ run starts at the
+#: vectorized rung (the compiled-schedule step every in-process codes
+#: rung shares); σ starts at the parallel rung (whose own sizing
+#: heuristics decline small problems).
+AUTO_START = {"sigma": "parallel", "delta": "vectorized", "grid": "batched",
               "stability": "parallel"}
 
 #: valid operations a resolution can be asked for.

@@ -1,22 +1,22 @@
-"""Shared-memory parallel σ/δ engine: destination-column sharding.
+"""Shared-memory parallel σ engine: destination-column sharding.
 
-The top rung of the four-engine ladder (naive → incremental →
-vectorized → **parallel**).  The vectorized engine already turned σ
-into a numpy table-gather min-product over the dirty columns of an
-``(n, n)`` int code matrix; this module distributes that product over a
-persistent pool of worker *processes*, exploiting the same structural
-fact one level up: entry ``(i, j)`` of σ(X) only ever reads **column
-j** of ``X``, so destination columns are fully independent and can be
-sharded with zero cross-worker synchronisation inside a round.
+The parallel rung of the engine ladder (naive → incremental →
+vectorized → **parallel** → batched → remote).  The vectorized engine
+already turned σ into a numpy table-gather min-product over the dirty
+columns of an ``(n, n)`` int code matrix; this module distributes that
+product over a persistent pool of worker *processes*, exploiting the
+same structural fact one level up: entry ``(i, j)`` of σ(X) only ever
+reads **column j** of ``X``, so destination columns are fully
+independent and can be sharded with zero cross-worker synchronisation
+inside a round.
 
 Architecture
 ------------
 
-* The code matrix ``C``, the edge lookup tables, the per-round dirty /
-  next-dirty bitmaps and (for δ) a ring of ``window`` historical code
-  matrices live in :mod:`multiprocessing.shared_memory` segments; every
-  process maps them as numpy views, so no matrix bytes are ever
-  pickled.
+* The code matrix ``C``, the edge lookup tables and the per-round
+  dirty / next-dirty bitmaps live in :mod:`multiprocessing.shared_memory`
+  segments; every process maps them as numpy views, so no matrix bytes
+  are ever pickled.
 * Each worker owns a contiguous block of destination columns
   ``[lo, hi)`` (``np.array_split`` layout).  One σ round is: read the
   shared dirty bitmap over the owned block, gather-reduce new values
@@ -28,23 +28,9 @@ Architecture
 * An empty union of per-worker dirty sets is exactly σ-stability
   (Definition 4), so fixed-point detection stays free, as in the
   incremental and vectorized engines.
-* δ steps activate workers per ``(round, owned columns)``: the master
-  sends the activation list and the β read-back times (computed once
-  per ``(t, i, k)``), and each worker recomputes the active rows'
-  entries *restricted to its column block* against the shared history
-  ring — the row-sharded paper recursion re-expressed column-wise.
-* δ commands are **windowed**: one IPC command carries a whole window
-  of schedule steps (:data:`DELTA_WINDOW`, default 16) — the workers
-  already hold the history ring, so nothing about a step depends on
-  the master seeing its predecessor first — and the workers reply with
-  per-step changed flags the master folds into the usual convergence
-  counter.  This amortises the per-step pipe round-trip that dominated
-  high-activation-rate schedules (the ring is widened by the window so
-  a slot written inside a command can never alias a slot any of its
-  steps, or the master's post-window σ-stability probes, still need);
-  results are bit-identical to the per-step protocol because a run
-  that satisfies the convergence criterion at step ``t`` provably
-  cannot change at any later step the window already executed.
+* δ does not touch the pool: the engine inherits
+  :meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`, the
+  compiled-schedule step every in-process codes rung shares.
 
 Fallback & selection
 --------------------
@@ -76,8 +62,8 @@ leave a worker computing against stale tables.
 Worker processes and shared-memory segments are released by
 :meth:`~ParallelVectorizedEngine.close` (idempotent; also a context
 manager), by a ``weakref.finalize`` hook when the engine is garbage
-collected, and by the driver functions' ``finally`` blocks for engines
-they created themselves — an exception anywhere in a run must never
+collected, and by the σ driver's ``finally`` block for engines it
+created itself — an exception anywhere in a run must never
 leak a segment or a process (``tests/core/test_parallel.py`` holds the
 engine to that).
 """
@@ -86,7 +72,7 @@ from __future__ import annotations
 
 import os
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 try:
     import numpy as np
@@ -101,15 +87,12 @@ except ImportError:                      # pragma: no cover - stdlib
     _shm = None
 
 from .algebra import UnsupportedAlgebraError
-from .asynchronous import AsyncResult
-from .capabilities import Capabilities, logger as _engine_log, register_engine
-from .schedule import Schedule
+from .capabilities import Capabilities, register_engine
 from .state import Network, RoutingState
 from .synchronous import SyncResult
 from .vectorized import (
     _DTYPE,
     VectorizedEngine,
-    fold_edge_tables,
     gather_min_reduce,
     supports_vectorized,
 )
@@ -125,12 +108,6 @@ PARALLEL_MIN_N = 256
 
 #: seconds to wait on a worker reply before declaring the pool dead.
 _REPLY_TIMEOUT = 120.0
-
-#: default number of δ schedule steps shipped per worker command; at 16
-#: the per-step IPC command count drops ≥ 8× on any run longer than a
-#: couple of windows (the ISSUE 4 acceptance point), and the widened
-#: ring costs only ``window`` extra shared (n, n) slots.
-DELTA_WINDOW = 16
 
 
 def _mp_context():
@@ -154,38 +131,10 @@ def supports_parallel(algebra) -> bool:
 
     Capability only (finite encoding + numpy + shared memory + a
     process start method); whether fan-out is worthwhile for a given
-    ``(n, workers)`` is decided by :func:`parallel_workers`.
+    ``(n, workers)`` is the resolver's sizing check
+    (:func:`repro.core.capabilities.resolve_engine`).
     """
     return _mp_context() is not None and supports_vectorized(algebra)
-
-
-def parallel_workers(network: Network,
-                     workers: Optional[int] = None) -> Optional[int]:
-    """Resolve the effective worker count, or ``None`` to fall back.
-
-    ``None`` means "the selector should silently drop to the vectorized
-    engine": no capability, an explicit ``workers=1`` request, or auto
-    mode on a single-CPU host / a problem smaller than
-    :data:`PARALLEL_MIN_N`.  Explicit ``workers >= 2`` skips the size
-    heuristics but is still clamped to ``n`` (every worker needs at
-    least one column).
-
-    Caveat: auto mode trusts ``os.cpu_count()``, which containers
-    routinely clamp to 1 even when the hypervisor schedules several
-    vCPUs (the benchmark harness's ``usable_cpus()`` probe measures the
-    difference empirically — too slow to run inside a library call).
-    On such hosts pass an explicit ``workers`` count to engage the
-    pool.
-    """
-    if not supports_parallel(network.algebra):
-        return None
-    if workers is None:
-        cpus = os.cpu_count() or 1
-        if cpus < 2 or network.n < PARALLEL_MIN_N:
-            return None
-        workers = cpus
-    workers = min(int(workers), network.n)
-    return workers if workers >= 2 else None
 
 
 # ----------------------------------------------------------------------
@@ -201,15 +150,11 @@ class _WorkerState:
         self.C = None                    # (n, n) view of the code matrix
         self.dirty = None                # (n,) uint8 view (round input)
         self.next_dirty = None           # (n,) uint8 view (round output)
-        self.hist: List = []             # ring of (n, n) views (δ)
-        self.window = 0
         self.tables = None
         self.src = None
         self.importers = None
         self.starts = None
         self.erange = None
-        self.offsets: Dict[int, int] = {}
-        self.degrees: Dict[int, int] = {}
         self.n = 0
         self.lo = 0
         self.hi = 0
@@ -256,8 +201,6 @@ def _worker_reload_tables(state: _WorkerState, meta: dict) -> None:
     state.importers = np.asarray(meta["importers"], dtype=np.intp)
     state.starts = np.asarray(meta["starts"], dtype=np.intp)
     state.erange = np.arange(n_edges)[:, None]
-    state.offsets = dict(meta["offsets"])
-    state.degrees = dict(meta["degrees"])
 
 
 def _worker_sigma(state: _WorkerState, full: bool) -> int:
@@ -289,61 +232,6 @@ def _worker_sigma(state: _WorkerState, full: bool) -> int:
     return int(changed_cols.size)
 
 
-def _worker_history(state: _WorkerState, names: Sequence[str],
-                    window: int) -> None:
-    """Attach the δ history ring (``window`` shared code matrices)."""
-    n = state.n
-    # detach any previous ring first (segment keys are positional)
-    for key in [k for k in state.segments if k.startswith("hist:")]:
-        state.segments.pop(key).close()
-    state.hist = [state.attach(f"hist:{i}", name, (n, n), _DTYPE)
-                  for i, name in enumerate(names)]
-    state.window = window
-
-
-def _worker_delta(state: _WorkerState,
-                  steps: Sequence[Tuple[int, Sequence]]) -> List[bool]:
-    """One *window* of δ steps restricted to the owned column block.
-
-    ``steps`` is ``[(t, acts)]`` for consecutive times, each ``acts``
-    being ``[(i, read_times)]`` for every active node with
-    ``read_times`` aligned to node ``i``'s in-edge order in the
-    snapshot.  Every step copies the previous ring slot's block into
-    the new one, overwrites active rows, and records whether anything
-    in the block changed; the per-step flags go back to the master in
-    one reply — the whole window costs a single pipe round-trip.
-    """
-    W = state.window
-    lo, hi = state.lo, state.hi
-    block = slice(lo, hi)
-    width = hi - lo
-    flags: List[bool] = []
-    for t, acts in steps:
-        prev = state.hist[(t - 1) % W]
-        nxt = state.hist[t % W]
-        nxt[:, block] = prev[:, block]
-        changed = False
-        for i, times in acts:
-            degree = state.degrees.get(i, 0)
-            if degree:
-                offset = state.offsets[i]
-                gathered = np.empty((degree, width), dtype=_DTYPE)
-                for idx in range(degree):
-                    k = int(state.src[offset + idx])
-                    gathered[idx] = state.hist[times[idx] % W][k, block]
-                row = fold_edge_tables(state.tables[offset:offset + degree],
-                                       gathered)
-            else:
-                row = np.full(width, state.invalid, dtype=_DTYPE)
-            if lo <= i < hi:
-                row[i - lo] = state.trivial
-            if not changed and not np.array_equal(row, prev[i, block]):
-                changed = True
-            nxt[i, block] = row
-        flags.append(changed)
-    return flags
-
-
 def _worker_main(conn) -> None:
     """Worker process entry point: a command loop over one pipe end.
 
@@ -351,9 +239,7 @@ def _worker_main(conn) -> None:
 
     * ``("load", meta)``     — attach C/dirty/table segments → ack ``True``
     * ``("reload", meta)``   — swap in a republished table snapshot → ack
-    * ``("history", names, window)`` — attach the δ ring → ack ``True``
     * ``("sigma", full)``    — one σ round → #changed columns
-    * ``("delta", steps)``   — one *window* of δ steps → per-step flags
     * ``("stop",)``          — drain and exit
     """
     state = _WorkerState()
@@ -372,16 +258,11 @@ def _worker_main(conn) -> None:
             try:
                 if cmd == "sigma":
                     reply = _worker_sigma(state, msg[1])
-                elif cmd == "delta":
-                    reply = _worker_delta(state, msg[1])
                 elif cmd == "load":
                     _worker_load(state, msg[1])
                     reply = True
                 elif cmd == "reload":
                     _worker_reload_tables(state, msg[1])
-                    reply = True
-                elif cmd == "history":
-                    _worker_history(state, msg[1], msg[2])
                     reply = True
                 else:                    # pragma: no cover - protocol bug
                     reply = RuntimeError(f"unknown command {cmd!r}")
@@ -463,15 +344,16 @@ def _destroy_segment(seg) -> None:
 
 
 class ParallelVectorizedEngine(VectorizedEngine):
-    """Column-sharded multi-process σ/δ over shared code matrices.
+    """Column-sharded multi-process σ over shared code matrices.
 
     Extends :class:`~repro.core.vectorized.VectorizedEngine` — the
-    encoding, codecs, and the master's local edge snapshot (used for
-    the rare σ-stability probes during δ convergence) are inherited;
-    what this class adds is the shared-memory mirror of that snapshot
-    and the worker pool that computes over it.
+    encoding, codecs, the master's local edge snapshot and the δ step
+    (:meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`, which
+    runs on the master) are inherited; what this class adds is the
+    shared-memory mirror of that snapshot and the worker pool that
+    computes σ rounds over it.
 
-    The pool is started lazily on the first σ/δ entry and persists
+    The pool is started lazily on the first σ entry and persists
     across calls; release it with :meth:`close` (or use the engine as a
     context manager).  A ``weakref.finalize`` backstop releases
     everything if the engine is dropped without closing.
@@ -479,8 +361,9 @@ class ParallelVectorizedEngine(VectorizedEngine):
 
     #: advertised to the capability resolver: a finite encoding plus a
     #: shared-memory pool of >= 2 workers; auto mode declines problems
-    #: below :data:`PARALLEL_MIN_N`; δ needs a bounded schedule and
-    #: cannot return kept histories from its fixed shared ring.
+    #: below :data:`PARALLEL_MIN_N`; δ is the inherited compiled step,
+    #: with the vectorized rung's policy (bounded schedules, no kept
+    #: histories).
     capabilities = register_engine(Capabilities(
         rung="parallel",
         requires_finite_algebra=True,
@@ -512,13 +395,7 @@ class ParallelVectorizedEngine(VectorizedEngine):
         self._seg_C = self._seg_dirty = self._seg_next = None
         self._C_view = self._dirty_view = self._next_view = None
         self._seg_tables = None
-        self._hist_segs: List = []
-        self._hist_views: List = []
-        self._window = 0
         self._blocks = self._split_columns(network.n, resolved)
-        #: IPC amortisation achieved by the most recent δ run
-        self.delta_ipc_commands = 0
-        self.delta_ipc_steps = 0
 
     # -- layout ---------------------------------------------------------
 
@@ -570,8 +447,6 @@ class ParallelVectorizedEngine(VectorizedEngine):
             src=self._src.tolist(),
             importers=self._importers.tolist(),
             starts=self._starts.tolist(),
-            offsets=self._offsets,
-            degrees=self._degrees,
         )
 
     def _publish_tables(self):
@@ -606,7 +481,7 @@ class ParallelVectorizedEngine(VectorizedEngine):
                 parent, child = self._ctx.Pipe()
                 proc = self._ctx.Process(
                     target=_worker_main, args=(child,), daemon=True,
-                    name=f"repro-sigma-delta-{block[0]}-{block[1]}")
+                    name=f"repro-sigma-{block[0]}-{block[1]}")
                 proc.start()
                 child.close()
                 self._res.conns.append(parent)
@@ -649,19 +524,6 @@ class ParallelVectorizedEngine(VectorizedEngine):
                 raise reply
             replies.append(reply)
         return replies
-
-    def _ensure_history(self, window: int) -> None:
-        """Grow (never shrink) the shared δ ring to ``window`` slots."""
-        if window <= self._window:
-            return
-        while len(self._hist_segs) < window:
-            seg, view = self._matrix_segment()
-            self._hist_segs.append(seg)
-            self._hist_views.append(view)
-        self._window = window
-        self._broadcast(("history",
-                         [s.name for s in self._hist_segs[:window]], window))
-        self._collect()
 
     # -- σ ---------------------------------------------------------------
 
@@ -724,131 +586,6 @@ class ParallelVectorizedEngine(VectorizedEngine):
         return SyncResult(False, max_rounds, self.decode_state(view),
                           trajectory)
 
-    # -- δ ---------------------------------------------------------------
-
-    def delta(self, schedule: Schedule, start: RoutingState,
-              max_steps: int = 2_000,
-              stability_window: Optional[int] = None,
-              window: Optional[int] = None) -> AsyncResult:
-        """δ on the pool against the shared bounded history ring.
-
-        Requires a schedule with a declared staleness bound (reads are
-        policed against ``max_read_back + 2``, exactly the
-        :class:`~repro.core.incremental.BoundedHistory` window); the
-        session's negotiation routes unbounded schedules and
-        ``keep_history`` requests to the vectorized engine instead.
-        Identical convergence semantics: constant for a full stability
-        window *and* σ-stable (the σ probe runs on the master's local
-        snapshot — matrices never leave shared memory for it).
-
-        ``window`` schedule steps travel per IPC command
-        (:data:`DELTA_WINDOW` by default; 1 restores the per-step
-        protocol).  The workers execute the whole window against the
-        ring and reply with per-step changed flags; the master then
-        replays the convergence counter over the flags and probes
-        σ-stability on the retained ring slots, so a run converging at
-        step ``t`` mid-window reports exactly the serial result — the
-        criterion (constant for a full read-back window + σ-stable)
-        guarantees the already-executed later steps changed nothing.
-        ``delta_ipc_commands`` / ``delta_ipc_steps`` record the
-        amortisation achieved by the last run.
-        """
-        max_read_back = schedule.max_read_back()
-        if max_read_back is None:
-            raise UnsupportedAlgebraError(
-                "parallel δ needs a bounded-staleness schedule "
-                "(max_read_back() returned None); use "
-                "EngineSpec(\"vectorized\") or "
-                "RoutingSession.delta(..., strict=True)")
-        if stability_window is None:
-            stability_window = (max_read_back or 1) + 2
-        read_window = max_read_back + 2  # the BoundedHistory window
-        w = DELTA_WINDOW if window is None else max(1, int(window))
-        self.refresh()
-        self._ensure_pool()
-        # ring sizing: the serial engines tolerate reads up to
-        # ``t - read_window`` (the oldest state BoundedHistory still
-        # retains while step t computes), and a windowed command writes
-        # ``w`` consecutive slots before the master sees any flag — so
-        # the ring holds ``w + read_window`` slots and the staleness
-        # guard below raises exactly where BoundedHistory would,
-        # keeping the "all engines compute exactly the same δᵗ"
-        # contract even for schedules that read slightly past their
-        # declaration.  The ring may be larger still (it is reused
-        # across runs and never shrinks): slot arithmetic uses the
-        # actual ring size, validation the schedule's declared window.
-        self._ensure_history(w + read_window)
-        W = self._window
-        self._hist_views[0][:] = self.encode_state(start)
-        beta, alpha = schedule.beta, schedule.alpha
-        in_neighbours = {
-            i: [int(self._src[self._offsets[i] + d])
-                for d in range(self._degrees[i])]
-            for i in self._degrees}
-        self.delta_ipc_commands = 0
-        self.delta_ipc_steps = 0
-        unchanged = 0
-        t0 = 1
-        while t0 <= max_steps:
-            w_eff = min(w, max_steps - t0 + 1)
-            steps = []
-            stale_error: Optional[LookupError] = None
-            for t in range(t0, t0 + w_eff):
-                acts = []
-                for i in sorted(alpha(t)):
-                    times = []
-                    for k in in_neighbours.get(i, ()):
-                        s = beta(t, i, k)
-                        # s < 0 violates S2 outright and would wrap the
-                        # ring modulo into an arbitrary slot;
-                        # s < t - read_window is exactly the read
-                        # BoundedHistory would refuse as evicted — fail
-                        # loudly either way
-                        if s < 0 or s >= t or t - s > read_window:
-                            stale_error = LookupError(
-                                f"δ history for time {s} is outside the "
-                                f"shared ring (window={read_window}, t={t}); "
-                                "the schedule reads further back than its "
-                                "declared max_read_back — run "
-                                "RoutingSession.delta(..., strict=True) to "
-                                "keep the full history")
-                            break
-                        times.append(s)
-                    if stale_error is not None:
-                        break
-                    acts.append((i, times))
-                if stale_error is not None:
-                    # truncate the window at the offending step: the
-                    # per-step protocol executes (and may converge on)
-                    # every step before it without ever evaluating it,
-                    # so the windowed protocol must too — raise only if
-                    # the run is still going when that step is reached
-                    break
-                steps.append((t, acts))
-            if steps:
-                self._broadcast(("delta", steps))
-                self.delta_ipc_commands += 1
-                self.delta_ipc_steps += len(steps)
-                flags = self._collect()  # per worker: one flag per step
-                for off in range(len(steps)):
-                    t = t0 + off
-                    unchanged = 0 if any(f[off] for f in flags) \
-                        else unchanged + 1
-                    if unchanged >= stability_window:
-                        nxt = self._hist_views[t % W]
-                        if np.array_equal(self._sigma_codes(nxt), nxt):
-                            return AsyncResult(
-                                True, t, self.decode_state(nxt),
-                                t - unchanged, None,
-                                history_retained=min(t + 1, read_window))
-            if stale_error is not None:
-                raise stale_error
-            t0 += len(steps)
-        final = self._hist_views[max_steps % W]
-        return AsyncResult(False, max_steps, self.decode_state(final), None,
-                           None,
-                           history_retained=min(max_steps + 1, read_window))
-
 
 # ----------------------------------------------------------------------
 # Drivers (SyncResult / AsyncResult compatible)
@@ -874,49 +611,6 @@ def iterate_sigma_parallel(network: Network, start: RoutingState,
         return eng.iterate(start, max_rounds=max_rounds,
                            keep_trajectory=keep_trajectory,
                            detect_cycles=detect_cycles)
-    finally:
-        if engine is None:
-            eng.close()
-
-
-def delta_run_parallel(network: Network, schedule: Schedule,
-                       start: RoutingState, max_steps: int = 2_000,
-                       stability_window: Optional[int] = None,
-                       keep_history: bool = False,
-                       engine: Optional[ParallelVectorizedEngine] = None,
-                       workers: Optional[int] = None,
-                       window: Optional[int] = None) -> AsyncResult:
-    """The parallel rung's δ run (an :class:`AsyncResult`).
-
-    ``keep_history`` and unbounded schedules delegate to the vectorized
-    engine (full decoded histories cannot live in a fixed shared ring);
-    everything else runs on the pool.  A caller-supplied ``engine`` is
-    reused even on the delegating path — a
-    :class:`ParallelVectorizedEngine` *is* a
-    :class:`~repro.core.vectorized.VectorizedEngine`, so its encoding
-    and table snapshot serve the serial run without re-encoding.
-    Engine ownership and cleanup as in :func:`iterate_sigma_parallel`.
-    ``window`` sets the number of schedule steps per worker command
-    (:data:`DELTA_WINDOW` default; 1 restores the per-step protocol).
-    """
-    if keep_history or schedule.max_read_back() is None:
-        _engine_log.info(
-            "engine-skip rung=parallel code=%s op=delta requested=parallel "
-            "algebra=%s n=%d detail=per-run delegation to the serial "
-            "vectorized engine (pool reused for encoding)",
-            "keep-history" if keep_history else "unbounded-schedule",
-            network.algebra.name, network.n)
-        from .vectorized import delta_run_vectorized
-        return delta_run_vectorized(network, schedule, start,
-                                    max_steps=max_steps,
-                                    stability_window=stability_window,
-                                    keep_history=keep_history,
-                                    engine=engine)
-    eng = engine if engine is not None \
-        else ParallelVectorizedEngine(network, workers=workers)
-    try:
-        return eng.delta(schedule, start, max_steps=max_steps,
-                         stability_window=stability_window, window=window)
     finally:
         if engine is None:
             eng.close()

@@ -3,8 +3,7 @@
 The sixth ladder rung takes the parallel engine's column-sharding
 protocol across an address-space boundary: a coordinator (the engine)
 connects to TCP *workers*, ships each one a topology snapshot plus a
-contiguous block of destination columns, and drives the same two
-protocols the shared-memory pool runs —
+contiguous block of destination columns, and drives two protocols —
 
 * **σ**: per round the coordinator broadcasts one command; each worker
   gather-reduces its dirty columns locally (dirty tracking is
@@ -12,11 +11,13 @@ protocols the shared-memory pool runs —
   replies with a delta-encoded summary of the columns that changed,
   which the coordinator applies to a local mirror of the full matrix.
   An empty union of changed columns is σ-stability, as everywhere else.
-* **δ**: the coordinator computes windowed activation commands exactly
-  like :meth:`ParallelVectorizedEngine.delta` (same
-  :data:`~repro.core.parallel.DELTA_WINDOW`, same ring sizing, same
-  staleness guard), the workers execute them against local history
-  rings and reply per-step changed flags; when the convergence counter
+* **δ**: the coordinator reads each window of :data:`DELTA_WINDOW`
+  steps off the compiled schedule (α bitmask rows, β read times over
+  each active node's in-neighbours), polices staleness exactly like
+  :class:`~repro.core.incremental.BoundedHistory`, and ships the
+  window as one command; the workers fold every step with the shared
+  δ kernel (:func:`~repro.core.vectorized.delta_fold`) against local
+  history rings and reply per-step changed flags; when the convergence counter
   fills, the coordinator *fetches* the candidate state (delta-encoded
   against the last fetch) and probes σ-stability on its local snapshot
   — so convergence decisions, round counts, and final states are
@@ -71,14 +72,16 @@ from .capabilities import (
     register_engine,
 )
 from .faults import FaultPlan
-from .parallel import DELTA_WINDOW, _mp_context
-from .schedule import Schedule
+from .parallel import _mp_context
+from .schedule import CompiledSchedule, Schedule
 from .state import Network, RoutingState
 from .synchronous import SyncResult
 from .vectorized import (
     _DTYPE,
     VectorizedEngine,
-    fold_edge_tables,
+    _concat_ranges,
+    affine_view,
+    delta_fold,
     gather_min_reduce,
     supports_vectorized,
 )
@@ -110,6 +113,7 @@ from .wire import (
 )
 
 __all__ = [
+    "DELTA_WINDOW",
     "REMOTE_MIN_N",
     "REMOTE_TIMEOUT",
     "REMOTE_MAX_RETRIES",
@@ -150,6 +154,13 @@ RETRY_BACKOFF_CAP = 1.0
 #: towards the original column layout.
 PROBATION_BASE = 0.25
 PROBATION_CAP = 30.0
+
+#: default number of δ schedule steps shipped per worker command: the
+#: workers hold the history ring, so nothing about a step depends on
+#: the coordinator seeing its predecessor first, and a window of 16
+#: cuts the per-step command count ≥ 8× on any run longer than a
+#: couple of windows.
+DELTA_WINDOW = 16
 
 #: capture a δ checkpoint every this many windows (when the retry
 #: budget is live): the worker ring tail travels to the coordinator so
@@ -250,16 +261,17 @@ class _ShardState:
         self.invalid = 0
         self.carrier = 0
         self.tables = None
+        self.affine = None               # the tables' clipped-shift view
         self.src = None
         self.erange = None
         self.importers = None
         self.starts = None
-        self.offsets = {}
-        self.degrees = {}
+        self.deg = None                  # (n,) in-degree per node
+        self.off = None                  # (n,) first in-edge per node
         self.C = None                    # (n, width) σ block
         self.dirty = None                # (width,) bool, block-local
         self.baseline = None             # (n, width) last acked block
-        self.ring: List = []             # δ history ring of (n, width)
+        self.ring = None                 # δ history ring, (W, n, width)
         self.window = 0
 
     @property
@@ -281,13 +293,18 @@ def _shard_load(state: _ShardState, meta: dict, tail: bytes) -> None:
             f"{n_edges * size * 4} for shape ({n_edges}, {size})")
     state.tables = np.frombuffer(tail, dtype="<i4").reshape(
         n_edges, size).astype(_DTYPE)
+    state.affine = affine_view(state.tables, _DTYPE)
     state.src = np.asarray(meta["src"], dtype=np.intp)
     state.importers = np.asarray(meta["importers"], dtype=np.intp)
     state.starts = np.asarray(meta["starts"], dtype=np.intp)
     state.erange = np.arange(n_edges)[:, None]
     # JSON turns int keys into strings; undo it
-    state.offsets = {int(k): int(v) for k, v in meta["offsets"].items()}
-    state.degrees = {int(k): int(v) for k, v in meta["degrees"].items()}
+    state.deg = np.zeros(state.n, dtype=np.intp)
+    state.off = np.zeros(state.n, dtype=np.intp)
+    for k, v in meta["degrees"].items():
+        state.deg[int(k)] = int(v)
+    for k, v in meta["offsets"].items():
+        state.off[int(k)] = int(v)
 
 
 def _invalid_block(state: _ShardState) -> "np.ndarray":
@@ -376,8 +393,8 @@ def _shard_delta_init(state: _ShardState, meta: dict, tail: bytes) -> None:
       when the checkpoint was captured.
     """
     state.window = int(meta["window"])
-    state.ring = [
-        _invalid_block(state) for _ in range(state.window)]
+    state.ring = np.full((state.window, state.n, state.width),
+                         state.invalid, dtype=_DTYPE)
     slots = meta.get("slots")
     if slots is None:
         blob = tail
@@ -399,7 +416,7 @@ def _shard_ckpt(state: _ShardState, t: int, depth: int) -> Tuple[List[int],
     the previous slot), length-prefixed and concatenated.  ``baseline``
     advances to slot ``t`` — the coordinator now provably holds it.
     """
-    if not state.ring:
+    if state.ring is None:
         raise RemoteError("checkpoint before delta init")
     t = int(t)
     depth = max(1, min(int(depth), state.window))
@@ -416,45 +433,49 @@ def _shard_ckpt(state: _ShardState, t: int, depth: int) -> Tuple[List[int],
 
 
 def _shard_delta_steps(state: _ShardState, steps: Sequence) -> List[bool]:
-    """One window of δ steps on the local ring — the pool's
-    ``_worker_delta`` re-expressed over private (n, width) blocks."""
-    if not state.ring:
+    """One window of δ steps on the local ``(W, n, width)`` ring.
+
+    ``steps`` is ``[(t, acts)]`` for consecutive times, each ``acts``
+    being ``[(i, read_times)]`` for every active node (ascending), with
+    ``read_times`` aligned to node ``i``'s in-edge order in the
+    snapshot.  Each step folds all its activations in one call of the
+    shared δ kernel (:func:`~repro.core.vectorized.delta_fold`),
+    restricted to the block's columns.
+    """
+    if state.ring is None:
         raise RemoteError("delta steps before delta init")
-    W = state.window
-    lo, hi = state.lo, state.hi
-    width = state.width
+    ring, W = state.ring, state.window
     flags: List[bool] = []
     for t, acts in steps:
         t = int(t)
-        prev = state.ring[(t - 1) % W]
-        nxt = state.ring[t % W]
+        prev, nxt = ring[(t - 1) % W], ring[t % W]
         nxt[:] = prev
-        changed = False
-        for i, times in acts:
-            i = int(i)
-            degree = state.degrees.get(i, 0)
-            if degree:
-                offset = state.offsets[i]
-                gathered = np.empty((degree, width), dtype=_DTYPE)
-                for idx in range(degree):
-                    k = int(state.src[offset + idx])
-                    gathered[idx] = state.ring[int(times[idx]) % W][k]
-                row = fold_edge_tables(state.tables[offset:offset + degree],
-                                       gathered)
-            else:
-                row = np.full(width, state.invalid, dtype=_DTYPE)
-            if lo <= i < hi:
-                row[i - lo] = state.trivial
-            if not changed and not np.array_equal(row, prev[i]):
-                changed = True
-            nxt[i] = row
-        flags.append(changed)
+        nodes = np.asarray([i for i, _times in acts], dtype=np.intp)
+        rows = np.full((nodes.size, state.width), state.invalid,
+                       dtype=_DTYPE)
+        deg = state.deg[nodes]
+        has = deg > 0
+        if has.any():
+            ed = deg[has]
+            starts = np.zeros(ed.size, dtype=np.intp)
+            starts[1:] = np.cumsum(ed[:-1])
+            edge_flat = np.repeat(state.off[nodes[has]], ed) \
+                + _concat_ranges(ed)
+            slot = np.asarray([s for _i, times in acts for s in times],
+                              dtype=np.intp)
+            rows[has] = delta_fold(ring, (slot % W, state.src[edge_flat]),
+                                   edge_flat, starts, state.tables,
+                                   state.affine)
+        own = np.nonzero((nodes >= state.lo) & (nodes < state.hi))[0]
+        rows[own, nodes[own] - state.lo] = state.trivial
+        flags.append(bool((rows != prev[nodes]).any()))
+        nxt[nodes] = rows
     return flags
 
 
 def _shard_fetch(state: _ShardState, t: int) -> bytes:
     """Ship ring slot ``t`` as a delta against the last acked state."""
-    if not state.ring:
+    if state.ring is None:
         raise RemoteError("fetch before delta init")
     slot = state.ring[int(t) % state.window]
     blob = encode_update(state.baseline, slot, state.carrier)
@@ -1445,12 +1466,20 @@ class RemoteVectorizedEngine(VectorizedEngine):
               max_steps: int = 2_000,
               stability_window: Optional[int] = None,
               window: Optional[int] = None) -> AsyncResult:
-        """δ over the wire, windowed exactly like the shared-memory pool.
+        """δ over the wire, ``window`` schedule steps per command.
 
-        The coordinator computes the same windowed activation commands
-        (and the same staleness guard) as
-        :meth:`ParallelVectorizedEngine.delta`; workers execute them on
-        local rings and reply per-step changed flags.  Candidate states
+        The schedule is compiled for the run
+        (:class:`~repro.core.schedule.CompiledSchedule`, not cached past
+        it); each window's activation lists and β read times come from
+        its α bitmask rows and in-neighbour read-time slices, with one
+        array staleness check per step.  Reads outside the
+        :class:`~repro.core.incremental.BoundedHistory` window
+        (``max_read_back + 2``) raise :class:`LookupError` — but only
+        when the run reaches the offending step: the window is cut
+        there, so a run that converges first never evaluates it.
+        Workers execute each window on local rings and reply per-step
+        changed flags, and the coordinator replays the convergence
+        counter over them.  Candidate states
         are *fetched* (delta-encoded against the previous fetch) and
         σ-probed on the coordinator's local snapshot, so convergence
         steps, final states and ``history_retained`` match the serial
@@ -1484,15 +1513,16 @@ class RemoteVectorizedEngine(VectorizedEngine):
         self.delta_ckpt_saves = 0
         self.delta_ckpt_resumes = 0
         self.delta_resumed_from = 0
+        comp = CompiledSchedule.ensure(schedule, max_steps)
         while True:
             try:
                 self._attempt_pool()
-                return self._delta_once(schedule, start, max_steps,
+                return self._delta_once(comp, start, max_steps,
                                         stability_window, w, read_window)
             except _ShardFault as fault:
                 self._heal(fault)
 
-    def _delta_once(self, schedule: Schedule, start: RoutingState,
+    def _delta_once(self, comp: CompiledSchedule, start: RoutingState,
                     max_steps: int, stability_window: int, w: int,
                     read_window: int) -> AsyncResult:
         W = w + read_window
@@ -1544,11 +1574,8 @@ class RemoteVectorizedEngine(VectorizedEngine):
                 "re-installed; replay skipped %d step(s))",
                 ckpt["t"], len(slot_ts), ckpt["t"])
         self._collect_acks()
-        beta, alpha = schedule.beta, schedule.alpha
-        in_neighbours = {
-            i: [int(self._src[self._offsets[i] + d])
-                for d in range(self._degrees[i])]
-            for i in self._degrees}
+        deg_arr, off_arr = self._node_arrays()
+        self._seg_cache = {}
         self.delta_ipc_commands = 0
         self.delta_ipc_steps = 0
         windows_done = 0
@@ -1557,32 +1584,28 @@ class RemoteVectorizedEngine(VectorizedEngine):
             steps = []
             stale_error: Optional[LookupError] = None
             for t in range(t0, t0 + w_eff):
-                acts = []
-                for i in sorted(alpha(t)):
-                    times = []
-                    for k in in_neighbours.get(i, ()):
-                        s = beta(t, i, k)
-                        # identical guard to the pool: s < 0 violates S2,
-                        # s < t - read_window is a read BoundedHistory
-                        # would refuse as evicted
-                        if s < 0 or s >= t or t - s > read_window:
-                            stale_error = LookupError(
-                                f"δ history for time {s} is outside the "
-                                f"worker ring (window={read_window}, t={t}); "
-                                "the schedule reads further back than its "
-                                "declared max_read_back — run "
-                                "RoutingSession.delta(..., strict=True) to "
-                                "keep the full history")
-                            break
-                        times.append(int(s))
-                    if stale_error is not None:
-                        break
-                    acts.append((int(i), times))
-                if stale_error is not None:
+                nodes = np.nonzero(comp.alpha_mask(t))[0]
+                # every active node's in-edge read times, in snapshot
+                # edge order (degree-0 nodes contribute none)
+                reads = self._slot_segment(comp, t, deg_arr, off_arr)
+                # s < 0 violates S2, s >= t reads the future, and
+                # s < t - read_window is a read BoundedHistory would
+                # refuse as evicted
+                bad = (reads < 0) | (reads >= t) | (t - reads > read_window)
+                if bad.any():
+                    s = int(reads[np.argmax(bad)])
+                    stale_error = LookupError(
+                        f"δ history for time {s} is outside the worker "
+                        f"ring (window={read_window}, t={t}); the schedule "
+                        "reads further back than its declared "
+                        "max_read_back — run RoutingSession.delta(..., "
+                        "strict=True) to keep the full history")
                     # truncate at the offending step: the per-step
                     # protocol may converge before ever evaluating it
                     break
-                steps.append((t, acts))
+                times = np.split(reads, np.cumsum(deg_arr[nodes])[:-1])
+                steps.append((t, [(i, r.tolist()) for i, r in
+                                  zip(nodes.tolist(), times)]))
             if steps:
                 head = pack_payload({"steps": steps})
                 for idx in range(len(self._blocks)):
@@ -1657,33 +1680,28 @@ def iterate_sigma_remote(network: Network, start: RoutingState,
 def delta_run_remote(network: Network, schedule: Schedule,
                      start: RoutingState, max_steps: int = 2_000,
                      stability_window: Optional[int] = None,
-                     keep_history: bool = False,
                      engine: Optional[RemoteVectorizedEngine] = None,
                      workers: Optional[int] = None,
                      endpoints: Optional[Sequence] = None,
-                     socket_timeout: Optional[float] = None,
-                     window: Optional[int] = None) -> AsyncResult:
+                     socket_timeout: Optional[float] = None) -> AsyncResult:
     """The remote rung's δ run (an :class:`AsyncResult`).
 
-    ``keep_history`` and unbounded schedules delegate to the serial
-    vectorized engine (full decoded histories cannot live in the
-    workers' fixed rings) — a caller-supplied ``engine`` is reused even
+    Unbounded schedules run the inherited in-process compiled step
+    (:meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`, exact
+    against the schedule's derived staleness bound) instead of the
+    workers' fixed rings — a caller-supplied ``engine`` is reused even
     then, since a :class:`RemoteVectorizedEngine` *is* a
     :class:`~repro.core.vectorized.VectorizedEngine`.
     """
-    if keep_history or schedule.max_read_back() is None:
+    if schedule.max_read_back() is None:
         _engine_log.info(
-            "engine-skip rung=remote code=%s op=delta requested=remote "
-            "algebra=%s n=%d detail=per-run delegation to the serial "
-            "vectorized engine (snapshot reused for encoding)",
-            "keep-history" if keep_history else "unbounded-schedule",
-            network.algebra.name, network.n)
-        from .vectorized import delta_run_vectorized
-        return delta_run_vectorized(network, schedule, start,
-                                    max_steps=max_steps,
-                                    stability_window=stability_window,
-                                    keep_history=keep_history,
-                                    engine=engine)
+            "engine-skip rung=remote code=unbounded-schedule op=delta "
+            "requested=remote algebra=%s n=%d detail=per-run delegation "
+            "to the in-process compiled step (snapshot reused for "
+            "encoding)", network.algebra.name, network.n)
+        eng = engine if engine is not None else VectorizedEngine(network)
+        return eng.delta_grid([(schedule, start)], max_steps=max_steps,
+                              stability_window=stability_window)[0]
     eng = engine if engine is not None \
         else RemoteVectorizedEngine(network, endpoints=endpoints,
                                     workers=workers or (0 if endpoints
@@ -1691,7 +1709,7 @@ def delta_run_remote(network: Network, schedule: Schedule,
                                     socket_timeout=socket_timeout)
     try:
         return eng.delta(schedule, start, max_steps=max_steps,
-                         stability_window=stability_window, window=window)
+                         stability_window=stability_window)
     finally:
         if engine is None:
             eng.close()

@@ -24,11 +24,11 @@ choices from a seed via counter-based hashing) so that δ runs are
 reproducible and β can be re-queried at will.
 
 :class:`CompiledSchedule` is the bridge between this object model and
-the array engines (:mod:`repro.core.vectorized`,
-:mod:`repro.core.parallel`): it precompiles any schedule over a finite
-horizon into per-step activation bitmask rows and per-active-node β
-read-time arrays, with an equivalence contract to the object form
-(``alpha``/``beta`` answer identically) and a *derived*
+the array engines (the compiled δ step of :mod:`repro.core.vectorized`
+and the :mod:`repro.core.remote` coordinator): it precompiles any
+schedule over a finite horizon into per-step activation bitmask rows
+and per-active-node β read-time arrays, with an equivalence contract to
+the object form (``alpha``/``beta`` answer identically) and a *derived*
 ``max_read_back`` for schedules that declare none.
 """
 
@@ -493,14 +493,17 @@ class CompiledSchedule(Schedule):
     Compilation is lazy, in blocks of ``block`` steps with a small
     sliding cache, so a run that converges after 60 steps never pays
     for a 2000-step horizon, and memory stays
-    O(blocks_kept · block · |α| · n) however long the horizon is.
+    O(blocks_kept · block · |α| · n) however long the horizon is.  The
+    δ step reads one step at a time, so a block is one step by default
+    and a run holds the β rows of only a few steps (one step of a
+    ``RandomSchedule(800)`` is about 2.5 MB of them).
     """
 
     #: compiled blocks kept alive; the recursion walks t forward, so a
     #: handful covers current-step reads plus validation revisits.
     _KEEP_BLOCKS = 4
 
-    def __init__(self, source: Schedule, horizon: int, block: int = 32):
+    def __init__(self, source: Schedule, horizon: int, block: int = 1):
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         if block < 1:
@@ -586,7 +589,8 @@ class CompiledSchedule(Schedule):
         return self.source.beta_uniform(t)
 
     # ------------------------------------------------------------------
-    # Array forms (what the batched/parallel engines consume)
+    # Array forms (what the compiled δ step and the remote coordinator
+    # consume)
     # ------------------------------------------------------------------
 
     def alpha_mask(self, t: int):

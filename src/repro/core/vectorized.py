@@ -21,18 +21,21 @@ Layered on the PR 1 dirty-set idea: entry ``(i, j)`` of σ(X) depends
 only on column ``j`` of ``X``, so columns are independent and a round
 needs to re-multiply only the **dirty columns** (those with an entry
 that changed last round).  An empty dirty-column set is exactly
-σ-stability, so fixed-point detection stays free.  δ activations use
-the same tables as per-activation gathers against a
-:class:`~repro.core.incremental.BoundedHistory` of code matrices, so
-asynchronous rounds are array ops too (`delta_run_vectorized`).
+σ-stability, so fixed-point detection stays free.  δ runs on one
+kernel, the *compiled-schedule step* (:meth:`VectorizedEngine.delta_grid`):
+a precompiled schedule hands over activation bitmasks and β read-time
+arrays, and every activation of a step becomes one flat gather against a
+ring of historic code matrices, extended through the edge tables and
+folded with ``np.minimum.reduceat`` (:func:`delta_fold`).  A single run
+is the grid of one trial.
 
 Capability & fallback
 ---------------------
 
 This is the **vectorized** rung of the engine ladder:
-:mod:`repro.core.parallel` shards this engine's column-independent
+:mod:`repro.core.parallel` shards this engine's column-independent σ
 round over worker processes against shared-memory code matrices, and
-inherits its encoding and snapshot machinery from
+inherits its encoding, snapshot machinery and δ step from
 :class:`VectorizedEngine`.
 
 The engine needs numpy and a :class:`~repro.algebras.base.AlgebraEncoding`
@@ -63,8 +66,7 @@ except ImportError:                      # pragma: no cover - numpy is baked in
 from .algebra import RoutingAlgebra, UnsupportedAlgebraError
 from .asynchronous import AsyncResult
 from .capabilities import Capabilities, register_engine
-from .incremental import BoundedHistory
-from .schedule import CompiledSchedule, Schedule
+from .schedule import CompiledSchedule
 from .state import Network, RoutingState
 from .synchronous import SyncResult
 
@@ -92,16 +94,46 @@ def gather_min_reduce(sub, tables, src, erange, importers, starts,
     return new
 
 
-def fold_edge_tables(tables, gathered):
-    """The δ kernel: apply each edge table to its gathered historic row
-    slice and ⊕ (= ``min`` on codes) across the neighbours.
+def delta_fold(ring, reads, edge_flat, starts, tables, affine=None):
+    """The δ kernel: gather every activation's historic reads, extend
+    them through their edges and ⊕ (= ``min`` on codes) per activation.
 
-    ``tables`` is the ``(degree, carrier)`` slice for one importer and
-    ``gathered`` the ``(degree, width)`` historic reads; shared by
-    :meth:`VectorizedEngine._delta_row` and the parallel workers.
+    ``reads`` is an integer-array index, so ``ring[reads]`` is a fresh
+    ``(edges, width)`` copy — row ``e`` is the code row read along edge
+    ``edge_flat[e]`` — and each activation's edges are one consecutive
+    run starting at ``starts``.  The extension is a table gather, or
+    with ``affine=(w, cap)`` (see :func:`affine_view`) the exact clipped
+    shift ``min(x + w, cap)``, computed in place in that copy.
+    Single source of truth for δ — the engines' compiled step and every
+    :mod:`repro.core.remote` worker run exactly this code.
     """
-    degree = gathered.shape[0]
-    return tables[np.arange(degree)[:, None], gathered].min(axis=0)
+    gathered = ring[reads]
+    if affine is not None:
+        w, cap = affine
+        ext = np.add(gathered, w[edge_flat], out=gathered)
+        np.minimum(ext, cap[edge_flat], out=ext)
+    else:
+        ext = tables[edge_flat[:, None], gathered]
+    return np.minimum.reduceat(ext, starts, axis=0)
+
+
+def affine_view(tables, dtype):
+    """``(w, cap)`` with ``tables[e][x] == min(x + w[e], cap[e])`` for
+    every entry, in ``dtype``, or ``None`` when any table is not such a
+    clipped shift (checked element-wise, so the view is exact)."""
+    w = tables[:, :1]
+    cap = tables[:, -1:]
+    ar = np.arange(tables.shape[1], dtype=_DTYPE)[None, :]
+    if not (tables == np.minimum(ar + w, cap)).all():
+        return None
+    return w.astype(dtype), cap.astype(dtype)
+
+
+def _concat_ranges(counts):
+    """``concatenate([arange(c) for c in counts])`` without a Python loop."""
+    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    return np.arange(total) - np.repeat(ends - counts, counts)
 
 
 def supports_vectorized(algebra: RoutingAlgebra) -> bool:
@@ -133,14 +165,21 @@ class VectorizedEngine:
     ``_starts`` aligned to ``_importers`` — and refreshes the snapshot
     whenever ``adjacency.version`` moves.  States cross the boundary via
     :meth:`encode_state` / :meth:`decode_state`.
+
+    δ has one kernel, the compiled-schedule step of :meth:`delta_grid`:
+    a single run is the grid of one trial, and every codes-based rung
+    that runs δ in process (vectorized, parallel, batched) runs it.
     """
 
     #: advertised to the capability resolver (see
-    #: :mod:`repro.core.capabilities`): needs a finite encoding, runs
-    #: everything else.
+    #: :mod:`repro.core.capabilities`): needs a finite encoding; δ runs
+    #: on a bounded ring, so kept histories and schedules without a
+    #: declared staleness bound fall to the incremental rung.
     capabilities = register_engine(Capabilities(
         rung="vectorized",
         requires_finite_algebra=True,
+        supports_unbounded_schedules=False,
+        supports_kept_history=False,
     ))
 
     def __init__(self, network: Network):
@@ -304,92 +343,9 @@ class VectorizedEngine:
     # δ
     # ------------------------------------------------------------------
 
-    def _delta_row(self, history, t: int, i: int, beta) -> "np.ndarray":
-        """Node ``i``'s recomputed table at time ``t``: per-activation
-        table gathers against per-neighbour historical rows."""
-        degree = self._degrees.get(i, 0)
-        if degree == 0:
-            row = np.full(self._n, self.invalid_code, dtype=_DTYPE)
-        else:
-            offset = self._offsets[i]
-            gathered = np.empty((degree, self._n), dtype=_DTYPE)
-            for idx in range(degree):
-                k = int(self._src[offset + idx])
-                gathered[idx] = history[beta(t, i, k)][k]
-            row = fold_edge_tables(self._tables[offset:offset + degree],
-                                   gathered)
-        row[i] = self.trivial_code
-        return row
-
-
-# ----------------------------------------------------------------------
-# Batched multi-trial engine
-# ----------------------------------------------------------------------
-
-
-def _concat_ranges(counts):
-    """``concatenate([arange(c) for c in counts])`` without a Python loop."""
-    total = int(counts.sum())
-    ends = np.cumsum(counts)
-    return np.arange(total) - np.repeat(ends - counts, counts)
-
-
-class BatchedVectorizedEngine(VectorizedEngine):
-    """Multi-trial σ/δ over a ``(B, n, n)`` stacked code tensor.
-
-    The top rung of the five-engine ladder (naive → incremental →
-    vectorized → parallel → **batched**).  The vectorized engine made
-    one *trial* an array computation; experiments, however, run *grids*
-    of trials — the absolute-convergence experiment (Definition 8)
-    quantifies over (starting state × schedule) pairs — and looping
-    Python over trials re-pays the per-step interpreter overhead B
-    times.  This engine stacks B trials along a leading batch axis and
-    runs every σ round / δ step for **all** trials per kernel
-    invocation:
-
-    * σ: one table gather + ``minimum.reduceat`` over a ``(B, E, n)``
-      extension tensor (:meth:`_sigma_codes_batch`);
-    * δ: the activations of *all* trials at step ``t`` are flattened
-      into one ``(total edges, n)`` gather against a shared history
-      ring widened by the batch axis — ``(W, B, n, n)`` — followed by a
-      single ``reduceat`` fold (:meth:`_delta_step_batch`).  Schedules
-      are precompiled (:class:`~repro.core.schedule.CompiledSchedule`)
-      so α bitmask rows and β read-time arrays are array lookups, not
-      per-(t, i, j) Python calls.
-
-    Per-trial convergence masking: each trial keeps its own
-    unchanged-step counter and stability window, finished trials drop
-    out of the activation mask (their final state is snapshotted at
-    completion), and the grid ends when every trial has converged or
-    exhausted ``max_steps``.  Each trial's result is observationally
-    identical to a solo :func:`delta_run_vectorized` — converged flag,
-    convergence step and fixed point — which the differential oracle
-    (``tests/core/test_engine_equivalence.py``) enforces against the
-    strict literal recursion.
-
-    Staleness discipline mirrors :class:`~repro.core.incremental.BoundedHistory`
-    per trial: reads further back than the trial's declared
-    ``max_read_back() + 2`` raise :class:`LookupError`; schedules that
-    declare **no** bound run against their *derived* bound (exact over
-    the compiled horizon), which the object engines could only serve
-    with a full O(steps · n²) history.
-    """
-
-    #: batching stacks trials; single δ runs need a bounded ring
-    #: (deriving a bound for an undeclared schedule only pays across a
-    #: grid), and a lone σ-stability check falls one rung down.
-    capabilities = register_engine(Capabilities(
-        rung="batched",
-        requires_finite_algebra=True,
-        supports_batched_trials=True,
-        supports_unbounded_schedules=False,
-        supports_kept_history=False,
-        supports_single_stability_check=False,
-    ))
-
-    # -- node-indexed snapshot arrays (degree/offset per node) -----------
-
     def _node_arrays(self):
+        """``(degree, offset)`` arrays indexed by node: node ``i``'s
+        in-edges are ``_src[offset[i]:offset[i] + degree[i]]``."""
         if getattr(self, "_node_arrays_version", None) != self._version:
             deg = np.zeros(self._n, dtype=np.intp)
             off = np.zeros(self._n, dtype=np.intp)
@@ -405,15 +361,15 @@ class BatchedVectorizedEngine(VectorizedEngine):
         """Narrowest dtype the stacked code tensors fit in.
 
         Finite carriers are small (hop bounds, levels); int16 halves
-        the memory traffic of every gather/fold/compare in the batched
-        step, which is bandwidth-bound.  The margin (``2 · size``)
+        the memory traffic of every gather/fold/compare in the δ step,
+        which is bandwidth-bound.  The margin (``2 · size``)
         keeps the affine fast path's ``x + w`` sum in range too.
         """
         return np.int16 if 2 * self.encoding.size < 32_000 else _DTYPE
 
     def _affine_tables(self):
-        """``(all_affine, w, cap)`` — the clipped-shift view of the
-        edge tables, when exact.
+        """``(w, cap)`` — the clipped-shift view of the edge tables —
+        when it is exact, else ``None``.
 
         Many finite encodings produce tables of the form
         ``T[x] = min(x + w, cap)`` (hop count and weighted chains: the
@@ -421,23 +377,11 @@ class BatchedVectorizedEngine(VectorizedEngine):
         Verified *element-wise* against the real tables at snapshot
         time, so the fast path is exact or unused — never approximate.
         When it holds, the δ kernel's per-element table gather (a 2-D
-        fancy index, the most expensive op in the batched step) becomes
-        two SIMD-friendly arithmetic ops, in the batch dtype.
+        fancy index, the most expensive op in the δ step) becomes two
+        SIMD-friendly arithmetic ops, in the batch dtype.
         """
         if getattr(self, "_affine_version", None) != self._version:
-            T = self._tables
-            if T.size:
-                w = T[:, :1]
-                cap = T[:, -1:]
-                size = T.shape[1]
-                ar = np.arange(size, dtype=_DTYPE)[None, :]
-                ok = bool((T == np.minimum(ar + w, cap)).all())
-                dtype = self._batch_dtype
-                w = w.astype(dtype)
-                cap = cap.astype(dtype)
-            else:
-                ok, w, cap = True, T, T
-            self._affine = (ok, w, cap)
+            self._affine = affine_view(self._tables, self._batch_dtype)
             self._affine_version = self._version
         return self._affine
 
@@ -446,10 +390,10 @@ class BatchedVectorizedEngine(VectorizedEngine):
         importers at ``t``, aligned to the snapshot's edge layout.
 
         Cached per (schedule, step): trials replicate schedules across
-        starting states, and the pair list of a batched step is exactly
-        the per-trial concatenation of these segments, so the β work of
-        a step is paid once per *distinct* schedule, not once per
-        trial."""
+        starting states, and the pair list of a step is exactly the
+        per-trial concatenation of these segments, so the β work of a
+        step is paid once per *distinct* schedule, not once per trial.
+        The cache lives for one run (:meth:`delta_grid` resets it)."""
         cache = self._seg_cache
         if cache.get("t") != t:
             cache.clear()
@@ -473,22 +417,6 @@ class BatchedVectorizedEngine(VectorizedEngine):
                 seg = np.empty(0, dtype=np.int64)
             cache[id(comp)] = seg
         return seg
-
-    # -- σ ---------------------------------------------------------------
-
-    def _sigma_codes_batch(self, C: "np.ndarray") -> "np.ndarray":
-        """One full σ round on a ``(B, n, n)`` stack of code matrices."""
-        B, n = C.shape[0], self._n
-        new = np.full((B, n, n), self.invalid_code, dtype=_DTYPE)
-        if self._src.size:
-            ext = self._tables[self._erange[None], C[:, self._src, :]]
-            new[:, self._importers, :] = np.minimum.reduceat(
-                ext, self._starts, axis=1)
-        diag = np.arange(n)
-        new[:, diag, diag] = self.trivial_code   # Lemma 1, every trial
-        return new
-
-    # -- δ ---------------------------------------------------------------
 
     def _delta_step_batch(self, ring, W: int, t: int, scheds, live,
                           windows, prev, nxt, copy, last_change,
@@ -599,13 +527,8 @@ class BatchedVectorizedEngine(VectorizedEngine):
                 starts = np.zeros(ed.size, dtype=np.intp)
                 starts[1:] = np.cumsum(ed[:-1])
         if eb.size:
-            gathered = ring[slot % W, rep_b, src_flat, :]
-            affine, w, cap = self._affine_tables()
-            if affine:
-                ext = np.minimum(gathered + w[edge_flat], cap[edge_flat])
-            else:
-                ext = self._tables[edge_flat[:, None], gathered]
-            folded = np.minimum.reduceat(ext, starts, axis=0)
+            folded = delta_fold(ring, (slot % W, rep_b, src_flat), edge_flat,
+                                starts, self._tables, self._affine_tables())
             folded[np.arange(ei.size), ei] = self.trivial_code
             row_changed = (folded != prev[eb, ei, :]).any(axis=1)
             nxt[eb, ei, :] = folded
@@ -655,21 +578,39 @@ class BatchedVectorizedEngine(VectorizedEngine):
             starts = np.zeros(ed.size, dtype=np.intp)
             starts[1:] = np.cumsum(ed[:-1])
             edge_flat = np.repeat(off_arr[er], ed) + _concat_ranges(ed)
-            src_flat = self._src[edge_flat]
-            ext = self._tables[edge_flat[:, None],
-                               C[src_flat].astype(np.intp)]
-            out[has] = np.minimum.reduceat(ext, starts, axis=0)
+            out[has] = delta_fold(C, self._src[edge_flat], edge_flat,
+                                  starts, self._tables)
         out[np.arange(rows.size), rows] = self.trivial_code
         return out
 
     def delta_grid(self, trials, max_steps: int = 2_000,
                    stability_window: Optional[int] = None
                    ) -> List[AsyncResult]:
-        """Run δ for every ``(schedule, start)`` trial as one workload.
+        """Run δ for every ``(schedule, start)`` trial as one workload:
+        the compiled-schedule step, and the only δ kernel on codes.
 
         Returns one :class:`~repro.core.asynchronous.AsyncResult` per
-        trial, in order, each identical to what a solo
-        :func:`delta_run_vectorized` would have produced.
+        trial, in order, each observationally identical to the strict
+        literal recursion — converged flag, convergence step and fixed
+        point (the differential oracle in
+        ``tests/core/test_engine_equivalence.py`` enforces it).  A single
+        δ run is the grid of one trial.
+
+        Trials stack along a batch axis of a ``(W, B, n, n)`` history
+        ring, and every step runs the activations of *all* live trials
+        as one fused gather/fold (:meth:`_delta_step_batch`).  Schedules
+        are precompiled (:class:`~repro.core.schedule.CompiledSchedule`)
+        so α bitmask rows and β read-time arrays are array lookups, not
+        per-(t, i, j) Python calls.  Each trial keeps its own
+        unchanged-step counter and stability window; finished trials
+        drop out of the activation mask, and the grid ends when every
+        trial has converged or exhausted ``max_steps``.
+
+        Staleness mirrors :class:`~repro.core.incremental.BoundedHistory`
+        per trial: reads further back than the trial's declared
+        ``max_read_back() + 2`` raise :class:`LookupError` when the run
+        reaches them; schedules that declare **no** bound run against
+        their *derived* bound (exact over the compiled horizon).
         """
         self.refresh()
         B = len(trials)
@@ -762,6 +703,52 @@ class BatchedVectorizedEngine(VectorizedEngine):
 
 
 # ----------------------------------------------------------------------
+# Batched multi-trial engine
+# ----------------------------------------------------------------------
+
+
+class BatchedVectorizedEngine(VectorizedEngine):
+    """Multi-trial σ over a ``(B, n, n)`` stacked code tensor, and the
+    rung that runs whole δ grids.
+
+    The vectorized engine made one *trial* an array computation;
+    experiments, however, run *grids* of trials — the
+    absolute-convergence experiment (Definition 8) quantifies over
+    (starting state × schedule) pairs — and looping Python over trials
+    re-pays the per-step interpreter overhead B times.  This rung
+    stacks trials along a leading batch axis: σ is one table gather +
+    ``minimum.reduceat`` over a ``(B, E, n)`` extension tensor
+    (:meth:`_sigma_codes_batch`), and a grid is one inherited
+    :meth:`~VectorizedEngine.delta_grid` over every trial at once (a
+    single δ run is the same step with B = 1).
+    """
+
+    #: batching stacks trials; single δ runs need a bounded ring
+    #: (deriving a bound for an undeclared schedule only pays across a
+    #: grid), and a lone σ-stability check falls one rung down.
+    capabilities = register_engine(Capabilities(
+        rung="batched",
+        requires_finite_algebra=True,
+        supports_batched_trials=True,
+        supports_unbounded_schedules=False,
+        supports_kept_history=False,
+        supports_single_stability_check=False,
+    ))
+
+    def _sigma_codes_batch(self, C: "np.ndarray") -> "np.ndarray":
+        """One full σ round on a ``(B, n, n)`` stack of code matrices."""
+        B, n = C.shape[0], self._n
+        new = np.full((B, n, n), self.invalid_code, dtype=_DTYPE)
+        if self._src.size:
+            ext = self._tables[self._erange[None], C[:, self._src, :]]
+            new[:, self._importers, :] = np.minimum.reduceat(
+                ext, self._starts, axis=1)
+        diag = np.arange(n)
+        new[:, diag, diag] = self.trivial_code   # Lemma 1, every trial
+        return new
+
+
+# ----------------------------------------------------------------------
 # Drivers (SyncResult / AsyncResult compatible)
 # ----------------------------------------------------------------------
 
@@ -801,59 +788,6 @@ def iterate_sigma_vectorized(network: Network, start: RoutingState,
             seen[key] = k + 1
         C = nxt
     return SyncResult(False, max_rounds, eng.decode_state(C), trajectory)
-
-
-def delta_run_vectorized(network: Network, schedule: Schedule,
-                         start: RoutingState, max_steps: int = 2_000,
-                         stability_window: Optional[int] = None,
-                         keep_history: bool = False,
-                         engine: Optional[VectorizedEngine] = None
-                         ) -> AsyncResult:
-    """The vectorized rung's δ run (an :class:`AsyncResult`).
-
-    Same history semantics as the object-model loop: the code-matrix
-    history is a :class:`~repro.core.incremental.BoundedHistory` ring
-    buffer sized by ``schedule.max_read_back() + 2`` (full list when
-    the schedule declares no bound or ``keep_history`` is set), and
-    convergence uses the same constant-window + σ-stable criterion.
-    """
-    eng = engine if engine is not None else VectorizedEngine(network)
-    eng.refresh()
-    max_read_back = schedule.max_read_back()
-    if stability_window is None:
-        stability_window = (max_read_back or 1) + 2
-    C0 = eng.encode_state(start)
-    full = keep_history or max_read_back is None
-    history = ([C0] if full
-               else BoundedHistory(C0, window=max_read_back + 2))
-    beta = schedule.beta
-    unchanged = 0
-
-    def result(converged: bool, t: int, C, converged_at):
-        decoded_history = None
-        if keep_history:
-            decoded_history = [eng.decode_state(h) for h in history]
-        return AsyncResult(converged, t, eng.decode_state(C), converged_at,
-                           decoded_history, history_retained=len(history))
-
-    for t in range(1, max_steps + 1):
-        prev = history[t - 1]
-        nxt = None
-        for i in schedule.alpha(t):
-            row = eng._delta_row(history, t, i, beta)
-            if not np.array_equal(row, prev[i]):
-                if nxt is None:
-                    nxt = prev.copy()
-                nxt[i] = row
-        changed = nxt is not None
-        if nxt is None:
-            nxt = prev                   # share the unchanged matrix
-        history.append(nxt)
-        unchanged = 0 if changed else unchanged + 1
-        if unchanged >= stability_window and \
-                np.array_equal(eng._sigma_codes(nxt), nxt):
-            return result(True, t, nxt, t - unchanged)
-    return result(False, max_steps, history[max_steps], None)
 
 
 def sigma_churn(network: Network, start: RoutingState,
@@ -939,20 +873,3 @@ def iterate_sigma_batched(network: Network,
         results[b] = SyncResult(False, max_rounds, eng.decode_state(C[b]),
                                 trajs[b])
     return results
-
-
-def delta_run_batched(network: Network, schedule: Schedule,
-                      start: RoutingState, max_steps: int = 2_000,
-                      stability_window: Optional[int] = None,
-                      engine: Optional[BatchedVectorizedEngine] = None
-                      ) -> AsyncResult:
-    """Single-trial δ through the batched kernel (the B = 1 grid).
-
-    Exists so a single :meth:`repro.session.RoutingSession.delta` on
-    the batched rung exercises exactly the code path the grid driver
-    uses — the differential oracle runs every rung through the same
-    session calls.
-    """
-    eng = engine if engine is not None else BatchedVectorizedEngine(network)
-    return eng.delta_grid([(schedule, start)], max_steps=max_steps,
-                          stability_window=stability_window)[0]

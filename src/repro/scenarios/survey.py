@@ -8,11 +8,13 @@ through the session's negotiated grid rung (the batched tensor engine
 on finite algebras).
 
 ``oracle=True`` re-runs the whole cell on a second, independently built
-network with the engine pinned *below* the batched rung and requires
-bit-identical answers: every replay phase (rounds, churn, fixed point)
-and every grid trial (``converged``/``converged_at``/state) must match.
-That is the acceptance property — the batched grid results are the
-per-trial session replay, exactly.
+network with the engine pinned to the ``incremental`` rung — the
+object-model engine, which shares no code with the compiled-schedule δ
+step every codes rung runs — and requires bit-identical answers: every
+replay phase (rounds, churn, fixed point) and every grid trial
+(``converged``/``converged_at``/state) must match.  That is the
+acceptance property — the batched grid results are the per-trial
+session replay, exactly.
 
 A failed cell never aborts the survey: it renders as ``FAIL`` in the
 table, counts into ``report.failed``, and drives the CLI's nonzero
@@ -117,11 +119,12 @@ def run_cell(topology: str, event: str, algebra: str, *, seed: int = 0,
                                   keep_results=oracle)
     oracle_ok = True
     if oracle:
-        # independent rebuild, engine pinned below the batched rung:
-        # the per-trial session replay the batched grid must equal.
+        # independent rebuild on the object-model rung: the per-trial
+        # session replay the batched grid must equal, computed by code
+        # the grid's δ kernel does not share
         net2, factory2 = build_scenario_network(topology, algebra,
                                                 seed=seed)
-        with RoutingSession(net2, EngineSpec("vectorized")) as ref:
+        with RoutingSession(net2, EngineSpec("incremental")) as ref:
             replay2 = replay_events(
                 ref, [scenario_events()[event]()], factory2, seed=seed)
             oracle_ok = _replays_agree(replay, replay2, alg)

@@ -33,10 +33,12 @@ What the session owns:
   engine's snapshot cannot follow topology mutations, so the session
   rebuilds it (fresh connections, fresh snapshot) when
   ``adjacency.version`` moves.
-* **Schedule compilation caching** — compiled α/β forms
-  (:class:`~repro.core.schedule.CompiledSchedule`) are cached per
-  schedule object (the :data:`SCHEDULE_CACHE_SIZE` most recently used)
-  and reused across δ runs and grids.
+* **Schedule compilation caching** — the compiled α/β forms a grid
+  runs on (:class:`~repro.core.schedule.CompiledSchedule`) are cached
+  per schedule object (the :data:`SCHEDULE_CACHE_SIZE` most recently
+  used) and reused across grids; a single δ run compiles its schedule
+  for the run only, so a session serving fresh schedules holds no
+  compiled forms between runs.
 * **Structured run reports** — every entry point returns a typed
   dataclass (:class:`SigmaReport`, :class:`DeltaReport`,
   :class:`GridReport`, :class:`ConvergenceReport`,
@@ -108,8 +110,9 @@ class EngineSpec:
     """How a session wants its engines resolved.
 
     ``engine`` is a ladder rung name or ``"auto"`` (grids start the
-    negotiation at the batched rung, single runs at the parallel rung,
-    each falling down the ladder as capabilities require).
+    negotiation at the batched rung, single δ runs at the vectorized
+    rung, σ at the parallel rung, each falling down the ladder as
+    capabilities require).
     ``strict=True`` turns any fallback from a concrete request into an
     :class:`~repro.core.capabilities.UnsupportedEngineError` carrying
     the reason chain.  ``history`` is the default δ history policy:
@@ -215,8 +218,8 @@ class DeltaReport:
     converged_at: Optional[int] = None  #: first step the state stayed fixed
     history: Optional[List[RoutingState]] = field(default=None, repr=False)
     history_retained: Optional[int] = None  #: states actually held in memory
-    ipc_commands: Optional[int] = None  #: parallel/remote: worker commands sent
-    ipc_steps: Optional[int] = None     #: parallel/remote: δ steps they carried
+    ipc_commands: Optional[int] = None  #: remote: worker commands sent
+    ipc_steps: Optional[int] = None     #: remote: δ steps they carried
     #: remote rung: per-run wire traffic (bytes/round, compression ratio)
     wire: Optional[WireStats] = field(default=None, repr=False)
     #: remote rung: healing events this run survived (empty = clean run)
@@ -634,16 +637,15 @@ class RoutingSession:
               start: Optional[RoutingState] = None, *,
               max_steps: int = 2_000, stability_window: Optional[int] = None,
               keep_history: Optional[bool] = None,
-              strict: Optional[bool] = None,
-              window: Optional[int] = None) -> DeltaReport:
+              strict: Optional[bool] = None) -> DeltaReport:
         """Run δ under ``schedule``; returns a :class:`DeltaReport`.
 
         ``keep_history`` / ``strict`` default from the spec's history
-        policy (``"full"`` / ``"literal"``); ``window`` sets the
-        parallel/remote rung's IPC window for this run.
+        policy (``"full"`` / ``"literal"``).
         """
         self._check_open()
         net = self.network
+        _check_schedule_size(schedule, net)
         if start is None:
             start = RoutingState.identity(net.algebra, net.n)
         if keep_history is None:
@@ -653,21 +655,17 @@ class RoutingSession:
         resolution = self.resolve("delta", schedule=schedule,
                                   keep_history=keep_history, literal=strict)
         t0 = perf_counter()
-        sched = schedule
-        if resolution.chosen == "batched":
-            sched = self.compile_schedule(schedule, max_steps)
         result = _delta_run_resolved(
-            net, sched, start, resolution.chosen, max_steps=max_steps,
+            net, schedule, start, resolution.chosen, max_steps=max_steps,
             stability_window=stability_window, keep_history=keep_history,
             workers=resolution.workers,
-            engine_obj=self._engine_obj(resolution),
-            window=window)
+            engine_obj=self._engine_obj(resolution))
         ipc_commands = ipc_steps = None
-        if resolution.chosen in ("parallel", "remote"):
-            pool = self._engines.get(resolution.chosen)
-            if pool is not None:
-                ipc_commands = pool.delta_ipc_commands
-                ipc_steps = pool.delta_ipc_steps
+        if resolution.chosen == "remote":
+            eng = self._engines.get("remote")
+            if eng is not None:
+                ipc_commands = eng.delta_ipc_commands
+                ipc_steps = eng.delta_ipc_steps
         return DeltaReport(
             converged=result.converged, steps=result.steps,
             state=result.state, resolution=resolution,
@@ -689,8 +687,7 @@ class RoutingSession:
 
         On the batched rung the whole grid is stacked into one
         ``(B, n, n)`` tensor (``batch_size`` chunks the batch axis);
-        lower rungs loop trials against one shared engine — the
-        parallel rung reuses a single worker pool across the grid.
+        lower rungs loop trials against one shared engine.
         The spec's ``history`` policy applies to every trial
         (``"literal"`` runs the strict paper recursion per trial,
         ``"full"`` retains each trial's history — visible with
@@ -698,16 +695,17 @@ class RoutingSession:
         :class:`~repro.core.asynchronous.AsyncResult` list on the
         report.
 
-        On the parallel rung, a trial whose schedule declares no
-        staleness bound delegates to the serial vectorized engine
-        (logged on ``repro.engine``) — unless the spec is ``strict``,
-        in which case the trial raises
+        On the parallel and remote rungs, a trial whose schedule
+        declares no staleness bound runs against its derived bound —
+        unless the spec is ``strict``, in which case the trial raises
         :class:`~repro.core.capabilities.UnsupportedEngineError`
         exactly as :meth:`delta` would.
         """
         self._check_open()
         net = self.network
         trials = list(trials)
+        for sched, _start in trials:
+            _check_schedule_size(sched, net)
         keep_history = self.spec.history == "full"
         literal = self.spec.history == "literal"
         resolution = self.resolve("grid", keep_history=keep_history,
@@ -738,10 +736,14 @@ class RoutingSession:
             for sched, start in trials:
                 if resolution.chosen in ("parallel", "remote") \
                         and self.spec.strict:
-                    # strict means no silent per-trial delegation either:
-                    # re-negotiate the trial as a single δ run, which
-                    # raises with the exact unbounded-schedule chain
+                    # strict means no per-trial exception to the rung's
+                    # δ policy either: re-negotiate the trial as a single
+                    # δ run, which raises with the exact
+                    # unbounded-schedule chain
                     self.resolve("delta", schedule=sched)
+                if resolution.chosen in ("vectorized", "parallel"):
+                    # trials repeat schedules across starts: compile once
+                    sched = self.compile_schedule(sched, max_steps)
                 results.append(_delta_run_resolved(
                     net, sched, start, resolution.chosen,
                     max_steps=max_steps, stability_window=stability_window,
@@ -906,6 +908,16 @@ class RoutingSession:
         state = "closed" if self._closed else "open"
         return (f"RoutingSession({self.network!r}, "
                 f"engine={self.spec.engine!r}, {state})")
+
+
+def _check_schedule_size(schedule: Schedule, network: Network) -> None:
+    """Refuse a schedule sized for a different network: every rung
+    would otherwise fail differently (an index error, a broadcast
+    error, or a run whose missing nodes never activate)."""
+    if schedule.n != network.n:
+        raise ValueError(
+            f"schedule is sized for {schedule.n} nodes but the network "
+            f"has {network.n}")
 
 
 def _close_engines(engines: Dict[str, object]) -> None:

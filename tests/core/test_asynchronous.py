@@ -1,8 +1,11 @@
-"""Unit tests for δ (Section 3.1): recursion, recovery of σ, convergence."""
+"""Unit tests for δ (Section 3.1): recursion, recovery of σ, convergence,
+and the history-ring staleness guard of the codes-based rungs."""
 
 import pytest
 
+from repro.algebras import HopCountAlgebra
 from repro.core import (
+    DELTA_WINDOW,
     FixedDelaySchedule,
     RandomSchedule,
     RoundRobinSchedule,
@@ -14,7 +17,9 @@ from repro.core import (
     sigma,
     synchronous_fixed_point,
 )
-from repro.session import RoutingSession
+from repro.core.schedule import Schedule
+from repro.session import EngineSpec, RoutingSession
+from repro.topologies import erdos_renyi, uniform_weight_factory
 from tests.conftest import finite_net, hop_net
 
 
@@ -133,3 +138,136 @@ class TestRandomState:
     def test_custom_sampler(self, rng):
         X = random_state(None, 3, rng, sampler=lambda r: 42)
         assert all(v == 42 for (_i, _j, v) in X.entries())
+
+
+# ----------------------------------------------------------------------
+# History-ring staleness guard (vectorized compiled step, remote windows)
+# ----------------------------------------------------------------------
+
+
+def _ring_net(n, seed):
+    alg = HopCountAlgebra(16)
+    return erdos_renyi(alg, n, 0.3, uniform_weight_factory(alg, 1, 3),
+                       seed=seed)
+
+
+#: the rungs that run δ against a bounded history ring, with the spec
+#: each needs (the remote rung gets a 2-shard loopback transport)
+RING_SPECS = {"vectorized": {}, "remote": {"remote_workers": 2}}
+
+
+def _ring_session(net, rung):
+    return RoutingSession(net, EngineSpec(rung, **RING_SPECS[rung]))
+
+
+class _Lying(Schedule):
+    def alpha(self, t):
+        return set(range(self.n))
+
+    def beta(self, t, i, k):
+        return max(0, t - 6)             # reads 6 back...
+
+    def max_read_back(self):
+        return 2                         # ...but declares 2
+
+
+class _Overreaching(Schedule):
+    def alpha(self, t):
+        return set(range(self.n)) if t % 2 else {t % self.n}
+
+    def beta(self, t, i, k):
+        return max(0, t - 4)             # 2 past the declared bound...
+
+    def max_read_back(self):
+        return 2                         # ...but within the +2 window
+
+
+class _Unclamped(Schedule):
+    def alpha(self, t):
+        return set(range(self.n))
+
+    def beta(self, t, i, k):
+        return t - 3                     # goes negative at t = 1, 2
+
+    def max_read_back(self):
+        return 3
+
+
+class _LiesLate(Schedule):
+    """Declares bound 1 and reads one step back — until ``bad_from``,
+    from which it reads 9 back."""
+
+    def __init__(self, n, bad_from):
+        super().__init__(n)
+        self.bad_from = bad_from
+
+    def alpha(self, t):
+        return frozenset(range(self.n))
+
+    def beta(self, t, i, k):
+        return max(0, t - 9) if t >= self.bad_from else t - 1
+
+    def max_read_back(self):
+        return 1
+
+
+@pytest.mark.parametrize("rung", sorted(RING_SPECS))
+class TestRingStaleness:
+    """A schedule that reads further back than it declared must fail
+    loudly, exactly where :class:`~repro.core.incremental.BoundedHistory`
+    would, on every rung that keeps a bounded ring."""
+
+    def test_overdeclared_read_back_raises_lookup_error(self, rung):
+        net = _ring_net(8, seed=10)
+        start = RoutingState.identity(net.algebra, net.n)
+        with _ring_session(net, rung) as s:
+            with pytest.raises(LookupError):
+                s.delta(_Lying(net.n), start, max_steps=60)
+
+    def test_reads_slightly_past_declaration_match_serial(self, rung):
+        """BoundedHistory tolerates reads up to (declared bound + 2)
+        before declaring eviction; the ring must tolerate — and compute
+        identically on — exactly the same reads."""
+        net = _ring_net(9, seed=12)
+        alg = net.algebra
+        start = RoutingState.identity(alg, net.n)
+        ref = RoutingSession(net, "incremental").delta(
+            _Overreaching(net.n), start, max_steps=200)
+        with _ring_session(net, rung) as s:
+            res = s.delta(_Overreaching(net.n), start, max_steps=200)
+        assert res.resolution.chosen == rung
+        assert res.converged == ref.converged
+        assert res.converged_at == ref.converged_at
+        assert res.state.equals(ref.state, alg)
+
+    def test_negative_beta_raises_lookup_error(self, rung):
+        """A β that forgets the max(0, …) clamp (S2 violation) must not
+        wrap the ring modulo into an arbitrary slot."""
+        net = _ring_net(8, seed=10)
+        start = RoutingState.identity(net.algebra, net.n)
+        with _ring_session(net, rung) as s:
+            with pytest.raises(LookupError):
+                s.delta(_Unclamped(net.n), start, max_steps=60)
+
+    def test_bad_step_past_convergence_is_never_evaluated(self, rung):
+        """A run never looks at schedule steps after its convergence
+        point, so a staleness violation located there must not raise —
+        even on the remote rung, whose window of steps is read off the
+        schedule before the workers execute it."""
+        net = _ring_net(10, seed=20)
+        alg = net.algebra
+        start = RoutingState.identity(alg, net.n)
+        ref = RoutingSession(net, "incremental").delta(
+            _LiesLate(net.n, bad_from=10 ** 6), start, max_steps=400)
+        assert ref.converged
+        # the violation sits right after convergence, inside the same
+        # remote window
+        assert ref.steps % DELTA_WINDOW != 0
+        lies = _LiesLate(net.n, bad_from=ref.steps + 1)
+        with _ring_session(net, rung) as s:
+            res = s.delta(lies, start, max_steps=400)
+            assert res.converged and res.converged_at == ref.converged_at
+            assert res.state.equals(ref.state, alg)
+            # a run that genuinely reaches its violation still fails
+            with pytest.raises(LookupError):
+                s.delta(_LiesLate(net.n, bad_from=2), start, max_steps=400)

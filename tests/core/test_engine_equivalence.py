@@ -11,17 +11,14 @@ back, not diverge), and random-gnp / chain / gadget topology families.
 
 The parallel engine is exercised with an explicit ``workers=2`` pool
 (auto mode would decline these small nets and single-CPU CI hosts —
-exactly the fallback it is supposed to take); one pool is shared across
-the lockstep and δ phases of each oracle call and torn down in a
-``finally``, while the σ fixed-point phase goes through a
-``RoutingSession`` pinned to the parallel rung so the dispatch path is
-covered too.  Parallel δ runs through the *windowed* IPC protocol at
-its default window, plus an explicit ``window=1`` run (the per-step
-protocol) on the first schedule to pin both wire formats to the same
-results.  The batched engine is exercised per schedule through a
-session pinned to the batched rung (the B = 1 grid) *and* as one
-multi-trial ``delta_grid`` over every schedule at once — each trial of
-the grid must match the strict literal recursion for its schedule.
+exactly the fallback it is supposed to take); one pool serves the
+lockstep phase of each oracle call and is torn down in a ``finally``,
+while the σ fixed-point and δ phases go through a ``RoutingSession``
+pinned to the parallel rung so the dispatch path is covered too.  The
+vectorized, parallel and batched rungs all run δ on the one compiled
+step (the B = 1 grid); the batched engine is additionally exercised as
+one multi-trial ``delta_grid`` over every schedule at once — each trial
+of the grid must match the strict literal recursion for its schedule.
 
 ``assert_engines_agree`` is the reusable oracle; other test modules and
 the benchmark harness lean on the same contract.  The ``--engine``
@@ -55,7 +52,6 @@ from repro.core import (
     RoutingState,
     SynchronousSchedule,
     VectorizedEngine,
-    delta_run_parallel,
     sigma,
     sigma_propagate,
     sigma_with_dirty,
@@ -179,10 +175,8 @@ def assert_engines_agree(net, schedules=(), lockstep_rounds=10,
     * σ fixed points: ``session.sigma()`` under every engine spec
       agrees on convergence, round count and final state;
     * δ oracle: for every schedule, ``strict`` (literal recursion) vs
-      incremental vs vectorized vs parallel (windowed, plus a
-      ``window=1`` per-step run on the first schedule) vs batched
-      (B = 1) runs agree on convergence step and final state (one
-      shared pool serves every schedule);
+      incremental vs vectorized vs parallel vs batched vs remote
+      session runs agree on convergence step and final state;
     * δ grid: one ``BatchedVectorizedEngine.delta_grid`` over *all*
       schedules at once — every trial must match its strict reference.
 
@@ -239,31 +233,16 @@ def assert_engines_agree(net, schedules=(), lockstep_rounds=10,
 
         # -- δ oracle ------------------------------------------------------
         stricts = []
-        for pos, sched in enumerate(schedules):
+        for sched in schedules:
             strict = sessions["incremental"].delta(
                 sched, start, max_steps=max_steps, strict=True).result
             stricts.append(strict)
             inc = sessions["incremental"].delta(
                 sched, start, max_steps=max_steps).result
-            vecr = sessions["vectorized"].delta(
-                sched, start, max_steps=max_steps).result
-            batr = sessions["batched"].delta(
-                sched, start, max_steps=max_steps).result
-            remr = sessions["remote"].delta(
-                sched, start, max_steps=max_steps).result
-            runs = [("incremental", inc), ("vectorized", vecr),
-                    ("batched", batr), ("remote", remr)]
-            if par is not None and sched.max_read_back() is not None:
-                runs.append(("parallel-windowed",
-                             delta_run_parallel(net, sched, start,
-                                                max_steps=max_steps,
-                                                engine=par)))
-                if pos == 0:
-                    # pin the per-step wire protocol to the same result
-                    runs.append(("parallel-window-1",
-                                 delta_run_parallel(net, sched, start,
-                                                    max_steps=max_steps,
-                                                    engine=par, window=1)))
+            runs = [("incremental", inc)] + [
+                (rung, sessions[rung].delta(
+                    sched, start, max_steps=max_steps).result)
+                for rung in ("vectorized", "parallel", "batched", "remote")]
             for name, res in runs:
                 assert res.converged == strict.converged, (name, repr(sched))
                 assert res.converged_at == strict.converged_at, \

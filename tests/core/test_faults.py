@@ -60,10 +60,8 @@ from repro.core.wire import (
     MSG_UPDATE,
     FrameConnection,
 )
-from repro.core.vectorized import (
-    delta_run_vectorized,
-    iterate_sigma_vectorized,
-)
+from repro.core.vectorized import iterate_sigma_vectorized
+from repro.session import RoutingSession
 from repro.topologies import erdos_renyi, uniform_weight_factory
 
 WATCHDOG_S = 120.0
@@ -319,8 +317,9 @@ def delta_ref():
     net = _net(9)
     start = RoutingState.identity(net.algebra, net.n)
     sched = RandomSchedule(net.n, seed=2, max_delay=3)
-    return net, start, sched, delta_run_vectorized(net, sched, start,
-                                                   max_steps=300)
+    with RoutingSession(net, "vectorized") as ref:
+        return net, start, sched, ref.delta(sched, start,
+                                            max_steps=300).result
 
 
 def _assert_sigma_identical(res, ref, net):

@@ -3,7 +3,9 @@
 The observational-identity contract lives in the shared oracle
 (``test_engine_equivalence.py``, which covers ``engine="parallel"``
 lockstep σ, fixed points and δ-vs-strict across the algebra×topology
-matrix).  This module covers what is unique to the process pool:
+matrix).  The pool runs σ only — the rung's δ is the inherited
+compiled step, whose staleness guard ``test_asynchronous.py`` covers.
+This module covers what is unique to the process pool:
 
 * worker/shared-memory lifecycle — segments and processes must be
   released on ``close()``, on garbage collection, and (the regression
@@ -11,10 +13,8 @@ matrix).  This module covers what is unique to the process pool:
   driver started;
 * topology-mutation invalidation: a shared engine must republish its
   edge-table snapshot to the workers when ``adjacency.version`` moves;
-* the fallback ladder (`parallel_workers`) and the direct-construction
-  error contract;
-* ring-buffer staleness policing (schedules that read further back
-  than they declared must fail loudly, like ``BoundedHistory``).
+* the fallback ladder (the resolver's worker sizing) and the
+  direct-construction error contract.
 
 All pools are built with explicit tiny worker counts so the suite runs
 (and actually exercises the pool) on single-CPU CI hosts.
@@ -28,19 +28,15 @@ import pytest
 from repro.algebras import FiniteLevelAlgebra, HopCountAlgebra, \
     ShortestPathsAlgebra
 from repro.core import (
-    DELTA_WINDOW,
-    FixedDelaySchedule,
     ParallelVectorizedEngine,
     RandomSchedule,
     RoutingState,
     UnsupportedAlgebraError,
-    delta_run_parallel,
     iterate_sigma_parallel,
-    parallel_workers,
+    resolve_engine,
     supports_parallel,
 )
 from repro.core import parallel as parallel_mod
-from repro.core.schedule import Schedule
 from repro.session import EngineSpec, RoutingSession
 from repro.topologies import erdos_renyi, uniform_weight_factory
 
@@ -125,31 +121,6 @@ class TestLifecycle:
         assert created[0].closed
         _assert_released([], list(created[0]._res.procs))
 
-    def test_driver_cleans_up_when_delta_schedule_raises(self, monkeypatch):
-        created = []
-        original = parallel_mod.ParallelVectorizedEngine
-
-        class Recording(original):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                created.append(self)
-
-        monkeypatch.setattr(parallel_mod, "ParallelVectorizedEngine",
-                            Recording)
-
-        class Poisoned(RandomSchedule):
-            def alpha(self, t):
-                if t >= 3:
-                    raise RuntimeError("schedule detonated")
-                return super().alpha(t)
-
-        net = _net()
-        start = RoutingState.identity(net.algebra, net.n)
-        with pytest.raises(RuntimeError, match="detonated"):
-            delta_run_parallel(net, Poisoned(net.n, seed=1, max_delay=3),
-                               start, max_steps=50, workers=2)
-        assert len(created) == 1 and created[0].closed
-
     def test_worker_failure_is_relayed_and_pool_closed(self):
         """A failure inside a worker command must surface as a raised
         exception on the master (not a silent worker death) and leave
@@ -160,9 +131,9 @@ class TestLifecycle:
         eng._load(eng.encode_state(RoutingState.identity(net.algebra,
                                                          net.n)))
         procs = list(eng._res.procs)
-        # a window whose only step reads a ring that was never attached
-        eng._broadcast(("delta", [(1, [(0, [99])])]))
-        with pytest.raises(RuntimeError, match="failed on 'delta'"):
+        # a table republish whose meta lacks every snapshot field
+        eng._broadcast(("reload", {}))
+        with pytest.raises(RuntimeError, match="failed on 'reload'"):
             eng._collect()
         assert eng.closed
         _assert_released([], procs)
@@ -173,9 +144,6 @@ class TestLifecycle:
         start = RoutingState.identity(net.algebra, net.n)
         with ParallelVectorizedEngine(net, workers=2) as eng:
             iterate_sigma_parallel(net, start, engine=eng)
-            assert not eng.closed
-            delta_run_parallel(net, RandomSchedule(net.n, seed=2, max_delay=3),
-                               start, engine=eng)
             assert not eng.closed
 
 
@@ -211,10 +179,11 @@ class TestInvalidation:
         alg = net.algebra
         start = RoutingState.identity(alg, net.n)
         sched = RandomSchedule(net.n, seed=6, max_delay=4)
-        with ParallelVectorizedEngine(net, workers=2) as eng:
-            first = eng.delta(sched, start, max_steps=400)
+        with RoutingSession(net, EngineSpec("parallel", workers=2)) as s:
+            first = s.delta(sched, start, max_steps=400)
             net.set_edge(1, net.n - 1, alg.edge(2))
-            second = eng.delta(sched, first.state, max_steps=400)
+            second = s.delta(sched, first.state, max_steps=400)
+            assert second.resolution.chosen == "parallel"
             ref = RoutingSession(net, "incremental").delta(
                 sched, first.state, max_steps=400, strict=True)
             assert second.converged == ref.converged
@@ -225,20 +194,31 @@ class TestInvalidation:
 class TestFallbackLadder:
     def test_parallel_workers_resolution(self):
         net = _net(12)
-        assert parallel_workers(net, 1) is None          # explicit serial
-        assert parallel_workers(net, 4) == 4             # explicit pool
-        assert parallel_workers(net, 100) == net.n       # clamped to n
+
+        def sized(n_net, workers):
+            return resolve_engine(n_net, "parallel", "sigma", workers=workers)
+
+        serial = sized(net, 1)                            # explicit serial
+        assert serial.chosen == "vectorized"
+        assert serial.reason_codes() == [("parallel", "workers-lt-2")]
+        assert sized(net, 4).chosen == "parallel"        # explicit pool
+        assert sized(net, 4).workers == 4
+        assert sized(net, 100).workers == net.n          # clamped to n
         sp = ShortestPathsAlgebra()
         infinite = erdos_renyi(sp, 12, 0.3,
                                uniform_weight_factory(sp, 1, 5), seed=1)
-        assert parallel_workers(infinite, 4) is None     # no finite encoding
+        assert sized(infinite, 4).reason_codes()[0] == \
+            ("parallel", "no-finite-encoding")            # no finite encoding
 
     def test_auto_mode_declines_tiny_problems(self):
         net = _net(parallel_mod.PARALLEL_MIN_N - 1)
+        auto = resolve_engine(net, "parallel", "sigma")
         if (parallel_mod.os.cpu_count() or 1) >= 2:
-            assert parallel_workers(net) is None
-        big_enough = parallel_workers(net, 2)
-        assert big_enough == 2           # explicit request still honoured
+            assert auto.reason_codes() == [("parallel", "below-min-n")]
+            assert auto.workers is None
+        big_enough = resolve_engine(net, "parallel", "sigma", workers=2)
+        assert big_enough.chosen == "parallel"
+        assert big_enough.workers == 2   # explicit request still honoured
 
     def test_selector_falls_back_silently(self):
         sp = ShortestPathsAlgebra()
@@ -262,17 +242,20 @@ class TestFallbackLadder:
         with pytest.raises(UnsupportedAlgebraError):
             ParallelVectorizedEngine(_net(8), workers=1)
 
-    def test_delta_keep_history_delegates_to_vectorized(self):
+    def test_delta_keep_history_falls_to_incremental(self):
         net = _net(10, seed=7)
         start = RoutingState.identity(net.algebra, net.n)
         sched = RandomSchedule(net.n, seed=8, max_delay=3)
         with RoutingSession(net, EngineSpec("parallel", workers=2)) as s:
             par = s.delta(sched, start, max_steps=300, keep_history=True)
-        vec = RoutingSession(net, "vectorized").delta(
-            sched, start, max_steps=300, keep_history=True)
+        assert par.resolution.chosen == "incremental"
+        assert par.resolution.reason_codes() == [
+            ("parallel", "keep-history"), ("vectorized", "keep-history")]
+        ref = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=300, strict=True, keep_history=True)
         assert par.history is not None and len(par.history) == \
-            len(vec.history)
-        for a, b in zip(par.history, vec.history):
+            len(ref.history)
+        for a, b in zip(par.history, ref.history):
             assert a.equals(b, net.algebra)
 
 
@@ -300,161 +283,6 @@ class TestSemantics:
         for (a, b), (c, d) in zip(blocks, blocks[1:]):
             assert b == c and b > a
         assert sum(hi - lo for lo, hi in blocks) == 11
-
-    def test_overdeclared_read_back_raises_lookup_error(self):
-        """A schedule reaching further back than its declared bound must
-        fail loudly (BoundedHistory parity), not read a recycled slot."""
-
-        class Lying(Schedule):
-            def alpha(self, t):
-                return set(range(self.n))
-
-            def beta(self, t, i, k):
-                return max(0, t - 6)     # reads 6 back...
-
-            def max_read_back(self):
-                return 2                 # ...but declares 2
-
-        net = _net(8, seed=10)
-        start = RoutingState.identity(net.algebra, net.n)
-        with pytest.raises(LookupError):
-            delta_run_parallel(net, Lying(net.n), start, max_steps=60,
-                               workers=2)
-
-    def test_reads_slightly_past_declaration_match_serial(self):
-        """BoundedHistory tolerates reads up to (declared bound + 2)
-        before declaring eviction; the shared ring must tolerate — and
-        compute identically on — exactly the same reads."""
-
-        class Overreaching(Schedule):
-            def alpha(self, t):
-                return set(range(self.n)) if t % 2 else {t % self.n}
-
-            def beta(self, t, i, k):
-                return max(0, t - 4)     # 2 past the declared bound...
-
-            def max_read_back(self):
-                return 2                 # ...but within the +2 window
-
-        net = _net(9, seed=12)
-        alg = net.algebra
-        start = RoutingState.identity(alg, net.n)
-        ref = RoutingSession(net, "incremental").delta(
-            Overreaching(net.n), start, max_steps=200)
-        par = delta_run_parallel(net, Overreaching(net.n), start,
-                                 max_steps=200, workers=2)
-        assert par.converged == ref.converged
-        assert par.converged_at == ref.converged_at
-        assert par.state.equals(ref.state, alg)
-
-    def test_negative_beta_raises_lookup_error(self):
-        """A β that forgets the max(0, …) clamp (S2 violation) must not
-        wrap the ring modulo into an arbitrary slot."""
-
-        class Unclamped(Schedule):
-            def alpha(self, t):
-                return set(range(self.n))
-
-            def beta(self, t, i, k):
-                return t - 3             # goes negative at t = 1, 2
-
-            def max_read_back(self):
-                return 3
-
-        net = _net(8, seed=10)
-        start = RoutingState.identity(net.algebra, net.n)
-        with pytest.raises(LookupError):
-            delta_run_parallel(net, Unclamped(net.n), start, max_steps=60,
-                               workers=2)
-
-    def test_windowed_delta_bit_identical_across_window_sizes(self):
-        """One command per window vs one per step must compute the same
-        run — every window size, same converged_at, same fixed point."""
-        net = _net(12, seed=14)
-        alg = net.algebra
-        start = RoutingState.identity(alg, net.n)
-        sched = RandomSchedule(net.n, seed=15, max_delay=4)
-        ref = RoutingSession(net, "incremental").delta(
-            sched, start, max_steps=400, strict=True)
-        with ParallelVectorizedEngine(net, workers=2) as eng:
-            for window in (1, 2, 7, 16, 64):
-                res = eng.delta(sched, start, max_steps=400, window=window)
-                assert res.converged == ref.converged, window
-                assert res.converged_at == ref.converged_at, window
-                assert res.state.equals(ref.state, alg), window
-
-    def test_windowed_delta_amortises_ipc_8x(self):
-        """The ISSUE 4 acceptance point: at window=16 the per-step IPC
-        command count drops ≥ 8× (vs the one-command-per-step protocol)
-        on any run spanning at least a couple of windows."""
-        net = _net(12, seed=16)
-        start = RoutingState.identity(net.algebra, net.n)
-        # a slow-converging schedule so the run spans many windows
-        sched = RandomSchedule(net.n, seed=17, activation_prob=0.3,
-                               max_delay=4)
-        with ParallelVectorizedEngine(net, workers=2) as eng:
-            res = eng.delta(sched, start, max_steps=600, window=16)
-            assert res.converged
-            assert eng.delta_ipc_steps >= 32, \
-                "need a run long enough to amortise"
-            ratio = eng.delta_ipc_steps / eng.delta_ipc_commands
-            assert ratio >= 8.0, (eng.delta_ipc_steps,
-                                  eng.delta_ipc_commands)
-            # the default window is the amortising one
-            assert DELTA_WINDOW >= 16
-            eng.delta(sched, start, max_steps=600)
-            assert eng.delta_ipc_steps / eng.delta_ipc_commands >= 8.0
-
-    def test_windowed_delta_converges_mid_window_like_serial(self):
-        """Convergence at a step that is not a window boundary must
-        report the serial step/state (the master replays the counter
-        over the per-step flags)."""
-        net = _net(10, seed=18)
-        alg = net.algebra
-        start = RoutingState.identity(alg, net.n)
-        sched = FixedDelaySchedule(net.n, delay=3)
-        ref = RoutingSession(net, "incremental").delta(
-            sched, start, max_steps=400, strict=True)
-        assert ref.converged
-        with ParallelVectorizedEngine(net, workers=2) as eng:
-            # a window far larger than the whole run: everything happens
-            # inside one command
-            res = eng.delta(sched, start, max_steps=400, window=128)
-            assert eng.delta_ipc_commands <= 2
-            assert res.converged and res.converged_at == ref.converged_at
-            assert res.steps == ref.steps
-            assert res.state.equals(ref.state, alg)
-
-    def test_window_does_not_evaluate_steps_past_convergence(self):
-        """The per-step protocol never looks at schedule steps after
-        the convergence point; a windowed run must not raise for a
-        staleness violation located there (bit-identical contract)."""
-
-        class LiesLate(Schedule):
-            """Declares bound 1, reads 9 back — but only at t >= 60,
-            far after the run below converges."""
-
-            def alpha(self, t):
-                return frozenset(range(self.n))
-
-            def beta(self, t, i, k):
-                return max(0, t - 9) if t >= 60 else t - 1
-
-            def max_read_back(self):
-                return 1
-
-        net = _net(10, seed=20)
-        start = RoutingState.identity(net.algebra, net.n)
-        ref = RoutingSession(net, "vectorized").delta(
-            LiesLate(net.n), start, max_steps=400)
-        assert ref.converged and ref.steps < 60
-        with ParallelVectorizedEngine(net, workers=2) as eng:
-            res = eng.delta(LiesLate(net.n), start, max_steps=400,
-                            window=64)   # window spans the bad step
-            assert res.converged and res.converged_at == ref.converged_at
-            assert res.state.equals(ref.state, net.algebra)
-        # a run that genuinely reaches its violation still fails loudly
-        # (test_overdeclared_read_back_raises_lookup_error covers it)
 
     def test_finite_level_algebra_on_pool(self):
         alg = FiniteLevelAlgebra(7)

@@ -43,6 +43,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algebras import HopCountAlgebra, ShortestPathsAlgebra
 from repro.core import (
+    DELTA_WINDOW,
     FixedDelaySchedule,
     RandomSchedule,
     RemoteError,
@@ -66,7 +67,6 @@ from repro.core import (
 from repro.core.remote import REMOTE_MIN_N, _split_columns
 from repro.core.vectorized import (
     VectorizedEngine,
-    delta_run_vectorized,
     iterate_sigma_vectorized,
 )
 from repro.core.wire import (
@@ -94,6 +94,12 @@ def _net(n=9, seed=1, bound=16):
     alg = HopCountAlgebra(bound)
     return erdos_renyi(alg, n, 0.4, uniform_weight_factory(alg, 1, 3),
                        seed=seed)
+
+
+def _vectorized_delta(net, sched, start, max_steps):
+    """The in-process reference run (the vectorized rung's δ)."""
+    with RoutingSession(net, EngineSpec("vectorized")) as s:
+        return s.delta(sched, start, max_steps=max_steps).result
 
 
 def _schedules(n, seed=0):
@@ -328,7 +334,7 @@ class TestLoopbackBitIdentity:
         with RemoteVectorizedEngine(net, workers=2) as eng:
             for sched in _schedules(net.n):
                 rem = eng.delta(sched, start, max_steps=400)
-                ref = delta_run_vectorized(net, sched, start, max_steps=400)
+                ref = _vectorized_delta(net, sched, start, 400)
                 assert rem.converged == ref.converged, repr(sched)
                 assert rem.steps == ref.steps, repr(sched)
                 assert rem.converged_at == ref.converged_at, repr(sched)
@@ -342,11 +348,66 @@ class TestLoopbackBitIdentity:
         sched = RandomSchedule(net.n, seed=9, max_delay=3)
         with RemoteVectorizedEngine(net, workers=2) as eng:
             rem = eng.delta(sched, start, max_steps=300, window=1)
-        ref = delta_run_vectorized(net, sched, start, max_steps=300)
+        ref = _vectorized_delta(net, sched, start, 300)
         assert rem.converged == ref.converged
         assert rem.steps == ref.steps
         assert rem.converged_at == ref.converged_at
         assert rem.state.equals(ref.state, net.algebra)
+
+    def test_delta_bit_identical_across_window_sizes(self):
+        """One command per window vs one per step must compute the same
+        run — every window size, same converged_at, same fixed point."""
+        net = _net(12, seed=14)
+        alg = net.algebra
+        start = RoutingState.identity(alg, net.n)
+        sched = RandomSchedule(net.n, seed=15, max_delay=4)
+        ref = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=400, strict=True)
+        with RemoteVectorizedEngine(net, workers=2) as eng:
+            for window in (1, 2, 7, 16, 64):
+                res = eng.delta(sched, start, max_steps=400, window=window)
+                assert res.converged == ref.converged, window
+                assert res.converged_at == ref.converged_at, window
+                assert res.state.equals(ref.state, alg), window
+
+    def test_windowed_delta_amortises_commands_8x(self):
+        """At the default window the per-step command count drops ≥ 8×
+        (vs one command per step) on any run spanning at least a couple
+        of windows."""
+        net = _net(12, seed=16)
+        start = RoutingState.identity(net.algebra, net.n)
+        # a slow-converging schedule so the run spans many windows
+        sched = RandomSchedule(net.n, seed=17, activation_prob=0.3,
+                               max_delay=4)
+        assert DELTA_WINDOW >= 16
+        with RemoteVectorizedEngine(net, workers=2) as eng:
+            res = eng.delta(sched, start, max_steps=600)
+            assert res.converged
+            assert eng.delta_ipc_steps >= 32, \
+                "need a run long enough to amortise"
+            ratio = eng.delta_ipc_steps / eng.delta_ipc_commands
+            assert ratio >= 8.0, (eng.delta_ipc_steps,
+                                  eng.delta_ipc_commands)
+
+    def test_windowed_delta_converges_mid_window_like_serial(self):
+        """Convergence at a step that is not a window boundary must
+        report the serial step/state (the coordinator replays the
+        counter over the per-step flags)."""
+        net = _net(10, seed=18)
+        alg = net.algebra
+        start = RoutingState.identity(alg, net.n)
+        sched = FixedDelaySchedule(net.n, delay=3)
+        ref = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=400, strict=True)
+        assert ref.converged
+        with RemoteVectorizedEngine(net, workers=2) as eng:
+            # a window far larger than the whole run: everything happens
+            # inside one command
+            res = eng.delta(sched, start, max_steps=400, window=128)
+            assert eng.delta_ipc_commands <= 2
+            assert res.converged and res.converged_at == ref.converged_at
+            assert res.steps == ref.steps
+            assert res.state.equals(ref.state, alg)
 
     def test_wire_stats_recorded(self):
         net = _net(9)
@@ -380,7 +441,7 @@ class TestLoopbackBitIdentity:
         with RemoteVectorizedEngine(net, workers=2) as eng:
             rem = delta_run_remote(net, sched, start, max_steps=300,
                                    engine=eng)
-        ref = delta_run_vectorized(net, sched, start, max_steps=300)
+        ref = _vectorized_delta(net, sched, start, 300)
         assert rem.converged == ref.converged
         assert rem.steps == ref.steps
         assert rem.state.equals(ref.state, net.algebra)
@@ -398,7 +459,7 @@ class TestFailureModes:
         net = _net(9)
         start = RoutingState.identity(net.algebra, net.n)
         sched = RandomSchedule(net.n, seed=2, max_delay=3)
-        ref = delta_run_vectorized(net, sched, start, max_steps=300)
+        ref = _vectorized_delta(net, sched, start, 300)
         eng = RemoteVectorizedEngine(net, workers=2, socket_timeout=30.0)
         try:
             eng.iterate(start)          # establish the pool

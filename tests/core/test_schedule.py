@@ -24,12 +24,12 @@ ALL_SCHEDULES = [
 
 class TestAxioms:
     @pytest.mark.parametrize("sched", ALL_SCHEDULES,
-                             ids=lambda s: type(s).__name__ + str(id(s) % 97))
+                             ids=repr)
     def test_admissible(self, sched):
         assert sched.is_admissible(horizon=300), sched.validate(300)
 
     @pytest.mark.parametrize("sched", ALL_SCHEDULES,
-                             ids=lambda s: type(s).__name__ + str(id(s) % 97))
+                             ids=repr)
     def test_s2_beta_before_t(self, sched):
         for t in range(1, 60):
             for i in range(sched.n):
@@ -38,7 +38,7 @@ class TestAxioms:
                     assert 0 <= b < t
 
     @pytest.mark.parametrize("sched", ALL_SCHEDULES,
-                             ids=lambda s: type(s).__name__ + str(id(s) % 97))
+                             ids=repr)
     def test_s1_every_node_activates(self, sched):
         seen = set()
         for t in range(1, 200):

@@ -210,14 +210,20 @@ class TestReasonChains:
         res = resolve_engine(net, "batched", "delta", workers=2,
                              schedule=sched)
         assert res.reason_codes() == [("batched", "unbounded-schedule"),
-                                      ("parallel", "unbounded-schedule")]
-        assert res.chosen == "vectorized"
+                                      ("parallel", "unbounded-schedule"),
+                                      ("vectorized", "unbounded-schedule")]
+        assert res.chosen == "incremental"
 
         bounded = SynchronousSchedule(net.n)
         res = resolve_engine(net, "parallel", "delta", workers=2,
                              schedule=bounded, keep_history=True)
-        assert res.reason_codes() == [("parallel", "keep-history")]
-        assert res.chosen == "vectorized"
+        assert res.reason_codes() == [("parallel", "keep-history"),
+                                      ("vectorized", "keep-history")]
+        assert res.chosen == "incremental"
+
+        # auto δ starts at the vectorized rung: the compiled step
+        res = resolve_engine(net, "auto", "delta", schedule=bounded)
+        assert res.chosen == "vectorized" and not res.skipped
 
         res = resolve_engine(net, "batched", "delta", workers=2,
                              schedule=bounded, literal=True)
@@ -305,9 +311,44 @@ class TestManagedResources:
             pool = s._engines["parallel"]
             report = s.delta(sched, start, max_steps=120)
             assert s._engines["parallel"] is pool
-            assert report.ipc_commands >= 1
-            assert report.ipc_steps >= report.ipc_commands
+            assert report.resolution.chosen == "parallel"
+            # δ runs the compiled step in process: IPC counters only
+            # come from the remote rung
+            assert report.ipc_commands is None and report.ipc_steps is None
         assert pool.closed
+
+    @pytest.mark.parametrize("rung", ["vectorized", "batched"])
+    def test_single_delta_keeps_no_compiled_schedule(self, rung):
+        """A single δ run compiles its schedule for that run only; grids
+        reuse compiled forms through the session's cache."""
+        net = _hop(8)
+        start = RoutingState.identity(net.algebra, net.n)
+        with RoutingSession(net, EngineSpec(rung)) as s:
+            for seed in range(3):
+                s.delta(RandomSchedule(net.n, seed=seed, max_delay=3), start,
+                        max_steps=200)
+            assert len(s._compiled) == 0
+            sched = RandomSchedule(net.n, seed=9, max_delay=3)
+            s.delta_grid([(sched, start)] * 2, max_steps=200)
+            assert list(s._compiled) == [id(sched)]
+
+    @pytest.mark.parametrize("rung", LADDER)
+    def test_schedule_sized_for_another_network_is_refused(self, rung):
+        """Every rung refuses a schedule whose node count differs from
+        the network's, before running anything."""
+        net = _hop(8)
+        start = RoutingState.identity(net.algebra, net.n)
+        kwargs = {"parallel": {"workers": 2},
+                  "remote": {"remote_workers": 2}}.get(rung, {})
+        with RoutingSession(net, EngineSpec(rung, **kwargs)) as s:
+            for sched in (RandomSchedule(12, seed=1),
+                          SynchronousSchedule(5)):
+                sizes = f"sized for {sched.n} nodes but the network has 8"
+                with pytest.raises(ValueError, match=sizes):
+                    s.delta(sched, start, max_steps=200)
+                with pytest.raises(ValueError, match=sizes):
+                    s.delta_grid([(sched, start)], max_steps=200)
+            assert not s._engines      # nothing was built or run
 
     def test_closed_session_refuses(self):
         net = _hop()
@@ -493,9 +534,10 @@ class TestReportMetadata:
                                             history="full")) as s:
             grid = s.delta_grid([(sched, start)], max_steps=200,
                                 keep_results=True)
-        assert grid.resolution.chosen == "vectorized"
+        assert grid.resolution.chosen == "incremental"
         assert grid.resolution.reason_codes() == [
-            ("batched", "keep-history"), ("parallel", "keep-history")]
+            ("batched", "keep-history"), ("parallel", "keep-history"),
+            ("vectorized", "keep-history")]
         assert grid.results[0].history is not None
 
     def test_simulator_stability_resolution(self):

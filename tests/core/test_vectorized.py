@@ -33,7 +33,6 @@ from repro.core import (
     SynchronousSchedule,
     UnsupportedAlgebraError,
     VectorizedEngine,
-    delta_run_vectorized,
     iterate_sigma_vectorized,
     supports_vectorized,
 )
@@ -270,15 +269,15 @@ class TestVectorizedCacheInvalidation:
     def test_delta_after_topology_change(self):
         net = _hop_net(8, p=0.35, seed=5)
         alg = net.algebra
-        eng = VectorizedEngine(net)
+        session = RoutingSession(net, "vectorized")
         sched = RandomSchedule(net.n, seed=2, max_delay=4)
         start = RoutingState.identity(alg, net.n)
-        mid = delta_run_vectorized(net, sched, start, max_steps=500,
-                                   engine=eng)
+        mid = session.delta(sched, start, max_steps=500)
         assert mid.converged
         net.set_edge(0, net.n - 1, alg.edge(1))
-        vec = delta_run_vectorized(net, sched, mid.state, max_steps=500,
-                                   engine=eng)
+        # the session's managed engine must re-snapshot its tables
+        vec = session.delta(sched, mid.state, max_steps=500)
+        assert vec.resolution.chosen == "vectorized"
         strict = RoutingSession(net, "incremental").delta(
             sched, mid.state, max_steps=500, strict=True)
         assert vec.converged and strict.converged
@@ -305,8 +304,9 @@ class TestBoundedHistorySemantics:
         net = _hop_net(10, seed=7)
         sched = RandomSchedule(net.n, seed=1, max_delay=5)
         start = RoutingState.identity(net.algebra, net.n)
-        res = delta_run_vectorized(net, sched, start, max_steps=600)
-        assert res.converged
+        res = RoutingSession(net, "vectorized").delta(sched, start,
+                                                      max_steps=600)
+        assert res.converged and res.resolution.chosen == "vectorized"
         assert res.history_retained <= sched.max_read_back() + 2
 
     def test_unbounded_schedule_keeps_full_history(self):
@@ -319,7 +319,12 @@ class TestBoundedHistorySemantics:
 
         net = _hop_net(6, p=0.4, seed=8)
         start = RoutingState.identity(net.algebra, net.n)
-        res = delta_run_vectorized(net, HalfTime(net.n), start, max_steps=300)
+        res = RoutingSession(net, "vectorized").delta(HalfTime(net.n), start,
+                                                      max_steps=300)
+        # a fixed ring would be unsound: the run falls to the incremental
+        # rung, which keeps every state
+        assert res.resolution.reason_codes() == [
+            ("vectorized", "unbounded-schedule")]
         assert res.converged
         assert res.history_retained == res.steps + 1
 
@@ -327,10 +332,14 @@ class TestBoundedHistorySemantics:
         net = _hop_net(6, p=0.4, seed=9)
         sched = FixedDelaySchedule(net.n, delay=2)
         start = RoutingState.identity(net.algebra, net.n)
-        vec = delta_run_vectorized(net, sched, start, max_steps=300,
-                                   keep_history=True)
-        ref = RoutingSession(net, "incremental").delta(
+        vec = RoutingSession(net, "vectorized").delta(
             sched, start, max_steps=300, keep_history=True)
+        # decoded histories do not live in the bounded ring: the run
+        # falls to the incremental rung
+        assert vec.resolution.reason_codes() == [
+            ("vectorized", "keep-history")]
+        ref = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=300, strict=True, keep_history=True)
         assert vec.converged and len(vec.history) == len(ref.history)
         for mine, theirs in zip(vec.history, ref.history):
             assert mine.equals(theirs, net.algebra)
@@ -380,19 +389,22 @@ class TestHypothesisDeltaEquivalence:
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_vectorized_delta_matches_strict_history(self, data):
+        """The compiled step, checked step by step: the vectorized
+        rung's state after ``max_steps=k`` is the strict ``δ^k``."""
         net = data.draw(finite_table_networks())
         sched = data.draw(schedules_for(net.n))
         start = RoutingState.identity(net.algebra, net.n)
         strict = RoutingSession(net, "incremental").delta(
             sched, start, max_steps=60, strict=True, keep_history=True)
-        vec = delta_run_vectorized(net, sched, start, max_steps=60,
-                                   keep_history=True)
+        with RoutingSession(net, "vectorized") as session:
+            for k in range(1, strict.steps + 1):
+                vec = session.delta(sched, start, max_steps=k)
+                assert vec.resolution.chosen == "vectorized"
+                assert vec.steps == k
+                assert vec.state.equals(strict.history[k], net.algebra), \
+                    f"δ^{k} differs"
         assert vec.converged == strict.converged
-        assert vec.steps == strict.steps
         assert vec.converged_at == strict.converged_at
-        assert len(vec.history) == len(strict.history)
-        for t, (mine, theirs) in enumerate(zip(vec.history, strict.history)):
-            assert mine.equals(theirs, net.algebra), f"δ^{t} differs"
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
@@ -402,7 +414,8 @@ class TestHypothesisDeltaEquivalence:
         start = RoutingState.identity(net.algebra, net.n)
         strict = RoutingSession(net, "incremental").delta(
             sched, start, max_steps=60, strict=True)
-        vec = delta_run_vectorized(net, sched, start, max_steps=60)
+        vec = RoutingSession(net, "vectorized").delta(sched, start,
+                                                      max_steps=60)
         assert vec.converged == strict.converged
         assert vec.steps == strict.steps
         assert vec.state.equals(strict.state, net.algebra)

@@ -77,7 +77,6 @@ from repro.core import (
     RoutingState,
     SynchronousSchedule,
     VectorizedEngine,
-    iterate_sigma_parallel,
     iterate_sigma_vectorized,
     random_state,
     schedule_zoo,
@@ -407,8 +406,11 @@ def bench_remote_case(case: Dict, repeats: int) -> Dict:
         row["fixed_points_equal"] = True
         return row
     try:
-        eng.iterate(start)               # spawn pool + ship tables (warm)
-        rem_s, rem_res = _time(lambda: eng.iterate(start), repeats)
+        # spawn pool + ship tables (warm)
+        iterate_sigma_vectorized(net, start, engine=eng)
+        rem_s, rem_res = _time(
+            lambda: iterate_sigma_vectorized(net, start, engine=eng),
+            repeats)
         sigma_wire = eng.wire_stats.copy()
 
         sched = RandomSchedule(net.n, seed=17, activation_prob=0.3,
@@ -597,8 +599,8 @@ def bench_fault_case(case: Dict) -> Dict:
     """Repeated kill → heal → re-run cycles against one loopback pool.
 
     Each cycle kills one worker process, re-runs the σ fixed point
-    (the supervisor detects the dead shard, respawns the pool, resumes
-    from its barrier snapshot) and asserts bit-identity against the
+    (the supervisor detects the dead shard, respawns the pool, reruns
+    the interrupted round from its input) and asserts bit-identity against the
     vectorized reference.  ``heal_ms`` aggregates the supervisor's own
     per-event heal timings.
     """
@@ -620,12 +622,13 @@ def bench_fault_case(case: Dict) -> Dict:
     codes: List[str] = []
     equal = True
     try:
-        eng.iterate(start)               # spawn pool + ship tables (warm)
+        # spawn pool + ship tables (warm)
+        iterate_sigma_vectorized(net, start, engine=eng)
         for k in range(case["kills"]):
             victim = eng._res.procs[k % len(eng._res.procs)]
             victim.kill()
             victim.join(timeout=30)
-            res = eng.iterate(start)
+            res = iterate_sigma_vectorized(net, start, engine=eng)
             equal = equal and (res.converged == ref.converged and
                                res.rounds == ref.rounds and
                                res.state.equals(ref.state, alg))
@@ -896,7 +899,7 @@ def bench_parallel_case(case: Dict, repeats: int) -> Dict:
         # single-core runner: a timing sweep would only measure
         # oversubscription; verify agreement and skip the scaling claim
         with ParallelVectorizedEngine(net, workers=2) as eng:
-            res = iterate_sigma_parallel(net, start, engine=eng)
+            res = iterate_sigma_vectorized(net, start, engine=eng)
         row["skipped"] = (f"single-core host (usable_cpus()={cpus}): "
                           "worker scaling not measurable")
         row["fixed_points_equal"] = check(res)
@@ -916,9 +919,9 @@ def bench_parallel_case(case: Dict, repeats: int) -> Dict:
             # warm-up: the pool starts lazily on first use — spawn the
             # workers and publish the tables outside the timed region,
             # as the docstring's steady-state claim requires
-            iterate_sigma_parallel(net, start, engine=eng)
+            iterate_sigma_vectorized(net, start, engine=eng)
             par_s, par_res = _time(
-                lambda: iterate_sigma_parallel(net, start, engine=eng),
+                lambda: iterate_sigma_vectorized(net, start, engine=eng),
                 repeats)
         equal = equal and check(par_res)
         ratio = round(vec_s / par_s, 2) if par_s > 0 else None

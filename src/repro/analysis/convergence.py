@@ -37,9 +37,9 @@ def measure_sync(network: Network, start: Optional[RoutingState] = None,
     """Iterate σ and measure rounds + churn.
 
     Delegates to :meth:`repro.session.RoutingSession.sigma` with
-    ``measure_churn=True``: finite algebras take the code-diff fast
-    path (:func:`repro.core.vectorized.sigma_churn` — the trajectory is
-    never materialised), everything else diffs the object trajectory.
+    ``measure_churn=True``: the negotiated rung counts entry changes
+    as it iterates (changed code columns on finite algebras, dirty
+    sets on the incremental rung), so no trajectory is materialised.
     """
     from ..session import RoutingSession
 

@@ -10,8 +10,8 @@ This module is the one negotiation:
 
 * each engine class advertises a :class:`Capabilities` descriptor
   (``requires_finite_algebra``, ``requires_shared_memory``, ``min_n``,
-  ``supports_batched_trials``, ``supports_topology_mutation``, …),
-  registered under its rung name in :data:`ENGINE_CAPABILITIES`;
+  ``supports_topology_mutation``, …), registered under its rung name
+  in :data:`ENGINE_CAPABILITIES`;
 * :func:`resolve_engine` walks the ladder from the requested rung (or
   from the top, for ``"auto"``) and returns an :class:`EngineResolution`
   recording the chosen rung **and a machine-readable reason chain** —
@@ -28,10 +28,12 @@ This module is the one negotiation:
 Check order inside a rung is part of the contract (tests assert reason
 chains exactly): **capability** (``no-finite-encoding``,
 ``no-shared-memory``, ``no-remote-endpoints``) → **policy**
-(``single-stability-check``, ``keep-history``, ``unbounded-schedule``,
-``literal-history``) → **sizing** (``auto-single-cpu``, ``below-min-n``,
+(``keep-history``, ``unbounded-schedule``, ``literal-history``) →
+**sizing** (``auto-single-cpu``, ``below-min-n``,
 ``workers-lt-2``).  The first failing check names the rung's skip
-reason.
+reason.  The policy checks are δ's: every codes rung runs σ — and a
+lone σ-stability check, its one-round case — on the same loop, so σ
+negotiates on capability and sizing alone.
 
 The resolver is consumed by :meth:`repro.session.RoutingSession.resolve`,
 so every entry point negotiates identically.
@@ -90,7 +92,8 @@ class Capabilities:
     Advertised as a ``capabilities`` class attribute by the engine
     classes (:class:`~repro.core.vectorized.VectorizedEngine`,
     :class:`~repro.core.parallel.ParallelVectorizedEngine`,
-    :class:`~repro.core.vectorized.BatchedVectorizedEngine`); the
+    :class:`~repro.core.vectorized.BatchedVectorizedEngine`,
+    :class:`~repro.core.remote.RemoteVectorizedEngine`); the
     function-implemented rungs (``naive``, ``incremental``) register
     descriptors directly below.
     """
@@ -110,8 +113,6 @@ class Capabilities:
     min_n: int = 0
     #: minimum effective worker count (0 = not pool-based).
     min_workers: int = 0
-    #: can stack many (schedule, start) trials into one workload.
-    supports_batched_trials: bool = False
     #: safe to mutate the topology mid-run (``set_edge``/``remove_edge``
     #: invalidate this rung's caches).  Every in-process rung supports
     #: it; the remote rung declines — its snapshot is shipped to the
@@ -123,9 +124,6 @@ class Capabilities:
     supports_kept_history: bool = True
     #: runs the literal paper recursion (strict mode).
     supports_literal_history: bool = False
-    #: worth dispatching for a single σ-stability check (the simulator's
-    #: per-run verdict) — batching needs a grid to amortise over.
-    supports_single_stability_check: bool = True
 
 
 #: rung name → descriptor.  The two function-implemented rungs register
@@ -196,10 +194,9 @@ class SkippedRung:
 
     ``code`` is stable vocabulary (asserted exactly by the test suite):
     ``no-finite-encoding``, ``no-shared-memory``,
-    ``no-remote-endpoints``, ``single-stability-check``,
-    ``keep-history``, ``unbounded-schedule``, ``literal-history``,
-    ``auto-single-cpu``, ``below-min-n``, ``workers-lt-2``.  ``detail``
-    is the human sentence.
+    ``no-remote-endpoints``, ``keep-history``, ``unbounded-schedule``,
+    ``literal-history``, ``auto-single-cpu``, ``below-min-n``,
+    ``workers-lt-2``.  ``detail`` is the human sentence.
     """
 
     rung: str
@@ -285,11 +282,6 @@ def _skip_reason(caps: Capabilities, network, op: str, workers,
             "EngineSpec.remote_workers)"), None
 
     # -- policy ---------------------------------------------------------
-    if op == "stability" and not caps.supports_single_stability_check:
-        return SkippedRung(
-            rung, "single-stability-check",
-            "batching amortises over a grid of trials; a lone "
-            "σ-stability check falls one rung down"), None
     if op in ("delta", "grid"):
         if keep_history and not caps.supports_kept_history:
             return SkippedRung(

@@ -25,9 +25,12 @@ Architecture
   next-dirty bitmap.  Only the tiny per-round command tuple and a
   changed-column count cross the pipe — the dirty/fixed-point bitmaps
   themselves live in shared memory.
-* An empty union of per-worker dirty sets is exactly σ-stability
-  (Definition 4), so fixed-point detection stays free, as in the
-  incremental and vectorized engines.
+* The pool supplies only that round
+  (:meth:`ParallelVectorizedEngine._advance`); the σ loop — trajectory,
+  cycle detection, convergence on an empty union of per-worker changed
+  columns (Definition 4), churn — is the vectorized rung's
+  :func:`~repro.core.vectorized.iterate_sigma_vectorized`, and
+  ``sigma`` / ``is_stable`` are its one-round cases.
 * δ does not touch the pool: the engine inherits
   :meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`, the
   compiled-schedule step every in-process codes rung shares.
@@ -62,10 +65,9 @@ leave a worker computing against stale tables.
 Worker processes and shared-memory segments are released by
 :meth:`~ParallelVectorizedEngine.close` (idempotent; also a context
 manager), by a ``weakref.finalize`` hook when the engine is garbage
-collected, and by the σ driver's ``finally`` block for engines it
-created itself — an exception anywhere in a run must never
-leak a segment or a process (``tests/core/test_parallel.py`` holds the
-engine to that).
+collected, and by the owning :class:`~repro.session.RoutingSession`'s
+close — an exception anywhere in a run must never leak a segment or a
+process (``tests/core/test_parallel.py`` holds the engine to that).
 """
 
 from __future__ import annotations
@@ -88,8 +90,7 @@ except ImportError:                      # pragma: no cover - stdlib
 
 from .algebra import UnsupportedAlgebraError
 from .capabilities import Capabilities, register_engine
-from .state import Network, RoutingState
-from .synchronous import SyncResult
+from .state import Network
 from .vectorized import (
     _DTYPE,
     VectorizedEngine,
@@ -347,13 +348,13 @@ class ParallelVectorizedEngine(VectorizedEngine):
     """Column-sharded multi-process σ over shared code matrices.
 
     Extends :class:`~repro.core.vectorized.VectorizedEngine` — the
-    encoding, codecs, the master's local edge snapshot and the δ step
-    (:meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`, which
-    runs on the master) are inherited; what this class adds is the
-    shared-memory mirror of that snapshot and the worker pool that
-    computes σ rounds over it.
+    encoding, codecs, the master's local edge snapshot, the σ loop and
+    the δ step (:meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`,
+    which runs on the master) are inherited; what this class adds is
+    the shared-memory mirror of that snapshot and the worker pool that
+    computes each σ round over it (:meth:`_advance`).
 
-    The pool is started lazily on the first σ entry and persists
+    The pool is started lazily on the first σ round and persists
     across calls; release it with :meth:`close` (or use the engine as a
     context manager).  A ``weakref.finalize`` backstop releases
     everything if the engine is dropped without closing.
@@ -527,90 +528,23 @@ class ParallelVectorizedEngine(VectorizedEngine):
 
     # -- σ ---------------------------------------------------------------
 
-    def _load(self, C: "np.ndarray") -> None:
+    def _advance(self, C: "np.ndarray", dirty: Optional["np.ndarray"]):
+        """One σ round on the pool: ``(σ(C) in a fresh array, changed
+        columns)``, the step :func:`~repro.core.vectorized.iterate_sigma_vectorized`
+        drives.
+
+        ``C`` is copied into the shared code matrix and ``dirty`` into
+        the shared bitmap (``None`` runs every column); the workers
+        recompute their dirty columns in place and flag the changed ones
+        in the next-dirty bitmap.
+        """
         self._ensure_pool()
         self._C_view[:] = C
-
-    def _round(self, full: bool) -> int:
-        """One parallel σ round in place; returns changed-column count
-        and leaves the next dirty bitmap installed for the round after."""
+        full = dirty is None
+        if not full:
+            self._dirty_view[:] = 0
+            self._dirty_view[dirty] = 1
         self._next_view[:] = 0
         self._broadcast(("sigma", full))
-        total = sum(self._collect())
-        # next round's input bitmap is this round's output bitmap
-        self._dirty_view[:] = self._next_view
-        return total
-
-    def sigma(self, state: RoutingState) -> RoutingState:
-        """One full σ round, computed by the pool (lockstep oracle)."""
-        self.refresh()
-        self._load(self.encode_state(state))
-        self._round(full=True)
-        return self.decode_state(self._C_view)
-
-    def is_stable(self, state: RoutingState) -> bool:
-        """Definition 4 on the pool: a full round with no changed column."""
-        self.refresh()
-        self._load(self.encode_state(state))
-        return self._round(full=True) == 0
-
-    def iterate(self, start: RoutingState, max_rounds: int = 10_000,
-                keep_trajectory: bool = False,
-                detect_cycles: bool = False) -> SyncResult:
-        """σ fixed-point iteration on the pool.
-
-        Same trajectory / round-count / fixed-point contract as every
-        other engine (the differential oracle enforces it): the first
-        round is full, later rounds touch only dirty columns, and an
-        empty dirty union is convergence.
-        """
-        self.refresh()
-        self._load(self.encode_state(start))
-        view = self._C_view
-        trajectory: Optional[List[RoutingState]] = \
-            [start] if keep_trajectory else None
-        seen = {view.tobytes(): 0} if detect_cycles else None
-        for k in range(max_rounds):
-            changed = self._round(full=(k == 0))
-            if keep_trajectory:
-                trajectory.append(self.decode_state(view))
-            if changed == 0:
-                return SyncResult(True, k, self.decode_state(view),
-                                  trajectory)
-            if detect_cycles:
-                key = view.tobytes()
-                if key in seen:
-                    return SyncResult(False, k + 1, self.decode_state(view),
-                                      trajectory)
-                seen[key] = k + 1
-        return SyncResult(False, max_rounds, self.decode_state(view),
-                          trajectory)
-
-
-# ----------------------------------------------------------------------
-# Drivers (SyncResult / AsyncResult compatible)
-# ----------------------------------------------------------------------
-
-
-def iterate_sigma_parallel(network: Network, start: RoutingState,
-                           max_rounds: int = 10_000,
-                           keep_trajectory: bool = False,
-                           detect_cycles: bool = False,
-                           engine: Optional[ParallelVectorizedEngine] = None,
-                           workers: Optional[int] = None) -> SyncResult:
-    """The parallel rung's σ iteration (a :class:`SyncResult`).
-
-    Pass ``engine`` to reuse a running pool across calls (its caches
-    and published snapshots auto-refresh on topology changes); without
-    one, a pool is started for the call and torn down in a ``finally``
-    — exceptions included, so no run can leak workers or segments.
-    """
-    eng = engine if engine is not None \
-        else ParallelVectorizedEngine(network, workers=workers)
-    try:
-        return eng.iterate(start, max_rounds=max_rounds,
-                           keep_trajectory=keep_trajectory,
-                           detect_cycles=detect_cycles)
-    finally:
-        if engine is None:
-            eng.close()
+        self._collect()
+        return self._C_view.copy(), np.nonzero(self._next_view)[0]

@@ -9,8 +9,12 @@ contiguous block of destination columns, and drives two protocols —
   gather-reduces its dirty columns locally (dirty tracking is
   block-local, so rounds need zero cross-worker synchronisation) and
   replies with a delta-encoded summary of the columns that changed,
-  which the coordinator applies to a local mirror of the full matrix.
-  An empty union of changed columns is σ-stability, as everywhere else.
+  which the coordinator applies to a copy of the round's input.  That
+  round is all the engine supplies
+  (:meth:`RemoteVectorizedEngine._advance`): the σ loop — trajectory,
+  cycle detection, convergence on an empty union of changed columns,
+  churn — is the vectorized rung's
+  :func:`~repro.core.vectorized.iterate_sigma_vectorized`.
 * **δ**: the coordinator reads each window of :data:`DELTA_WINDOW`
   steps off the compiled schedule (α bitmask rows, β read times over
   each active node's in-neighbours), polices staleness exactly like
@@ -75,7 +79,6 @@ from .faults import FaultPlan
 from .parallel import _mp_context
 from .schedule import CompiledSchedule, Schedule
 from .state import Network, RoutingState
-from .synchronous import SyncResult
 from .vectorized import (
     _DTYPE,
     VectorizedEngine,
@@ -123,7 +126,6 @@ __all__ = [
     "serve_worker",
     "spawn_loopback_workers",
     "supports_remote",
-    "iterate_sigma_remote",
     "delta_run_remote",
 ]
 
@@ -789,9 +791,10 @@ class RemoteVectorizedEngine(VectorizedEngine):
     """Column-sharded σ/δ over TCP workers (coordinator side).
 
     Extends :class:`~repro.core.vectorized.VectorizedEngine`: the
-    encoding, codecs, and the coordinator's local edge snapshot (used
-    for δ σ-stability probes on fetched candidates) are inherited; this
-    class adds the wire protocol, a full-matrix mirror kept in sync via
+    encoding, codecs, the σ loop and the coordinator's local edge
+    snapshot (used for δ σ-stability probes on fetched candidates) are
+    inherited; this class adds the wire protocol, the σ round over the
+    shards (:meth:`_advance`), a full-matrix mirror kept in sync via
     delta-encoded updates, and per-run :class:`~repro.core.wire.WireStats`.
 
     Connect with explicit ``endpoints`` (``"host:port"`` strings or
@@ -1299,97 +1302,44 @@ class RemoteVectorizedEngine(VectorizedEngine):
                 total += int(obj["changed"])
             except (WireError, LookupError, TypeError, ValueError) as exc:
                 # a corrupt reply may half-apply before detection; the
-                # supervisor restores the mirror from its barrier
-                # snapshot, so flagging the shard is enough here
+                # healed round reruns on a fresh copy of its input, so
+                # flagging the shard is enough here
                 raise _ShardFault(idx, exc, kind="format") from exc
             self._bump(update=len(blob),
                        naive=naive_update_bytes(self._n, hi - lo))
         self._barrier()
         return total
 
-    def sigma(self, state: RoutingState) -> RoutingState:
-        """One full σ round, computed by the workers (lockstep oracle)."""
-        self.refresh()
-        self._run_reset()
-        M0 = self.encode_state(state)
-        while True:
-            try:
-                self._attempt_pool()
-                M = M0.copy()
-                self._load_state(M)
-                self._round(M, full=True)
-                return self.decode_state(M)
-            except _ShardFault as fault:
-                self._heal(fault)
+    def _advance(self, C: "np.ndarray", dirty: Optional["np.ndarray"]):
+        """One σ round over the shards: ``(σ(C) in a fresh array,
+        changed columns)``, the step
+        :func:`~repro.core.vectorized.iterate_sigma_vectorized` drives.
 
-    def is_stable(self, state: RoutingState) -> bool:
-        """Definition 4 over the wire: a full round, no changed column."""
-        self.refresh()
-        self._run_reset()
-        M0 = self.encode_state(state)
-        while True:
-            try:
-                self._attempt_pool()
-                M = M0.copy()
-                self._load_state(M)
-                return self._round(M, full=True) == 0
-            except _ShardFault as fault:
-                self._heal(fault)
+        ``dirty=None`` starts a run: a fresh retry budget and per-run
+        wire stats, ``C`` installed on the shards, a full round.  Later
+        rounds run on the workers' block-local dirty sets (``C`` is
+        the array the previous round returned, which the shards hold).
 
-    def iterate(self, start: RoutingState, max_rounds: int = 10_000,
-                keep_trajectory: bool = False,
-                detect_cycles: bool = False) -> SyncResult:
-        """σ fixed-point iteration with the standard ladder contract:
-        first round full, later rounds dirty-only, empty union of
-        changed columns is convergence — trajectories, round counts and
-        fixed points are bit-identical to every other engine.
-
-        Supervised: a shard fault mid-run rolls the mirror back to the
-        last barrier-consistent round, heals the pool (respawn /
-        reconnect / re-shard) and resumes from that round — sound
-        because σ is column-independent and the mirror `M` holds exactly
-        the fault-free round-k state at every barrier.  The resumed
-        round runs full (worker dirty sets died with the pool), which
-        recomputes clean columns to the same values — bit-identical.
+        Supervised: a shard fault heals the pool (respawn / reconnect /
+        re-shard), reinstalls this round's input ``C`` — untouched,
+        since replies are applied to a copy — and reruns the round full
+        (worker dirty sets died with the pool), which recomputes clean
+        columns to the same values: bit-identical to a fault-free round.
         """
-        self.refresh()
-        self._run_reset()
-        M = self.encode_state(start)
-        snap = M.copy()                  # last barrier-consistent state
-        trajectory: Optional[List[RoutingState]] = \
-            [start] if keep_trajectory else None
-        seen = {M.tobytes(): 0} if detect_cycles else None
-        k = 0
-        fresh = True
-        full = True
-        while k < max_rounds:
+        full = dirty is None
+        if full:
+            self._run_reset()
+        while True:
             try:
                 self._attempt_pool()
-                if fresh:
+                M = C.copy()
+                if full:
                     self._load_state(M)
-                    snap[:] = M
-                    fresh = False
-                    full = True
-                changed = self._round(M, full=full)
-                full = False
-                snap[:] = M
+                self._round(M, full=full)
+                return M, np.nonzero((M != C).any(axis=0))[0]
             except _ShardFault as fault:
                 self._heal(fault)
-                M[:] = snap
-                fresh = True
-                continue
-            if keep_trajectory:
-                trajectory.append(self.decode_state(M))
-            if changed == 0:
-                return SyncResult(True, k, self.decode_state(M), trajectory)
-            if detect_cycles:
-                key = M.tobytes()
-                if key in seen:
-                    return SyncResult(False, k + 1, self.decode_state(M),
-                                      trajectory)
-                seen[key] = k + 1
-            k += 1
-        return SyncResult(False, max_rounds, self.decode_state(M), trajectory)
+                full = True
 
     # -- δ ---------------------------------------------------------------
 
@@ -1645,36 +1595,8 @@ class RemoteVectorizedEngine(VectorizedEngine):
 
 
 # ----------------------------------------------------------------------
-# Drivers (SyncResult / AsyncResult compatible)
+# Driver (AsyncResult compatible)
 # ----------------------------------------------------------------------
-
-
-def iterate_sigma_remote(network: Network, start: RoutingState,
-                         max_rounds: int = 10_000,
-                         keep_trajectory: bool = False,
-                         detect_cycles: bool = False,
-                         engine: Optional[RemoteVectorizedEngine] = None,
-                         workers: Optional[int] = None,
-                         endpoints: Optional[Sequence] = None,
-                         socket_timeout: Optional[float] = None) -> SyncResult:
-    """The remote rung's σ iteration (a :class:`SyncResult`).
-
-    Pass ``engine`` to reuse live worker connections across calls;
-    without one, loopback workers (``workers``, default 2) or the given
-    ``endpoints`` serve this call and are torn down in a ``finally``.
-    """
-    eng = engine if engine is not None \
-        else RemoteVectorizedEngine(network, endpoints=endpoints,
-                                    workers=workers or (0 if endpoints
-                                                        else 2),
-                                    socket_timeout=socket_timeout)
-    try:
-        return eng.iterate(start, max_rounds=max_rounds,
-                           keep_trajectory=keep_trajectory,
-                           detect_cycles=detect_cycles)
-    finally:
-        if engine is None:
-            eng.close()
 
 
 def delta_run_remote(network: Network, schedule: Schedule,

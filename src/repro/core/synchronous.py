@@ -25,20 +25,25 @@ session's σ dispatch (:func:`_iterate_sigma_resolved`) and the two
 object-model rungs:
 
 * ``naive`` — the literal definition: every round recomputes all
-  ``n²`` entries and a full ``equals`` scan detects the fixed point.
-  Kept as the executable form of Eq. 5 and as the reference the other
-  rungs are verified against.
+  ``n²`` entries and a per-round entry compare detects the fixed point
+  (and counts the round's churn).  Kept as the executable form of
+  Eq. 5 and as the reference the other rungs are verified against.
 * ``incremental`` — delta propagation via :mod:`repro.core.incremental`:
   after a seeding full round, each round recomputes only the entries
   whose in-neighbours' routes changed in the previous round (the
   *dirty set*), shares untouched row objects structurally, and
-  declares the fixed point the moment the dirty set is empty.
+  declares the fixed point the moment the dirty set is empty.  The
+  dirty set is exactly the round's changed entries, so its size is the
+  round's churn.
 
-The codes-based rungs live in :mod:`repro.core.vectorized`,
-:mod:`repro.core.parallel` and :mod:`repro.core.remote`.  Every rung
-computes exactly σ each round, so trajectories and fixed points are
-identical — ``tests/core/test_engine_equivalence.py`` is the
-differential oracle holding them to it.
+Every codes-based rung runs one σ loop,
+:func:`repro.core.vectorized.iterate_sigma_vectorized`: the vectorized
+and batched rungs on the serial round, the parallel and remote rungs
+on their own one-round ``_advance`` (a shared-memory worker pool, TCP
+shards).  Every rung computes exactly σ each round, so trajectories,
+fixed points and churn counts are identical —
+``tests/core/test_engine_equivalence.py`` is the differential oracle
+holding them to it.
 
 Both object rungs read neighbour structure from the cached
 :class:`~repro.core.state.NetworkTopology`, which is invalidated by
@@ -101,6 +106,7 @@ class SyncResult:
     rounds: int                       #: number of σ applications performed
     state: RoutingState               #: final state reached
     trajectory: Optional[List[RoutingState]] = field(default=None, repr=False)
+    churn: int = 0                    #: entry changes summed over every round
 
     @property
     def fixed_point(self) -> RoutingState:
@@ -113,42 +119,20 @@ def _iterate_sigma_resolved(network: Network, start: RoutingState,
                             rung: str, max_rounds: int = 10_000,
                             keep_trajectory: bool = False,
                             detect_cycles: bool = False,
-                            workers: Optional[int] = None,
                             engine_obj=None) -> SyncResult:
     """Run the σ iteration on one *already negotiated* ladder rung.
 
     ``rung`` must be the ``chosen`` field of an
     :class:`~repro.core.capabilities.EngineResolution` — no further
-    fallback happens here.  ``engine_obj`` optionally reuses a prebuilt
-    vectorized/parallel/batched engine (the
+    fallback happens here.  The codes rungs run
+    :func:`~repro.core.vectorized.iterate_sigma_vectorized` on
+    ``engine_obj``, the rung's engine (the
     :class:`~repro.session.RoutingSession` passes its managed
-    instances); without one, pool-based rungs build and tear down their
-    own resources per call.
+    instances; without one, a fresh serial
+    :class:`~repro.core.vectorized.VectorizedEngine` runs).  The
+    result's ``churn`` counts entry changes on every rung.
     """
-    if rung == "remote":
-        # local import: remote imports SyncResult from this module
-        from .remote import iterate_sigma_remote
-        return iterate_sigma_remote(
-            network, start, max_rounds=max_rounds,
-            keep_trajectory=keep_trajectory,
-            detect_cycles=detect_cycles, engine=engine_obj,
-            workers=workers)
-    if rung == "batched":
-        # local import: vectorized imports SyncResult from this module
-        from .vectorized import iterate_sigma_batched
-        return iterate_sigma_batched(
-            network, [start], max_rounds=max_rounds,
-            keep_trajectory=keep_trajectory,
-            detect_cycles=detect_cycles, engine=engine_obj)[0]
-    if rung == "parallel":
-        # local import: parallel imports SyncResult from this module
-        from .parallel import iterate_sigma_parallel
-        return iterate_sigma_parallel(
-            network, start, max_rounds=max_rounds,
-            keep_trajectory=keep_trajectory,
-            detect_cycles=detect_cycles, engine=engine_obj,
-            workers=workers)
-    if rung == "vectorized":
+    if rung not in ("naive", "incremental"):
         # local import: vectorized imports SyncResult from this module
         from .vectorized import iterate_sigma_vectorized
         return iterate_sigma_vectorized(
@@ -161,26 +145,30 @@ def _iterate_sigma_resolved(network: Network, start: RoutingState,
     trajectory = [start] if keep_trajectory else None
     seen = {current: 0} if detect_cycles else None
     dirty = None
+    churn = 0
     for k in range(max_rounds):
         if incremental:
             if dirty is None:
                 nxt, dirty = sigma_with_dirty(network, current)
             else:
                 nxt, dirty = sigma_propagate(network, current, dirty)
-            stable = not dirty
+            changed = len(dirty)
         else:
             nxt = sigma(network, current)
-            stable = nxt.equals(current, alg)
+            changed = sum(not alg.equal(a, b)
+                          for old, new in zip(current.rows, nxt.rows)
+                          for a, b in zip(old, new))
         if keep_trajectory:
             trajectory.append(nxt)
-        if stable:
-            return SyncResult(True, k, current, trajectory)
+        if not changed:
+            return SyncResult(True, k, current, trajectory, churn)
+        churn += changed
         if detect_cycles:
             if nxt in seen:
-                return SyncResult(False, k + 1, nxt, trajectory)
+                return SyncResult(False, k + 1, nxt, trajectory, churn)
             seen[nxt] = k + 1
         current = nxt
-    return SyncResult(False, max_rounds, current, trajectory)
+    return SyncResult(False, max_rounds, current, trajectory, churn)
 
 
 def synchronous_fixed_point(network: Network,

@@ -21,7 +21,13 @@ Layered on the PR 1 dirty-set idea: entry ``(i, j)`` of σ(X) depends
 only on column ``j`` of ``X``, so columns are independent and a round
 needs to re-multiply only the **dirty columns** (those with an entry
 that changed last round).  An empty dirty-column set is exactly
-σ-stability, so fixed-point detection stays free.  δ runs on one
+σ-stability, so fixed-point detection stays free.
+:func:`iterate_sigma_vectorized` is the one σ loop over codes
+(trajectory, cycle detection, convergence, and a churn count diffed
+over the changed columns only): every codes rung supplies just its
+round, :meth:`VectorizedEngine._advance`, and
+:meth:`VectorizedEngine.sigma` / :meth:`~VectorizedEngine.is_stable`
+are the loop's one-round cases.  δ runs on one
 kernel, the *compiled-schedule step* (:meth:`VectorizedEngine.delta_grid`):
 a precompiled schedule hands over activation bitmasks and β read-time
 arrays, and every activation of a step becomes one flat gather against a
@@ -32,11 +38,12 @@ is the grid of one trial.
 Capability & fallback
 ---------------------
 
-This is the **vectorized** rung of the engine ladder:
-:mod:`repro.core.parallel` shards this engine's column-independent σ
-round over worker processes against shared-memory code matrices, and
-inherits its encoding, snapshot machinery and δ step from
-:class:`VectorizedEngine`.
+This is the **vectorized** rung of the engine ladder.  The batched
+rung (:class:`BatchedVectorizedEngine`) runs this rung's σ round as
+is; :mod:`repro.core.parallel` and :mod:`repro.core.remote` override
+only the round (:meth:`VectorizedEngine._advance`), sharding its
+columns over worker processes or TCP workers, and inherit the
+encoding, snapshot machinery, σ loop and δ step.
 
 The engine needs numpy and a :class:`~repro.algebras.base.AlgebraEncoding`
 (finite carrier, injective preference keys, default route equality).
@@ -56,7 +63,7 @@ stale table behind — the vectorized mirror of the
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 try:
     import numpy as np
@@ -308,11 +315,14 @@ class VectorizedEngine:
         return new
 
     def _advance(self, C: "np.ndarray", dirty: Optional["np.ndarray"]):
-        """``(C, dirty columns) → (σ(C), next dirty columns)``.
+        """``(C, dirty columns) → (σ(C), changed columns)``: one σ round,
+        the only step a codes rung supplies to :func:`iterate_sigma_vectorized`.
 
-        ``dirty=None`` means "unknown — full round" (seeding, or after a
-        topology change).  Untouched columns are carried over by copy;
-        an empty result is exactly σ-stability.
+        ``dirty=None`` means "unknown — full round" (the first round of
+        a run).  Otherwise ``C`` is the array the previous call returned
+        and ``dirty`` its changed columns, so only those are recomputed.
+        Untouched columns are carried over by copy; an empty result is
+        exactly σ-stability.  ``C`` itself is never written.
         """
         if dirty is None:
             new = self._sigma_codes(C)
@@ -328,16 +338,15 @@ class VectorizedEngine:
         return nxt, changed
 
     def sigma(self, state: RoutingState) -> RoutingState:
-        """One full σ round (decoded); the lockstep-oracle entry point."""
-        self.refresh()
-        C = self.encode_state(state)
-        return self.decode_state(self._sigma_codes(C))
+        """One σ round (decoded), on this engine's round; the
+        lockstep-oracle entry point."""
+        return iterate_sigma_vectorized(self.network, state, max_rounds=1,
+                                        engine=self).state
 
     def is_stable(self, state: RoutingState) -> bool:
-        """Definition 4 check, vectorized: σ(X) = X on codes."""
-        self.refresh()
-        C = self.encode_state(state)
-        return bool(np.array_equal(self._sigma_codes(C), C))
+        """Definition 4 on this engine's round: σ(X) = X."""
+        return iterate_sigma_vectorized(self.network, state, max_rounds=1,
+                                        engine=self).converged
 
     # ------------------------------------------------------------------
     # δ
@@ -708,48 +717,31 @@ class VectorizedEngine:
 
 
 class BatchedVectorizedEngine(VectorizedEngine):
-    """Multi-trial σ over a ``(B, n, n)`` stacked code tensor, and the
-    rung that runs whole δ grids.
+    """The rung that runs whole δ grids, stacked along a batch axis.
 
     The vectorized engine made one *trial* an array computation;
     experiments, however, run *grids* of trials — the
     absolute-convergence experiment (Definition 8) quantifies over
     (starting state × schedule) pairs — and looping Python over trials
-    re-pays the per-step interpreter overhead B times.  This rung
-    stacks trials along a leading batch axis: σ is one table gather +
-    ``minimum.reduceat`` over a ``(B, E, n)`` extension tensor
-    (:meth:`_sigma_codes_batch`), and a grid is one inherited
-    :meth:`~VectorizedEngine.delta_grid` over every trial at once (a
-    single δ run is the same step with B = 1).
+    re-pays the per-step interpreter overhead B times.  This rung runs
+    a grid as one inherited :meth:`~VectorizedEngine.delta_grid` over
+    every trial at once (a single δ run is the same step with B = 1).
+    σ is the vectorized rung's round, inherited as is.
     """
 
     #: batching stacks trials; single δ runs need a bounded ring
     #: (deriving a bound for an undeclared schedule only pays across a
-    #: grid), and a lone σ-stability check falls one rung down.
+    #: grid).
     capabilities = register_engine(Capabilities(
         rung="batched",
         requires_finite_algebra=True,
-        supports_batched_trials=True,
         supports_unbounded_schedules=False,
         supports_kept_history=False,
-        supports_single_stability_check=False,
     ))
-
-    def _sigma_codes_batch(self, C: "np.ndarray") -> "np.ndarray":
-        """One full σ round on a ``(B, n, n)`` stack of code matrices."""
-        B, n = C.shape[0], self._n
-        new = np.full((B, n, n), self.invalid_code, dtype=_DTYPE)
-        if self._src.size:
-            ext = self._tables[self._erange[None], C[:, self._src, :]]
-            new[:, self._importers, :] = np.minimum.reduceat(
-                ext, self._starts, axis=1)
-        diag = np.arange(n)
-        new[:, diag, diag] = self.trivial_code   # Lemma 1, every trial
-        return new
 
 
 # ----------------------------------------------------------------------
-# Drivers (SyncResult / AsyncResult compatible)
+# The σ loop over codes (SyncResult compatible)
 # ----------------------------------------------------------------------
 
 
@@ -759,13 +751,20 @@ def iterate_sigma_vectorized(network: Network, start: RoutingState,
                              detect_cycles: bool = False,
                              engine: Optional[VectorizedEngine] = None
                              ) -> SyncResult:
-    """The vectorized rung's σ iteration (a :class:`SyncResult`).
+    """The σ iteration on codes (a :class:`SyncResult`): the one loop
+    every codes rung runs, on ``engine``'s round.
 
-    Same trajectory, fixed point and round count as the other engines —
-    the differential oracle in ``tests/core/test_engine_equivalence.py``
-    holds it to that.  Pass ``engine`` to reuse a prebuilt
-    :class:`VectorizedEngine` (its caches auto-refresh on topology
-    changes).
+    Trajectory, cycle detection, convergence (an empty changed-column
+    set) and the churn count (entries that differ between consecutive
+    states, diffed over the changed columns only — a finite encoding
+    maps equal routes to equal codes and distinct routes to distinct
+    codes) live here; the engine supplies one round,
+    :meth:`VectorizedEngine._advance`.  Same trajectory, fixed point,
+    round count and churn as the object-model rungs — the differential
+    oracle in ``tests/core/test_engine_equivalence.py`` holds it to
+    that.  Pass ``engine`` to run on a prebuilt engine of any codes rung
+    (its caches auto-refresh on topology changes); without one, a
+    serial :class:`VectorizedEngine` is built for the call.
     """
     eng = engine if engine is not None else VectorizedEngine(network)
     eng.refresh()
@@ -773,103 +772,22 @@ def iterate_sigma_vectorized(network: Network, start: RoutingState,
     trajectory: Optional[List[RoutingState]] = \
         [start] if keep_trajectory else None
     seen = {C.tobytes(): 0} if detect_cycles else None
+    churn = 0
     dirty = None
     for k in range(max_rounds):
         nxt, dirty = eng._advance(C, dirty)
         if keep_trajectory:
             trajectory.append(eng.decode_state(nxt))
         if dirty.size == 0:
-            return SyncResult(True, k, eng.decode_state(C), trajectory)
+            return SyncResult(True, k, eng.decode_state(C), trajectory,
+                              churn)
+        churn += int((nxt[:, dirty] != C[:, dirty]).sum())
         if detect_cycles:
             key = nxt.tobytes()
             if key in seen:
                 return SyncResult(False, k + 1, eng.decode_state(nxt),
-                                  trajectory)
+                                  trajectory, churn)
             seen[key] = k + 1
         C = nxt
-    return SyncResult(False, max_rounds, eng.decode_state(C), trajectory)
-
-
-def sigma_churn(network: Network, start: RoutingState,
-                max_rounds: int = 10_000,
-                engine: Optional[VectorizedEngine] = None):
-    """``(converged, rounds, total entry changes, final state)`` of the
-    σ iteration.
-
-    The churn measurement
-    (:meth:`repro.session.RoutingSession.sigma` with ``measure_churn``,
-    behind :func:`repro.analysis.convergence.measure_sync`) on codes:
-    instead of decoding every trajectory state and comparing
-    O(rounds · n²) route pairs in Python, diff consecutive code
-    matrices with numpy — sound because a finite encoding maps equal
-    routes to equal codes and distinct routes to distinct codes.
-    Counts exactly what the object path counts, without materialising
-    the trajectory.
-    """
-    eng = engine if engine is not None else VectorizedEngine(network)
-    eng.refresh()
-    C = eng.encode_state(start)
-    churn = 0
-    dirty = None
-    for k in range(max_rounds):
-        nxt, dirty = eng._advance(C, dirty)
-        if dirty.size == 0:
-            return True, k, churn, eng.decode_state(C)
-        churn += int((nxt[:, dirty] != C[:, dirty]).sum())
-        C = nxt
-    return False, max_rounds, churn, eng.decode_state(C)
-
-
-def iterate_sigma_batched(network: Network,
-                          starts: Sequence[RoutingState],
-                          max_rounds: int = 10_000,
-                          keep_trajectory: bool = False,
-                          detect_cycles: bool = False,
-                          engine: Optional[BatchedVectorizedEngine] = None
-                          ) -> List[SyncResult]:
-    """σ fixed-point iteration for many starts as one tensor workload.
-
-    Every round applies σ to the whole live stack at once; each trial's
-    :class:`~repro.core.synchronous.SyncResult` (convergence, round
-    count, fixed point, optional trajectory / cycle detection) is
-    identical to a solo :func:`iterate_sigma_vectorized` run, and
-    finished trials drop out of the stack.
-    """
-    eng = engine if engine is not None else BatchedVectorizedEngine(network)
-    eng.refresh()
-    B = len(starts)
-    results: List[Optional[SyncResult]] = [None] * B
-    if B == 0:
-        return []
-    C = np.stack([eng.encode_state(s) for s in starts])
-    live = np.ones(B, dtype=bool)
-    trajs = [[s] if keep_trajectory else None for s in starts]
-    seens = ([{C[b].tobytes(): 0} for b in range(B)]
-             if detect_cycles else None)
-    for k in range(max_rounds):
-        idx = np.nonzero(live)[0]
-        if idx.size == 0:
-            break
-        new = eng._sigma_codes_batch(C[idx])
-        for pos, b in enumerate(idx.tolist()):
-            nxt = new[pos]
-            if keep_trajectory:
-                trajs[b].append(eng.decode_state(nxt))
-            if np.array_equal(nxt, C[b]):
-                results[b] = SyncResult(True, k, eng.decode_state(C[b]),
-                                        trajs[b])
-                live[b] = False
-                continue
-            if detect_cycles:
-                key = nxt.tobytes()
-                if key in seens[b]:
-                    results[b] = SyncResult(False, k + 1,
-                                            eng.decode_state(nxt), trajs[b])
-                    live[b] = False
-                    continue
-                seens[b][key] = k + 1
-            C[b] = nxt
-    for b in np.nonzero(live)[0].tolist():
-        results[b] = SyncResult(False, max_rounds, eng.decode_state(C[b]),
-                                trajs[b])
-    return results
+    return SyncResult(False, max_rounds, eng.decode_state(C), trajectory,
+                      churn)

@@ -119,8 +119,9 @@ class _SessionEntry:
         self.mutation_log: List[List[Any]] = []
         #: small LRU of *fixed points* (RoutingState objects, never
         #: persisted — snapshots carry only JSON reply bodies) keyed by
-        #: ``(version, start_seed, max_rounds)``; lets ``routes``
-        #: queries for different rows/columns share one σ solve.
+        #: ``(version, start_seed, max_rounds)``, each stored with its
+        #: digest; lets ``routes`` queries for different rows/columns
+        #: share one σ solve and one hash of the n×n state.
         self.state_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
 
     @property
@@ -986,7 +987,7 @@ class RoutingServiceDaemon:
         skey = (entry.version, start_seed, max_rounds)
         cached = entry.state_cache.get(skey)
         if cached is not None:
-            state, converged, rounds = cached
+            state, converged, rounds, digest = cached
             entry.state_cache.move_to_end(skey)
         else:
             start = start_state(entry.network, start_seed)
@@ -997,7 +998,8 @@ class RoutingServiceDaemon:
                                    f"routes failed: {exc}") from None
             state, converged, rounds = \
                 report.state, report.converged, report.rounds
-            entry.state_cache[skey] = (state, converged, rounds)
+            digest = state_digest(state)
+            entry.state_cache[skey] = (state, converged, rounds, digest)
             while len(entry.state_cache) > 4:
                 entry.state_cache.popitem(last=False)
         routes = state.row(node) if node is not None else state.column(dest)
@@ -1005,7 +1007,7 @@ class RoutingServiceDaemon:
                 "version": entry.version, "converged": converged,
                 "rounds": rounds, "node": node, "dest": dest,
                 "routes": [str(r) for r in routes],
-                "digest": state_digest(state)}
+                "digest": digest}
 
     def _compute_delta(self, entry: _SessionEntry,
                        sched_spec: Dict[str, Any],

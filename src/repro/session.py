@@ -50,7 +50,8 @@ What the session owns:
 :meth:`RoutingSession.resolve` is the only place a rung is chosen: the
 σ/δ dispatch below it (``_iterate_sigma_resolved`` /
 ``_delta_run_resolved``) and the protocol simulator's σ-stability check
-run whatever rung the session negotiated.
+run whatever rung the session negotiated — a σ report's churn
+(``measure_churn``) included, which every rung counts as it iterates.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ from .core.schedule import (
 )
 from .core.state import Network, RoutingState
 from .core.synchronous import SyncResult, _iterate_sigma_resolved
-from .core.vectorized import sigma_churn, supports_vectorized
 from .core.wire import WireStats
 
 #: compiled schedules one session keeps, least recently used evicted
@@ -499,10 +499,12 @@ class RoutingSession:
         if rung in ("naive", "incremental"):
             return None
         eng = self._engines.get(rung)
-        if rung == "remote" and eng is not None and eng.stale_topology():
-            # the remote snapshot cannot follow topology mutations
-            # (supports_topology_mutation=False): rebuild the engine —
-            # fresh connections, fresh worker-side snapshot
+        if eng is not None and \
+                not eng.capabilities.supports_topology_mutation and \
+                eng.stale_topology():
+            # this rung's snapshot cannot follow topology mutations:
+            # rebuild the engine (for remote: fresh connections, fresh
+            # worker-side snapshot)
             eng.close()
             del self._engines[rung]
             eng = None
@@ -575,10 +577,11 @@ class RoutingSession:
 
         ``start`` defaults to the identity matrix (the clean start).
         ``detect_cycles`` stops early on a repeated state (limit
-        cycle), reporting ``converged=False``.  ``measure_churn``
-        additionally counts total entry changes over the run — on
-        finite algebras via the code-diff fast path (the trajectory is
-        never materialised), otherwise from the object trajectory.
+        cycle), reporting ``converged=False``.  ``measure_churn`` puts
+        the total entry changes over the run on the report, counted on
+        the negotiated rung as it iterates (changed columns on the
+        codes rungs, the dirty sets on ``incremental``, a per-round
+        entry compare on ``naive``) — no trajectory is kept for it.
         """
         self._check_open()
         net = self.network
@@ -586,50 +589,17 @@ class RoutingSession:
             start = RoutingState.identity(net.algebra, net.n)
         resolution = self.resolve("sigma")
         t0 = perf_counter()
-        churn: Optional[int] = None
-        wire: Optional[WireStats] = None
-        degraded: Optional[Tuple] = None
-        # the code-diff churn fast path is only taken when the session
-        # negotiated a codes-based rung anyway — a spec pinned to
-        # "naive"/"incremental" keeps the object path, so the report's
-        # resolution never misstates which engine family ran.  (For the
-        # parallel/batched rungs the measurement runs on the serial
-        # vectorized kernel of the same encoding — identical counts.)
-        if measure_churn and not keep_trajectory and not detect_cycles \
-                and resolution.chosen in ("vectorized", "parallel",
-                                          "batched", "remote") \
-                and supports_vectorized(net.algebra):
-            from .core.vectorized import VectorizedEngine
-            eng = self._engines.get("vectorized")
-            if eng is None:
-                eng = self._engines["vectorized"] = VectorizedEngine(net)
-            converged, rounds, churn, state = sigma_churn(
-                net, start, max_rounds=max_rounds, engine=eng)
-            result = SyncResult(converged, rounds, state, None)
-        else:
-            result = _iterate_sigma_resolved(
-                net, start, resolution.chosen, max_rounds=max_rounds,
-                keep_trajectory=keep_trajectory or measure_churn,
-                detect_cycles=detect_cycles,
-                workers=resolution.workers,
-                engine_obj=self._engine_obj(resolution))
-            wire = self._wire_snapshot(resolution)
-            degraded = self._degraded_snapshot(resolution)
-            if measure_churn:
-                alg = net.algebra
-                churn = 0
-                trajectory = result.trajectory or []
-                for prev, cur in zip(trajectory, trajectory[1:]):
-                    for i in range(net.n):
-                        for j in range(net.n):
-                            if not alg.equal(prev.get(i, j), cur.get(i, j)):
-                                churn += 1
+        result = _iterate_sigma_resolved(
+            net, start, resolution.chosen, max_rounds=max_rounds,
+            keep_trajectory=keep_trajectory, detect_cycles=detect_cycles,
+            engine_obj=self._engine_obj(resolution))
         return SigmaReport(
             converged=result.converged, rounds=result.rounds,
             state=result.state, resolution=resolution,
-            elapsed_s=perf_counter() - t0,
-            trajectory=result.trajectory if keep_trajectory else None,
-            churn=churn, wire=wire, degraded=degraded, result=result)
+            elapsed_s=perf_counter() - t0, trajectory=result.trajectory,
+            churn=result.churn if measure_churn else None,
+            wire=self._wire_snapshot(resolution),
+            degraded=self._degraded_snapshot(resolution), result=result)
 
     # -- δ ---------------------------------------------------------------
 
@@ -685,9 +655,13 @@ class RoutingSession:
         """Run δ for every ``(schedule, start)`` trial as one negotiated
         workload; returns a :class:`GridReport`.
 
-        On the batched rung the whole grid is stacked into one
-        ``(B, n, n)`` tensor (``batch_size`` chunks the batch axis);
-        lower rungs loop trials against one shared engine.
+        The vectorized, parallel and batched rungs run the
+        session-compiled schedules through the engine's
+        :meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`: the
+        batched rung stacks the grid into one ``(B, n, n)`` tensor
+        (``batch_size`` chunks the batch axis), the other two run one
+        trial per call.  The remote and object rungs loop trials against
+        one shared engine.
         The spec's ``history`` policy applies to every trial
         (``"literal"`` runs the strict paper recursion per trial,
         ``"full"`` retains each trial's history — visible with
@@ -695,10 +669,12 @@ class RoutingSession:
         :class:`~repro.core.asynchronous.AsyncResult` list on the
         report.
 
-        On the parallel and remote rungs, a trial whose schedule
-        declares no staleness bound runs against its derived bound —
-        unless the spec is ``strict``, in which case the trial raises
-        :class:`~repro.core.capabilities.UnsupportedEngineError`
+        On the in-process codes rungs a trial whose schedule declares
+        no staleness bound runs against its derived bound.  The remote
+        workers cannot take such a schedule (their history rings are
+        sized from the declared bound): a remote trial delegates to the
+        in-process step — unless the spec is ``strict``, in which case
+        it raises :class:`~repro.core.capabilities.UnsupportedEngineError`
         exactly as :meth:`delta` would.
         """
         self._check_open()
@@ -714,36 +690,32 @@ class RoutingSession:
         results: List[AsyncResult] = []
         wire_base = None
         degraded_base = None
+        eng = self._engine_obj(resolution)
         if resolution.chosen == "remote" and trials:
             # snapshot the engine's monotonic totals so the report can
             # carry exactly this grid's traffic (per-run wire_stats
             # resets on every trial); ditto the healing-event log
-            eng = self._engine_obj(resolution)
             wire_base = eng.wire_totals.copy()
             degraded_base = len(eng.degraded_total)
-        if resolution.chosen == "batched" and trials:
-            eng = self._engine_obj(resolution)
+        if resolution.chosen in ("vectorized", "parallel", "batched"):
+            # trials repeat schedules across starts: compile once
             compiled = [(self.compile_schedule(sched, max_steps), start)
                         for (sched, start) in trials]
-            chunk = len(compiled) if not batch_size else max(1,
-                                                             int(batch_size))
+            chunk = 1
+            if resolution.chosen == "batched":
+                chunk = max(1, int(batch_size or len(compiled)))
             for lo in range(0, len(compiled), chunk):
                 results.extend(eng.delta_grid(
                     compiled[lo:lo + chunk], max_steps=max_steps,
                     stability_window=stability_window))
         else:
-            eng = self._engine_obj(resolution)
             for sched, start in trials:
-                if resolution.chosen in ("parallel", "remote") \
-                        and self.spec.strict:
+                if resolution.chosen == "remote" and self.spec.strict:
                     # strict means no per-trial exception to the rung's
                     # δ policy either: re-negotiate the trial as a single
                     # δ run, which raises with the exact
                     # unbounded-schedule chain
                     self.resolve("delta", schedule=sched)
-                if resolution.chosen in ("vectorized", "parallel"):
-                    # trials repeat schedules across starts: compile once
-                    sched = self.compile_schedule(sched, max_steps)
                 results.append(_delta_run_resolved(
                     net, sched, start, resolution.chosen,
                     max_steps=max_steps, stability_window=stability_window,

@@ -15,7 +15,11 @@ multi-trial stacking:
   bounds for schedules that declare none, loud failure for lying ones;
 * topology invalidation between grid runs on a shared engine;
 * the fallback ladder for non-finite algebras;
-* the vectorized churn measurement (``measure_sync`` satellite).
+* the churn measurement on codes (``measure_sync``) against the object
+  trajectory.
+
+σ on this rung is the vectorized rung's round, so the oracle's σ
+checks cover it.
 """
 
 import random
@@ -33,7 +37,6 @@ from repro.core import (
     Schedule,
     SynchronousSchedule,
     UnsupportedAlgebraError,
-    iterate_sigma_batched,
     random_state,
     schedule_zoo,
     supports_vectorized,
@@ -309,21 +312,6 @@ class TestEngineLifecycle:
             assert res.converged == ref.converged, seed
             assert res.converged_at == ref.converged_at, seed
             assert res.state.equals(ref.state, net.algebra), seed
-
-    def test_multi_start_sigma_batch(self):
-        net = _net(11, seed=15)
-        starts = _starts(net, 3, seed=21)
-        results = iterate_sigma_batched(net, starts, detect_cycles=True,
-                                        keep_trajectory=True)
-        for s, res in zip(starts, results):
-            ref = RoutingSession(net, "naive").sigma(
-                s, detect_cycles=True, keep_trajectory=True)
-            assert res.converged == ref.converged
-            assert res.rounds == ref.rounds
-            assert res.state.equals(ref.state, net.algebra)
-            assert len(res.trajectory) == len(ref.trajectory)
-            for a, b in zip(res.trajectory, ref.trajectory):
-                assert a.equals(b, net.algebra)
 
 
 class TestChurnVectorization:

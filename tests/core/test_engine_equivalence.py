@@ -4,10 +4,11 @@ vs batched vs remote.
 An engine's speedup only counts if its compressed/sharded/stacked
 iteration reaches exactly the reference fixed points, so this module
 holds every rung of the six-engine ladder to *observational identity*:
-identical per-round lockstep states, identical fixed points and round
-counts for σ, and identical histories/convergence times for δ — across
-every shipped finite algebra, two non-finite controls (which must fall
-back, not diverge), and random-gnp / chain / gadget topology families.
+identical per-round lockstep states, identical trajectories, fixed
+points (or cycle verdicts), round counts and churn for σ, and identical
+histories/convergence times for δ — across every shipped finite
+algebra, two non-finite controls (which must fall back, not diverge),
+and random-gnp / chain / gadget topology families.
 
 The parallel engine is exercised with an explicit ``workers=2`` pool
 (auto mode would decline these small nets and single-CPU CI hosts —
@@ -169,11 +170,12 @@ def assert_engines_agree(net, schedules=(), lockstep_rounds=10,
     public facade (and its capability negotiation):
 
     * per-round lockstep: naive σ vs incremental dirty-set propagation
-      vs the vectorized single-round ``VectorizedEngine.sigma`` vs the
-      pool-computed ``ParallelVectorizedEngine.sigma`` vs the batched
-      tensor kernel applied to a stacked copy of the state;
-    * σ fixed points: ``session.sigma()`` under every engine spec
-      agrees on convergence, round count and final state;
+      vs the one-round ``sigma`` of the vectorized, pool-computed
+      parallel and batched engines;
+    * σ runs: ``session.sigma()`` under every engine spec agrees on
+      convergence (or cycle verdict), round count, final state,
+      trajectory and ``measure_churn`` count
+      (:func:`assert_sigma_agrees`);
     * δ oracle: for every schedule, ``strict`` (literal recursion) vs
       incremental vs vectorized vs parallel vs batched vs remote
       session runs agree on convergence step and final state;
@@ -209,27 +211,12 @@ def assert_engines_agree(net, schedules=(), lockstep_rounds=10,
                 assert par.sigma(naive).equals(nxt, alg), \
                     "parallel σ diverged from naive"
             if bat is not None:
-                import numpy as np
-                bat.refresh()
-                stacked = np.stack([bat.encode_state(naive)] * 2)
-                batch = bat._sigma_codes_batch(stacked)
-                for b in range(2):
-                    assert bat.decode_state(batch[b]).equals(nxt, alg), \
-                        "batched σ diverged from naive"
+                assert bat.sigma(naive).equals(nxt, alg), \
+                    "batched σ diverged from naive"
             naive = nxt
 
-        # -- σ fixed points ------------------------------------------------
-        results = {e: sessions[e].sigma(start, max_rounds=max_rounds,
-                                        detect_cycles=True)
-                   for e in LADDER}
-        ref = results["naive"]
-        for name, res in results.items():
-            assert res.converged == ref.converged, name
-            assert res.rounds == ref.rounds, name
-            assert res.state.equals(ref.state, alg), name
-            expected = name if name in ("naive", "incremental") else None
-            if expected is not None:
-                assert res.resolution.chosen == expected, name
+        # -- σ runs --------------------------------------------------------
+        ref = assert_sigma_agrees(net, start, sessions, max_rounds)["naive"]
 
         # -- δ oracle ------------------------------------------------------
         stricts = []
@@ -265,6 +252,29 @@ def assert_engines_agree(net, schedules=(), lockstep_rounds=10,
             par.close()
 
 
+def assert_sigma_agrees(net, start, sessions, max_rounds=500):
+    """Every session's σ run from ``start`` equals the naive rung's:
+    convergence or cycle verdict, round count, final state, trajectory
+    and churn.  Returns the reports by session name."""
+    alg = net.algebra
+    results = {name: s.sigma(start, max_rounds=max_rounds,
+                             detect_cycles=True, keep_trajectory=True,
+                             measure_churn=True)
+               for name, s in sessions.items()}
+    ref = results["naive"]
+    for name, res in results.items():
+        assert res.converged == ref.converged, name
+        assert res.rounds == ref.rounds, name
+        assert res.state.equals(ref.state, alg), name
+        assert res.churn == ref.churn, name
+        assert len(res.trajectory) == len(ref.trajectory), name
+        for got, want in zip(res.trajectory, ref.trajectory):
+            assert got.equals(want, alg), name
+        if name in ("naive", "incremental"):
+            assert res.resolution.chosen == name
+    return results
+
+
 # ----------------------------------------------------------------------
 # The oracle across the (algebra × topology) matrix
 # ----------------------------------------------------------------------
@@ -283,6 +293,27 @@ class TestOracleMatrix:
         net = FAMILIES[family](24, seed=11)
         assert_engines_agree(net, schedules=_schedules(net.n, seed=11),
                              lockstep_rounds=6, max_steps=900)
+
+    def test_sigma_cycle_verdict_agrees_on_every_rung(self):
+        """A finite algebra with arbitrary (non-increasing) edge tables
+        oscillates under σ: every rung must stop on the same repeated
+        state, after the same rounds, with the same churn."""
+        alg = FiniteLevelAlgebra(5)
+        net = erdos_renyi(alg, 7, 0.5,
+                          lambda rng, _i, _j: alg.random_arbitrary_edge(rng),
+                          seed=4)
+        sessions = {e: engine_session(net, e) for e in LADDER}
+        try:
+            reports = assert_sigma_agrees(
+                net, RoutingState.identity(alg, net.n), sessions,
+                max_rounds=200)
+        finally:
+            for session in sessions.values():
+                session.close()
+        assert not reports["naive"].converged
+        assert reports["naive"].rounds < 200    # stopped by the cycle
+        for name, report in reports.items():
+            assert report.resolution.chosen == name
 
     @pytest.mark.parametrize("family", sorted(FINITE_FAMILIES))
     def test_finite_families_vectorize(self, family):

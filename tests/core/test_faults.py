@@ -339,7 +339,8 @@ def _sigma_under_plan(net, start, plan, **kw):
     eng = RemoteVectorizedEngine(net, workers=2, socket_timeout=1.0,
                                  fault_plan=plan, **kw)
     try:
-        res = _watchdog(lambda: eng.iterate(start, max_rounds=300))
+        res = _watchdog(lambda: iterate_sigma_vectorized(
+            net, start, max_rounds=300, engine=eng))
         return res, list(eng.degraded)
     finally:
         eng.close()
@@ -362,11 +363,13 @@ class TestChaosMatrix:
         try:
             # establish the pool, then kill a shard *between* runs so
             # the next σ run trips mid-protocol on a dead peer
-            _watchdog(lambda: eng.iterate(start, max_rounds=300))
+            _watchdog(lambda: iterate_sigma_vectorized(
+                net, start, max_rounds=300, engine=eng))
             victim = eng._res.procs[0]
             victim.kill()
             victim.join(timeout=10)
-            res = _watchdog(lambda: eng.iterate(start, max_rounds=300))
+            res = _watchdog(lambda: iterate_sigma_vectorized(
+                net, start, max_rounds=300, engine=eng))
             _assert_sigma_identical(res, ref, net)
             assert any(ev.code == "worker-respawned"
                        for ev in eng.degraded)
@@ -379,7 +382,8 @@ class TestChaosMatrix:
         net, start, sched, ref = delta_ref
         eng = RemoteVectorizedEngine(net, workers=2, socket_timeout=5.0)
         try:
-            _watchdog(lambda: eng.iterate(start, max_rounds=300))
+            _watchdog(lambda: iterate_sigma_vectorized(
+                net, start, max_rounds=300, engine=eng))
             victim = eng._res.procs[1]
             victim.kill()
             victim.join(timeout=10)
@@ -474,7 +478,8 @@ class TestChaosMatrix:
             remote_mod.spawn_loopback_workers = spawn_with_plan
             try:
                 with pytest.raises(RemoteWorkerError) as exc:
-                    _watchdog(lambda: eng.iterate(start, max_rounds=300))
+                    _watchdog(lambda: iterate_sigma_vectorized(
+                        net, start, max_rounds=300, engine=eng))
             finally:
                 remote_mod.spawn_loopback_workers = orig
             assert "did not reply within 1.0s" in str(exc.value)
@@ -526,7 +531,8 @@ class TestStrictAndTerminal:
         eng = RemoteVectorizedEngine(net, workers=2, strict=True,
                                      socket_timeout=5.0)
         try:
-            res = _watchdog(lambda: eng.iterate(start, max_rounds=300))
+            res = _watchdog(lambda: iterate_sigma_vectorized(
+                net, start, max_rounds=300, engine=eng))
             _assert_sigma_identical(res, ref, net)
             assert eng.degraded == [] and eng.degraded_total == []
         finally:
@@ -675,7 +681,8 @@ class TestEndpointProbation:
         eng = RemoteVectorizedEngine(net, endpoints=[ep_a, ep_b],
                                      socket_timeout=2.0, max_retries=8)
         try:
-            res = _watchdog(lambda: eng.iterate(start, max_rounds=300))
+            res = _watchdog(lambda: iterate_sigma_vectorized(
+                net, start, max_rounds=300, engine=eng))
             _assert_sigma_identical(res, ref, net)
             assert b_serving.wait(10)
             assert eng.workers == 2
@@ -683,7 +690,8 @@ class TestEndpointProbation:
             # sever B mid-life: the run trips, the heal cannot
             # reconnect, B is parked and A absorbs every column
             accepted["conn"].close()
-            res = _watchdog(lambda: eng.iterate(start, max_rounds=300))
+            res = _watchdog(lambda: iterate_sigma_vectorized(
+                net, start, max_rounds=300, engine=eng))
             _assert_sigma_identical(res, ref, net)
             codes = [ev.code for ev in eng.degraded]
             assert "endpoint-probation" in codes
@@ -697,7 +705,8 @@ class TestEndpointProbation:
             # re-shard lands back on the ORIGINAL column layout
             _threaded_worker(port=port_b)
             eng._parked[ep_b]["next_probe"] = 0.0
-            res = _watchdog(lambda: eng.iterate(start, max_rounds=300))
+            res = _watchdog(lambda: iterate_sigma_vectorized(
+                net, start, max_rounds=300, engine=eng))
             _assert_sigma_identical(res, ref, net)
             assert "endpoint-rejoined" in [ev.code for ev in eng.degraded]
             assert eng.workers == 2
@@ -723,7 +732,8 @@ class TestEndpointProbation:
             eng._park(ep_b, 1, "a test-injected failure")
             failures = eng._parked[ep_b]["failures"]
             eng._parked[ep_b]["next_probe"] = 0.0
-            res = _watchdog(lambda: eng.iterate(start, max_rounds=300))
+            res = _watchdog(lambda: iterate_sigma_vectorized(
+                net, start, max_rounds=300, engine=eng))
             _assert_sigma_identical(res, ref, net)
             # the probe failed: still parked, backoff doubled, and no
             # rejoin event was recorded

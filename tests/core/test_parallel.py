@@ -2,15 +2,16 @@
 
 The observational-identity contract lives in the shared oracle
 (``test_engine_equivalence.py``, which covers ``engine="parallel"``
-lockstep σ, fixed points and δ-vs-strict across the algebra×topology
-matrix).  The pool runs σ only — the rung's δ is the inherited
-compiled step, whose staleness guard ``test_asynchronous.py`` covers.
-This module covers what is unique to the process pool:
+lockstep σ, trajectories, churn, fixed points and δ-vs-strict across
+the algebra×topology matrix).  The pool supplies one σ round to the
+shared σ loop (``iterate_sigma_vectorized``) — the rung's δ is the
+inherited compiled step, whose staleness guard ``test_asynchronous.py``
+covers.  This module covers what is unique to the process pool:
 
 * worker/shared-memory lifecycle — segments and processes must be
   released on ``close()``, on garbage collection, and (the regression
-  the engine is explicitly held to) when an exception escapes a run the
-  driver started;
+  the engine is explicitly held to) when an exception escapes a run in
+  a session that owns the pool;
 * topology-mutation invalidation: a shared engine must republish its
   edge-table snapshot to the workers when ``adjacency.version`` moves;
 * the fallback ladder (the resolver's worker sizing) and the
@@ -32,7 +33,7 @@ from repro.core import (
     RandomSchedule,
     RoutingState,
     UnsupportedAlgebraError,
-    iterate_sigma_parallel,
+    iterate_sigma_vectorized,
     resolve_engine,
     supports_parallel,
 )
@@ -73,7 +74,7 @@ class TestLifecycle:
         net = _net()
         eng = ParallelVectorizedEngine(net, workers=3)
         start = RoutingState.identity(net.algebra, net.n)
-        eng.iterate(start)
+        iterate_sigma_vectorized(net, start, engine=eng)
         names, procs = _segment_names(eng), list(eng._res.procs)
         assert names and procs
         eng.close()
@@ -81,12 +82,14 @@ class TestLifecycle:
         assert eng.closed
         _assert_released(names, procs)
         with pytest.raises(RuntimeError):
-            eng.iterate(start)           # a closed engine refuses to run
+            # a closed engine refuses to run
+            iterate_sigma_vectorized(net, start, engine=eng)
 
     def test_context_manager(self):
         net = _net()
         with ParallelVectorizedEngine(net, workers=2) as eng:
-            res = eng.iterate(RoutingState.identity(net.algebra, net.n))
+            res = iterate_sigma_vectorized(
+                net, RoutingState.identity(net.algebra, net.n), engine=eng)
             names, procs = _segment_names(eng), list(eng._res.procs)
         assert res.converged
         _assert_released(names, procs)
@@ -94,15 +97,16 @@ class TestLifecycle:
     def test_finalizer_backstop_on_garbage_collection(self):
         net = _net()
         eng = ParallelVectorizedEngine(net, workers=2)
-        eng.iterate(RoutingState.identity(net.algebra, net.n))
+        iterate_sigma_vectorized(
+            net, RoutingState.identity(net.algebra, net.n), engine=eng)
         names, procs = _segment_names(eng), list(eng._res.procs)
         del eng
         gc.collect()
         _assert_released(names, procs)
 
     def test_driver_cleans_up_when_sigma_run_raises(self, monkeypatch):
-        """The regression: an exception escaping a driver-owned run must
-        not leak workers or segments."""
+        """The regression: an exception escaping a run on a
+        session-owned pool must not leak workers or segments."""
         created = []
         original = parallel_mod.ParallelVectorizedEngine
 
@@ -115,8 +119,9 @@ class TestLifecycle:
                             Recording)
         net = _net()
         bad = RoutingState.filled(10 ** 9, net.n)   # outside the carrier
-        with pytest.raises(UnsupportedAlgebraError):
-            iterate_sigma_parallel(net, bad, workers=2)
+        with RoutingSession(net, EngineSpec("parallel", workers=2)) as s:
+            with pytest.raises(UnsupportedAlgebraError):
+                s.sigma(bad)
         assert len(created) == 1
         assert created[0].closed
         _assert_released([], list(created[0]._res.procs))
@@ -128,8 +133,7 @@ class TestLifecycle:
         net = _net(10, seed=6)
         eng = ParallelVectorizedEngine(net, workers=2)
         eng.refresh()
-        eng._load(eng.encode_state(RoutingState.identity(net.algebra,
-                                                         net.n)))
+        eng._ensure_pool()
         procs = list(eng._res.procs)
         # a table republish whose meta lacks every snapshot field
         eng._broadcast(("reload", {}))
@@ -139,11 +143,12 @@ class TestLifecycle:
         _assert_released([], procs)
 
     def test_shared_engine_survives_driver_calls(self):
-        """Engines passed in by the caller are *not* closed by drivers."""
+        """Engines passed in by the caller are *not* closed by the σ
+        loop."""
         net = _net()
         start = RoutingState.identity(net.algebra, net.n)
         with ParallelVectorizedEngine(net, workers=2) as eng:
-            iterate_sigma_parallel(net, start, engine=eng)
+            iterate_sigma_vectorized(net, start, engine=eng)
             assert not eng.closed
 
 
@@ -153,10 +158,10 @@ class TestInvalidation:
         alg = net.algebra
         start = RoutingState.identity(alg, net.n)
         with ParallelVectorizedEngine(net, workers=3) as eng:
-            fp = eng.iterate(start).state
+            fp = iterate_sigma_vectorized(net, start, engine=eng).state
             net.set_edge(0, net.n - 1, alg.edge(1))
             net.set_edge(net.n - 1, 0, alg.edge(1))
-            res = eng.iterate(fp)
+            res = iterate_sigma_vectorized(net, fp, engine=eng)
             ref = RoutingSession(net, "naive").sigma(fp)
             assert res.rounds == ref.rounds
             assert res.state.equals(ref.state, alg)
@@ -166,10 +171,10 @@ class TestInvalidation:
         alg = net.algebra
         start = RoutingState.identity(alg, net.n)
         with ParallelVectorizedEngine(net, workers=2) as eng:
-            fp = eng.iterate(start).state
+            fp = iterate_sigma_vectorized(net, start, engine=eng).state
             removed = next(iter(net.present_edges()))
             net.remove_edge(*removed)
-            res = eng.iterate(fp)
+            res = iterate_sigma_vectorized(net, fp, engine=eng)
             ref = RoutingSession(net, "naive").sigma(fp)
             assert res.rounds == ref.rounds
             assert res.state.equals(ref.state, alg)
@@ -290,7 +295,9 @@ class TestSemantics:
                               lambda rng, _i, _j: alg.random_strict_edge(rng),
                               seed=11)
         start = RoutingState.identity(alg, rng_net.n)
-        res = iterate_sigma_parallel(rng_net, start, workers=3)
+        with RoutingSession(rng_net, EngineSpec("parallel", workers=3)) as s:
+            res = s.sigma(start)
+        assert res.resolution.chosen == "parallel"
         ref = RoutingSession(rng_net, "naive").sigma(start)
         assert res.converged == ref.converged
         assert res.rounds == ref.rounds

@@ -59,7 +59,6 @@ from repro.core import (
     WireFormatError,
     WireVersionError,
     delta_run_remote,
-    iterate_sigma_remote,
     random_state,
     resolve_engine,
     serve_worker,
@@ -307,8 +306,8 @@ class TestLoopbackBitIdentity:
         net = _net(9)
         start = RoutingState.identity(net.algebra, net.n)
         with RemoteVectorizedEngine(net, workers=2) as eng:
-            rem = iterate_sigma_remote(net, start, keep_trajectory=True,
-                                       engine=eng)
+            rem = iterate_sigma_vectorized(net, start, keep_trajectory=True,
+                                           engine=eng)
         ref = iterate_sigma_vectorized(net, start, keep_trajectory=True)
         assert rem.converged == ref.converged
         assert rem.rounds == ref.rounds
@@ -322,7 +321,7 @@ class TestLoopbackBitIdentity:
         with RemoteVectorizedEngine(net, workers=3) as eng:
             for _ in range(3):
                 start = random_state(net.algebra, net.n, rng)
-                rem = eng.iterate(start)
+                rem = iterate_sigma_vectorized(net, start, engine=eng)
                 ref = iterate_sigma_vectorized(net, start)
                 assert rem.converged == ref.converged
                 assert rem.rounds == ref.rounds
@@ -413,7 +412,7 @@ class TestLoopbackBitIdentity:
         net = _net(9)
         start = RoutingState.identity(net.algebra, net.n)
         with RemoteVectorizedEngine(net, workers=2) as eng:
-            eng.iterate(start)
+            iterate_sigma_vectorized(net, start, engine=eng)
             sigma_stats = eng.wire_stats
             assert sigma_stats.rounds > 0
             assert sigma_stats.bytes_sent > 0
@@ -462,7 +461,7 @@ class TestFailureModes:
         ref = _vectorized_delta(net, sched, start, 300)
         eng = RemoteVectorizedEngine(net, workers=2, socket_timeout=30.0)
         try:
-            eng.iterate(start)          # establish the pool
+            iterate_sigma_vectorized(net, start, engine=eng)  # the pool
             victim = eng._res.procs[1]
             victim.kill()
             victim.join(timeout=10)
@@ -481,7 +480,7 @@ class TestFailureModes:
         eng = RemoteVectorizedEngine(net, workers=2, socket_timeout=30.0,
                                      strict=True)
         try:
-            eng.iterate(start)          # establish the pool
+            iterate_sigma_vectorized(net, start, engine=eng)  # the pool
             victim = eng._res.procs[1]
             victim.kill()
             victim.join(timeout=10)
@@ -521,7 +520,8 @@ class TestFailureModes:
             eng = RemoteVectorizedEngine(net, endpoints=endpoints,
                                          socket_timeout=0.5)
             with pytest.raises(RemoteWorkerError) as exc:
-                eng.iterate(RoutingState.identity(net.algebra, net.n))
+                iterate_sigma_vectorized(
+                    net, RoutingState.identity(net.algebra, net.n), engine=eng)
             assert "0.5" in str(exc.value)
             assert time.monotonic() - t0 < 30
         finally:
@@ -535,11 +535,11 @@ class TestFailureModes:
         port = srv.getsockname()[1]
         srv.close()                      # nobody listening any more
         net = _net(9)
+        eng = RemoteVectorizedEngine(
+            net, endpoints=[("127.0.0.1", port)] * 2, socket_timeout=2.0)
         with pytest.raises(RemoteError):
-            RemoteVectorizedEngine(
-                net, endpoints=[("127.0.0.1", port)] * 2,
-                socket_timeout=2.0).iterate(
-                    RoutingState.identity(net.algebra, net.n))
+            iterate_sigma_vectorized(
+                net, RoutingState.identity(net.algebra, net.n), engine=eng)
 
     def test_no_transport_raises(self):
         with pytest.raises(ValueError):
@@ -555,7 +555,8 @@ class TestFailureModes:
         eng.close()
         assert eng.closed
         with pytest.raises(RuntimeError):
-            eng.iterate(RoutingState.identity(net.algebra, net.n))
+            iterate_sigma_vectorized(
+                net, RoutingState.identity(net.algebra, net.n), engine=eng)
 
 
 # ----------------------------------------------------------------------
@@ -610,7 +611,8 @@ class TestNegotiation:
     def test_engine_refuses_topology_mutation(self):
         net = _net(9)
         with RemoteVectorizedEngine(net, workers=2) as eng:
-            eng.iterate(RoutingState.identity(net.algebra, net.n))
+            iterate_sigma_vectorized(
+                net, RoutingState.identity(net.algebra, net.n), engine=eng)
             net.set_edge(0, net.n - 1, net.algebra.edge(1))
             assert eng.stale_topology()
             with pytest.raises(RemoteError):
@@ -733,7 +735,7 @@ class TestCLIWorker:
             start = RoutingState.identity(net.algebra, net.n)
             with RemoteVectorizedEngine(net, endpoints=endpoints,
                                         socket_timeout=30.0) as eng:
-                rem = eng.iterate(start)
+                rem = iterate_sigma_vectorized(net, start, engine=eng)
             ref = iterate_sigma_vectorized(net, start)
             assert rem.rounds == ref.rounds
             assert rem.state.equals(ref.state, net.algebra)

@@ -241,9 +241,12 @@ class TestReasonChains:
             resolve_engine(net, "parallel", "sigma", workers=1, strict=True)
 
     def test_stability_chain(self):
+        """A lone σ-stability check is one round of the σ loop every
+        codes rung runs, so no rung declines it on policy."""
         net = _hop()
-        res = resolve_engine(net, "batched", "stability", workers=2)
-        assert res.reason_codes()[0] == ("batched", "single-stability-check")
+        for rung in ("batched", "parallel", "vectorized"):
+            res = resolve_engine(net, rung, "stability", workers=2)
+            assert res.chosen == rung and not res.skipped
 
     def test_unknown_engine_rejected(self):
         net = _hop()
@@ -273,13 +276,20 @@ class TestReasonChains:
 
     def test_capabilities_advertised_on_classes(self):
         from repro.core import (BatchedVectorizedEngine,
-                                ParallelVectorizedEngine, VectorizedEngine)
+                                ParallelVectorizedEngine,
+                                RemoteVectorizedEngine, VectorizedEngine)
         assert VectorizedEngine.capabilities.requires_finite_algebra
         assert ParallelVectorizedEngine.capabilities.requires_shared_memory
         assert ParallelVectorizedEngine.capabilities.min_n > 0
-        assert BatchedVectorizedEngine.capabilities.supports_batched_trials
-        assert not BatchedVectorizedEngine.capabilities.\
-            supports_single_stability_check
+        assert BatchedVectorizedEngine.capabilities.requires_finite_algebra
+        assert RemoteVectorizedEngine.capabilities.requires_remote_endpoints
+        # the remote snapshot is shipped once; every in-process rung
+        # follows topology mutations
+        assert not RemoteVectorizedEngine.capabilities.\
+            supports_topology_mutation
+        for cls in (VectorizedEngine, ParallelVectorizedEngine,
+                    BatchedVectorizedEngine):
+            assert cls.capabilities.supports_topology_mutation
 
 
 # ----------------------------------------------------------------------
@@ -481,6 +491,29 @@ class TestReportMetadata:
             assert report.churn == measured.changed_entries
             assert report.rounds == measured.rounds
 
+    @pytest.mark.parametrize("spec", [
+        EngineSpec("parallel", workers=2, strict=True),
+        EngineSpec("remote", remote_workers=2, strict=True)],
+        ids=["parallel", "remote"])
+    def test_churn_is_measured_on_the_negotiated_rung(self, spec):
+        """measure_churn runs on the rung the session negotiated: no
+        in-process vectorized engine is built behind the report, the
+        remote report carries its wire stats and degraded log, and the
+        count equals the naive rung's."""
+        net = _hop(9)
+        with RoutingSession(net, spec) as s:
+            report = s.sigma(measure_churn=True)
+            assert report.resolution.chosen == spec.engine
+            assert set(s._engines) == {spec.engine}
+        with RoutingSession(net, "naive") as ref_s:
+            ref = ref_s.sigma(measure_churn=True)
+        assert report.churn == ref.churn > 0
+        assert report.rounds == ref.rounds
+        assert report.state.equals(ref.state, net.algebra)
+        if spec.engine == "remote":
+            assert report.wire is not None and report.wire.rounds > 0
+            assert report.degraded == ()
+
     def test_reports_carry_timing(self):
         net = _hop(6)
         with RoutingSession(net) as s:
@@ -488,23 +521,35 @@ class TestReportMetadata:
             assert s.delta(SynchronousSchedule(net.n),
                            max_steps=60).elapsed_s >= 0.0
 
-    def test_grid_strict_parallel_rejects_unbounded_trials(self):
-        """Strict resolution covers per-trial delegation too: a grid on
-        the parallel rung must not silently run an unbounded-schedule
-        trial on the serial vectorized engine."""
+    @pytest.mark.parametrize("rung", ["vectorized", "parallel", "batched",
+                                      "remote"])
+    def test_strict_grid_with_unbounded_schedule(self, rung):
+        """A strict grid trial whose schedule declares no staleness bound
+        runs on every in-process codes rung — they share one compiled
+        step, exact against the derived bound — and raises only on
+        remote, whose workers cannot take such a schedule."""
         net = _hop(8)
         start = RoutingState.identity(net.algebra, net.n)
         sched = _UnboundedSchedule(net.n)
-        with RoutingSession(net, EngineSpec("parallel", workers=2,
-                                            strict=True)) as s:
-            with pytest.raises(UnsupportedEngineError) as exc:
-                s.delta_grid([(sched, start)], max_steps=100)
-            assert ("parallel", "unbounded-schedule") in \
-                exc.value.resolution.reason_codes()
-            # bounded trials still run on the pool
-            grid = s.delta_grid(
-                [(SynchronousSchedule(net.n), start)], max_steps=120)
-            assert grid.resolution.chosen == "parallel"
+        spec = EngineSpec(rung, workers=2, remote_workers=2, strict=True)
+        with RoutingSession(net, spec) as s:
+            if rung == "remote":
+                with pytest.raises(UnsupportedEngineError) as exc:
+                    s.delta_grid([(sched, start)], max_steps=100)
+                assert ("remote", "unbounded-schedule") in \
+                    exc.value.resolution.reason_codes()
+                # bounded trials still run on the workers
+                grid = s.delta_grid(
+                    [(SynchronousSchedule(net.n), start)], max_steps=120)
+            else:
+                grid = s.delta_grid([(sched, start)], max_steps=100)
+                ref = RoutingSession(net, "incremental").delta(
+                    sched, start, max_steps=100, strict=True)
+                assert grid.all_converged and ref.converged
+                assert grid.convergence_steps == [ref.converged_at]
+                assert grid.distinct_fixed_points[0].equals(
+                    ref.state, net.algebra)
+            assert grid.resolution.chosen == rung
 
     def test_churn_respects_pinned_object_engine(self):
         """measure_churn must not override a spec pinned to an object
@@ -544,9 +589,12 @@ class TestReportMetadata:
         net = _hop(6)
         with RoutingSession(net, EngineSpec("batched", workers=2)) as s:
             res = s.resolve("stability")
-            assert res.reason_codes()[0] == ("batched",
-                                             "single-stability-check")
-            assert res.chosen in ("parallel", "vectorized")
+            assert res.chosen == "batched" and not res.skipped
+            report = s.simulate(seed=1)
+        ref = Simulator(net, seed=1).run()
+        assert report.resolution.chosen == "batched"
+        assert report.converged == ref.converged
+        assert report.final_state.equals(ref.final_state, net.algebra)
 
 
 # ----------------------------------------------------------------------
@@ -565,6 +613,14 @@ def _sigma_iterates(net, start, max_rounds=500):
     raise AssertionError("σ did not reach a fixed point")
 
 
+def _trajectory_churn(trajectory, alg):
+    """Entry changes summed over consecutive trajectory states."""
+    return sum(not alg.equal(a, b)
+               for prev, cur in zip(trajectory, trajectory[1:])
+               for prev_row, cur_row in zip(prev.rows, cur.rows)
+               for a, b in zip(prev_row, cur_row))
+
+
 class TestOperatorDefinitions:
     @pytest.mark.parametrize("build", [_hop, _shortest],
                              ids=["finite", "non-finite"])
@@ -575,13 +631,15 @@ class TestOperatorDefinitions:
         expected = _sigma_iterates(net, start)
         workers = 2 if rung == "parallel" else None
         with RoutingSession(net, EngineSpec(rung, workers=workers)) as s:
-            report = s.sigma(start, keep_trajectory=True)
+            report = s.sigma(start, keep_trajectory=True,
+                             measure_churn=True)
         assert report.converged
         assert report.rounds == len(expected) - 2
         assert report.state.equals(expected[-1], net.algebra)
         assert len(report.trajectory) == len(expected)
         for got, want in zip(report.trajectory, expected):
             assert got.equals(want, net.algebra)
+        assert report.churn == _trajectory_churn(expected, net.algebra)
 
     @pytest.mark.parametrize("build", [_finite_chain, _bgplite],
                              ids=["finite", "non-finite"])

@@ -14,6 +14,7 @@ from repro.scenarios import (
     EVENTS,
     LinkFlap,
     NodeFailure,
+    build_scenario_network,
     compile_event,
     event_seed,
     replay_events,
@@ -76,6 +77,40 @@ class TestReplay:
         versions = [s.version for s in report.steps]
         assert versions == sorted(versions)
         assert versions[-1] > versions[0]
+
+    def test_incremental_churn_matches_trajectory_count(self):
+        """The pv-replay shape (elmokashfi-24 under bgp-lite, the
+        five-event grammar on the incremental rung): the dirty-set churn
+        of every step equals the entry changes counted off that step's
+        σ trajectory."""
+        net, factory = build_scenario_network("elmokashfi-24", "bgplite",
+                                              seed=0)
+        events = [EVENTS[name]() for name in (
+            "link-flap", "node-failure", "link-weight-change",
+            "policy-change", "del-best-route")]
+        alg = net.algebra
+        counted = []
+        with RoutingSession(net, EngineSpec("incremental")) as session:
+            solve = session.sigma
+
+            def sigma_with_trajectory(start, **kwargs):
+                report = solve(start, keep_trajectory=True, **kwargs)
+                traj = report.trajectory
+                counted.append((report.churn, sum(
+                    not alg.equal(a, b)
+                    for prev, cur in zip(traj, traj[1:])
+                    for prev_row, cur_row in zip(prev.rows, cur.rows)
+                    for a, b in zip(prev_row, cur_row))))
+                return report
+
+            session.sigma = sigma_with_trajectory
+            report = replay_events(session, events, factory, seed=3)
+        assert report.resolution.chosen == "incremental"
+        assert len(counted) == len(report.steps) > 1
+        assert [step.churn for step in report.steps] == \
+            [churn for churn, _ in counted]
+        assert all(churn == count for churn, count in counted)
+        assert report.total_churn > 0
 
     def test_final_state_raises_when_not_converged(self):
         net, factory = hop_ring()

@@ -390,6 +390,26 @@ class TestRoutesVerb:
             assert after["cached"] is False
             assert after["digest"] != first["digest"]
 
+    def test_one_digest_per_solve(self, daemon, monkeypatch):
+        """Eight slices at one topology version share one σ solve and
+        one hash of the n×n state: the digest is cached beside it."""
+        from repro.service import daemon as daemon_mod
+        hashed = []
+        digest = daemon_mod.state_digest
+
+        def counting(state):
+            hashed.append(state)
+            return digest(state)
+
+        monkeypatch.setattr(daemon_mod, "state_digest", counting)
+        with ServiceClient(port=daemon.port) as c:
+            sid = c.load("hop-count", n=12, topology="random",
+                         seed=2)["session"]
+            replies = [c.routes(sid, node=i) for i in range(8)]
+        assert all(r["cached"] is False for r in replies)
+        assert len(hashed) == 1
+        assert {r["digest"] for r in replies} == {digest(hashed[0])}
+
     def test_routes_axis_validation(self, daemon):
         with ServiceClient(port=daemon.port) as c:
             sid = c.load("hop-count", n=8, topology="ring")["session"]

@@ -23,8 +23,8 @@ remote worker command carries at the default window.  PR 6 adds a
 cross-checked bit-for-bit against the vectorized engine and audited
 for wire efficiency — bytes/round, commands/round, and the
 compression ratio of the delta-encoded quantized column updates vs a
-naive full-column transfer (the committed gnp-400 headline must stay
-≥ :data:`REMOTE_COMPRESSION_FLOOR`).  Every
+naive full-column transfer (the committed gnp-400 headline is held to
+the ``remote.compression`` gate).  Every
 comparison also verifies that all engines reach fixed points that are
 ``equal`` under the algebra — a benchmark row that disagrees is
 reported and fails the harness.
@@ -34,14 +34,13 @@ Usage::
     PYTHONPATH=src python benchmarks/run_benchmarks.py            # full
     PYTHONPATH=src python benchmarks/run_benchmarks.py --quick    # seconds
 
-The committed ``BENCH_core.json`` is produced by a full run.  A
-``--quick`` run additionally **regresses against the committed
-baseline** instead of leaving the comparison to eyeballs: it fails when
-the baseline's finite-headline vectorized speedup is below the
-acceptance floor, when the baseline recorded any engine disagreement, or
-when the current quick run shows the vectorized engine disagreeing or
-catastrophically regressing on its own finite case.  Tier-1 tests
-exercise only the ``scale="smoke"`` path (see
+The committed ``BENCH_core.json`` is produced by a full run.  Every
+acceptance floor and ceiling is one row of :data:`GATES`, checked by
+one loop (:func:`check_gates`): a ``--quick`` run holds the committed
+baseline to its gates and itself to the run gates (correctness on every
+row, catastrophic-regression floors), the tier-1 tests hold the
+committed file to them, and the CI steps call :func:`ci_gate` for one
+column.  Tier-1 runs only the ``scale="smoke"`` suite (see
 ``tests/core/test_benchmark_harness.py`` and the ``perfbench`` marker in
 ``pytest.ini``).
 """
@@ -50,11 +49,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import platform
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 if __name__ == "__main__":   # allow running without installing the package
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -192,30 +192,26 @@ def sigma_kernel_ceiling(net, repeats: int = 3) -> Optional[float]:
     return round(serial / wall, 2) if wall > 0 else None
 
 
-def parallel_floor(meta: Dict) -> (Optional[float], str):
+def parallel_floor(meta: Dict) -> Optional[float]:
     """The speedup floor the parallel headline is held to, given the
-    baseline host's measured capabilities (shared by the --quick gate
-    and the committed-baseline test).
+    baseline host's measured capabilities (the ``parallel.scaling``
+    gate's bound).
 
     * multi-core host whose σ-kernel ceiling reaches the aspirational
-      2× → the full :data:`PARALLEL_HEADLINE_FLOOR`;
+      2× → the full 2× acceptance floor;
     * host whose memory system caps kernel scaling below 2× → 80% of
       the measured ceiling (the engine must deliver most of what the
       hardware allows);
-    * effectively single-core host → no floor (scaling unmeasurable).
+    * host with fewer than 4 usable CPUs → no floor: the headline
+      points are >= 4-worker runs, which there measure oversubscription.
     """
-    cpus = meta.get("usable_cpus", meta.get("cpu_count", 1))
-    if cpus < PARALLEL_MIN_BASELINE_CPUS:
-        # the headline points are >= 4-worker runs: on fewer CPUs they
-        # measure oversubscription, so no floor (of either kind) applies
-        return None, (f"host has {cpus} usable CPU(s) "
-                      f"(< {PARALLEL_MIN_BASELINE_CPUS})")
+    full = 2.0
+    if meta.get("usable_cpus", meta.get("cpu_count", 1)) < 4:
+        return None
     ceiling = meta.get("sigma_kernel_ceiling")
-    if ceiling is None or ceiling >= PARALLEL_HEADLINE_FLOOR:
-        return PARALLEL_HEADLINE_FLOOR, "full acceptance floor"
-    return (round(0.8 * ceiling, 2),
-            f"memory-bound σ kernel: measured ceiling {ceiling}x < "
-            f"{PARALLEL_HEADLINE_FLOOR}x")
+    if ceiling is None or ceiling >= full:
+        return full
+    return round(0.8 * ceiling, 2)
 
 
 def _time(fn: Callable, repeats: int):
@@ -332,9 +328,9 @@ def _remote_cases(scale: str) -> List[Dict]:
     No speedup floor is attached — two loopback subprocesses on one
     host measure protocol overhead, not distribution; the claims this
     column carries are bit-identity and wire efficiency.  The headline
-    gnp-400 case must keep the delta-encoded format at least
-    :data:`REMOTE_COMPRESSION_FLOOR` times smaller than a naive
-    full-column transfer.
+    gnp-400 case must keep the delta-encoded format at least the
+    ``remote.compression`` floor times smaller than a naive full-column
+    transfer.
     """
     hop = HopCountAlgebra(64)
 
@@ -433,13 +429,13 @@ def bench_remote_case(case: Dict, repeats: int) -> Dict:
              rem_delta.converged_at == ref_delta.converged_at and
              rem_delta.state.equals(ref_delta.state, alg))
 
-    # the ceiling the CI smoke gate holds future runs of this exact
-    # case to: the delta-encoded updates must stay well under a naive
-    # full-column transfer — the full acceptance floor on the headline,
-    # the generous quick floor on small cases where sparse-change
-    # encoding has less to work with
-    floor = (REMOTE_COMPRESSION_FLOOR if case.get("headline_remote")
-             else QUICK_REMOTE_COMPRESSION_FLOOR)
+    # the ceiling the remote.wire-ceiling gate holds future runs of
+    # this exact case to: the delta-encoded updates must stay well
+    # under a naive full-column transfer — the full compression floor
+    # on the headline, the generous quick floor on small cases where
+    # sparse-change encoding has less to work with
+    floor = GATE["remote.compression" if case.get("headline_remote")
+                 else "remote.compression-quick"].bound
     naive_per_round = (sigma_wire.naive_bytes / sigma_wire.rounds
                        if sigma_wire.rounds else 0.0)
     row.update(
@@ -464,10 +460,11 @@ def _service_cases(scale: str) -> List[Dict]:
 
     The claim this column carries is the tentpole acceptance: repeated
     queries against a warm session must be served from the fixed-point
-    cache ≥ :data:`SERVICE_CACHE_FLOOR` times faster (client-observed
-    p50) than cold computes, at a reported cache hit ratio, with zero
-    server-side errors — plus bit-identity of the served fixed point
-    against a direct :class:`~repro.session.RoutingSession` run.
+    cache at least the ``service.cache`` floor times faster
+    (client-observed p50) than cold computes, at a reported cache hit
+    ratio, with zero server-side errors — plus bit-identity of the
+    served fixed point against a direct
+    :class:`~repro.session.RoutingSession` run.
     """
     if scale == "smoke":
         return []                        # tier-1 smoke stays socket-free
@@ -1075,12 +1072,9 @@ def run_suite(scale: str = "full", repeats: Optional[int] = None) -> Dict:
     }
     ipc = bench_windowed_ipc(scale)
     report["windowed_ipc"] = [ipc] if ipc else []
-    rows = (report["sigma"] + report["delta"] + report["parallel"] +
-            report["batched"] + report["remote"] + report["service"] +
-            report["faults"] + report["scenarios"] +
-            report["windowed_ipc"])
     report["meta"]["all_fixed_points_equal"] = all(
-        r["fixed_points_equal"] for r in rows)
+        r["fixed_points_equal"] for column in COLUMNS
+        for r in report[column])
     return report
 
 
@@ -1193,307 +1187,290 @@ def _print_report(report: Dict) -> None:
 
 
 # ----------------------------------------------------------------------
-# Baseline regression (the --quick gate)
+# Acceptance gates: one table, one checking loop
 # ----------------------------------------------------------------------
 
-#: acceptance floor for the committed full run: the n=100 finite
-#: headline must show the vectorized engine ≥ 3× the incremental one.
-HEADLINE_VEC_FLOOR = 3.0
-#: guard for the quick-scale finite case in the *current* run: generous
-#: (timing noise, tiny cases), catches only catastrophic regressions.
-QUICK_VEC_FLOOR = 0.8
-#: acceptance floor for the committed parallel headline (n ≥ 400,
-#: ≥ 4 workers vs the vectorized engine) — only enforceable when the
-#: committed baseline was produced on a multi-core host.
-PARALLEL_HEADLINE_FLOOR = 2.0
-#: a baseline recorded on fewer CPUs than this cannot carry the
-#: parallel scaling claim; the gate skips the floor check cleanly.
-PARALLEL_MIN_BASELINE_CPUS = 4
-#: catastrophic-only floor for the *current* quick run's parallel rows:
-#: small quick-scale cases are IPC-dominated and noisy, so only a
-#: several-fold slowdown (an actual engine regression, not scheduling
-#: jitter) fails the gate.
-QUICK_PARALLEL_FLOOR = 0.25
-#: acceptance floor for the committed batched-grid headline: the n=100
-#: hop-count dense grid (>= 16 trials) must run >= 3x faster batched
-#: than through the per-trial vectorized loop.
-BATCHED_HEADLINE_FLOOR = 3.0
-#: catastrophic-only floor for the current quick run's batched row.
-QUICK_BATCHED_FLOOR = 0.5
-#: windowed remote δ must amortise at least this many schedule steps
-#: per worker command at the default window (16) on an amortisable run.
-WINDOWED_IPC_FLOOR = 8.0
-#: acceptance floor for the committed remote headline (gnp-400
-#: hop-count): the delta-encoded quantized σ updates must be at least
-#: this many times smaller than a naive full-column transfer.
-REMOTE_COMPRESSION_FLOOR = 4.0
-#: generous floor for small quick-scale remote cases, where a single
-#: round touches most columns and sparse-change encoding has less to
-#: exploit; catches only a broken codec, not small-n geometry.
-QUICK_REMOTE_COMPRESSION_FLOOR = 2.0
+#: the committed full-run baseline (what a full run rewrites)
+BASELINE = Path(__file__).resolve().parent.parent / "BENCH_core.json"
 
-#: acceptance floor for the committed full run: the 200-client service
-#: headline must serve repeated queries from the warm fixed-point
-#: cache at least 5x faster (client-observed p50) than cold computes.
-SERVICE_CACHE_FLOOR = 5.0
+#: the report columns, in report order
+COLUMNS = ("sigma", "delta", "parallel", "batched", "remote", "service",
+           "faults", "scenarios", "windowed_ipc")
 
-#: catastrophic floor for the current quick run's smaller fleet — a
-#: cache hit that is not clearly cheaper than a fixed-point compute
-#: means the cache (or the event loop) is broken, not merely noisy.
-QUICK_SERVICE_CACHE_FLOOR = 2.0
-
-#: ceiling on the committed faults headline's p99 time-to-heal after a
-#: worker kill: respawning two loopback workers and re-shipping the
-#: tables is tens of ms; a heal slower than this means the supervisor
-#: is thrashing (retry storms, leaked pools), not recovering.
-FAULT_HEAL_P99_CEILING_MS = 5000.0
+#: which report a gate holds: the committed baseline, a fresh quick
+#: run (``--quick`` and the CI steps that re-measure a column), or both
+COMMITTED, RUN, BOTH = "committed", "run", "both"
 
 
-def regress_against_baseline(report: Dict, baseline_path: Path) -> List[str]:
-    """Compare a quick run against the committed full-run baseline.
+class Gate(NamedTuple):
+    """One acceptance check: ``metric op bound`` on every row of
+    ``column`` that ``rows`` selects (``"meta"`` is a one-row column).
 
-    Returns a list of human-readable problems (empty = pass).  The
-    committed numbers carry the acceptance claims, so they are checked
-    structurally; the current run is checked for correctness on every
-    row and for a catastrophic vectorized slowdown on its finite
-    headline case.
+    ``metric`` is a dotted path into the row (``"heal_ms.p99"``) or a
+    function of the row; ``None`` makes the gate a presence check on
+    the number of selected rows.  ``bound`` is a value or a function
+    ``(row, meta) -> value``, where ``None`` means "not enforced on
+    this report".
     """
-    problems: List[str] = []
-    if not baseline_path.exists():
-        return [f"no committed baseline at {baseline_path}; "
-                "run the full suite first"]
-    baseline = json.loads(baseline_path.read_text())
 
-    if not baseline.get("meta", {}).get("all_fixed_points_equal"):
-        problems.append("baseline records an engine disagreement")
-    base_sigma = baseline.get("sigma", [])
-    vec_rows = [r for r in base_sigma
-                if r.get("vectorized_vs_incremental") is not None]
-    if not vec_rows:
-        problems.append("baseline has no vectorized column; "
-                        "re-run the full suite")
-    for r in base_sigma:
-        if r.get("headline_finite"):
-            ratio = r.get("vectorized_vs_incremental") or 0.0
-            if ratio < HEADLINE_VEC_FLOOR:
-                problems.append(
-                    f"baseline {r['case']}: vectorized only {ratio}x over "
-                    f"incremental (< {HEADLINE_VEC_FLOOR}x acceptance floor)")
+    name: str
+    reports: str
+    column: str
+    rows: Callable[[Dict], bool]
+    metric: Any
+    op: str
+    bound: Any
+    message: str
 
-    # -- parallel column (PR 3) -----------------------------------------
-    base_parallel = baseline.get("parallel", [])
-    base_meta = baseline.get("meta", {})
-    if not base_parallel:
-        problems.append("baseline has no parallel column; "
-                        "re-run the full suite")
-    else:
-        floor, reason = parallel_floor(base_meta)
-        if floor is None:
-            print(f"  (parallel scaling floor not enforced: {reason})")
-        else:
-            print(f"  (parallel scaling floor {floor}x — {reason})")
-            for r in base_parallel:
-                if not r.get("headline_parallel") or r.get("skipped"):
-                    continue
-                points = [p for p in r.get("scaling", [])
-                          if p["workers"] >= 4 and p["vs_vectorized"]]
-                best = max((p["vs_vectorized"] for p in points), default=0.0)
-                if best < floor:
-                    problems.append(
-                        f"baseline {r['case']}: parallel only {best}x over "
-                        f"vectorized with >= 4 workers (< {floor}x floor)")
-    for r in base_parallel:
-        if not r.get("fixed_points_equal", True):
-            problems.append(
-                f"baseline {r['case']}: parallel engine disagreement")
 
-    # -- batched column (PR 4) ------------------------------------------
-    base_batched = baseline.get("batched", [])
-    if not base_batched:
-        problems.append("baseline has no batched column; "
-                        "re-run the full suite")
-    for r in base_batched:
-        if not r.get("fixed_points_equal", True):
-            problems.append(
-                f"baseline {r['case']}: batched engine disagreement")
-        if r.get("headline_batched"):
-            ratio = r.get("batched_vs_loop") or 0.0
-            if r.get("trials", 0) < 16:
-                problems.append(
-                    f"baseline {r['case']}: batched headline has only "
-                    f"{r.get('trials')} trials (< 16)")
-            if ratio < BATCHED_HEADLINE_FLOOR:
-                problems.append(
-                    f"baseline {r['case']}: batched only {ratio}x over the "
-                    f"per-trial loop (< {BATCHED_HEADLINE_FLOOR}x "
-                    "acceptance floor)")
-    for r in baseline.get("windowed_ipc", []):
-        ratio = r.get("steps_per_command") or 0.0
-        if r.get("delta_steps", 0) >= 4 * r.get("window", 16) and \
-                ratio < WINDOWED_IPC_FLOOR:
-            problems.append(
-                f"baseline {r['case']}: windowed δ amortises only "
-                f"{ratio} steps/command (< {WINDOWED_IPC_FLOOR})")
+def _get(row: Dict, path: str) -> Any:
+    for key in path.split("."):
+        row = row.get(key) if isinstance(row, dict) else None
+    return row
 
-    # -- remote column (PR 6) -------------------------------------------
-    base_remote = baseline.get("remote", [])
-    if not base_remote:
-        problems.append("baseline has no remote column; "
-                        "re-run the full suite")
-    for r in base_remote:
-        if not r.get("fixed_points_equal", True):
-            problems.append(
-                f"baseline {r['case']}: remote engine disagreement")
-        if r.get("headline_remote") and not r.get("skipped"):
-            ratio = r.get("compression_ratio") or 0.0
-            if ratio < REMOTE_COMPRESSION_FLOOR:
-                problems.append(
-                    f"baseline {r['case']}: remote updates only {ratio}x "
-                    f"smaller than naive full-column transfer "
-                    f"(< {REMOTE_COMPRESSION_FLOOR}x acceptance floor)")
 
-    # -- service column (PR 7) ------------------------------------------
-    base_service = baseline.get("service", [])
-    if not base_service:
-        problems.append("baseline has no service column; "
-                        "re-run the full suite")
-    for r in base_service:
-        if not r.get("fixed_points_equal", True):
-            problems.append(
-                f"baseline {r['case']}: served fixed point disagrees "
-                "with a direct session run")
-        if r.get("server_errors"):
-            problems.append(
-                f"baseline {r['case']}: daemon reported "
-                f"{r['server_errors']} request errors under load")
-        if r.get("headline_service"):
-            ratio = r.get("cache_hit_speedup") or 0.0
-            if ratio < SERVICE_CACHE_FLOOR:
-                problems.append(
-                    f"baseline {r['case']}: warm-cache queries only "
-                    f"{ratio}x faster than cold computes "
-                    f"(< {SERVICE_CACHE_FLOOR}x acceptance floor)")
-            if r.get("clients", 0) < 100:
-                problems.append(
-                    f"baseline {r['case']}: service headline ran only "
-                    f"{r.get('clients')} concurrent clients (< 100)")
+def _every(row: Dict) -> bool:
+    return True
 
-    # -- scenarios column (PR 10) ---------------------------------------
-    base_scenarios = baseline.get("scenarios", [])
-    if not base_scenarios:
-        problems.append("baseline has no scenarios column; "
-                        "re-run the full suite")
-    for r in base_scenarios:
-        if r.get("failed_cells"):
-            problems.append(
-                f"baseline {r['case']}: {r['failed_cells']} failed "
-                f"survey cells (first: {(r.get('failures') or ['?'])[0]})")
-        if not r.get("fixed_points_equal", True):
-            problems.append(
-                f"baseline {r['case']}: batched survey grids disagree "
-                "with per-trial session replay")
-        if r.get("headline_scenarios") and \
-                r.get("oracle_checked", 0) < 48:
-            problems.append(
-                f"baseline {r['case']}: headline grid oracle-checked "
-                f"only {r.get('oracle_checked')} cells "
-                "(< the 6×4×2 acceptance floor)")
 
-    # -- faults column (PR 8) -------------------------------------------
-    base_faults = baseline.get("faults", [])
-    if not base_faults:
-        problems.append("baseline has no faults column; "
-                        "re-run the full suite")
-    for r in base_faults:
-        if r.get("skipped"):
+def _ran(row: Dict) -> bool:
+    """Rows that measured something (a host without workers skips)."""
+    return not row.get("skipped")
+
+
+def _flag(flag: str, ran: bool = False) -> Callable[[Dict], bool]:
+    """Rows marked ``flag`` (a case's headline marker); with ``ran``
+    only those that were not skipped."""
+    return lambda row: bool(row.get(flag)) and (not ran or _ran(row))
+
+
+def _measured(key: str) -> Callable[[Dict], bool]:
+    """Rows whose ``key`` was measured (a timing can underflow)."""
+    return lambda row: _ran(row) and row.get(key) is not None
+
+
+def _field(path: str) -> Callable[[Dict, Dict], Any]:
+    """A bound read from another field of the same row."""
+    return lambda row, _meta: _get(row, path)
+
+
+def best_at_4_workers(row: Dict) -> float:
+    """The parallel headline's best speedup over the vectorized engine
+    among its >= 4-worker scaling points."""
+    return max((p["vs_vectorized"] for p in row.get("scaling", [])
+                if p["workers"] >= 4 and p["vs_vectorized"]), default=0.0)
+
+
+GATES: Tuple[Gate, ...] = (
+    Gate("meta.agreement", COMMITTED, "meta", _every,
+         "all_fixed_points_equal", "==", True, "engines disagree"),
+    *(Gate(f"{column}.agreement", BOTH, column, _every,
+           "fixed_points_equal", "==", True, "engines disagree")
+      for column in COLUMNS),
+    # σ: incremental vs the frozen seed engine, vectorized vs both
+    Gate("sigma.headline", COMMITTED, "sigma", _flag("headline"), None,
+         ">=", 1, "the n=100 sparse-random headline case is missing"),
+    Gate("sigma.headline-n", COMMITTED, "sigma", _flag("headline"), "n",
+         ">=", 100, "the headline case is below n=100"),
+    Gate("sigma.headline-speedup", COMMITTED, "sigma", _flag("headline"),
+         "speedup", ">=", 10, "incremental σ is under 10x the seed engine"),
+    Gate("sigma.finite-headline", COMMITTED, "sigma",
+         _flag("headline_finite"), None, ">=", 1,
+         "the finite (vectorized) headline case is missing"),
+    Gate("sigma.vectorized", COMMITTED, "sigma", _flag("headline_finite"),
+         "vectorized_vs_incremental", ">=", 3.0, "vectorized σ too slow"),
+    Gate("sigma.vectorized-quick", RUN, "sigma", _flag("headline_finite"),
+         "vectorized_vs_incremental", ">=", 0.8, "vectorized σ regressed"),
+    # δ: the ring buffer bounds memory
+    Gate("delta.memory-bounded", COMMITTED, "delta", _every,
+         "memory_bounded", "==", True, "δ history is not bounded"),
+    Gate("delta.history-ring", COMMITTED, "delta", _every,
+         "bounded_history_retained", "<=",
+         lambda row, _meta: row["max_read_back"] + 2,
+         "the δ ring holds more than max_read_back + 2 states"),
+    # parallel: worker scaling, held to what the baseline host allows
+    Gate("parallel.headline", COMMITTED, "parallel",
+         _flag("headline_parallel"), None, ">=", 1,
+         "the n >= 400 parallel headline case is missing"),
+    Gate("parallel.headline-n", COMMITTED, "parallel",
+         _flag("headline_parallel"), "n", ">=", 400, "headline below n=400"),
+    Gate("parallel.skip-reason", COMMITTED, "parallel",
+         lambda row: bool(row.get("headline_parallel")) and not _ran(row),
+         "skipped", "contains", "single-core",
+         "only a single-core host may skip the headline"),
+    Gate("parallel.scaling", COMMITTED, "parallel",
+         _flag("headline_parallel", ran=True), best_at_4_workers, ">=",
+         lambda _row, meta: parallel_floor(meta),
+         ">= 4 workers under the hardware-aware floor over vectorized"),
+    Gate("parallel.scaling-quick", RUN, "parallel",
+         _measured("best_vs_vectorized"), "best_vs_vectorized", ">=", 0.25,
+         "the pool collapsed against vectorized"),
+    # batched: the tensor grid vs a per-trial loop
+    Gate("batched.headline", COMMITTED, "batched",
+         _flag("headline_batched"), None, ">=", 1,
+         "the n=100 batched-grid headline case is missing"),
+    Gate("batched.headline-n", COMMITTED, "batched",
+         _flag("headline_batched"), "n", ">=", 100, "headline below n=100"),
+    Gate("batched.headline-trials", COMMITTED, "batched",
+         _flag("headline_batched"), "trials", ">=", 16, "under 16 trials"),
+    Gate("batched.speedup", COMMITTED, "batched", _flag("headline_batched"),
+         "batched_vs_loop", ">=", 3.0, "batched grid too slow vs the loop"),
+    Gate("batched.speedup-quick", RUN, "batched",
+         _measured("batched_vs_loop"), "batched_vs_loop", ">=", 0.5,
+         "the batched engine collapsed against the per-trial loop"),
+    # windowed δ: schedule steps per remote worker command
+    Gate("windowed_ipc.present", BOTH, "windowed_ipc", _every, None,
+         ">=", 1, "the windowed-IPC row is missing"),
+    Gate("windowed_ipc.long-run", RUN, "windowed_ipc", _every,
+         "delta_steps", ">=", lambda row, _meta: 4 * row["window"],
+         "the run is too short to amortise (< 4 windows)"),
+    Gate("windowed_ipc.amortisation", BOTH, "windowed_ipc",
+         lambda row: row["delta_steps"] >= 4 * row["window"],
+         "steps_per_command", ">=", 8.0,
+         "too few δ steps per worker command (on >= 4 windows)"),
+    # remote: bit identity and wire efficiency
+    Gate("remote.headline", COMMITTED, "remote", _flag("headline_remote"),
+         None, ">=", 1, "the gnp-400 remote headline case is missing"),
+    Gate("remote.headline-n", COMMITTED, "remote", _flag("headline_remote"),
+         "n", ">=", 400, "headline below n=400"),
+    Gate("remote.headline-workers", COMMITTED, "remote",
+         _flag("headline_remote", ran=True), "workers", ">=", 2,
+         "headline ran fewer than 2 workers"),
+    Gate("remote.ran", RUN, "remote", _every, _ran, "==", True,
+         "the case did not run (no loopback workers)"),
+    Gate("remote.compression", COMMITTED, "remote",
+         _flag("headline_remote", ran=True), "compression_ratio", ">=", 4.0,
+         "σ updates compress too little vs a naive full-column transfer"),
+    Gate("remote.compression-quick", BOTH, "remote",
+         lambda row: _ran(row) and not row.get("headline_remote"),
+         "compression_ratio", ">=", 2.0,
+         "σ updates barely compress vs a naive full-column transfer"),
+    Gate("remote.wire-ceiling", BOTH, "remote", _ran, "bytes_per_round",
+         "<=", _field("bytes_per_round_ceiling"),
+         "σ traffic is over its bytes/round ceiling"),
+    Gate("remote.wire-rounds", COMMITTED, "remote",
+         _flag("headline_remote", ran=True), "sigma_wire.rounds", ">=",
+         _field("rounds"), "fewer wire barriers than σ rounds"),
+    # service: warm-cache hits vs cold computes
+    Gate("service.headline", COMMITTED, "service",
+         _flag("headline_service"), None, ">=", 1,
+         "the 200-client service headline case is missing"),
+    Gate("service.errors", BOTH, "service", _every, "server_errors", "==",
+         0, "the daemon reported request errors under load"),
+    Gate("service.clients", COMMITTED, "service",
+         _flag("headline_service"), "clients", ">=", 100,
+         "headline ran fewer than 100 concurrent clients"),
+    Gate("service.cache", COMMITTED, "service", _flag("headline_service"),
+         "cache_hit_speedup", ">=", 5.0, "warm-cache hits too slow"),
+    Gate("service.cache-quick", RUN, "service",
+         _measured("cache_hit_speedup"), "cache_hit_speedup", ">=", 2.0,
+         "warm-cache hits collapsed against cold computes"),
+    Gate("service.hit-ratio", COMMITTED, "service",
+         _flag("headline_service"), "cache_hit_ratio", ">", 0.0,
+         "no cache hits"),
+    Gate("service.hit-ratio-max", COMMITTED, "service",
+         _flag("headline_service"), "cache_hit_ratio", "<=", 1.0,
+         "hit ratio above 1"),
+    Gate("service.warm-tail", COMMITTED, "service",
+         _flag("headline_service"), "warm_ms.p99", ">=",
+         _field("warm_ms.p50"), "warm p99 below warm p50"),
+    # scenarios: the oracle-checked survey grid
+    Gate("scenarios.headline", COMMITTED, "scenarios",
+         _flag("headline_scenarios"), None, ">=", 1,
+         "the full survey-grid headline is missing"),
+    Gate("scenarios.failed-cells", BOTH, "scenarios", _every,
+         "failed_cells", "==", 0, "survey cells failed"),
+    Gate("scenarios.failures", COMMITTED, "scenarios", _every, "failures",
+         "==", [], "survey failures recorded"),
+    Gate("scenarios.cells", COMMITTED, "scenarios",
+         _flag("headline_scenarios"), "cells", ">=", 48,
+         "headline grid under the 6x4x2 acceptance floor"),
+    Gate("scenarios.oracle", COMMITTED, "scenarios",
+         lambda row: bool(row.get("headline_scenarios"))
+         and row["cells"] >= 48, "oracle_checked", "==", _field("cells"),
+         "not every cell of the headline grid was oracle-checked"),
+    # faults: heal every worker kill, fast
+    Gate("faults.present", COMMITTED, "faults", _every, None, ">=", 1,
+         "the faults column is missing"),
+    Gate("faults.healed", BOTH, "faults", _ran, "healed_every_kill", "==",
+         True, "a worker kill went unhealed"),
+    Gate("faults.heal-p99", COMMITTED, "faults",
+         _flag("headline_faults", ran=True), "heal_ms.p99", "<=", 5000.0,
+         "time-to-heal over the ceiling (the supervisor thrashes)"),
+)
+
+#: gates by name
+GATE = {gate.name: gate for gate in GATES}
+
+_OPS = {">=": operator.ge, "<=": operator.le, ">": operator.gt,
+        "==": operator.eq, "contains": operator.contains}
+
+
+def check_gates(report: Dict, which: str,
+                column: Optional[str] = None) -> List[Tuple[str, str]]:
+    """Hold ``report`` to every gate of ``which`` (:data:`COMMITTED` or
+    :data:`RUN`), or only to ``column``'s; returns ``(gate name,
+    problem)`` pairs, empty when every gate holds."""
+    label = "baseline" if which == COMMITTED else "current run"
+    meta = report.get("meta", {})
+    problems = []
+    for gate in GATES:
+        if gate.reports not in (which, BOTH) or \
+                column not in (None, gate.column):
             continue
-        if not r.get("fixed_points_equal", True):
-            problems.append(
-                f"baseline {r['case']}: healed runs disagree with the "
-                "fault-free fixed point")
-        if not r.get("healed_every_kill", True):
-            problems.append(
-                f"baseline {r['case']}: only {r.get('heals')} heals for "
-                f"{r.get('kills')} worker kills")
-        if r.get("headline_faults"):
-            p99 = (r.get("heal_ms") or {}).get("p99", 0.0)
-            if p99 > FAULT_HEAL_P99_CEILING_MS:
+        rows = report.get(gate.column) or []
+        rows = [r for r in ([rows] if isinstance(rows, dict) else rows)
+                if gate.rows(r)]
+        if gate.metric is None:          # a presence gate counts rows
+            if not _OPS[gate.op](len(rows), gate.bound):
                 problems.append(
-                    f"baseline {r['case']}: p99 time-to-heal {p99} ms "
-                    f"(> {FAULT_HEAL_P99_CEILING_MS} ms ceiling)")
-
-    for r in (report["sigma"] + report["delta"] + report["parallel"] +
-              report.get("batched", []) + report.get("remote", []) +
-              report.get("service", []) + report.get("faults", []) +
-              report.get("scenarios", []) +
-              report.get("windowed_ipc", [])):
-        if not r["fixed_points_equal"]:
-            problems.append(f"current run: engines disagree on {r['case']}")
-    for r in report.get("scenarios", []):
-        if r.get("failed_cells"):
-            problems.append(
-                f"current run: {r['failed_cells']} failed survey cells "
-                f"on {r['case']} "
-                f"(first: {(r.get('failures') or ['?'])[0]})")
-    for r in report.get("faults", []):
-        if not r.get("skipped") and not r.get("healed_every_kill", True):
-            problems.append(
-                f"current run: {r['case']} recorded only "
-                f"{r.get('heals')} heals for {r.get('kills')} kills")
-    for r in report.get("batched", []):
-        ratio = r.get("batched_vs_loop")
-        if ratio is not None and ratio < QUICK_BATCHED_FLOOR:
-            problems.append(
-                f"current run: batched engine collapsed to {ratio}x over "
-                f"the per-trial loop on {r['case']} "
-                f"(< {QUICK_BATCHED_FLOOR}x)")
-    for r in report.get("windowed_ipc", []):
-        ratio = r.get("steps_per_command") or 0.0
-        if r.get("delta_steps", 0) >= 4 * r.get("window", 16) and \
-                ratio < WINDOWED_IPC_FLOOR:
-            problems.append(
-                f"current run: windowed δ amortises only {ratio} "
-                f"steps/command on {r['case']} (< {WINDOWED_IPC_FLOOR})")
-    for r in report.get("remote", []):
-        if r.get("skipped"):
+                    (gate.name, f"{label} {gate.column}: {gate.message}"))
             continue
-        bpr = r.get("bytes_per_round")
-        ceiling = r.get("bytes_per_round_ceiling")
-        if bpr is not None and ceiling and bpr > ceiling:
-            problems.append(
-                f"current run: remote σ traffic on {r['case']} is "
-                f"{bpr} B/round, over the {ceiling} B/round ceiling "
-                "(delta-encoded updates no longer compress)")
-    for r in report.get("service", []):
-        ratio = r.get("cache_hit_speedup")
-        if ratio is not None and ratio < QUICK_SERVICE_CACHE_FLOOR:
-            problems.append(
-                f"current run: service warm-cache hits collapsed to "
-                f"{ratio}x over cold computes on {r['case']} "
-                f"(< {QUICK_SERVICE_CACHE_FLOOR}x)")
-        if r.get("server_errors"):
-            problems.append(
-                f"current run: daemon reported {r['server_errors']} "
-                f"request errors on {r['case']}")
-    for r in report["parallel"]:
-        if r.get("skipped"):
-            continue
-        best = r.get("best_vs_vectorized")
-        if best is not None and best < QUICK_PARALLEL_FLOOR:
-            problems.append(
-                f"current run: parallel engine collapsed to {best}x over "
-                f"vectorized on {r['case']} (< {QUICK_PARALLEL_FLOOR}x)")
-    for r in report["sigma"]:
-        if r.get("headline_finite"):
-            ratio = r.get("vectorized_vs_incremental")
-            if ratio is None:
-                problems.append(
-                    f"current run: {r['case']} lost its vectorized column")
-            elif ratio < QUICK_VEC_FLOOR:
-                problems.append(
-                    f"current run: vectorized regressed to {ratio}x over "
-                    f"incremental on {r['case']} (< {QUICK_VEC_FLOOR}x)")
+        for row in rows:
+            bound = gate.bound(row, meta) if callable(gate.bound) \
+                else gate.bound
+            if bound is None:
+                continue
+            if callable(gate.metric):
+                name, value = gate.metric.__name__, gate.metric(row)
+            else:
+                name, value = gate.metric, _get(row, gate.metric)
+            try:
+                ok = _OPS[gate.op](value, bound)
+            except TypeError:            # a missing value fails
+                ok = False
+            if not ok:
+                problems.append((gate.name, (
+                    f"{label} {row.get('case', gate.column)}: "
+                    f"{gate.message} ({name} = {value!r}, gate "
+                    f"{gate.op} {bound!r})")))
     return problems
+
+
+#: columns a CI step re-measures at quick scale
+_QUICK_RERUN = {
+    "remote": lambda: [bench_remote_case(case, 1)
+                       for case in _remote_cases("quick")],
+    "windowed_ipc": lambda: [row for row in [bench_windowed_ipc("quick")]
+                             if row],
+}
+
+
+def ci_gate(column: str) -> int:
+    """One CI step: the committed ``column`` against its committed gates
+    and — for a column in :data:`_QUICK_RERUN` — that column re-measured
+    at quick scale against its run gates.  Prints the rows it checked
+    and every problem; returns the exit code."""
+    baseline = json.loads(BASELINE.read_text())
+    problems = check_gates(baseline, COMMITTED, column)
+    rows = baseline.get(column, [])
+    if column in _QUICK_RERUN:
+        rows = _QUICK_RERUN[column]()
+        problems += check_gates({column: rows}, RUN, column)
+    print(json.dumps(rows, indent=1))
+    for _name, problem in problems:
+        print(f"  - {problem}")
+    return 1 if problems else 0
 
 
 def main(argv=None) -> int:
@@ -1519,21 +1496,26 @@ def main(argv=None) -> int:
     report = run_suite(scale, repeats=args.repeats)
     _print_report(report)
 
-    baseline = Path(__file__).resolve().parent.parent / "BENCH_core.json"
     ok = report["meta"]["all_fixed_points_equal"]
     if scale == "quick":
-        problems = regress_against_baseline(report, baseline)
+        if BASELINE.exists():
+            problems = check_gates(
+                json.loads(BASELINE.read_text()), COMMITTED) + \
+                check_gates(report, RUN)
+        else:
+            problems = [("", f"no committed baseline at {BASELINE}; run "
+                             "the full suite first")]
         if problems:
             print("\nbaseline regression FAILED:")
-            for p in problems:
-                print(f"  - {p}")
+            for _name, problem in problems:
+                print(f"  - {problem}")
             ok = False
         else:
-            print(f"\nbaseline regression vs {baseline.name}: ok")
+            print(f"\nbaseline regression vs {BASELINE.name}: ok")
 
     out = args.out
     if out is None and scale == "full":
-        out = baseline
+        out = BASELINE
     if out is not None:
         out.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
         print(f"wrote {out}")

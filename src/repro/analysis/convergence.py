@@ -36,16 +36,15 @@ def measure_sync(network: Network, start: Optional[RoutingState] = None,
                  max_rounds: int = 10_000) -> SyncMeasurement:
     """Iterate σ and measure rounds + churn.
 
-    Delegates to :meth:`repro.session.RoutingSession.sigma` with
-    ``measure_churn=True``: the negotiated rung counts entry changes
+    Delegates to :meth:`repro.session.RoutingSession.sigma`, whose
+    report carries the churn: the negotiated rung counts entry changes
     as it iterates (changed code columns on finite algebras, dirty
     sets on the incremental rung), so no trajectory is materialised.
     """
     from ..session import RoutingSession
 
     with RoutingSession(network) as session:
-        report = session.sigma(start, max_rounds=max_rounds,
-                               measure_churn=True)
+        report = session.sigma(start, max_rounds=max_rounds)
     return SyncMeasurement(report.converged, report.rounds, report.churn)
 
 

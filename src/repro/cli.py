@@ -332,9 +332,8 @@ def cmd_simulate(args) -> int:
     ref = synchronous_fixed_point(net)
     print(f"network        : {net.name} ({net.algebra.name})")
     # the event simulation itself is pure-python; only the final
-    # σ-stability verdict runs on the negotiated engine (a single
-    # stability check has no trial grid to batch, so the batched rung
-    # declines it — the reason chain says so)
+    # σ-stability verdict runs on the negotiated engine (every codes
+    # rung, batched included, takes the lone check)
     print(f"σ-check engine : {_describe_resolution(report.resolution)}")
     print(f"converged      : {res.converged} "
           f"(σ-stable: {res.final_state.equals(ref, net.algebra)})")
@@ -380,9 +379,8 @@ def cmd_scenarios(args) -> int:
         print(f"{'phase':<18} {'muts':>4} {'rounds':>6} {'churn':>6} "
               f"{'converged':>9}")
         for step in report.steps:
-            churn = "-" if step.churn is None else step.churn
             print(f"{step.label:<18} {step.mutations:>4} {step.rounds:>6} "
-                  f"{churn:>6} {str(step.converged):>9}")
+                  f"{step.churn:>6} {str(step.converged):>9}")
         print(f"total   : {report.phases} phases, "
               f"churn {report.total_churn}, rounds {report.total_rounds}, "
               f"{report.elapsed_s:.2f}s")

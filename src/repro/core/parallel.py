@@ -127,6 +127,20 @@ def _mp_context():
     return None                          # pragma: no cover - no methods
 
 
+def _split_columns(n: int, workers: int) -> List[Tuple[int, int]]:
+    """Contiguous ``np.array_split``-style column blocks, one per
+    worker (first ``n % workers`` blocks get the extra column) — the
+    layout of the pool's workers and of the remote rung's shards."""
+    base, extra = divmod(n, workers)
+    blocks = []
+    lo = 0
+    for w in range(workers):
+        hi = lo + base + (1 if w < extra else 0)
+        blocks.append((lo, hi))
+        lo = hi
+    return blocks
+
+
 def supports_parallel(algebra) -> bool:
     """True when the parallel engine *could* run this algebra here.
 
@@ -396,22 +410,7 @@ class ParallelVectorizedEngine(VectorizedEngine):
         self._seg_C = self._seg_dirty = self._seg_next = None
         self._C_view = self._dirty_view = self._next_view = None
         self._seg_tables = None
-        self._blocks = self._split_columns(network.n, resolved)
-
-    # -- layout ---------------------------------------------------------
-
-    @staticmethod
-    def _split_columns(n: int, workers: int) -> List[Tuple[int, int]]:
-        """Contiguous ``np.array_split``-style column blocks, one per
-        worker (first ``n % workers`` blocks get the extra column)."""
-        base, extra = divmod(n, workers)
-        blocks = []
-        lo = 0
-        for w in range(workers):
-            hi = lo + base + (1 if w < extra else 0)
-            blocks.append((lo, hi))
-            lo = hi
-        return blocks
+        self._blocks = _split_columns(network.n, resolved)
 
     # -- pool / shared-memory lifecycle ----------------------------------
 

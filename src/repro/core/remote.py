@@ -76,7 +76,7 @@ from .capabilities import (
     register_engine,
 )
 from .faults import FaultPlan
-from .parallel import _mp_context
+from .parallel import _mp_context, _split_columns
 from .schedule import CompiledSchedule, Schedule
 from .state import Network, RoutingState
 from .vectorized import (
@@ -225,19 +225,6 @@ def supports_remote(algebra) -> bool:
     must travel as small integers) and working sockets (always true on
     the supported platforms)."""
     return supports_vectorized(algebra)
-
-
-def _split_columns(n: int, workers: int) -> List[Tuple[int, int]]:
-    """Contiguous column blocks, one per worker — identical layout to
-    :meth:`ParallelVectorizedEngine._split_columns`."""
-    base, extra = divmod(n, workers)
-    blocks = []
-    lo = 0
-    for w in range(workers):
-        hi = lo + base + (1 if w < extra else 0)
-        blocks.append((lo, hi))
-        lo = hi
-    return blocks
 
 
 # ----------------------------------------------------------------------

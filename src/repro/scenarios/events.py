@@ -103,7 +103,7 @@ class EventPhase:
 def _materialise(mutations: Sequence[Mutation],
                  factory: EdgeFactory) -> Tuple[Mutation, ...]:
     """Fill every set-mutation's ``fn`` from its ``edge_seed`` using the
-    daemon's exact formula (`daemon._handle_mutation`), the bit-identity
+    daemon's exact formula (`daemon._SessionEntry.apply`), the bit-identity
     anchor between transports."""
     out = []
     for m in mutations:

@@ -54,8 +54,7 @@ DEFAULT_EVENTS: Tuple[str, ...] = (
 
 
 def replay_events(session: RoutingSession, events: Sequence, factory, *,
-                  seed: int = 0, max_rounds: int = 10_000,
-                  measure_churn: bool = True) -> ReplayReport:
+                  seed: int = 0, max_rounds: int = 10_000) -> ReplayReport:
     """Replay ``events`` through ``session`` with lazy compilation:
     each event compiles against the topology and fixed point left by
     its predecessors, seeded by :func:`~.events.event_seed`."""
@@ -63,8 +62,7 @@ def replay_events(session: RoutingSession, events: Sequence, factory, *,
     for idx, ev in enumerate(events):
         items.append(lambda net, st, _ev=ev, _s=event_seed(seed, idx):
                      compile_event(_ev, net, factory, _s, state=st))
-    return session.replay(items, max_rounds=max_rounds,
-                          measure_churn=measure_churn)
+    return session.replay(items, max_rounds=max_rounds)
 
 
 @dataclass

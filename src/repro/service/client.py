@@ -29,6 +29,7 @@ from typing import Any, Dict, Optional
 from .protocol import (
     ERR_BUSY,
     ERR_MALFORMED,
+    ERR_SERVER,
     MAX_LINE,
     SERVICE_VERSION,
     ServiceError,
@@ -36,6 +37,10 @@ from .protocol import (
 )
 
 __all__ = ["ServiceClient", "AsyncServiceClient"]
+
+#: what a verb method returns: the reply dict on :class:`ServiceClient`,
+#: an awaitable of it on :class:`AsyncServiceClient`
+Reply = Any
 
 
 def _check(reply: Dict[str, Any]) -> Dict[str, Any]:
@@ -47,7 +52,7 @@ def _check(reply: Dict[str, Any]) -> Dict[str, Any]:
         err = reply.get("error") or {}
         extra = {k: v for k, v in err.items()
                  if k not in ("code", "message")}
-        raise ServiceError(err.get("code", "server-error"),
+        raise ServiceError(err.get("code", ERR_SERVER),
                            err.get("message", "unspecified server error"),
                            **extra)
     return reply
@@ -62,9 +67,26 @@ def _stale(reply: Any, want: Any) -> bool:
     return echoed is not None and echoed != want
 
 
-class _RetryMixin:
-    """Shared retry policy: jittered exponential backoff, honoring the
-    server's ``retry_after_ms`` hint when one rode on the error."""
+def _request(verb: str, fields: Dict[str, Any],
+             **optional: Any) -> Dict[str, Any]:
+    """One verb's request frame: ``fields`` always, then each
+    ``optional`` field that is set (``None`` and ``False`` stay off the
+    wire)."""
+    req = {"verb": verb, **fields}
+    req.update((key, value) for key, value in optional.items()
+               if value is not None and value is not False)
+    return req
+
+
+class _Client:
+    """What both clients share: the retry policy (jittered exponential
+    backoff, honoring the server's ``retry_after_ms`` hint when one rode
+    on the error) and the verb vocabulary.
+
+    Each verb builds its request once and returns ``self.request(req)``
+    — the reply on :class:`ServiceClient`, an awaitable of it on
+    :class:`AsyncServiceClient`.  Subclasses provide ``request``.
+    """
 
     def _init_retry(self, retries: int, backoff_base: float,
                     backoff_cap: float) -> None:
@@ -89,60 +111,77 @@ class _RetryMixin:
             req["id"] = f"rt-{self._req_seq}"
         return req
 
+    # -- verbs -----------------------------------------------------------
 
-class _VerbMixin:
-    """Shared verb-to-request plumbing; subclasses provide ``request``."""
+    def _hello(self) -> Reply:
+        return self.request(_request("hello", {"v": SERVICE_VERSION}))
 
-    @staticmethod
-    def _load_req(algebra: str, n: int, topology: str, seed: int,
-                  engine: Optional[str]) -> Dict[str, Any]:
-        req = {"verb": "load", "algebra": algebra, "n": n,
-               "topology": topology, "seed": seed}
-        if engine is not None:
-            req["engine"] = engine
-        return req
+    def load(self, algebra: str, n: int, *, topology: str = "random",
+             seed: int = 0, engine: Optional[str] = None) -> Reply:
+        return self.request(_request(
+            "load", {"algebra": algebra, "n": n, "topology": topology,
+                     "seed": seed}, engine=engine))
 
-    @staticmethod
-    def _sigma_req(session: str, start_seed: Optional[int],
-                   max_rounds: int, include_state: bool) -> Dict[str, Any]:
-        req: Dict[str, Any] = {"verb": "sigma", "session": session,
-                               "max_rounds": max_rounds}
-        if start_seed is not None:
-            req["start_seed"] = start_seed
-        if include_state:
-            req["include_state"] = True
-        return req
+    def sigma(self, session: str, *, start_seed: Optional[int] = None,
+              max_rounds: int = 10_000,
+              include_state: bool = False) -> Reply:
+        return self.request(_request(
+            "sigma", {"session": session, "max_rounds": max_rounds},
+            start_seed=start_seed, include_state=bool(include_state)))
 
-    @staticmethod
-    def _routes_req(session: str, node: Optional[int],
-                    dest: Optional[int], start_seed: Optional[int],
-                    max_rounds: int) -> Dict[str, Any]:
-        req: Dict[str, Any] = {"verb": "routes", "session": session,
-                               "max_rounds": max_rounds}
-        if node is not None:
-            req["node"] = node
-        if dest is not None:
-            req["dest"] = dest
-        if start_seed is not None:
-            req["start_seed"] = start_seed
-        return req
+    def delta(self, session: str, *,
+              schedule: Optional[Dict[str, Any]] = None,
+              start_seed: Optional[int] = None, max_steps: int = 2_000,
+              include_state: bool = False) -> Reply:
+        return self.request(_request(
+            "delta", {"session": session, "max_steps": max_steps},
+            schedule=schedule, start_seed=start_seed,
+            include_state=bool(include_state)))
 
-    @staticmethod
-    def _delta_req(session: str, schedule: Optional[Dict[str, Any]],
-                   start_seed: Optional[int], max_steps: int,
-                   include_state: bool) -> Dict[str, Any]:
-        req: Dict[str, Any] = {"verb": "delta", "session": session,
-                               "max_steps": max_steps}
-        if schedule is not None:
-            req["schedule"] = schedule
-        if start_seed is not None:
-            req["start_seed"] = start_seed
-        if include_state:
-            req["include_state"] = True
-        return req
+    def routes(self, session: str, *, node: Optional[int] = None,
+               dest: Optional[int] = None,
+               start_seed: Optional[int] = None,
+               max_rounds: int = 10_000) -> Reply:
+        """One row (``node=``) or column (``dest=``) of the fixed point
+        as route strings — O(n) on the wire, cheaper than asking
+        ``sigma`` for the full state matrix."""
+        return self.request(_request(
+            "routes", {"session": session, "max_rounds": max_rounds},
+            node=node, dest=dest, start_seed=start_seed))
+
+    def convergence(self, session: str, *, n_starts: int = 3,
+                    seed: int = 0, max_steps: int = 2_000) -> Reply:
+        return self.request(_request(
+            "convergence", {"session": session, "n_starts": n_starts,
+                            "seed": seed, "max_steps": max_steps}))
+
+    def set_edge(self, session: str, i: int, k: int, *,
+                 edge_seed: int = 0) -> Reply:
+        return self.request(_request(
+            "set_edge", {"session": session, "i": i, "k": k,
+                         "edge_seed": edge_seed}))
+
+    def remove_edge(self, session: str, i: int, k: int) -> Reply:
+        return self.request(_request(
+            "remove_edge", {"session": session, "i": i, "k": k}))
+
+    def stats(self) -> Reply:
+        return self.request(_request("stats", {}))
+
+    def health(self) -> Reply:
+        """Lifecycle state (``restoring``/``ready``/``draining``) plus
+        durability lag — served in every state, even mid-restore."""
+        return self.request(_request("health", {}))
+
+    def snapshot(self) -> Reply:
+        """Force a durable snapshot now (daemon must have a state dir)."""
+        return self.request(_request("snapshot", {}))
+
+    def shutdown(self) -> Reply:
+        return self.request(_request("shutdown", {}))
 
 
-class ServiceClient(_VerbMixin, _RetryMixin):
+class ServiceClient(_Client):
     """Blocking JSON-over-TCP client (one socket, hello on connect).
 
     ``retries=N`` opts into retry: ``busy`` sheds back off (honoring
@@ -165,8 +204,7 @@ class ServiceClient(_VerbMixin, _RetryMixin):
         self._init_retry(retries, backoff_base, backoff_cap)
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._file = self._sock.makefile("rb")
-        self.server_hello = self.request(
-            {"verb": "hello", "v": SERVICE_VERSION})
+        self.server_hello = self._hello()
 
     # -- plumbing --------------------------------------------------------
 
@@ -216,69 +254,8 @@ class ServiceClient(_VerbMixin, _RetryMixin):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- verbs -----------------------------------------------------------
 
-    def load(self, algebra: str, n: int, *, topology: str = "random",
-             seed: int = 0, engine: Optional[str] = None) -> Dict[str, Any]:
-        return self.request(self._load_req(algebra, n, topology, seed,
-                                           engine))
-
-    def sigma(self, session: str, *, start_seed: Optional[int] = None,
-              max_rounds: int = 10_000,
-              include_state: bool = False) -> Dict[str, Any]:
-        return self.request(self._sigma_req(session, start_seed,
-                                            max_rounds, include_state))
-
-    def delta(self, session: str, *,
-              schedule: Optional[Dict[str, Any]] = None,
-              start_seed: Optional[int] = None, max_steps: int = 2_000,
-              include_state: bool = False) -> Dict[str, Any]:
-        return self.request(self._delta_req(session, schedule, start_seed,
-                                            max_steps, include_state))
-
-    def routes(self, session: str, *, node: Optional[int] = None,
-               dest: Optional[int] = None,
-               start_seed: Optional[int] = None,
-               max_rounds: int = 10_000) -> Dict[str, Any]:
-        """One row (``node=``) or column (``dest=``) of the fixed point
-        as route strings — O(n) on the wire, cheaper than asking
-        ``sigma`` for the full state matrix."""
-        return self.request(self._routes_req(session, node, dest,
-                                             start_seed, max_rounds))
-
-    def convergence(self, session: str, *, n_starts: int = 3,
-                    seed: int = 0,
-                    max_steps: int = 2_000) -> Dict[str, Any]:
-        return self.request({"verb": "convergence", "session": session,
-                             "n_starts": n_starts, "seed": seed,
-                             "max_steps": max_steps})
-
-    def set_edge(self, session: str, i: int, k: int, *,
-                 edge_seed: int = 0) -> Dict[str, Any]:
-        return self.request({"verb": "set_edge", "session": session,
-                             "i": i, "k": k, "edge_seed": edge_seed})
-
-    def remove_edge(self, session: str, i: int, k: int) -> Dict[str, Any]:
-        return self.request({"verb": "remove_edge", "session": session,
-                             "i": i, "k": k})
-
-    def stats(self) -> Dict[str, Any]:
-        return self.request({"verb": "stats"})
-
-    def health(self) -> Dict[str, Any]:
-        """Lifecycle state (``restoring``/``ready``/``draining``) plus
-        durability lag — served in every state, even mid-restore."""
-        return self.request({"verb": "health"})
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Force a durable snapshot now (daemon must have a state dir)."""
-        return self.request({"verb": "snapshot"})
-
-    def shutdown(self) -> Dict[str, Any]:
-        return self.request({"verb": "shutdown"})
-
-
-class AsyncServiceClient(_VerbMixin, _RetryMixin):
+class AsyncServiceClient(_Client):
     """``asyncio`` client — what the load generator fans out.
 
     ``retries=N`` opts into retry: ``busy`` sheds back off (honoring
@@ -316,8 +293,7 @@ class AsyncServiceClient(_VerbMixin, _RetryMixin):
         client = cls(reader, writer, retries=retries,
                      backoff_base=backoff_base, backoff_cap=backoff_cap,
                      request_timeout=request_timeout)
-        client.server_hello = await client.request(
-            {"verb": "hello", "v": SERVICE_VERSION})
+        client.server_hello = await client._hello()
         return client
 
     async def request(self, req: Dict[str, Any]) -> Dict[str, Any]:
@@ -363,70 +339,3 @@ class AsyncServiceClient(_VerbMixin, _RetryMixin):
             await self._writer.wait_closed()
         except (ConnectionError, OSError):
             pass
-
-    # -- verbs -----------------------------------------------------------
-
-    async def load(self, algebra: str, n: int, *, topology: str = "random",
-                   seed: int = 0,
-                   engine: Optional[str] = None) -> Dict[str, Any]:
-        return await self.request(self._load_req(algebra, n, topology,
-                                                 seed, engine))
-
-    async def sigma(self, session: str, *,
-                    start_seed: Optional[int] = None,
-                    max_rounds: int = 10_000,
-                    include_state: bool = False) -> Dict[str, Any]:
-        return await self.request(self._sigma_req(
-            session, start_seed, max_rounds, include_state))
-
-    async def delta(self, session: str, *,
-                    schedule: Optional[Dict[str, Any]] = None,
-                    start_seed: Optional[int] = None,
-                    max_steps: int = 2_000,
-                    include_state: bool = False) -> Dict[str, Any]:
-        return await self.request(self._delta_req(
-            session, schedule, start_seed, max_steps, include_state))
-
-    async def routes(self, session: str, *, node: Optional[int] = None,
-                     dest: Optional[int] = None,
-                     start_seed: Optional[int] = None,
-                     max_rounds: int = 10_000) -> Dict[str, Any]:
-        """One row (``node=``) or column (``dest=``) of the fixed point
-        as route strings — O(n) on the wire, cheaper than asking
-        ``sigma`` for the full state matrix."""
-        return await self.request(self._routes_req(session, node, dest,
-                                                   start_seed, max_rounds))
-
-    async def convergence(self, session: str, *, n_starts: int = 3,
-                          seed: int = 0,
-                          max_steps: int = 2_000) -> Dict[str, Any]:
-        return await self.request({"verb": "convergence",
-                                   "session": session,
-                                   "n_starts": n_starts, "seed": seed,
-                                   "max_steps": max_steps})
-
-    async def set_edge(self, session: str, i: int, k: int, *,
-                       edge_seed: int = 0) -> Dict[str, Any]:
-        return await self.request({"verb": "set_edge", "session": session,
-                                   "i": i, "k": k,
-                                   "edge_seed": edge_seed})
-
-    async def remove_edge(self, session: str, i: int,
-                          k: int) -> Dict[str, Any]:
-        return await self.request({"verb": "remove_edge",
-                                   "session": session, "i": i, "k": k})
-
-    async def stats(self) -> Dict[str, Any]:
-        return await self.request({"verb": "stats"})
-
-    async def health(self) -> Dict[str, Any]:
-        """Lifecycle state (``restoring``/``ready``/``draining``) plus
-        durability lag — served in every state, even mid-restore."""
-        return await self.request({"verb": "health"})
-
-    async def snapshot(self) -> Dict[str, Any]:
-        """Force a durable snapshot now (daemon must have a state dir)."""
-        return await self.request({"verb": "snapshot"})
-
-    async def shutdown(self) -> Dict[str, Any]:
-        return await self.request({"verb": "shutdown"})

@@ -50,6 +50,7 @@ import signal
 import threading
 import uuid
 from collections import OrderedDict, deque
+from functools import partial
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -90,7 +91,11 @@ __all__ = ["RoutingServiceDaemon", "serve"]
 
 logger = logging.getLogger("repro.service")
 
+_MUTATION_VERBS = ("set_edge", "remove_edge")
 _QUERY_VERBS = ("sigma", "delta", "convergence", "routes")
+#: the whole vocabulary, in the order the ``unknown-verb`` error lists it
+_VERBS = (("hello", "load") + _MUTATION_VERBS + _QUERY_VERBS +
+          ("stats", "health", "snapshot", "shutdown"))
 
 
 class _SessionEntry:
@@ -117,20 +122,38 @@ class _SessionEntry:
         #: against a freshly built network reproduces the adjacency and
         #: its version counter bit for bit (snapshots persist this).
         self.mutation_log: List[List[Any]] = []
-        #: small LRU of *fixed points* (RoutingState objects, never
+        #: small LRU of σ solves (``SigmaReport`` objects, never
         #: persisted — snapshots carry only JSON reply bodies) keyed by
         #: ``(version, start_seed, max_rounds)``, each stored with its
-        #: digest; lets ``routes`` queries for different rows/columns
-        #: share one σ solve and one hash of the n×n state.
+        #: digest; ``sigma`` and every ``routes`` row/column at one
+        #: version share one solve and one hash of the n×n state.
         self.state_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
 
     @property
     def version(self) -> int:
         return self.network.adjacency.version
 
-    def invalidate(self) -> int:
-        """Drop every cached report (they were computed against the
-        pre-mutation topology version); returns how many were dropped."""
+    def apply(self, verb: str, i, k, edge_seed=None) -> int:
+        """Apply one ``set_edge`` / ``remove_edge`` and log it — the
+        live verb, journal-tail replay and snapshot restore all mutate
+        through here, so one ``edge_seed`` always yields one edge
+        function.  Returns how many cached reports it invalidated."""
+        i, k = int(i), int(k)
+        before = self.version
+        if verb == "set_edge":
+            edge_seed = int(edge_seed)
+            self.network.set_edge(
+                i, k, self.factory(random.Random(edge_seed), i, k))
+        else:
+            edge_seed = None
+            self.network.remove_edge(i, k)
+        self.mutation_log.append([verb, i, k, edge_seed])
+        self.mutations += 1
+        if self.version == before:
+            # a write that left the topology as it was (removing an
+            # absent arc) keeps every cached answer valid
+            return 0
+        # every cached report was computed against the old version
         dropped = len(self.cache)
         self.cache.clear()
         self.state_cache.clear()
@@ -412,24 +435,10 @@ class RoutingServiceDaemon:
         self._persist.truncate_journal()
 
     def _restore_session(self, sess: Dict[str, Any]) -> None:
-        """One snapshot session -> a warm ``_SessionEntry``."""
-        params = sess["params"]
-        network, factory = _build_network(
-            params["algebra"], params["topology"],
-            int(params["n"]), int(params["seed"]))
-        mutations = [list(m) for m in sess.get("mutations", [])]
-        for verb, i, k, edge_seed in mutations:
-            if verb == "set_edge":
-                fn = factory(random.Random(int(edge_seed)), int(i), int(k))
-                network.set_edge(int(i), int(k), fn)
-            else:
-                network.remove_edge(int(i), int(k))
-        spec = EngineSpec(engine=params["engine"])
-        session = RoutingSession(network, spec)
-        entry = _SessionEntry(sess["sid"], network, session, factory,
-                              dict(params))
-        entry.mutation_log = mutations
-        entry.mutations = len(mutations)
+        """One snapshot session (or journalled ``load``) -> a warm
+        ``_SessionEntry``."""
+        entry = self._open(sess["sid"], sess["params"],
+                           sess.get("mutations", ()))
         recorded = sess.get("version")
         if recorded is not None and entry.version != recorded:
             # deterministic replay should make this unreachable; if it
@@ -442,7 +451,11 @@ class RoutingServiceDaemon:
         else:
             for key_json, body in sess.get("cache", []):
                 entry.cache[cache_key_from_json(key_json)] = body
-        self._admit_restored(entry)
+        for victim in self._admit(entry):
+            victim.session.close()
+        logger.info("restored session %s at version %d (%d cached "
+                    "report(s), %d mutation(s))", entry.sid, entry.version,
+                    len(entry.cache), entry.mutations)
 
     def _apply_tail_record(self, rec: Dict[str, Any]) -> None:
         """Replay one journal record beyond the snapshot."""
@@ -458,21 +471,11 @@ class RoutingServiceDaemon:
                            "evicted) session %s; skipping",
                            rec.get("seq"), rec.get("sid"))
             return
-        i, k = int(rec["i"]), int(rec["k"])
-        if verb == "set_edge":
-            edge_seed = int(rec.get("edge_seed", 0))
-            entry.network.set_edge(
-                i, k, entry.factory(random.Random(edge_seed), i, k))
-            entry.mutation_log.append(["set_edge", i, k, edge_seed])
-        elif verb == "remove_edge":
-            entry.network.remove_edge(i, k)
-            entry.mutation_log.append(["remove_edge", i, k, None])
-        else:
+        if verb not in _MUTATION_VERBS:
             logger.warning("journal record seq=%s has unknown verb %r; "
                            "skipping", rec.get("seq"), verb)
             return
-        entry.invalidate()
-        entry.mutations += 1
+        entry.apply(verb, rec["i"], rec["k"], rec.get("edge_seed", 0))
         recorded = rec.get("version")
         if recorded is not None and entry.version != recorded:
             logger.warning(
@@ -480,18 +483,41 @@ class RoutingServiceDaemon:
                 "record says %d", rec.get("seq"), entry.sid,
                 entry.version, recorded)
 
-    def _admit_restored(self, entry: _SessionEntry) -> None:
-        """Insert a restored session under the normal LRU bound."""
+    def _open(self, sid: str, params: Dict[str, Any],
+              mutations=()) -> _SessionEntry:
+        """Build one warm session from its load parameters and replay
+        its mutation log — a live ``load`` and both restore paths open
+        sessions here (blocking: runs off the event loop)."""
+        network, factory = _build_network(
+            params["algebra"], params["topology"],
+            int(params["n"]), int(params["seed"]))
+        try:
+            spec = EngineSpec(engine=params["engine"])
+        except ValueError as exc:
+            raise ServiceError(ERR_BAD_REQUEST, str(exc)) from None
+        try:
+            session = RoutingSession(network, spec)
+        except Exception as exc:
+            raise ServiceError(
+                ERR_ENGINE,
+                f"session construction failed: {exc}") from None
+        entry = _SessionEntry(sid, network, session, factory, dict(params))
+        for mutation in mutations:
+            entry.apply(*mutation)
+        return entry
+
+    def _admit(self, entry: _SessionEntry) -> List[_SessionEntry]:
+        """Register a session under the LRU bound; returns the evicted
+        sessions for the caller to close."""
+        victims = []
         while len(self._sessions) >= self.max_sessions:
             victim_sid, victim = self._sessions.popitem(last=False)
             self._evictions += 1
-            logger.warning("restore evicting LRU session %s to admit %s",
-                           victim_sid, entry.sid)
-            victim.session.close()
+            logger.warning("evicting LRU session %s (%s) to admit %s",
+                           victim_sid, victim.params, entry.sid)
+            victims.append(victim)
         self._sessions[entry.sid] = entry
-        logger.info("restored session %s at version %d (%d cached "
-                    "report(s), %d mutation(s))", entry.sid, entry.version,
-                    len(entry.cache), entry.mutations)
+        return victims
 
     # -- durability: journal + snapshots ---------------------------------
 
@@ -669,17 +695,11 @@ class RoutingServiceDaemon:
                     f"server speaks v{SERVICE_VERSION}",
                     verb=verb, req_id=req_id,
                     server_version=SERVICE_VERSION)
-            return {"ok": True, "verb": "hello", "id": req_id,
-                    "v": SERVICE_VERSION,
-                    "schedule_seed_version":
-                        RandomSchedule.SCHEDULE_SEED_VERSION}
+            return _hello_reply(req_id)
         try:
             if verb == "hello":
                 # idempotent re-hello on an established connection
-                return {"ok": True, "verb": "hello", "id": req_id,
-                        "v": SERVICE_VERSION,
-                        "schedule_seed_version":
-                            RandomSchedule.SCHEDULE_SEED_VERSION}
+                return _hello_reply(req_id)
             if verb == "health":
                 # served in every lifecycle state, including restoring
                 return self._handle_health(req)
@@ -687,7 +707,7 @@ class RoutingServiceDaemon:
                 # restoring: park everything else until the warm state
                 # is back (clients just see a slower first reply)
                 await self._restored.wait()
-            if verb in ("load", "set_edge", "remove_edge") or \
+            if verb == "load" or verb in _MUTATION_VERBS or \
                     verb in _QUERY_VERBS:
                 if self._draining:
                     return error_reply(
@@ -700,7 +720,7 @@ class RoutingServiceDaemon:
                 try:
                     if verb == "load":
                         return await self._handle_load(req)
-                    if verb in ("set_edge", "remove_edge"):
+                    if verb in _MUTATION_VERBS:
                         return await self._handle_mutation(req, verb)
                     return await self._handle_query(req, verb)
                 finally:
@@ -713,10 +733,7 @@ class RoutingServiceDaemon:
                 return {"ok": True, "verb": "shutdown", "id": req_id}
             return error_reply(
                 ERR_UNKNOWN_VERB,
-                f"unknown verb {verb!r}; the vocabulary is "
-                "('hello', 'load', 'set_edge', 'remove_edge', 'sigma', "
-                "'delta', 'convergence', 'routes', 'stats', 'health', "
-                "'snapshot', 'shutdown')",
+                f"unknown verb {verb!r}; the vocabulary is {_VERBS!r}",
                 verb=verb, req_id=req_id)
         except ServiceError as exc:
             return error_reply(exc.code, exc.message, verb=verb,
@@ -755,39 +772,25 @@ class RoutingServiceDaemon:
             f"{algebra}|{topology}|{n}|{seed}|{engine}".encode()
         ).hexdigest()[:12]
         entry = self._sessions.get(sid)
-        if entry is not None:
-            self._sessions.move_to_end(sid)
-            return self._load_reply(entry, req.get("id"), reused=True)
-        loop = asyncio.get_running_loop()
-        network, factory = await loop.run_in_executor(
-            None, _build_network, algebra, topology, n, seed)
-        entry = self._sessions.get(sid)
-        if entry is not None:  # a concurrent identical load won the race
-            self._sessions.move_to_end(sid)
-            return self._load_reply(entry, req.get("id"), reused=True)
-        try:
-            spec = EngineSpec(engine=engine)
-        except ValueError as exc:
-            raise ServiceError(ERR_BAD_REQUEST, str(exc)) from None
-        try:
-            session = RoutingSession(network, spec)
-        except Exception as exc:
-            raise ServiceError(
-                ERR_ENGINE,
-                f"session construction failed: {exc}") from None
-        entry = _SessionEntry(sid, network, session, factory, {
-            "algebra": algebra, "topology": topology, "n": n,
-            "seed": seed, "engine": engine})
-        while len(self._sessions) >= self.max_sessions:
-            victim_sid, victim = self._sessions.popitem(last=False)
-            self._evictions += 1
-            logger.warning("evicting LRU session %s (%s) to admit %s",
-                           victim_sid, victim.params, sid)
-            await loop.run_in_executor(None, victim.session.close)
-        self._sessions[sid] = entry
-        self._journal({"verb": "load", "sid": sid, "params": entry.params})
-        logger.info("loaded session %s: %s", sid, entry.params)
-        return self._load_reply(entry, req.get("id"), reused=False)
+        if entry is None:
+            loop = asyncio.get_running_loop()
+            fresh = await loop.run_in_executor(None, self._open, sid, {
+                "algebra": algebra, "topology": topology, "n": n,
+                "seed": seed, "engine": engine})
+            entry = self._sessions.get(sid)
+            if entry is None:
+                victims = self._admit(fresh)
+                # journalled before any await: a mutation of the new
+                # session can never reach the journal ahead of its load
+                self._journal({"verb": "load", "sid": sid,
+                               "params": fresh.params})
+                logger.info("loaded session %s: %s", sid, fresh.params)
+                for victim in victims:
+                    await loop.run_in_executor(None, victim.session.close)
+                return self._load_reply(fresh, req.get("id"), reused=False)
+            fresh.session.close()  # a concurrent identical load won
+        self._sessions.move_to_end(sid)
+        return self._load_reply(entry, req.get("id"), reused=True)
 
     @staticmethod
     def _load_reply(entry: _SessionEntry, req_id: Any,
@@ -827,28 +830,17 @@ class RoutingServiceDaemon:
             raise ServiceError(
                 ERR_BAD_REQUEST,
                 f"edge ({i}, {k}) outside the 0..{n - 1} node range")
+        edge_seed = (int(req.get("edge_seed", 0)) if verb == "set_edge"
+                     else None)
         async with entry.lock:
-            before = entry.version
-            if verb == "set_edge":
-                edge_seed = int(req.get("edge_seed", 0))
-                fn = entry.factory(random.Random(edge_seed), i, k)
-                entry.network.set_edge(i, k, fn)
-                entry.mutation_log.append(["set_edge", i, k, edge_seed])
-            else:
-                entry.network.remove_edge(i, k)
-                entry.mutation_log.append(["remove_edge", i, k, None])
-                edge_seed = None
-            # a write that left the topology as it was (removing an
-            # absent arc) keeps every cached answer valid
-            dropped = entry.invalidate() if entry.version != before else 0
-            entry.mutations += 1
+            dropped = entry.apply(verb, i, k, edge_seed)
             version = entry.version
             # journalled under the lock (journal order == application
             # order per session) and before the reply is sent: an
             # acknowledged mutation is always recoverable.
             record = {"verb": verb, "sid": entry.sid, "i": i, "k": k,
                       "version": version}
-            if verb == "set_edge":
+            if edge_seed is not None:
                 record["edge_seed"] = edge_seed
             self._journal(record)
         logger.info("session %s %s(%d, %d) -> version=%d, "
@@ -872,6 +864,8 @@ class RoutingServiceDaemon:
         if verb == "sigma":
             max_rounds = int(req.get("max_rounds", 10_000))
             knobs: Tuple = (max_rounds,)
+            compute = partial(self._compute_sigma, entry, start_seed,
+                              max_rounds, include_state)
         elif verb == "routes":
             max_rounds = int(req.get("max_rounds", 10_000))
             node = req.get("node")
@@ -891,16 +885,22 @@ class RoutingServiceDaemon:
             node = axis if node is not None else None
             dest = axis if node is None else None
             knobs = (max_rounds, node, dest)
+            compute = partial(self._compute_routes, entry, start_seed,
+                              max_rounds, node, dest)
         elif verb == "delta":
             sched_spec = req.get("schedule", {"kind": "round-robin"})
             schedule_from_spec(sched_spec, entry.network.n)  # validate now
             max_steps = int(req.get("max_steps", 2_000))
             knobs = (max_steps,)
+            compute = partial(self._compute_delta, entry, sched_spec,
+                              start_seed, max_steps, include_state)
         else:  # convergence
             n_starts = int(req.get("n_starts", 3))
             start_seed = int(req.get("seed", 0))  # grid's sampling seed
             max_steps = int(req.get("max_steps", 2_000))
             knobs = (n_starts, max_steps)
+            compute = partial(self._compute_convergence, entry, start_seed,
+                              n_starts, max_steps)
         # the fixed-point cache key from the module docs: topology
         # version + algebra + start + schedule (canonical) + the seed
         # semantics version, plus the verb's own knobs.
@@ -927,23 +927,8 @@ class RoutingServiceDaemon:
                     entry.cache.move_to_end(key)
                     return dict(cached, id=req_id, cached=True)
                 entry.misses += 1
-                loop = asyncio.get_running_loop()
-                if verb == "sigma":
-                    body = await loop.run_in_executor(
-                        None, self._compute_sigma, entry, start_seed,
-                        max_rounds, include_state)
-                elif verb == "routes":
-                    body = await loop.run_in_executor(
-                        None, self._compute_routes, entry, start_seed,
-                        max_rounds, node, dest)
-                elif verb == "delta":
-                    body = await loop.run_in_executor(
-                        None, self._compute_delta, entry, sched_spec,
-                        start_seed, max_steps, include_state)
-                else:
-                    body = await loop.run_in_executor(
-                        None, self._compute_convergence, entry, start_seed,
-                        n_starts, max_steps)
+                body = await asyncio.get_running_loop().run_in_executor(
+                    None, compute)
                 entry.cache[key] = body
                 while len(entry.cache) > self.cache_entries:
                     entry.cache.popitem(last=False)
@@ -958,21 +943,39 @@ class RoutingServiceDaemon:
         hint = percentile(lat, 50.0) if lat else 50.0
         return round(min(max(hint, 25.0), 2000.0), 3)
 
-    def _compute_sigma(self, entry: _SessionEntry,
-                       start_seed: Optional[int], max_rounds: int,
-                       include_state: bool) -> Dict[str, Any]:
+    def _solve(self, entry: _SessionEntry, verb: str,
+               start_seed: Optional[int], max_rounds: int) -> Tuple:
+        """``(SigmaReport, digest)`` of the σ solve at the entry's
+        topology version — computed once per ``(version, start_seed,
+        max_rounds)`` and shared by ``sigma`` and every ``routes``
+        slice through the entry's state cache."""
+        skey = (entry.version, start_seed, max_rounds)
+        solved = entry.state_cache.get(skey)
+        if solved is not None:
+            entry.state_cache.move_to_end(skey)
+            return solved
         start = start_state(entry.network, start_seed)
         try:
             report = entry.session.sigma(start, max_rounds=max_rounds)
         except Exception as exc:
             raise ServiceError(ERR_ENGINE,
-                               f"sigma failed: {exc}") from None
+                               f"{verb} failed: {exc}") from None
+        solved = entry.state_cache[skey] = (report,
+                                            state_digest(report.state))
+        while len(entry.state_cache) > 4:
+            entry.state_cache.popitem(last=False)
+        return solved
+
+    def _compute_sigma(self, entry: _SessionEntry,
+                       start_seed: Optional[int], max_rounds: int,
+                       include_state: bool) -> Dict[str, Any]:
+        report, digest = self._solve(entry, "sigma", start_seed, max_rounds)
         body = {"ok": True, "verb": "sigma", "session": entry.sid,
                 "version": entry.version,
                 "converged": report.converged, "rounds": report.rounds,
                 "engine": report.resolution.chosen,
                 "compute_ms": report.elapsed_s * 1e3,
-                "digest": state_digest(report.state)}
+                "digest": digest}
         if include_state:
             body["state"] = state_matrix(report.state)
         return body
@@ -982,30 +985,14 @@ class RoutingServiceDaemon:
                         node: Optional[int],
                         dest: Optional[int]) -> Dict[str, Any]:
         """One row/column of the fixed point as route strings — O(n)
-        on the wire against ``include_state``'s O(n²), with the solved
-        state shared across slices through the entry's state cache."""
-        skey = (entry.version, start_seed, max_rounds)
-        cached = entry.state_cache.get(skey)
-        if cached is not None:
-            state, converged, rounds, digest = cached
-            entry.state_cache.move_to_end(skey)
-        else:
-            start = start_state(entry.network, start_seed)
-            try:
-                report = entry.session.sigma(start, max_rounds=max_rounds)
-            except Exception as exc:
-                raise ServiceError(ERR_ENGINE,
-                                   f"routes failed: {exc}") from None
-            state, converged, rounds = \
-                report.state, report.converged, report.rounds
-            digest = state_digest(state)
-            entry.state_cache[skey] = (state, converged, rounds, digest)
-            while len(entry.state_cache) > 4:
-                entry.state_cache.popitem(last=False)
+        on the wire against ``include_state``'s O(n²)."""
+        report, digest = self._solve(entry, "routes", start_seed,
+                                     max_rounds)
+        state = report.state
         routes = state.row(node) if node is not None else state.column(dest)
         return {"ok": True, "verb": "routes", "session": entry.sid,
-                "version": entry.version, "converged": converged,
-                "rounds": rounds, "node": node, "dest": dest,
+                "version": entry.version, "converged": report.converged,
+                "rounds": report.rounds, "node": node, "dest": dest,
                 "routes": [str(r) for r in routes],
                 "digest": digest}
 
@@ -1124,6 +1111,15 @@ class RoutingServiceDaemon:
                            "p50": percentile(lat, 50.0),
                            "p99": percentile(lat, 99.0)},
         }
+
+
+def _hello_reply(req_id: Any) -> Dict[str, Any]:
+    """The ``hello`` reply: the protocol version and the
+    :data:`~repro.core.schedule.RandomSchedule.SCHEDULE_SEED_VERSION`
+    the daemon's random schedules assume."""
+    return {"ok": True, "verb": "hello", "id": req_id,
+            "v": SERVICE_VERSION,
+            "schedule_seed_version": RandomSchedule.SCHEDULE_SEED_VERSION}
 
 
 def _build_network(algebra_name: str, topology: str, n: int, seed: int):

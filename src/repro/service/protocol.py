@@ -88,7 +88,7 @@ ERR_UNKNOWN_VERB = "unknown-verb"      # verb outside the vocabulary
 ERR_BAD_REQUEST = "bad-request"        # missing/invalid parameters
 ERR_NO_SESSION = "no-session"          # unknown (or evicted) session id
 ERR_ENGINE = "engine-error"            # engine negotiation/run failure
-ERR_SERVER = "server-error"            # unexpected server-side failure
+ERR_SERVER = "server-error"            # client-side: error reply lacks a code
 ERR_BUSY = "busy"                      # load shed: retry after the hint
 ERR_DRAINING = "draining"              # graceful drain: not admitting work
 ERR_INTERNAL = "internal"              # server bug; carries correlation id

@@ -51,12 +51,11 @@ What the session owns:
 σ/δ dispatch below it (``_iterate_sigma_resolved`` /
 ``_delta_run_resolved``) and the protocol simulator's σ-stability check
 run whatever rung the session negotiated — a σ report's churn
-(``measure_churn``) included, which every rung counts as it iterates.
+included, which every rung counts as it iterates.
 """
 
 from __future__ import annotations
 
-import random
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -64,11 +63,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .core.algebra import PathAlgebra
-from .core.asynchronous import (
-    AsyncResult,
-    _delta_run_resolved,
-    random_state,
-)
+from .core.asynchronous import AsyncResult, _delta_run_resolved
 from .core.capabilities import (
     EngineResolution,
     LADDER,
@@ -115,10 +110,7 @@ class EngineSpec:
     capabilities require).
     ``strict=True`` turns any fallback from a concrete request into an
     :class:`~repro.core.capabilities.UnsupportedEngineError` carrying
-    the reason chain.  ``history`` is the default δ history policy:
-    ``"bounded"`` (ring buffer), ``"full"`` (retain and return every
-    state), or ``"literal"`` (the strict paper recursion — always the
-    naive rung).  ``workers`` sizes the parallel pool.
+    the reason chain.  ``workers`` sizes the parallel pool.
 
     The remote rung needs a transport: ``endpoints`` (``"host:port"``
     strings or ``(host, port)`` pairs, one shard each) or
@@ -145,7 +137,6 @@ class EngineSpec:
 
     engine: str = "auto"
     workers: Optional[int] = None
-    history: str = "bounded"
     strict: bool = False
     remote_workers: Optional[int] = None
     endpoints: Optional[Tuple] = None
@@ -160,10 +151,6 @@ class EngineSpec:
             raise ValueError(
                 f"unknown engine {self.engine!r}; choose from "
                 f"{('auto',) + LADDER}")
-        if self.history not in ("bounded", "full", "literal"):
-            raise ValueError(
-                f"unknown history policy {self.history!r}; choose from "
-                "('bounded', 'full', 'literal')")
         if self.endpoints is not None:
             object.__setattr__(self, "endpoints", tuple(self.endpoints))
         if self.socket_timeout is not None and self.socket_timeout <= 0:
@@ -192,7 +179,7 @@ class SigmaReport:
     resolution: EngineResolution      #: which rung ran, and why
     elapsed_s: float                  #: wall-clock seconds
     trajectory: Optional[List[RoutingState]] = field(default=None, repr=False)
-    churn: Optional[int] = None       #: total entry changes (measure_churn)
+    churn: int = 0                    #: total entry changes over the run
     #: remote rung: per-run wire traffic (bytes/round, compression ratio)
     wire: Optional[WireStats] = field(default=None, repr=False)
     #: remote rung: healing events this run survived (empty = clean run)
@@ -336,7 +323,7 @@ class ReplayStep:
     version: int                      #: adjacency version the solve ran at
     converged: bool
     rounds: int                       #: σ rounds to re-converge
-    churn: Optional[int]              #: entry changes during re-convergence
+    churn: int                        #: entry changes during re-convergence
     elapsed_s: float
     state: RoutingState = field(default=None, repr=False)
 
@@ -359,7 +346,7 @@ class ReplayReport:
     def total_churn(self) -> int:
         """Entry changes summed over every post-mutation re-convergence
         (the initial solve is establishment, not churn)."""
-        return sum(step.churn or 0 for step in self.steps[1:])
+        return sum(step.churn for step in self.steps[1:])
 
     @property
     def total_rounds(self) -> int:
@@ -571,17 +558,16 @@ class RoutingSession:
 
     def sigma(self, start: Optional[RoutingState] = None, *,
               max_rounds: int = 10_000, keep_trajectory: bool = False,
-              detect_cycles: bool = False,
-              measure_churn: bool = False) -> SigmaReport:
+              detect_cycles: bool = False) -> SigmaReport:
         """Iterate σ to a fixed point; returns a :class:`SigmaReport`.
 
         ``start`` defaults to the identity matrix (the clean start).
         ``detect_cycles`` stops early on a repeated state (limit
-        cycle), reporting ``converged=False``.  ``measure_churn`` puts
-        the total entry changes over the run on the report, counted on
-        the negotiated rung as it iterates (changed columns on the
-        codes rungs, the dirty sets on ``incremental``, a per-round
-        entry compare on ``naive``) — no trajectory is kept for it.
+        cycle), reporting ``converged=False``.  The report's ``churn``
+        is the total entry changes over the run, counted on the
+        negotiated rung as it iterates (changed columns on the codes
+        rungs, the dirty sets on ``incremental``, a per-round entry
+        compare on ``naive``) — no trajectory is kept for it.
         """
         self._check_open()
         net = self.network
@@ -597,7 +583,7 @@ class RoutingSession:
             converged=result.converged, rounds=result.rounds,
             state=result.state, resolution=resolution,
             elapsed_s=perf_counter() - t0, trajectory=result.trajectory,
-            churn=result.churn if measure_churn else None,
+            churn=result.churn,
             wire=self._wire_snapshot(resolution),
             degraded=self._degraded_snapshot(resolution), result=result)
 
@@ -606,22 +592,19 @@ class RoutingSession:
     def delta(self, schedule: Schedule,
               start: Optional[RoutingState] = None, *,
               max_steps: int = 2_000, stability_window: Optional[int] = None,
-              keep_history: Optional[bool] = None,
-              strict: Optional[bool] = None) -> DeltaReport:
+              keep_history: bool = False,
+              strict: bool = False) -> DeltaReport:
         """Run δ under ``schedule``; returns a :class:`DeltaReport`.
 
-        ``keep_history`` / ``strict`` default from the spec's history
-        policy (``"full"`` / ``"literal"``).
+        ``keep_history=True`` retains and returns every state;
+        ``strict=True`` runs the literal paper recursion (the naive
+        rung).
         """
         self._check_open()
         net = self.network
         _check_schedule_size(schedule, net)
         if start is None:
             start = RoutingState.identity(net.algebra, net.n)
-        if keep_history is None:
-            keep_history = self.spec.history == "full"
-        if strict is None:
-            strict = self.spec.history == "literal"
         resolution = self.resolve("delta", schedule=schedule,
                                   keep_history=keep_history, literal=strict)
         t0 = perf_counter()
@@ -661,11 +644,7 @@ class RoutingSession:
         batched rung stacks the grid into one ``(B, n, n)`` tensor
         (``batch_size`` chunks the batch axis), the other two run one
         trial per call.  The remote and object rungs loop trials against
-        one shared engine.
-        The spec's ``history`` policy applies to every trial
-        (``"literal"`` runs the strict paper recursion per trial,
-        ``"full"`` retains each trial's history — visible with
-        ``keep_results``).  ``keep_results`` retains the per-trial
+        one shared engine.  ``keep_results`` retains the per-trial
         :class:`~repro.core.asynchronous.AsyncResult` list on the
         report.
 
@@ -682,10 +661,7 @@ class RoutingSession:
         trials = list(trials)
         for sched, _start in trials:
             _check_schedule_size(sched, net)
-        keep_history = self.spec.history == "full"
-        literal = self.spec.history == "literal"
-        resolution = self.resolve("grid", keep_history=keep_history,
-                                  literal=literal)
+        resolution = self.resolve("grid")
         t0 = perf_counter()
         results: List[AsyncResult] = []
         wire_base = None
@@ -719,7 +695,6 @@ class RoutingSession:
                 results.append(_delta_run_resolved(
                     net, sched, start, resolution.chosen,
                     max_steps=max_steps, stability_window=stability_window,
-                    keep_history=keep_history,
                     workers=resolution.workers, engine_obj=eng))
         alg = net.algebra
         fixed_points: List[RoutingState] = []
@@ -751,8 +726,7 @@ class RoutingSession:
     # -- event replay ----------------------------------------------------
 
     def replay(self, phases, *, start: Optional[RoutingState] = None,
-               max_rounds: int = 10_000,
-               measure_churn: bool = True) -> ReplayReport:
+               max_rounds: int = 10_000) -> ReplayReport:
         """Replay a timed mutation stream, measuring re-convergence
         after every phase; returns a :class:`ReplayReport`.
 
@@ -768,14 +742,12 @@ class RoutingSession:
         ``"initial"`` step), then for each phase applies its mutations
         to the shared adjacency — bumping ``adjacency.version``, so the
         incremental engines see exactly the dirty entries — and
-        re-solves σ *warm-started from the previous fixed point*.
-        ``measure_churn`` counts entry changes per re-convergence (the
-        code-diff fast path on codes-based rungs).
+        re-solves σ *warm-started from the previous fixed point*,
+        counting the entry changes of each re-convergence.
         """
         self._check_open()
         t0 = perf_counter()
-        report = self.sigma(start, max_rounds=max_rounds,
-                            measure_churn=measure_churn)
+        report = self.sigma(start, max_rounds=max_rounds)
         steps = [ReplayStep(
             label="initial", mutations=0,
             version=self.network.adjacency.version,
@@ -789,8 +761,7 @@ class RoutingSession:
             for phase in compiled:
                 for mutation in phase.mutations:
                     mutation.apply(self.network)
-                report = self.sigma(steps[-1].state, max_rounds=max_rounds,
-                                    measure_churn=measure_churn)
+                report = self.sigma(steps[-1].state, max_rounds=max_rounds)
                 steps.append(ReplayStep(
                     label=phase.label, mutations=len(phase.mutations),
                     version=self.network.adjacency.version,
@@ -821,11 +792,8 @@ class RoutingSession:
         net = self.network
         if schedules is None:
             schedules = schedule_zoo(net.n, seeds=(seed, seed + 17))
-        rng = random.Random(seed)
-        starts: List[RoutingState] = [
-            RoutingState.identity(net.algebra, net.n)]
-        for _ in range(n_starts):
-            starts.append(random_state(net.algebra, net.n, rng))
+        from .analysis.convergence import sample_starts
+        starts = sample_starts(net, n_starts, seed=seed)
         grid = self.delta_grid(
             [(sched, start) for start in starts for sched in schedules],
             max_steps=max_steps)
@@ -860,9 +828,9 @@ class RoutingSession:
         :class:`SimulationReport`.
 
         The final σ-stability verdict runs on the session's negotiated
-        stability engine (a lone check has no trial grid, so the
-        batched rung falls one rung down); the simulator borrows the
-        session's managed engine instance and never closes it.
+        stability engine (every codes rung takes a lone check: it is one
+        round of the σ loop); the simulator borrows the session's
+        managed engine instance and never closes it.
         """
         self._check_open()
         from .protocols.simulator import Simulator

@@ -6,6 +6,7 @@ pytest entry is gated behind the ``perfbench`` marker, which
 ``pytest.ini`` deselects by default.
 """
 
+import copy
 import json
 import sys
 from pathlib import Path
@@ -53,141 +54,110 @@ class TestSmokeSuite:
             run_benchmarks.run_suite("galactic")
 
 
-class TestCommittedBaseline:
-    """BENCH_core.json is the committed perf trajectory; keep it honest."""
-
-    def test_committed_report_meets_acceptance(self):
-        path = BENCH_DIR.parent / "BENCH_core.json"
-        report = json.loads(path.read_text())
-        assert report["meta"]["all_fixed_points_equal"]
-        headline = [r for r in report["sigma"] if r.get("headline")]
-        assert headline, "headline n=100 sparse random case missing"
-        for row in headline:
-            assert row["n"] >= 100
-            assert row["speedup"] >= 10, row
-        for row in report["delta"]:
-            assert row["memory_bounded"], row
-            assert (row["bounded_history_retained"]
-                    <= row["max_read_back"] + 2), row
-
-    def test_committed_parallel_column(self):
-        """The PR 3 column: a headline row must exist, carry agreement
-        evidence, and meet the hardware-aware floor (the full ≥ 2×
-        acceptance floor when the baseline host's σ-kernel scaling
-        ceiling allows it, 80% of the measured memory-bandwidth ceiling
-        otherwise — see ``run_benchmarks.parallel_floor``)."""
-        path = BENCH_DIR.parent / "BENCH_core.json"
-        report = json.loads(path.read_text())
-        rows = report.get("parallel", [])
-        headline = [r for r in rows if r.get("headline_parallel")]
-        assert headline, "parallel headline (n >= 400) case missing"
-        for row in rows:
-            assert row["fixed_points_equal"], row["case"]
-        floor, _reason = run_benchmarks.parallel_floor(report["meta"])
-        for row in headline:
-            assert row["n"] >= 400
-            if row.get("skipped"):
-                # single-core baseline host: the skip must say why
-                assert "single-core" in row["skipped"]
-                continue
-            if floor is not None:
-                best = max((p["vs_vectorized"] or 0.0)
-                           for p in row["scaling"] if p["workers"] >= 4)
-                assert best >= floor, (row, floor)
+BASELINE = json.loads(run_benchmarks.BASELINE.read_text())
+COMMITTED, RUN = run_benchmarks.COMMITTED, run_benchmarks.RUN
 
 
-class TestCommittedBatchedColumn:
-    """The PR 4 columns: batched-grid headline and windowed-δ IPC."""
+def _rows(report, column):
+    rows = report[column]
+    return [rows] if isinstance(rows, dict) else rows
 
-    def test_committed_batched_headline(self):
-        path = BENCH_DIR.parent / "BENCH_core.json"
-        report = json.loads(path.read_text())
-        rows = report.get("batched", [])
-        headline = [r for r in rows if r.get("headline_batched")]
-        assert headline, "batched headline (n=100 grid) case missing"
-        for row in rows:
-            assert row["fixed_points_equal"], row["case"]
-        for row in headline:
-            assert row["n"] >= 100
-            assert row["trials"] >= 16
-            assert row["batched_vs_loop"] >= \
-                run_benchmarks.BATCHED_HEADLINE_FLOOR, row
 
-    def test_committed_remote_headline(self):
-        """The PR 6 column: the gnp-400 remote headline must carry
-        bit-identity evidence and keep the delta-encoded σ updates at
-        least ``REMOTE_COMPRESSION_FLOOR`` times smaller than a naive
-        full-column transfer."""
-        path = BENCH_DIR.parent / "BENCH_core.json"
-        report = json.loads(path.read_text())
-        rows = report.get("remote", [])
-        headline = [r for r in rows if r.get("headline_remote")]
-        assert headline, "remote headline (gnp-400) case missing"
-        for row in rows:
-            assert row["fixed_points_equal"], row["case"]
-        for row in headline:
-            assert row["n"] >= 400
-            if row.get("skipped"):
-                continue
-            assert row["workers"] >= 2
-            assert row["compression_ratio"] >= \
-                run_benchmarks.REMOTE_COMPRESSION_FLOOR, row
-            assert row["bytes_per_round"] <= \
-                row["bytes_per_round_ceiling"], row
-            # protocol barriers include the init/fetch cycles, so the
-            # wire round count can only exceed the σ round count
-            assert row["sigma_wire"]["rounds"] >= row["rounds"]
+def _past(op, bound):
+    """A value that fails ``value op bound``."""
+    if op == "==":
+        if isinstance(bound, bool):
+            return not bound
+        return ["pushed"] if bound == [] else bound + 1
+    return {">=": bound - 1, "<=": bound + 1, ">": bound}[op]
 
-    def test_committed_service_headline(self):
-        """The PR 7 column: the 200-client service headline must serve
-        warm-cache repeated queries ≥ ``SERVICE_CACHE_FLOOR`` times
-        faster than cold computes, error-free, with the served fixed
-        point bit-identical to a direct session run."""
-        path = BENCH_DIR.parent / "BENCH_core.json"
-        report = json.loads(path.read_text())
-        rows = report.get("service", [])
-        headline = [r for r in rows if r.get("headline_service")]
-        assert headline, "service headline (200 clients) case missing"
-        for row in rows:
-            assert row["fixed_points_equal"], row["case"]
-            assert row["server_errors"] == 0, row["case"]
-        for row in headline:
-            assert row["clients"] >= 100
-            assert row["cache_hit_speedup"] >= \
-                run_benchmarks.SERVICE_CACHE_FLOOR, row
-            assert 0.0 < row["cache_hit_ratio"] <= 1.0
-            assert row["warm_ms"]["p99"] >= row["warm_ms"]["p50"]
 
-    def test_committed_scenarios_column(self):
-        """The PR 10 column: the full (topology × event × algebra)
-        survey headline must run every cell through the per-trial
-        session-replay oracle with zero failures — bit-identity between
-        the batched grid path and ``RoutingSession.replay``."""
-        path = BENCH_DIR.parent / "BENCH_core.json"
-        report = json.loads(path.read_text())
-        rows = report.get("scenarios", [])
-        headline = [r for r in rows if r.get("headline_scenarios")]
-        assert headline, "scenarios headline (full survey grid) missing"
-        for row in rows:
-            assert row["fixed_points_equal"], row["case"]
-            assert row["failed_cells"] == 0, row["case"]
-            assert row["failures"] == [], row["case"]
-        for row in headline:
-            # acceptance floor: >= 6 topologies x >= 4 events x
-            # >= 2 algebras, every cell oracle-checked
-            assert row["cells"] >= 48, row
-            assert row["oracle_checked"] == row["cells"], row
+def _headline_parallel(report):
+    return next(r for r in report["parallel"] if r["headline_parallel"])
 
-    def test_committed_windowed_ipc(self):
-        path = BENCH_DIR.parent / "BENCH_core.json"
-        report = json.loads(path.read_text())
-        rows = report.get("windowed_ipc", [])
-        assert rows, "windowed-IPC row missing"
-        for row in rows:
-            assert row["fixed_points_equal"], row["case"]
-            if row["delta_steps"] >= 4 * row["window"]:
-                assert row["steps_per_command"] >= \
-                    run_benchmarks.WINDOWED_IPC_FLOOR, row
+
+def _slow_pool(report):
+    # no single field holds the best >= 4-worker speedup
+    for point in _headline_parallel(report)["scaling"]:
+        if point["workers"] >= 4:
+            point["vs_vectorized"] = 0.5
+
+
+def _skip_headline(report):
+    # the baseline host ran the headline: skip it without the reason
+    _headline_parallel(report)["skipped"] = "no pool"
+
+
+def _skip_remote(report):
+    report["remote"][0]["skipped"] = "no loopback workers"
+
+
+_PUSH = {"parallel.scaling": _slow_pool,
+         "parallel.skip-reason": _skip_headline,
+         "remote.ran": _skip_remote}
+
+
+def _push(report, gate):
+    """Push one value of ``report`` past ``gate``'s bound (a presence
+    gate loses the rows it counts)."""
+    if gate.name in _PUSH:
+        return _PUSH[gate.name](report)
+    if gate.metric is None:
+        report[gate.column] = [r for r in report[gate.column]
+                               if not gate.rows(r)]
+        return
+    row = next(r for r in _rows(report, gate.column) if gate.rows(r))
+    bound = gate.bound(row, report["meta"]) if callable(gate.bound) \
+        else gate.bound
+    *path, key = gate.metric.split(".")
+    for part in path:
+        row = row[part]
+    row[key] = _past(gate.op, bound)
+
+
+GATE_CASES = [(gate, which) for gate in run_benchmarks.GATES
+              for which in ((COMMITTED, RUN)
+                            if gate.reports == run_benchmarks.BOTH
+                            else (gate.reports,))]
+
+
+class TestGates:
+    """BENCH_core.json is the committed perf trajectory: every floor and
+    ceiling in ``run_benchmarks.GATES`` holds on it, and each gate
+    fails on its own when one value crosses its bound."""
+
+    @pytest.mark.parametrize("which", [COMMITTED, RUN])
+    def test_committed_baseline_passes_every_gate(self, which):
+        assert run_benchmarks.check_gates(BASELINE, which) == []
+
+    @pytest.mark.parametrize(
+        "gate, which", GATE_CASES,
+        ids=[f"{which}:{gate.name}" for gate, which in GATE_CASES])
+    def test_each_gate_fails_alone(self, gate, which):
+        report = copy.deepcopy(BASELINE)
+        _push(report, gate)
+        failed = run_benchmarks.check_gates(report, which)
+        assert [name for name, _problem in failed] == [gate.name], failed
+
+    def test_parallel_floor_follows_the_baseline_host(self):
+        floor = run_benchmarks.parallel_floor
+        assert floor({"usable_cpus": 2, "sigma_kernel_ceiling": 3.0}) is None
+        assert floor({"usable_cpus": 4, "sigma_kernel_ceiling": 3.0}) == 2.0
+        assert floor({"usable_cpus": 4}) == 2.0
+        assert floor({"usable_cpus": 4, "sigma_kernel_ceiling": 1.03}) == 0.82
+
+    def test_ci_gate_holds_one_committed_column(self, tmp_path, monkeypatch,
+                                                capsys):
+        assert run_benchmarks.ci_gate("faults") == 0
+        report = copy.deepcopy(BASELINE)
+        _push(report, run_benchmarks.GATE["faults.heal-p99"])
+        _push(report, run_benchmarks.GATE["remote.compression"])
+        path = tmp_path / "BENCH_core.json"
+        path.write_text(json.dumps(report))
+        monkeypatch.setattr(run_benchmarks, "BASELINE", path)
+        assert run_benchmarks.ci_gate("faults") == 1
+        out = capsys.readouterr().out
+        assert "time-to-heal" in out and "compress" not in out
 
 
 @pytest.mark.perfbench
@@ -197,3 +167,4 @@ class TestFullQuickSuite:
     def test_quick_suite(self):
         report = run_benchmarks.run_suite("quick", repeats=1)
         assert report["meta"]["all_fixed_points_equal"]
+        assert run_benchmarks.check_gates(report, RUN) == []

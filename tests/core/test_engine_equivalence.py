@@ -174,8 +174,7 @@ def assert_engines_agree(net, schedules=(), lockstep_rounds=10,
       parallel and batched engines;
     * σ runs: ``session.sigma()`` under every engine spec agrees on
       convergence (or cycle verdict), round count, final state,
-      trajectory and ``measure_churn`` count
-      (:func:`assert_sigma_agrees`);
+      trajectory and churn count (:func:`assert_sigma_agrees`);
     * δ oracle: for every schedule, ``strict`` (literal recursion) vs
       incremental vs vectorized vs parallel vs batched vs remote
       session runs agree on convergence step and final state;
@@ -258,8 +257,7 @@ def assert_sigma_agrees(net, start, sessions, max_rounds=500):
     and churn.  Returns the reports by session name."""
     alg = net.algebra
     results = {name: s.sigma(start, max_rounds=max_rounds,
-                             detect_cycles=True, keep_trajectory=True,
-                             measure_churn=True)
+                             detect_cycles=True, keep_trajectory=True)
                for name, s in sessions.items()}
     ref = results["naive"]
     for name, res in results.items():

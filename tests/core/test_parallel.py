@@ -283,7 +283,7 @@ class TestSemantics:
             assert eng.is_stable(fixed)
 
     def test_block_split_covers_all_columns(self):
-        blocks = ParallelVectorizedEngine._split_columns(11, 3)
+        blocks = parallel_mod._split_columns(11, 3)
         assert blocks[0][0] == 0 and blocks[-1][1] == 11
         for (a, b), (c, d) in zip(blocks, blocks[1:]):
             assert b == c and b > a

@@ -63,7 +63,8 @@ from repro.core import (
     resolve_engine,
     serve_worker,
 )
-from repro.core.remote import REMOTE_MIN_N, _split_columns
+from repro.core.parallel import _split_columns
+from repro.core.remote import REMOTE_MIN_N
 from repro.core.vectorized import (
     VectorizedEngine,
     iterate_sigma_vectorized,

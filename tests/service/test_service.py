@@ -391,24 +391,37 @@ class TestRoutesVerb:
             assert after["digest"] != first["digest"]
 
     def test_one_digest_per_solve(self, daemon, monkeypatch):
-        """Eight slices at one topology version share one σ solve and
-        one hash of the n×n state: the digest is cached beside it."""
+        """At one topology version ``sigma``, eight ``routes`` slices
+        and ``sigma`` with ``include_state`` share one σ solve and one
+        hash of the n×n state: the digest is cached beside the solve."""
         from repro.service import daemon as daemon_mod
-        hashed = []
+        hashed, solves = [], []
         digest = daemon_mod.state_digest
+        solve = RoutingSession.sigma
 
-        def counting(state):
+        def counting_digest(state):
             hashed.append(state)
             return digest(state)
 
-        monkeypatch.setattr(daemon_mod, "state_digest", counting)
+        def counting_sigma(session, *args, **kwargs):
+            solves.append(session)
+            return solve(session, *args, **kwargs)
+
+        monkeypatch.setattr(daemon_mod, "state_digest", counting_digest)
+        monkeypatch.setattr(RoutingSession, "sigma", counting_sigma)
         with ServiceClient(port=daemon.port) as c:
             sid = c.load("hop-count", n=12, topology="random",
                          seed=2)["session"]
-            replies = [c.routes(sid, node=i) for i in range(8)]
+            first = c.sigma(sid)
+            replies = [first] + [c.routes(sid, node=i) for i in range(8)]
+            full = c.sigma(sid, include_state=True)
+            replies.append(full)
         assert all(r["cached"] is False for r in replies)
+        assert len(solves) == 1
         assert len(hashed) == 1
         assert {r["digest"] for r in replies} == {digest(hashed[0])}
+        # sigma's compute_ms is the time of the one shared solve
+        assert full["compute_ms"] == first["compute_ms"]
 
     def test_routes_axis_validation(self, daemon):
         with ServiceClient(port=daemon.port) as c:

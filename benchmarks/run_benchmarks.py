@@ -81,10 +81,10 @@ from repro.core import (
     random_state,
     schedule_zoo,
     supports_parallel,
-    supports_remote,
     supports_vectorized,
 )
 from repro.core.remote import RemoteVectorizedEngine
+from repro.core.vectorized import sigma_block_round
 from repro.topologies import (
     bgp_policy_factory,
     erdos_renyi,
@@ -171,9 +171,13 @@ def sigma_kernel_ceiling(net, repeats: int = 3) -> Optional[float]:
     import numpy as np
 
     def run_cols(lo, hi):
-        cols = np.arange(lo, hi)
+        # the pool worker's round: the shared column-block σ round on
+        # the block [lo, hi), in place (each forked process writes its
+        # own copy-on-write C)
+        cols = np.arange(hi - lo)
         for _ in range(repeats):
-            eng._sigma_codes(C, cols)
+            sigma_block_round(eng._topo, C[:, lo:hi], cols, lo,
+                              eng.trivial_code, eng.invalid_code)
 
     t0 = time.perf_counter()
     run_cols(0, net.n)
@@ -391,7 +395,7 @@ def bench_remote_case(case: Dict, repeats: int) -> Dict:
         rounds=vec_res.rounds,
         vectorized_s=round(vec_s, 6),
     )
-    if not supports_remote(alg):         # pragma: no cover - finite cases
+    if not supports_vectorized(alg):         # pragma: no cover - finite cases
         row["skipped"] = "remote engine unsupported for this algebra"
         row["fixed_points_equal"] = True
         return row
@@ -998,7 +1002,7 @@ def bench_windowed_ipc(scale: str) -> Optional[Dict]:
     run is cross-checked against the vectorized rung.
     """
     hop = HopCountAlgebra(64)
-    if scale == "smoke" or not supports_remote(hop):
+    if scale == "smoke" or not supports_vectorized(hop):
         return None
     import random as _random
 

@@ -215,7 +215,6 @@ def _delta_run_resolved(network: Network, schedule: Schedule,
                         max_steps: int = 2_000,
                         stability_window: Optional[int] = None,
                         keep_history: bool = False,
-                        workers: Optional[int] = None,
                         engine_obj=None) -> AsyncResult:
     """Run δ on one *already negotiated* ladder rung (no fallback here).
 
@@ -224,7 +223,7 @@ def _delta_run_resolved(network: Network, schedule: Schedule,
     the codes-based rungs are only ever chosen for bounded schedules
     without ``keep_history``.  ``engine_obj`` is the rung's prebuilt
     engine (a :class:`~repro.session.RoutingSession`'s managed
-    instance; required on the in-process codes rungs).  The
+    instance; required on every codes rung).  The
     vectorized, parallel and batched rungs all run the one δ kernel, the
     compiled-schedule step, as a grid of one trial; the remote rung runs
     it on its TCP workers.  The ``"naive"`` rung runs the strict literal
@@ -234,8 +233,7 @@ def _delta_run_resolved(network: Network, schedule: Schedule,
         from .remote import delta_run_remote
         return delta_run_remote(
             network, schedule, start, max_steps=max_steps,
-            stability_window=stability_window, engine=engine_obj,
-            workers=workers)
+            stability_window=stability_window, engine=engine_obj)
     if rung in ("vectorized", "parallel", "batched"):
         return engine_obj.delta_grid([(schedule, start)], max_steps=max_steps,
                                      stability_window=stability_window)[0]

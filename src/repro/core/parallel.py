@@ -16,15 +16,20 @@ Architecture
 * The code matrix ``C``, the edge lookup tables and the per-round
   dirty / next-dirty bitmaps live in :mod:`multiprocessing.shared_memory`
   segments; every process maps them as numpy views, so no matrix bytes
-  are ever pickled.
+  are ever pickled.  The rest of the topology snapshot travels as the
+  small picklable half of
+  :meth:`~repro.core.vectorized.TopologySnapshot.export`, and each
+  worker rebuilds it with
+  :meth:`~repro.core.vectorized.TopologySnapshot.restore`.
 * Each worker owns a contiguous block of destination columns
-  ``[lo, hi)`` (``np.array_split`` layout).  One σ round is: read the
-  shared dirty bitmap over the owned block, gather-reduce new values
-  for those columns, write changed columns back **in place** (sound
-  because no other worker reads them), and flag them in the shared
-  next-dirty bitmap.  Only the tiny per-round command tuple and a
-  changed-column count cross the pipe — the dirty/fixed-point bitmaps
-  themselves live in shared memory.
+  ``[lo, hi)`` (``np.array_split`` layout).  One σ round is the shared
+  column-block round
+  :func:`~repro.core.vectorized.sigma_block_round` over the owned
+  block's dirty columns, written **in place** in shared memory (sound
+  because no other worker reads them), with the changed columns
+  flagged in the shared next-dirty bitmap.  Only the tiny per-round
+  command tuple and a changed-column count cross the pipe — the
+  dirty/fixed-point bitmaps themselves live in shared memory.
 * The pool supplies only that round
   (:meth:`ParallelVectorizedEngine._advance`); the σ loop — trajectory,
   cycle detection, convergence on an empty union of per-worker changed
@@ -34,6 +39,11 @@ Architecture
 * δ does not touch the pool: the engine inherits
   :meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`, the
   compiled-schedule step every in-process codes rung shares.
+
+The snapshot, the σ round and the σ loop are the vectorized rung's
+primitives; this module keeps only transport, lifecycle and
+supervision: the segments, the pool, its command loop and its liveness
+guard.
 
 Fallback & selection
 --------------------
@@ -76,25 +86,19 @@ import os
 import weakref
 from typing import Dict, List, Optional, Tuple
 
-try:
-    import numpy as np
-except ImportError:                      # pragma: no cover - numpy is baked in
-    np = None
+import multiprocessing as _mp
+from multiprocessing import shared_memory as _shm
 
-try:
-    import multiprocessing as _mp
-    from multiprocessing import shared_memory as _shm
-except ImportError:                      # pragma: no cover - stdlib
-    _mp = None
-    _shm = None
+import numpy as np
 
 from .algebra import UnsupportedAlgebraError
 from .capabilities import Capabilities, register_engine
 from .state import Network
 from .vectorized import (
     _DTYPE,
+    TopologySnapshot,
     VectorizedEngine,
-    gather_min_reduce,
+    sigma_block_round,
     supports_vectorized,
 )
 
@@ -113,9 +117,7 @@ _REPLY_TIMEOUT = 120.0
 
 def _mp_context():
     """Fork where available (cheap, inherits the numpy import), else
-    spawn; ``None`` when multiprocessing is unusable on this platform."""
-    if _mp is None or _shm is None:
-        return None
+    spawn; ``None`` when this platform has no usable start method."""
     try:
         methods = _mp.get_all_start_methods()
     except Exception:                    # pragma: no cover - exotic platforms
@@ -144,8 +146,8 @@ def _split_columns(n: int, workers: int) -> List[Tuple[int, int]]:
 def supports_parallel(algebra) -> bool:
     """True when the parallel engine *could* run this algebra here.
 
-    Capability only (finite encoding + numpy + shared memory + a
-    process start method); whether fan-out is worthwhile for a given
+    Capability only (finite encoding + shared memory + a process start
+    method); whether fan-out is worthwhile for a given
     ``(n, workers)`` is the resolver's sizing check
     (:func:`repro.core.capabilities.resolve_engine`).
     """
@@ -165,12 +167,7 @@ class _WorkerState:
         self.C = None                    # (n, n) view of the code matrix
         self.dirty = None                # (n,) uint8 view (round input)
         self.next_dirty = None           # (n,) uint8 view (round output)
-        self.tables = None
-        self.src = None
-        self.importers = None
-        self.starts = None
-        self.erange = None
-        self.n = 0
+        self.topo = None                 # TopologySnapshot, shm tables
         self.lo = 0
         self.hi = 0
         self.trivial = 0
@@ -194,9 +191,8 @@ class _WorkerState:
 
 
 def _worker_load(state: _WorkerState, meta: dict) -> None:
-    """Attach the base segments and install the edge-table snapshot."""
+    """Attach the base segments and install the topology snapshot."""
     n = meta["n"]
-    state.n = n
     state.lo, state.hi = meta["block"]
     state.trivial = meta["trivial"]
     state.invalid = meta["invalid"]
@@ -204,47 +200,29 @@ def _worker_load(state: _WorkerState, meta: dict) -> None:
     state.dirty = state.attach("dirty", meta["dirty"], (n,), np.uint8)
     state.next_dirty = state.attach(
         "next_dirty", meta["next_dirty"], (n,), np.uint8)
-    _worker_reload_tables(state, meta)
+    _worker_reload(state, meta)
 
 
-def _worker_reload_tables(state: _WorkerState, meta: dict) -> None:
+def _worker_reload(state: _WorkerState, meta: dict) -> None:
     """(Re)install the topology snapshot after a publish/republish."""
-    n_edges, size = meta["tables_shape"]
-    state.tables = state.attach("tables", meta["tables"],
-                                (n_edges, size), _DTYPE)
-    state.src = np.asarray(meta["src"], dtype=np.intp)
-    state.importers = np.asarray(meta["importers"], dtype=np.intp)
-    state.starts = np.asarray(meta["starts"], dtype=np.intp)
-    state.erange = np.arange(n_edges)[:, None]
+    state.topo = TopologySnapshot.restore(meta, state.attach(
+        "tables", meta["tables"], meta["tables_shape"], _DTYPE))
 
 
 def _worker_sigma(state: _WorkerState, full: bool) -> int:
     """One σ round over this worker's dirty columns; returns #changed.
 
-    Reads only the owned columns of ``C`` (plus the shared tables),
-    writes only the owned columns — the in-place update is sound
-    because entry ``(i, j)`` of σ(X) depends on column ``j`` alone and
-    column ownership is exclusive.
+    The shared column-block round on the owned block of ``C``, in
+    place: column ownership is exclusive, so no other worker reads what
+    it writes.
     """
     lo, hi = state.lo, state.hi
-    if full:
-        cols = np.arange(lo, hi)
-    else:
-        cols = lo + np.nonzero(state.dirty[lo:hi])[0]
-    if cols.size == 0:
-        return 0
-    C = state.C
-    sub = C[:, cols]                     # copy: the round's frozen input
-    new = gather_min_reduce(sub, state.tables, state.src, state.erange,
-                            state.importers, state.starts, state.invalid)
-    new[cols, np.arange(cols.size)] = state.trivial    # Lemma 1 diagonal
-    changed = (new != sub).any(axis=0)
-    if not changed.any():
-        return 0
-    changed_cols = cols[changed]
-    C[:, changed_cols] = new[:, changed]
-    state.next_dirty[changed_cols] = 1
-    return int(changed_cols.size)
+    cols = np.arange(hi - lo) if full \
+        else np.nonzero(state.dirty[lo:hi])[0]
+    changed = sigma_block_round(state.topo, state.C[:, lo:hi], cols, lo,
+                                state.trivial, state.invalid)
+    state.next_dirty[lo + changed] = 1
+    return int(changed.size)
 
 
 def _worker_main(conn) -> None:
@@ -277,7 +255,7 @@ def _worker_main(conn) -> None:
                     _worker_load(state, msg[1])
                     reply = True
                 elif cmd == "reload":
-                    _worker_reload_tables(state, msg[1])
+                    _worker_reload(state, msg[1])
                     reply = True
                 else:                    # pragma: no cover - protocol bug
                     reply = RuntimeError(f"unknown command {cmd!r}")
@@ -362,11 +340,11 @@ class ParallelVectorizedEngine(VectorizedEngine):
     """Column-sharded multi-process σ over shared code matrices.
 
     Extends :class:`~repro.core.vectorized.VectorizedEngine` — the
-    encoding, codecs, the master's local edge snapshot, the σ loop and
+    encoding, codecs, the master's topology snapshot, the σ loop and
     the δ step (:meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`,
     which runs on the master) are inherited; what this class adds is
     the shared-memory mirror of that snapshot and the worker pool that
-    computes each σ round over it (:meth:`_advance`).
+    runs each σ round over it (:meth:`_advance`).
 
     The pool is started lazily on the first σ round and persists
     across calls; release it with :meth:`close` (or use the engine as a
@@ -406,7 +384,8 @@ class ParallelVectorizedEngine(VectorizedEngine):
         super().__init__(network)        # raises for non-finite algebras
         self.workers = resolved
         self._ctx = ctx
-        self._published_version: Optional[int] = None
+        #: the snapshot the workers hold (republished when it moves)
+        self._published: Optional[TopologySnapshot] = None
         self._seg_C = self._seg_dirty = self._seg_next = None
         self._C_view = self._dirty_view = self._next_view = None
         self._seg_tables = None
@@ -438,25 +417,16 @@ class ParallelVectorizedEngine(VectorizedEngine):
         seg = self._alloc(n * n * np.dtype(_DTYPE).itemsize)
         return seg, np.ndarray((n, n), dtype=_DTYPE, buffer=seg.buf)
 
-    def _table_meta(self, seg) -> dict:
-        """The picklable half of the snapshot: small index arrays travel
-        over the pipe, the dense tables stay in shared memory."""
-        return dict(
-            tables=seg.name,
-            tables_shape=tuple(self._tables.shape),
-            src=self._src.tolist(),
-            importers=self._importers.tolist(),
-            starts=self._starts.tolist(),
-        )
-
-    def _publish_tables(self):
-        """Copy the current edge-table snapshot into a fresh segment."""
-        seg = self._alloc(max(self._tables.nbytes, 1))
-        if self._tables.size:
-            view = np.ndarray(self._tables.shape, dtype=_DTYPE,
-                              buffer=seg.buf)
-            view[:] = self._tables
-        return seg
+    def _publish(self):
+        """Copy the current snapshot's tables into a fresh segment;
+        returns it and the ``restore`` meta naming it (the small index
+        arrays travel over the pipe, the dense tables stay in shared
+        memory)."""
+        meta, tables = self._topo.export()
+        seg = self._alloc(tables.nbytes)
+        np.ndarray(tables.shape, dtype=_DTYPE, buffer=seg.buf)[:] = tables
+        self._published = self._topo
+        return seg, dict(meta, tables=seg.name)
 
     def _ensure_pool(self) -> None:
         """Start the workers (first use) or republish a stale snapshot."""
@@ -471,12 +441,11 @@ class ParallelVectorizedEngine(VectorizedEngine):
             self._seg_next = self._alloc(n)
             self._next_view = np.ndarray((n,), dtype=np.uint8,
                                          buffer=self._seg_next.buf)
-            self._seg_tables = self._publish_tables()
+            self._seg_tables, meta = self._publish()
             base = dict(
-                n=n, trivial=self.trivial_code, invalid=self.invalid_code,
-                C=self._seg_C.name, dirty=self._seg_dirty.name,
-                next_dirty=self._seg_next.name,
-                **self._table_meta(self._seg_tables))
+                meta, n=n, trivial=self.trivial_code,
+                invalid=self.invalid_code, C=self._seg_C.name,
+                dirty=self._seg_dirty.name, next_dirty=self._seg_next.name)
             for block in self._blocks:
                 parent, child = self._ctx.Pipe()
                 proc = self._ctx.Process(
@@ -488,16 +457,12 @@ class ParallelVectorizedEngine(VectorizedEngine):
                 self._res.procs.append(proc)
                 parent.send(("load", dict(base, block=block)))
             self._collect()              # acks
-            self._published_version = self._version
-        elif self._published_version != self._version:
+        elif self._published is not self._topo:
             old = self._seg_tables
-            self._seg_tables = self._publish_tables()
-            meta = self._table_meta(self._seg_tables)
+            self._seg_tables, meta = self._publish()
             self._broadcast(("reload", meta))
             self._collect()              # all workers on the new snapshot
-            if old is not None:
-                self._res.drop_segment(old)
-            self._published_version = self._version
+            self._res.drop_segment(old)
 
     def _broadcast(self, msg) -> None:
         for conn in self._res.conns:

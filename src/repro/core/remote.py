@@ -2,14 +2,18 @@
 
 The sixth ladder rung takes the parallel engine's column-sharding
 protocol across an address-space boundary: a coordinator (the engine)
-connects to TCP *workers*, ships each one a topology snapshot plus a
+connects to TCP *workers*, ships each one the topology snapshot
+(:meth:`~repro.core.vectorized.TopologySnapshot.export`, rebuilt by
+:meth:`~repro.core.vectorized.TopologySnapshot.restore`) plus a
 contiguous block of destination columns, and drives two protocols —
 
 * **σ**: per round the coordinator broadcasts one command; each worker
-  gather-reduces its dirty columns locally (dirty tracking is
-  block-local, so rounds need zero cross-worker synchronisation) and
-  replies with a delta-encoded summary of the columns that changed,
-  which the coordinator applies to a copy of the round's input.  That
+  runs the shared column-block round
+  (:func:`~repro.core.vectorized.sigma_block_round`) over its dirty
+  columns locally (dirty tracking is block-local, so rounds need zero
+  cross-worker synchronisation) and replies with a delta-encoded
+  summary of the columns that changed, which the coordinator applies
+  to a copy of the round's input.  That
   round is all the engine supplies
   (:meth:`RemoteVectorizedEngine._advance`): the σ loop — trajectory,
   cycle detection, convergence on an empty union of changed columns,
@@ -26,6 +30,13 @@ contiguous block of destination columns, and drives two protocols —
   against the last fetch) and probes σ-stability on its local snapshot
   — so convergence decisions, round counts, and final states are
   bit-identical to the serial engines.
+
+The σ round, the δ kernel and the snapshot are the vectorized rung's
+primitives; this module keeps only transport, lifecycle and
+supervision.  On the coordinator every state transfer goes through
+two methods: :meth:`RemoteVectorizedEngine._install` ships full code
+matrices to the shards and :meth:`RemoteVectorizedEngine._collect_updates`
+decodes their replies into the mirror.
 
 Everything on the socket uses :mod:`repro.core.wire`: framed, versioned
 messages whose state payloads are delta-encoded and quantized (narrowest
@@ -56,16 +67,12 @@ from __future__ import annotations
 
 import random
 import socket
-import struct
 import time
 import weakref
 from time import perf_counter
 from typing import List, Optional, Sequence, Tuple
 
-try:
-    import numpy as np
-except ImportError:                      # pragma: no cover - numpy is baked in
-    np = None
+import numpy as np
 
 from .algebra import UnsupportedAlgebraError
 from .asynchronous import AsyncResult
@@ -81,12 +88,10 @@ from .schedule import CompiledSchedule, Schedule
 from .state import Network, RoutingState
 from .vectorized import (
     _DTYPE,
+    TopologySnapshot,
     VectorizedEngine,
-    _concat_ranges,
-    affine_view,
     delta_fold,
-    gather_min_reduce,
-    supports_vectorized,
+    sigma_block_round,
 )
 from .wire import (
     MSG_ACK,
@@ -108,7 +113,9 @@ from .wire import (
     WireFormatError,
     WireStats,
     WireVersionError,
+    decode_chain,
     decode_update,
+    encode_chain,
     encode_update,
     naive_update_bytes,
     pack_payload,
@@ -125,7 +132,6 @@ __all__ = [
     "RemoteVectorizedEngine",
     "serve_worker",
     "spawn_loopback_workers",
-    "supports_remote",
     "delta_run_remote",
 ]
 
@@ -220,13 +226,6 @@ class _ShardFault(Exception):
         return f"{self.kind} fault ({type(self.exc).__name__}: {self.exc})"
 
 
-def supports_remote(algebra) -> bool:
-    """Capability check: the remote rung needs a finite encoding (codes
-    must travel as small integers) and working sockets (always true on
-    the supported platforms)."""
-    return supports_vectorized(algebra)
-
-
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
@@ -236,8 +235,8 @@ class _ShardState:
     """Everything one TCP worker holds for its column block ``[lo, hi)``.
 
     Unlike the shared-memory pool, nothing here aliases coordinator
-    state: the block, the δ ring and the edge tables are private
-    arrays, synchronised purely through delta-encoded wire updates.
+    state: the block, the δ ring and the snapshot are private arrays,
+    synchronised purely through delta-encoded wire updates.
     ``baseline`` is the block as the coordinator last acknowledged it —
     the reference every outgoing update is encoded against.
     """
@@ -249,14 +248,7 @@ class _ShardState:
         self.trivial = 0
         self.invalid = 0
         self.carrier = 0
-        self.tables = None
-        self.affine = None               # the tables' clipped-shift view
-        self.src = None
-        self.erange = None
-        self.importers = None
-        self.starts = None
-        self.deg = None                  # (n,) in-degree per node
-        self.off = None                  # (n,) first in-edge per node
+        self.topo = None                 # TopologySnapshot
         self.C = None                    # (n, width) σ block
         self.dirty = None                # (width,) bool, block-local
         self.baseline = None             # (n, width) last acked block
@@ -280,20 +272,9 @@ def _shard_load(state: _ShardState, meta: dict, tail: bytes) -> None:
         raise WireFormatError(
             f"table blob is {len(tail)} bytes, expected "
             f"{n_edges * size * 4} for shape ({n_edges}, {size})")
-    state.tables = np.frombuffer(tail, dtype="<i4").reshape(
-        n_edges, size).astype(_DTYPE)
-    state.affine = affine_view(state.tables, _DTYPE)
-    state.src = np.asarray(meta["src"], dtype=np.intp)
-    state.importers = np.asarray(meta["importers"], dtype=np.intp)
-    state.starts = np.asarray(meta["starts"], dtype=np.intp)
-    state.erange = np.arange(n_edges)[:, None]
-    # JSON turns int keys into strings; undo it
-    state.deg = np.zeros(state.n, dtype=np.intp)
-    state.off = np.zeros(state.n, dtype=np.intp)
-    for k, v in meta["degrees"].items():
-        state.deg[int(k)] = int(v)
-    for k, v in meta["offsets"].items():
-        state.off[int(k)] = int(v)
+    state.topo = TopologySnapshot.restore(
+        meta, np.frombuffer(tail, dtype="<i4").reshape(
+            n_edges, size).astype(_DTYPE))
 
 
 def _invalid_block(state: _ShardState) -> "np.ndarray":
@@ -313,59 +294,21 @@ def _shard_sigma_init(state: _ShardState, blob: bytes) -> None:
 def _shard_sigma_round(state: _ShardState, full: bool) -> Tuple[int, bytes]:
     """One σ round over the block's dirty columns.
 
-    Same kernel and dirty discipline as the shared-memory pool's
-    ``_worker_sigma``, but the dirty set lives here (column ownership is
-    exclusive, so no other process ever needs it) and the changed
-    columns travel back as a delta-encoded update instead of being
-    written in place.
+    The shared column-block round, as in the shared-memory pool's
+    ``_worker_sigma``, but the dirty set lives here (column ownership
+    is exclusive, so no other process ever needs it) and the changed
+    columns travel back as a delta-encoded update.
     """
     if state.C is None:
         raise RemoteError("sigma round before sigma init")
-    width = state.width
-    if full:
-        cols = np.arange(width)
-    else:
-        cols = np.nonzero(state.dirty)[0]
-    state.dirty = np.zeros(width, dtype=bool)
-    changed_count = 0
-    if cols.size:
-        sub = state.C[:, cols]           # copy: the round's frozen input
-        new = gather_min_reduce(sub, state.tables, state.src, state.erange,
-                                state.importers, state.starts, state.invalid)
-        new[state.lo + cols, np.arange(cols.size)] = state.trivial
-        changed = (new != sub).any(axis=0)
-        if changed.any():
-            changed_cols = cols[changed]
-            state.C[:, changed_cols] = new[:, changed]
-            state.dirty[changed_cols] = True
-            changed_count = int(changed_cols.size)
+    cols = np.arange(state.width) if full else np.nonzero(state.dirty)[0]
+    changed = sigma_block_round(state.topo, state.C, cols, state.lo,
+                                state.trivial, state.invalid)
+    state.dirty = np.zeros(state.width, dtype=bool)
+    state.dirty[changed] = True
     blob = encode_update(state.baseline, state.C, state.carrier)
     state.baseline[:] = state.C
-    return changed_count, blob
-
-
-def _split_chained_blobs(tail: bytes, count: int) -> List[bytes]:
-    """Split a checkpoint tail: ``count`` length-prefixed update blobs,
-    each delta-encoded against the decoded form of the previous one."""
-    blobs: List[bytes] = []
-    pos = 0
-    for _ in range(count):
-        if pos + 4 > len(tail):
-            raise WireFormatError(
-                f"checkpoint tail truncated at byte {pos} of {len(tail)}")
-        (length,) = struct.unpack_from("!I", tail, pos)
-        pos += 4
-        if pos + length > len(tail):
-            raise WireFormatError(
-                f"checkpoint blob overruns tail ({pos + length} > "
-                f"{len(tail)})")
-        blobs.append(tail[pos:pos + length])
-        pos += length
-    if pos != len(tail):
-        raise WireFormatError(
-            f"{len(tail) - pos} stray byte(s) after {count} "
-            "checkpoint blob(s)")
-    return blobs
+    return int(changed.size), blob
 
 
 def _shard_delta_init(state: _ShardState, meta: dict, tail: bytes) -> None:
@@ -376,49 +319,43 @@ def _shard_delta_init(state: _ShardState, meta: dict, tail: bytes) -> None:
     * fresh start — ``{"window": W}`` plus one blob: the start state,
       delta-encoded against all-invalid, installed at ring slot 0;
     * checkpoint resume — ``{"window": W, "slots": [t, ...]}`` plus a
-      chained tail (see :func:`_split_chained_blobs`): each decoded
-      slot lands at ``ring[t % W]``, oldest first, and ``baseline``
-      becomes the newest — exactly the state a mid-run worker held
-      when the checkpoint was captured.
+      chained tail (:func:`~repro.core.wire.decode_chain` from the
+      all-invalid block): each decoded slot lands at ``ring[t % W]``,
+      oldest first, and ``baseline`` becomes the newest — exactly the
+      state a mid-run worker held when the checkpoint was captured.
     """
     state.window = int(meta["window"])
+    # the snapshot's narrow dtype, as in the engine's δ ring: it halves
+    # the fold's memory traffic and matches the affine view's dtype
     state.ring = np.full((state.window, state.n, state.width),
-                         state.invalid, dtype=_DTYPE)
+                         state.invalid, dtype=state.topo.dtype)
     slots = meta.get("slots")
     if slots is None:
-        blob = tail
-        decode_update(blob, state.ring[0])
+        decode_update(tail, state.ring[0])
         state.baseline = state.ring[0].copy()
         return
-    blobs = _split_chained_blobs(tail, len(slots))
-    prev = _invalid_block(state)
-    for t, blob in zip(slots, blobs):
-        decode_update(blob, prev)
-        state.ring[int(t) % state.window][:] = prev
-    state.baseline = state.ring[int(slots[-1]) % state.window].copy()
+    outs = [state.ring[int(t) % state.window] for t in slots]
+    decode_chain(tail, _invalid_block(state), outs)
+    state.baseline = outs[-1].copy()
 
 
 def _shard_ckpt(state: _ShardState, t: int, depth: int) -> Tuple[List[int],
                                                                  bytes]:
     """Capture ring slots ``t - depth + 1 .. t`` for a coordinator
-    checkpoint: chained delta blobs (first vs ``baseline``, each next vs
-    the previous slot), length-prefixed and concatenated.  ``baseline``
-    advances to slot ``t`` — the coordinator now provably holds it.
+    checkpoint: the chain (:func:`~repro.core.wire.encode_chain`) of
+    those slots against ``baseline``.  ``baseline`` advances to slot
+    ``t`` — the coordinator now provably holds it.
     """
     if state.ring is None:
         raise RemoteError("checkpoint before delta init")
     t = int(t)
     depth = max(1, min(int(depth), state.window))
     ts = list(range(t - depth + 1, t + 1))
-    parts: List[bytes] = []
-    prev = state.baseline
-    for slot_t in ts:
-        slot = state.ring[slot_t % state.window]
-        blob = encode_update(prev, slot, state.carrier)
-        parts.append(struct.pack("!I", len(blob)) + blob)
-        prev = slot
+    tail = encode_chain(state.baseline,
+                        [state.ring[s % state.window] for s in ts],
+                        state.carrier)
     state.baseline = state.ring[t % state.window].copy()
-    return ts, b"".join(parts)
+    return ts, tail
 
 
 def _shard_delta_steps(state: _ShardState, steps: Sequence) -> List[bool]:
@@ -433,7 +370,7 @@ def _shard_delta_steps(state: _ShardState, steps: Sequence) -> List[bool]:
     """
     if state.ring is None:
         raise RemoteError("delta steps before delta init")
-    ring, W = state.ring, state.window
+    ring, W, topo = state.ring, state.window, state.topo
     flags: List[bool] = []
     for t, acts in steps:
         t = int(t)
@@ -441,20 +378,15 @@ def _shard_delta_steps(state: _ShardState, steps: Sequence) -> List[bool]:
         nxt[:] = prev
         nodes = np.asarray([i for i, _times in acts], dtype=np.intp)
         rows = np.full((nodes.size, state.width), state.invalid,
-                       dtype=_DTYPE)
-        deg = state.deg[nodes]
-        has = deg > 0
+                       dtype=ring.dtype)
+        has = topo.deg[nodes] > 0
         if has.any():
-            ed = deg[has]
-            starts = np.zeros(ed.size, dtype=np.intp)
-            starts[1:] = np.cumsum(ed[:-1])
-            edge_flat = np.repeat(state.off[nodes[has]], ed) \
-                + _concat_ranges(ed)
+            edge_flat, starts = topo.edges(nodes[has])
             slot = np.asarray([s for _i, times in acts for s in times],
                               dtype=np.intp)
-            rows[has] = delta_fold(ring, (slot % W, state.src[edge_flat]),
-                                   edge_flat, starts, state.tables,
-                                   state.affine)
+            rows[has] = delta_fold(ring, (slot % W, topo.src[edge_flat]),
+                                   edge_flat, starts, topo.tables,
+                                   topo.affine)
         own = np.nonzero((nodes >= state.lo) & (nodes < state.hi))[0]
         rows[own, nodes[own] - state.lo] = state.trivial
         flags.append(bool((rows != prev[nodes]).any()))
@@ -778,7 +710,7 @@ class RemoteVectorizedEngine(VectorizedEngine):
     """Column-sharded σ/δ over TCP workers (coordinator side).
 
     Extends :class:`~repro.core.vectorized.VectorizedEngine`: the
-    encoding, codecs, the σ loop and the coordinator's local edge
+    encoding, codecs, the σ loop and the coordinator's topology
     snapshot (used for δ σ-stability probes on fetched candidates) are
     inherited; this class adds the wire protocol, the σ round over the
     shards (:meth:`_advance`), a full-matrix mirror kept in sync via
@@ -1001,18 +933,10 @@ class RemoteVectorizedEngine(VectorizedEngine):
         self._blocks = _split_columns(self._n, len(conns))
         self.workers = len(conns)
         self._bytes_base = (0, 0)
-        tables_blob = np.ascontiguousarray(
-            self._tables, dtype="<i4").tobytes()
-        base = dict(
-            n=self._n, trivial=self.trivial_code, invalid=self.invalid_code,
-            carrier=self.encoding.size,
-            tables_shape=list(self._tables.shape),
-            src=self._src.tolist(),
-            importers=self._importers.tolist(),
-            starts=self._starts.tolist(),
-            offsets=self._offsets,
-            degrees=self._degrees,
-        )
+        meta, tables = self._topo.export()
+        tables_blob = np.ascontiguousarray(tables, dtype="<i4").tobytes()
+        base = dict(meta, n=self._n, trivial=self.trivial_code,
+                    invalid=self.invalid_code, carrier=self.encoding.size)
         for idx, (lo, hi) in enumerate(self._blocks):
             self._send(idx, MSG_LOAD,
                        pack_payload(dict(base, block=[lo, hi]), tables_blob))
@@ -1026,6 +950,12 @@ class RemoteVectorizedEngine(VectorizedEngine):
             raise _ShardFault(idx, exc) from exc
         self._bump(commands=1)
         self._sync_bytes()
+
+    def _broadcast(self, msg_type: int, head: dict) -> None:
+        """Send every shard the same command (a JSON head, no tail)."""
+        payload = pack_payload(head)
+        for idx in range(len(self._blocks)):
+            self._send(idx, msg_type, payload)
 
     def _recv(self, idx: int) -> Tuple[int, bytes]:
         fc = self._res.conns[idx]
@@ -1076,6 +1006,56 @@ class RemoteVectorizedEngine(VectorizedEngine):
     def _collect_acks(self) -> None:
         for idx in range(len(self._res.conns)):
             self._expect(idx, MSG_ACK)
+        self._barrier()
+
+    # -- state transfer --------------------------------------------------
+
+    def _install(self, msg_type: int, head: dict, states,
+                 chained: bool = False) -> None:
+        """Ship every shard its column block of each full code matrix in
+        ``states``, delta-encoded against the all-invalid block (one
+        update blob, or with ``chained`` the checkpoint chain of
+        :func:`~repro.core.wire.encode_chain`), count the update bytes,
+        and collect the acks."""
+        n = self._n
+        for idx, (lo, hi) in enumerate(self._blocks):
+            base = np.full((n, hi - lo), self.invalid_code, dtype=_DTYPE)
+            blocks = [S[:, lo:hi] for S in states]
+            blob = (encode_chain(base, blocks, self.encoding.size)
+                    if chained else
+                    encode_update(base, blocks[0], self.encoding.size))
+            self._bump(update=len(blob),
+                       naive=naive_update_bytes(n, hi - lo) * len(blocks))
+            self._send(idx, msg_type, pack_payload(head, blob))
+        self._collect_acks()
+
+    def _collect_updates(self, M: "np.ndarray", slots=()) -> None:
+        """Collect one :data:`~repro.core.wire.MSG_UPDATE` per shard and
+        decode its block into the mirror ``M`` — or, for a checkpoint,
+        its chain into the full matrices of the ``(t, matrix)`` pairs in
+        ``slots``, starting from ``M`` (which stays as it was) — and
+        count the update bytes.  A reply that does not decode is a
+        ``format`` fault on its shard: it may half-apply before
+        detection, but the healed round reruns on a fresh copy of its
+        input."""
+        n = self._n
+        ts = [t for t, _S in slots]
+        for idx, (lo, hi) in enumerate(self._blocks):
+            obj, tail = self._expect(idx, MSG_UPDATE)
+            try:
+                if not slots:
+                    decode_update(tail, M[:, lo:hi])
+                elif obj["slots"] != ts:
+                    raise WireFormatError(
+                        f"shard {idx} checkpointed slots {obj['slots']}, "
+                        f"expected {ts}")
+                else:
+                    decode_chain(tail, M[:, lo:hi],
+                                 [S[:, lo:hi] for _t, S in slots])
+            except (WireError, LookupError, TypeError, ValueError) as exc:
+                raise _ShardFault(idx, exc, kind="format") from exc
+            self._bump(update=len(tail), naive=(len(ts) or 1)
+                       * naive_update_bytes(n, hi - lo))
         self._barrier()
 
     # -- supervision -----------------------------------------------------
@@ -1264,39 +1244,6 @@ class RemoteVectorizedEngine(VectorizedEngine):
 
     # -- σ ---------------------------------------------------------------
 
-    def _load_state(self, M: "np.ndarray") -> None:
-        """Install ``M`` on the shards, delta-encoded vs. all-invalid."""
-        n = self._n
-        for idx, (lo, hi) in enumerate(self._blocks):
-            base = np.full((n, hi - lo), self.invalid_code, dtype=_DTYPE)
-            blob = encode_update(base, M[:, lo:hi], self.encoding.size)
-            self._bump(update=len(blob),
-                       naive=naive_update_bytes(n, hi - lo))
-            self._send(idx, MSG_SIGMA_INIT, pack_payload({}, blob))
-        self._collect_acks()
-
-    def _round(self, M: "np.ndarray", full: bool) -> int:
-        """One σ round across the shards; applies the delta-encoded
-        summaries to the mirror and returns the changed-column count."""
-        head = pack_payload({"full": bool(full)})
-        for idx in range(len(self._blocks)):
-            self._send(idx, MSG_SIGMA_ROUND, head)
-        total = 0
-        for idx, (lo, hi) in enumerate(self._blocks):
-            obj, blob = self._expect(idx, MSG_UPDATE)
-            try:
-                decode_update(blob, M[:, lo:hi])
-                total += int(obj["changed"])
-            except (WireError, LookupError, TypeError, ValueError) as exc:
-                # a corrupt reply may half-apply before detection; the
-                # healed round reruns on a fresh copy of its input, so
-                # flagging the shard is enough here
-                raise _ShardFault(idx, exc, kind="format") from exc
-            self._bump(update=len(blob),
-                       naive=naive_update_bytes(self._n, hi - lo))
-        self._barrier()
-        return total
-
     def _advance(self, C: "np.ndarray", dirty: Optional["np.ndarray"]):
         """One σ round over the shards: ``(σ(C) in a fresh array,
         changed columns)``, the step
@@ -1306,6 +1253,8 @@ class RemoteVectorizedEngine(VectorizedEngine):
         wire stats, ``C`` installed on the shards, a full round.  Later
         rounds run on the workers' block-local dirty sets (``C`` is
         the array the previous round returned, which the shards hold).
+        The shards' replies are decoded into a copy of ``C``; the
+        changed columns are the ones that differ from ``C``.
 
         Supervised: a shard fault heals the pool (respawn / reconnect /
         re-shard), reinstalls this round's input ``C`` — untouched,
@@ -1319,10 +1268,11 @@ class RemoteVectorizedEngine(VectorizedEngine):
         while True:
             try:
                 self._attempt_pool()
-                M = C.copy()
                 if full:
-                    self._load_state(M)
-                self._round(M, full=full)
+                    self._install(MSG_SIGMA_INIT, {}, [C])
+                self._broadcast(MSG_SIGMA_ROUND, {"full": full})
+                M = C.copy()
+                self._collect_updates(M)
                 return M, np.nonzero((M != C).any(axis=0))[0]
             except _ShardFault as fault:
                 self._heal(fault)
@@ -1332,18 +1282,8 @@ class RemoteVectorizedEngine(VectorizedEngine):
 
     def _fetch(self, M: "np.ndarray", t: int) -> None:
         """Pull ring slot ``t`` into the mirror (delta vs. last fetch)."""
-        head = pack_payload({"t": int(t)})
-        for idx in range(len(self._blocks)):
-            self._send(idx, MSG_FETCH, head)
-        for idx, (lo, hi) in enumerate(self._blocks):
-            _obj, blob = self._expect(idx, MSG_UPDATE)
-            try:
-                decode_update(blob, M[:, lo:hi])
-            except (WireError, LookupError, TypeError, ValueError) as exc:
-                raise _ShardFault(idx, exc, kind="format") from exc
-            self._bump(update=len(blob),
-                       naive=naive_update_bytes(self._n, hi - lo))
-        self._barrier()
+        self._broadcast(MSG_FETCH, {"t": int(t)})
+        self._collect_updates(M)
 
     def _capture_delta_ckpt(self, M: "np.ndarray", t_bar: int,
                             read_window: int, unchanged: int) -> None:
@@ -1358,46 +1298,16 @@ class RemoteVectorizedEngine(VectorizedEngine):
         to slot ``t_bar``, and the mirror follows.
         """
         depth = min(read_window, t_bar + 1)
-        head = pack_payload({"t": int(t_bar), "depth": int(depth)})
-        for idx in range(len(self._blocks)):
-            self._send(idx, MSG_CKPT, head)
+        self._broadcast(MSG_CKPT, {"t": int(t_bar), "depth": int(depth)})
         n = self._n
-        slot_ts: Optional[List[int]] = None
-        shard_slots: List[List["np.ndarray"]] = []
-        for idx, (lo, hi) in enumerate(self._blocks):
-            obj, tail = self._expect(idx, MSG_UPDATE)
-            try:
-                ts = [int(t) for t in obj["slots"]]
-                blobs = _split_chained_blobs(tail, len(ts))
-                prev = M[:, lo:hi].copy()
-                decoded = []
-                for blob in blobs:
-                    decode_update(blob, prev)
-                    decoded.append(prev.copy())
-            except (WireError, LookupError, TypeError, ValueError) as exc:
-                raise _ShardFault(idx, exc, kind="format") from exc
-            if slot_ts is None:
-                slot_ts = ts
-            elif ts != slot_ts:
-                raise _ShardFault(
-                    idx, WireFormatError(
-                        f"checkpoint slots diverge across shards: "
-                        f"{ts} vs {slot_ts}"), kind="protocol")
-            shard_slots.append(decoded)
-            self._bump(update=len(tail),
-                       naive=naive_update_bytes(n, hi - lo) * len(ts))
-        slots = []
-        for j, t in enumerate(slot_ts):
-            full = np.empty((n, n), dtype=_DTYPE)
-            for idx, (lo, hi) in enumerate(self._blocks):
-                full[:, lo:hi] = shard_slots[idx][j]
-            slots.append((t, full))
+        slots = [(t, np.empty((n, n), dtype=_DTYPE))
+                 for t in range(t_bar - depth + 1, t_bar + 1)]
+        self._collect_updates(M, slots)
         # the workers' baselines moved to slot t_bar; mirror them
         M[:] = slots[-1][1]
         self._delta_ckpt = {"t": int(t_bar), "unchanged": int(unchanged),
                             "slots": slots}
         self.delta_ckpt_saves += 1
-        self._barrier()
 
     def delta(self, schedule: Schedule, start: RoutingState,
               max_steps: int = 2_000,
@@ -1463,20 +1373,11 @@ class RemoteVectorizedEngine(VectorizedEngine):
                     max_steps: int, stability_window: int, w: int,
                     read_window: int) -> AsyncResult:
         W = w + read_window
-        n = self._n
         ckpt = self._delta_ckpt
         if ckpt is None:
             # fresh start: ship the start state at ring slot 0
             M = self.encode_state(start)
-            for idx, (lo, hi) in enumerate(self._blocks):
-                base = np.full((n, hi - lo), self.invalid_code,
-                               dtype=_DTYPE)
-                blob = encode_update(base, M[:, lo:hi],
-                                     self.encoding.size)
-                self._bump(update=len(blob),
-                           naive=naive_update_bytes(n, hi - lo))
-                self._send(idx, MSG_DELTA_INIT,
-                           pack_payload({"window": W}, blob))
+            self._install(MSG_DELTA_INIT, {"window": W}, [M])
             unchanged = 0
             t0 = 1
         else:
@@ -1484,23 +1385,9 @@ class RemoteVectorizedEngine(VectorizedEngine):
             # the (possibly re-sharded) pool and continue past ckpt["t"]
             # — the slots are full (n, n) matrices, so any new column
             # layout just re-encodes its own blocks.
-            slot_ts = [t for t, _full in ckpt["slots"]]
-            for idx, (lo, hi) in enumerate(self._blocks):
-                prev = np.full((n, hi - lo), self.invalid_code,
-                               dtype=_DTYPE)
-                parts = []
-                for _t, full in ckpt["slots"]:
-                    blob = encode_update(prev, full[:, lo:hi],
-                                         self.encoding.size)
-                    parts.append(struct.pack("!I", len(blob)) + blob)
-                    prev = full[:, lo:hi]
-                tail = b"".join(parts)
-                self._bump(update=len(tail),
-                           naive=naive_update_bytes(n, hi - lo)
-                           * len(slot_ts))
-                self._send(idx, MSG_DELTA_INIT,
-                           pack_payload({"window": W, "slots": slot_ts},
-                                        tail))
+            slot_ts = [t for t, _S in ckpt["slots"]]
+            self._install(MSG_DELTA_INIT, {"window": W, "slots": slot_ts},
+                          [S for _t, S in ckpt["slots"]], chained=True)
             M = ckpt["slots"][-1][1].copy()
             unchanged = int(ckpt["unchanged"])
             t0 = int(ckpt["t"]) + 1
@@ -1510,8 +1397,8 @@ class RemoteVectorizedEngine(VectorizedEngine):
                 "δ resume from checkpoint: t=%d (%d ring slot(s) "
                 "re-installed; replay skipped %d step(s))",
                 ckpt["t"], len(slot_ts), ckpt["t"])
-        self._collect_acks()
-        deg_arr, off_arr = self._node_arrays()
+        deg = self._topo.deg
+        every_row = np.arange(self._n)
         self._seg_cache = {}
         self.delta_ipc_commands = 0
         self.delta_ipc_steps = 0
@@ -1524,7 +1411,7 @@ class RemoteVectorizedEngine(VectorizedEngine):
                 nodes = np.nonzero(comp.alpha_mask(t))[0]
                 # every active node's in-edge read times, in snapshot
                 # edge order (degree-0 nodes contribute none)
-                reads = self._slot_segment(comp, t, deg_arr, off_arr)
+                reads = self._slot_segment(comp, t)
                 # s < 0 violates S2, s >= t reads the future, and
                 # s < t - read_window is a read BoundedHistory would
                 # refuse as evicted
@@ -1540,13 +1427,11 @@ class RemoteVectorizedEngine(VectorizedEngine):
                     # truncate at the offending step: the per-step
                     # protocol may converge before ever evaluating it
                     break
-                times = np.split(reads, np.cumsum(deg_arr[nodes])[:-1])
+                times = np.split(reads, np.cumsum(deg[nodes])[:-1])
                 steps.append((t, [(i, r.tolist()) for i, r in
                                   zip(nodes.tolist(), times)]))
             if steps:
-                head = pack_payload({"steps": steps})
-                for idx in range(len(self._blocks)):
-                    self._send(idx, MSG_DELTA_STEPS, head)
+                self._broadcast(MSG_DELTA_STEPS, {"steps": steps})
                 self.delta_ipc_commands += 1
                 self.delta_ipc_steps += len(steps)
                 flags = []
@@ -1561,7 +1446,7 @@ class RemoteVectorizedEngine(VectorizedEngine):
                         else unchanged + 1
                     if unchanged >= stability_window:
                         self._fetch(M, t)
-                        if np.array_equal(self._sigma_codes(M), M):
+                        if (self._sigma_rows(M, every_row) == M).all():
                             return AsyncResult(
                                 True, t, self.decode_state(M),
                                 t - unchanged, None,
@@ -1588,18 +1473,15 @@ class RemoteVectorizedEngine(VectorizedEngine):
 
 def delta_run_remote(network: Network, schedule: Schedule,
                      start: RoutingState, max_steps: int = 2_000,
-                     stability_window: Optional[int] = None,
-                     engine: Optional[RemoteVectorizedEngine] = None,
-                     workers: Optional[int] = None,
-                     endpoints: Optional[Sequence] = None,
-                     socket_timeout: Optional[float] = None) -> AsyncResult:
-    """The remote rung's δ run (an :class:`AsyncResult`).
+                     stability_window: Optional[int] = None, *,
+                     engine: RemoteVectorizedEngine) -> AsyncResult:
+    """The remote rung's δ run on ``engine`` (an :class:`AsyncResult`).
 
     Unbounded schedules run the inherited in-process compiled step
     (:meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`, exact
-    against the schedule's derived staleness bound) instead of the
-    workers' fixed rings — a caller-supplied ``engine`` is reused even
-    then, since a :class:`RemoteVectorizedEngine` *is* a
+    against the schedule's derived staleness bound) on the same engine
+    instead of the workers' fixed rings — a
+    :class:`RemoteVectorizedEngine` *is* a
     :class:`~repro.core.vectorized.VectorizedEngine`.
     """
     if schedule.max_read_back() is None:
@@ -1608,17 +1490,7 @@ def delta_run_remote(network: Network, schedule: Schedule,
             "requested=remote algebra=%s n=%d detail=per-run delegation "
             "to the in-process compiled step (snapshot reused for "
             "encoding)", network.algebra.name, network.n)
-        eng = engine if engine is not None else VectorizedEngine(network)
-        return eng.delta_grid([(schedule, start)], max_steps=max_steps,
-                              stability_window=stability_window)[0]
-    eng = engine if engine is not None \
-        else RemoteVectorizedEngine(network, endpoints=endpoints,
-                                    workers=workers or (0 if endpoints
-                                                        else 2),
-                                    socket_timeout=socket_timeout)
-    try:
-        return eng.delta(schedule, start, max_steps=max_steps,
-                         stability_window=stability_window)
-    finally:
-        if engine is None:
-            eng.close()
+        return engine.delta_grid([(schedule, start)], max_steps=max_steps,
+                                 stability_window=stability_window)[0]
+    return engine.delta(schedule, start, max_steps=max_steps,
+                        stability_window=stability_window)

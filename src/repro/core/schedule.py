@@ -40,10 +40,7 @@ from abc import ABC, abstractmethod
 from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-try:
-    import numpy as _np
-except ImportError:                      # pragma: no cover - numpy is baked in
-    _np = None
+import numpy as _np
 
 
 def _hash_int(*parts) -> int:
@@ -66,21 +63,12 @@ _SM_MUL2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix_one(x: int) -> int:
-    """One splitmix64 finalization of a 64-bit lane (pure-python path)."""
-    z = x & _MASK64
-    z = ((z ^ (z >> 30)) * _SM_MUL1) & _MASK64
-    z = ((z ^ (z >> 27)) * _SM_MUL2) & _MASK64
-    return z ^ (z >> 31)
-
-
 #: cached splitmix lane offsets ``arange(1, n+1) * γ`` per row width,
 #: and pre-built uint64 scalar constants (numpy scalar construction is
 #: surprisingly expensive in a per-step hot path).
 _SM_LANES: Dict[int, "object"] = {}
-if _np is not None:
-    _U30, _U27, _U31 = _np.uint64(30), _np.uint64(27), _np.uint64(31)
-    _UM1, _UM2 = _np.uint64(_SM_MUL1), _np.uint64(_SM_MUL2)
+_U30, _U27, _U31 = _np.uint64(30), _np.uint64(27), _np.uint64(31)
+_UM1, _UM2 = _np.uint64(_SM_MUL1), _np.uint64(_SM_MUL2)
 
 
 def _splitmix_row(base: int, count: int):
@@ -91,21 +79,17 @@ def _splitmix_row(base: int, count: int):
     splitmix64 finalizer expands it into per-lane draws — numpy-
     vectorizable, so a whole row of schedule decisions costs one hash
     plus a handful of uint64 array ops instead of ``count`` digests.
-    Returns a uint64 ndarray (or a python list when numpy is absent;
-    both paths produce identical values).
+    Returns a uint64 ndarray.
     """
-    if _np is not None:
-        lanes = _SM_LANES.get(count)
-        if lanes is None:
-            lanes = _np.arange(1, count + 1,
-                               dtype=_np.uint64) * _np.uint64(_SM_GAMMA)
-            _SM_LANES[count] = lanes
-        z = _np.uint64(base & _MASK64) + lanes
-        z = (z ^ (z >> _U30)) * _UM1
-        z = (z ^ (z >> _U27)) * _UM2
-        return z ^ (z >> _U31)
-    return [_splitmix_one(base + k * _SM_GAMMA)   # pragma: no cover
-            for k in range(1, count + 1)]
+    lanes = _SM_LANES.get(count)
+    if lanes is None:
+        lanes = _np.arange(1, count + 1,
+                           dtype=_np.uint64) * _np.uint64(_SM_GAMMA)
+        _SM_LANES[count] = lanes
+    z = _np.uint64(base & _MASK64) + lanes
+    z = (z ^ (z >> _U30)) * _UM1
+    z = (z ^ (z >> _U27)) * _UM2
+    return z ^ (z >> _U31)
 
 
 class _PerStepMemo:
@@ -385,17 +369,12 @@ class RandomSchedule(Schedule):
         draws = _splitmix_row(_hash_int(self.seed, "act", t), self.n)
         threshold = int(self.activation_prob * (2 ** 64))
         forced = t % self.max_silence     # keeps S1 true at tiny probabilities
-        if _np is not None:
-            if threshold > _MASK64:       # activation_prob == 1.0
-                mask = _np.ones(self.n, dtype=bool)
-            else:
-                mask = draws < _np.uint64(threshold)
-            mask |= (_np.arange(self.n) % self.max_silence) == forced
-            result = frozenset(_np.nonzero(mask)[0].tolist())
-        else:                            # pragma: no cover - numpy baked in
-            result = frozenset(
-                i for i in range(self.n)
-                if draws[i] < threshold or i % self.max_silence == forced)
+        if threshold > _MASK64:           # activation_prob == 1.0
+            mask = _np.ones(self.n, dtype=bool)
+        else:
+            mask = draws < _np.uint64(threshold)
+        mask |= (_np.arange(self.n) % self.max_silence) == forced
+        result = frozenset(_np.nonzero(mask)[0].tolist())
         memo["alpha"] = result
         return result
 
@@ -405,11 +384,7 @@ class RandomSchedule(Schedule):
         row = memo.get(i)
         if row is None:
             draws = _splitmix_row(_hash_int(self.seed, "delay", t, i), self.n)
-            if _np is not None:
-                row = 1 + (draws % _np.uint64(self.max_delay)).astype(
-                    _np.int64)
-            else:                        # pragma: no cover - numpy baked in
-                row = [1 + d % self.max_delay for d in draws]
+            row = 1 + (draws % _np.uint64(self.max_delay)).astype(_np.int64)
             memo[i] = row
         return row
 
@@ -417,10 +392,7 @@ class RandomSchedule(Schedule):
         return max(0, t - int(self._delay_row(t, i)[j]))
 
     def beta_row(self, t: int, i: int) -> List[int]:
-        row = self._delay_row(t, i)
-        if _np is not None:
-            return _np.maximum(0, t - row).tolist()
-        return [max(0, t - d) for d in row]  # pragma: no cover
+        return _np.maximum(0, t - self._delay_row(t, i)).tolist()
 
     def beta_row_array(self, t: int, i: int):
         """``beta_row`` as an int64 ndarray, no list round-trip (the
@@ -541,12 +513,9 @@ class CompiledSchedule(Schedule):
         if step is None:
             src = self.source
             act = frozenset(src.alpha(t))
-            if _np is not None:
-                mask = _np.zeros(self.n, dtype=bool)
-                if act:
-                    mask[list(act)] = True
-            else:                        # pragma: no cover - numpy baked in
-                mask = [i in act for i in range(self.n)]
+            mask = _np.zeros(self.n, dtype=bool)
+            if act:
+                mask[list(act)] = True
             step = (act, mask, {})
             blk[t] = step
         return step
@@ -557,12 +526,10 @@ class CompiledSchedule(Schedule):
         row = rows.get(i)
         if row is None:
             array_form = getattr(self.source, "beta_row_array", None)
-            if _np is not None and array_form is not None:
+            if array_form is not None:
                 row = array_form(t, i)
             else:
-                row = self.source.beta_row(t, i)
-                if _np is not None:
-                    row = _np.asarray(row, dtype=_np.int64)
+                row = _np.asarray(self.source.beta_row(t, i), dtype=_np.int64)
             rows[i] = row
         return row
 
@@ -580,11 +547,6 @@ class CompiledSchedule(Schedule):
             return self.source.beta(t, i, j)
         return int(self._row(t, i)[j])
 
-    def beta_row(self, t: int, i: int) -> List[int]:
-        if not (1 <= t <= self.horizon):
-            return self.source.beta_row(t, i)
-        return [int(b) for b in self._row(t, i)]
-
     def beta_uniform(self, t: int) -> Optional[int]:
         return self.source.beta_uniform(t)
 
@@ -599,24 +561,20 @@ class CompiledSchedule(Schedule):
 
     def beta_times(self, t: int, i: int):
         """Node ``i``'s ``(n,)`` int64 read-time row at ``t``."""
-        if _np is None:                  # pragma: no cover - numpy baked in
-            return self.source.beta_row(t, i)
         return self._row(t, i)
 
     def beta_times_for(self, t: int, i: int, sources):
         """Read times for the given source index array only.
 
         The δ hot path: an activation gathers exclusively from its
-        in-neighbours.  Uniform-β schedules answer with one constant
-        fill; everything else slices the cached full row — the slice
-        is *not* cached because ``sources`` is a property of the
-        caller's edge layout, not of the schedule (one compiled
-        instance may serve engines over different networks, or the
-        same network across topology mutations).
+        in-neighbours, so this slices the cached full row (uniform-β
+        steps never get here: the δ step fills those with one constant,
+        :meth:`beta_uniform`).  The slice is *not* cached because
+        ``sources`` is a property of the caller's edge layout, not of
+        the schedule (one compiled instance may serve engines over
+        different networks, or the same network across topology
+        mutations).
         """
-        uniform = self.source.beta_uniform(t)
-        if uniform is not None:
-            return _np.full(len(sources), uniform, dtype=_np.int64)
         return self._row(t, i)[sources]
 
     # ------------------------------------------------------------------

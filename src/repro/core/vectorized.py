@@ -35,17 +35,27 @@ ring of historic code matrices, extended through the edge tables and
 folded with ``np.minimum.reduceat`` (:func:`delta_fold`).  A single run
 is the grid of one trial.
 
-Capability & fallback
----------------------
+Primitives and transports
+-------------------------
+
+Every codes-rung primitive is written once, here:
+
+* :class:`TopologySnapshot` — one adjacency version in the flat edge
+  layout, with its one export/restore pair for worker processes and
+  its activation edge layout (:meth:`TopologySnapshot.edges`);
+* :func:`sigma_block_round` — the column-block σ round (kernel
+  :func:`gather_min_reduce`, Lemma 1 diagonal, changed columns);
+* :func:`delta_fold` — the δ kernel.
 
 This is the **vectorized** rung of the engine ladder.  The batched
 rung (:class:`BatchedVectorizedEngine`) runs this rung's σ round as
-is; :mod:`repro.core.parallel` and :mod:`repro.core.remote` override
-only the round (:meth:`VectorizedEngine._advance`), sharding its
-columns over worker processes or TCP workers, and inherit the
-encoding, snapshot machinery, σ loop and δ step.
+is; :mod:`repro.core.parallel` and :mod:`repro.core.remote` keep only
+transport, lifecycle and supervision: they ship the snapshot to their
+workers, run :func:`sigma_block_round` (and, remotely,
+:func:`delta_fold`) there on column blocks, and inherit the encoding,
+the σ loop and the δ step.
 
-The engine needs numpy and a :class:`~repro.algebras.base.AlgebraEncoding`
+The engine needs a :class:`~repro.algebras.base.AlgebraEncoding`
 (finite carrier, injective preference keys, default route equality).
 :func:`supports_vectorized` reports capability;
 :meth:`repro.session.RoutingSession.resolve` skips this rung for
@@ -53,7 +63,7 @@ unsupported algebras (``no-finite-encoding``), while constructing
 :class:`VectorizedEngine` directly raises
 :class:`~repro.core.algebra.UnsupportedAlgebraError` with the reason.
 
-Cache discipline: edge tables are derived from the adjacency matrix and
+Cache discipline: the snapshot is derived from the adjacency matrix and
 rebuilt whenever ``adjacency.version`` moves (checked by
 :meth:`VectorizedEngine.refresh` at the top of every public entry
 point), so mid-run ``set_edge`` / ``remove_edge`` can never leave a
@@ -63,12 +73,10 @@ stale table behind — the vectorized mirror of the
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Optional
 
-try:
-    import numpy as np
-except ImportError:                      # pragma: no cover - numpy is baked in
-    np = None
+import numpy as np
 
 from .algebra import RoutingAlgebra, UnsupportedAlgebraError
 from .asynchronous import AsyncResult
@@ -81,47 +89,11 @@ from .synchronous import SyncResult
 _DTYPE = "int32"
 
 
-def gather_min_reduce(sub, tables, src, erange, importers, starts,
-                      invalid_code):
-    """The σ kernel: one gather/min-reduce over the columns of ``sub``.
-
-    ``sub`` is the (column-restricted) code matrix; the remaining
-    arguments are a topology snapshot in the flat layout built by
-    :meth:`VectorizedEngine.refresh`.  Returns the new values with
-    importer-less rows at ``invalid_code``; the Lemma-1 diagonal fix-up
-    stays with the caller (it depends on which columns ``sub`` holds).
-    Single source of truth for the kernel — the serial engine and every
-    :mod:`repro.core.parallel` worker run exactly this code, so the
-    master's σ-stability probe can never drift from the workers' rounds.
-    """
-    new = np.full(sub.shape, invalid_code, dtype=_DTYPE)
-    if src.size:
-        extended = tables[erange, sub[src]]
-        new[importers] = np.minimum.reduceat(extended, starts, axis=0)
-    return new
-
-
-def delta_fold(ring, reads, edge_flat, starts, tables, affine=None):
-    """The δ kernel: gather every activation's historic reads, extend
-    them through their edges and ⊕ (= ``min`` on codes) per activation.
-
-    ``reads`` is an integer-array index, so ``ring[reads]`` is a fresh
-    ``(edges, width)`` copy — row ``e`` is the code row read along edge
-    ``edge_flat[e]`` — and each activation's edges are one consecutive
-    run starting at ``starts``.  The extension is a table gather, or
-    with ``affine=(w, cap)`` (see :func:`affine_view`) the exact clipped
-    shift ``min(x + w, cap)``, computed in place in that copy.
-    Single source of truth for δ — the engines' compiled step and every
-    :mod:`repro.core.remote` worker run exactly this code.
-    """
-    gathered = ring[reads]
-    if affine is not None:
-        w, cap = affine
-        ext = np.add(gathered, w[edge_flat], out=gathered)
-        np.minimum(ext, cap[edge_flat], out=ext)
-    else:
-        ext = tables[edge_flat[:, None], gathered]
-    return np.minimum.reduceat(ext, starts, axis=0)
+def _concat_ranges(counts):
+    """``concatenate([arange(c) for c in counts])`` without a Python loop."""
+    total = int(counts.sum())
+    ends = np.cumsum(counts)
+    return np.arange(total) - np.repeat(ends - counts, counts)
 
 
 def affine_view(tables, dtype):
@@ -136,22 +108,158 @@ def affine_view(tables, dtype):
     return w.astype(dtype), cap.astype(dtype)
 
 
-def _concat_ranges(counts):
-    """``concatenate([arange(c) for c in counts])`` without a Python loop."""
-    total = int(counts.sum())
-    ends = np.cumsum(counts)
-    return np.arange(total) - np.repeat(ends - counts, counts)
+class TopologySnapshot:
+    """One adjacency version in the flat edge layout every codes rung reads.
+
+    Edges are grouped by importer, importers ascending: node ``i``'s
+    in-edges are the run ``off[i] .. off[i] + deg[i]`` of ``src``
+    (exporter of each edge) and ``tables`` (its dense lookup table);
+    ``importers`` / ``starts`` are the nodes with in-edges and where
+    their runs begin — the σ kernel's ``minimum.reduceat`` groups.
+    ``src``, ``tables`` and ``deg`` are the whole snapshot; the rest is
+    derived from them, and :meth:`export` / :meth:`restore` carry it
+    to the worker processes of the parallel and remote rungs.
+    """
+
+    def __init__(self, src, tables, deg):
+        if int(deg.sum()) != src.size or tables.shape[0] != src.size:
+            raise ValueError(
+                f"inconsistent topology snapshot: {src.size} edge sources, "
+                f"{tables.shape[0]} tables, degrees summing to "
+                f"{int(deg.sum())}")
+        self.src = src
+        self.tables = tables
+        self.deg = deg
+        self.off = np.cumsum(deg) - deg
+        self.importers = np.nonzero(deg)[0]
+        self.starts = self.off[self.importers]
+        self.erange = np.arange(src.size)[:, None]
+
+    @property
+    def dtype(self):
+        """Narrowest dtype δ's code tensors (the engine's batch ring, a
+        remote worker's ring) fit in.
+
+        Finite carriers are small (hop bounds, levels); int16 halves
+        the memory traffic of every gather/fold/compare in the δ step,
+        which is bandwidth-bound.  The margin (``2 · size``) keeps the
+        affine fast path's ``x + w`` sum in range too.
+        """
+        return np.int16 if 2 * self.tables.shape[1] < 32_000 else _DTYPE
+
+    @cached_property
+    def affine(self):
+        """``(w, cap)`` — the clipped-shift view of the edge tables, in
+        :attr:`dtype` — when it is exact, else ``None``.
+
+        Many finite encodings produce tables of the form
+        ``T[x] = min(x + w, cap)`` (hop count and weighted chains: the
+        carrier is preference-ordered, an edge adds a cost, ∞̄ absorbs).
+        Verified *element-wise* against the real tables (see
+        :func:`affine_view`), so the fast path is exact or unused —
+        never approximate.  When it holds, the δ kernel's per-element
+        table gather (a 2-D fancy index, the most expensive op in the δ
+        step) becomes two SIMD-friendly arithmetic ops.  Computed on
+        first use: σ-only workloads never pay for it.
+        """
+        return affine_view(self.tables, self.dtype)
+
+    def edges(self, nodes):
+        """The activation edge layout of ``nodes`` (each with in-edges):
+        ``(edge_flat, starts)`` — every in-edge of every node, node by
+        node, and where each node's run begins."""
+        d = self.deg[nodes]
+        return (np.repeat(self.off[nodes], d) + _concat_ranges(d),
+                np.cumsum(d) - d)
+
+    def export(self):
+        """``(meta, tables)``: the JSON-able half of the snapshot and its
+        dense tables, which each transport ships its own way (shared
+        memory for the pool, a raw tail on the wire)."""
+        return ({"src": self.src.tolist(), "deg": self.deg.tolist(),
+                 "tables_shape": list(self.tables.shape)}, self.tables)
+
+    @classmethod
+    def restore(cls, meta, tables) -> "TopologySnapshot":
+        """The snapshot :meth:`export` gave ``meta`` for, around the
+        transported ``tables``."""
+        return cls(np.asarray(meta["src"], dtype=np.intp), tables,
+                   np.asarray(meta["deg"], dtype=np.intp))
+
+
+def gather_min_reduce(sub, topo: TopologySnapshot, invalid_code):
+    """The σ kernel: one gather/min-reduce over the columns of ``sub``.
+
+    ``sub`` is the (column-restricted) code matrix.  Returns the new
+    values with importer-less rows at ``invalid_code``; the Lemma-1
+    diagonal is :func:`sigma_block_round`'s (it depends on which
+    columns ``sub`` holds).
+    """
+    new = np.full(sub.shape, invalid_code, dtype=_DTYPE)
+    if topo.src.size:
+        extended = topo.tables[topo.erange, sub[topo.src]]
+        new[topo.importers] = np.minimum.reduceat(extended, topo.starts,
+                                                  axis=0)
+    return new
+
+
+def sigma_block_round(topo: TopologySnapshot, block, cols, lo: int,
+                      trivial_code, invalid_code):
+    """One σ round over columns ``cols`` of a column block: writes the
+    new values of those columns into ``block`` and returns the ones
+    that changed (block-local, in the order of ``cols``).
+
+    ``block`` holds columns ``lo ..`` of the code matrix (the whole
+    matrix with ``lo = 0``) and ``cols`` are block-local.  Column
+    independence (entry (i, j) of σ(X) reads only column j of X) makes
+    the restricted recompute exact and the in-place write sound: no
+    column of the round reads another.  Single source of truth for the
+    round — the serial engine, every :mod:`repro.core.parallel` worker
+    and every :mod:`repro.core.remote` worker run exactly this code, so
+    the rungs can never drift apart.
+    """
+    # a C-ordered copy (``block[:, cols]`` would be F-ordered, which
+    # slows the kernel's row gather): the round's frozen input
+    sub = block.take(cols, axis=1)
+    new = gather_min_reduce(sub, topo, invalid_code)
+    new[lo + cols, np.arange(cols.size)] = trivial_code  # Lemma 1
+    block[:, cols] = new
+    return cols[(new != sub).any(axis=0)]
+
+
+def delta_fold(ring, reads, edge_flat, starts, tables, affine=None):
+    """The δ kernel: gather every activation's historic reads, extend
+    them through their edges and ⊕ (= ``min`` on codes) per activation.
+
+    ``reads`` is an integer-array index, so ``ring[reads]`` is a fresh
+    ``(edges, width)`` copy — row ``e`` is the code row read along edge
+    ``edge_flat[e]`` — and each activation's edges are one consecutive
+    run starting at ``starts`` (:meth:`TopologySnapshot.edges`).  The
+    extension is a table gather, or with ``affine=(w, cap)`` (see
+    :attr:`TopologySnapshot.affine`) the exact clipped shift
+    ``min(x + w, cap)``, computed in place in that copy.
+    Single source of truth for δ — the engines' compiled step and every
+    :mod:`repro.core.remote` worker run exactly this code.
+    """
+    gathered = ring[reads]
+    if affine is not None:
+        w, cap = affine
+        ext = np.add(gathered, w[edge_flat], out=gathered)
+        np.minimum(ext, cap[edge_flat], out=ext)
+    else:
+        ext = tables[edge_flat[:, None], gathered]
+    return np.minimum.reduceat(ext, starts, axis=0)
 
 
 def supports_vectorized(algebra: RoutingAlgebra) -> bool:
     """True when the vectorized engine can run this algebra.
 
-    Requires numpy, a finite carrier, the FiniteEncoding protocol, and a
+    Requires a finite carrier, the FiniteEncoding protocol, and a
     successfully built encoding (injective preference keys, 0̄ first, ∞̄
     last).  Used by the engine selectors to decide between dispatch and
     fallback.
     """
-    if np is None or not getattr(algebra, "is_finite", False):
+    if not getattr(algebra, "is_finite", False):
         return False
     builder = getattr(algebra, "finite_encoding", None)
     if builder is None:
@@ -166,12 +274,10 @@ def supports_vectorized(algebra: RoutingAlgebra) -> bool:
 class VectorizedEngine:
     """σ/δ over int-encoded routing states for one network.
 
-    The engine snapshots the adjacency matrix into flat arrays —
-    ``_src[e]`` (exporter of edge ``e``), ``_tables[e]`` (its dense
-    lookup table), edges grouped by importer with group starts
-    ``_starts`` aligned to ``_importers`` — and refreshes the snapshot
-    whenever ``adjacency.version`` moves.  States cross the boundary via
-    :meth:`encode_state` / :meth:`decode_state`.
+    The engine keeps one :class:`TopologySnapshot` of the adjacency
+    matrix (``_topo``) and rebuilds it whenever ``adjacency.version``
+    moves.  States cross the boundary via :meth:`encode_state` /
+    :meth:`decode_state`.
 
     δ has one kernel, the compiled-schedule step of :meth:`delta_grid`:
     a single run is the grid of one trial, and every codes-based rung
@@ -190,9 +296,6 @@ class VectorizedEngine:
     ))
 
     def __init__(self, network: Network):
-        if np is None:
-            raise UnsupportedAlgebraError(
-                "vectorized engine unavailable: numpy is not installed")
         builder = getattr(network.algebra, "finite_encoding", None)
         if builder is None:
             raise UnsupportedAlgebraError(
@@ -210,51 +313,30 @@ class VectorizedEngine:
     # ------------------------------------------------------------------
 
     def refresh(self) -> None:
-        """Rebuild edge arrays iff the adjacency matrix has mutated."""
+        """Rebuild the topology snapshot iff the adjacency matrix has
+        mutated."""
         adjacency = self.network.adjacency
         if self._version == adjacency.version:
             return
-        topo = adjacency.topology
+        in_edges = adjacency.topology.in_edges
         n = self.network.n
-        size = self.encoding.size
         srcs: List[int] = []
         tables: List[List[int]] = []
-        importers: List[int] = []
-        counts: List[int] = []
         built = {}                       # id(fn) -> table, this snapshot only
         for i in range(n):
-            edges = topo.in_edges[i]
-            if not edges:
-                continue
-            importers.append(i)
-            counts.append(len(edges))
-            for (k, fn) in edges:
+            for (k, fn) in in_edges[i]:
                 srcs.append(k)
                 table = built.get(id(fn))
                 if table is None:
                     table = self.encoding.edge_table(fn)
                     built[id(fn)] = table
                 tables.append(table)
-        n_edges = len(srcs)
         self._n = n
-        self._src = np.asarray(srcs, dtype=np.intp)
-        self._tables = (np.asarray(tables, dtype=_DTYPE)
-                        if n_edges else np.zeros((0, size), dtype=_DTYPE))
-        self._erange = np.arange(n_edges)[:, None]
-        self._importers = np.asarray(importers, dtype=np.intp)
-        starts = np.zeros(len(importers), dtype=np.intp)
-        if len(importers) > 1:
-            starts[1:] = np.cumsum(counts[:-1])
-        self._starts = starts
-        offsets = {}
-        degrees = {}
-        offset = 0
-        for i, count in zip(importers, counts):
-            offsets[i] = offset
-            degrees[i] = count
-            offset += count
-        self._offsets = offsets
-        self._degrees = degrees
+        self._topo = TopologySnapshot(
+            np.asarray(srcs, dtype=np.intp),
+            np.asarray(tables, dtype=_DTYPE) if srcs
+            else np.zeros((0, self.encoding.size), dtype=_DTYPE),
+            np.asarray([len(in_edges[i]) for i in range(n)], dtype=np.intp))
         self._version = adjacency.version
 
     # ------------------------------------------------------------------
@@ -297,45 +379,22 @@ class VectorizedEngine:
     # σ
     # ------------------------------------------------------------------
 
-    def _sigma_codes(self, C: "np.ndarray",
-                     cols: Optional["np.ndarray"] = None) -> "np.ndarray":
-        """One σ round on codes, over all columns or just ``cols``.
-
-        Column independence (entry (i, j) reads only column j) makes the
-        restricted recompute exact, not approximate.
-        """
-        sub = C if cols is None else C[:, cols]
-        new = gather_min_reduce(sub, self._tables, self._src, self._erange,
-                                self._importers, self._starts,
-                                self.invalid_code)
-        if cols is None:
-            np.fill_diagonal(new, self.trivial_code)  # Lemma 1
-        else:
-            new[cols, np.arange(len(cols))] = self.trivial_code
-        return new
-
     def _advance(self, C: "np.ndarray", dirty: Optional["np.ndarray"]):
         """``(C, dirty columns) → (σ(C), changed columns)``: one σ round,
         the only step a codes rung supplies to :func:`iterate_sigma_vectorized`.
 
         ``dirty=None`` means "unknown — full round" (the first round of
         a run).  Otherwise ``C`` is the array the previous call returned
-        and ``dirty`` its changed columns, so only those are recomputed.
-        Untouched columns are carried over by copy; an empty result is
-        exactly σ-stability.  ``C`` itself is never written.
+        and ``dirty`` its changed columns, so only those are recomputed
+        (:func:`sigma_block_round` over the whole matrix).  Untouched
+        columns are carried over by copy; an empty result is exactly
+        σ-stability.  ``C`` itself is never written.
         """
-        if dirty is None:
-            new = self._sigma_codes(C)
-            return new, np.nonzero((new != C).any(axis=0))[0]
-        if dirty.size == 0:
-            return C, dirty
-        new_sub = self._sigma_codes(C, dirty)
-        changed = dirty[(new_sub != C[:, dirty]).any(axis=0)]
-        if changed.size == 0:
-            return C, changed
+        cols = np.arange(self._n) if dirty is None else dirty
         nxt = C.copy()
-        nxt[:, dirty] = new_sub
-        return nxt, changed
+        changed = sigma_block_round(self._topo, nxt, cols, 0,
+                                    self.trivial_code, self.invalid_code)
+        return (nxt if changed.size else C), changed
 
     def sigma(self, state: RoutingState) -> RoutingState:
         """One σ round (decoded), on this engine's round; the
@@ -352,49 +411,13 @@ class VectorizedEngine:
     # δ
     # ------------------------------------------------------------------
 
-    def _node_arrays(self):
-        """``(degree, offset)`` arrays indexed by node: node ``i``'s
-        in-edges are ``_src[offset[i]:offset[i] + degree[i]]``."""
-        if getattr(self, "_node_arrays_version", None) != self._version:
-            deg = np.zeros(self._n, dtype=np.intp)
-            off = np.zeros(self._n, dtype=np.intp)
-            for i, d in self._degrees.items():
-                deg[i] = d
-                off[i] = self._offsets[i]
-            self._deg_arr, self._off_arr = deg, off
-            self._node_arrays_version = self._version
-        return self._deg_arr, self._off_arr
-
     @property
     def _batch_dtype(self):
-        """Narrowest dtype the stacked code tensors fit in.
+        """Narrowest dtype the stacked code tensors fit in (the
+        snapshot's :attr:`TopologySnapshot.dtype`)."""
+        return self._topo.dtype
 
-        Finite carriers are small (hop bounds, levels); int16 halves
-        the memory traffic of every gather/fold/compare in the δ step,
-        which is bandwidth-bound.  The margin (``2 · size``)
-        keeps the affine fast path's ``x + w`` sum in range too.
-        """
-        return np.int16 if 2 * self.encoding.size < 32_000 else _DTYPE
-
-    def _affine_tables(self):
-        """``(w, cap)`` — the clipped-shift view of the edge tables —
-        when it is exact, else ``None``.
-
-        Many finite encodings produce tables of the form
-        ``T[x] = min(x + w, cap)`` (hop count and weighted chains: the
-        carrier is preference-ordered, an edge adds a cost, ∞̄ absorbs).
-        Verified *element-wise* against the real tables at snapshot
-        time, so the fast path is exact or unused — never approximate.
-        When it holds, the δ kernel's per-element table gather (a 2-D
-        fancy index, the most expensive op in the δ step) becomes two
-        SIMD-friendly arithmetic ops, in the batch dtype.
-        """
-        if getattr(self, "_affine_version", None) != self._version:
-            self._affine = affine_view(self._tables, self._batch_dtype)
-            self._affine_version = self._version
-        return self._affine
-
-    def _slot_segment(self, comp, t: int, deg_arr, off_arr):
+    def _slot_segment(self, comp, t: int):
         """Flat read-time array over ``comp``'s active, degree > 0
         importers at ``t``, aligned to the snapshot's edge layout.
 
@@ -409,18 +432,17 @@ class VectorizedEngine:
             cache["t"] = t
         seg = cache.get(id(comp))
         if seg is None:
-            mask = comp.alpha_mask(t)
-            nodes = np.nonzero(mask)[0]
-            nodes = nodes[deg_arr[nodes] > 0]
-            total = int(deg_arr[nodes].sum())
+            topo = self._topo
+            nodes = np.nonzero(comp.alpha_mask(t))[0]
+            nodes = nodes[topo.deg[nodes] > 0]
+            total = int(topo.deg[nodes].sum())
             uniform = comp.beta_uniform(t)
             if uniform is not None:
                 seg = np.full(total, uniform, dtype=np.int64)
             elif total:
-                src = self._src
+                src, off, deg = topo.src, topo.off, topo.deg
                 seg = np.concatenate(
-                    [comp.beta_times_for(
-                        t, int(i), src[off_arr[i]:off_arr[i] + deg_arr[i]])
+                    [comp.beta_times_for(t, i, src[off[i]:off[i] + deg[i]])
                      for i in nodes.tolist()])
             else:
                 seg = np.empty(0, dtype=np.int64)
@@ -482,22 +504,20 @@ class VectorizedEngine:
         pairs_b, pairs_i = np.nonzero(act)
         if pairs_b.size == 0:
             return changed
-        deg_arr, off_arr = self._node_arrays()
-        d = deg_arr[pairs_i]
+        topo = self._topo
+        d = topo.deg[pairs_i]
         has_edges = d > 0
         eb, ei, ed = pairs_b[has_edges], pairs_i[has_edges], d[has_edges]
         zb, zi = pairs_b[~has_edges], pairs_i[~has_edges]
 
         cert = None
         if eb.size:
-            src = self._src
-            starts = np.zeros(ed.size, dtype=np.intp)
-            starts[1:] = np.cumsum(ed[:-1])
+            edge_flat, starts = topo.edges(ei)
             # pairs are b-major / i-ascending — exactly the per-trial
             # concatenation of the cached per-(schedule, t) segments
             trial_ids = np.unique(eb)
             slot = np.concatenate(
-                [self._slot_segment(scheds[b], t, deg_arr, off_arr)
+                [self._slot_segment(scheds[b], t)
                  for b in trial_ids.tolist()])
             rep_b = np.repeat(eb, ed)
             bad = (slot < 0) | (slot >= t) | ((t - slot) > windows[rep_b])
@@ -510,8 +530,7 @@ class VectorizedEngine:
                     "schedule reads further back than its declared "
                     "max_read_back — run RoutingSession.delta(..., "
                     "strict=True) to keep the full history")
-            edge_flat = np.repeat(off_arr[ei], ed) + _concat_ranges(ed)
-            src_flat = src[edge_flat]
+            src_flat = topo.src[edge_flat]
             # -- read-diff skip (vectorized DeltaRowCache) --------------
             # sound because entry (i, j) is a pure fold of the sources'
             # reads: if no source row changed anywhere in the span
@@ -533,11 +552,10 @@ class VectorizedEngine:
                 src_flat = src_flat[keep_edges]
                 slot = slot[keep_edges]
                 rep_b = rep_b[keep_edges]
-                starts = np.zeros(ed.size, dtype=np.intp)
-                starts[1:] = np.cumsum(ed[:-1])
+                starts = np.cumsum(ed) - ed
         if eb.size:
             folded = delta_fold(ring, (slot % W, rep_b, src_flat), edge_flat,
-                                starts, self._tables, self._affine_tables())
+                                starts, topo.tables, topo.affine)
             folded[np.arange(ei.size), ei] = self.trivial_code
             row_changed = (folded != prev[eb, ei, :]).any(axis=1)
             nxt[eb, ei, :] = folded
@@ -572,23 +590,19 @@ class VectorizedEngine:
     def _sigma_rows(self, C: "np.ndarray", rows: "np.ndarray"
                     ) -> "np.ndarray":
         """σ(C) restricted to ``rows`` of a single ``(n, n)`` state —
-        exactly the values :meth:`_sigma_codes` would put there.
+        exactly the values :func:`sigma_block_round` would put there.
 
-        The row-restricted fallback probe for trials whose σ-residual
-        certificate (see :meth:`_delta_step_batch`) doesn't yet cover
-        every row at candidate time."""
-        n = self._n
-        deg_arr, off_arr = self._node_arrays()
-        out = np.full((rows.size, n), self.invalid_code, dtype=_DTYPE)
-        d = deg_arr[rows]
-        has = d > 0
-        er, ed = rows[has], d[has]
-        if er.size:
-            starts = np.zeros(ed.size, dtype=np.intp)
-            starts[1:] = np.cumsum(ed[:-1])
-            edge_flat = np.repeat(off_arr[er], ed) + _concat_ranges(ed)
-            out[has] = delta_fold(C, self._src[edge_flat], edge_flat,
-                                  starts, self._tables)
+        The row-restricted σ-stability probe of a δ candidate: in
+        :meth:`delta_grid` over the rows a trial's σ-residual
+        certificate (see :meth:`_delta_step_batch`) doesn't yet cover,
+        on the remote coordinator over every row of a fetched state."""
+        topo = self._topo
+        out = np.full((rows.size, self._n), self.invalid_code, dtype=_DTYPE)
+        has = topo.deg[rows] > 0
+        if has.any():
+            edge_flat, starts = topo.edges(rows[has])
+            out[has] = delta_fold(C, topo.src[edge_flat], edge_flat,
+                                  starts, topo.tables)
         out[np.arange(rows.size), rows] = self.trivial_code
         return out
 

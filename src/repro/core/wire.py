@@ -14,7 +14,9 @@ this module, which defines
   against the receiver's last acknowledged state) and *quantized*
   (values travel in the narrowest unsigned carrier that can hold the
   algebra's finite encoding, extending the batched engine's
-  narrow-dtype trick to the wire); and
+  narrow-dtype trick to the wire), and its **chain** form for δ
+  checkpoints (length-prefixed updates, each against the one before);
+  and
 * **byte accounting** — :class:`WireStats` tracks bytes, commands, and
   protocol rounds, plus the naive-equivalent byte count (full-block
   ``int32`` transfer) so the compression ratio is measurable and
@@ -61,14 +63,18 @@ __all__ = [
     "carrier_dtype",
     "encode_update",
     "decode_update",
+    "encode_chain",
+    "decode_chain",
     "naive_update_bytes",
     "WireStats",
 ]
 
 #: Protocol version.  Bump on any incompatible change to the frame
-#: layout, message vocabulary, or update-blob encoding; peers with a
-#: different version are rejected with :class:`WireVersionError`.
-WIRE_VERSION = 1
+#: layout, message vocabulary, payload fields, or update-blob encoding;
+#: peers with a different version are rejected with
+#: :class:`WireVersionError`.  docs/wire.md lists what each version
+#: changed.
+WIRE_VERSION = 2
 
 #: Frame magic.  Anything else at a frame boundary is a malformed peer.
 MAGIC = b"RSDW"
@@ -81,7 +87,7 @@ _HEADER = struct.Struct("!4sHBI")
 MAX_PAYLOAD = 1 << 30
 
 # Coordinator -> worker commands.
-MSG_LOAD = 1          # topology snapshot (tables, sources, column block)
+MSG_LOAD = 1          # topology snapshot (tables, sources, degrees, block)
 MSG_SIGMA_INIT = 2    # install a starting state (delta vs. all-invalid)
 MSG_SIGMA_ROUND = 3   # run one synchronous round over the dirty columns
 MSG_DELTA_INIT = 4    # install a delta ring (window size + start state)
@@ -403,6 +409,46 @@ def decode_update(blob: bytes, out: np.ndarray) -> int:
     return int(changed_cols.size)
 
 
+def encode_chain(base: np.ndarray, blocks, carrier_size: int) -> bytes:
+    """The checkpoint chain: ``blocks[0]`` delta-encoded against
+    ``base``, each next block against the one before, every update blob
+    prefixed with its ``!I`` length and concatenated."""
+    parts = []
+    prev = base
+    for block in blocks:
+        blob = encode_update(prev, block, carrier_size)
+        parts.append(struct.pack("!I", len(blob)) + blob)
+        prev = block
+    return b"".join(parts)
+
+
+def decode_chain(tail: bytes, base: np.ndarray, outs) -> None:
+    """Inverse of :func:`encode_chain`: decode one blob into each of
+    ``outs`` in order (block ``k`` is blob ``k`` applied to block
+    ``k - 1``, ``base`` first).  Raises :class:`WireFormatError` when
+    the tail does not hold exactly ``len(outs)`` well-framed blobs."""
+    pos = 0
+    prev = base
+    for out in outs:
+        if pos + 4 > len(tail):
+            raise WireFormatError(
+                f"checkpoint tail truncated at byte {pos} of {len(tail)}")
+        (length,) = struct.unpack_from("!I", tail, pos)
+        pos += 4
+        if pos + length > len(tail):
+            raise WireFormatError(
+                f"checkpoint blob overruns tail ({pos + length} > "
+                f"{len(tail)})")
+        out[...] = prev
+        decode_update(tail[pos:pos + length], out)
+        pos += length
+        prev = out
+    if pos != len(tail):
+        raise WireFormatError(
+            f"{len(tail) - pos} stray byte(s) after {len(outs)} "
+            "checkpoint blob(s)")
+
+
 def naive_update_bytes(rows: int, cols: int) -> int:
     """Bytes a naive protocol would ship: the full block as ``int32``."""
     return rows * cols * 4
@@ -461,14 +507,6 @@ class WireStats:
             self.update_bytes - other.update_bytes,
             self.naive_bytes - other.naive_bytes,
         )
-
-    def add(self, other: "WireStats") -> None:
-        self.bytes_sent += other.bytes_sent
-        self.bytes_received += other.bytes_received
-        self.commands += other.commands
-        self.rounds += other.rounds
-        self.update_bytes += other.update_bytes
-        self.naive_bytes += other.naive_bytes
 
     def as_dict(self) -> dict:
         return {

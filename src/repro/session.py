@@ -611,7 +611,6 @@ class RoutingSession:
         result = _delta_run_resolved(
             net, schedule, start, resolution.chosen, max_steps=max_steps,
             stability_window=stability_window, keep_history=keep_history,
-            workers=resolution.workers,
             engine_obj=self._engine_obj(resolution))
         ipc_commands = ipc_steps = None
         if resolution.chosen == "remote":
@@ -695,7 +694,7 @@ class RoutingSession:
                 results.append(_delta_run_resolved(
                     net, sched, start, resolution.chosen,
                     max_steps=max_steps, stability_window=stability_window,
-                    workers=resolution.workers, engine_obj=eng))
+                    engine_obj=eng))
         alg = net.algebra
         fixed_points: List[RoutingState] = []
         steps: List[int] = []

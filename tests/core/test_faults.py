@@ -52,7 +52,12 @@ from repro.core.faults import (
     RECV_DROP,
     RECV_PASS,
 )
-from repro.core.remote import _serve_connection, serve_worker
+from repro.core.remote import (
+    _reap_workers,
+    _serve_connection,
+    serve_worker,
+    spawn_loopback_workers,
+)
 from repro.core.wire import (
     MSG_ACK,
     MSG_SIGMA_ROUND,
@@ -525,6 +530,34 @@ class TestStrictAndTerminal:
         with pytest.raises(RemoteWorkerError) as exc:
             _sigma_under_plan(net, start, plan)
         assert "did not reply within 1.0s" in str(exc.value)
+
+    def test_strict_relayed_worker_error_is_typed(self, sigma_ref):
+        # shard 1's worker corrupts the JSON head of the first σ-round
+        # command it receives; its handler fails and the worker relays
+        # the failure as MSG_ERROR, which a strict engine surfaces as
+        # the typed per-shard error carrying the worker's message
+        net, start, _ = sigma_ref
+        plan = FaultPlan.parse({"rules": [{
+            "kind": "corrupt", "role": "worker", "op": "recv",
+            "msg_type": MSG_SIGMA_ROUND, "offset": 4}]})
+        procs, endpoints = [], []
+        try:
+            for fault_plan in (None, plan):
+                spawned, eps = spawn_loopback_workers(1,
+                                                      fault_plan=fault_plan)
+                procs += spawned
+                endpoints += eps
+            eng = RemoteVectorizedEngine(net, endpoints=endpoints,
+                                         strict=True, socket_timeout=10.0)
+            with pytest.raises(RemoteWorkerError) as exc:
+                _watchdog(lambda: iterate_sigma_vectorized(
+                    net, start, max_rounds=300, engine=eng))
+            assert exc.value.shard_id == 1
+            assert exc.value.endpoint == tuple(endpoints[1])
+            assert "undecodable JSON head" in str(exc.value)
+            assert eng.closed
+        finally:
+            _reap_workers(procs)
 
     def test_strict_never_records_degraded(self, sigma_ref):
         net, start, ref = sigma_ref

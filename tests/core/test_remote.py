@@ -73,6 +73,8 @@ from repro.core.wire import (
     MAGIC,
     MSG_ACK,
     MSG_ERROR,
+    MSG_PING,
+    MSG_SIGMA_ROUND,
     MSG_STOP,
     FrameConnection,
     WireStats,
@@ -295,6 +297,24 @@ class TestWorkerProtocol:
             fc.send(MSG_STOP)
             msg_type, payload = fc.recv()
             assert (msg_type, payload) == (MSG_ACK, b"")
+
+    def test_handler_failure_is_relayed_and_worker_stays_usable(self):
+        # docs/wire.md "Failure semantics": a command the worker cannot
+        # serve is answered with MSG_ERROR naming the failure, and the
+        # session goes on
+        host, port = _live_worker()
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.settimeout(10)
+            fc = FrameConnection(sock)
+            fc.send(MSG_SIGMA_ROUND, pack_payload({"full": True}))
+            msg_type, payload = fc.recv()
+            assert msg_type == MSG_ERROR
+            obj, _ = unpack_payload(payload)
+            assert "sigma round before sigma init" in obj["message"]
+            fc.send(MSG_PING)
+            assert fc.recv() == (MSG_ACK, b"")
+            fc.send(MSG_STOP)
+            assert fc.recv() == (MSG_ACK, b"")
 
 
 # ----------------------------------------------------------------------
@@ -746,3 +766,5 @@ class TestCLIWorker:
             for proc in procs:
                 if proc.poll() is None:
                     proc.terminate()
+                    proc.wait(timeout=15)
+                proc.stdout.close()

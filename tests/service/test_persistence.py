@@ -161,6 +161,7 @@ class TestSnapshots:
         p = ServicePersistence(tmp_path)
         p.append({"verb": "load"})
         path = p.snapshot([])
+        p.close()
         payload = json.loads(path.read_text())
         payload["format"] = SNAPSHOT_FORMAT + 1
         path.write_text(json.dumps(payload))
@@ -451,6 +452,7 @@ class TestKill9Recovery:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=15)
+            proc.stdout.close()
 
     def test_sigkill_mid_mutation_stream_replays_the_tail(self,
                                                           tmp_path):
@@ -484,6 +486,7 @@ class TestKill9Recovery:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=15)
+            proc.stdout.close()
 
     def test_torn_journal_tail_recovers_to_the_last_intact_record(
             self, tmp_path):
@@ -515,6 +518,7 @@ class TestKill9Recovery:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=15)
+            proc.stdout.close()
 
 
 # ----------------------------------------------------------------------

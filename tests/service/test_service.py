@@ -20,6 +20,7 @@ What must hold, per ``docs/service.md``:
 
 import asyncio
 import json
+import random
 import re
 import socket
 import subprocess
@@ -451,6 +452,49 @@ class TestRoutesVerb:
         assert reply["ok"] and len(reply["routes"]) == 8
 
 
+class TestConvergenceVerb:
+    """The Definition 8 grid as a verb: the served reply is the direct
+    session's ConvergenceReport, cached per topology version."""
+
+    FIELDS = ("absolute", "runs", "distinct_fixed_points", "max_steps",
+              "mean_steps", "engine")
+
+    def test_convergence_matches_direct_session_and_caches(self, daemon):
+        n, seed = 10, 2
+        knobs = dict(n_starts=2, seed=5, max_steps=800)
+        from repro.service.daemon import _build_network
+        network, factory = _build_network("hop-count", "random", n, seed)
+
+        def direct():
+            with RoutingSession(network) as session:
+                report = session.converges(**knobs)
+            return {"absolute": report.absolute, "runs": report.runs,
+                    "distinct_fixed_points":
+                        len(report.distinct_fixed_points),
+                    "max_steps": report.grid.max_steps,
+                    "mean_steps": report.grid.mean_steps,
+                    "engine": report.grid.resolution.chosen}
+
+        def fields(reply):
+            return {k: reply[k] for k in self.FIELDS}
+
+        with ServiceClient(port=daemon.port) as c:
+            sid = c.load("hop-count", n=n, topology="random",
+                         seed=seed)["session"]
+            served = c.convergence(sid, **knobs)
+            again = c.convergence(sid, **knobs)
+            version = c.set_edge(sid, 0, n - 1, edge_seed=3)["version"]
+            after = c.convergence(sid, **knobs)
+        assert served["cached"] is False
+        assert fields(served) == direct()
+        assert again["cached"] is True
+        assert fields(again) == fields(served)
+        assert version > served["version"]
+        assert after["cached"] is False and after["version"] == version
+        network.set_edge(0, n - 1, factory(random.Random(3), 0, n - 1))
+        assert fields(after) == direct()
+
+
 class TestCorpusTopologyLoads:
     def test_load_corpus_topology(self, daemon):
         from repro.scenarios import load_corpus_topology
@@ -539,6 +583,7 @@ class TestRegistryAndCLI:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=15)
+            proc.stdout.close()
 
 
 # ----------------------------------------------------------------------
@@ -612,10 +657,11 @@ class TestBackpressure:
             sid = setup.load("hop-count", n=8,
                              topology="ring")["session"]
 
-        hold = threading.Thread(
-            target=lambda: ServiceClient(
-                port=tiny_daemon.port).sigma(sid),
-            daemon=True)
+        def hold_the_slot():
+            with ServiceClient(port=tiny_daemon.port) as holder:
+                holder.sigma(sid)
+
+        hold = threading.Thread(target=hold_the_slot, daemon=True)
         hold.start()
         import time as _time
         _time.sleep(0.2)                   # the slot is now occupied

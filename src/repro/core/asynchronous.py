@@ -31,9 +31,10 @@ The recursion is implemented in two forms:
 
 :func:`_delta_run_resolved` is :meth:`repro.session.RoutingSession.delta`'s
 dispatch onto the negotiated rung.  The codes-based rungs share one δ
-kernel, the compiled-schedule step of
-:meth:`repro.core.vectorized.VectorizedEngine.delta_grid`, in process
-or (:mod:`repro.core.remote`) on TCP workers.
+loop, :meth:`repro.core.vectorized.VectorizedEngine.delta_grid`, and
+one kernel, the compiled-schedule step, in process or
+(:mod:`repro.core.remote`) on TCP workers; the loop applies the
+convergence criterion below on codes.
 
 Convergence detection
 ---------------------
@@ -223,11 +224,11 @@ def _delta_run_resolved(network: Network, schedule: Schedule,
     the codes-based rungs are only ever chosen for bounded schedules
     without ``keep_history``.  ``engine_obj`` is the rung's prebuilt
     engine (a :class:`~repro.session.RoutingSession`'s managed
-    instance; required on every codes rung).  The
-    vectorized, parallel and batched rungs all run the one δ kernel, the
-    compiled-schedule step, as a grid of one trial; the remote rung runs
-    it on its TCP workers.  The ``"naive"`` rung runs the strict literal
-    paper recursion.
+    instance; required on every codes rung).  Every codes rung runs the
+    one δ loop as a grid of one trial — the remote rung through its
+    supervised :func:`~repro.core.remote.delta_run_remote`, on its TCP
+    workers.  The ``"naive"`` rung runs the strict literal paper
+    recursion.
     """
     if rung == "remote":
         from .remote import delta_run_remote

@@ -39,8 +39,9 @@ Fault taxonomy (``kind``)
     sleep ``delay_ms`` before delivering the frame (still lossless).
 ``corrupt``
     XOR ``xor_mask`` into one byte at ``offset``.  On send this mangles
-    the frame header (bad magic at the peer); on recv it mangles the
-    payload (typed decode error above).
+    one byte of the whole frame; on recv one byte of the payload.  On
+    the remote wire either way the frame fails its magic or its
+    checksum (a typed :class:`~repro.core.wire.WireFormatError`).
 ``truncate``
     send: write only the first ``truncate_to`` bytes, then close — the
     peer sees a torn frame.  recv: deliver a ``truncate_to``-byte

@@ -19,17 +19,17 @@ contiguous block of destination columns, and drives two protocols —
   cycle detection, convergence on an empty union of changed columns,
   churn — is the vectorized rung's
   :func:`~repro.core.vectorized.iterate_sigma_vectorized`.
-* **δ**: the coordinator reads each window of :data:`DELTA_WINDOW`
-  steps off the compiled schedule (α bitmask rows, β read times over
-  each active node's in-neighbours), polices staleness exactly like
-  :class:`~repro.core.incremental.BoundedHistory`, and ships the
-  window as one command; the workers fold every step with the shared
-  δ kernel (:func:`~repro.core.vectorized.delta_fold`) against local
-  history rings and reply per-step changed flags; when the convergence counter
-  fills, the coordinator *fetches* the candidate state (delta-encoded
-  against the last fetch) and probes σ-stability on its local snapshot
-  — so convergence decisions, round counts, and final states are
-  bit-identical to the serial engines.
+* **δ**: the loop is the vectorized rung's
+  :meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`; this
+  engine supplies its hooks.  A window is one command of up to
+  :data:`DELTA_WINDOW` steps read off the compiled schedule (α bitmask
+  rows, β read times over each active node's in-neighbours); the
+  workers fold every step with the shared δ kernel
+  (:func:`~repro.core.vectorized.delta_fold`) against local history
+  rings and reply per-step changed flags, and the state at a step is
+  *fetched* (delta-encoded against the last fetch) — so convergence
+  decisions, round counts, and final states are bit-identical to the
+  serial engines.
 
 The σ round, the δ kernel and the snapshot are the vectorized rung's
 primitives; this module keeps only transport, lifecycle and
@@ -84,7 +84,7 @@ from .capabilities import (
 )
 from .faults import FaultPlan
 from .parallel import _mp_context, _split_columns
-from .schedule import CompiledSchedule, Schedule
+from .schedule import Schedule
 from .state import Network, RoutingState
 from .vectorized import (
     _DTYPE,
@@ -795,6 +795,7 @@ class RemoteVectorizedEngine(VectorizedEngine):
         #: IPC amortisation achieved by the most recent δ run
         self.delta_ipc_commands = 0
         self.delta_ipc_steps = 0
+        self._window = DELTA_WINDOW      # δ steps per command (run)
         self._acked = 0                  # fully collected barriers (run)
         #: δ mid-run checkpointing: cadence (windows between captures,
         #: 0 disables) and the most recent run's save/resume counters
@@ -874,6 +875,7 @@ class RemoteVectorizedEngine(VectorizedEngine):
         on the widest healthy fleet."""
         self._retries_left = self._max_retries
         self.degraded = []
+        self.wire_stats = WireStats()    # a run that ships nothing
         self._fresh_stats = True
         self._maybe_rejoin()
 
@@ -1280,11 +1282,6 @@ class RemoteVectorizedEngine(VectorizedEngine):
 
     # -- δ ---------------------------------------------------------------
 
-    def _fetch(self, M: "np.ndarray", t: int) -> None:
-        """Pull ring slot ``t`` into the mirror (delta vs. last fetch)."""
-        self._broadcast(MSG_FETCH, {"t": int(t)})
-        self._collect_updates(M)
-
     def _capture_delta_ckpt(self, M: "np.ndarray", t_bar: int,
                             read_window: int, unchanged: int) -> None:
         """Pull a δ checkpoint at the window barrier ending at ``t_bar``.
@@ -1309,28 +1306,116 @@ class RemoteVectorizedEngine(VectorizedEngine):
                             "slots": slots}
         self.delta_ckpt_saves += 1
 
+    # -- the three δ hooks of the loop (the workers hold one ring, so
+    # -- a run is one trial)
+
+    def _delta_begin(self, scheds, starts, windows):
+        """Start a run: the pool, then worker rings of the window plus
+        the trial's read window, holding the start at slot 0 or — when a
+        heal resumes the run — the last checkpoint's ring tail (full
+        ``(n, n)`` slots, so any column layout re-encodes its blocks)."""
+        self._attempt_pool()
+        W = self._window + int(windows[0])
+        ckpt = self._delta_ckpt
+        if ckpt is None:
+            mirror = starts[0].copy()
+            self._install(MSG_DELTA_INIT, {"window": W}, [mirror])
+            t, unchanged = 1, 0
+        else:
+            slot_ts = [t for t, _S in ckpt["slots"]]
+            self._install(MSG_DELTA_INIT, {"window": W, "slots": slot_ts},
+                          [S for _t, S in ckpt["slots"]], chained=True)
+            mirror = ckpt["slots"][-1][1].copy()
+            t, unchanged = ckpt["t"] + 1, ckpt["unchanged"]
+            self.delta_ckpt_resumes += 1
+            self.delta_resumed_from = ckpt["t"]
+            _engine_log.info(
+                "δ resume from checkpoint: t=%d (%d ring slot(s) "
+                "re-installed; replay skipped %d step(s))",
+                ckpt["t"], len(slot_ts), ckpt["t"])
+        self.delta_ipc_commands = 0
+        self.delta_ipc_steps = 0
+        return {"scheds": scheds, "windows": windows, "mirror": mirror,
+                "shipped": 0}, t, unchanged
+
+    def _delta_window(self, run, t: int, count: int, live, unchanged,
+                      sigma_ok, const_ok):
+        """One :data:`~repro.core.wire.MSG_DELTA_STEPS` command of at
+        most ``count`` steps from ``t``, yielding each step's changed
+        flag.  The window is cut before the first step that reads
+        outside the ring (the loop raises only if it gets there); a
+        reply that is not one boolean per step is a ``format`` fault.
+        Once the loop has drawn every flag, every
+        ``delta_ckpt_every``-th whole window ends in a checkpoint.  No
+        row is certified, so the loop probes the whole fetched state.
+        """
+        comp, deg = run["scheds"][0], self._topo.deg
+        steps = []
+        whole = True
+        for s in range(t, t + min(self._window, count)):
+            if s > t and self._step_reads(run["scheds"], run["windows"],
+                                          live, s)[2] is not None:
+                whole = False
+                break
+            nodes = np.nonzero(comp.alpha_mask(s))[0]
+            # every active node's in-edge read times, in snapshot edge
+            # order (degree-0 nodes contribute none)
+            times = np.split(self._slot_segment(comp, s),
+                             np.cumsum(deg[nodes])[:-1])
+            steps.append((s, [(i, r.tolist()) for i, r in
+                              zip(nodes.tolist(), times)]))
+        self._broadcast(MSG_DELTA_STEPS, {"steps": steps})
+        self.delta_ipc_commands += 1
+        self.delta_ipc_steps += len(steps)
+        changed = np.zeros((len(steps), 1), dtype=bool)
+        for idx in range(len(self._blocks)):
+            obj, _tail = self._expect(idx, MSG_FLAGS)
+            try:
+                flags = obj["flags"]
+                if len(flags) != len(steps) or \
+                        not all(isinstance(f, bool) for f in flags):
+                    raise WireFormatError(
+                        f"shard {idx} replied {flags!r:.80} for a "
+                        f"{len(steps)}-step window, not one flag per step")
+            except (WireError, LookupError, TypeError) as exc:
+                raise _ShardFault(idx, exc, kind="format") from exc
+            changed[:, 0] |= flags
+        self._barrier()
+        yield from changed
+        run["shipped"] += 1
+        if whole and self.delta_ckpt_every > 0 and self._retries_left > 0 \
+                and run["shipped"] % self.delta_ckpt_every == 0:
+            self._capture_delta_ckpt(run["mirror"], steps[-1][0],
+                                     int(run["windows"][0]),
+                                     int(unchanged[0]))
+
+    def _delta_state(self, run, b: int, t: int) -> "np.ndarray":
+        """Fetch ring slot ``t`` into the mirror (delta-encoded against
+        the last fetch)."""
+        self._broadcast(MSG_FETCH, {"t": int(t)})
+        self._collect_updates(run["mirror"])
+        return run["mirror"]
+
+    def delta_grid(self, trials, max_steps: int = 2_000,
+                   stability_window: Optional[int] = None
+                   ) -> List[AsyncResult]:
+        """A grid on the workers runs its trials in turn (the workers
+        hold one ring), each one supervised :meth:`delta`."""
+        return [self.delta(sched, start, max_steps, stability_window)
+                for sched, start in trials]
+
     def delta(self, schedule: Schedule, start: RoutingState,
               max_steps: int = 2_000,
               stability_window: Optional[int] = None,
               window: Optional[int] = None) -> AsyncResult:
         """δ over the wire, ``window`` schedule steps per command.
 
-        The schedule is compiled for the run
-        (:class:`~repro.core.schedule.CompiledSchedule`, not cached past
-        it); each window's activation lists and β read times come from
-        its α bitmask rows and in-neighbour read-time slices, with one
-        array staleness check per step.  Reads outside the
-        :class:`~repro.core.incremental.BoundedHistory` window
-        (``max_read_back + 2``) raise :class:`LookupError` — but only
-        when the run reaches the offending step: the window is cut
-        there, so a run that converges first never evaluates it.
-        Workers execute each window on local rings and reply per-step
-        changed flags, and the coordinator replays the convergence
-        counter over them.  Candidate states
-        are *fetched* (delta-encoded against the previous fetch) and
-        σ-probed on the coordinator's local snapshot, so convergence
-        steps, final states and ``history_retained`` match the serial
-        engines bit for bit.
+        One run of the vectorized rung's δ loop
+        (:meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`) on
+        this rung's hooks, for schedules with a declared staleness bound
+        or without one (the workers' rings follow the read window), so
+        convergence steps, final states and ``history_retained`` match
+        the serial engines bit for bit.
 
         Supervised: a shard fault mid-run heals the pool and replays the
         δ protocol on the rebuilt shards — the worker history rings died
@@ -1343,127 +1428,18 @@ class RemoteVectorizedEngine(VectorizedEngine):
         the last checkpoint barrier instead of step 1: heal-time replay
         is O(window), not O(steps into the run).
         """
-        max_read_back = schedule.max_read_back()
-        if max_read_back is None:
-            raise UnsupportedAlgebraError(
-                "remote δ needs a bounded-staleness schedule "
-                "(max_read_back() returned None); use "
-                "EngineSpec(\"vectorized\") or "
-                "RoutingSession.delta(..., strict=True)")
-        if stability_window is None:
-            stability_window = (max_read_back or 1) + 2
-        read_window = max_read_back + 2  # the BoundedHistory window
-        w = DELTA_WINDOW if window is None else max(1, int(window))
-        self.refresh()
+        self._window = DELTA_WINDOW if window is None else max(1, int(window))
         self._run_reset()
         self._delta_ckpt = None
-        self.delta_ckpt_saves = 0
-        self.delta_ckpt_resumes = 0
+        self.delta_ckpt_saves = self.delta_ckpt_resumes = 0
         self.delta_resumed_from = 0
-        comp = CompiledSchedule.ensure(schedule, max_steps)
+        self.delta_ipc_commands = self.delta_ipc_steps = 0
         while True:
             try:
-                self._attempt_pool()
-                return self._delta_once(comp, start, max_steps,
-                                        stability_window, w, read_window)
+                return super().delta_grid([(schedule, start)], max_steps,
+                                          stability_window)[0]
             except _ShardFault as fault:
                 self._heal(fault)
-
-    def _delta_once(self, comp: CompiledSchedule, start: RoutingState,
-                    max_steps: int, stability_window: int, w: int,
-                    read_window: int) -> AsyncResult:
-        W = w + read_window
-        ckpt = self._delta_ckpt
-        if ckpt is None:
-            # fresh start: ship the start state at ring slot 0
-            M = self.encode_state(start)
-            self._install(MSG_DELTA_INIT, {"window": W}, [M])
-            unchanged = 0
-            t0 = 1
-        else:
-            # checkpoint resume: re-install the captured ring tail on
-            # the (possibly re-sharded) pool and continue past ckpt["t"]
-            # — the slots are full (n, n) matrices, so any new column
-            # layout just re-encodes its own blocks.
-            slot_ts = [t for t, _S in ckpt["slots"]]
-            self._install(MSG_DELTA_INIT, {"window": W, "slots": slot_ts},
-                          [S for _t, S in ckpt["slots"]], chained=True)
-            M = ckpt["slots"][-1][1].copy()
-            unchanged = int(ckpt["unchanged"])
-            t0 = int(ckpt["t"]) + 1
-            self.delta_ckpt_resumes += 1
-            self.delta_resumed_from = int(ckpt["t"])
-            _engine_log.info(
-                "δ resume from checkpoint: t=%d (%d ring slot(s) "
-                "re-installed; replay skipped %d step(s))",
-                ckpt["t"], len(slot_ts), ckpt["t"])
-        deg = self._topo.deg
-        every_row = np.arange(self._n)
-        self._seg_cache = {}
-        self.delta_ipc_commands = 0
-        self.delta_ipc_steps = 0
-        windows_done = 0
-        while t0 <= max_steps:
-            w_eff = min(w, max_steps - t0 + 1)
-            steps = []
-            stale_error: Optional[LookupError] = None
-            for t in range(t0, t0 + w_eff):
-                nodes = np.nonzero(comp.alpha_mask(t))[0]
-                # every active node's in-edge read times, in snapshot
-                # edge order (degree-0 nodes contribute none)
-                reads = self._slot_segment(comp, t)
-                # s < 0 violates S2, s >= t reads the future, and
-                # s < t - read_window is a read BoundedHistory would
-                # refuse as evicted
-                bad = (reads < 0) | (reads >= t) | (t - reads > read_window)
-                if bad.any():
-                    s = int(reads[np.argmax(bad)])
-                    stale_error = LookupError(
-                        f"δ history for time {s} is outside the worker "
-                        f"ring (window={read_window}, t={t}); the schedule "
-                        "reads further back than its declared "
-                        "max_read_back — run RoutingSession.delta(..., "
-                        "strict=True) to keep the full history")
-                    # truncate at the offending step: the per-step
-                    # protocol may converge before ever evaluating it
-                    break
-                times = np.split(reads, np.cumsum(deg[nodes])[:-1])
-                steps.append((t, [(i, r.tolist()) for i, r in
-                                  zip(nodes.tolist(), times)]))
-            if steps:
-                self._broadcast(MSG_DELTA_STEPS, {"steps": steps})
-                self.delta_ipc_commands += 1
-                self.delta_ipc_steps += len(steps)
-                flags = []
-                for idx in range(len(self._blocks)):
-                    obj, _tail = self._expect(idx, MSG_FLAGS)
-                    flags.append(obj["flags"])
-                self._bump(rounds=1)
-                self._acked += 1
-                for off in range(len(steps)):
-                    t = t0 + off
-                    unchanged = 0 if any(f[off] for f in flags) \
-                        else unchanged + 1
-                    if unchanged >= stability_window:
-                        self._fetch(M, t)
-                        if (self._sigma_rows(M, every_row) == M).all():
-                            return AsyncResult(
-                                True, t, self.decode_state(M),
-                                t - unchanged, None,
-                                history_retained=min(t + 1, read_window))
-                windows_done += 1
-                if stale_error is None and self.delta_ckpt_every > 0 \
-                        and self._retries_left > 0 \
-                        and windows_done % self.delta_ckpt_every == 0:
-                    self._capture_delta_ckpt(M, t0 + len(steps) - 1,
-                                             read_window, unchanged)
-            if stale_error is not None:
-                raise stale_error
-            t0 += len(steps)
-        self._fetch(M, max_steps)
-        return AsyncResult(False, max_steps, self.decode_state(M), None,
-                           None,
-                           history_retained=min(max_steps + 1, read_window))
 
 
 # ----------------------------------------------------------------------
@@ -1475,22 +1451,8 @@ def delta_run_remote(network: Network, schedule: Schedule,
                      start: RoutingState, max_steps: int = 2_000,
                      stability_window: Optional[int] = None, *,
                      engine: RemoteVectorizedEngine) -> AsyncResult:
-    """The remote rung's δ run on ``engine`` (an :class:`AsyncResult`).
-
-    Unbounded schedules run the inherited in-process compiled step
-    (:meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`, exact
-    against the schedule's derived staleness bound) on the same engine
-    instead of the workers' fixed rings — a
-    :class:`RemoteVectorizedEngine` *is* a
-    :class:`~repro.core.vectorized.VectorizedEngine`.
-    """
-    if schedule.max_read_back() is None:
-        _engine_log.info(
-            "engine-skip rung=remote code=unbounded-schedule op=delta "
-            "requested=remote algebra=%s n=%d detail=per-run delegation "
-            "to the in-process compiled step (snapshot reused for "
-            "encoding)", network.algebra.name, network.n)
-        return engine.delta_grid([(schedule, start)], max_steps=max_steps,
-                                 stability_window=stability_window)[0]
+    """The remote rung's δ run on ``engine`` (an :class:`AsyncResult`):
+    one supervised :meth:`RemoteVectorizedEngine.delta`, on the workers
+    whether or not the schedule declares a staleness bound."""
     return engine.delta(schedule, start, max_steps=max_steps,
                         stability_window=stability_window)

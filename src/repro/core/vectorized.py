@@ -27,9 +27,11 @@ that changed last round).  An empty dirty-column set is exactly
 over the changed columns only): every codes rung supplies just its
 round, :meth:`VectorizedEngine._advance`, and
 :meth:`VectorizedEngine.sigma` / :meth:`~VectorizedEngine.is_stable`
-are the loop's one-round cases.  δ runs on one
-kernel, the *compiled-schedule step* (:meth:`VectorizedEngine.delta_grid`):
-a precompiled schedule hands over activation bitmasks and β read-time
+are the loop's one-round cases.  Likewise
+:meth:`VectorizedEngine.delta_grid` is the one δ loop: a rung supplies
+only how a run starts, a window of steps and the state at a step.  δ
+runs on one kernel, the *compiled-schedule step*: a
+precompiled schedule hands over activation bitmasks and β read-time
 arrays, and every activation of a step becomes one flat gather against a
 ring of historic code matrices, extended through the edge tables and
 folded with ``np.minimum.reduceat`` (:func:`delta_fold`).  A single run
@@ -53,7 +55,7 @@ is; :mod:`repro.core.parallel` and :mod:`repro.core.remote` keep only
 transport, lifecycle and supervision: they ship the snapshot to their
 workers, run :func:`sigma_block_round` (and, remotely,
 :func:`delta_fold`) there on column blocks, and inherit the encoding,
-the σ loop and the δ step.
+the σ loop and the δ loop.
 
 The engine needs a :class:`~repro.algebras.base.AlgebraEncoding`
 (finite carrier, injective preference keys, default route equality).
@@ -279,9 +281,9 @@ class VectorizedEngine:
     moves.  States cross the boundary via :meth:`encode_state` /
     :meth:`decode_state`.
 
-    δ has one kernel, the compiled-schedule step of :meth:`delta_grid`:
-    a single run is the grid of one trial, and every codes-based rung
-    that runs δ in process (vectorized, parallel, batched) runs it.
+    δ has one loop, :meth:`delta_grid` (a single run is the grid of
+    one trial), and every codes-based rung that runs δ in process
+    (vectorized, parallel, batched) steps it with this class's hooks.
     """
 
     #: advertised to the capability resolver (see
@@ -449,28 +451,67 @@ class VectorizedEngine:
             cache[id(comp)] = seg
         return seg
 
-    def _delta_step_batch(self, ring, W: int, t: int, scheds, live,
-                          windows, prev, nxt, copy, last_change,
-                          prev_read_min, sigma_ok=None,
-                          const_ok=None) -> "np.ndarray":
-        """One δ step for every live trial; returns ``(B,)`` changed flags.
+    def _step_reads(self, scheds, windows, live, t: int):
+        """``(slot, rep, stale)`` of step ``t`` over the ``live`` trials,
+        cached for the step like the segments: every read time (the
+        trials' cached segments in turn, so b-major / i-ascending like
+        the step's activations), the trial of each read, and the
+        ``(trial, read time)`` of the first read outside its trial's
+        ring window — ``s < 0`` violates S2, ``s >= t`` reads the
+        future, ``s < t - window`` is evicted (as in
+        :class:`~repro.core.incremental.BoundedHistory`) — or ``None``."""
+        key = live.tobytes()
+        reads = self._seg_cache.get(key)
+        if reads is None or self._seg_cache["t"] != t:
+            segs = [self._slot_segment(scheds[b], t) for b in live.tolist()]
+            slot = np.concatenate(segs)
+            rep = np.repeat(live, [seg.size for seg in segs])
+            bad = (slot < 0) | (slot >= t) | (t - slot > windows[rep])
+            k = int(np.argmax(bad)) if bad.any() else None
+            reads = self._seg_cache[key] = (
+                slot, rep, None if k is None else (int(rep[k]), int(slot[k])))
+        return reads
 
-        ``prev``/``nxt`` are the ring slots for ``t - 1`` and ``t``;
-        the trials listed in ``copy`` get their ``nxt`` slice
-        initialised from ``prev`` (the caller omits trials whose state
-        has been constant for a full ring — their slots already hold
-        the current state) and active rows are overwritten in place.
-        The whole step is one fused gather/fold: every (trial, active
-        node, in-edge) triple becomes one row of a flat extension
-        matrix, reduced per activation with ``minimum.reduceat``.
-        Read-time blocks come from the compiled schedules —
-        one constant fill for uniform-β schedules
+    # -- the three δ hooks of a rung (here: in process) ------------------
+
+    def _delta_begin(self, scheds, starts, windows):
+        """How a δ run starts: every trial's start codes at slot 0 of
+        one ``(W, B, n, n)`` history ring, ``W`` one past the widest
+        read window.  Returns ``(run, t, unchanged)``: the run state the
+        other hooks take, the first step, and the unchanged-step count
+        the run starts from."""
+        B, n = len(starts), self._n
+        ring = np.empty((int(windows.max()) + 1, B, n, n),
+                        dtype=self._batch_dtype)
+        ring[0] = np.stack(starts)
+        # read-diff skip state (see _delta_window): row k of trial b
+        # last changed at step last_change[b, k] (the start counts as a
+        # change at 0); prev_read_min[b, i] = earliest read time of i's
+        # previous activation (-1 = never activated, never skippable)
+        return (ring, scheds, windows, np.zeros((B, n), dtype=np.int64),
+                np.full((B, n), -1, dtype=np.int64)), 1, 0
+
+    def _delta_window(self, run, t: int, count: int, live, unchanged,
+                      sigma_ok, const_ok):
+        """One window of at most ``count`` steps from ``t``: a generator
+        of per-step ``(B,)`` changed flags.  In process a window is one
+        step for every live trial over the stacked ring.
+
+        Slot ``t % W`` is written from slot ``(t - 1) % W``; trials
+        whose state has been constant for a full ring skip that copy
+        (every slot already holds their state), and active rows are
+        overwritten in place.  The whole step is one fused gather/fold:
+        every (trial, active node, in-edge) triple becomes one row of a
+        flat extension matrix, reduced per activation with
+        ``minimum.reduceat``.  Read times come from the compiled
+        schedules — one constant fill for uniform-β schedules
         (:meth:`~repro.core.schedule.Schedule.beta_uniform`), a cached
         in-neighbour slice otherwise
         (:meth:`~repro.core.schedule.CompiledSchedule.beta_times_for`).
 
-        ``last_change``/``prev_read_min`` are the batch analogue of the
-        incremental engine's :class:`~repro.core.incremental.DeltaRowCache`:
+        ``last_change``/``prev_read_min`` (the run state) are the batch
+        analogue of the incremental engine's
+        :class:`~repro.core.incremental.DeltaRowCache`:
         ``last_change[b, k]`` is the last step trial ``b``'s row ``k``
         changed, ``prev_read_min[b, i]`` the earliest read time of
         ``i``'s previous activation.  An activation whose every source
@@ -493,17 +534,18 @@ class VectorizedEngine:
         the uncertified rows — usually none after a full quiet window —
         instead of recomputing σ over the whole ``(n, n)`` state.
         """
+        ring, scheds, windows, last_change, prev_read_min = run
         n = self._n
-        B = ring.shape[1]
+        W, B = ring.shape[:2]
+        prev, nxt = ring[(t - 1) % W], ring[t % W]
+        copy = live[unchanged[live] < W]
+        if copy.size:
+            nxt[copy] = prev[copy]
         changed = np.zeros(B, dtype=bool)
         act = np.zeros((B, n), dtype=bool)
         for b in live:
             act[b] = scheds[b].alpha_mask(t)
-        if copy.size:
-            nxt[copy] = prev[copy]
         pairs_b, pairs_i = np.nonzero(act)
-        if pairs_b.size == 0:
-            return changed
         topo = self._topo
         d = topo.deg[pairs_i]
         has_edges = d > 0
@@ -513,23 +555,7 @@ class VectorizedEngine:
         cert = None
         if eb.size:
             edge_flat, starts = topo.edges(ei)
-            # pairs are b-major / i-ascending — exactly the per-trial
-            # concatenation of the cached per-(schedule, t) segments
-            trial_ids = np.unique(eb)
-            slot = np.concatenate(
-                [self._slot_segment(scheds[b], t)
-                 for b in trial_ids.tolist()])
-            rep_b = np.repeat(eb, ed)
-            bad = (slot < 0) | (slot >= t) | ((t - slot) > windows[rep_b])
-            if bad.any():
-                k = int(np.nonzero(bad)[0][0])
-                raise LookupError(
-                    f"δ history for time {int(slot[k])} is outside trial "
-                    f"{int(rep_b[k])}'s ring window "
-                    f"(window={int(windows[rep_b[k]])}, t={t}); the "
-                    "schedule reads further back than its declared "
-                    "max_read_back — run RoutingSession.delta(..., "
-                    "strict=True) to keep the full history")
+            slot, rep_b, _stale = self._step_reads(scheds, windows, live, t)
             src_flat = topo.src[edge_flat]
             # -- read-diff skip (vectorized DeltaRowCache) --------------
             # sound because entry (i, j) is a pure fold of the sources'
@@ -557,45 +583,43 @@ class VectorizedEngine:
             folded = delta_fold(ring, (slot % W, rep_b, src_flat), edge_flat,
                                 starts, topo.tables, topo.affine)
             folded[np.arange(ei.size), ei] = self.trivial_code
-            row_changed = (folded != prev[eb, ei, :]).any(axis=1)
+            hit = (folded != prev[eb, ei, :]).any(axis=1)
             nxt[eb, ei, :] = folded
-            hit = row_changed
             changed[eb[hit]] = True
             last_change[eb[hit], ei[hit]] = t
         if zb.size:
             rows = np.full((zb.size, n), self.invalid_code,
                            dtype=ring.dtype)
             rows[np.arange(zb.size), zi] = self.trivial_code
-            row_changed = (rows != prev[zb, zi, :]).any(axis=1)
+            hit = (rows != prev[zb, zi, :]).any(axis=1)
             nxt[zb, zi, :] = rows
-            hit = row_changed
             changed[zb[hit]] = True
             last_change[zb[hit], zi[hit]] = t
-        if sigma_ok is not None:
-            # any change invalidates the trial's certificates (a source
-            # may have moved under a certified row) — reset BEFORE
-            # recording this step's, which already account for every
-            # change up to and including t
-            sigma_ok[changed] = False
-            if cert is not None:
-                ceb, cei, crep_b, csrc, cstarts, cread_min = cert
-                lc_post = np.maximum.reduceat(last_change[crep_b, csrc],
-                                              cstarts)
-                ok = lc_post <= cread_min
-                sigma_ok[ceb[ok], cei[ok]] = True
-            if const_ok is not None and zb.size:
-                const_ok[zb, zi] = True
-        return changed
+            const_ok[zb, zi] = True
+        # any change invalidates the trial's certificates (a source may
+        # have moved under a certified row) — reset BEFORE recording this
+        # step's, which already account for every change up to and
+        # including t
+        sigma_ok[changed] = False
+        if cert is not None:
+            ceb, cei, crep_b, csrc, cstarts, cread_min = cert
+            lc_post = np.maximum.reduceat(last_change[crep_b, csrc],
+                                          cstarts)
+            ok = lc_post <= cread_min
+            sigma_ok[ceb[ok], cei[ok]] = True
+        yield changed
+
+    def _delta_state(self, run, b: int, t: int) -> "np.ndarray":
+        """Trial ``b``'s code matrix at step ``t`` (its ring slot)."""
+        ring = run[0]
+        return ring[t % ring.shape[0], b]
 
     def _sigma_rows(self, C: "np.ndarray", rows: "np.ndarray"
                     ) -> "np.ndarray":
         """σ(C) restricted to ``rows`` of a single ``(n, n)`` state —
-        exactly the values :func:`sigma_block_round` would put there.
-
-        The row-restricted σ-stability probe of a δ candidate: in
-        :meth:`delta_grid` over the rows a trial's σ-residual
-        certificate (see :meth:`_delta_step_batch`) doesn't yet cover,
-        on the remote coordinator over every row of a fetched state."""
+        exactly the values :func:`sigma_block_round` would put there:
+        :meth:`delta_grid`'s probe of a candidate, over the rows the
+        σ-residual certificates (see :meth:`_delta_window`) miss."""
         topo = self._topo
         out = np.full((rows.size, self._n), self.invalid_code, dtype=_DTYPE)
         has = topo.deg[rows] > 0
@@ -610,113 +634,101 @@ class VectorizedEngine:
                    stability_window: Optional[int] = None
                    ) -> List[AsyncResult]:
         """Run δ for every ``(schedule, start)`` trial as one workload:
-        the compiled-schedule step, and the only δ kernel on codes.
+        the one δ loop on codes.
 
         Returns one :class:`~repro.core.asynchronous.AsyncResult` per
         trial, in order, each observationally identical to the strict
         literal recursion — converged flag, convergence step and fixed
         point (the differential oracle in
         ``tests/core/test_engine_equivalence.py`` enforces it).  A single
-        δ run is the grid of one trial.
+        δ run is the grid of one trial; ``max_steps=0`` returns the
+        starts and compiles nothing.
 
-        Trials stack along a batch axis of a ``(W, B, n, n)`` history
-        ring, and every step runs the activations of *all* live trials
-        as one fused gather/fold (:meth:`_delta_step_batch`).  Schedules
-        are precompiled (:class:`~repro.core.schedule.CompiledSchedule`)
-        so α bitmask rows and β read-time arrays are array lookups, not
-        per-(t, i, j) Python calls.  Each trial keeps its own
-        unchanged-step counter and stability window; finished trials
-        drop out of the activation mask, and the grid ends when every
-        trial has converged or exhausted ``max_steps``.
-
-        Staleness mirrors :class:`~repro.core.incremental.BoundedHistory`
-        per trial: reads further back than the trial's declared
-        ``max_read_back() + 2`` raise :class:`LookupError` when the run
-        reaches them; schedules that declare **no** bound run against
-        their *derived* bound (exact over the compiled horizon).
+        The loop compiles each trial's schedule
+        (:class:`~repro.core.schedule.CompiledSchedule`), sizes its read
+        and stability windows, raises :class:`LookupError` when the run
+        reaches a read outside the read window, and stops a trial once
+        it has been constant for its stability window and is σ-stable
+        (the probe skips rows the step certified), or after
+        ``max_steps``.  The read window mirrors
+        :class:`~repro.core.incremental.BoundedHistory`: the declared
+        ``max_read_back() + 2``, or for a schedule that declares none
+        the bound its compiled reads attain
+        (:meth:`~repro.core.schedule.CompiledSchedule.derived_max_read_back`).
+        A rung supplies three hooks: how a run starts
+        (:meth:`_delta_begin`), one window of steps yielding per-step
+        changed flags (:meth:`_delta_window`) and a trial's code matrix
+        at step ``t`` (:meth:`_delta_state`) — here trials stack along
+        the batch axis of one ring and a window is one fused step.
         """
         self.refresh()
-        B = len(trials)
-        if B == 0:
-            return []
-        n = self._n
-        scheds: List[CompiledSchedule] = []
-        windows = np.empty(B, dtype=np.int64)
-        sws = np.empty(B, dtype=np.int64)
-        compiled = {}   # id(schedule) -> compiled form, shared across trials
-        for b, (sched, _start) in enumerate(trials):
-            comp = compiled.get(id(sched))
-            if comp is None:
-                comp = CompiledSchedule.ensure(sched, max_steps)
-                compiled[id(sched)] = comp
-            scheds.append(comp)
-            declared = comp.source.max_read_back()
-            # declared bounds get the BoundedHistory tolerance (+2);
-            # undeclared ones get the exact bound their compiled reads
-            # attain — the ring substitute for "keep the full history"
-            windows[b] = (declared + 2 if declared is not None
-                          else comp.derived_max_read_back())
-            sws[b] = (stability_window if stability_window is not None
-                      else (declared or 1) + 2)
-        W = int(windows.max()) + 1
-        ring = np.empty((W, B, n, n), dtype=self._batch_dtype)
-        ring[0] = np.stack([self.encode_state(start)
-                            for (_sched, start) in trials])
-        self._seg_cache: dict = {}       # per-(schedule, step) β segments
-
-        done = np.zeros(B, dtype=bool)
-        unchanged = np.zeros(B, dtype=np.int64)
+        B, n = len(trials), self._n
+        # until a trial takes a step it ends where it started
+        final = [self.encode_state(start) for (_sched, start) in trials]
         converged = np.zeros(B, dtype=bool)
         steps_res = np.full(B, max_steps, dtype=np.int64)
         conv_at: List[Optional[int]] = [None] * B
-        final: List[Optional["np.ndarray"]] = [None] * B
-        # read-diff skip state (see _delta_step_batch): row k of trial b
-        # last changed at step last_change[b, k] (the start counts as a
-        # change at 0); prev_read_min[b, i] = earliest read time of i's
-        # previous activation (-1 = never activated, never skippable)
-        last_change = np.zeros((B, n), dtype=np.int64)
-        prev_read_min = np.full((B, n), -1, dtype=np.int64)
-        # σ-residual certificates (see _delta_step_batch): rows already
-        # provably equal to their σ-row, so the candidate probe below
-        # only touches the (usually empty) uncertified remainder
-        sigma_ok = np.zeros((B, n), dtype=bool)
-        const_ok = np.zeros((B, n), dtype=bool)
-
-        for t in range(1, max_steps + 1):
-            live = np.nonzero(~done)[0]
-            if live.size == 0:
-                break
-            prev = ring[(t - 1) % W]
-            nxt = ring[t % W]
-            # a trial constant for >= W steps has every ring slot equal
-            # to its current state — the prev→nxt copy is a no-op; skip
-            # it (long quiet tails of sparse-activation schedules
-            # otherwise pay a B·n² memcpy per step for nothing)
-            copy = live[unchanged[live] < W]
-            changed = self._delta_step_batch(ring, W, t, scheds, live,
-                                             windows, prev, nxt, copy,
-                                             last_change, prev_read_min,
-                                             sigma_ok, const_ok)
-            unchanged[live] = np.where(changed[live], 0, unchanged[live] + 1)
-            cand = live[unchanged[live] >= sws[live]]
-            for b in cand.tolist():
-                # certified rows are already known σ-consistent; probe
-                # only the remainder — the decision is identical to the
-                # full σ(C) == C check, it just skips proven rows
-                uncovered = np.nonzero(~(sigma_ok[b] | const_ok[b]))[0]
-                if uncovered.size:
-                    sub = nxt[b]
-                    if not (self._sigma_rows(sub, uncovered)
-                            == sub[uncovered]).all():
-                        continue
-                    sigma_ok[b, uncovered] = True
-                done[b] = True
-                converged[b] = True
-                steps_res[b] = t
-                conv_at[b] = t - int(unchanged[b])
-                final[b] = nxt[b].copy()
-        for b in np.nonzero(~done)[0].tolist():
-            final[b] = ring[max_steps % W][b].copy()
+        windows = np.ones(B, dtype=np.int64)
+        if B and max_steps:
+            scheds: List[CompiledSchedule] = []
+            sws = np.empty(B, dtype=np.int64)
+            compiled = {}   # id(schedule) -> compiled form, shared by trials
+            for b, (sched, _start) in enumerate(trials):
+                comp = compiled.get(id(sched))
+                if comp is None:
+                    comp = CompiledSchedule.ensure(sched, max_steps)
+                    compiled[id(sched)] = comp
+                scheds.append(comp)
+                declared = comp.source.max_read_back()
+                windows[b] = (declared + 2 if declared is not None
+                              else comp.derived_max_read_back())
+                sws[b] = (stability_window if stability_window is not None
+                          else (declared or 1) + 2)
+            self._seg_cache: dict = {}   # per-(schedule, step) β segments
+            run, t, start_unchanged = self._delta_begin(scheds, final,
+                                                        windows)
+            unchanged = np.full(B, start_unchanged, dtype=np.int64)
+            done = np.zeros(B, dtype=bool)
+            # σ-residual certificates (see _delta_window): rows already
+            # provably equal to their σ-row
+            sigma_ok = np.zeros((B, n), dtype=bool)
+            const_ok = np.zeros((B, n), dtype=bool)
+            while t <= max_steps:
+                live = np.nonzero(~done)[0]
+                if live.size == 0:
+                    break
+                stale = self._step_reads(scheds, windows, live, t)[2]
+                if stale is not None:
+                    b, s = stale
+                    raise LookupError(
+                        f"δ history for time {s} is outside trial {b}'s "
+                        f"ring window (window={int(windows[b])}, t={t}); "
+                        "the schedule reads further back than its "
+                        "declared max_read_back — run "
+                        "RoutingSession.delta(..., strict=True) to keep "
+                        "the full history")
+                for changed in self._delta_window(
+                        run, t, max_steps - t + 1, live, unchanged,
+                        sigma_ok, const_ok):
+                    unchanged[live] = np.where(changed[live], 0,
+                                               unchanged[live] + 1)
+                    for b in live[unchanged[live] >= sws[live]].tolist():
+                        state = self._delta_state(run, b, t)
+                        rest = np.nonzero(~(sigma_ok[b] | const_ok[b]))[0]
+                        if rest.size:
+                            if not (self._sigma_rows(state, rest)
+                                    == state[rest]).all():
+                                continue
+                            sigma_ok[b, rest] = True
+                        done[b] = converged[b] = True
+                        steps_res[b] = t
+                        conv_at[b] = t - int(unchanged[b])
+                        final[b] = state.copy()
+                    t += 1
+                    if done[live].all():
+                        break
+            for b in np.nonzero(~done)[0].tolist():
+                final[b] = self._delta_state(run, b, max_steps).copy()
 
         return [AsyncResult(bool(converged[b]), int(steps_res[b]),
                             self.decode_state(final[b]), conv_at[b], None,

@@ -6,7 +6,8 @@ this module, which defines
 
 * a **frame layout** — an 11-byte header ``!4sHBI`` carrying a magic
   marker, the protocol version, a message type, and the payload length,
-  so a malformed peer (bad magic, torn frame, absurd length) or a
+  then the payload and its CRC-32, so a malformed peer (bad magic,
+  torn frame, absurd length, a flipped payload byte) or a
   version-skewed peer fails loudly with a typed error instead of a
   silent desync;
 * a **column-update codec** — per-round state summaries are
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,13 +76,16 @@ __all__ = [
 #: peers with a different version are rejected with
 #: :class:`WireVersionError`.  docs/wire.md lists what each version
 #: changed.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 #: Frame magic.  Anything else at a frame boundary is a malformed peer.
 MAGIC = b"RSDW"
 
 #: ``magic (4s) | version (H) | msg type (B) | payload length (I)``
 _HEADER = struct.Struct("!4sHBI")
+
+#: The payload's CRC-32 (:func:`zlib.crc32`), after the payload.
+_CHECKSUM = struct.Struct("!I")
 
 #: Sanity bound on a single payload (1 GiB).  A length above this at a
 #: frame boundary means the stream is garbage, not a big message.
@@ -109,7 +114,8 @@ class WireError(RuntimeError):
 
 
 class WireFormatError(WireError):
-    """Malformed peer: bad magic, truncated frame, or absurd length."""
+    """Malformed peer: bad magic, truncated frame, absurd length, or a
+    payload that fails its checksum."""
 
 
 class WireVersionError(WireError):
@@ -125,8 +131,9 @@ class WireClosedError(WireError):
 
 
 def encode_frame(msg_type: int, payload: bytes = b"") -> bytes:
-    """Serialise one frame: header followed by the raw payload."""
-    return _HEADER.pack(MAGIC, WIRE_VERSION, msg_type, len(payload)) + payload
+    """Serialise one frame: header, the raw payload, its checksum."""
+    return (_HEADER.pack(MAGIC, WIRE_VERSION, msg_type, len(payload))
+            + payload + _CHECKSUM.pack(zlib.crc32(payload)))
 
 
 def _parse_header(header: bytes) -> tuple[int, int]:
@@ -147,12 +154,21 @@ def _parse_header(header: bytes) -> tuple[int, int]:
     return msg_type, length
 
 
+def _check_payload(msg_type: int, payload: bytes, checksum: bytes) -> None:
+    """Raise :class:`WireFormatError` unless the CRC-32 matches."""
+    (expected,) = _CHECKSUM.unpack(checksum)
+    if zlib.crc32(payload) != expected:
+        raise WireFormatError(
+            f"frame type {msg_type}: the {len(payload)}-byte payload fails "
+            "its CRC-32; the frame was damaged in transit")
+
+
 def decode_frame_bytes(data: bytes) -> tuple[int, bytes, bytes]:
     """Decode one frame from a byte string.
 
     Returns ``(msg_type, payload, remainder)``.  Raises
-    :class:`WireFormatError` on a torn (truncated) frame and
-    :class:`WireVersionError` on version skew.
+    :class:`WireFormatError` on a torn (truncated) frame or a checksum
+    mismatch and :class:`WireVersionError` on version skew.
     """
     if len(data) < _HEADER.size:
         raise WireFormatError(
@@ -160,11 +176,14 @@ def decode_frame_bytes(data: bytes) -> tuple[int, bytes, bytes]:
             f"{_HEADER.size}-byte header")
     msg_type, length = _parse_header(data[:_HEADER.size])
     end = _HEADER.size + length
-    if len(data) < end:
+    if len(data) < end + _CHECKSUM.size:
         raise WireFormatError(
-            f"torn frame: header declares {length} payload bytes but only "
-            f"{len(data) - _HEADER.size} are present")
-    return msg_type, data[_HEADER.size:end], data[end:]
+            f"torn frame: header declares {length} payload bytes and a "
+            f"{_CHECKSUM.size}-byte checksum but only "
+            f"{len(data) - _HEADER.size} bytes follow it")
+    payload = data[_HEADER.size:end]
+    _check_payload(msg_type, payload, data[end:end + _CHECKSUM.size])
+    return msg_type, payload, data[end + _CHECKSUM.size:]
 
 
 def _recv_exact(sock, size: int) -> bytes:
@@ -221,22 +240,26 @@ class FrameConnection:
         self.bytes_sent += len(frame)
 
     def recv(self) -> tuple[int, bytes]:
+        # the checksum is checked after the injector's hook, so a
+        # payload it damages is caught like one damaged in transit
         while True:
             header = _recv_exact(self.sock, _HEADER.size)
             msg_type, length = _parse_header(header)
-            payload = _recv_exact(self.sock, length) if length else b""
-            self.bytes_received += _HEADER.size + length
-            if self.injector is None:
-                return msg_type, payload
-            verdict, payload = self.injector.recv_frame(msg_type, payload)
-            if verdict == "pass":
-                return msg_type, payload
-            if verdict == "close":
-                self.close()
-                raise WireClosedError(
-                    "fault injection severed the connection at a recv "
-                    "boundary")
-            # "drop": discard this frame, wait for the next one
+            body = _recv_exact(self.sock, length + _CHECKSUM.size)
+            self.bytes_received += _HEADER.size + len(body)
+            payload, checksum = body[:length], body[length:]
+            if self.injector is not None:
+                verdict, payload = self.injector.recv_frame(msg_type,
+                                                            payload)
+                if verdict == "close":
+                    self.close()
+                    raise WireClosedError(
+                        "fault injection severed the connection at a recv "
+                        "boundary")
+                if verdict == "drop":
+                    continue             # discard it, wait for the next one
+            _check_payload(msg_type, payload, checksum)
+            return msg_type, payload
 
     def close(self) -> None:
         try:

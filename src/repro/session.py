@@ -51,7 +51,9 @@ What the session owns:
 σ/δ dispatch below it (``_iterate_sigma_resolved`` /
 ``_delta_run_resolved``) and the protocol simulator's σ-stability check
 run whatever rung the session negotiated — a σ report's churn
-included, which every rung counts as it iterates.
+included, which every rung counts as it iterates.  The codes rungs
+share one δ loop, :meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`,
+which every grid on them calls.
 """
 
 from __future__ import annotations
@@ -603,6 +605,7 @@ class RoutingSession:
         self._check_open()
         net = self.network
         _check_schedule_size(schedule, net)
+        _check_max_steps(max_steps)
         if start is None:
             start = RoutingState.identity(net.algebra, net.n)
         resolution = self.resolve("delta", schedule=schedule,
@@ -637,29 +640,24 @@ class RoutingSession:
         """Run δ for every ``(schedule, start)`` trial as one negotiated
         workload; returns a :class:`GridReport`.
 
-        The vectorized, parallel and batched rungs run the
-        session-compiled schedules through the engine's
-        :meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`: the
-        batched rung stacks the grid into one ``(B, n, n)`` tensor
-        (``batch_size`` chunks the batch axis), the other two run one
-        trial per call.  The remote and object rungs loop trials against
-        one shared engine.  ``keep_results`` retains the per-trial
-        :class:`~repro.core.asynchronous.AsyncResult` list on the
-        report.
-
-        On the in-process codes rungs a trial whose schedule declares
-        no staleness bound runs against its derived bound.  The remote
-        workers cannot take such a schedule (their history rings are
-        sized from the declared bound): a remote trial delegates to the
-        in-process step — unless the spec is ``strict``, in which case
-        it raises :class:`~repro.core.capabilities.UnsupportedEngineError`
-        exactly as :meth:`delta` would.
+        The codes rungs run the session-compiled schedules through the
+        engine's :meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`,
+        the one δ loop: the batched rung stacks the grid into one
+        ``(B, n, n)`` tensor (``batch_size`` chunks the batch axis), the
+        vectorized and parallel rungs run one trial per call, and the
+        remote rung runs its trials in turn on its workers.  A trial
+        whose schedule declares no staleness bound runs against its
+        derived bound on every codes rung.  The object rungs run the
+        trials one by one.  ``keep_results`` retains the
+        per-trial :class:`~repro.core.asynchronous.AsyncResult` list on
+        the report.
         """
         self._check_open()
         net = self.network
         trials = list(trials)
         for sched, _start in trials:
             _check_schedule_size(sched, net)
+        _check_max_steps(max_steps)
         resolution = self.resolve("grid")
         t0 = perf_counter()
         results: List[AsyncResult] = []
@@ -672,9 +670,11 @@ class RoutingSession:
             # resets on every trial); ditto the healing-event log
             wire_base = eng.wire_totals.copy()
             degraded_base = len(eng.degraded_total)
-        if resolution.chosen in ("vectorized", "parallel", "batched"):
-            # trials repeat schedules across starts: compile once
-            compiled = [(self.compile_schedule(sched, max_steps), start)
+        if eng is not None:
+            # trials repeat schedules across starts: compile once (a
+            # zero-step run reads no step, so it compiles nothing)
+            compiled = [(self.compile_schedule(sched, max_steps)
+                         if max_steps else sched, start)
                         for (sched, start) in trials]
             chunk = 1
             if resolution.chosen == "batched":
@@ -685,16 +685,9 @@ class RoutingSession:
                     stability_window=stability_window))
         else:
             for sched, start in trials:
-                if resolution.chosen == "remote" and self.spec.strict:
-                    # strict means no per-trial exception to the rung's
-                    # δ policy either: re-negotiate the trial as a single
-                    # δ run, which raises with the exact
-                    # unbounded-schedule chain
-                    self.resolve("delta", schedule=sched)
                 results.append(_delta_run_resolved(
                     net, sched, start, resolution.chosen,
-                    max_steps=max_steps, stability_window=stability_window,
-                    engine_obj=eng))
+                    max_steps=max_steps, stability_window=stability_window))
         alg = net.algebra
         fixed_points: List[RoutingState] = []
         steps: List[int] = []
@@ -857,6 +850,13 @@ def _check_schedule_size(schedule: Schedule, network: Network) -> None:
         raise ValueError(
             f"schedule is sized for {schedule.n} nodes but the network "
             f"has {network.n}")
+
+
+def _check_max_steps(max_steps: int) -> None:
+    """Refuse a negative step budget, which each rung would otherwise
+    answer differently (``max_steps=0`` returns the start everywhere)."""
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
 
 
 def _close_engines(engines: Dict[str, object]) -> None:

@@ -52,6 +52,8 @@ from repro.core.faults import (
     RECV_DROP,
     RECV_PASS,
 )
+from repro.core import remote as remote_mod
+from repro.core.parallel import _mp_context
 from repro.core.remote import (
     _reap_workers,
     _serve_connection,
@@ -76,6 +78,14 @@ def _net(n=9, seed=1, bound=16):
     alg = HopCountAlgebra(bound)
     return erdos_renyi(alg, n, 0.4, uniform_weight_factory(alg, 1, 3),
                        seed=seed)
+
+
+def _require_fork():
+    """Tests that patch a worker handler need the workers forked from
+    this process (other start methods re-import the module)."""
+    ctx = _mp_context()
+    if ctx is None or ctx.get_start_method() != "fork":
+        pytest.skip("needs fork-started loopback workers")
 
 
 def _watchdog(fn, timeout=WATCHDOG_S):
@@ -531,22 +541,27 @@ class TestStrictAndTerminal:
             _sigma_under_plan(net, start, plan)
         assert "did not reply within 1.0s" in str(exc.value)
 
-    def test_strict_relayed_worker_error_is_typed(self, sigma_ref):
-        # shard 1's worker corrupts the JSON head of the first σ-round
-        # command it receives; its handler fails and the worker relays
-        # the failure as MSG_ERROR, which a strict engine surfaces as
-        # the typed per-shard error carrying the worker's message
+    def test_strict_relayed_worker_error_is_typed(self, sigma_ref,
+                                                  monkeypatch):
+        # shard 1's worker is forked while its σ-round handler raises;
+        # the worker relays the failure as MSG_ERROR, which a strict
+        # engine surfaces as the typed per-shard error carrying the
+        # worker's message
+        _require_fork()
         net, start, _ = sigma_ref
-        plan = FaultPlan.parse({"rules": [{
-            "kind": "corrupt", "role": "worker", "op": "recv",
-            "msg_type": MSG_SIGMA_ROUND, "offset": 4}]})
+
+        def refuse(_state, _full):
+            raise ValueError("sigma round refused by the test handler")
+
         procs, endpoints = [], []
         try:
-            for fault_plan in (None, plan):
-                spawned, eps = spawn_loopback_workers(1,
-                                                      fault_plan=fault_plan)
+            for handler in (remote_mod._shard_sigma_round, refuse):
+                monkeypatch.setattr(remote_mod, "_shard_sigma_round",
+                                    handler)
+                spawned, eps = spawn_loopback_workers(1)
                 procs += spawned
                 endpoints += eps
+            monkeypatch.undo()
             eng = RemoteVectorizedEngine(net, endpoints=endpoints,
                                          strict=True, socket_timeout=10.0)
             with pytest.raises(RemoteWorkerError) as exc:
@@ -554,10 +569,67 @@ class TestStrictAndTerminal:
                     net, start, max_rounds=300, engine=eng))
             assert exc.value.shard_id == 1
             assert exc.value.endpoint == tuple(endpoints[1])
-            assert "undecodable JSON head" in str(exc.value)
+            assert "ValueError: sigma round refused by the test handler" \
+                in str(exc.value)
             assert eng.closed
         finally:
             _reap_workers(procs)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_malformed_flags_reply_is_a_format_fault(self, delta_ref,
+                                                     monkeypatch, strict):
+        # workers forked while their δ handler drops the last flag of
+        # every window: the reply is well framed but not one flag per
+        # step — a format fault, healed (the respawned pool runs the
+        # real handler) or, strict, the typed wire error
+        _require_fork()
+        net, start, sched, ref = delta_ref
+        real = remote_mod._shard_delta_steps
+        monkeypatch.setattr(remote_mod, "_shard_delta_steps",
+                            lambda state, steps: real(state, steps)[:-1])
+        eng = RemoteVectorizedEngine(net, workers=2, socket_timeout=5.0,
+                                     strict=strict)
+        try:
+            _watchdog(lambda: iterate_sigma_vectorized(
+                net, start, max_rounds=300, engine=eng))   # fork the pool
+            monkeypatch.undo()
+            if strict:
+                with pytest.raises(WireFormatError, match="one flag per"):
+                    _watchdog(lambda: eng.delta(sched, start,
+                                                max_steps=300))
+                assert eng.closed
+            else:
+                res = _watchdog(lambda: eng.delta(sched, start,
+                                                  max_steps=300))
+                _assert_delta_identical(res, ref, net)
+                assert [ev.code for ev in eng.degraded] == \
+                    ["worker-respawned"]
+                assert "format fault" in eng.degraded[0].detail
+        finally:
+            eng.close()
+
+    @pytest.mark.parametrize("offset", [20, 32, 53, 77])
+    @pytest.mark.parametrize("xor_mask", [0x01, 0x80])
+    def test_flipped_payload_byte_never_yields_a_wrong_fixed_point(
+            self, offset, xor_mask):
+        # one bit flipped in a σ update reply: the frame checksum turns
+        # it into a format fault — healed bit-identically, or under
+        # strict the typed wire error — never a silently wrong state
+        alg = HopCountAlgebra(16)
+        net = erdos_renyi(alg, 12, 0.3, uniform_weight_factory(alg, 1, 3),
+                          seed=4)
+        start = RoutingState.identity(alg, net.n)
+        ref = iterate_sigma_vectorized(net, start, max_rounds=300)
+        plan = {"seed": 0, "rules": [{
+            "kind": "corrupt", "role": "coordinator", "op": "recv",
+            "msg_type": MSG_UPDATE, "round": 2, "shard": 0,
+            "offset": offset, "xor_mask": xor_mask}]}
+        res, degraded = _sigma_under_plan(net, start, plan)
+        _assert_sigma_identical(res, ref, net)
+        assert [ev.code for ev in degraded] == ["worker-respawned"]
+        assert "format fault" in degraded[0].detail
+        with pytest.raises(WireFormatError, match="CRC-32"):
+            _sigma_under_plan(net, start, plan, strict=True)
 
     def test_strict_never_records_degraded(self, sigma_ref):
         net, start, ref = sigma_ref
@@ -584,6 +656,9 @@ _RULES = st.builds(
     msg_index=st.integers(min_value=0, max_value=12),
     shard=st.sampled_from((0, 1)),
     delay_ms=st.just(5.0),
+    # corrupt rules reach past the header into the payload's value bytes
+    offset=st.integers(min_value=0, max_value=96),
+    xor_mask=st.integers(min_value=1, max_value=0xFF),
 )
 
 
@@ -821,9 +896,8 @@ class TestDeltaCheckpoint:
     def test_checkpoints_off_replays_from_scratch(self, delta_ref):
         # the pre-checkpoint behaviour is one knob away: with the
         # cadence disabled the same window-2 fault heals by full
-        # replay (no barriers advance the injector round without
-        # checkpoints, so the frame is pinned by send index instead:
-        # load=0, delta-init=1, steps w1=2, steps w2=3)
+        # replay (the frame is pinned by send index here: load=0,
+        # delta-init=1, steps w1=2, steps w2=3)
         net, start, sched, ref = delta_ref
         plan = {"seed": 5, "rules": [{
             "kind": "drop", "role": "coordinator", "op": "send",
@@ -837,6 +911,33 @@ class TestDeltaCheckpoint:
             _assert_delta_identical(res, ref, net)
             assert eng.delta_ckpt_saves == 0
             assert eng.delta_ckpt_resumes == 0
+            assert [ev.code for ev in eng.degraded] == ["worker-respawned"]
+        finally:
+            eng.close()
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 4])
+    def test_every_delta_window_advances_the_fault_round(self, window):
+        # a rule's round is the barrier counter, and each δ window is a
+        # barrier: with checkpoints off, a drop keyed on round k hits
+        # the k-th MSG_DELTA_STEPS command and heals once
+        alg = HopCountAlgebra(16)
+        net = erdos_renyi(alg, 12, 0.3, uniform_weight_factory(alg, 1, 3),
+                          seed=4)
+        start = RoutingState.identity(alg, net.n)
+        sched = RandomSchedule(net.n, seed=2, max_delay=3)
+        with RoutingSession(net, "vectorized") as s:
+            ref = s.delta(sched, start, max_steps=300).result
+        plan = {"seed": 5, "rules": [{
+            "kind": "drop", "role": "coordinator", "op": "send",
+            "msg_type": MSG_DELTA_STEPS, "round": window}]}
+        eng = RemoteVectorizedEngine(net, workers=2, socket_timeout=1.0,
+                                     fault_plan=plan)
+        eng.delta_ckpt_every = 0
+        try:
+            res = _watchdog(lambda: eng.delta(sched, start, max_steps=300,
+                                              window=4))
+            _assert_delta_identical(res, ref, net)
+            assert eng.delta_ipc_commands == 4
             assert [ev.code for ev in eng.degraded] == ["worker-respawned"]
         finally:
             eng.close()

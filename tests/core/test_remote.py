@@ -25,6 +25,7 @@ column).  This module covers what is unique to computing σ/δ over TCP:
 * the CLI ``worker`` subcommand announces a parseable endpoint.
 """
 
+import hashlib
 import multiprocessing
 import random
 import re
@@ -44,7 +45,9 @@ from hypothesis import given, settings, strategies as st
 from repro.algebras import HopCountAlgebra, ShortestPathsAlgebra
 from repro.core import (
     DELTA_WINDOW,
+    AdversarialStaleSchedule,
     FixedDelaySchedule,
+    Network,
     RandomSchedule,
     RemoteError,
     RemoteVectorizedEngine,
@@ -322,6 +325,70 @@ class TestWorkerProtocol:
 # ----------------------------------------------------------------------
 
 
+#: ``(importer, exporter, hop weight)`` of the pinned-wire network:
+#: nine nodes, node 8 exports only (a degree-0 importer), no RNG.
+_PIN_ARCS = (
+    (0, 1, 1), (1, 0, 2), (1, 2, 1), (2, 1, 1), (2, 3, 3), (3, 2, 1),
+    (3, 4, 1), (4, 3, 2), (4, 5, 1), (5, 4, 1), (5, 6, 2), (6, 5, 1),
+    (6, 7, 1), (7, 6, 3), (0, 8, 1), (7, 8, 1), (0, 4, 3), (4, 0, 1),
+    (2, 6, 2), (6, 2, 2), (3, 7, 1), (5, 1, 3),
+)
+
+#: SHA-256 over every frame the coordinator sends and receives in
+#: :meth:`TestWirePin.test_coordinator_frames_are_pinned`, and their
+#: count.  A deliberate wire change updates both together with the
+#: version table in docs/wire.md.
+_PIN_FRAMES = 206
+_PIN_DIGEST = ("615669a7bdd0a92612d4142a8d361fd2"
+               "3efc288cc3a4c6fc4a1070f3bb2c0b24")
+
+
+class TestWirePin:
+    def test_coordinator_frames_are_pinned(self, monkeypatch):
+        """σ, one σ round, a stability check and the five oracle δ
+        schedules (checkpoints every window) put exactly the pinned
+        frames on the wire: payloads only, so the frame header may
+        change without moving the digest."""
+        frames = []
+        send, recv = FrameConnection.send, FrameConnection.recv
+
+        def recording_send(fc, msg_type, payload=b""):
+            frames.append(("send", msg_type, bytes(payload)))
+            send(fc, msg_type, payload)
+
+        def recording_recv(fc):
+            msg_type, payload = recv(fc)
+            frames.append(("recv", msg_type, bytes(payload)))
+            return msg_type, payload
+
+        monkeypatch.setattr(FrameConnection, "send", recording_send)
+        monkeypatch.setattr(FrameConnection, "recv", recording_recv)
+        alg = HopCountAlgebra(16)
+        net = Network(alg, 9)
+        for i, k, w in _PIN_ARCS:
+            net.set_edge(i, k, alg.edge(w))
+        start = RoutingState.identity(alg, net.n)
+        with RemoteVectorizedEngine(net, workers=2) as eng:
+            eng.delta_ckpt_every = 1
+            iterate_sigma_vectorized(net, start, engine=eng)
+            eng.sigma(start)
+            eng.is_stable(start)
+            for sched in (SynchronousSchedule(net.n),
+                          RoundRobinSchedule(net.n),
+                          FixedDelaySchedule(net.n, delay=3),
+                          AdversarialStaleSchedule(net.n, max_delay=5,
+                                                   burst=2),
+                          RandomSchedule(net.n, seed=8, max_delay=4)):
+                assert eng.delta(sched, start, max_steps=400).converged
+        digest = hashlib.sha256()
+        for direction, msg_type, payload in frames:
+            digest.update(f"{direction} {msg_type} {len(payload)}\n"
+                          .encode())
+            digest.update(payload)
+        assert (len(frames), digest.hexdigest()) == \
+            (_PIN_FRAMES, _PIN_DIGEST)
+
+
 class TestLoopbackBitIdentity:
     def test_sigma_trajectory_identical(self):
         net = _net(9)
@@ -450,7 +517,9 @@ class TestLoopbackBitIdentity:
             assert eng.wire_totals.bytes_sent >= \
                 sigma_stats.bytes_sent + eng.wire_stats.bytes_sent
 
-    def test_unbounded_schedule_delegates_per_run(self):
+    def test_unbounded_schedule_runs_on_the_workers(self):
+        """A schedule that declares no staleness bound runs on the
+        workers too, on a ring sized from its derived bound."""
         class Unbounded(RandomSchedule):
             def max_read_back(self):
                 return None
@@ -461,9 +530,12 @@ class TestLoopbackBitIdentity:
         with RemoteVectorizedEngine(net, workers=2) as eng:
             rem = delta_run_remote(net, sched, start, max_steps=300,
                                    engine=eng)
-        ref = _vectorized_delta(net, sched, start, 300)
+            assert eng.delta_ipc_steps >= rem.steps
+        ref = RoutingSession(net, "incremental").delta(
+            sched, start, max_steps=300, strict=True)
         assert rem.converged == ref.converged
         assert rem.steps == ref.steps
+        assert rem.converged_at == ref.converged_at
         assert rem.state.equals(ref.state, net.algebra)
 
 

@@ -358,6 +358,38 @@ class TestManagedResources:
                     s.delta_grid([(sched, start)], max_steps=200)
             assert not s._engines      # nothing was built or run
 
+    @pytest.mark.parametrize("rung", LADDER)
+    def test_step_budget_rules(self, rung):
+        """``max_steps=0`` gives every rung the same answer — the start,
+        0 steps, not converged, one state retained — and a negative
+        budget is refused before anything runs."""
+        net = _hop(8)
+        start = random_state(net.algebra, net.n, random.Random(3))
+        sched = RandomSchedule(net.n, seed=2, max_delay=3)
+        kwargs = {"parallel": {"workers": 2},
+                  "remote": {"remote_workers": 2}}.get(rung, {})
+        with RoutingSession(net, EngineSpec(rung, **kwargs)) as s:
+            for bad in (-1, -5):
+                with pytest.raises(ValueError, match="max_steps"):
+                    s.delta(sched, start, max_steps=bad)
+                with pytest.raises(ValueError, match="max_steps"):
+                    s.delta_grid([(sched, start)], max_steps=bad)
+            assert not s._engines      # nothing was built or run
+            s.delta(sched, start, max_steps=40)
+            report = s.delta(sched, start, max_steps=0)
+            if rung == "remote":       # the earlier run's counters reset
+                assert (report.wire.commands, report.ipc_commands) == (0, 0)
+            grid = s.delta_grid([(sched, start)] * 2, max_steps=0,
+                                keep_results=True)
+            assert report.resolution.chosen == rung
+            assert grid.resolution.chosen == rung
+            assert not s._compiled     # nothing was compiled
+            for res in [report.result] + grid.results:
+                assert (res.converged, res.steps, res.converged_at,
+                        res.history_retained) == (False, 0, None, 1)
+                assert res.state.equals(start, net.algebra)
+            assert not grid.all_converged
+
     def test_closed_session_refuses(self):
         net = _hop()
         s = RoutingSession(net)
@@ -523,30 +555,21 @@ class TestReportMetadata:
                                       "remote"])
     def test_strict_grid_with_unbounded_schedule(self, rung):
         """A strict grid trial whose schedule declares no staleness bound
-        runs on every in-process codes rung — they share one compiled
-        step, exact against the derived bound — and raises only on
-        remote, whose workers cannot take such a schedule."""
+        runs on every codes rung — they share one δ loop, whose ring is
+        sized from the derived bound (the remote workers' ring too) —
+        and matches the strict reference."""
         net = _hop(8)
         start = RoutingState.identity(net.algebra, net.n)
         sched = _UnboundedSchedule(net.n)
         spec = EngineSpec(rung, workers=2, remote_workers=2, strict=True)
         with RoutingSession(net, spec) as s:
-            if rung == "remote":
-                with pytest.raises(UnsupportedEngineError) as exc:
-                    s.delta_grid([(sched, start)], max_steps=100)
-                assert ("remote", "unbounded-schedule") in \
-                    exc.value.resolution.reason_codes()
-                # bounded trials still run on the workers
-                grid = s.delta_grid(
-                    [(SynchronousSchedule(net.n), start)], max_steps=120)
-            else:
-                grid = s.delta_grid([(sched, start)], max_steps=100)
-                ref = RoutingSession(net, "incremental").delta(
-                    sched, start, max_steps=100, strict=True)
-                assert grid.all_converged and ref.converged
-                assert grid.convergence_steps == [ref.converged_at]
-                assert grid.distinct_fixed_points[0].equals(
-                    ref.state, net.algebra)
+            grid = s.delta_grid([(sched, start)], max_steps=100)
+            ref = RoutingSession(net, "incremental").delta(
+                sched, start, max_steps=100, strict=True)
+            assert grid.all_converged and ref.converged
+            assert grid.convergence_steps == [ref.converged_at]
+            assert grid.distinct_fixed_points[0].equals(
+                ref.state, net.algebra)
             assert grid.resolution.chosen == rung
 
     def test_churn_respects_pinned_object_engine(self):

@@ -10,8 +10,10 @@ This module is the one negotiation:
 
 * each engine class advertises a :class:`Capabilities` descriptor
   (``requires_finite_algebra``, ``requires_shared_memory``, ``min_n``,
-  ``supports_topology_mutation``, …), registered under its rung name
-  in :data:`ENGINE_CAPABILITIES`;
+  ``supports_kept_history``, …), registered under its rung name in
+  :data:`ENGINE_CAPABILITIES`.  Every rung follows topology mutations
+  itself (the worker-backed ones republish their snapshot), so no
+  descriptor field is about them;
 * :func:`resolve_engine` walks the ladder from the requested rung (or
   from the top, for ``"auto"``) and returns an :class:`EngineResolution`
   recording the chosen rung **and a machine-readable reason chain** —
@@ -113,11 +115,6 @@ class Capabilities:
     min_n: int = 0
     #: minimum effective worker count (0 = not pool-based).
     min_workers: int = 0
-    #: safe to mutate the topology mid-run (``set_edge``/``remove_edge``
-    #: invalidate this rung's caches).  Every in-process rung supports
-    #: it; the remote rung declines — its snapshot is shipped to the
-    #: workers once, and the session rebuilds the engine instead.
-    supports_topology_mutation: bool = True
     #: δ: can serve a schedule with no declared staleness bound.
     supports_unbounded_schedules: bool = True
     #: δ: can return the full decoded state history (``keep_history``).

@@ -72,12 +72,16 @@ snapshot and **republishes** it — a fresh shared-memory segment plus a
 is unlinked — so a mid-run ``set_edge`` / ``remove_edge`` can never
 leave a worker computing against stale tables.
 
-Worker processes and shared-memory segments are released by
-:meth:`~ParallelVectorizedEngine.close` (idempotent; also a context
-manager), by a ``weakref.finalize`` hook when the engine is garbage
-collected, and by the owning :class:`~repro.session.RoutingSession`'s
-close — an exception anywhere in a run must never leak a segment or a
-process (``tests/core/test_parallel.py`` holds the engine to that).
+A failed command — a worker that is gone, silent past the reply
+timeout, or relaying an exception — tears the pool down (every worker
+stopped, every segment unlinked) and raises a typed
+:class:`RuntimeError` naming the worker; the next call starts a new
+pool.  :meth:`~ParallelVectorizedEngine.close` (idempotent; also a
+context manager) releases the engine for good, as do a
+``weakref.finalize`` hook when the engine is garbage collected and the
+owning :class:`~repro.session.RoutingSession`'s close — an exception
+anywhere in a run must never leak a segment or a process
+(``tests/core/test_parallel.py`` holds the engine to that).
 """
 
 from __future__ import annotations
@@ -92,7 +96,11 @@ from multiprocessing import shared_memory as _shm
 import numpy as np
 
 from .algebra import UnsupportedAlgebraError
-from .capabilities import Capabilities, register_engine
+from .capabilities import (
+    Capabilities,
+    logger as _engine_log,
+    register_engine,
+)
 from .state import Network
 from .vectorized import (
     _DTYPE,
@@ -141,6 +149,32 @@ def _split_columns(n: int, workers: int) -> List[Tuple[int, int]]:
         blocks.append((lo, hi))
         lo = hi
     return blocks
+
+
+def _reap_workers(procs) -> None:
+    """Join worker subprocesses, escalating terminate → kill so the
+    caller always returns with every child reaped (no zombies, no
+    leaked sentinels) — never a hang on a stuck worker: the pool's
+    and the remote rung's loopback workers alike."""
+    for proc in procs:
+        proc.join(timeout=2.0)
+    for proc in procs:
+        if proc.is_alive():              # stuck, or stopped
+            _engine_log.warning(
+                "worker %s (pid=%s) ignored stop; terminating",
+                proc.name, proc.pid)
+            proc.terminate()
+            proc.join(timeout=2.0)
+        if proc.is_alive():              # stopped, or deaf to SIGTERM
+            _engine_log.warning(
+                "worker %s (pid=%s) survived terminate; killing",
+                proc.name, proc.pid)
+            proc.kill()
+            proc.join(timeout=2.0)
+        try:
+            proc.close()                 # release the sentinel now
+        except ValueError:               # pragma: no cover - still alive
+            pass
 
 
 def supports_parallel(algebra) -> bool:
@@ -305,12 +339,7 @@ class _PoolResources:
                 conn.send(("stop",))
             except (OSError, ValueError, BrokenPipeError):
                 pass
-        for proc in self.procs:
-            proc.join(timeout=2.0)
-        for proc in self.procs:
-            if proc.is_alive():          # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=2.0)
+        _reap_workers(self.procs)
         for conn in self.conns:
             try:
                 conn.close()
@@ -347,7 +376,8 @@ class ParallelVectorizedEngine(VectorizedEngine):
     runs each σ round over it (:meth:`_advance`).
 
     The pool is started lazily on the first σ round and persists
-    across calls; release it with :meth:`close` (or use the engine as a
+    across calls; a failure tears it down and the next round starts a
+    new one.  Release the engine with :meth:`close` (or use it as a
     context manager).  A ``weakref.finalize`` backstop releases
     everything if the engine is dropped without closing.
     """
@@ -394,11 +424,14 @@ class ParallelVectorizedEngine(VectorizedEngine):
     # -- pool / shared-memory lifecycle ----------------------------------
 
     def close(self) -> None:
-        """Stop the workers and unlink every shared segment (idempotent)."""
+        """Release the engine: stop the workers and unlink every shared
+        segment for good (idempotent; a closed engine refuses to run)."""
         self._finalizer()                # runs _res.close at most once
 
     @property
     def closed(self) -> bool:
+        """True once the owner released the engine (a failure only
+        tears the pool down)."""
         return not self._finalizer.alive
 
     def __enter__(self) -> "ParallelVectorizedEngine":
@@ -429,7 +462,8 @@ class ParallelVectorizedEngine(VectorizedEngine):
         return seg, dict(meta, tables=seg.name)
 
     def _ensure_pool(self) -> None:
-        """Start the workers (first use) or republish a stale snapshot."""
+        """Start the workers (first use, or after a teardown) or
+        republish a stale snapshot."""
         if self.closed:
             raise RuntimeError("engine is closed; build a new one")
         if not self._res.procs:
@@ -465,27 +499,37 @@ class ParallelVectorizedEngine(VectorizedEngine):
             self._res.drop_segment(old)
 
     def _broadcast(self, msg) -> None:
-        for conn in self._res.conns:
-            conn.send(msg)
+        """Send every worker the same command; a worker that is gone
+        tears the pool down."""
+        for conn, proc in zip(self._res.conns, self._res.procs):
+            try:
+                conn.send(msg)
+            except (OSError, ValueError) as exc:
+                self._res.close()
+                raise RuntimeError(
+                    f"parallel worker {proc.name} is gone "
+                    f"({type(exc).__name__}: {exc})") from exc
 
     def _collect(self) -> list:
         """One reply per worker, with a liveness guard (a worker that
-        died mid-command would otherwise hang the master forever)."""
+        died mid-command would otherwise hang the master forever).  Any
+        failure tears the pool down before it raises."""
         replies = []
         for conn, proc in zip(self._res.conns, self._res.procs):
             if not conn.poll(_REPLY_TIMEOUT):
-                self.close()
+                alive = proc.is_alive()  # before the teardown reaps it
+                self._res.close()
                 raise RuntimeError(
                     f"parallel worker {proc.name} did not reply within "
-                    f"{_REPLY_TIMEOUT}s (alive={proc.is_alive()})")
+                    f"{_REPLY_TIMEOUT}s (alive={alive})")
             try:
                 reply = conn.recv()
             except (EOFError, OSError):
-                self.close()
+                self._res.close()
                 raise RuntimeError(
                     f"parallel worker {proc.name} died mid-command")
             if isinstance(reply, Exception):
-                self.close()
+                self._res.close()
                 raise reply
             replies.append(reply)
         return replies

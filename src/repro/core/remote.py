@@ -55,12 +55,12 @@ has a configurable timeout) — while malformed or version-skewed peers
 raise :class:`~repro.core.wire.WireFormatError` /
 :class:`~repro.core.wire.WireVersionError`.
 
-The engine advertises ``supports_topology_mutation=False``: the snapshot
-shipped at load time is never republished, and :meth:`refresh` raises
-:class:`RemoteError` if the network mutated underneath it.
-:class:`~repro.session.RoutingSession` turns that into a managed
-lifecycle by rebuilding the engine (fresh connections, fresh snapshot)
-when the topology version moves.
+The engine owns its pool's lifecycle (:meth:`RemoteVectorizedEngine._ensure_pool`):
+a topology change republishes the snapshot over the live connections
+(one :data:`~repro.core.wire.MSG_LOAD` per shard, as at the first
+build), and a failure tears the pool down before the typed error
+surfaces, so the next call builds a new one.  :meth:`close` only
+releases an engine its owner is done with.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ from .capabilities import (
     register_engine,
 )
 from .faults import FaultPlan
-from .parallel import _mp_context, _split_columns
+from .parallel import _mp_context, _reap_workers, _split_columns
 from .schedule import Schedule
 from .state import Network, RoutingState
 from .vectorized import (
@@ -210,8 +210,9 @@ class _ShardFault(Exception):
 
     ``kind`` classifies the failure for terminal re-raising:
     ``conn`` (closed/refused/timed out), ``format`` (corrupt or torn
-    frames/payloads), ``protocol`` (well-formed but out-of-discipline
-    reply), ``worker-error`` (a relayed :data:`MSG_ERROR`).
+    frames/payloads, either side's), ``protocol`` (well-formed but
+    out-of-discipline reply), ``worker-error`` (a relayed
+    :data:`MSG_ERROR` from a failing handler).
     """
 
     def __init__(self, idx: Optional[int], exc: BaseException,
@@ -452,9 +453,11 @@ def _serve_connection(sock, injector=None) -> None:
     """Serve one coordinator session on an accepted socket.
 
     Handler exceptions are relayed as :data:`MSG_ERROR` frames (the
-    worker stays usable), a version-skewed peer gets one error frame
-    before the connection drops, and anything malformed ends the
-    session — the server loop then goes back to ``accept``.
+    worker stays usable).  A version-skewed peer gets one error frame
+    before the connection drops, and so does a malformed command (a
+    damaged frame, such as one that fails its checksum), whose error
+    head carries ``"kind": "format"`` so the coordinator can type it;
+    the server loop then goes back to ``accept``.
     ``injector`` is the worker-side chaos hook (every frame in either
     direction passes through it).
     """
@@ -468,8 +471,12 @@ def _serve_connection(sock, injector=None) -> None:
                 _try_send(fc, MSG_ERROR,
                           pack_payload({"message": str(exc)}))
                 return
+            except WireFormatError as exc:
+                _try_send(fc, MSG_ERROR, pack_payload(
+                    {"message": str(exc), "kind": "format"}))
+                return
             except WireError:
-                return                   # peer closed or stream is garbage
+                return                   # peer closed
             except OSError:
                 return                   # socket reset / torn down under us
             if msg_type == MSG_STOP:
@@ -643,31 +650,6 @@ def spawn_loopback_workers(count: int, host: str = "127.0.0.1",
     return procs, endpoints
 
 
-def _reap_workers(procs) -> None:
-    """Join worker subprocesses, escalating terminate → kill so the
-    caller always returns with every child reaped (no zombies, no
-    leaked sentinels) — never a hang on a stuck worker."""
-    for proc in procs:
-        proc.join(timeout=2.0)
-    for proc in procs:
-        if proc.is_alive():              # pragma: no cover - stuck worker
-            _engine_log.warning(
-                "worker %s (pid=%s) ignored stop; terminating",
-                proc.name, proc.pid)
-            proc.terminate()
-            proc.join(timeout=2.0)
-        if proc.is_alive():              # pragma: no cover - unkillable
-            _engine_log.warning(
-                "worker %s (pid=%s) survived terminate; killing",
-                proc.name, proc.pid)
-            proc.kill()
-            proc.join(timeout=2.0)
-        try:
-            proc.close()                 # release the sentinel now
-        except ValueError:               # pragma: no cover - still alive
-            pass
-
-
 # ----------------------------------------------------------------------
 # Coordinator side
 # ----------------------------------------------------------------------
@@ -719,22 +701,22 @@ class RemoteVectorizedEngine(VectorizedEngine):
     Connect with explicit ``endpoints`` (``"host:port"`` strings or
     ``(host, port)`` pairs, one shard each) or ``workers=k`` to spawn
     ``k`` loopback subprocess workers.  Connections open lazily on the
-    first σ/δ entry and close via :meth:`close` (idempotent, context
-    manager, ``weakref.finalize`` backstop).
+    first σ/δ entry, carry every later snapshot (republished when the
+    topology moves), are torn down by a failure and reopened by the
+    next call, and close for good via :meth:`close` (idempotent,
+    context manager, ``weakref.finalize`` backstop).
     """
 
     #: honest advertisement for the resolver: finite algebras only, an
     #: explicitly configured transport (no endpoints → machine-readable
-    #: skip, never an implicit network dependency), a minimum problem
-    #: size, and *no* topology mutation — the snapshot is shipped once;
-    #: RoutingSession rebuilds the engine when the version moves.
+    #: skip, never an implicit network dependency) and a minimum
+    #: problem size.
     capabilities = register_engine(Capabilities(
         rung="remote",
         requires_finite_algebra=True,
         requires_remote_endpoints=True,
         min_n=REMOTE_MIN_N,
         min_workers=2,
-        supports_topology_mutation=False,
         supports_unbounded_schedules=False,
         supports_kept_history=False,
     ))
@@ -770,6 +752,8 @@ class RemoteVectorizedEngine(VectorizedEngine):
             else float(socket_timeout)
         self._blocks = _split_columns(network.n, shards)
         self.workers = shards
+        #: the snapshot the workers hold (republished when it moves)
+        self._published: Optional[TopologySnapshot] = None
         #: supervision: ``strict=True`` surfaces every worker fault as
         #: the typed error immediately (no healing); otherwise up to
         #: ``max_retries`` recoveries per run, recorded in ``degraded``.
@@ -808,11 +792,15 @@ class RemoteVectorizedEngine(VectorizedEngine):
     # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the workers and drop every connection (idempotent)."""
+        """Release the engine: stop the workers and drop every
+        connection for good (idempotent; a closed engine refuses to
+        run)."""
         self._finalizer()
 
     @property
     def closed(self) -> bool:
+        """True once the owner released the engine (a failure only
+        tears the pool down)."""
         return not self._finalizer.alive
 
     def __enter__(self) -> "RemoteVectorizedEngine":
@@ -820,30 +808,6 @@ class RemoteVectorizedEngine(VectorizedEngine):
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def refresh(self) -> None:
-        """Raise on topology mutation: the shipped snapshot is final.
-
-        ``supports_topology_mutation=False`` is advertised to the
-        resolver; direct users must build a new engine, and
-        :class:`~repro.session.RoutingSession` does exactly that when
-        ``adjacency.version`` moves.
-        """
-        if self._version is not None and \
-                self._version != self.network.adjacency.version:
-            self.close()
-            raise RemoteError(
-                "remote engine does not support topology mutation: the "
-                "network changed after its snapshot was shipped to the "
-                "workers; build a new engine (RoutingSession rebuilds "
-                "one automatically)")
-        super().refresh()
-
-    def stale_topology(self) -> bool:
-        """True when the network mutated after the snapshot was taken
-        (the session's cue to rebuild rather than reuse)."""
-        return self._version is not None and \
-            self._version != self.network.adjacency.version
 
     # -- wire plumbing ---------------------------------------------------
 
@@ -888,9 +852,14 @@ class RemoteVectorizedEngine(VectorizedEngine):
             self._fresh_stats = False
 
     def _ensure_pool(self, allow_partial: bool = False) -> None:
+        """Build the pool (first use, or after a teardown) or republish
+        a stale snapshot over the live connections.  A connection
+        failure tears the pool down and raises :class:`RemoteError`."""
         if self.closed:
             raise RuntimeError("engine is closed; build a new one")
         if self._res.conns:
+            if self._published is not self._topo:
+                self._load()
             return
         if self._spawn:
             procs, endpoints = spawn_loopback_workers(self._spawn)
@@ -902,7 +871,7 @@ class RemoteVectorizedEngine(VectorizedEngine):
             # shards land back on the original column layout.
             endpoints = [e for e in self._endpoints
                          if tuple(e) not in self._parked]
-        conns: List[FrameConnection] = []
+        conns = self._res.conns          # a teardown closes what is open
         reachable: List[Tuple[str, int]] = []
         for host, port in endpoints:
             try:
@@ -913,7 +882,7 @@ class RemoteVectorizedEngine(VectorizedEngine):
                     self._park((host, port), len(conns),
                                f"{type(exc).__name__}: {exc}")
                     continue
-                self.close()
+                self._res.close()
                 raise RemoteError(
                     f"cannot connect to remote worker {host}:{port}: "
                     f"{exc}") from exc
@@ -923,18 +892,24 @@ class RemoteVectorizedEngine(VectorizedEngine):
             conns.append(FrameConnection(sock, injector=injector))
             reachable.append((host, port))
         if not conns:
-            self.close()
+            self._res.close()
             raise RemoteError(
                 "no remote workers reachable after loss: every endpoint "
                 f"in {endpoints or list(self._parked)} refused the "
                 "reconnect or is parked on probation")
-        self._res.conns = conns
         self._shard_endpoints = reachable
         if not self._spawn:
             self._active_endpoints = reachable
         self._blocks = _split_columns(self._n, len(conns))
         self.workers = len(conns)
         self._bytes_base = (0, 0)
+        self._load()
+
+    def _load(self) -> None:
+        """Ship every shard the current snapshot and its column block
+        (:data:`~repro.core.wire.MSG_LOAD`) and collect the acks: the
+        first build, every heal rebuild and every republish after a
+        topology change."""
         meta, tables = self._topo.export()
         tables_blob = np.ascontiguousarray(tables, dtype="<i4").tobytes()
         base = dict(meta, n=self._n, trivial=self.trivial_code,
@@ -943,6 +918,7 @@ class RemoteVectorizedEngine(VectorizedEngine):
             self._send(idx, MSG_LOAD,
                        pack_payload(dict(base, block=[lo, hi]), tables_blob))
         self._collect_acks()
+        self._published = self._topo
 
     def _send(self, idx: int, msg_type: int, payload: bytes = b"") -> None:
         fc = self._res.conns[idx]
@@ -966,7 +942,7 @@ class RemoteVectorizedEngine(VectorizedEngine):
         except WireVersionError:
             # version skew is never a transient fault: healing would
             # reconnect to the same skewed peer forever
-            self.close()
+            self._res.close()
             raise
         except WireFormatError as exc:
             raise _ShardFault(idx, exc, kind="format") from exc
@@ -977,8 +953,15 @@ class RemoteVectorizedEngine(VectorizedEngine):
             try:
                 obj, _ = unpack_payload(payload)
                 message = obj.get("message", "unknown worker error")
+                kind = obj.get("kind")
             except WireError:
-                message = "undecodable worker error"
+                message, kind = "undecodable worker error", None
+            if kind == "format":
+                # the command arrived damaged at the worker
+                exc = WireFormatError(
+                    f"remote worker {idx} received a damaged command: "
+                    f"{message}")
+                raise _ShardFault(idx, exc, kind="format")
             raise _ShardFault(idx, RemoteError(message),
                               kind="worker-error", message=message)
         return msg_type, payload
@@ -1217,12 +1200,13 @@ class RemoteVectorizedEngine(VectorizedEngine):
                 heal_ms=(perf_counter() - t0) * 1000)
 
     def _raise_terminal(self, fault: _ShardFault) -> None:
-        """Surface a fault as the pre-supervision typed error."""
+        """Tear the pool down (the next call builds a new one) and
+        surface a fault as the pre-supervision typed error."""
         idx, exc = fault.idx, fault.exc
         endpoint = self._shard_endpoints[idx] \
             if idx is not None and idx < len(self._shard_endpoints) else None
         acked = self._acked
-        self.close()
+        self._res.close()
         if fault.kind in ("format", "protocol"):
             # corrupt streams and protocol-discipline violations keep
             # their typed wire errors

@@ -462,29 +462,25 @@ class CompiledSchedule(Schedule):
     by construction — which is what lets ring-buffer engines run
     schedules the object form could only serve with a full history.
 
-    Compilation is lazy, in blocks of ``block`` steps with a small
-    sliding cache, so a run that converges after 60 steps never pays
-    for a 2000-step horizon, and memory stays
-    O(blocks_kept · block · |α| · n) however long the horizon is.  The
-    δ step reads one step at a time, so a block is one step by default
-    and a run holds the β rows of only a few steps (one step of a
+    Compilation is lazy, one step at a time with a small sliding
+    cache, so a run that converges after 60 steps never pays for a
+    2000-step horizon, and memory stays O(steps_kept · |α| · n) however
+    long the horizon is: the δ step reads one step at a time, so a run
+    holds the β rows of only a few steps (one step of a
     ``RandomSchedule(800)`` is about 2.5 MB of them).
     """
 
-    #: compiled blocks kept alive; the recursion walks t forward, so a
+    #: compiled steps kept alive; the recursion walks t forward, so a
     #: handful covers current-step reads plus validation revisits.
-    _KEEP_BLOCKS = 4
+    _KEEP_STEPS = 4
 
-    def __init__(self, source: Schedule, horizon: int, block: int = 1):
+    def __init__(self, source: Schedule, horizon: int):
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if block < 1:
-            raise ValueError("block must be >= 1")
         super().__init__(source.n)
         self.source = source
         self.horizon = horizon
-        self.block = block
-        self._blocks = _PerStepMemo(keep=self._KEEP_BLOCKS)
+        self._steps = _PerStepMemo(keep=self._KEEP_STEPS)
         self._derived: Optional[int] = None
 
     @classmethod
@@ -496,7 +492,7 @@ class CompiledSchedule(Schedule):
         return cls(source, horizon)
 
     # ------------------------------------------------------------------
-    # Block compilation
+    # Step compilation
     # ------------------------------------------------------------------
 
     def _step(self, t: int) -> tuple:
@@ -508,8 +504,8 @@ class CompiledSchedule(Schedule):
         recursion (which gathers only in-neighbour entries) never
         reads.
         """
-        blk = self._blocks.row(t // self.block)
-        step = blk.get(t)
+        memo = self._steps.row(t)
+        step = memo.get(t)
         if step is None:
             src = self.source
             act = frozenset(src.alpha(t))
@@ -517,7 +513,7 @@ class CompiledSchedule(Schedule):
             if act:
                 mask[list(act)] = True
             step = (act, mask, {})
-            blk[t] = step
+            memo[t] = step
         return step
 
     def _row(self, t: int, i: int):
@@ -606,8 +602,7 @@ class CompiledSchedule(Schedule):
         return self._derived
 
     def __repr__(self) -> str:
-        return (f"CompiledSchedule({self.source!r}, horizon={self.horizon}, "
-                f"block={self.block})")
+        return f"CompiledSchedule({self.source!r}, horizon={self.horizon})"
 
 
 def schedule_zoo(n: int, seeds: Sequence[int] = (0, 1, 2)) -> List[Schedule]:

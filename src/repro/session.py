@@ -28,17 +28,13 @@ What the session owns:
 * **Managed resources** — vectorized/batched engines, the parallel
   worker pool (processes + shared-memory segments) and the remote
   rung's TCP connections (plus any loopback worker subprocesses) are
-  built lazily, reused across calls, and released by :meth:`close` /
-  the context manager / a ``weakref.finalize`` backstop.  The remote
-  engine's snapshot cannot follow topology mutations, so the session
-  rebuilds it (fresh connections, fresh snapshot) when
-  ``adjacency.version`` moves.
-* **Schedule compilation caching** — the compiled α/β forms a grid
-  runs on (:class:`~repro.core.schedule.CompiledSchedule`) are cached
-  per schedule object (the :data:`SCHEDULE_CACHE_SIZE` most recently
-  used) and reused across grids; a single δ run compiles its schedule
-  for the run only, so a session serving fresh schedules holds no
-  compiled forms between runs.
+  built lazily, kept for the session's lifetime, and released by
+  :meth:`close` / the context manager / a ``weakref.finalize``
+  backstop.  Each engine owns its workers' lifecycle: it republishes
+  its snapshot when ``adjacency.version`` moves and rebuilds a pool
+  that failed, so the session only ever constructs engines.  A grid
+  compiles each distinct schedule once, for that call; the session
+  holds no compiled schedule between calls.
 * **Structured run reports** — every entry point returns a typed
   dataclass (:class:`SigmaReport`, :class:`DeltaReport`,
   :class:`GridReport`, :class:`ConvergenceReport`,
@@ -59,7 +55,6 @@ which every grid on them calls.
 from __future__ import annotations
 
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -80,11 +75,6 @@ from .core.schedule import (
 from .core.state import Network, RoutingState
 from .core.synchronous import SyncResult, _iterate_sigma_resolved
 from .core.wire import WireStats
-
-#: compiled schedules one session keeps, least recently used evicted
-#: first — above the distinct-schedule count of any grid the repository
-#: reuses (a ``schedule_zoo`` has 9), so repeated grids still hit.
-SCHEDULE_CACHE_SIZE = 32
 
 
 def schedule_seed_version(schedules) -> Optional[int]:
@@ -426,8 +416,6 @@ class RoutingSession:
         self.network = network
         self.spec = spec or EngineSpec()
         self._engines: Dict[str, object] = {}
-        #: id(schedule) → (schedule, compiled form), least recent first
-        self._compiled: OrderedDict = OrderedDict()
         self._closed = False
         self._finalizer = weakref.finalize(self, _close_engines,
                                            self._engines)
@@ -483,20 +471,12 @@ class RoutingSession:
 
     def _engine_obj(self, resolution: EngineResolution):
         """The managed engine instance for a resolution's rung (``None``
-        for the object-model rungs)."""
+        for the object-model rungs), built on first use and kept for
+        the session's lifetime."""
         rung = resolution.chosen
         if rung in ("naive", "incremental"):
             return None
         eng = self._engines.get(rung)
-        if eng is not None and \
-                not eng.capabilities.supports_topology_mutation and \
-                eng.stale_topology():
-            # this rung's snapshot cannot follow topology mutations:
-            # rebuild the engine (for remote: fresh connections, fresh
-            # worker-side snapshot)
-            eng.close()
-            del self._engines[rung]
-            eng = None
         if eng is None:
             if rung == "vectorized":
                 from .core.vectorized import VectorizedEngine
@@ -535,26 +515,6 @@ class RoutingSession:
             return None
         eng = self._engines.get("remote")
         return tuple(eng.degraded) if eng is not None else None
-
-    def compile_schedule(self, schedule: Schedule,
-                         horizon: int) -> CompiledSchedule:
-        """The session-cached compiled form of ``schedule`` (recompiled
-        only when a longer horizon is requested).  The cache is an LRU of
-        :data:`SCHEDULE_CACHE_SIZE` entries, so a long-lived session
-        running fresh schedules holds bounded memory."""
-        key = id(schedule)
-        entry = self._compiled.get(key)
-        if entry is not None and entry[1].horizon >= horizon:
-            self._compiled.move_to_end(key)
-            return entry[1]
-        comp = CompiledSchedule.ensure(schedule, horizon)
-        # the schedule object is retained alongside so the id() key can
-        # never be recycled by the allocator while its entry is alive
-        self._compiled[key] = (schedule, comp)
-        self._compiled.move_to_end(key)
-        if len(self._compiled) > SCHEDULE_CACHE_SIZE:
-            self._compiled.popitem(last=False)
-        return comp
 
     # -- σ ---------------------------------------------------------------
 
@@ -640,9 +600,10 @@ class RoutingSession:
         """Run δ for every ``(schedule, start)`` trial as one negotiated
         workload; returns a :class:`GridReport`.
 
-        The codes rungs run the session-compiled schedules through the
-        engine's :meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`,
-        the one δ loop: the batched rung stacks the grid into one
+        The codes rungs run the trials, each distinct schedule compiled
+        once for the call, through the engine's
+        :meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`, the
+        one δ loop: the batched rung stacks the grid into one
         ``(B, n, n)`` tensor (``batch_size`` chunks the batch axis), the
         vectorized and parallel rungs run one trial per call, and the
         remote rung runs its trials in turn on its workers.  A trial
@@ -671,17 +632,20 @@ class RoutingSession:
             wire_base = eng.wire_totals.copy()
             degraded_base = len(eng.degraded_total)
         if eng is not None:
-            # trials repeat schedules across starts: compile once (a
-            # zero-step run reads no step, so it compiles nothing)
-            compiled = [(self.compile_schedule(sched, max_steps)
-                         if max_steps else sched, start)
-                        for (sched, start) in trials]
+            # trials repeat schedules across starts and most rungs take
+            # one trial per call: share one compiled form (and so one
+            # derived staleness bound) per schedule; a zero-step run
+            # reads no step, so it compiles nothing
+            forms = {id(sched): CompiledSchedule.ensure(sched, max_steps)
+                     for sched, _start in trials} if max_steps else {}
+            runs = [(forms.get(id(sched), sched), start)
+                    for sched, start in trials]
             chunk = 1
             if resolution.chosen == "batched":
-                chunk = max(1, int(batch_size or len(compiled)))
-            for lo in range(0, len(compiled), chunk):
+                chunk = max(1, int(batch_size or len(runs)))
+            for lo in range(0, len(runs), chunk):
                 results.extend(eng.delta_grid(
-                    compiled[lo:lo + chunk], max_steps=max_steps,
+                    runs[lo:lo + chunk], max_steps=max_steps,
                     stability_window=stability_window))
         else:
             for sched, start in trials:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 
 import pytest
@@ -36,6 +37,20 @@ def pytest_generate_tests(metafunc):
         chosen = metafunc.config.getoption("--engine")
         engines = LADDER if chosen == "all" else (chosen,)
         metafunc.parametrize("engine", engines)
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_children():
+    """Fail a test that ends with a new live child process (an engine's
+    pool worker, a loopback server): the process analogue of
+    pytest.ini's error on leaked handles."""
+    before = {p.pid for p in multiprocessing.active_children()}
+    yield
+    leaked = [p for p in multiprocessing.active_children()
+              if p.pid not in before]
+    if leaked:
+        pytest.fail("test left live child process(es): " + ", ".join(
+            f"{p.name} (pid {p.pid})" for p in leaked), pytrace=False)
 
 
 @pytest.fixture

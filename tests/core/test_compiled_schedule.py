@@ -52,8 +52,7 @@ class TestEquivalenceContract:
     def test_alpha_beta_identical_over_random_horizons(self, data):
         src = _random_schedule(data.draw)
         horizon = data.draw(st.integers(min_value=1, max_value=90))
-        block = data.draw(st.sampled_from([1, 3, 8, 32]))
-        comp = CompiledSchedule(src, horizon, block=block)
+        comp = CompiledSchedule(src, horizon)
         for t in range(1, horizon + 1):
             assert comp.alpha(t) == src.alpha(t), t
             mask = comp.alpha_mask(t)
@@ -111,11 +110,11 @@ class TestEquivalenceContract:
 
 
 class TestCompileMechanics:
-    def test_block_eviction_recompiles_deterministically(self):
-        """Revisiting an evicted block must answer identically — the
+    def test_step_eviction_recompiles_deterministically(self):
+        """Revisiting an evicted step must answer identically — the
         compiled form is a pure function of (source, t)."""
         src = RandomSchedule(6, seed=11, max_delay=4)
-        comp = CompiledSchedule(src, horizon=300, block=4)
+        comp = CompiledSchedule(src, horizon=300)
         first = {(t, i, j): comp.beta(t, i, j)
                  for t in (1, 2, 3) for i in range(6) for j in range(6)}
         for t in range(4, 300, 4):        # walk far enough to evict t<4
@@ -161,8 +160,6 @@ class TestCompileMechanics:
         src = SynchronousSchedule(3)
         with pytest.raises(ValueError):
             CompiledSchedule(src, horizon=0)
-        with pytest.raises(ValueError):
-            CompiledSchedule(src, 10, block=0)
 
 
 class TestRandomScheduleMemo:

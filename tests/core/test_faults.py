@@ -15,13 +15,19 @@ The contract under test (``docs/faults.md`` is the narrative form):
 * ``strict=True`` (and exhausted retry budgets) surface the original
   typed errors — :class:`~repro.core.remote.RemoteWorkerError`,
   :class:`~repro.core.wire.WireFormatError` — exactly as before
-  supervision existed;
+  supervision existed, tear the pool down, and leave the engine usable:
+  the next call builds a new pool;
 * nothing ever hangs: every engine-level test runs under a hard
   watchdog, and a hypothesis fuzz over random plans asserts
-  heal-bit-identically-or-typed-error across the fault space.
+  heal-bit-identically-or-typed-error across the fault space;
+* the engine lifecycle holds under interleavings: a hypothesis state
+  machine drives remote and parallel sessions through topology writes,
+  σ, δ and SIGKILLed workers against a naive mirror.
 """
 
+import multiprocessing
 import pickle
+import random
 import socket
 import threading
 
@@ -30,6 +36,12 @@ import pytest
 np = pytest.importorskip("numpy")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.algebras import HopCountAlgebra
 from repro.core import (
@@ -41,6 +53,7 @@ from repro.core import (
     WireClosedError,
     WireError,
     WireFormatError,
+    random_state,
 )
 from repro.core.faults import (
     FAULT_KINDS,
@@ -68,7 +81,7 @@ from repro.core.wire import (
     FrameConnection,
 )
 from repro.core.vectorized import iterate_sigma_vectorized
-from repro.session import RoutingSession
+from repro.session import EngineSpec, RoutingSession
 from repro.topologies import erdos_renyi, uniform_weight_factory
 
 WATCHDOG_S = 120.0
@@ -106,7 +119,9 @@ def _watchdog(fn, timeout=WATCHDOG_S):
         raise AssertionError(
             f"operation hung past the {timeout}s chaos watchdog")
     if "error" in box:
-        raise box["error"]
+        # popped, so the raised error's traceback (which holds this
+        # frame) forms no cycle through ``box``
+        raise box.pop("error")
     return box["value"]
 
 
@@ -571,7 +586,8 @@ class TestStrictAndTerminal:
             assert exc.value.endpoint == tuple(endpoints[1])
             assert "ValueError: sigma round refused by the test handler" \
                 in str(exc.value)
-            assert eng.closed
+            # the pool is torn down, the engine is not
+            assert eng._res.conns == [] and not eng.closed
         finally:
             _reap_workers(procs)
 
@@ -597,11 +613,57 @@ class TestStrictAndTerminal:
                 with pytest.raises(WireFormatError, match="one flag per"):
                     _watchdog(lambda: eng.delta(sched, start,
                                                 max_steps=300))
-                assert eng.closed
+                assert (eng._res.conns, eng._res.procs) == ([], [])
+                # the next call forks a new pool with the real handler
+                res = _watchdog(lambda: eng.delta(sched, start,
+                                                  max_steps=300))
+                _assert_delta_identical(res, ref, net)
             else:
                 res = _watchdog(lambda: eng.delta(sched, start,
                                                   max_steps=300))
                 _assert_delta_identical(res, ref, net)
+                assert [ev.code for ev in eng.degraded] == \
+                    ["worker-respawned"]
+                assert "format fault" in eng.degraded[0].detail
+        finally:
+            eng.close()
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_command_failing_its_checksum_at_the_worker_is_a_format_fault(
+            self, sigma_ref, monkeypatch, strict):
+        # the first pool's workers corrupt the σ-round command they
+        # receive: each answers with a format error frame and hangs up.
+        # Strict engines raise the typed wire error naming the CRC
+        # failure; others respawn once and converge bit-identically.
+        net, start, ref = sigma_ref
+        plan = FaultPlan.parse({"seed": 1, "rules": [{
+            "kind": "corrupt", "role": "worker", "op": "recv",
+            "msg_type": MSG_SIGMA_ROUND, "offset": 4}]})
+        spawn = remote_mod.spawn_loopback_workers
+        plans = [plan]                   # the first pool only
+
+        def spawn_first_with_plan(count, host="127.0.0.1", timeout=30.0,
+                                  fault_plan=None):
+            return spawn(count, host=host, timeout=timeout,
+                         fault_plan=plans.pop() if plans else None)
+
+        monkeypatch.setattr(remote_mod, "spawn_loopback_workers",
+                            spawn_first_with_plan)
+        eng = RemoteVectorizedEngine(net, workers=2, socket_timeout=10.0,
+                                     strict=strict)
+        def run():
+            return _watchdog(lambda: iterate_sigma_vectorized(
+                net, start, max_rounds=300, engine=eng))
+
+        try:
+            if strict:
+                with pytest.raises(WireFormatError,
+                                   match="damaged command: .*CRC-32"):
+                    run()
+                _assert_sigma_identical(run(), ref, net)
+                assert eng.degraded_total == []
+            else:
+                _assert_sigma_identical(run(), ref, net)
                 assert [ev.code for ev in eng.degraded] == \
                     ["worker-respawned"]
                 assert "format fault" in eng.degraded[0].detail
@@ -941,3 +1003,147 @@ class TestDeltaCheckpoint:
             assert [ev.code for ev in eng.degraded] == ["worker-respawned"]
         finally:
             eng.close()
+
+
+# ----------------------------------------------------------------------
+# 8. Model-based lifecycle: writes, σ, δ and worker kills vs. a mirror
+# ----------------------------------------------------------------------
+
+
+#: what a call on a session whose worker was killed may raise: the
+#: pool's RuntimeError, RemoteWorkerError or WireFormatError — never a
+#: raw OSError such as BrokenPipeError
+_TYPED_ERRORS = (RuntimeError, RemoteWorkerError, WireFormatError)
+
+
+class LifecycleMachine(RuleBasedStateMachine):
+    """Three worker-backed sessions share one small network with a naive
+    mirror: remote (healing), remote strict and parallel, two workers
+    each.  Every answer equals the mirror's, except that a session with
+    a killed worker may raise one typed error — its pool is then gone
+    and the next call is right again.  A call on a session with no
+    killed worker keeps its worker pids (a write republishes, it never
+    respawns), and no call outlives the watchdog."""
+
+    RUNGS = {"remote": "remote", "remote-strict": "remote",
+             "parallel": "parallel"}
+
+    def __init__(self):
+        super().__init__()
+        self.net = _net(8, seed=3)
+        self.mirror = RoutingSession(self.net, EngineSpec("naive"))
+        self.sessions = {
+            "remote": RoutingSession(self.net, EngineSpec(
+                "remote", remote_workers=2, socket_timeout=30.0)),
+            "remote-strict": RoutingSession(self.net, EngineSpec(
+                "remote", remote_workers=2, socket_timeout=30.0,
+                strict=True)),
+            "parallel": RoutingSession(self.net, EngineSpec(
+                "parallel", workers=2)),
+        }
+        self.killed = {}                 # session name -> killed pid
+        self.removed = []                # (i, k, edge) taken out
+
+    def _pids(self, name):
+        eng = self.sessions[name]._engines.get(self.RUNGS[name])
+        return [p.pid for p in eng._res.procs] if eng is not None else []
+
+    def _live(self, name):
+        eng = self.sessions[name]._engines.get(self.RUNGS[name])
+        return [p for p in eng._res.procs if p.is_alive()] \
+            if eng is not None else []
+
+    def _each(self, call, same):
+        for name, session in self.sessions.items():
+            before = self._pids(name)
+            try:
+                report = _watchdog(lambda: call(session))
+            except _TYPED_ERRORS as exc:
+                assert name in self.killed, \
+                    f"{name} raised {exc!r} with every worker alive"
+                assert self._pids(name) == [], "the failure kept its pool"
+                del self.killed[name]
+                continue
+            assert report.resolution.chosen == self.RUNGS[name]
+            same(report)
+            after = self._pids(name)
+            if name in self.killed:
+                if self.killed[name] not in after:
+                    del self.killed[name]        # healed or rebuilt
+            elif before:
+                assert after == before, f"{name} respawned its workers"
+
+    @rule(data=st.data())
+    def mutate(self, data):
+        present = sorted(self.net.present_edges())
+        if self.removed and data.draw(st.booleans(), label="re-add"):
+            i, k, edge = self.removed.pop(data.draw(
+                st.integers(0, len(self.removed) - 1), label="arc"))
+            self.net.set_edge(i, k, edge)
+        else:
+            i, k = data.draw(st.sampled_from(present), label="arc")
+            self.removed.append((i, k, self.net.adjacency(i, k)))
+            self.net.remove_edge(i, k)
+
+    @rule()
+    def sigma(self):
+        ref = self.mirror.sigma()
+
+        def same(report):
+            assert (report.converged, report.rounds) == \
+                (ref.converged, ref.rounds)
+            assert report.state.equals(ref.state, self.net.algebra)
+
+        self._each(lambda session: session.sigma(), same)
+
+    @rule(seed=st.integers(0, 2 ** 16), max_delay=st.integers(1, 4))
+    def delta(self, seed, max_delay):
+        net = self.net
+        sched = RandomSchedule(net.n, seed=seed, max_delay=max_delay)
+        start = random_state(net.algebra, net.n, random.Random(seed))
+        ref = self.mirror.delta(sched, start, max_steps=300)
+
+        def same(report):
+            assert (report.converged, report.converged_at) == \
+                (ref.converged, ref.converged_at)
+            assert report.state.equals(ref.state, net.algebra)
+
+        self._each(lambda session: session.delta(sched, start,
+                                                 max_steps=300), same)
+
+    @precondition(lambda self: any(self._live(name)
+                                   for name in self.sessions))
+    @rule(data=st.data())
+    def kill(self, data):
+        name = data.draw(st.sampled_from(
+            [name for name in self.sessions if self._live(name)]),
+            label="session")
+        victim = data.draw(st.sampled_from(self._live(name)),
+                           label="worker")
+        victim.kill()
+        victim.join(timeout=10)
+        self.killed.setdefault(name, victim.pid)
+
+    def teardown(self):
+        for session in self.sessions.values():
+            session.close()
+        self.mirror.close()
+        assert multiprocessing.active_children() == []
+
+
+class TestLifecycleMachine(LifecycleMachine.TestCase):
+    """The bounded profile tier-1 runs."""
+
+    settings = settings(LifecycleMachine.TestCase.settings,
+                        max_examples=10, stateful_step_count=12)
+
+
+@pytest.mark.slow
+def test_lifecycle_machine_long_profile(request):
+    """The long profile (about 20 s): only when ``-m`` names ``slow``,
+    since tier-1 also runs slow-marked tests."""
+    if "slow" not in request.config.getoption("markexpr"):
+        pytest.skip("the long lifecycle profile runs with -m slow")
+    run_state_machine_as_test(LifecycleMachine, settings=settings(
+        LifecycleMachine.TestCase.settings, max_examples=25,
+        stateful_step_count=20))

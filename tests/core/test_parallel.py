@@ -9,9 +9,10 @@ inherited compiled step, whose staleness guard ``test_asynchronous.py``
 covers.  This module covers what is unique to the process pool:
 
 * worker/shared-memory lifecycle — segments and processes must be
-  released on ``close()``, on garbage collection, and (the regression
-  the engine is explicitly held to) when an exception escapes a run in
-  a session that owns the pool;
+  released on ``close()``, on garbage collection, when an exception
+  escapes a run in a session that owns the pool, and when a worker
+  fails: the failing call raises a typed ``RuntimeError`` (never a raw
+  ``BrokenPipeError``), and the next call starts a new pool;
 * topology-mutation invalidation: a shared engine must republish its
   edge-table snapshot to the workers when ``adjacency.version`` moves;
 * the fallback ladder (the resolver's worker sizing) and the
@@ -22,7 +23,10 @@ All pools are built with explicit tiny worker counts so the suite runs
 """
 
 import gc
+import multiprocessing
+import os
 import random
+import signal
 
 import pytest
 
@@ -54,19 +58,31 @@ def _net(n=14, seed=1, bound=16):
                        seed=seed)
 
 
-def _segment_names(engine):
-    return [seg.name for seg in engine._res.segments]
+def _handles(engine):
+    """The pool's segment names and worker pids, read while it is up
+    (a reaped worker's process object is closed)."""
+    return ([seg.name for seg in engine._res.segments],
+            [proc.pid for proc in engine._res.procs])
 
 
-def _assert_released(names, procs):
+def _assert_released(names, pids):
     from multiprocessing import shared_memory
 
     for name in names:
         with pytest.raises(FileNotFoundError):
             seg = shared_memory.SharedMemory(name=name)
             seg.close()                 # pragma: no cover - leak witness
-    for proc in procs:
-        assert not proc.is_alive()
+    live = {proc.pid for proc in multiprocessing.active_children()}
+    assert not live.intersection(pids)
+
+
+def _assert_pool_torn_down(eng, names, pids):
+    """A failure released the pool, not the engine: no handle listed,
+    every segment unlinked, no worker left running."""
+    assert not eng.closed
+    assert (eng._res.segments, eng._res.procs, eng._res.conns) == \
+        ([], [], [])
+    _assert_released(names, pids)
 
 
 class TestLifecycle:
@@ -75,12 +91,12 @@ class TestLifecycle:
         eng = ParallelVectorizedEngine(net, workers=3)
         start = RoutingState.identity(net.algebra, net.n)
         iterate_sigma_vectorized(net, start, engine=eng)
-        names, procs = _segment_names(eng), list(eng._res.procs)
-        assert names and procs
+        names, pids = _handles(eng)
+        assert names and pids
         eng.close()
         eng.close()                      # second close must be a no-op
         assert eng.closed
-        _assert_released(names, procs)
+        _assert_released(names, pids)
         with pytest.raises(RuntimeError):
             # a closed engine refuses to run
             iterate_sigma_vectorized(net, start, engine=eng)
@@ -90,19 +106,19 @@ class TestLifecycle:
         with ParallelVectorizedEngine(net, workers=2) as eng:
             res = iterate_sigma_vectorized(
                 net, RoutingState.identity(net.algebra, net.n), engine=eng)
-            names, procs = _segment_names(eng), list(eng._res.procs)
+            names, pids = _handles(eng)
         assert res.converged
-        _assert_released(names, procs)
+        _assert_released(names, pids)
 
     def test_finalizer_backstop_on_garbage_collection(self):
         net = _net()
         eng = ParallelVectorizedEngine(net, workers=2)
         iterate_sigma_vectorized(
             net, RoutingState.identity(net.algebra, net.n), engine=eng)
-        names, procs = _segment_names(eng), list(eng._res.procs)
+        names, pids = _handles(eng)
         del eng
         gc.collect()
-        _assert_released(names, procs)
+        _assert_released(names, pids)
 
     def test_driver_cleans_up_when_sigma_run_raises(self, monkeypatch):
         """The regression: an exception escaping a run on a
@@ -124,23 +140,70 @@ class TestLifecycle:
                 s.sigma(bad)
         assert len(created) == 1
         assert created[0].closed
-        _assert_released([], list(created[0]._res.procs))
+        assert created[0]._res.procs == []
 
     def test_worker_failure_is_relayed_and_pool_closed(self):
         """A failure inside a worker command must surface as a raised
         exception on the master (not a silent worker death) and leave
-        no pool behind."""
+        no pool behind; the next call starts a new one."""
         net = _net(10, seed=6)
-        eng = ParallelVectorizedEngine(net, workers=2)
-        eng.refresh()
-        eng._ensure_pool()
-        procs = list(eng._res.procs)
-        # a table republish whose meta lacks every snapshot field
-        eng._broadcast(("reload", {}))
-        with pytest.raises(RuntimeError, match="failed on 'reload'"):
-            eng._collect()
-        assert eng.closed
-        _assert_released([], procs)
+        start = RoutingState.identity(net.algebra, net.n)
+        with ParallelVectorizedEngine(net, workers=2) as eng:
+            eng.refresh()
+            eng._ensure_pool()
+            names, pids = _handles(eng)
+            # a table republish whose meta lacks every snapshot field
+            eng._broadcast(("reload", {}))
+            with pytest.raises(RuntimeError, match="failed on 'reload'"):
+                eng._collect()
+            _assert_pool_torn_down(eng, names, pids)
+            res = iterate_sigma_vectorized(net, start, engine=eng)
+        ref = RoutingSession(net, "naive").sigma(start)
+        assert (res.converged, res.rounds) == (ref.converged, ref.rounds)
+        assert res.state.equals(ref.state, net.algebra)
+
+    def test_killed_worker_is_typed_then_the_pool_restarts(self):
+        """A SIGKILLed worker: the next σ raises one typed
+        ``RuntimeError`` naming it, and the call after it runs on a new
+        pool, bit-identical to naive."""
+        net = _net(16, seed=2)
+        start = RoutingState.identity(net.algebra, net.n)
+        ref = RoutingSession(net, "naive").sigma(start)
+        with RoutingSession(net, EngineSpec("parallel", workers=2)) as s:
+            s.sigma(start)
+            eng = s._engines["parallel"]
+            names, pids = _handles(eng)
+            victim = eng._res.procs[0]
+            victim.kill()
+            victim.join(timeout=10)
+            with pytest.raises(RuntimeError,
+                               match=f"worker {victim.name} is gone"):
+                s.sigma(start)
+            _assert_pool_torn_down(eng, names, pids)
+            res = s.sigma(start)
+            assert s._engines["parallel"] is eng
+        assert (res.converged, res.rounds) == (ref.converged, ref.rounds)
+        assert res.state.equals(ref.state, net.algebra)
+
+    def test_silent_worker_times_out_and_is_reaped(self, monkeypatch):
+        """A stopped worker never replies: the round times out with a
+        typed error, and the teardown kills it (SIGTERM alone cannot
+        end a stopped process); the next call starts a new pool."""
+        net = _net(12, seed=1)
+        start = RoutingState.identity(net.algebra, net.n)
+        monkeypatch.setattr(parallel_mod, "_REPLY_TIMEOUT", 0.2)
+        with ParallelVectorizedEngine(net, workers=2) as eng:
+            iterate_sigma_vectorized(net, start, engine=eng)
+            names, pids = _handles(eng)
+            os.kill(pids[0], signal.SIGSTOP)
+            with pytest.raises(RuntimeError,
+                               match=r"did not reply .*\(alive=True\)"):
+                iterate_sigma_vectorized(net, start, engine=eng)
+            _assert_pool_torn_down(eng, names, pids)
+            res = iterate_sigma_vectorized(net, start, engine=eng)
+        ref = RoutingSession(net, "naive").sigma(start)
+        assert (res.converged, res.rounds) == (ref.converged, ref.rounds)
+        assert res.state.equals(ref.state, net.algebra)
 
     def test_shared_engine_survives_driver_calls(self):
         """Engines passed in by the caller are *not* closed by the σ

@@ -16,12 +16,13 @@ column).  This module covers what is unique to computing σ/δ over TCP:
   bit for bit;
 * failure surfaces: a killed worker raises a typed
   :class:`~repro.core.remote.RemoteWorkerError` carrying the shard id
-  and last acked protocol round — never a hang — and silent workers
-  trip the configurable coordinator socket timeout;
+  and last acked protocol round — never a hang — silent workers trip
+  the configurable coordinator socket timeout, and a failure tears the
+  pool down so the next call on the same engine builds a new one;
 * capability negotiation: no transport / too few shards / too small a
-  problem produce the documented machine-readable skip codes, and
-  topology mutation is refused by the engine but healed by the
-  session's rebuild;
+  problem produce the documented machine-readable skip codes;
+* topology mutation: the engine republishes its snapshot over the live
+  connections (same workers, no MSG_STOP), bit-identical to naive;
 * the CLI ``worker`` subcommand announces a parseable endpoint.
 """
 
@@ -67,7 +68,11 @@ from repro.core import (
     serve_worker,
 )
 from repro.core.parallel import _split_columns
-from repro.core.remote import REMOTE_MIN_N
+from repro.core.remote import (
+    REMOTE_MIN_N,
+    _reap_workers,
+    spawn_loopback_workers,
+)
 from repro.core.vectorized import (
     VectorizedEngine,
     iterate_sigma_vectorized,
@@ -76,6 +81,7 @@ from repro.core.wire import (
     MAGIC,
     MSG_ACK,
     MSG_ERROR,
+    MSG_LOAD,
     MSG_PING,
     MSG_SIGMA_ROUND,
     MSG_STOP,
@@ -284,13 +290,20 @@ class TestWorkerProtocol:
                 fc.recv()
 
     def test_garbage_stream_drops_connection(self):
+        # a header-sized garbage prefix (so the worker leaves no unread
+        # byte that would turn its close into a reset): one format
+        # error frame, then the worker hangs up
         host, port = _live_worker()
         with socket.create_connection((host, port), timeout=10) as sock:
             sock.settimeout(10)
-            sock.sendall(b"GET / HTTP/1.1\r\n\r\n" + b"\x00" * 32)
-            # depending on timing the drop reads as clean EOF or a reset
-            with pytest.raises((WireClosedError, ConnectionResetError)):
-                FrameConnection(sock).recv()
+            sock.sendall(b"GET / HTTP/1.1\r\n\r\n"[:_HEADER.size])
+            fc = FrameConnection(sock)
+            msg_type, payload = fc.recv()
+            assert msg_type == MSG_ERROR
+            obj, _ = unpack_payload(payload)
+            assert obj["kind"] == "format" and "magic" in obj["message"]
+            with pytest.raises(WireClosedError):
+                fc.recv()
 
     def test_stop_is_acked(self):
         host, port = _live_worker()
@@ -577,16 +590,46 @@ class TestFailureModes:
             victim = eng._res.procs[1]
             victim.kill()
             victim.join(timeout=10)
+            pids = {p.pid for p in eng._res.procs}
+            sched = RandomSchedule(net.n, seed=2, max_delay=3)
             with pytest.raises(RemoteWorkerError) as exc:
-                eng.delta(RandomSchedule(net.n, seed=2, max_delay=3),
-                          start, max_steps=300)
+                eng.delta(sched, start, max_steps=300)
             err = exc.value
             assert err.shard_id is not None
             assert err.last_acked_round is not None
             assert err.last_acked_round >= 0
-            assert eng.closed            # failed engines do not linger
+            # the failure tore the pool down, not the engine: nothing
+            # lingers, and the next call runs on a new pool
+            assert not eng.closed
+            assert (eng._res.conns, eng._res.procs) == ([], [])
+            assert not pids & {p.pid for p in
+                               multiprocessing.active_children()}
+            res = eng.delta(sched, start, max_steps=300)
+            ref = _vectorized_delta(net, sched, start, 300)
+            assert (res.converged, res.steps, res.converged_at) == \
+                (ref.converged, ref.steps, ref.converged_at)
+            assert res.state.equals(ref.state, net.algebra)
         finally:
             eng.close()
+
+    def test_strict_fault_then_the_next_call_rebuilds(self):
+        # a strict session raises the typed error on the failing call,
+        # and its next σ runs on a new pool, bit-identical to naive
+        net = _net(12)
+        plan = {"seed": 1, "rules": [{
+            "kind": "close", "role": "coordinator", "op": "send",
+            "msg_type": MSG_SIGMA_ROUND}]}
+        ref = RoutingSession(net, EngineSpec("naive")).sigma()
+        spec = EngineSpec("remote", remote_workers=2, strict=True,
+                          socket_timeout=30.0, fault_plan=plan)
+        with RoutingSession(net, spec) as s:
+            with pytest.raises(RemoteWorkerError, match="severed"):
+                s.sigma()
+            eng = s._engines["remote"]
+            res = s.sigma()
+            assert s._engines["remote"] is eng
+        assert (res.converged, res.rounds) == (ref.converged, ref.rounds)
+        assert res.state.equals(ref.state, net.algebra)
 
     def test_silent_worker_trips_socket_timeout(self):
         # two accept-and-never-reply servers: the coordinator must give
@@ -622,6 +665,29 @@ class TestFailureModes:
                 conn.close()
             for srv in servers:
                 srv.close()
+
+    def test_refused_endpoint_closes_the_opened_connections(self):
+        # the first endpoint accepts, the second refuses: the build
+        # fails typed and closes the connection it had already opened,
+        # so the single-session worker sees its session end and exits
+        procs, endpoints = spawn_loopback_workers(1)
+        srv = socket.create_server(("127.0.0.1", 0))
+        refused = ("127.0.0.1", srv.getsockname()[1])
+        srv.close()                      # nobody listening any more
+        net = _net(9)
+        eng = RemoteVectorizedEngine(net, endpoints=endpoints + [refused],
+                                     socket_timeout=10.0)
+        try:
+            with pytest.raises(RemoteError, match="cannot connect"):
+                iterate_sigma_vectorized(
+                    net, RoutingState.identity(net.algebra, net.n),
+                    engine=eng)
+            procs[0].join(timeout=10)
+            assert not procs[0].is_alive()
+            assert eng._res.conns == [] and not eng.closed
+        finally:
+            eng.close()
+            _reap_workers(procs)
 
     def test_unreachable_endpoint_is_typed(self):
         srv = socket.create_server(("127.0.0.1", 0))
@@ -701,23 +767,43 @@ class TestNegotiation:
                 assert all(b[1] == c[0]
                            for b, c in zip(blocks, blocks[1:]))
 
-    def test_engine_refuses_topology_mutation(self):
+    def test_engine_republishes_on_mutation(self, monkeypatch):
+        # a write makes the next σ ship one MSG_LOAD per shard over the
+        # live connections; like a first load, the republish stays out
+        # of the run's wire stats
         net = _net(9)
-        with RemoteVectorizedEngine(net, workers=2) as eng:
-            iterate_sigma_vectorized(
-                net, RoutingState.identity(net.algebra, net.n), engine=eng)
-            net.set_edge(0, net.n - 1, net.algebra.edge(1))
-            assert eng.stale_topology()
-            with pytest.raises(RemoteError):
-                eng.refresh()
+        start = RoutingState.identity(net.algebra, net.n)
+        sent = []
+        send = FrameConnection.send
 
-    def test_session_rebuilds_on_mutation(self):
+        def recording_send(fc, msg_type, payload=b""):
+            sent.append(msg_type)
+            send(fc, msg_type, payload)
+
+        monkeypatch.setattr(FrameConnection, "send", recording_send)
+        with RemoteVectorizedEngine(net, workers=2) as eng:
+            iterate_sigma_vectorized(net, start, engine=eng)
+            net.set_edge(0, net.n - 1, net.algebra.edge(1))
+            del sent[:]
+            res = iterate_sigma_vectorized(net, start, engine=eng)
+            assert sent.count(MSG_LOAD) == 2 and MSG_STOP not in sent
+            republished = eng.wire_stats.as_dict()
+        with RemoteVectorizedEngine(net, workers=2) as fresh:
+            iterate_sigma_vectorized(net, start, engine=fresh)
+            assert fresh.wire_stats.as_dict() == republished
+        ref = RoutingSession(net, EngineSpec("naive")).sigma(start)
+        assert (res.converged, res.rounds) == (ref.converged, ref.rounds)
+        assert res.state.equals(ref.state, net.algebra)
+
+    def test_session_keeps_its_engine_across_mutation(self):
         net = _net(9)
         with RoutingSession(net,
                             EngineSpec("remote", remote_workers=2)) as s:
             s.sigma()
+            eng = s._engines["remote"]
             net.set_edge(0, net.n - 1, net.algebra.edge(1))
             res = s.sigma()
+            assert s._engines["remote"] is eng
         ref_net = _net(9)
         ref_net.set_edge(0, ref_net.n - 1, ref_net.algebra.edge(1))
         with RoutingSession(ref_net, EngineSpec("naive")) as ref_s:
@@ -767,40 +853,60 @@ class TestSessionRemote:
 
 
 # ----------------------------------------------------------------------
-# 8. Deterministic worker release across the session's rebuild path
+# 8. Writes keep the workers: the snapshot is republished in place
 # ----------------------------------------------------------------------
 
 
 class TestWorkerRelease:
-    """A topology mutation on an ``engine="remote"`` session makes the
-    engine stale; the session rebuilds it and resends a full MSG_LOAD.
-    The rebuild must *reap* the old loopback worker subprocesses
-    deterministically — counted before/after, no leaked children."""
+    """Topology mutations on an ``engine="remote"`` session republish
+    the snapshot over the live connections: the same loopback worker
+    subprocesses serve every write, nothing is stopped until the
+    session closes, and close reaps them deterministically."""
 
     @staticmethod
     def _workers():
         return [p for p in multiprocessing.active_children()
                 if p.name == "repro-remote-worker"]
 
-    def test_rebuild_after_mutation_releases_workers(self):
+    def test_writes_keep_the_workers(self, monkeypatch):
         baseline = len(self._workers())
         net = _net(9)
+        ref_net = _net(9)
         factory = uniform_weight_factory(net.algebra, 1, 3)
+        rng = random.Random(5)
+        stops = []
+        send = FrameConnection.send
+
+        def recording_send(fc, msg_type, payload=b""):
+            if msg_type == MSG_STOP:
+                stops.append(fc)
+            send(fc, msg_type, payload)
+
+        monkeypatch.setattr(FrameConnection, "send", recording_send)
         with RoutingSession(net,
                             EngineSpec("remote", remote_workers=2)) as s:
-            first = s.sigma()
-            assert first.resolution.chosen == "remote"
-            assert len(self._workers()) == baseline + 2
-            net.set_edge(0, 1, factory(random.Random(5), 0, 1))
-            second = s.sigma()     # stale engine → close + rebuild
-            assert second.resolution.chosen == "remote"
-            # fresh pair spawned, stale pair reaped: never 4 children
-            assert len(self._workers()) == baseline + 2
-            net.remove_edge(0, 1)
-            third = s.sigma()      # a second rebuild behaves the same
-            assert third.resolution.chosen == "remote"
-            assert len(self._workers()) == baseline + 2
-        # session close reaps the last pair too
+            assert s.sigma().resolution.chosen == "remote"
+            pids = [p.pid for p in self._workers()]
+            assert len(pids) == baseline + 2
+            arcs = sorted(net.present_edges())
+            for w in range(10):          # alternating remove / set
+                i, k = arcs[w]
+                if w % 2 == 0:
+                    net.remove_edge(i, k)
+                    ref_net.remove_edge(i, k)
+                else:
+                    fn = factory(rng, i, k)
+                    net.set_edge(i, k, fn)
+                    ref_net.set_edge(i, k, fn)
+                res = s.sigma()
+                ref = RoutingSession(ref_net, EngineSpec("naive")).sigma()
+                assert (res.converged, res.rounds) == \
+                    (ref.converged, ref.rounds)
+                assert res.state.equals(ref.state, net.algebra)
+                assert [p.pid for p in self._workers()] == pids
+            assert stops == []
+        # session close stops and reaps the pair
+        assert len(stops) == 2
         assert len(self._workers()) == baseline
 
 

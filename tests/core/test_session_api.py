@@ -8,8 +8,8 @@ Three obligations pinned here:
    :class:`~repro.core.capabilities.UnsupportedEngineError` where
    fallback used to be silent.
 2. **Resources are managed** — the parallel pool a session builds is
-   closed by the context manager; schedule compilation is cached in a
-   bounded LRU.
+   closed by the context manager; the session keeps no compiled
+   schedule.
 3. **Metadata is recorded** — the
    :data:`~repro.core.schedule.RandomSchedule.SCHEDULE_SEED_VERSION`
    rides on δ/grid reports.
@@ -19,7 +19,9 @@ Three obligations pinned here:
    matches the object-model simulator.
 """
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from repro.algebras import (
 from repro.algebras.bgplite import random_policy
 from repro.core import (
     LADDER,
+    CompiledSchedule,
     RandomSchedule,
     RoutingState,
     Schedule,
@@ -52,7 +55,6 @@ from repro.core import (
 )
 from repro.protocols import LinkConfig, Simulator
 from repro.session import (
-    SCHEDULE_CACHE_SIZE,
     EngineSpec,
     RoutingSession,
     schedule_seed_version,
@@ -281,13 +283,6 @@ class TestReasonChains:
         assert ParallelVectorizedEngine.capabilities.min_n > 0
         assert BatchedVectorizedEngine.capabilities.requires_finite_algebra
         assert RemoteVectorizedEngine.capabilities.requires_remote_endpoints
-        # the remote snapshot is shipped once; every in-process rung
-        # follows topology mutations
-        assert not RemoteVectorizedEngine.capabilities.\
-            supports_topology_mutation
-        for cls in (VectorizedEngine, ParallelVectorizedEngine,
-                    BatchedVectorizedEngine):
-            assert cls.capabilities.supports_topology_mutation
 
 
 # ----------------------------------------------------------------------
@@ -326,19 +321,55 @@ class TestManagedResources:
         assert pool.closed
 
     @pytest.mark.parametrize("rung", ["vectorized", "batched"])
-    def test_single_delta_keeps_no_compiled_schedule(self, rung):
-        """A single δ run compiles its schedule for that run only; grids
-        reuse compiled forms through the session's cache."""
+    def test_session_holds_no_schedule_after_a_run(self, rung):
+        """The engine compiles a schedule for the call that runs it:
+        after a δ run or a grid, nothing keeps the schedule alive."""
         net = _hop(8)
         start = RoutingState.identity(net.algebra, net.n)
         with RoutingSession(net, EngineSpec(rung)) as s:
-            for seed in range(3):
-                s.delta(RandomSchedule(net.n, seed=seed, max_delay=3), start,
-                        max_steps=200)
-            assert len(s._compiled) == 0
-            sched = RandomSchedule(net.n, seed=9, max_delay=3)
-            s.delta_grid([(sched, start)] * 2, max_steps=200)
-            assert list(s._compiled) == [id(sched)]
+            runs = (lambda sched: s.delta(sched, start, max_steps=200),
+                    lambda sched: s.delta_grid([(sched, start)] * 2,
+                                               max_steps=200))
+            for seed, run in enumerate(runs):
+                sched = RandomSchedule(net.n, seed=seed, max_delay=3)
+                alive = weakref.ref(sched)
+                assert run(sched).resolution.chosen == rung
+                del sched
+                gc.collect()
+                assert alive() is None
+
+    @pytest.mark.parametrize("rung", ["vectorized", "parallel", "remote"])
+    def test_grid_derives_an_undeclared_bound_once(self, rung,
+                                                   monkeypatch):
+        """These rungs take one trial per engine call, yet a grid
+        compiles each schedule once for the whole call: a schedule that
+        declares no staleness bound has it derived (a pass over the
+        horizon) once, not once per trial."""
+        class Unbounded(RandomSchedule):
+            def max_read_back(self):
+                return None
+
+        passes = []
+        derive = CompiledSchedule.derived_max_read_back
+
+        def counting(comp):
+            if comp._derived is None:
+                passes.append(comp)
+            return derive(comp)
+
+        monkeypatch.setattr(CompiledSchedule, "derived_max_read_back",
+                            counting)
+        net = _hop(8)
+        sched = Unbounded(net.n, seed=4, max_delay=3)
+        starts = [random_state(net.algebra, net.n, random.Random(k))
+                  for k in range(3)]
+        kwargs = {"parallel": {"workers": 2},
+                  "remote": {"remote_workers": 2}}.get(rung, {})
+        with RoutingSession(net, EngineSpec(rung, **kwargs)) as s:
+            grid = s.delta_grid([(sched, x) for x in starts],
+                                max_steps=200)
+        assert grid.resolution.chosen == rung and grid.all_converged
+        assert len(passes) == 1
 
     @pytest.mark.parametrize("rung", LADDER)
     def test_schedule_sized_for_another_network_is_refused(self, rung):
@@ -359,7 +390,7 @@ class TestManagedResources:
             assert not s._engines      # nothing was built or run
 
     @pytest.mark.parametrize("rung", LADDER)
-    def test_step_budget_rules(self, rung):
+    def test_step_budget_rules(self, rung, monkeypatch):
         """``max_steps=0`` gives every rung the same answer — the start,
         0 steps, not converged, one state retained — and a negative
         budget is refused before anything runs."""
@@ -376,6 +407,11 @@ class TestManagedResources:
                     s.delta_grid([(sched, start)], max_steps=bad)
             assert not s._engines      # nothing was built or run
             s.delta(sched, start, max_steps=40)
+
+            def refuse(*_args):
+                raise AssertionError("a zero-step run compiled a schedule")
+
+            monkeypatch.setattr(CompiledSchedule, "__init__", refuse)
             report = s.delta(sched, start, max_steps=0)
             if rung == "remote":       # the earlier run's counters reset
                 assert (report.wire.commands, report.ipc_commands) == (0, 0)
@@ -383,7 +419,6 @@ class TestManagedResources:
                                 keep_results=True)
             assert report.resolution.chosen == rung
             assert grid.resolution.chosen == rung
-            assert not s._compiled     # nothing was compiled
             for res in [report.result] + grid.results:
                 assert (res.converged, res.steps, res.converged_at,
                         res.history_retained) == (False, 0, None, 1)
@@ -396,40 +431,6 @@ class TestManagedResources:
         s.close()
         with pytest.raises(RuntimeError):
             s.sigma()
-
-    def test_schedule_compile_cache(self):
-        net = _hop()
-        sched = RandomSchedule(net.n, seed=3, max_delay=3)
-        with RoutingSession(net, EngineSpec("batched")) as s:
-            comp1 = s.compile_schedule(sched, 200)
-            comp2 = s.compile_schedule(sched, 150)
-            assert comp1 is comp2          # horizon already covered
-            comp3 = s.compile_schedule(sched, 500)
-            assert comp3 is not comp1 and comp3.horizon >= 500
-
-    def test_schedule_compile_cache_is_bounded(self):
-        """A long-lived session running fresh schedules grid after grid
-        keeps at most SCHEDULE_CACHE_SIZE compiled forms, evicting the
-        least recently used; a schedule it keeps reusing still hits."""
-        net = _hop()
-        start = RoutingState.identity(net.algebra, net.n)
-        reused = RandomSchedule(net.n, seed=0, max_delay=3)
-        grids = SCHEDULE_CACHE_SIZE // 4 + 2
-        with RoutingSession(net, EngineSpec("batched")) as s:
-            first = s.compile_schedule(reused, 200)
-            oldest = None
-            for g in range(grids):
-                fresh = [RandomSchedule(net.n, seed=1 + 4 * g + k,
-                                        max_delay=3) for k in range(4)]
-                oldest = oldest or fresh[0]
-                grid = s.delta_grid(
-                    [(sched, start) for sched in fresh + [reused]],
-                    max_steps=200)
-                assert grid.resolution.chosen == "batched"
-                assert len(s._compiled) <= SCHEDULE_CACHE_SIZE
-            assert 4 * grids + 1 > SCHEDULE_CACHE_SIZE
-            assert id(oldest) not in s._compiled
-            assert s.compile_schedule(reused, 200) is first
 
     def test_batched_dtype_is_narrowest_fit(self):
         net = _hop(6)
@@ -506,7 +507,6 @@ class TestReportMetadata:
         assert plain.schedule_seed_version is None
 
     def test_seed_version_unwraps_compiled(self):
-        from repro.core import CompiledSchedule
         sched = CompiledSchedule(RandomSchedule(5, seed=0, max_delay=2), 50)
         assert schedule_seed_version([sched]) == 2
         assert schedule_seed_version([SynchronousSchedule(5)]) is None

@@ -494,7 +494,7 @@ def bench_service_case(case: Dict) -> Dict:
     except ImportError:                  # imported as a module, not __main__
         sys.path.insert(0, str(Path(__file__).resolve().parent))
         import load_test as _load_test
-    from repro.service.daemon import _build_network
+    from repro.cli import build_network
     from repro.service.protocol import start_state, state_digest
 
     result = _load_test.run_load_test(
@@ -502,7 +502,7 @@ def bench_service_case(case: Dict) -> Dict:
         seed=case["seed"], n=case["n"])
     # the warm phase queries start_seed=0; a direct session run on an
     # identically-built network must reproduce the served digest
-    network, _factory = _build_network(
+    network, _factory = build_network(
         case["algebra"], case["topology"], case["n"], case["seed"])
     with RoutingSession(network) as session:
         direct = session.sigma(start_state(network, 0))
@@ -1453,6 +1453,8 @@ def check_gates(report: Dict, which: str,
 
 #: columns a CI step re-measures at quick scale
 _QUICK_RERUN = {
+    "batched": lambda: [bench_batched_case(case, 1)
+                        for case in _batched_cases("quick")],
     "remote": lambda: [bench_remote_case(case, 1)
                        for case in _remote_cases("quick")],
     "windowed_ipc": lambda: [row for row in [bench_windowed_ipc("quick")]

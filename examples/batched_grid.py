@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
-"""A full absolute-convergence grid in one call: the batched engine.
+"""A full absolute-convergence grid in one call.
 
 Theorem 7 quantifies over *all* starting states and *all* admissible
 schedules, so the experiment that tests it (Definition 8) is inherently
 a grid: (starting state × schedule) trials, each a full δ run.  Looping
 that grid one trial at a time re-pays the per-step interpreter overhead
-once per trial; the batched engine (``engine="batched"``, the fifth
-rung of the engine ladder) stacks every trial into one ``(B, n, n)``
-code tensor, precompiles the schedules
-(:class:`repro.core.schedule.CompiledSchedule` — α as bitmask rows, β
-as read-time arrays), and runs each δ step for *all* trials per kernel
-invocation, with finished trials dropping out.
+once per trial; ``RoutingSession.delta_grid`` on an in-process codes
+rung (here ``engine="batched"``, which auto negotiation picks for
+grids) stacks every trial into one history ring, precompiles each
+distinct schedule once (:class:`repro.core.schedule.CompiledSchedule`
+— α as bitmask rows, β as read-time arrays), and runs each δ step for
+*all* trials per kernel invocation, with finished trials dropping out.
 
-This example runs the same grid through two sessions — one pinned to
-the per-trial vectorized rung, one to the batched rung — checks the
-:class:`repro.session.GridReport` pair agrees trial for trial, and
-prints the wall-clock ratio.
+This example runs the same trials as a loop of single δ runs and as
+one grid, checks they agree trial for trial, and prints the wall-clock
+ratio.
 
 Run:  python examples/batched_grid.py
 """
@@ -59,27 +58,24 @@ def main() -> None:
     #    their own wall-clock and engine resolution).
     # ------------------------------------------------------------------
     trials = [(sched, start) for start in starts for sched in schedules]
-    with RoutingSession(net, EngineSpec("vectorized")) as s:
-        per_trial = s.delta_grid(trials, max_steps=2000)
     with RoutingSession(net, EngineSpec("batched")) as s:
-        batched = s.delta_grid(trials, max_steps=2000)
-    t_loop, t_batched = per_trial.elapsed_s, batched.elapsed_s
+        per_trial = [s.delta(sched, start, max_steps=2000)
+                     for sched, start in trials]
+        batched = s.delta_grid(trials, max_steps=2000, keep_results=True)
+    t_loop = sum(report.elapsed_s for report in per_trial)
+    t_batched = batched.elapsed_s
 
     # ------------------------------------------------------------------
     # 3. Identical science, different wall clock.
     # ------------------------------------------------------------------
-    assert batched.runs == per_trial.runs
-    assert batched.all_converged == per_trial.all_converged
-    assert batched.convergence_steps == per_trial.convergence_steps
-    assert len(batched.distinct_fixed_points) == \
-        len(per_trial.distinct_fixed_points)
-    for a, b in zip(batched.distinct_fixed_points,
-                    per_trial.distinct_fixed_points):
-        assert a.equals(b, alg)
+    for single, res in zip(per_trial, batched.results):
+        assert (single.converged, single.converged_at, single.steps) == \
+            (res.converged, res.converged_at, res.steps)
+        assert single.state.equals(res.state, alg)
 
-    print(f"per-trial vectorized loop : {t_loop:8.3f} s "
-          f"(engine={per_trial.resolution.chosen})")
-    print(f"batched tensor grid       : {t_batched:8.3f} s "
+    print(f"per-trial delta loop      : {t_loop:8.3f} s "
+          f"(engine={per_trial[0].resolution.chosen})")
+    print(f"stacked grid              : {t_batched:8.3f} s "
           f"({t_loop / t_batched:.1f}x, "
           f"engine={batched.resolution.chosen}, "
           f"schedule seeds v{batched.schedule_seed_version})")

@@ -47,7 +47,7 @@ from .analysis import (
     multistart_fixed_points,
     sync_oscillates,
 )
-from .core import LADDER, Network, UnsupportedEngineError, \
+from .core import LADDER, Network, PathAlgebra, UnsupportedEngineError, \
     synchronous_fixed_point
 from .protocols import LinkConfig
 from .session import EngineSpec, RoutingSession
@@ -155,20 +155,51 @@ GADGETS = {
 }
 
 
+#: every topology name :func:`build_network` takes
+TOPOLOGY_NAMES = sorted(TOPOLOGIES) + ["random", "corpus:<name>"]
+
+
 def build_network(algebra_name: str, topology: str, n: int,
-                  seed: int) -> Tuple[Network, bool, bool]:
+                  seed: int) -> Tuple[Network, Callable]:
+    """``(network, edge factory)`` for registry names, for the CLI and
+    the service daemon (which materialises ``set_edge`` mutations from
+    a seed with the factory).  ``"random"`` is G(n, 0.4), and
+    ``"corpus:<name>"`` a scenario-corpus fixture, whose node count
+    ``n`` must match.  A bad name or ``n`` raises :class:`ValueError`
+    saying what to pass instead.
+    """
     if algebra_name not in ALGEBRAS:
-        raise SystemExit(f"unknown algebra {algebra_name!r}; "
+        raise ValueError(f"unknown algebra {algebra_name!r}; "
                          f"choose from {sorted(ALGEBRAS)}")
-    alg, factory, finite, is_path = ALGEBRAS[algebra_name]()
-    if topology == "random":
+    alg, factory, _finite, _is_path = ALGEBRAS[algebra_name]()
+    if topology.startswith("corpus:"):
+        # lazy: the scenario package imports this module's registries
+        from .scenarios.corpus import load_corpus_topology
+        topo = load_corpus_topology(topology[len("corpus:"):])
+        if n != topo.n:
+            raise ValueError(
+                f"corpus topology {topo.name!r} has n={topo.n} nodes; "
+                f"load it with n={topo.n} (got n={n})")
+        net = topo.build(alg, factory, seed=seed)
+    elif topology == "random":
         net = erdos_renyi(alg, n, 0.4, factory, seed=seed)
     elif topology in TOPOLOGIES:
         net = TOPOLOGIES[topology](alg, n, factory, seed=seed)
     else:
-        raise SystemExit(f"unknown topology {topology!r}; choose from "
-                         f"{sorted(TOPOLOGIES) + ['random']}")
-    return net, finite, is_path
+        raise ValueError(f"unknown topology {topology!r}; choose from "
+                         f"{TOPOLOGY_NAMES}")
+    return net, factory
+
+
+def _network(args) -> Network:
+    """:func:`build_network` for a subcommand's arguments; a bad name
+    exits with the choices."""
+    try:
+        net, _factory = build_network(args.algebra, args.topology, args.n,
+                                      args.seed)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    return net
 
 
 # ----------------------------------------------------------------------
@@ -209,25 +240,25 @@ def _session(net, args) -> RoutingSession:
 
 def cmd_list(_args) -> int:
     print("algebras :", ", ".join(sorted(ALGEBRAS)))
-    print("topologies:", ", ".join(sorted(TOPOLOGIES) + ["random"]))
+    print("topologies:", ", ".join(TOPOLOGY_NAMES))
     print("gadgets  :", ", ".join(sorted(GADGETS)))
     return 0
 
 
 def cmd_verify(args) -> int:
-    net, finite, is_path = build_network(args.algebra, args.topology,
-                                         args.n, args.seed)
+    net = _network(args)
     report = verify_network(net, samples=args.samples)
     print(report.table())
     print()
-    print("→", convergence_guarantee(report, finite_carrier=finite,
-                                     path_algebra=is_path))
+    print("→", convergence_guarantee(
+        report, finite_carrier=bool(getattr(net.algebra, "is_finite",
+                                            False)),
+        path_algebra=isinstance(net.algebra, PathAlgebra)))
     return 0 if report.is_routing_algebra else 1
 
 
 def cmd_converge(args) -> int:
-    net, _finite, _is_path = build_network(args.algebra, args.topology,
-                                           args.n, args.seed)
+    net = _network(args)
     with _session(net, args) as session:
         report = session.converges(n_starts=args.starts, seed=args.seed,
                                    max_steps=args.max_steps)
@@ -321,8 +352,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    net, _finite, _is_path = build_network(args.algebra, args.topology,
-                                           args.n, args.seed)
+    net = _network(args)
     cfg = LinkConfig(min_delay=0.2, max_delay=3.0, loss=args.loss,
                      duplicate=args.dup)
     with _session(net, args) as session:

@@ -726,7 +726,6 @@ class RemoteVectorizedEngine(VectorizedEngine):
                  workers: Optional[int] = None,
                  socket_timeout: Optional[float] = None,
                  strict: bool = False,
-                 max_retries: int = REMOTE_MAX_RETRIES,
                  fault_plan=None):
         self._res = _RemoteResources()
         self._finalizer = weakref.finalize(self, self._res.close)
@@ -756,10 +755,9 @@ class RemoteVectorizedEngine(VectorizedEngine):
         self._published: Optional[TopologySnapshot] = None
         #: supervision: ``strict=True`` surfaces every worker fault as
         #: the typed error immediately (no healing); otherwise up to
-        #: ``max_retries`` recoveries per run, recorded in ``degraded``.
+        #: :data:`REMOTE_MAX_RETRIES` recoveries per run (``degraded``).
         self._strict = bool(strict)
-        self._max_retries = 0 if strict else max(0, int(max_retries))
-        self._retries_left = self._max_retries
+        self._retries_left = 0           # armed by every run
         self._fresh_stats = False
         self._plan = FaultPlan.parse(fault_plan) \
             if fault_plan is not None else None
@@ -769,21 +767,16 @@ class RemoteVectorizedEngine(VectorizedEngine):
         #: probation ledger: endpoint -> {"failures": k, "next_probe": t}
         #: (monotonic deadline for the next MSG_PING re-probe)
         self._parked: dict = {}
-        #: machine-readable recovery chain of the most recent run /
-        #: since construction (:class:`~repro.core.capabilities.DegradedEvent`)
+        #: recovery chain (:class:`~repro.core.capabilities.DegradedEvent`)
+        #: and wire volume of the most recent run: σ, δ or a whole grid
         self.degraded: List[DegradedEvent] = []
-        self.degraded_total: List[DegradedEvent] = []
-        #: wire volume of the most recent run / since construction
         self.wire_stats = WireStats()
-        self.wire_totals = WireStats()
         #: IPC amortisation achieved by the most recent δ run
         self.delta_ipc_commands = 0
         self.delta_ipc_steps = 0
-        self._window = DELTA_WINDOW      # δ steps per command (run)
         self._acked = 0                  # fully collected barriers (run)
-        #: δ mid-run checkpointing: cadence (windows between captures,
-        #: 0 disables) and the most recent run's save/resume counters
-        self.delta_ckpt_every = DELTA_CKPT_EVERY
+        #: δ mid-run checkpointing (every :data:`DELTA_CKPT_EVERY`
+        #: windows): the most recent trial's save/resume counters
         self.delta_ckpt_saves = 0
         self.delta_ckpt_resumes = 0
         self.delta_resumed_from = 0      # step the last resume started past
@@ -813,11 +806,11 @@ class RemoteVectorizedEngine(VectorizedEngine):
 
     def _bump(self, commands: int = 0, rounds: int = 0,
               update: int = 0, naive: int = 0) -> None:
-        for stats in (self.wire_stats, self.wire_totals):
-            stats.commands += commands
-            stats.rounds += rounds
-            stats.update_bytes += update
-            stats.naive_bytes += naive
+        stats = self.wire_stats
+        stats.commands += commands
+        stats.rounds += rounds
+        stats.update_bytes += update
+        stats.naive_bytes += naive
 
     def _sync_bytes(self) -> None:
         """Fold the per-connection byte counters into the stats."""
@@ -826,18 +819,17 @@ class RemoteVectorizedEngine(VectorizedEngine):
         delta_sent = sent - self._bytes_base[0]
         delta_received = received - self._bytes_base[1]
         self._bytes_base = (sent, received)
-        for stats in (self.wire_stats, self.wire_totals):
-            stats.bytes_sent += delta_sent
-            stats.bytes_received += delta_received
+        self.wire_stats.bytes_sent += delta_sent
+        self.wire_stats.bytes_received += delta_received
 
     def _run_reset(self) -> None:
-        """Arm a run: fresh retry budget, empty recovery chain, and a
-        deferred wire-stats reset (the *initial* pool build stays out of
-        per-run stats, exactly as before supervision; heal rebuilds land
-        in them — retry traffic is real traffic).  Parked endpoints
-        whose probation expired are re-probed here, so every run starts
-        on the widest healthy fleet."""
-        self._retries_left = self._max_retries
+        """Arm a run (a σ run, or a whole δ grid): fresh retry budget,
+        empty recovery chain, and a deferred wire-stats reset (the
+        *initial* pool build stays out of per-run stats; heal rebuilds
+        land in them — retry traffic is real traffic).  Parked
+        endpoints whose probation expired are re-probed here, so every
+        run starts on the widest healthy fleet."""
+        self._retries_left = 0 if self._strict else REMOTE_MAX_RETRIES
         self.degraded = []
         self.wire_stats = WireStats()    # a run that ships nothing
         self._fresh_stats = True
@@ -1050,7 +1042,6 @@ class RemoteVectorizedEngine(VectorizedEngine):
         event = DegradedEvent(code=code, shard=shard, detail=detail,
                               heal_ms=heal_ms)
         self.degraded.append(event)
-        self.degraded_total.append(event)
         _engine_log.warning("remote degraded [%s] shard=%s: %s "
                             "(healed in %.1fms)", code, shard, detail,
                             heal_ms)
@@ -1070,10 +1061,10 @@ class RemoteVectorizedEngine(VectorizedEngine):
             if self._strict or self._retries_left <= 0:
                 self._raise_terminal(fault)
             self._retries_left -= 1
-            attempt = self._max_retries - self._retries_left
+            attempt = REMOTE_MAX_RETRIES - self._retries_left
             _engine_log.warning(
                 "remote shard %s %s; recovery attempt %d/%d",
-                fault.idx, fault.describe(), attempt, self._max_retries)
+                fault.idx, fault.describe(), attempt, REMOTE_MAX_RETRIES)
             self._res.close()            # sever all conns, reap dead procs
             delay = min(RETRY_BACKOFF_BASE * (2 ** (attempt - 1)),
                         RETRY_BACKOFF_CAP)
@@ -1290,8 +1281,29 @@ class RemoteVectorizedEngine(VectorizedEngine):
                             "slots": slots}
         self.delta_ckpt_saves += 1
 
-    # -- the three δ hooks of the loop (the workers hold one ring, so
-    # -- a run is one trial)
+    # -- the δ loop's stacks and hooks
+
+    def _stack_width(self, windows) -> int:
+        """The workers hold one ring: a stack is one trial."""
+        return 1
+
+    def _delta_stack(self, *stack):
+        """One trial, supervised, with a fresh retry budget.  Every
+        :data:`DELTA_CKPT_EVERY` windows it captures a checkpoint (the
+        ring tail each worker needs to continue, via
+        :data:`~repro.core.wire.MSG_CKPT`); a shard fault heals the pool
+        and resumes from it, or from step 1 when there is none — so a
+        heal replays O(window) steps, and schedules are pure functions,
+        so the resumed run is bit-identical to the fault-free one."""
+        self._retries_left = 0 if self._strict else REMOTE_MAX_RETRIES
+        self._delta_ckpt = None
+        self.delta_ckpt_saves = self.delta_ckpt_resumes = 0
+        self.delta_resumed_from = 0
+        while True:
+            try:
+                return super()._delta_stack(*stack)
+            except _ShardFault as fault:
+                self._heal(fault)
 
     def _delta_begin(self, scheds, starts, windows):
         """Start a run: the pool, then worker rings of the window plus
@@ -1299,7 +1311,7 @@ class RemoteVectorizedEngine(VectorizedEngine):
         heal resumes the run — the last checkpoint's ring tail (full
         ``(n, n)`` slots, so any column layout re-encodes its blocks)."""
         self._attempt_pool()
-        W = self._window + int(windows[0])
+        W = DELTA_WINDOW + int(windows[0])
         ckpt = self._delta_ckpt
         if ckpt is None:
             mirror = starts[0].copy()
@@ -1330,13 +1342,13 @@ class RemoteVectorizedEngine(VectorizedEngine):
         outside the ring (the loop raises only if it gets there); a
         reply that is not one boolean per step is a ``format`` fault.
         Once the loop has drawn every flag, every
-        ``delta_ckpt_every``-th whole window ends in a checkpoint.  No
-        row is certified, so the loop probes the whole fetched state.
+        :data:`DELTA_CKPT_EVERY`-th whole window ends in a checkpoint.
+        No row is certified, so the loop probes the whole fetched state.
         """
         comp, deg = run["scheds"][0], self._topo.deg
         steps = []
         whole = True
-        for s in range(t, t + min(self._window, count)):
+        for s in range(t, t + min(DELTA_WINDOW, count)):
             if s > t and self._step_reads(run["scheds"], run["windows"],
                                           live, s)[2] is not None:
                 whole = False
@@ -1367,8 +1379,8 @@ class RemoteVectorizedEngine(VectorizedEngine):
         self._barrier()
         yield from changed
         run["shipped"] += 1
-        if whole and self.delta_ckpt_every > 0 and self._retries_left > 0 \
-                and run["shipped"] % self.delta_ckpt_every == 0:
+        if whole and DELTA_CKPT_EVERY > 0 and self._retries_left > 0 \
+                and run["shipped"] % DELTA_CKPT_EVERY == 0:
             self._capture_delta_ckpt(run["mirror"], steps[-1][0],
                                      int(run["windows"][0]),
                                      int(unchanged[0]))
@@ -1383,47 +1395,23 @@ class RemoteVectorizedEngine(VectorizedEngine):
     def delta_grid(self, trials, max_steps: int = 2_000,
                    stability_window: Optional[int] = None
                    ) -> List[AsyncResult]:
-        """A grid on the workers runs its trials in turn (the workers
-        hold one ring), each one supervised :meth:`delta`."""
-        return [self.delta(sched, start, max_steps, stability_window)
-                for sched, start in trials]
+        """δ over the wire for every trial of a grid, as one run:
+        ``wire_stats`` and ``degraded`` cover the whole grid, and each
+        trial (:meth:`_delta_stack`) is supervised on its own.  The
+        vectorized rung's δ loop on this rung's hooks, with or without a
+        declared staleness bound (the workers' rings follow the read
+        window), so every result matches the serial engines bit for
+        bit."""
+        self._run_reset()
+        self.delta_ipc_commands = self.delta_ipc_steps = 0
+        return super().delta_grid(trials, max_steps, stability_window)
 
     def delta(self, schedule: Schedule, start: RoutingState,
               max_steps: int = 2_000,
-              stability_window: Optional[int] = None,
-              window: Optional[int] = None) -> AsyncResult:
-        """δ over the wire, ``window`` schedule steps per command.
-
-        One run of the vectorized rung's δ loop
-        (:meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`) on
-        this rung's hooks, for schedules with a declared staleness bound
-        or without one (the workers' rings follow the read window), so
-        convergence steps, final states and ``history_retained`` match
-        the serial engines bit for bit.
-
-        Supervised: a shard fault mid-run heals the pool and replays the
-        δ protocol on the rebuilt shards — the worker history rings died
-        with the pool, and schedules are pure deterministic functions,
-        so the replay reproduces the fault-free run bit for bit (steps,
-        convergence point, final state).  Every ``delta_ckpt_every``
-        windows the coordinator captures a **checkpoint** (the ring tail
-        each worker would need to continue, delta-encoded, via
-        :data:`~repro.core.wire.MSG_CKPT`), so the replay restarts from
-        the last checkpoint barrier instead of step 1: heal-time replay
-        is O(window), not O(steps into the run).
-        """
-        self._window = DELTA_WINDOW if window is None else max(1, int(window))
-        self._run_reset()
-        self._delta_ckpt = None
-        self.delta_ckpt_saves = self.delta_ckpt_resumes = 0
-        self.delta_resumed_from = 0
-        self.delta_ipc_commands = self.delta_ipc_steps = 0
-        while True:
-            try:
-                return super().delta_grid([(schedule, start)], max_steps,
-                                          stability_window)[0]
-            except _ShardFault as fault:
-                self._heal(fault)
+              stability_window: Optional[int] = None) -> AsyncResult:
+        """One δ run over the wire: the grid of one trial."""
+        return self.delta_grid([(schedule, start)], max_steps,
+                               stability_window)[0]
 
 
 # ----------------------------------------------------------------------

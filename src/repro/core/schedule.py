@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import weakref
 from abc import ABC, abstractmethod
 from collections import deque
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -432,6 +433,13 @@ class AdversarialStaleSchedule(Schedule):
                 f"max_delay={self.max_delay}, burst={self.burst})")
 
 
+#: :meth:`CompiledSchedule.derived_max_read_back` per source schedule,
+#: ``{horizon: bound}``: ints only, as a compiled form would keep its key
+#: alive.
+_DERIVED_BOUNDS: "weakref.WeakKeyDictionary[Schedule, Dict[int, int]]" = \
+    weakref.WeakKeyDictionary()
+
+
 class CompiledSchedule(Schedule):
     """A dense, precompiled form of any schedule over a finite horizon.
 
@@ -481,7 +489,6 @@ class CompiledSchedule(Schedule):
         self.source = source
         self.horizon = horizon
         self._steps = _PerStepMemo(keep=self._KEEP_STEPS)
-        self._derived: Optional[int] = None
 
     @classmethod
     def ensure(cls, schedule: Schedule, horizon: int) -> "CompiledSchedule":
@@ -587,10 +594,14 @@ class CompiledSchedule(Schedule):
         """The staleness bound the *active reads* attain in the horizon.
 
         One full pass over the source (no rows are retained — only the
-        running maximum), cached; O(horizon · |α| · n) β evaluations,
-        paid once and only for schedules that declare no bound.
+        running maximum); O(horizon · |α| · n) β evaluations, paid only
+        for schedules that declare no bound, and once per source
+        schedule and horizon: every compiled form of one schedule object
+        shares the result (:data:`_DERIVED_BOUNDS`).
         """
-        if self._derived is None:
+        bounds = _DERIVED_BOUNDS.setdefault(self.source, {})
+        worst = bounds.get(self.horizon)
+        if worst is None:
             src = self.source
             worst = 1
             for t in range(1, self.horizon + 1):
@@ -598,8 +609,8 @@ class CompiledSchedule(Schedule):
                     row = src.beta_row(t, i)
                     if row:
                         worst = max(worst, t - min(row))
-            self._derived = worst
-        return self._derived
+            bounds[self.horizon] = worst
+        return worst
 
     def __repr__(self) -> str:
         return f"CompiledSchedule({self.source!r}, horizon={self.horizon})"

@@ -35,7 +35,8 @@ precompiled schedule hands over activation bitmasks and β read-time
 arrays, and every activation of a step becomes one flat gather against a
 ring of historic code matrices, extended through the edge tables and
 folded with ``np.minimum.reduceat`` (:func:`delta_fold`).  A single run
-is the grid of one trial.
+is the grid of one trial, and in process a grid's trials stack along
+the batch axis of one ring, folded in cache-sized tiles.
 
 Primitives and transports
 -------------------------
@@ -50,8 +51,8 @@ Every codes-rung primitive is written once, here:
 * :func:`delta_fold` — the δ kernel.
 
 This is the **vectorized** rung of the engine ladder.  The batched
-rung (:class:`BatchedVectorizedEngine`) runs this rung's σ round as
-is; :mod:`repro.core.parallel` and :mod:`repro.core.remote` keep only
+rung (:class:`BatchedVectorizedEngine`) is this rung under another
+name; :mod:`repro.core.parallel` and :mod:`repro.core.remote` keep only
 transport, lifecycle and supervision: they ship the snapshot to their
 workers, run :func:`sigma_block_round` (and, remotely,
 :func:`delta_fold`) there on column blocks, and inherit the encoding,
@@ -89,6 +90,14 @@ from .synchronous import SyncResult
 
 #: dtype for code matrices and tables; carriers are small, int32 is ample.
 _DTYPE = "int32"
+
+#: extension elements one :func:`delta_fold` tile holds at most: about
+#: half a megabyte of int16 codes, small enough to stay in cache.
+FOLD_TILE = 1 << 18
+
+#: bytes the ``(W, B, n, n)`` history ring of one stack of trials may
+#: take (see :meth:`VectorizedEngine._stack_width`).
+RING_BUDGET = 64 << 20
 
 
 def _concat_ranges(counts):
@@ -233,24 +242,48 @@ def delta_fold(ring, reads, edge_flat, starts, tables, affine=None):
     """The δ kernel: gather every activation's historic reads, extend
     them through their edges and ⊕ (= ``min`` on codes) per activation.
 
-    ``reads`` is an integer-array index, so ``ring[reads]`` is a fresh
-    ``(edges, width)`` copy — row ``e`` is the code row read along edge
-    ``edge_flat[e]`` — and each activation's edges are one consecutive
-    run starting at ``starts`` (:meth:`TopologySnapshot.edges`).  The
-    extension is a table gather, or with ``affine=(w, cap)`` (see
+    ``reads`` is a tuple of integer index arrays, one per leading axis
+    of ``ring``, so ``ring[reads]`` is a fresh ``(edges, width)`` copy —
+    row ``e`` is the code row read along edge ``edge_flat[e]`` — and
+    each activation's edges are one consecutive run starting at
+    ``starts`` (:meth:`TopologySnapshot.edges`).  The extension is a
+    table gather, or with ``affine=(w, cap)`` (see
     :attr:`TopologySnapshot.affine`) the exact clipped shift
     ``min(x + w, cap)``, computed in place in that copy.
-    Single source of truth for δ — the engines' compiled step and every
-    :mod:`repro.core.remote` worker run exactly this code.
+
+    The fold runs in tiles of whole activations of at most
+    :data:`FOLD_TILE` extension elements (a larger activation is a tile
+    of its own): a stacked grid step can gather hundreds of thousands
+    of in-edges, far more than any cache holds.  The result does not
+    depend on the tiling.  Single source of truth for δ — the engines'
+    compiled step, their σ probe and every :mod:`repro.core.remote`
+    worker run exactly this code.
     """
-    gathered = ring[reads]
-    if affine is not None:
-        w, cap = affine
-        ext = np.add(gathered, w[edge_flat], out=gathered)
-        np.minimum(ext, cap[edge_flat], out=ext)
-    else:
-        ext = tables[edge_flat[:, None], gathered]
-    return np.minimum.reduceat(ext, starts, axis=0)
+    width, total, acts = ring.shape[-1], edge_flat.size, starts.size
+    rows = ring.reshape(-1, width)          # a view: rings are contiguous
+    flat = np.ravel_multi_index(reads, ring.shape[:-1])
+    out = np.empty((acts, width),
+                   dtype=ring.dtype if affine is not None else tables.dtype)
+    per_tile = max(1, FOLD_TILE // width)   # edges per tile
+    a0 = 0
+    while a0 < acts:
+        # the activations a0 .. a1 - 1: as many as fit in one tile
+        e0 = int(starts[a0])
+        a1 = acts if total - e0 <= per_tile else max(a0 + 1, int(
+            np.searchsorted(starts, e0 + per_tile, side="right")) - 1)
+        e1 = int(starts[a1]) if a1 < acts else total
+        edges = edge_flat[e0:e1]
+        ext = rows.take(flat[e0:e1], axis=0)
+        if affine is not None:
+            w, cap = affine
+            np.add(ext, w[edges], out=ext)
+            np.minimum(ext, cap[edges], out=ext)
+        else:
+            ext = tables[edges[:, None], ext]
+        np.minimum.reduceat(ext, starts[a0:a1] - e0, axis=0,
+                            out=out[a0:a1])
+        a0 = a1
+    return out
 
 
 def supports_vectorized(algebra: RoutingAlgebra) -> bool:
@@ -413,12 +446,6 @@ class VectorizedEngine:
     # δ
     # ------------------------------------------------------------------
 
-    @property
-    def _batch_dtype(self):
-        """Narrowest dtype the stacked code tensors fit in (the
-        snapshot's :attr:`TopologySnapshot.dtype`)."""
-        return self._topo.dtype
-
     def _slot_segment(self, comp, t: int):
         """Flat read-time array over ``comp``'s active, degree > 0
         importers at ``t``, aligned to the snapshot's edge layout.
@@ -427,7 +454,7 @@ class VectorizedEngine:
         starting states, and the pair list of a step is exactly the
         per-trial concatenation of these segments, so the β work of a
         step is paid once per *distinct* schedule, not once per trial.
-        The cache lives for one run (:meth:`delta_grid` resets it)."""
+        The cache lives for one stack (:meth:`_delta_stack` resets it)."""
         cache = self._seg_cache
         if cache.get("t") != t:
             cache.clear()
@@ -482,7 +509,7 @@ class VectorizedEngine:
         the run starts from."""
         B, n = len(starts), self._n
         ring = np.empty((int(windows.max()) + 1, B, n, n),
-                        dtype=self._batch_dtype)
+                        dtype=self._topo.dtype)
         ring[0] = np.stack(starts)
         # read-diff skip state (see _delta_window): row k of trial b
         # last changed at step last_change[b, k] (the start counts as a
@@ -625,7 +652,7 @@ class VectorizedEngine:
         has = topo.deg[rows] > 0
         if has.any():
             edge_flat, starts = topo.edges(rows[has])
-            out[has] = delta_fold(C, topo.src[edge_flat], edge_flat,
+            out[has] = delta_fold(C, (topo.src[edge_flat],), edge_flat,
                                   starts, topo.tables)
         out[np.arange(rows.size), rows] = self.trivial_code
         return out
@@ -644,92 +671,108 @@ class VectorizedEngine:
         δ run is the grid of one trial; ``max_steps=0`` returns the
         starts and compiles nothing.
 
-        The loop compiles each trial's schedule
-        (:class:`~repro.core.schedule.CompiledSchedule`), sizes its read
-        and stability windows, raises :class:`LookupError` when the run
-        reaches a read outside the read window, and stops a trial once
-        it has been constant for its stability window and is σ-stable
-        (the probe skips rows the step certified), or after
-        ``max_steps``.  The read window mirrors
-        :class:`~repro.core.incremental.BoundedHistory`: the declared
-        ``max_read_back() + 2``, or for a schedule that declares none
-        the bound its compiled reads attain
-        (:meth:`~repro.core.schedule.CompiledSchedule.derived_max_read_back`).
-        A rung supplies three hooks: how a run starts
-        (:meth:`_delta_begin`), one window of steps yielding per-step
-        changed flags (:meth:`_delta_window`) and a trial's code matrix
-        at step ``t`` (:meth:`_delta_state`) — here trials stack along
-        the batch axis of one ring and a window is one fused step.
+        The grid compiles each distinct schedule once, sizes every
+        trial's read window — as
+        :class:`~repro.core.incremental.BoundedHistory`, the declared
+        ``max_read_back() + 2``, or else the bound the compiled reads
+        attain — and its stability window, and runs the trials in
+        stacks of :meth:`_stack_width` (:meth:`_delta_stack`).
         """
         self.refresh()
-        B, n = len(trials), self._n
+        starts = [self.encode_state(start) for (_sched, start) in trials]
+        if not (trials and max_steps):
+            return [AsyncResult(False, 0, self.decode_state(C), None, None,
+                                history_retained=1) for C in starts]
+        scheds: List[CompiledSchedule] = []
+        windows = np.empty(len(trials), dtype=np.int64)
+        sws = np.empty(len(trials), dtype=np.int64)
+        compiled = {}       # id(schedule) -> compiled form, shared by trials
+        for b, (sched, _start) in enumerate(trials):
+            comp = compiled.get(id(sched))
+            if comp is None:
+                comp = compiled[id(sched)] = CompiledSchedule.ensure(
+                    sched, max_steps)
+            scheds.append(comp)
+            declared = comp.source.max_read_back()
+            windows[b] = (declared + 2 if declared is not None
+                          else comp.derived_max_read_back())
+            sws[b] = (stability_window if stability_window is not None
+                      else (declared or 1) + 2)
+        width = self._stack_width(windows)
+        return [res for lo in range(0, len(trials), width)
+                for res in self._delta_stack(
+                    lo, scheds[lo:lo + width], starts[lo:lo + width],
+                    windows[lo:lo + width], sws[lo:lo + width], max_steps)]
+
+    def _stack_width(self, windows) -> int:
+        """Trials per stack: as many as keep the ``(W, B, n, n)`` ring
+        within :data:`RING_BUDGET` bytes, and at least one."""
+        state = self._n * self._n * np.dtype(self._topo.dtype).itemsize
+        return max(1, RING_BUDGET // ((int(windows.max()) + 1) * state))
+
+    def _delta_stack(self, lo: int, scheds, starts, windows, sws,
+                     max_steps: int) -> List[AsyncResult]:
+        """Run one stack of trials, the grid's from ``lo`` on: raise
+        :class:`LookupError` when a trial reaches a read outside its
+        read window, and stop a trial once it has been constant for its
+        stability window and is σ-stable (the probe skips rows the step
+        certified), or after ``max_steps``.  A rung supplies three
+        hooks: how a run starts (:meth:`_delta_begin`), one window of
+        steps yielding per-step changed flags (:meth:`_delta_window`)
+        and a trial's code matrix at step ``t`` (:meth:`_delta_state`)
+        — here trials stack along the batch axis of one ring and a
+        window is one fused step.
+        """
+        B, n = len(scheds), self._n
         # until a trial takes a step it ends where it started
-        final = [self.encode_state(start) for (_sched, start) in trials]
+        final = list(starts)
         converged = np.zeros(B, dtype=bool)
         steps_res = np.full(B, max_steps, dtype=np.int64)
         conv_at: List[Optional[int]] = [None] * B
-        windows = np.ones(B, dtype=np.int64)
-        if B and max_steps:
-            scheds: List[CompiledSchedule] = []
-            sws = np.empty(B, dtype=np.int64)
-            compiled = {}   # id(schedule) -> compiled form, shared by trials
-            for b, (sched, _start) in enumerate(trials):
-                comp = compiled.get(id(sched))
-                if comp is None:
-                    comp = CompiledSchedule.ensure(sched, max_steps)
-                    compiled[id(sched)] = comp
-                scheds.append(comp)
-                declared = comp.source.max_read_back()
-                windows[b] = (declared + 2 if declared is not None
-                              else comp.derived_max_read_back())
-                sws[b] = (stability_window if stability_window is not None
-                          else (declared or 1) + 2)
-            self._seg_cache: dict = {}   # per-(schedule, step) β segments
-            run, t, start_unchanged = self._delta_begin(scheds, final,
-                                                        windows)
-            unchanged = np.full(B, start_unchanged, dtype=np.int64)
-            done = np.zeros(B, dtype=bool)
-            # σ-residual certificates (see _delta_window): rows already
-            # provably equal to their σ-row
-            sigma_ok = np.zeros((B, n), dtype=bool)
-            const_ok = np.zeros((B, n), dtype=bool)
-            while t <= max_steps:
-                live = np.nonzero(~done)[0]
-                if live.size == 0:
+        self._seg_cache: dict = {}       # per-(schedule, step) β segments
+        run, t, start_unchanged = self._delta_begin(scheds, final, windows)
+        unchanged = np.full(B, start_unchanged, dtype=np.int64)
+        done = np.zeros(B, dtype=bool)
+        # σ-residual certificates (see _delta_window): rows already
+        # provably equal to their σ-row
+        sigma_ok = np.zeros((B, n), dtype=bool)
+        const_ok = np.zeros((B, n), dtype=bool)
+        while t <= max_steps:
+            live = np.nonzero(~done)[0]
+            if live.size == 0:
+                break
+            stale = self._step_reads(scheds, windows, live, t)[2]
+            if stale is not None:
+                b, s = stale
+                raise LookupError(
+                    f"δ history for time {s} is outside trial {lo + b}'s "
+                    f"ring window (window={int(windows[b])}, t={t}); "
+                    "the schedule reads further back than its "
+                    "declared max_read_back — run "
+                    "RoutingSession.delta(..., strict=True) to keep "
+                    "the full history")
+            for changed in self._delta_window(
+                    run, t, max_steps - t + 1, live, unchanged,
+                    sigma_ok, const_ok):
+                unchanged[live] = np.where(changed[live], 0,
+                                           unchanged[live] + 1)
+                for b in live[unchanged[live] >= sws[live]].tolist():
+                    state = self._delta_state(run, b, t)
+                    rest = np.nonzero(~(sigma_ok[b] | const_ok[b]))[0]
+                    if rest.size:
+                        if not (self._sigma_rows(state, rest)
+                                == state[rest]).all():
+                            continue
+                        sigma_ok[b, rest] = True
+                    done[b] = converged[b] = True
+                    steps_res[b] = t
+                    conv_at[b] = t - int(unchanged[b])
+                    final[b] = state.copy()
+                t += 1
+                if done[live].all():
                     break
-                stale = self._step_reads(scheds, windows, live, t)[2]
-                if stale is not None:
-                    b, s = stale
-                    raise LookupError(
-                        f"δ history for time {s} is outside trial {b}'s "
-                        f"ring window (window={int(windows[b])}, t={t}); "
-                        "the schedule reads further back than its "
-                        "declared max_read_back — run "
-                        "RoutingSession.delta(..., strict=True) to keep "
-                        "the full history")
-                for changed in self._delta_window(
-                        run, t, max_steps - t + 1, live, unchanged,
-                        sigma_ok, const_ok):
-                    unchanged[live] = np.where(changed[live], 0,
-                                               unchanged[live] + 1)
-                    for b in live[unchanged[live] >= sws[live]].tolist():
-                        state = self._delta_state(run, b, t)
-                        rest = np.nonzero(~(sigma_ok[b] | const_ok[b]))[0]
-                        if rest.size:
-                            if not (self._sigma_rows(state, rest)
-                                    == state[rest]).all():
-                                continue
-                            sigma_ok[b, rest] = True
-                        done[b] = converged[b] = True
-                        steps_res[b] = t
-                        conv_at[b] = t - int(unchanged[b])
-                        final[b] = state.copy()
-                    t += 1
-                    if done[live].all():
-                        break
-            for b in np.nonzero(~done)[0].tolist():
-                final[b] = self._delta_state(run, b, max_steps).copy()
-
+        for b in np.nonzero(~done)[0].tolist():
+            final[b] = self._delta_state(run, b, max_steps).copy()
         return [AsyncResult(bool(converged[b]), int(steps_res[b]),
                             self.decode_state(final[b]), conv_at[b], None,
                             history_retained=min(int(steps_res[b]) + 1,
@@ -743,21 +786,9 @@ class VectorizedEngine:
 
 
 class BatchedVectorizedEngine(VectorizedEngine):
-    """The rung that runs whole δ grids, stacked along a batch axis.
+    """The rung auto negotiation starts grids at: the vectorized rung
+    under another name (every in-process rung stacks a grid)."""
 
-    The vectorized engine made one *trial* an array computation;
-    experiments, however, run *grids* of trials — the
-    absolute-convergence experiment (Definition 8) quantifies over
-    (starting state × schedule) pairs — and looping Python over trials
-    re-pays the per-step interpreter overhead B times.  This rung runs
-    a grid as one inherited :meth:`~VectorizedEngine.delta_grid` over
-    every trial at once (a single δ run is the same step with B = 1).
-    σ is the vectorized rung's round, inherited as is.
-    """
-
-    #: batching stacks trials; single δ runs need a bounded ring
-    #: (deriving a bound for an undeclared schedule only pays across a
-    #: grid).
     capabilities = register_engine(Capabilities(
         rung="batched",
         requires_finite_algebra=True,

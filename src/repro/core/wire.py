@@ -483,7 +483,8 @@ def naive_update_bytes(rows: int, cols: int) -> int:
 
 @dataclass
 class WireStats:
-    """Wire-volume counters for one remote run (or an accumulation).
+    """Wire-volume counters for one remote run (a σ run, a δ run or a
+    whole grid).
 
     ``rounds`` counts protocol barriers (σ rounds, δ windows, fetches —
     every broadcast/collect cycle).  ``update_bytes`` is the
@@ -520,16 +521,6 @@ class WireStats:
     def copy(self) -> "WireStats":
         return WireStats(self.bytes_sent, self.bytes_received, self.commands,
                          self.rounds, self.update_bytes, self.naive_bytes)
-
-    def __sub__(self, other: "WireStats") -> "WireStats":
-        return WireStats(
-            self.bytes_sent - other.bytes_sent,
-            self.bytes_received - other.bytes_received,
-            self.commands - other.commands,
-            self.rounds - other.rounds,
-            self.update_bytes - other.update_bytes,
-            self.naive_bytes - other.naive_bytes,
-        )
 
     def as_dict(self) -> dict:
         return {

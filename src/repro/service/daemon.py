@@ -488,9 +488,14 @@ class RoutingServiceDaemon:
         """Build one warm session from its load parameters and replay
         its mutation log — a live ``load`` and both restore paths open
         sessions here (blocking: runs off the event loop)."""
-        network, factory = _build_network(
-            params["algebra"], params["topology"],
-            int(params["n"]), int(params["seed"]))
+        # lazy: the CLI's ``serve`` subcommand imports this package
+        from ..cli import build_network
+        try:
+            network, factory = build_network(
+                params["algebra"], params["topology"],
+                int(params["n"]), int(params["seed"]))
+        except ValueError as exc:
+            raise ServiceError(ERR_BAD_REQUEST, str(exc)) from None
         try:
             spec = EngineSpec(engine=params["engine"])
         except ValueError as exc:
@@ -754,17 +759,13 @@ class RoutingServiceDaemon:
     async def _handle_load(self, req: Dict[str, Any]) -> Dict[str, Any]:
         algebra = req.get("algebra")
         topology = req.get("topology", "random")
-        try:
-            n = int(req["n"])
-            seed = int(req.get("seed", 0))
-        except (KeyError, TypeError, ValueError):
-            raise ServiceError(
-                ERR_BAD_REQUEST,
-                "load requires integer 'n' (and optional integer 'seed')")
+        n = _int_field(req, "n")
+        seed = _int_field(req, "seed", 0)
         engine = req.get("engine", self.default_engine)
-        if not isinstance(algebra, str):
+        if not isinstance(algebra, str) or not isinstance(topology, str):
             raise ServiceError(ERR_BAD_REQUEST,
-                              "load requires an 'algebra' name")
+                              "load requires 'algebra' and 'topology' "
+                              "names")
         if not 2 <= n <= 4096:
             raise ServiceError(ERR_BAD_REQUEST,
                               f"n={n} outside the served range [2, 4096]")
@@ -821,16 +822,12 @@ class RoutingServiceDaemon:
                                verb: str) -> Dict[str, Any]:
         entry = self._entry(req)
         n = entry.network.n
-        try:
-            i, k = int(req["i"]), int(req["k"])
-        except (KeyError, TypeError, ValueError):
-            raise ServiceError(ERR_BAD_REQUEST,
-                              f"{verb} requires integer 'i' and 'k'")
+        i, k = _int_field(req, "i"), _int_field(req, "k")
         if not (0 <= i < n and 0 <= k < n):
             raise ServiceError(
                 ERR_BAD_REQUEST,
                 f"edge ({i}, {k}) outside the 0..{n - 1} node range")
-        edge_seed = (int(req.get("edge_seed", 0)) if verb == "set_edge"
+        edge_seed = (_int_field(req, "edge_seed", 0) if verb == "set_edge"
                      else None)
         async with entry.lock:
             dropped = entry.apply(verb, i, k, edge_seed)
@@ -856,27 +853,25 @@ class RoutingServiceDaemon:
                             verb: str) -> Dict[str, Any]:
         entry = self._entry(req)
         req_id = req.get("id")
-        start_seed = req.get("start_seed")
-        if start_seed is not None:
-            start_seed = int(start_seed)
+        start_seed = _int_field(req, "start_seed", None)
         include_state = bool(req.get("include_state", False))
         sched_spec: Optional[Dict[str, Any]] = None
         if verb == "sigma":
-            max_rounds = int(req.get("max_rounds", 10_000))
+            max_rounds = _int_field(req, "max_rounds", 10_000, minimum=0)
             knobs: Tuple = (max_rounds,)
             compute = partial(self._compute_sigma, entry, start_seed,
                               max_rounds, include_state)
         elif verb == "routes":
-            max_rounds = int(req.get("max_rounds", 10_000))
-            node = req.get("node")
-            dest = req.get("dest")
+            max_rounds = _int_field(req, "max_rounds", 10_000, minimum=0)
+            node = _int_field(req, "node", None)
+            dest = _int_field(req, "dest", None)
             if (node is None) == (dest is None):
                 raise ServiceError(
                     ERR_BAD_REQUEST,
                     "routes takes exactly one of 'node' (that node's "
                     "routes to every destination) or 'dest' (every "
                     "node's route to that destination)")
-            axis = int(node) if node is not None else int(dest)
+            axis = node if node is not None else dest
             if not 0 <= axis < entry.network.n:
                 raise ServiceError(
                     ERR_BAD_REQUEST,
@@ -890,14 +885,14 @@ class RoutingServiceDaemon:
         elif verb == "delta":
             sched_spec = req.get("schedule", {"kind": "round-robin"})
             schedule_from_spec(sched_spec, entry.network.n)  # validate now
-            max_steps = int(req.get("max_steps", 2_000))
+            max_steps = _int_field(req, "max_steps", 2_000, minimum=0)
             knobs = (max_steps,)
             compute = partial(self._compute_delta, entry, sched_spec,
                               start_seed, max_steps, include_state)
         else:  # convergence
-            n_starts = int(req.get("n_starts", 3))
-            start_seed = int(req.get("seed", 0))  # grid's sampling seed
-            max_steps = int(req.get("max_steps", 2_000))
+            n_starts = _int_field(req, "n_starts", 3, minimum=0)
+            start_seed = _int_field(req, "seed", 0)  # grid's sampling seed
+            max_steps = _int_field(req, "max_steps", 2_000, minimum=0)
             knobs = (n_starts, max_steps)
             compute = partial(self._compute_convergence, entry, start_seed,
                               n_starts, max_steps)
@@ -1113,6 +1108,31 @@ class RoutingServiceDaemon:
         }
 
 
+#: :func:`_int_field`'s default for a field the request must carry
+_REQUIRED = object()
+
+
+def _int_field(req: Dict[str, Any], name: str, default: Any = _REQUIRED,
+               minimum: Optional[int] = None) -> Any:
+    """The integer request field ``name`` (``default`` when absent or
+    null): every integer a request carries is parsed here.  A
+    non-integer, a missing required field or a value under ``minimum``
+    is the client's error: ``bad-request``, never ``internal``."""
+    value = req.get(name)
+    if value is None:
+        if default is _REQUIRED:
+            raise ServiceError(ERR_BAD_REQUEST,
+                               f"{req.get('verb')} requires integer {name!r}")
+        return default
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServiceError(ERR_BAD_REQUEST,
+                           f"{name!r} must be an integer, got {value!r:.40}")
+    if minimum is not None and value < minimum:
+        raise ServiceError(ERR_BAD_REQUEST,
+                           f"{name!r} must be >= {minimum}, got {value}")
+    return value
+
+
 def _hello_reply(req_id: Any) -> Dict[str, Any]:
     """The ``hello`` reply: the protocol version and the
     :data:`~repro.core.schedule.RandomSchedule.SCHEDULE_SEED_VERSION`
@@ -1120,50 +1140,6 @@ def _hello_reply(req_id: Any) -> Dict[str, Any]:
     return {"ok": True, "verb": "hello", "id": req_id,
             "v": SERVICE_VERSION,
             "schedule_seed_version": RandomSchedule.SCHEDULE_SEED_VERSION}
-
-
-def _build_network(algebra_name: str, topology: str, n: int, seed: int):
-    """Build (network, edge_factory) from the CLI registries.
-
-    Imported lazily: the CLI's ``serve`` subcommand imports this
-    package, so a module-level import would be circular.  Unlike
-    :func:`repro.cli.build_network` this keeps the edge factory — the
-    daemon needs it to materialise ``set_edge`` mutations from a seed.
-    """
-    from ..cli import ALGEBRAS, TOPOLOGIES
-    from ..topologies.generators import erdos_renyi
-
-    if algebra_name not in ALGEBRAS:
-        raise ServiceError(
-            ERR_BAD_REQUEST,
-            f"unknown algebra {algebra_name!r}; choose from "
-            f"{sorted(ALGEBRAS)}")
-    alg, factory, _finite, _is_path = ALGEBRAS[algebra_name]()
-    if topology.startswith("corpus:"):
-        # a committed scenario-corpus fixture; its node count is fixed
-        # by the file, so the load's n must agree (clients compute
-        # indices against it)
-        from ..scenarios.corpus import load_corpus_topology
-        try:
-            topo = load_corpus_topology(topology[len("corpus:"):])
-        except ValueError as exc:
-            raise ServiceError(ERR_BAD_REQUEST, str(exc)) from None
-        if n != topo.n:
-            raise ServiceError(
-                ERR_BAD_REQUEST,
-                f"corpus topology {topo.name!r} has n={topo.n} nodes; "
-                f"load it with n={topo.n} (got n={n})")
-        network = topo.build(alg, factory, seed=seed)
-    elif topology == "random":
-        network = erdos_renyi(alg, n, 0.4, factory, seed=seed)
-    elif topology in TOPOLOGIES:
-        network = TOPOLOGIES[topology](alg, n, factory, seed=seed)
-    else:
-        raise ServiceError(
-            ERR_BAD_REQUEST,
-            f"unknown topology {topology!r}; choose from "
-            f"{sorted(TOPOLOGIES) + ['random', 'corpus:<name>']}")
-    return network, factory
 
 
 def serve(host: str = "127.0.0.1", port: int = 0, *, engine: str = "auto",

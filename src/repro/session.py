@@ -33,8 +33,8 @@ What the session owns:
   backstop.  Each engine owns its workers' lifecycle: it republishes
   its snapshot when ``adjacency.version`` moves and rebuilds a pool
   that failed, so the session only ever constructs engines.  A grid
-  compiles each distinct schedule once, for that call; the session
-  holds no compiled schedule between calls.
+  is one engine call, which compiles each distinct schedule once; the
+  session holds no compiled schedule between calls.
 * **Structured run reports** — every entry point returns a typed
   dataclass (:class:`SigmaReport`, :class:`DeltaReport`,
   :class:`GridReport`, :class:`ConvergenceReport`,
@@ -49,7 +49,9 @@ What the session owns:
 run whatever rung the session negotiated — a σ report's churn
 included, which every rung counts as it iterates.  The codes rungs
 share one δ loop, :meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`,
-which every grid on them calls.
+which a grid on any of them calls once: :meth:`RoutingSession.delta_grid`
+names no rung, and its report's wire and healing fields come from the
+same per-run snapshot as σ and δ reports.
 """
 
 from __future__ import annotations
@@ -243,9 +245,9 @@ class GridReport:
     resolution: EngineResolution
     elapsed_s: float
     schedule_seed_version: Optional[int] = None
-    #: remote rung: wire traffic summed over the whole grid
+    #: remote rung: the grid's wire traffic (a grid is one run)
     wire: Optional[WireStats] = field(default=None, repr=False)
-    #: remote rung: healing events over the whole grid (empty = clean)
+    #: remote rung: the grid's healing events (empty = clean)
     degraded: Optional[Tuple] = None
     results: Optional[List[AsyncResult]] = field(default=None, repr=False)
 
@@ -499,22 +501,15 @@ class RoutingSession:
             self._engines[rung] = eng
         return eng
 
-    def _wire_snapshot(self, resolution: EngineResolution):
-        """Per-run :class:`~repro.core.wire.WireStats` copy when the
-        remote rung ran; ``None`` for every local rung."""
-        if resolution.chosen != "remote":
-            return None
+    def _remote_run(self, resolution: EngineResolution) -> Dict[str, Any]:
+        """A report's ``wire`` (a copy of the engine's per-run
+        :class:`~repro.core.wire.WireStats`) and ``degraded`` (the run's
+        :class:`~repro.core.capabilities.DegradedEvent` tuple, empty for
+        a clean run) when the remote rung ran; nothing for local rungs."""
         eng = self._engines.get("remote")
-        return eng.wire_stats.copy() if eng is not None else None
-
-    def _degraded_snapshot(self, resolution: EngineResolution):
-        """Per-run tuple of
-        :class:`~repro.core.capabilities.DegradedEvent` when the remote
-        rung ran (empty for a clean run); ``None`` for local rungs."""
-        if resolution.chosen != "remote":
-            return None
-        eng = self._engines.get("remote")
-        return tuple(eng.degraded) if eng is not None else None
+        if resolution.chosen != "remote" or eng is None:
+            return {}
+        return {"wire": eng.wire_stats.copy(), "degraded": tuple(eng.degraded)}
 
     # -- σ ---------------------------------------------------------------
 
@@ -532,6 +527,7 @@ class RoutingSession:
         compare on ``naive``) — no trajectory is kept for it.
         """
         self._check_open()
+        _check_budget("max_rounds", max_rounds)
         net = self.network
         if start is None:
             start = RoutingState.identity(net.algebra, net.n)
@@ -545,9 +541,7 @@ class RoutingSession:
             converged=result.converged, rounds=result.rounds,
             state=result.state, resolution=resolution,
             elapsed_s=perf_counter() - t0, trajectory=result.trajectory,
-            churn=result.churn,
-            wire=self._wire_snapshot(resolution),
-            degraded=self._degraded_snapshot(resolution), result=result)
+            churn=result.churn, result=result, **self._remote_run(resolution))
 
     # -- δ ---------------------------------------------------------------
 
@@ -565,7 +559,7 @@ class RoutingSession:
         self._check_open()
         net = self.network
         _check_schedule_size(schedule, net)
-        _check_max_steps(max_steps)
+        _check_budget("max_steps", max_steps)
         if start is None:
             start = RoutingState.identity(net.algebra, net.n)
         resolution = self.resolve("delta", schedule=schedule,
@@ -589,69 +583,43 @@ class RoutingSession:
             history_retained=result.history_retained,
             ipc_commands=ipc_commands, ipc_steps=ipc_steps,
             schedule_seed_version=schedule_seed_version([schedule]),
-            wire=self._wire_snapshot(resolution),
-            degraded=self._degraded_snapshot(resolution), result=result)
+            result=result, **self._remote_run(resolution))
 
     def delta_grid(self, trials: Sequence[Tuple[Schedule, RoutingState]], *,
                    max_steps: int = 2_000,
                    stability_window: Optional[int] = None,
-                   batch_size: Optional[int] = 64,
                    keep_results: bool = False) -> GridReport:
         """Run δ for every ``(schedule, start)`` trial as one negotiated
         workload; returns a :class:`GridReport`.
 
-        The codes rungs run the trials, each distinct schedule compiled
-        once for the call, through the engine's
-        :meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`, the
-        one δ loop: the batched rung stacks the grid into one
-        ``(B, n, n)`` tensor (``batch_size`` chunks the batch axis), the
-        vectorized and parallel rungs run one trial per call, and the
-        remote rung runs its trials in turn on its workers.  A trial
-        whose schedule declares no staleness bound runs against its
-        derived bound on every codes rung.  The object rungs run the
-        trials one by one.  ``keep_results`` retains the
-        per-trial :class:`~repro.core.asynchronous.AsyncResult` list on
-        the report.
+        Every codes rung runs the whole grid in one call of its
+        engine's :meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`,
+        the one δ loop, which compiles each distinct schedule once: in
+        process the trials stack into one history ring, and the remote
+        rung runs them in turn on its workers as one supervised run.  A
+        trial whose schedule declares no staleness bound runs against
+        its derived bound on every codes rung.  The object rungs run
+        the trials one by one.  ``keep_results`` retains the per-trial
+        :class:`~repro.core.asynchronous.AsyncResult` list on the
+        report.
         """
         self._check_open()
         net = self.network
         trials = list(trials)
         for sched, _start in trials:
             _check_schedule_size(sched, net)
-        _check_max_steps(max_steps)
+        _check_budget("max_steps", max_steps)
         resolution = self.resolve("grid")
         t0 = perf_counter()
-        results: List[AsyncResult] = []
-        wire_base = None
-        degraded_base = None
         eng = self._engine_obj(resolution)
-        if resolution.chosen == "remote" and trials:
-            # snapshot the engine's monotonic totals so the report can
-            # carry exactly this grid's traffic (per-run wire_stats
-            # resets on every trial); ditto the healing-event log
-            wire_base = eng.wire_totals.copy()
-            degraded_base = len(eng.degraded_total)
         if eng is not None:
-            # trials repeat schedules across starts and most rungs take
-            # one trial per call: share one compiled form (and so one
-            # derived staleness bound) per schedule; a zero-step run
-            # reads no step, so it compiles nothing
-            forms = {id(sched): CompiledSchedule.ensure(sched, max_steps)
-                     for sched, _start in trials} if max_steps else {}
-            runs = [(forms.get(id(sched), sched), start)
-                    for sched, start in trials]
-            chunk = 1
-            if resolution.chosen == "batched":
-                chunk = max(1, int(batch_size or len(runs)))
-            for lo in range(0, len(runs), chunk):
-                results.extend(eng.delta_grid(
-                    runs[lo:lo + chunk], max_steps=max_steps,
-                    stability_window=stability_window))
+            results = eng.delta_grid(trials, max_steps=max_steps,
+                                     stability_window=stability_window)
         else:
-            for sched, start in trials:
-                results.append(_delta_run_resolved(
-                    net, sched, start, resolution.chosen,
-                    max_steps=max_steps, stability_window=stability_window))
+            results = [_delta_run_resolved(
+                net, sched, start, resolution.chosen, max_steps=max_steps,
+                stability_window=stability_window)
+                for sched, start in trials]
         alg = net.algebra
         fixed_points: List[RoutingState] = []
         steps: List[int] = []
@@ -663,21 +631,14 @@ class RoutingSession:
             steps.append(res.converged_at or res.steps)
             if not any(res.state.equals(fp, alg) for fp in fixed_points):
                 fixed_points.append(res.state)
-        wire = None
-        degraded = None
-        if wire_base is not None:
-            eng = self._engines.get("remote")
-            if eng is not None:
-                wire = eng.wire_totals - wire_base
-                degraded = tuple(eng.degraded_total[degraded_base:])
         return GridReport(
             runs=len(trials), all_converged=all_converged,
             distinct_fixed_points=fixed_points, convergence_steps=steps,
             resolution=resolution, elapsed_s=perf_counter() - t0,
             schedule_seed_version=schedule_seed_version(
                 [sched for (sched, _start) in trials]),
-            wire=wire, degraded=degraded,
-            results=results if keep_results else None)
+            results=results if keep_results else None,
+            **self._remote_run(resolution))
 
     # -- event replay ----------------------------------------------------
 
@@ -816,11 +777,12 @@ def _check_schedule_size(schedule: Schedule, network: Network) -> None:
             f"has {network.n}")
 
 
-def _check_max_steps(max_steps: int) -> None:
-    """Refuse a negative step budget, which each rung would otherwise
-    answer differently (``max_steps=0`` returns the start everywhere)."""
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+def _check_budget(name: str, budget: int) -> None:
+    """Refuse a negative step or round budget, which each rung would
+    otherwise answer differently (a budget of 0 returns the start
+    everywhere)."""
+    if budget < 0:
+        raise ValueError(f"{name} must be >= 0, got {budget}")
 
 
 def _close_engines(engines: Dict[str, object]) -> None:

@@ -10,7 +10,8 @@ multi-trial stacking:
   steps must each report exactly their solo result while the rest of
   the batch keeps running;
 * the grid driver's report parity with the per-trial experiment loop
-  (trial order, distinct-fixed-point ordering, chunking);
+  (trial order, distinct-fixed-point ordering, stacks split by the
+  ring budget);
 * the batch-axis history ring: per-trial staleness windows, derived
   bounds for schedules that declare none, loud failure for lying ones;
 * topology invalidation between grid runs on a shared engine;
@@ -37,10 +38,12 @@ from repro.core import (
     Schedule,
     SynchronousSchedule,
     UnsupportedAlgebraError,
+    VectorizedEngine,
     random_state,
     schedule_zoo,
     supports_vectorized,
 )
+from repro.core import vectorized
 from repro.core.state import Network
 from repro.session import RoutingSession
 from repro.topologies import erdos_renyi, uniform_weight_factory
@@ -137,18 +140,40 @@ class TestGridDriver:
                         loop.distinct_fixed_points):
             assert a.equals(b, net.algebra)
 
-    def test_chunked_batches_match_unchunked(self):
+    def test_chunked_batches_match_unchunked(self, monkeypatch):
+        """A grid whose history ring would pass the ring budget runs
+        as consecutive stacks, each within the budget, and every trial
+        ends exactly as in the one-stack grid."""
         net = _net(9, seed=8)
         starts = _starts(net, 2)
         scheds = schedule_zoo(net.n)[:5]
         trials = [(sched, start) for start in starts for sched in scheds]
+        rings = []
+        begin = VectorizedEngine._delta_begin
+
+        def recording_begin(eng, *args):
+            run, t, unchanged = begin(eng, *args)
+            rings.append(run[0])
+            return run, t, unchanged
+
+        monkeypatch.setattr(VectorizedEngine, "_delta_begin",
+                            recording_begin)
         with RoutingSession(net, "batched") as s:
-            whole = s.delta_grid(trials, max_steps=500, batch_size=None)
-            chunked = s.delta_grid(trials, max_steps=500, batch_size=3)
+            whole = s.delta_grid(trials, max_steps=500, keep_results=True)
+            (ring,) = rings
+            assert ring.shape[1] == len(trials)
+            budget = 3 * ring.nbytes // len(trials)
+            monkeypatch.setattr(vectorized, "RING_BUDGET", budget)
+            rings.clear()
+            chunked = s.delta_grid(trials, max_steps=500, keep_results=True)
+        assert [r.shape[1] for r in rings] == [3, 3, 3, 1]
+        assert all(r.nbytes <= budget for r in rings)
         assert whole.convergence_steps == chunked.convergence_steps
-        assert whole.all_converged == chunked.all_converged
-        assert len(whole.distinct_fixed_points) == \
-            len(chunked.distinct_fixed_points)
+        for a, b in zip(whole.results, chunked.results):
+            assert (a.converged, a.steps, a.converged_at,
+                    a.history_retained) == \
+                (b.converged, b.steps, b.converged_at, b.history_retained)
+            assert a.state.equals(b.state, net.algebra)
 
     def test_experiment_selector_routes_batched(self):
         net = _net(10, seed=9)
@@ -189,7 +214,7 @@ class TestGridDriver:
 
 
 class TestHistoryRing:
-    def test_lying_schedule_raises_lookup_error(self):
+    def test_lying_schedule_raises_lookup_error(self, monkeypatch):
         class Lying(Schedule):
             def alpha(self, t):
                 return frozenset(range(self.n))
@@ -205,6 +230,13 @@ class TestHistoryRing:
         with pytest.raises(LookupError):
             BatchedVectorizedEngine(net).delta_grid([(Lying(net.n), start)],
                                                     max_steps=60)
+        # a grid split into stacks of one names the grid's trial
+        monkeypatch.setattr(vectorized, "RING_BUDGET", 1)
+        sync = SynchronousSchedule(net.n)
+        with pytest.raises(LookupError, match="outside trial 2's"):
+            BatchedVectorizedEngine(net).delta_grid(
+                [(sync, start), (sync, start), (Lying(net.n), start)],
+                max_steps=60)
 
     def test_reads_slightly_past_declaration_match_serial(self):
         """BoundedHistory tolerates reads up to (declared bound + 2);

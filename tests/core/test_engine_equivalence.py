@@ -32,6 +32,8 @@ import random
 
 import pytest
 
+np = pytest.importorskip("numpy")
+
 from repro.algebras import (
     BGPLiteAlgebra,
     BoundedStratifiedAlgebra,
@@ -56,9 +58,11 @@ from repro.core import (
     sigma,
     sigma_propagate,
     sigma_with_dirty,
+    random_state,
     supports_parallel,
     supports_vectorized,
 )
+from repro.core import vectorized
 from repro.session import EngineSpec, RoutingSession
 from repro.topologies import erdos_renyi, line, uniform_weight_factory
 
@@ -316,6 +320,51 @@ class TestOracleMatrix:
     @pytest.mark.parametrize("family", sorted(FINITE_FAMILIES))
     def test_finite_families_vectorize(self, family):
         assert supports_vectorized(FAMILIES[family](6).algebra)
+
+    def test_tiled_grid_in_several_stacks_matches_naive(self, monkeypatch):
+        """One grid whose steps fold in several tiles (two in-edges a
+        tile, so cuts fall between activations and a larger activation
+        is a tile of its own) and whose ring splits into several stacks
+        (three trials each): every trial on every in-process codes rung
+        is bit-identical to the literal recursion on the naive rung."""
+        net = _hop(9, seed=5)
+        alg = net.algebra
+        scheds = _schedules(net.n, seed=5)
+        starts = [RoutingState.identity(alg, net.n),
+                  random_state(alg, net.n, random.Random(2))]
+        trials = [(sched, start) for start in starts for sched in scheds]
+        # the ring is one past the widest read window (declared + 2)
+        slots = max(sched.max_read_back() for sched in scheds) + 3
+        codes = np.dtype(VectorizedEngine(net)._topo.dtype).itemsize
+        monkeypatch.setattr(vectorized, "FOLD_TILE", 2 * net.n)
+        monkeypatch.setattr(vectorized, "RING_BUDGET",
+                            3 * slots * net.n * net.n * codes)
+        stacks = []
+        stack = VectorizedEngine._delta_stack
+
+        def recording_stack(eng, lo, stack_scheds, *rest):
+            stacks.append(len(stack_scheds))
+            return stack(eng, lo, stack_scheds, *rest)
+
+        monkeypatch.setattr(VectorizedEngine, "_delta_stack",
+                            recording_stack)
+        with engine_session(net, "naive") as ref_s:
+            ref = ref_s.delta_grid(trials, max_steps=400,
+                                   keep_results=True).results
+        for rung in ("vectorized", "parallel", "batched"):
+            stacks.clear()
+            with engine_session(net, rung) as s:
+                grid = s.delta_grid(trials, max_steps=400,
+                                    keep_results=True)
+            assert grid.resolution.chosen == rung
+            assert stacks == [3, 3, 3, 1], rung
+            for (sched, _start), res, want in zip(trials, grid.results,
+                                                  ref):
+                assert res.converged == want.converged, (rung, repr(sched))
+                assert res.steps == want.steps, (rung, repr(sched))
+                assert res.converged_at == want.converged_at, \
+                    (rung, repr(sched))
+                assert res.state.equals(want.state, alg), (rung, repr(sched))
 
     def test_lockstep_from_garbage_state(self):
         """The theorems quantify over arbitrary starts; so does the

@@ -514,7 +514,7 @@ class TestChaosMatrix:
                 remote_mod.spawn_loopback_workers = orig
             assert "did not reply within 1.0s" in str(exc.value)
             # every recovery attempt was recorded before the give-up
-            assert [ev.code for ev in eng.degraded_total] == \
+            assert [ev.code for ev in eng.degraded] == \
                 ["worker-respawned"] * 3
         finally:
             eng.close()
@@ -660,8 +660,9 @@ class TestStrictAndTerminal:
                 with pytest.raises(WireFormatError,
                                    match="damaged command: .*CRC-32"):
                     run()
+                assert eng.degraded == []
                 _assert_sigma_identical(run(), ref, net)
-                assert eng.degraded_total == []
+                assert eng.degraded == []
             else:
                 _assert_sigma_identical(run(), ref, net)
                 assert [ev.code for ev in eng.degraded] == \
@@ -701,7 +702,7 @@ class TestStrictAndTerminal:
             res = _watchdog(lambda: iterate_sigma_vectorized(
                 net, start, max_rounds=300, engine=eng))
             _assert_sigma_identical(res, ref, net)
-            assert eng.degraded == [] and eng.degraded_total == []
+            assert eng.degraded == []
         finally:
             eng.close()
 
@@ -823,8 +824,9 @@ def _threaded_worker(port=0):
 
 class TestEndpointProbation:
     def test_probation_then_rejoin_restores_the_original_layout(
-            self, sigma_ref):
+            self, sigma_ref, monkeypatch):
         net, start, ref = sigma_ref
+        monkeypatch.setattr(remote_mod, "REMOTE_MAX_RETRIES", 8)
         port_a = _threaded_worker()
 
         # worker B is hand-rolled so the test holds both its accepted
@@ -849,7 +851,7 @@ class TestEndpointProbation:
 
         ep_a, ep_b = ("127.0.0.1", port_a), ("127.0.0.1", port_b)
         eng = RemoteVectorizedEngine(net, endpoints=[ep_a, ep_b],
-                                     socket_timeout=2.0, max_retries=8)
+                                     socket_timeout=2.0)
         try:
             res = _watchdog(lambda: iterate_sigma_vectorized(
                 net, start, max_rounds=300, engine=eng))
@@ -885,8 +887,10 @@ class TestEndpointProbation:
         finally:
             eng.close()
 
-    def test_failed_probe_reparks_with_backoff(self, sigma_ref):
+    def test_failed_probe_reparks_with_backoff(self, sigma_ref,
+                                               monkeypatch):
         net, start, ref = sigma_ref
+        monkeypatch.setattr(remote_mod, "REMOTE_MAX_RETRIES", 8)
         port_a = _threaded_worker()
         # B never existed as a live worker for this engine: park it by
         # hand to exercise the probe path in isolation
@@ -897,7 +901,7 @@ class TestEndpointProbation:
 
         ep_a, ep_b = ("127.0.0.1", port_a), ("127.0.0.1", port_b)
         eng = RemoteVectorizedEngine(net, endpoints=[ep_a, ep_b],
-                                     socket_timeout=2.0, max_retries=8)
+                                     socket_timeout=2.0)
         try:
             eng._park(ep_b, 1, "a test-injected failure")
             failures = eng._parked[ep_b]["failures"]
@@ -916,15 +920,16 @@ class TestEndpointProbation:
 
 
 class TestDeltaCheckpoint:
-    def test_clean_run_checkpoints_are_invisible(self, delta_ref):
+    def test_clean_run_checkpoints_are_invisible(self, delta_ref,
+                                                 monkeypatch):
         # checkpoints are pure insurance: with no fault they must not
         # change the trajectory, the counters, or the fixed point
         net, start, sched, ref = delta_ref
+        monkeypatch.setattr(remote_mod, "DELTA_CKPT_EVERY", 1)
+        monkeypatch.setattr(remote_mod, "DELTA_WINDOW", 4)
         eng = RemoteVectorizedEngine(net, workers=2, socket_timeout=5.0)
-        eng.delta_ckpt_every = 1
         try:
-            res = _watchdog(lambda: eng.delta(sched, start, max_steps=300,
-                                              window=4))
+            res = _watchdog(lambda: eng.delta(sched, start, max_steps=300))
             _assert_delta_identical(res, ref, net)
             assert eng.delta_ckpt_saves >= 1
             assert eng.delta_ckpt_resumes == 0
@@ -932,8 +937,8 @@ class TestDeltaCheckpoint:
         finally:
             eng.close()
 
-    def test_heal_resumes_from_the_checkpoint_not_step_one(self,
-                                                           delta_ref):
+    def test_heal_resumes_from_the_checkpoint_not_step_one(
+            self, delta_ref, monkeypatch):
         # drop a window-2 steps frame: the heal must restart the run
         # from the window-1 checkpoint (t=4), NOT from step 1, and
         # still land on the bit-identical fixed point
@@ -941,12 +946,12 @@ class TestDeltaCheckpoint:
         plan = {"seed": 5, "rules": [{
             "kind": "drop", "role": "coordinator", "op": "send",
             "msg_type": MSG_DELTA_STEPS, "round": 3, "shard": 1}]}
+        monkeypatch.setattr(remote_mod, "DELTA_CKPT_EVERY", 1)
+        monkeypatch.setattr(remote_mod, "DELTA_WINDOW", 4)
         eng = RemoteVectorizedEngine(net, workers=2, socket_timeout=1.0,
                                      fault_plan=plan)
-        eng.delta_ckpt_every = 1
         try:
-            res = _watchdog(lambda: eng.delta(sched, start, max_steps=300,
-                                              window=4))
+            res = _watchdog(lambda: eng.delta(sched, start, max_steps=300))
             _assert_delta_identical(res, ref, net)
             assert eng.delta_ckpt_saves >= 1
             assert eng.delta_ckpt_resumes == 1
@@ -955,21 +960,21 @@ class TestDeltaCheckpoint:
         finally:
             eng.close()
 
-    def test_checkpoints_off_replays_from_scratch(self, delta_ref):
-        # the pre-checkpoint behaviour is one knob away: with the
-        # cadence disabled the same window-2 fault heals by full
-        # replay (the frame is pinned by send index here: load=0,
-        # delta-init=1, steps w1=2, steps w2=3)
+    def test_checkpoints_off_replays_from_scratch(self, delta_ref,
+                                                  monkeypatch):
+        # with the checkpoint cadence at 0 the same window-2 fault
+        # heals by full replay (the frame is pinned by send index here:
+        # load=0, delta-init=1, steps w1=2, steps w2=3)
         net, start, sched, ref = delta_ref
         plan = {"seed": 5, "rules": [{
             "kind": "drop", "role": "coordinator", "op": "send",
             "msg_type": MSG_DELTA_STEPS, "msg_index": 3, "shard": 1}]}
+        monkeypatch.setattr(remote_mod, "DELTA_CKPT_EVERY", 0)
+        monkeypatch.setattr(remote_mod, "DELTA_WINDOW", 4)
         eng = RemoteVectorizedEngine(net, workers=2, socket_timeout=1.0,
                                      fault_plan=plan)
-        eng.delta_ckpt_every = 0
         try:
-            res = _watchdog(lambda: eng.delta(sched, start, max_steps=300,
-                                              window=4))
+            res = _watchdog(lambda: eng.delta(sched, start, max_steps=300))
             _assert_delta_identical(res, ref, net)
             assert eng.delta_ckpt_saves == 0
             assert eng.delta_ckpt_resumes == 0
@@ -978,7 +983,8 @@ class TestDeltaCheckpoint:
             eng.close()
 
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
-    def test_every_delta_window_advances_the_fault_round(self, window):
+    def test_every_delta_window_advances_the_fault_round(self, window,
+                                                         monkeypatch):
         # a rule's round is the barrier counter, and each δ window is a
         # barrier: with checkpoints off, a drop keyed on round k hits
         # the k-th MSG_DELTA_STEPS command and heals once
@@ -992,12 +998,12 @@ class TestDeltaCheckpoint:
         plan = {"seed": 5, "rules": [{
             "kind": "drop", "role": "coordinator", "op": "send",
             "msg_type": MSG_DELTA_STEPS, "round": window}]}
+        monkeypatch.setattr(remote_mod, "DELTA_CKPT_EVERY", 0)
+        monkeypatch.setattr(remote_mod, "DELTA_WINDOW", 4)
         eng = RemoteVectorizedEngine(net, workers=2, socket_timeout=1.0,
                                      fault_plan=plan)
-        eng.delta_ckpt_every = 0
         try:
-            res = _watchdog(lambda: eng.delta(sched, start, max_steps=300,
-                                              window=4))
+            res = _watchdog(lambda: eng.delta(sched, start, max_steps=300))
             _assert_delta_identical(res, ref, net)
             assert eng.delta_ipc_commands == 4
             assert [ev.code for ev in eng.degraded] == ["worker-respawned"]

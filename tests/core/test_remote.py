@@ -67,6 +67,7 @@ from repro.core import (
     resolve_engine,
     serve_worker,
 )
+from repro.core import remote as remote_mod
 from repro.core.parallel import _split_columns
 from repro.core.remote import (
     REMOTE_MIN_N,
@@ -376,13 +377,13 @@ class TestWirePin:
 
         monkeypatch.setattr(FrameConnection, "send", recording_send)
         monkeypatch.setattr(FrameConnection, "recv", recording_recv)
+        monkeypatch.setattr(remote_mod, "DELTA_CKPT_EVERY", 1)
         alg = HopCountAlgebra(16)
         net = Network(alg, 9)
         for i, k, w in _PIN_ARCS:
             net.set_edge(i, k, alg.edge(w))
         start = RoutingState.identity(alg, net.n)
         with RemoteVectorizedEngine(net, workers=2) as eng:
-            eng.delta_ckpt_every = 1
             iterate_sigma_vectorized(net, start, engine=eng)
             eng.sigma(start)
             eng.is_stable(start)
@@ -442,19 +443,20 @@ class TestLoopbackBitIdentity:
                     repr(sched)
                 assert rem.state.equals(ref.state, net.algebra), repr(sched)
 
-    def test_delta_window_one_identical(self):
+    def test_delta_window_one_identical(self, monkeypatch):
         net = _net(8, seed=6)
         start = RoutingState.identity(net.algebra, net.n)
         sched = RandomSchedule(net.n, seed=9, max_delay=3)
+        monkeypatch.setattr(remote_mod, "DELTA_WINDOW", 1)
         with RemoteVectorizedEngine(net, workers=2) as eng:
-            rem = eng.delta(sched, start, max_steps=300, window=1)
+            rem = eng.delta(sched, start, max_steps=300)
         ref = _vectorized_delta(net, sched, start, 300)
         assert rem.converged == ref.converged
         assert rem.steps == ref.steps
         assert rem.converged_at == ref.converged_at
         assert rem.state.equals(ref.state, net.algebra)
 
-    def test_delta_bit_identical_across_window_sizes(self):
+    def test_delta_bit_identical_across_window_sizes(self, monkeypatch):
         """One command per window vs one per step must compute the same
         run — every window size, same converged_at, same fixed point."""
         net = _net(12, seed=14)
@@ -465,7 +467,8 @@ class TestLoopbackBitIdentity:
             sched, start, max_steps=400, strict=True)
         with RemoteVectorizedEngine(net, workers=2) as eng:
             for window in (1, 2, 7, 16, 64):
-                res = eng.delta(sched, start, max_steps=400, window=window)
+                monkeypatch.setattr(remote_mod, "DELTA_WINDOW", window)
+                res = eng.delta(sched, start, max_steps=400)
                 assert res.converged == ref.converged, window
                 assert res.converged_at == ref.converged_at, window
                 assert res.state.equals(ref.state, alg), window
@@ -489,7 +492,8 @@ class TestLoopbackBitIdentity:
             assert ratio >= 8.0, (eng.delta_ipc_steps,
                                   eng.delta_ipc_commands)
 
-    def test_windowed_delta_converges_mid_window_like_serial(self):
+    def test_windowed_delta_converges_mid_window_like_serial(
+            self, monkeypatch):
         """Convergence at a step that is not a window boundary must
         report the serial step/state (the coordinator replays the
         counter over the per-step flags)."""
@@ -500,10 +504,11 @@ class TestLoopbackBitIdentity:
         ref = RoutingSession(net, "incremental").delta(
             sched, start, max_steps=400, strict=True)
         assert ref.converged
+        # a window far larger than the whole run: everything happens
+        # inside one command
+        monkeypatch.setattr(remote_mod, "DELTA_WINDOW", 128)
         with RemoteVectorizedEngine(net, workers=2) as eng:
-            # a window far larger than the whole run: everything happens
-            # inside one command
-            res = eng.delta(sched, start, max_steps=400, window=128)
+            res = eng.delta(sched, start, max_steps=400)
             assert eng.delta_ipc_commands <= 2
             assert res.converged and res.converged_at == ref.converged_at
             assert res.steps == ref.steps
@@ -522,13 +527,35 @@ class TestLoopbackBitIdentity:
             # hop-count codes travel as single bytes + change bitmasks:
             # far below a naive 4-byte-per-entry full-column transfer
             assert sigma_stats.compression_ratio > 1.0
-            eng.delta(RandomSchedule(net.n, seed=1, max_delay=3), start,
-                      max_steps=300)
+            sched = RandomSchedule(net.n, seed=1, max_delay=3)
+            eng.delta(sched, start, max_steps=300)
             assert eng.delta_ipc_commands >= 1
             assert eng.delta_ipc_steps >= eng.delta_ipc_commands
-            # per-run stats reset; totals are monotonic
-            assert eng.wire_totals.bytes_sent >= \
-                sigma_stats.bytes_sent + eng.wire_stats.bytes_sent
+            # stats are per run: the same run again ships the same bytes
+            first = eng.wire_stats.as_dict()
+            eng.delta(sched, start, max_steps=300)
+            assert eng.wire_stats.as_dict() == first
+
+    def test_first_grid_reports_only_its_own_traffic(self):
+        """The pool build (one MSG_LOAD per shard) is not the grid's
+        traffic: a fresh session's first grid reports the same wire
+        volume as an identical second grid, and as the same trial run
+        as a lone δ; a grid's stats cover every one of its trials."""
+        net = _net(9)
+        start = RoutingState.identity(net.algebra, net.n)
+        sched = RandomSchedule(net.n, seed=1, max_delay=3)
+        with RoutingSession(net, EngineSpec("remote",
+                                            remote_workers=2)) as s:
+            first = s.delta_grid([(sched, start)], max_steps=300)
+            second = s.delta_grid([(sched, start)], max_steps=300)
+            single = s.delta(sched, start, max_steps=300)
+            double = s.delta_grid([(sched, start)] * 2, max_steps=300)
+        assert first.resolution.chosen == "remote"
+        assert first.wire.as_dict() == second.wire.as_dict() == \
+            single.wire.as_dict()
+        assert first.degraded == second.degraded == ()
+        assert double.wire.commands == 2 * first.wire.commands
+        assert double.wire.bytes_sent == 2 * first.wire.bytes_sent
 
     def test_unbounded_schedule_runs_on_the_workers(self):
         """A schedule that declares no staleness bound runs on the

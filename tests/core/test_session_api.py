@@ -338,27 +338,24 @@ class TestManagedResources:
                 gc.collect()
                 assert alive() is None
 
-    @pytest.mark.parametrize("rung", ["vectorized", "parallel", "remote"])
-    def test_grid_derives_an_undeclared_bound_once(self, rung,
-                                                   monkeypatch):
-        """These rungs take one trial per engine call, yet a grid
-        compiles each schedule once for the whole call: a schedule that
-        declares no staleness bound has it derived (a pass over the
-        horizon) once, not once per trial."""
+    @pytest.mark.parametrize("rung", ["vectorized", "parallel", "batched",
+                                      "remote"])
+    def test_grid_derives_an_undeclared_bound_once(self, rung):
+        """A schedule that declares no staleness bound has it derived
+        (a walk over the whole horizon) once per schedule object and
+        horizon: not once per trial, and not again when the same grid
+        runs a second time."""
+        walks = []
+
         class Unbounded(RandomSchedule):
             def max_read_back(self):
                 return None
 
-        passes = []
-        derive = CompiledSchedule.derived_max_read_back
+            def alpha(self, t):
+                if t == 200:             # only a walk reaches the horizon
+                    walks.append(t)
+                return super().alpha(t)
 
-        def counting(comp):
-            if comp._derived is None:
-                passes.append(comp)
-            return derive(comp)
-
-        monkeypatch.setattr(CompiledSchedule, "derived_max_read_back",
-                            counting)
         net = _hop(8)
         sched = Unbounded(net.n, seed=4, max_delay=3)
         starts = [random_state(net.algebra, net.n, random.Random(k))
@@ -366,10 +363,11 @@ class TestManagedResources:
         kwargs = {"parallel": {"workers": 2},
                   "remote": {"remote_workers": 2}}.get(rung, {})
         with RoutingSession(net, EngineSpec(rung, **kwargs)) as s:
-            grid = s.delta_grid([(sched, x) for x in starts],
-                                max_steps=200)
-        assert grid.resolution.chosen == rung and grid.all_converged
-        assert len(passes) == 1
+            for _ in range(2):
+                grid = s.delta_grid([(sched, x) for x in starts],
+                                    max_steps=200)
+                assert grid.resolution.chosen == rung and grid.all_converged
+        assert len(walks) == 1
 
     @pytest.mark.parametrize("rung", LADDER)
     def test_schedule_sized_for_another_network_is_refused(self, rung):
@@ -388,6 +386,18 @@ class TestManagedResources:
                 with pytest.raises(ValueError, match=sizes):
                     s.delta_grid([(sched, start)], max_steps=200)
             assert not s._engines      # nothing was built or run
+
+    def test_negative_round_budget_is_refused(self):
+        """σ and replay refuse a negative ``max_rounds`` before anything
+        runs, as δ refuses a negative ``max_steps``."""
+        net = _hop(8)
+        with RoutingSession(net) as s:
+            with pytest.raises(ValueError, match="max_rounds"):
+                s.sigma(max_rounds=-3)
+            with pytest.raises(ValueError, match="max_rounds"):
+                s.replay([], max_rounds=-1)
+            assert not s._engines      # nothing was built or run
+            assert s.sigma(max_rounds=0).rounds == 0
 
     @pytest.mark.parametrize("rung", LADDER)
     def test_step_budget_rules(self, rung, monkeypatch):
@@ -439,7 +449,7 @@ class TestManagedResources:
         with RoutingSession(net, EngineSpec("batched")) as s:
             a = s.delta(sched, start, max_steps=200)
             assert a.resolution.chosen == "batched"
-            assert np.dtype(s._engines["batched"]._batch_dtype) == \
+            assert np.dtype(s._engines["batched"]._topo.dtype) == \
                 np.dtype("int16")
         with RoutingSession(net, "incremental") as ref:
             b = ref.delta(sched, start, max_steps=200)
@@ -455,7 +465,7 @@ class TestManagedResources:
         with RoutingSession(net, EngineSpec("batched")) as s:
             a = s.delta(sched, start, max_steps=200)
             assert a.resolution.chosen == "batched"
-            assert np.dtype(s._engines["batched"]._batch_dtype).itemsize > 2
+            assert np.dtype(s._engines["batched"]._topo.dtype).itemsize > 2
         with RoutingSession(net, "incremental") as ref:
             b = ref.delta(sched, start, max_steps=200)
         assert a.converged and b.converged

@@ -435,3 +435,56 @@ class TestHypothesisDeltaEquivalence:
             nxt = sigma(net, state)
             assert eng.sigma(state).equals(nxt, net.algebra)
             state = nxt
+
+
+class TestFoldTiling:
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_tiled_fold_equals_the_single_tile_fold(self, data):
+        """Under a tiny tile budget :func:`delta_fold` cuts a step
+        between activations and gives an activation larger than a tile
+        a tile of its own; the result equals the one-tile fold, on 2-D
+        and 3-D rings, with table and affine extensions."""
+        from unittest import mock
+
+        import numpy as np
+
+        from repro.core import vectorized
+
+        rnd = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        size = data.draw(st.integers(2, 12))          # carrier codes
+        width = data.draw(st.integers(1, 6))
+        rows = data.draw(st.integers(1, 7))
+        degs = np.asarray(data.draw(st.lists(st.integers(1, 9), min_size=1,
+                                             max_size=10)))
+        edges = int(degs.sum())
+        n_edges = data.draw(st.integers(1, 12))       # snapshot edges
+        dtype = data.draw(st.sampled_from([np.int16, np.int32]))
+        starts = np.cumsum(degs) - degs
+        edge_flat = rnd.integers(0, n_edges, edges)
+        if data.draw(st.booleans(), label="3-D ring"):
+            slots = data.draw(st.integers(1, 4))
+            ring = rnd.integers(0, size, (slots, rows, width)).astype(dtype)
+            reads = (rnd.integers(0, slots, edges),
+                     rnd.integers(0, rows, edges))
+        else:
+            ring = rnd.integers(0, size, (rows, width)).astype(dtype)
+            reads = (rnd.integers(0, rows, edges),)
+        tables = rnd.integers(0, size, (n_edges, size)).astype(np.int32)
+        affine = None
+        if data.draw(st.booleans(), label="affine"):
+            w = rnd.integers(0, size, (n_edges, 1)).astype(dtype)
+            affine = (w, w + rnd.integers(0, size, (n_edges, 1)).astype(dtype))
+        # from under one edge's row (every activation is larger than a
+        # tile) to the whole step (a single tile)
+        tile = data.draw(st.integers(1, edges * width), label="tile")
+
+        def fold(budget):
+            with mock.patch.object(vectorized, "FOLD_TILE", budget):
+                return vectorized.delta_fold(ring, reads, edge_flat, starts,
+                                             tables, affine)
+
+        whole = fold(edges * width)
+        tiled = fold(tile)
+        assert tiled.dtype == whole.dtype
+        np.testing.assert_array_equal(tiled, whole)

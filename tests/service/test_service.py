@@ -294,6 +294,67 @@ class TestFailureSemantics:
             # ...and the very same connection still serves queries
             assert c.sigma(sid)["converged"] is True
 
+    @pytest.mark.parametrize("verb,field,bad", [
+        ("load", "n", "many"),
+        ("load", "seed", 1.5),
+        ("set_edge", "i", "zero"),
+        ("set_edge", "edge_seed", "nine"),
+        ("remove_edge", "k", None),
+        ("sigma", "max_rounds", "lots"),
+        ("sigma", "max_rounds", -3),
+        ("sigma", "start_seed", True),
+        ("routes", "node", "first"),
+        ("routes", "dest", 2.0),
+        ("routes", "max_rounds", -1),
+        ("delta", "max_steps", -1),
+        ("delta", "max_steps", [5]),
+        ("convergence", "n_starts", "three"),
+        ("convergence", "n_starts", -2),
+        ("convergence", "seed", {"s": 1}),
+        ("convergence", "max_steps", -5),
+    ])
+    def test_invalid_integer_field_is_a_bad_request(self, tmp_path, verb,
+                                                    field, bad):
+        """Every integer request field is parsed by one helper: a value
+        that is not a JSON integer, a missing required one, or a
+        negative round, step or start budget is ``bad-request`` — not
+        ``internal``, not ``engine-error``, never ``ok`` — the
+        connection stays open, and nothing is journalled or cached."""
+        d = RoutingServiceDaemon(host="127.0.0.1", port=0, max_sessions=4,
+                                 state_dir=tmp_path)
+        t = threading.Thread(target=d.run, daemon=True)
+        t.start()
+        try:
+            assert d.wait_ready(15), "daemon did not come up"
+            wal = tmp_path / "journal.wal"
+            with ServiceClient(port=d.port) as c:
+                sid = c.load("hop-count", n=8, topology="ring")["session"]
+                journalled = wal.stat().st_size
+                req = {"load": {"algebra": "hop-count", "n": 8},
+                       "set_edge": {"i": 0, "k": 3, "edge_seed": 1},
+                       "remove_edge": {"i": 0, "k": 1},
+                       "routes": {"dest": 1}}.get(verb, {})
+                req = dict(req, verb=verb, session=sid)
+                if bad is None:
+                    req.pop(field)
+                else:
+                    req[field] = bad
+                with pytest.raises(ServiceError) as exc:
+                    c.request(req)
+                assert exc.value.code == ERR_BAD_REQUEST, exc.value
+                assert repr(field) in exc.value.message
+                assert wal.stat().st_size == journalled
+                entry = d._sessions[sid]
+                assert not entry.cache and not entry.state_cache
+                assert entry.mutation_log == []
+                assert len(d._sessions) == 1
+                # ...and the very same connection still serves queries
+                assert c.sigma(sid)["converged"] is True
+        finally:
+            d.request_shutdown()
+            t.join(15)
+        assert not t.is_alive(), "daemon did not shut down"
+
     def test_bad_clients_do_not_kill_the_server(self, daemon):
         for frames in ([b"\x00\xff garbage\n"],
                        [(json.dumps({"verb": "hello", "v": 0}) +
@@ -323,9 +384,9 @@ class TestBitIdentity:
             sid = c.load(algebra, n=n, topology=topology,
                          seed=seed)["session"]
             served = c.sigma(sid, start_seed=11, include_state=True)
-        from repro.service.daemon import _build_network
+        from repro.cli import build_network
         from repro.service.protocol import start_state, state_matrix
-        network, _factory = _build_network(algebra, topology, n, seed)
+        network, _factory = build_network(algebra, topology, n, seed)
         with RoutingSession(network) as session:
             direct = session.sigma(start_state(network, 11))
         assert served["converged"] == direct.converged
@@ -340,8 +401,8 @@ class TestBitIdentity:
             sid = c.load("hop-count", n=n, topology="random",
                          seed=seed)["session"]
             served = c.delta(sid, schedule=spec, max_steps=600)
-        from repro.service.daemon import _build_network
-        network, _factory = _build_network("hop-count", "random", n, seed)
+        from repro.cli import build_network
+        network, _factory = build_network("hop-count", "random", n, seed)
         with RoutingSession(network) as session:
             direct = session.delta(schedule_from_spec(spec, n),
                                    max_steps=600)
@@ -363,8 +424,8 @@ class TestRoutesVerb:
                          seed=seed)["session"]
             by_dest = c.routes(sid, dest=3)
             by_node = c.routes(sid, node=5)
-        from repro.service.daemon import _build_network
-        network, _factory = _build_network("hop-count", "random", n, seed)
+        from repro.cli import build_network
+        network, _factory = build_network("hop-count", "random", n, seed)
         with RoutingSession(network) as session:
             direct = session.sigma()
         assert by_dest["routes"] == [str(r) for r in
@@ -462,8 +523,8 @@ class TestConvergenceVerb:
     def test_convergence_matches_direct_session_and_caches(self, daemon):
         n, seed = 10, 2
         knobs = dict(n_starts=2, seed=5, max_steps=800)
-        from repro.service.daemon import _build_network
-        network, factory = _build_network("hop-count", "random", n, seed)
+        from repro.cli import build_network
+        network, factory = build_network("hop-count", "random", n, seed)
 
         def direct():
             with RoutingSession(network) as session:

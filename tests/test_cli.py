@@ -10,6 +10,7 @@ class TestList:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "bgplite" in out and "ring" in out and "disagree" in out
+        assert "corpus:<name>" in out
 
 
 class TestVerify:
@@ -29,8 +30,22 @@ class TestVerify:
             main(["verify", "--algebra", "nonsense"])
 
     def test_unknown_topology_exits(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="corpus:<name>"):
             main(["verify", "--topology", "moebius"])
+
+    def test_corpus_topology(self, capsys):
+        """The CLI builds a network the way the daemon's ``load`` does,
+        corpus fixtures included; a wrong ``--n`` exits naming the
+        right one."""
+        from repro.scenarios.corpus import load_corpus_topology
+        n = load_corpus_topology("abilene").n
+        assert main(["verify", "--algebra", "hop-count", "--topology",
+                     "corpus:abilene", "--n", str(n), "--samples",
+                     "10"]) == 0
+        assert "Theorem 7" in capsys.readouterr().out
+        with pytest.raises(SystemExit, match=f"n={n}"):
+            main(["verify", "--topology", "corpus:abilene",
+                  "--n", str(n + 1)])
 
 
 class TestConverge:

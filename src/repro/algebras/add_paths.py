@@ -22,10 +22,10 @@ gives absolute convergence even when the base carrier is infinite.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Tuple
 
 from ..core.algebra import EdgeFunction, PathAlgebra, Route, RoutingAlgebra
-from ..core.paths import BOTTOM, can_extend, extend, is_simple, length
+from ..core.paths import BOTTOM, can_extend, extend, length
 
 
 class PathRouteEdge(EdgeFunction):

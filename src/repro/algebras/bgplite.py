@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 from typing import FrozenSet, Optional, Tuple
 
 from ..core.algebra import EdgeFunction, PathAlgebra, Route
-from ..core.paths import BOTTOM, can_extend, extend, length
+from ..core.paths import BOTTOM, can_extend, extend
 
 
 # ----------------------------------------------------------------------

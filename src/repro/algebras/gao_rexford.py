@@ -38,10 +38,10 @@ realistic customer-provider hierarchies.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..core.algebra import EdgeFunction, PathAlgebra, Route
-from ..core.paths import BOTTOM, can_extend, extend, length
+from ..core.paths import BOTTOM, can_extend, extend
 
 
 class Rel(IntEnum):

@@ -19,7 +19,7 @@ test-suite manufacture algebras with prescribed law profiles:
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator
 
 from ..core.algebra import EdgeFunction, Route, RoutingAlgebra
 

@@ -27,7 +27,7 @@ path and no policy can shorten it or lower ``lp``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..core.algebra import EdgeFunction, PathAlgebra, Route
 from ..core.paths import BOTTOM, can_extend

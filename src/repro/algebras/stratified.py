@@ -19,7 +19,7 @@ an embedding of stratified edge policies into BGPLite policies
 from __future__ import annotations
 
 import math
-from typing import Iterator, Tuple
+from typing import Iterator
 
 from ..core.algebra import EdgeFunction, Route
 from .base import KeyOrderedAlgebra

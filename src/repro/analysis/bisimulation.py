@@ -29,7 +29,7 @@ information" proviso, stated as a checkable condition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..core.algebra import Route
 from ..core.state import Network, RoutingState

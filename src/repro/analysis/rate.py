@@ -10,7 +10,7 @@ growth exponent by log-log least squares.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 

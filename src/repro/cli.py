@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import random
 import sys
 from typing import Callable, Dict, Optional, Tuple
 
@@ -30,7 +29,6 @@ from .algebras import (
     BoundedStratifiedAlgebra,
     GaoRexfordAlgebra,
     HopCountAlgebra,
-    MostReliableAlgebra,
     PrependingBGPAlgebra,
     QuantisedReliabilityAlgebra,
     ShortestPathsAlgebra,

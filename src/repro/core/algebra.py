@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, List, Sequence
 
 Route = Any
 """Routes are plain hashable Python values; each algebra picks its own type."""

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 #: structured fallback log lines land here — a child of the ``repro``

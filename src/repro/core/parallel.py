@@ -65,12 +65,13 @@ Cache discipline & cleanup
 --------------------------
 
 Topology mutations are handled by the same ``adjacency.version``
-contract as the vectorized engine: :meth:`ParallelVectorizedEngine.refresh`
-(called at the top of every public entry point) rebuilds the edge-table
-snapshot and **republishes** it — a fresh shared-memory segment plus a
-``reload`` command to every worker, acknowledged before the old segment
-is unlinked — so a mid-run ``set_edge`` / ``remove_edge`` can never
-leave a worker computing against stale tables.
+contract as the vectorized engine: the inherited ``refresh`` (called at
+the top of every public entry point) patches the edge-table snapshot
+into a new one, and the next round **republishes** it — a fresh
+shared-memory segment plus a ``reload`` command to every worker,
+acknowledged before the old segment is unlinked — so a mid-run
+``set_edge`` / ``remove_edge`` can never leave a worker computing
+against stale tables.
 
 A failed command — a worker that is gone, silent past the reply
 timeout, or relaying an exception — tears the pool down (every worker

@@ -32,7 +32,7 @@ here too.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 
 class _Bottom:

@@ -35,11 +35,10 @@ the object form (``alpha``/``beta`` answer identically) and a *derived*
 from __future__ import annotations
 
 import hashlib
-import itertools
 import weakref
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 import numpy as _np
 

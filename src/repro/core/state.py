@@ -15,7 +15,7 @@ networks in :mod:`repro.core.synchronous` / :mod:`repro.core.asynchronous`.
 
 from __future__ import annotations
 
-import copy
+from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import ConstantEdge, EdgeFunction, Route, RoutingAlgebra
@@ -69,6 +69,13 @@ class AdjacencyMatrix:
     The sorted edge view and the :class:`NetworkTopology` neighbour
     snapshot are cached and invalidated on mutation, so engines pay for
     neighbour derivation once per topology rather than once per call.
+
+    Every version bump also appends its arc, as the key ``i·n + k``, to
+    an *arc log* (:meth:`arcs_since`), so a derived snapshot can be
+    patched for what changed instead of rebuilt.  The log keeps the
+    latest bumps only, at most one per installed edge: it never
+    outgrows the matrix it describes, and a reader whose version it no
+    longer reaches back to rebuilds.
     """
 
     def __init__(self, n: int, algebra: RoutingAlgebra,
@@ -80,6 +87,8 @@ class AdjacencyMatrix:
         self._absent = ConstantEdge(algebra.invalid)
         self._edges: Dict[Tuple[int, int], EdgeFunction] = {}
         self._version = 0
+        self._log = array("q")      # arc i·n + k of each bump, oldest first
+        self._log_base = 0          # the version before log[0]'s bump
         self._sorted: Optional[List[Tuple[int, int]]] = None
         self._topology: Optional[NetworkTopology] = None
         if edges:
@@ -93,22 +102,37 @@ class AdjacencyMatrix:
         nothing, so it keeps the version)."""
         return self._version
 
-    def _invalidate(self) -> None:
+    def _invalidate(self, i: int, k: int) -> None:
         self._version += 1
         self._sorted = None
         self._topology = None
+        log = self._log
+        log.append(i * self.n + k)
+        extra = len(log) - len(self._edges)
+        if extra > 0:
+            del log[:extra]
+            self._log_base += extra
+
+    def arcs_since(self, version: int) -> Optional[array]:
+        """The arcs changed after ``version``: one key ``i·n + k`` per
+        version bump since, oldest first (an arc can repeat), or
+        ``None`` when the log no longer reaches back to ``version``."""
+        start = version - self._log_base
+        if not 0 <= start <= len(self._log):
+            return None
+        return self._log[start:]
 
     def set(self, i: int, k: int, fn: EdgeFunction) -> None:
         """Install edge function ``A[i][k] = fn`` (i imports from k)."""
         self._check(i, k)
         self._edges[(i, k)] = fn
-        self._invalidate()
+        self._invalidate(i, k)
 
     def remove(self, i: int, k: int) -> None:
         """Delete the edge ``(i, k)``; it reverts to the constant-∞̄ map."""
         self._check(i, k)
         if self._edges.pop((i, k), None) is not None:
-            self._invalidate()
+            self._invalidate(i, k)
 
     def __call__(self, i: int, k: int) -> EdgeFunction:
         """``A[i][k]``: the edge function, constant-∞̄ when absent."""

@@ -45,10 +45,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import PathAlgebra, Route, RoutingAlgebra
-from .paths import BOTTOM, enumerate_consistent_routes, length
+from .paths import enumerate_consistent_routes, length
 from .state import Network, RoutingState
 from .synchronous import sigma
 

@@ -13,9 +13,11 @@ just a proof device — it is an implementation opportunity: encode the
 
       σ(C)[i][j] = min_k  T_{ik}[ C[k][j] ]        (diag forced to 0)
 
-  evaluated for *all* edges and destinations at once with one fancy
-  gather ``T[edge, C[src]]`` and one ``np.minimum.reduceat`` over the
-  per-importer edge groups — no per-route Python calls at all.
+  evaluated for *all* edges and destinations at once — each importer
+  one activation of the δ kernel :func:`delta_fold`: gather ``C[src]``,
+  extend through the tables (or their exact clipped-shift view) and one
+  ``np.minimum.reduceat`` over the per-importer edge groups, in
+  cache-sized tiles — no per-route Python calls at all.
 
 Layered on the PR 1 dirty-set idea: entry ``(i, j)`` of σ(X) depends
 only on column ``j`` of ``X``, so columns are independent and a round
@@ -47,8 +49,8 @@ Every codes-rung primitive is written once, here:
   layout, with its one export/restore pair for worker processes and
   its activation edge layout (:meth:`TopologySnapshot.edges`);
 * :func:`sigma_block_round` — the column-block σ round (kernel
-  :func:`gather_min_reduce`, Lemma 1 diagonal, changed columns);
-* :func:`delta_fold` — the δ kernel.
+  :func:`delta_fold`, Lemma 1 diagonal, changed columns);
+* :func:`delta_fold` — the one kernel, of δ's steps and σ's rounds.
 
 This is the **vectorized** rung of the engine ladder.  The batched
 rung (:class:`BatchedVectorizedEngine`) is this rung under another
@@ -67,11 +69,15 @@ unsupported algebras (``no-finite-encoding``), while constructing
 :class:`~repro.core.algebra.UnsupportedAlgebraError` with the reason.
 
 Cache discipline: the snapshot is derived from the adjacency matrix and
-rebuilt whenever ``adjacency.version`` moves (checked by
+replaced whenever ``adjacency.version`` moves (checked by
 :meth:`VectorizedEngine.refresh` at the top of every public entry
 point), so mid-run ``set_edge`` / ``remove_edge`` can never leave a
 stale table behind — the vectorized mirror of the
-:class:`~repro.core.state.NetworkTopology` invalidation contract.
+:class:`~repro.core.state.NetworkTopology` invalidation contract.  The
+new snapshot is the old one patched for the arcs in the adjacency's
+arc log since its version, so a one-arc write costs at most one edge
+table and one O(E) merge; only construction, or a log that no longer
+reaches back that far, rebuilds every table.
 """
 
 from __future__ import annotations
@@ -124,9 +130,10 @@ class TopologySnapshot:
 
     Edges are grouped by importer, importers ascending: node ``i``'s
     in-edges are the run ``off[i] .. off[i] + deg[i]`` of ``src``
-    (exporter of each edge) and ``tables`` (its dense lookup table);
+    (exporter of each edge, ascending) and ``tables`` (its dense lookup
+    table), so edges are in the order of their arc key ``i·n + k``;
     ``importers`` / ``starts`` are the nodes with in-edges and where
-    their runs begin — the σ kernel's ``minimum.reduceat`` groups.
+    their runs begin — the σ round's ``minimum.reduceat`` groups.
     ``src``, ``tables`` and ``deg`` are the whole snapshot; the rest is
     derived from them, and :meth:`export` / :meth:`restore` carry it
     to the worker processes of the parallel and remote rungs.
@@ -144,7 +151,6 @@ class TopologySnapshot:
         self.off = np.cumsum(deg) - deg
         self.importers = np.nonzero(deg)[0]
         self.starts = self.off[self.importers]
-        self.erange = np.arange(src.size)[:, None]
 
     @property
     def dtype(self):
@@ -170,10 +176,33 @@ class TopologySnapshot:
         :func:`affine_view`), so the fast path is exact or unused —
         never approximate.  When it holds, the δ kernel's per-element
         table gather (a 2-D fancy index, the most expensive op in the δ
-        step) becomes two SIMD-friendly arithmetic ops.  Computed on
-        first use: σ-only workloads never pay for it.
+        step) becomes two SIMD-friendly arithmetic ops, in δ's steps and
+        σ's rounds alike.  Computed on first use, once per snapshot.
         """
         return affine_view(self.tables, self.dtype)
+
+    def patched(self, drop, keys, tables) -> "TopologySnapshot":
+        """A new snapshot: this one without the arcs ``drop`` and with
+        the arcs ``keys`` and their dense ``tables`` merged in.
+
+        Arcs are keyed ``i·n + k`` (``drop`` and ``keys`` sorted and
+        unique), the order of the flat edge layout, so the patch is one
+        merge by key of the kept rows and the new ones: O(E + Δ) array
+        work whatever the number Δ of changed arcs.  This snapshot is
+        left as it was — its holders (a worker rung's last publish)
+        compare snapshots by identity.
+        """
+        n = self.deg.size
+        old = np.repeat(np.arange(n), self.deg) * n + self.src
+        kept = np.flatnonzero(~np.isin(old, drop, assume_unique=True,
+                                       kind="sort"))
+        # the new layout, as rows of this snapshot's rows then the new
+        rows = np.insert(kept, np.searchsorted(old[kept], keys),
+                         old.size + np.arange(keys.size))
+        merged = np.concatenate((old, keys))[rows]
+        return TopologySnapshot(
+            merged % n, np.concatenate((self.tables, tables)).take(rows, 0),
+            np.bincount(merged // n, minlength=n))
 
     def edges(self, nodes):
         """The activation edge layout of ``nodes`` (each with in-edges):
@@ -198,22 +227,6 @@ class TopologySnapshot:
                    np.asarray(meta["deg"], dtype=np.intp))
 
 
-def gather_min_reduce(sub, topo: TopologySnapshot, invalid_code):
-    """The σ kernel: one gather/min-reduce over the columns of ``sub``.
-
-    ``sub`` is the (column-restricted) code matrix.  Returns the new
-    values with importer-less rows at ``invalid_code``; the Lemma-1
-    diagonal is :func:`sigma_block_round`'s (it depends on which
-    columns ``sub`` holds).
-    """
-    new = np.full(sub.shape, invalid_code, dtype=_DTYPE)
-    if topo.src.size:
-        extended = topo.tables[topo.erange, sub[topo.src]]
-        new[topo.importers] = np.minimum.reduceat(extended, topo.starts,
-                                                  axis=0)
-    return new
-
-
 def sigma_block_round(topo: TopologySnapshot, block, cols, lo: int,
                       trivial_code, invalid_code):
     """One σ round over columns ``cols`` of a column block: writes the
@@ -224,15 +237,24 @@ def sigma_block_round(topo: TopologySnapshot, block, cols, lo: int,
     matrix with ``lo = 0``) and ``cols`` are block-local.  Column
     independence (entry (i, j) of σ(X) reads only column j of X) makes
     the restricted recompute exact and the in-place write sound: no
-    column of the round reads another.  Single source of truth for the
-    round — the serial engine, every :mod:`repro.core.parallel` worker
-    and every :mod:`repro.core.remote` worker run exactly this code, so
-    the rungs can never drift apart.
+    column of the round reads another.  Every importer is one
+    activation of the δ kernel :func:`delta_fold` reading the round's
+    frozen input along all its in-edges; importer-less rows are
+    ``invalid_code``, and the Lemma-1 diagonal is set here.  Single
+    source of truth for the round — the serial engine, every
+    :mod:`repro.core.parallel` worker and every :mod:`repro.core.remote`
+    worker run exactly this code, so the rungs can never drift apart.
     """
+    if not cols.size:
+        return cols
     # a C-ordered copy (``block[:, cols]`` would be F-ordered, which
     # slows the kernel's row gather): the round's frozen input
     sub = block.take(cols, axis=1)
-    new = gather_min_reduce(sub, topo, invalid_code)
+    new = np.full(sub.shape, invalid_code, dtype=_DTYPE)
+    if topo.src.size:
+        new[topo.importers] = delta_fold(
+            sub, (topo.src,), np.arange(topo.src.size), topo.starts,
+            topo.tables, topo.affine)
     new[lo + cols, np.arange(cols.size)] = trivial_code  # Lemma 1
     block[:, cols] = new
     return cols[(new != sub).any(axis=0)]
@@ -255,9 +277,10 @@ def delta_fold(ring, reads, edge_flat, starts, tables, affine=None):
     :data:`FOLD_TILE` extension elements (a larger activation is a tile
     of its own): a stacked grid step can gather hundreds of thousands
     of in-edges, far more than any cache holds.  The result does not
-    depend on the tiling.  Single source of truth for δ — the engines'
-    compiled step, their σ probe and every :mod:`repro.core.remote`
-    worker run exactly this code.
+    depend on the tiling.  Single source of truth for δ and σ — the
+    engines' compiled step, their σ probe, :func:`sigma_block_round` and
+    every :mod:`repro.core.parallel` / :mod:`repro.core.remote` worker
+    run exactly this code.
     """
     width, total, acts = ring.shape[-1], edge_flat.size, starts.size
     rows = ring.reshape(-1, width)          # a view: rings are contiguous
@@ -310,9 +333,9 @@ class VectorizedEngine:
     """σ/δ over int-encoded routing states for one network.
 
     The engine keeps one :class:`TopologySnapshot` of the adjacency
-    matrix (``_topo``) and rebuilds it whenever ``adjacency.version``
-    moves.  States cross the boundary via :meth:`encode_state` /
-    :meth:`decode_state`.
+    matrix (``_topo``) and patches it whenever ``adjacency.version``
+    moves (:meth:`refresh`).  States cross the boundary via
+    :meth:`encode_state` / :meth:`decode_state`.
 
     δ has one loop, :meth:`delta_grid` (a single run is the grid of
     one trial), and every codes-based rung that runs δ in process
@@ -348,30 +371,46 @@ class VectorizedEngine:
     # ------------------------------------------------------------------
 
     def refresh(self) -> None:
-        """Rebuild the topology snapshot iff the adjacency matrix has
-        mutated."""
+        """Bring the topology snapshot up to ``adjacency.version``.
+
+        The arcs logged since the snapshot's version
+        (:meth:`~repro.core.state.AdjacencyMatrix.arcs_since`) are
+        patched into a new snapshot (:meth:`TopologySnapshot.patched`):
+        an edge table is built only for a changed arc that is present
+        now.  At construction, and when the log no longer reaches back
+        to the snapshot's version, every arc is patched into an empty
+        snapshot instead.
+        """
         adjacency = self.network.adjacency
         if self._version == adjacency.version:
             return
-        in_edges = adjacency.topology.in_edges
-        n = self.network.n
-        srcs: List[int] = []
-        tables: List[List[int]] = []
-        built = {}                       # id(fn) -> table, this snapshot only
-        for i in range(n):
-            for (k, fn) in in_edges[i]:
-                srcs.append(k)
+        n = self._n = self.network.n
+        arcs = (None if self._version is None
+                else adjacency.arcs_since(self._version))
+        if arcs is None:
+            topo = TopologySnapshot(
+                np.empty(0, dtype=np.intp),
+                np.empty((0, self.encoding.size), dtype=_DTYPE),
+                np.zeros(n, dtype=np.intp))
+            arcs = [i * n + k for (i, k) in adjacency.present_edges()]
+        else:
+            topo = self._topo
+        touched = np.unique(np.asarray(arcs, dtype=np.intp))
+        keys, tables = [], []
+        built = {}                       # id(fn) -> table, this patch only
+        for key in touched.tolist():
+            i, k = divmod(key, n)
+            if adjacency.has_edge(i, k):
+                fn = adjacency(i, k)
                 table = built.get(id(fn))
                 if table is None:
-                    table = self.encoding.edge_table(fn)
-                    built[id(fn)] = table
+                    table = built[id(fn)] = self.encoding.edge_table(fn)
+                keys.append(key)
                 tables.append(table)
-        self._n = n
-        self._topo = TopologySnapshot(
-            np.asarray(srcs, dtype=np.intp),
-            np.asarray(tables, dtype=_DTYPE) if srcs
-            else np.zeros((0, self.encoding.size), dtype=_DTYPE),
-            np.asarray([len(in_edges[i]) for i in range(n)], dtype=np.intp))
+        self._topo = topo.patched(
+            touched, np.asarray(keys, dtype=np.intp),
+            np.asarray(tables, dtype=_DTYPE).reshape(
+                len(keys), self.encoding.size))
         self._version = adjacency.version
 
     # ------------------------------------------------------------------
@@ -653,7 +692,7 @@ class VectorizedEngine:
         if has.any():
             edge_flat, starts = topo.edges(rows[has])
             out[has] = delta_fold(C, (topo.src[edge_flat],), edge_flat,
-                                  starts, topo.tables)
+                                  starts, topo.tables, topo.affine)
         out[np.arange(rows.size), rows] = self.trivial_code
         return out
 

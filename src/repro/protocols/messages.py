@@ -12,7 +12,6 @@ paper's convergence theorems cover real message-passing protocols.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..core.algebra import Route
 

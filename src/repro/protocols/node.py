@@ -15,8 +15,8 @@ its import policies — a single entry of σ evaluated against possibly
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from ..core.algebra import Route
 from ..core.state import Network

@@ -14,7 +14,7 @@ path-algebra edges, ...).
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import networkx as nx
 

@@ -25,10 +25,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.algebra import EdgeFunction, PathAlgebra, Route, RoutingAlgebra
-from ..core.paths import BOTTOM, can_extend, extend, is_simple, src
+from ..core.paths import BOTTOM, can_extend, extend, is_simple
 
 
 @dataclass

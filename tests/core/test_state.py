@@ -38,6 +38,31 @@ class TestAdjacencyMatrix:
         self.adj.set(0, 1, self.alg.edge(1))
         assert list(self.adj.present_edges()) == [(0, 1), (2, 0)]
 
+    def test_arc_log_records_one_key_per_version_bump(self):
+        self.adj.set(2, 0, self.alg.edge(1))
+        v = self.adj.version
+        self.adj.set(0, 1, self.alg.edge(1))
+        self.adj.set(0, 1, self.alg.edge(2))     # a re-set bumps too
+        self.adj.remove(1, 2)                    # absent: no bump, no entry
+        self.adj.set(1, 1, self.alg.edge(1))     # a self-loop is an arc
+        assert list(self.adj.arcs_since(v)) == [0 * 3 + 1, 0 * 3 + 1, 4]
+        assert list(self.adj.arcs_since(self.adj.version)) == []
+        assert self.adj.arcs_since(self.adj.version + 1) is None
+
+    def test_arc_log_is_bounded_by_the_edge_count(self):
+        self.adj.set(0, 1, self.alg.edge(1))
+        self.adj.set(1, 0, self.alg.edge(1))
+        v = self.adj.version
+        for w in range(2, 6):                    # four bumps, two edges
+            self.adj.set(0, 1, self.alg.edge(w))
+        assert len(self.adj.arcs_since(self.adj.version - 2)) == 2
+        assert self.adj.arcs_since(self.adj.version - 3) is None
+        assert self.adj.arcs_since(v) is None
+        self.adj.remove(0, 1)
+        self.adj.remove(1, 0)                    # no edges: an empty log
+        assert list(self.adj.arcs_since(self.adj.version)) == []
+        assert self.adj.arcs_since(self.adj.version - 1) is None
+
     def test_needs_positive_n(self):
         with pytest.raises(ValueError):
             AdjacencyMatrix(0, self.alg)

@@ -488,3 +488,224 @@ class TestFoldTiling:
         tiled = fold(tile)
         assert tiled.dtype == whole.dtype
         np.testing.assert_array_equal(tiled, whole)
+
+
+# ----------------------------------------------------------------------
+# The arc-log patch: a patched snapshot is the rebuild, at O(Δ) cost
+# ----------------------------------------------------------------------
+
+
+def assert_same_snapshot(mine, ref):
+    """Field for field, dtypes included: what the patch must reproduce."""
+    import numpy as np
+
+    for name in ("src", "tables", "deg", "off", "importers", "starts"):
+        a, b = getattr(mine, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    if ref.affine is None:
+        assert mine.affine is None
+    else:
+        assert mine.affine is not None
+        for a, b in zip(mine.affine, ref.affine):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
+class TestArcLogPatch:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_patched_snapshot_equals_the_rebuild(self, data):
+        """Random bursts of set/remove writes — re-sets of present arcs,
+        removals of absent ones (no version bump), self-loops, clipped
+        shift and arbitrary tables — with engines joining at different
+        versions and refreshing at random points: every refreshed
+        snapshot is a new object equal to a from-scratch rebuild, and a
+        burst longer than the log falls back to that rebuild."""
+        import numpy as np
+
+        levels = data.draw(st.integers(2, 5), label="levels")
+        n = data.draw(st.integers(1, 5), label="n")
+        alg = FiniteLevelAlgebra(levels)
+        arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+
+        def edge():
+            if data.draw(st.booleans(), label="clipped shift"):
+                w = data.draw(st.integers(0, levels))
+                table = [min(x + w, levels) for x in range(levels)]
+            else:
+                table = data.draw(st.lists(st.integers(0, levels),
+                                           min_size=levels,
+                                           max_size=levels))
+            return alg.table_edge(table + [levels])
+
+        net = Network(alg, n, name="patch-oracle")
+        adj = net.adjacency
+        for (i, k) in data.draw(st.lists(arc, unique=True), label="arcs"):
+            net.set_edge(i, k, edge())
+        engines = [VectorizedEngine(net)]
+        for _burst in range(3):
+            for _ in range(data.draw(st.integers(0, 8), label="writes")):
+                i, k = data.draw(arc)
+                if data.draw(st.booleans(), label="remove"):
+                    net.remove_edge(i, k)
+                else:
+                    net.set_edge(i, k, edge())
+            if data.draw(st.booleans(), label="outrun the log"):
+                fn = edge()
+                for _ in range(n * n + 1):      # more bumps than arcs
+                    net.set_edge(0, 0, fn)
+                for eng in engines:
+                    assert adj.arcs_since(eng._version) is None
+            ref = VectorizedEngine(net)._topo
+            for eng in engines:
+                if not data.draw(st.booleans(), label="refresh now"):
+                    continue
+                old, moved = eng._topo, eng._version != adj.version
+                kept = {f: getattr(old, f).copy()
+                        for f in ("src", "tables", "deg")}
+                eng.refresh()
+                assert_same_snapshot(eng._topo, ref)
+                assert (eng._topo is not old) == moved
+                for f, before in kept.items():      # the old one untouched
+                    np.testing.assert_array_equal(getattr(old, f), before)
+            engines.append(VectorizedEngine(net))
+        ref = VectorizedEngine(net)._topo
+        for eng in engines:
+            eng.refresh()
+            assert eng._version == adj.version
+            assert_same_snapshot(eng._topo, ref)
+
+    def test_a_write_costs_its_own_arc(self, monkeypatch):
+        """O(Δ) as an exact count: after a one-arc ``set_edge`` the
+        refresh builds one edge table, after a ``remove_edge`` none, and
+        neither the refresh nor the σ run after it builds a
+        ``NetworkTopology``."""
+        from repro.algebras.base import AlgebraEncoding
+        from repro.core import state as state_module
+
+        net = _hop_net(12, p=0.4, seed=1)
+        alg = net.algebra
+        eng = VectorizedEngine(net)
+        start = RoutingState.identity(alg, net.n)
+        calls = {"edge_table": 0, "topology": 0}
+        edge_table = AlgebraEncoding.edge_table
+        topology_init = state_module.NetworkTopology.__init__
+
+        def counted_table(self, fn):
+            calls["edge_table"] += 1
+            return edge_table(self, fn)
+
+        def counted_topology(self, adjacency):
+            calls["topology"] += 1
+            topology_init(self, adjacency)
+
+        monkeypatch.setattr(AlgebraEncoding, "edge_table", counted_table)
+        monkeypatch.setattr(state_module.NetworkTopology, "__init__",
+                            counted_topology)
+        i, k = next(iter(net.present_edges()))
+        absent = next((a, b) for a in range(net.n) for b in range(net.n)
+                      if a != b and not net.adjacency.has_edge(a, b))
+        for write, tables in (
+                (lambda: net.set_edge(i, k, alg.edge(2)), 1),   # re-set
+                (lambda: net.remove_edge(i, k), 0),
+                (lambda: net.set_edge(*absent, alg.edge(3)), 1),  # new arc
+                (lambda: net.remove_edge(*absent), 0)):
+            calls.update(edge_table=0, topology=0)
+            write()
+            eng.refresh()
+            assert calls == {"edge_table": tables, "topology": 0}
+            iterate_sigma_vectorized(net, start, engine=eng)
+            assert calls == {"edge_table": tables, "topology": 0}
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(EngineSpec("parallel", workers=2),
+                     marks=pytest.mark.parallel, id="parallel"),
+        pytest.param(EngineSpec("remote", remote_workers=2), id="remote"),
+    ])
+    def test_worker_rungs_follow_a_burst_of_writes(self, spec):
+        """A pool and a loopback TCP session solve each write burst's
+        topology from their republished (patched) snapshot, bit-identical
+        to naive."""
+        net = _hop_net(10, p=0.4, seed=7)
+        alg = net.algebra
+        rng = random.Random(3)
+        start = RoutingState.identity(alg, net.n)
+        with RoutingSession(net, spec) as session:
+            session.sigma(start)
+            for _burst in range(3):
+                for _ in range(6):
+                    i, k = rng.randrange(net.n), rng.randrange(net.n)
+                    if rng.random() < 0.4:
+                        net.remove_edge(i, k)
+                    else:
+                        net.set_edge(i, k, alg.edge(rng.randint(1, 3)))
+                got = session.sigma(start)
+                ref = RoutingSession(net, "naive").sigma(start)
+                assert got.resolution.chosen == spec.engine
+                assert (got.converged, got.rounds, got.churn) == \
+                    (ref.converged, ref.rounds, ref.churn)
+                assert got.state == ref.state
+
+
+# ----------------------------------------------------------------------
+# σ on the δ kernel
+# ----------------------------------------------------------------------
+
+
+class TestSigmaOnTheFold:
+    def test_empty_column_set_is_no_change(self):
+        """A shard with no dirty column (a pool or TCP worker late in a
+        run) gets an empty ``cols``: no change, block as it was."""
+        import numpy as np
+
+        from repro.core.vectorized import sigma_block_round
+
+        net = _hop_net(8, p=0.4, seed=2)
+        eng = VectorizedEngine(net)
+        C = eng.encode_state(RoutingState.identity(net.algebra, net.n))
+        before = C.copy()
+        changed = sigma_block_round(eng._topo, C[:, 3:6],
+                                    np.empty(0, dtype=np.intp), 3,
+                                    eng.trivial_code, eng.invalid_code)
+        assert changed.size == 0
+        np.testing.assert_array_equal(C, before)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_sigma_across_tiles_equals_naive(self, data):
+        """σ rounds under a tiny :data:`FOLD_TILE`, so each round spans
+        many tiles, on the clipped-shift path (hop count) and the table
+        path (bounded stratified): every round and the whole run equal
+        naive."""
+        from unittest import mock
+
+        import numpy as np
+
+        from repro.cli import build_network
+        from repro.core import sigma, vectorized
+
+        algebra = data.draw(st.sampled_from(["hop-count",
+                                             "stratified-bounded"]))
+        n = data.draw(st.integers(2, 9), label="n")
+        net, _factory = build_network(algebra, "random", n,
+                                      data.draw(st.integers(0, 99)))
+        eng = VectorizedEngine(net)
+        if eng._topo.src.size:
+            assert (eng._topo.affine is not None) == (algebra == "hop-count")
+        rnd = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        state = eng.decode_state(
+            rnd.integers(0, eng.encoding.size, (n, n)).astype(np.int32))
+        tile = data.draw(st.integers(1, 4 * n), label="tile")
+        with mock.patch.object(vectorized, "FOLD_TILE", tile):
+            X = state
+            for _ in range(4):
+                nxt = sigma(net, X)
+                assert eng.sigma(X).equals(nxt, net.algebra)
+                X = nxt
+            got = RoutingSession(net, "vectorized").sigma(state,
+                                                          max_rounds=200)
+        ref = RoutingSession(net, "naive").sigma(state, max_rounds=200)
+        assert (got.converged, got.rounds, got.churn) == \
+            (ref.converged, ref.rounds, ref.churn)
+        assert got.state == ref.state

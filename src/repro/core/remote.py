@@ -22,9 +22,10 @@ contiguous block of destination columns, and drives two protocols —
 * **δ**: the loop is the vectorized rung's
   :meth:`~repro.core.vectorized.VectorizedEngine.delta_grid`; this
   engine supplies its hooks.  A window is one command of up to
-  :data:`DELTA_WINDOW` steps read off the compiled schedule (α bitmask
-  rows, β read times over each active node's in-neighbours); the
-  workers fold every step with the shared δ kernel
+  :data:`DELTA_WINDOW` steps read off the compiled schedule: a JSON
+  head of step sizes, and a binary tail of every step's active nodes
+  and then its read-backs ``t − β`` over their in-edges, in narrow
+  dtypes; the workers fold every step with the shared δ kernel
   (:func:`~repro.core.vectorized.delta_fold`) against local history
   rings and reply per-step changed flags, and the state at a step is
   *fetched* (delta-encoded against the last fetch) — so convergence
@@ -113,6 +114,7 @@ from .wire import (
     WireFormatError,
     WireStats,
     WireVersionError,
+    carrier_dtype,
     decode_chain,
     decode_update,
     encode_chain,
@@ -120,6 +122,7 @@ from .wire import (
     naive_update_bytes,
     pack_payload,
     unpack_payload,
+    wire_dtype,
 )
 
 __all__ = [
@@ -359,39 +362,90 @@ def _shard_ckpt(state: _ShardState, t: int, depth: int) -> Tuple[List[int],
     return ts, tail
 
 
-def _shard_delta_steps(state: _ShardState, steps: Sequence) -> List[bool]:
+def _read_delta_window(state: _ShardState, head: dict, tail: bytes):
+    """``(t, active counts, read-back counts, nodes, ring slots read)``
+    of one :data:`~repro.core.wire.MSG_DELTA_STEPS` window, checked
+    against itself and the snapshot: a tail whose length disagrees with
+    the head, a node outside ``0 … n − 1``, a step whose read-back
+    count is not its nodes' in-degree sum, or a read-back outside
+    ``1 … min(t, W − 1)`` raises :class:`~repro.core.wire.WireFormatError`
+    before any step is folded."""
+    steps = np.asarray(head["steps"], dtype=np.int64).reshape(-1, 3)
+    ts, k, e = steps.T
+    node_dt, back_dt = (wire_dtype(name) for name in head["dtypes"])
+    size = int(k.sum()) * node_dt.itemsize + int(e.sum()) * back_dt.itemsize
+    if (steps[:, 1:] < 0).any() or len(tail) != size:
+        raise WireFormatError(
+            f"δ window tail is {len(tail)} bytes; its head names "
+            f"{k.tolist()} active nodes and {e.tolist()} read-backs")
+    nodes = np.frombuffer(tail, dtype=node_dt, count=int(k.sum()))
+    back = np.frombuffer(tail, dtype=back_dt, count=int(e.sum()),
+                         offset=nodes.nbytes).astype(np.int64)
+    nodes = nodes.astype(np.intp)
+    if nodes.size and nodes.max() >= state.n:
+        raise WireFormatError(
+            f"δ window activates node {int(nodes.max())} of {state.n}")
+    ends = np.cumsum(np.concatenate(([0], state.topo.deg[nodes])))
+    degrees = ends[np.cumsum(k)] - ends[np.cumsum(k) - k]
+    wrong = np.flatnonzero(degrees != e)
+    if wrong.size:
+        s = wrong[0]
+        raise WireFormatError(
+            f"δ window step t={ts[s]} carries {e[s]} read-backs for "
+            f"active in-degree {degrees[s]}")
+    t_edge = np.repeat(ts, e)
+    wrong = np.flatnonzero((back < 1)
+                           | (back > np.minimum(t_edge, state.window - 1)))
+    if wrong.size:
+        s = wrong[0]
+        raise WireFormatError(
+            f"δ window step t={t_edge[s]} reads back {back[s]} steps, "
+            f"outside 1 … min(t, {state.window - 1})")
+    return ts, k, e, nodes, (t_edge - back) % state.window
+
+
+def _shard_delta_steps(state: _ShardState, head: dict,
+                       tail: bytes) -> List[bool]:
     """One window of δ steps on the local ``(W, n, width)`` ring.
 
-    ``steps`` is ``[(t, acts)]`` for consecutive times, each ``acts``
-    being ``[(i, read_times)]`` for every active node (ascending), with
-    ``read_times`` aligned to node ``i``'s in-edge order in the
-    snapshot.  Each step folds all its activations in one call of the
-    shared δ kernel (:func:`~repro.core.vectorized.delta_fold`),
-    restricted to the block's columns.
+    ``head["steps"]`` is ``[[t, active count, edge count]]`` for
+    consecutive times; ``tail`` holds every step's active nodes
+    (ascending), then every step's read-backs ``t − β`` over those
+    nodes' in-edges in snapshot order, in the dtypes ``head["dtypes"]``
+    names (:func:`_read_delta_window` checks them).  Each step folds
+    all its activations in one call of the shared δ kernel
+    (:func:`~repro.core.vectorized.delta_fold`), restricted to the
+    block's columns; the window's edge layout and ring slots are
+    computed once, as arrays.
     """
     if state.ring is None:
         raise RemoteError("delta steps before delta init")
     ring, W, topo = state.ring, state.window, state.topo
+    ts, k, e, nodes, slot = _read_delta_window(state, head, tail)
+    has = topo.deg[nodes] > 0
+    edge_flat, starts = topo.edges(nodes[has])
+    src = topo.src[edge_flat]
+    node_at = np.cumsum(k) - k
+    edge_at = np.cumsum(e) - e
+    has_at = np.cumsum(np.concatenate(([0], has)))
     flags: List[bool] = []
-    for t, acts in steps:
-        t = int(t)
+    for s, t in enumerate(ts.tolist()):
+        a0, a1 = node_at[s], node_at[s] + k[s]
+        e0, e1 = edge_at[s], edge_at[s] + e[s]
+        step = nodes[a0:a1]
         prev, nxt = ring[(t - 1) % W], ring[t % W]
         nxt[:] = prev
-        nodes = np.asarray([i for i, _times in acts], dtype=np.intp)
-        rows = np.full((nodes.size, state.width), state.invalid,
+        rows = np.full((step.size, state.width), state.invalid,
                        dtype=ring.dtype)
-        has = topo.deg[nodes] > 0
-        if has.any():
-            edge_flat, starts = topo.edges(nodes[has])
-            slot = np.asarray([s for _i, times in acts for s in times],
-                              dtype=np.intp)
-            rows[has] = delta_fold(ring, (slot % W, topo.src[edge_flat]),
-                                   edge_flat, starts, topo.tables,
-                                   topo.affine)
-        own = np.nonzero((nodes >= state.lo) & (nodes < state.hi))[0]
-        rows[own, nodes[own] - state.lo] = state.trivial
-        flags.append(bool((rows != prev[nodes]).any()))
-        nxt[nodes] = rows
+        if e1 > e0:
+            rows[has[a0:a1]] = delta_fold(
+                ring, (slot[e0:e1], src[e0:e1]), edge_flat[e0:e1],
+                starts[has_at[a0]:has_at[a1]] - e0, topo.tables,
+                topo.affine)
+        own = np.nonzero((step >= state.lo) & (step < state.hi))[0]
+        rows[own, step[own] - state.lo] = state.trivial
+        flags.append(bool((rows != prev[step]).any()))
+        nxt[step] = rows
     return flags
 
 
@@ -425,8 +479,8 @@ def _dispatch(state: _ShardState, msg_type: int,
         _shard_delta_init(state, obj, blob)
         return MSG_ACK, b""
     if msg_type == MSG_DELTA_STEPS:
-        obj, _tail = unpack_payload(payload)
-        flags = _shard_delta_steps(state, obj["steps"])
+        obj, tail = unpack_payload(payload)
+        flags = _shard_delta_steps(state, obj, tail)
         return MSG_FLAGS, pack_payload({"flags": flags})
     if msg_type == MSG_FETCH:
         obj, _tail = unpack_payload(payload)
@@ -921,9 +975,11 @@ class RemoteVectorizedEngine(VectorizedEngine):
         self._bump(commands=1)
         self._sync_bytes()
 
-    def _broadcast(self, msg_type: int, head: dict) -> None:
-        """Send every shard the same command (a JSON head, no tail)."""
-        payload = pack_payload(head)
+    def _broadcast(self, msg_type: int, head: dict,
+                   tail: bytes = b"") -> None:
+        """Send every shard the same command (a JSON head and a binary
+        tail)."""
+        payload = pack_payload(head, tail)
         for idx in range(len(self._blocks)):
             self._send(idx, msg_type, payload)
 
@@ -1332,47 +1388,56 @@ class RemoteVectorizedEngine(VectorizedEngine):
         self.delta_ipc_commands = 0
         self.delta_ipc_steps = 0
         return {"scheds": scheds, "windows": windows, "mirror": mirror,
-                "shipped": 0}, t, unchanged
+                "W": W, "shipped": 0}, t, unchanged
 
     def _delta_window(self, run, t: int, count: int, live, unchanged,
                       sigma_ok, const_ok):
         """One :data:`~repro.core.wire.MSG_DELTA_STEPS` command of at
         most ``count`` steps from ``t``, yielding each step's changed
-        flag.  The window is cut before the first step that reads
-        outside the ring (the loop raises only if it gets there); a
-        reply that is not one boolean per step is a ``format`` fault.
-        Once the loop has drawn every flag, every
-        :data:`DELTA_CKPT_EVERY`-th whole window ends in a checkpoint.
-        No row is certified, so the loop probes the whole fetched state.
+        flag.  The command's head is each step's ``[t, active count,
+        edge count]`` and the names of the tail's two dtypes; its tail
+        is every step's active nodes, then every step's read-backs
+        ``t − β`` (the cached segments of :meth:`_slot_segment`), each in
+        the narrowest dtype that holds ``n − 1`` or the ring window
+        (:func:`~repro.core.wire.carrier_dtype`).  The window is cut
+        before the first step that reads outside the ring (the loop
+        raises only if it gets there); a reply that is not one boolean
+        per step is a ``format`` fault.  Once the loop has drawn every
+        flag, every :data:`DELTA_CKPT_EVERY`-th whole window ends in a
+        checkpoint.  No row is certified, so the loop probes the whole
+        fetched state.
         """
-        comp, deg = run["scheds"][0], self._topo.deg
-        steps = []
+        comp = run["scheds"][0]
+        ts, nodes, backs = [], [], []
         whole = True
         for s in range(t, t + min(DELTA_WINDOW, count)):
             if s > t and self._step_reads(run["scheds"], run["windows"],
                                           live, s)[2] is not None:
                 whole = False
                 break
-            nodes = np.nonzero(comp.alpha_mask(s))[0]
-            # every active node's in-edge read times, in snapshot edge
-            # order (degree-0 nodes contribute none)
-            times = np.split(self._slot_segment(comp, s),
-                             np.cumsum(deg[nodes])[:-1])
-            steps.append((s, [(i, r.tolist()) for i, r in
-                              zip(nodes.tolist(), times)]))
-        self._broadcast(MSG_DELTA_STEPS, {"steps": steps})
+            ts.append(s)
+            nodes.append(np.nonzero(comp.alpha_mask(s))[0])
+            backs.append(s - self._slot_segment(comp, s))
+        node_dt = carrier_dtype(self._n)
+        back_dt = carrier_dtype(run["W"] + 1)
+        self._broadcast(MSG_DELTA_STEPS, {
+            "steps": [[s, a.size, b.size]
+                      for s, a, b in zip(ts, nodes, backs)],
+            "dtypes": [node_dt.str, back_dt.str],
+        }, np.concatenate(nodes).astype(node_dt).tobytes()
+            + np.concatenate(backs).astype(back_dt).tobytes())
         self.delta_ipc_commands += 1
-        self.delta_ipc_steps += len(steps)
-        changed = np.zeros((len(steps), 1), dtype=bool)
+        self.delta_ipc_steps += len(ts)
+        changed = np.zeros((len(ts), 1), dtype=bool)
         for idx in range(len(self._blocks)):
             obj, _tail = self._expect(idx, MSG_FLAGS)
             try:
                 flags = obj["flags"]
-                if len(flags) != len(steps) or \
+                if len(flags) != len(ts) or \
                         not all(isinstance(f, bool) for f in flags):
                     raise WireFormatError(
                         f"shard {idx} replied {flags!r:.80} for a "
-                        f"{len(steps)}-step window, not one flag per step")
+                        f"{len(ts)}-step window, not one flag per step")
             except (WireError, LookupError, TypeError) as exc:
                 raise _ShardFault(idx, exc, kind="format") from exc
             changed[:, 0] |= flags
@@ -1381,7 +1446,7 @@ class RemoteVectorizedEngine(VectorizedEngine):
         run["shipped"] += 1
         if whole and DELTA_CKPT_EVERY > 0 and self._retries_left > 0 \
                 and run["shipped"] % DELTA_CKPT_EVERY == 0:
-            self._capture_delta_ckpt(run["mirror"], steps[-1][0],
+            self._capture_delta_ckpt(run["mirror"], ts[-1],
                                      int(run["windows"][0]),
                                      int(unchanged[0]))
 

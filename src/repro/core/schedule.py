@@ -26,10 +26,12 @@ reproducible and β can be re-queried at will.
 :class:`CompiledSchedule` is the bridge between this object model and
 the array engines (the compiled δ step of :mod:`repro.core.vectorized`
 and the :mod:`repro.core.remote` coordinator): it precompiles any
-schedule over a finite horizon into per-step activation bitmask rows
-and per-active-node β read-time arrays, with an equivalence contract to
-the object form (``alpha``/``beta`` answer identically) and a *derived*
-``max_read_back`` for schedules that declare none.
+schedule over a finite horizon into per-step activation bitmask rows,
+hands over a whole step's β read times over given in-edges in one call
+(:meth:`Schedule.beta_times_for`, the protocol's bulk hook), keeps an
+equivalence contract to the object form (``alpha``/``beta`` answer
+identically) and *derives* ``max_read_back`` for schedules that
+declare none.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ _MASK64 = (1 << 64) - 1
 _SM_LANES: Dict[int, "object"] = {}
 _U30, _U27, _U31 = _np.uint64(30), _np.uint64(27), _np.uint64(31)
 _UM1, _UM2 = _np.uint64(_SM_MUL1), _np.uint64(_SM_MUL2)
+_U1, _UG = _np.uint64(1), _np.uint64(_SM_GAMMA)
 
 
 def _splitmix_row(base: int, count: int):
@@ -83,10 +86,13 @@ def _splitmix_row(base: int, count: int):
     """
     lanes = _SM_LANES.get(count)
     if lanes is None:
-        lanes = _np.arange(1, count + 1,
-                           dtype=_np.uint64) * _np.uint64(_SM_GAMMA)
+        lanes = _np.arange(1, count + 1, dtype=_np.uint64) * _UG
         _SM_LANES[count] = lanes
-    z = _np.uint64(base & _MASK64) + lanes
+    return _splitmix(_np.uint64(base & _MASK64) + lanes)
+
+
+def _splitmix(z):
+    """The splitmix64 finalizer over a uint64 array of lane states."""
     z = (z ^ (z >> _U30)) * _UM1
     z = (z ^ (z >> _U27)) * _UM2
     return z ^ (z >> _U31)
@@ -148,18 +154,43 @@ class Schedule(ABC):
     def beta_row(self, t: int, i: int) -> List[int]:
         """All of node ``i``'s read times at ``t``: ``[β(t,i,j) for j]``.
 
-        The bulk form the schedule compiler and the array engines
-        consume.  Uniform-β schedules (:meth:`beta_uniform`) answer
-        with one constant fill — a single point of truth, so the fast
-        paths that consult ``beta_uniform`` directly can never drift
-        from the row form; everything else queries :meth:`beta` per
-        source.
+        The row form: what the base bulk hook (:meth:`beta_times_for`)
+        gathers from.  Uniform-β schedules (:meth:`beta_uniform`)
+        answer with one constant fill — a single point of truth, so the
+        fast paths that consult ``beta_uniform`` directly can never
+        drift from the row form; everything else queries :meth:`beta`
+        per source.
         """
         uniform = self.beta_uniform(t)
         if uniform is not None:
             return [uniform] * self.n
         beta = self.beta
         return [beta(t, i, j) for j in range(self.n)]
+
+    def beta_times_for(self, t: int, nodes, sources, counts):
+        """Step ``t``'s read times over given in-edges, as one int64
+        array: the bulk hook the array engines call once per step.
+
+        ``nodes`` are active nodes, ``counts[k]`` the number of in-edges
+        of ``nodes[k]``, and ``sources`` the exporters of those edges,
+        node by node (so ``counts`` sums to ``len(sources)``); entry
+        ``e`` is ``β(t, i, sources[e])`` for the node ``i`` edge ``e``
+        belongs to.  A uniform-β step is one constant fill
+        (:meth:`beta_uniform`); otherwise the base answer gathers from
+        each node's :meth:`beta_row`, so a schedule that defines only
+        ``alpha``/``beta`` answers here too.
+        """
+        sources = _np.asarray(sources, dtype=_np.intp)
+        uniform = self.beta_uniform(t)
+        if uniform is not None:
+            return _np.full(sources.size, uniform, dtype=_np.int64)
+        counts = _np.asarray(counts, dtype=_np.intp)
+        read = counts > 0
+        rows = _np.array([self.beta_row(t, i)
+                          for i in _np.asarray(nodes)[read].tolist()],
+                         dtype=_np.int64).reshape(-1, self.n)
+        return rows[_np.repeat(_np.arange(rows.shape[0]), counts[read]),
+                    sources]
 
     def beta_uniform(self, t: int) -> Optional[int]:
         """The common read time at ``t`` when β is independent of
@@ -327,14 +358,16 @@ class RandomSchedule(Schedule):
     last few distinct ``t`` values are cached (:class:`_PerStepMemo`)
     — so a whole row of schedule decisions costs one hash plus array
     ops, and the strict δ recursion's ``n``-fold redundant β queries
-    hit the memo.  The schedule stays a deterministic pure function of
-    its seed — but note the row-hash rework (PR 4) changed *which*
-    schedule each seed denotes relative to the earlier per-(t, i, j)
-    blake2b draws: experiments pinned to old seeds sample a different
-    (equally admissible) schedule, and `BENCH_core.json` was
-    regenerated accordingly.  :data:`SCHEDULE_SEED_VERSION` records
-    that semantic break so recorded experiments can name which mapping
-    their seeds assume.
+    hit the memo.  The array engines build no rows at all: the bulk
+    hook :meth:`beta_times_for` draws exactly the lanes of a step's
+    in-edges, the same values.  The schedule stays a deterministic
+    pure function of its seed — but note the row-hash rework (seed
+    version 2) changed *which* schedule each seed denotes relative to
+    the earlier per-(t, i, j) blake2b draws: experiments pinned to old
+    seeds sample a different (equally admissible) schedule, and
+    `BENCH_core.json` was regenerated accordingly.
+    :data:`SCHEDULE_SEED_VERSION` records that semantic break so
+    recorded experiments can name which mapping their seeds assume.
     """
 
     #: version of the seed → schedule mapping.  1 = the original
@@ -394,10 +427,25 @@ class RandomSchedule(Schedule):
     def beta_row(self, t: int, i: int) -> List[int]:
         return _np.maximum(0, t - self._delay_row(t, i)).tolist()
 
-    def beta_row_array(self, t: int, i: int):
-        """``beta_row`` as an int64 ndarray, no list round-trip (the
-        compiled hot path; values identical to :meth:`beta_row`)."""
-        return _np.maximum(0, t - self._delay_row(t, i))
+    def beta_times_for(self, t: int, nodes, sources, counts):
+        """The bulk hook as one edge-wise splitmix.
+
+        Lane ``j`` of row ``(t, i)`` is ``splitmix(h(t, i) + (j + 1)·γ)``
+        (:func:`_splitmix_row`), so a whole step is every node's row
+        hash repeated over its in-edges plus ``(sources + 1)·γ``, put
+        through the finalizer: the draws of :meth:`beta_row` without
+        building a row.  The row hashes are :func:`_hash_int`'s digests,
+        byte for byte, built from one per-step prefix.
+        """
+        prefix = f"{self.seed}:delay:{t}:"
+        blake2b = hashlib.blake2b
+        bases = _np.frombuffer(b"".join(
+            [blake2b(f"{prefix}{i}".encode(), digest_size=8).digest()
+             for i in _np.asarray(nodes).tolist()]), dtype=">u8")
+        z = _np.repeat(bases.astype(_np.uint64), counts) + \
+            (_np.asarray(sources, dtype=_np.uint64) + _U1) * _UG
+        draws = _splitmix(z) % _np.uint64(self.max_delay)
+        return _np.maximum(0, t - 1 - draws.astype(_np.int64))
 
     def __repr__(self) -> str:
         return (f"RandomSchedule(n={self.n}, seed={self.seed}, "
@@ -443,17 +491,19 @@ class CompiledSchedule(Schedule):
     """A dense, precompiled form of any schedule over a finite horizon.
 
     The object model answers ``alpha``/``beta`` one query at a time,
-    which is exactly what throttles the array engines: a batched δ step
-    wants node ``i``'s activation bit and its whole β read-time row as
-    arrays, for many trials at once.  ``CompiledSchedule`` materialises,
+    which is exactly what throttles the array engines: a δ step wants
+    the activation bits and the read times of every active in-edge as
+    arrays, for many trials at once.  ``CompiledSchedule`` hands over,
     per step ``t ∈ [1, horizon]``:
 
     * the activation set **and** an ``(n,)`` bitmask row
       (:meth:`alpha_mask` — stacked over steps this is the ``(T, n)``
-      activation bitmask of the schedule);
-    * for every *active* node, its β read-time row as an ``(n,)`` int
-      array (:meth:`beta_times`) — the per-edge read-back arrays a δ
-      activation gathers from.
+      activation bitmask of the schedule), compiled once per step;
+    * the step's β read times over the in-edges the caller names, in
+      one call (:meth:`beta_times_for`, the source's bulk hook) — the
+      per-edge read-back arrays a δ step gathers from.  They are not
+      cached here: the in-edges are the caller's edge layout, and the
+      δ loop caches each (schedule, step) for the trials that share it.
 
     Equivalence contract (held by
     ``tests/core/test_compiled_schedule.py``): for every ``t`` in the
@@ -471,10 +521,9 @@ class CompiledSchedule(Schedule):
 
     Compilation is lazy, one step at a time with a small sliding
     cache, so a run that converges after 60 steps never pays for a
-    2000-step horizon, and memory stays O(steps_kept · |α| · n) however
-    long the horizon is: the δ step reads one step at a time, so a run
-    holds the β rows of only a few steps (one step of a
-    ``RandomSchedule(800)`` is about 2.5 MB of them).
+    2000-step horizon, and memory stays O(steps_kept · n) however long
+    the horizon is (plus the full β rows the object form's ``beta``
+    has asked for, at most O(steps_kept · n²)).
     """
 
     #: compiled steps kept alive; the recursion walks t forward, so a
@@ -502,14 +551,9 @@ class CompiledSchedule(Schedule):
     # ------------------------------------------------------------------
 
     def _step(self, t: int) -> tuple:
-        """``(act set, mask row, full-row dict)``.
-
-        α is compiled eagerly per step (it decides which rows exist at
-        all); β rows are compiled **lazily per node** — an eager compile
-        would pay O(|α| · n) hash work per step, most of which the δ
-        recursion (which gathers only in-neighbour entries) never
-        reads.
-        """
+        """``(act set, mask row, full-row dict)``: α compiled for the
+        step, and the full β rows the object form's ``beta`` has read
+        (:meth:`_row`); the array engines never fill that dict."""
         memo = self._steps.row(t)
         step = memo.get(t)
         if step is None:
@@ -523,16 +567,12 @@ class CompiledSchedule(Schedule):
         return step
 
     def _row(self, t: int, i: int):
-        """Node ``i``'s full compiled read-time row at ``t`` (cached)."""
+        """Node ``i``'s full read-time row at ``t``, for :meth:`beta`
+        (cached per step)."""
         rows = self._step(t)[2]
         row = rows.get(i)
         if row is None:
-            array_form = getattr(self.source, "beta_row_array", None)
-            if array_form is not None:
-                row = array_form(t, i)
-            else:
-                row = _np.asarray(self.source.beta_row(t, i), dtype=_np.int64)
-            rows[i] = row
+            row = rows[i] = self.source.beta_row(t, i)
         return row
 
     # ------------------------------------------------------------------
@@ -561,23 +601,11 @@ class CompiledSchedule(Schedule):
         """``(n,)`` bool activation row for ``t`` (within the horizon)."""
         return self._step(t)[1]
 
-    def beta_times(self, t: int, i: int):
-        """Node ``i``'s ``(n,)`` int64 read-time row at ``t``."""
-        return self._row(t, i)
-
-    def beta_times_for(self, t: int, i: int, sources):
-        """Read times for the given source index array only.
-
-        The δ hot path: an activation gathers exclusively from its
-        in-neighbours, so this slices the cached full row (uniform-β
-        steps never get here: the δ step fills those with one constant,
-        :meth:`beta_uniform`).  The slice is *not* cached because
-        ``sources`` is a property of the caller's edge layout, not of
-        the schedule (one compiled instance may serve engines over
-        different networks, or the same network across topology
-        mutations).
-        """
-        return self._row(t, i)[sources]
+    def beta_times_for(self, t: int, nodes, sources, counts):
+        """Step ``t``'s read times over the given in-edges, as one int64
+        array: the source's bulk hook (:meth:`Schedule.beta_times_for`),
+        inside the horizon or past it."""
+        return self.source.beta_times_for(t, nodes, sources, counts)
 
     # ------------------------------------------------------------------
     # Derived staleness bound
@@ -592,7 +620,8 @@ class CompiledSchedule(Schedule):
     def derived_max_read_back(self) -> int:
         """The staleness bound the *active reads* attain in the horizon.
 
-        One full pass over the source (no rows are retained — only the
+        One full pass over the source, one bulk-hook call per step over
+        the active nodes' full rows (no rows are retained — only the
         running maximum); O(horizon · |α| · n) β evaluations, paid only
         for schedules that declare no bound, and once per source
         schedule and horizon: every compiled form of one schedule object
@@ -601,13 +630,15 @@ class CompiledSchedule(Schedule):
         bounds = _DERIVED_BOUNDS.setdefault(self.source, {})
         worst = bounds.get(self.horizon)
         if worst is None:
-            src = self.source
+            src, n = self.source, self.n
             worst = 1
             for t in range(1, self.horizon + 1):
-                for i in src.alpha(t):
-                    row = src.beta_row(t, i)
-                    if row:
-                        worst = max(worst, t - min(row))
+                nodes = sorted(src.alpha(t))
+                if nodes:
+                    times = src.beta_times_for(
+                        t, nodes, _np.tile(_np.arange(n), len(nodes)),
+                        _np.full(len(nodes), n))
+                    worst = max(worst, t - int(times.min()))
             bounds[self.horizon] = worst
         return worst
 

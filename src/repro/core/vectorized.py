@@ -177,7 +177,9 @@ class TopologySnapshot:
         never approximate.  When it holds, the δ kernel's per-element
         table gather (a 2-D fancy index, the most expensive op in the δ
         step) becomes two SIMD-friendly arithmetic ops, in δ's steps and
-        σ's rounds alike.  Computed on first use, once per snapshot.
+        σ's rounds alike.  Computed on first use, once per snapshot —
+        or, for a snapshot :meth:`patched` from one with an exact view,
+        carried through the patch after checking only the new arcs.
         """
         return affine_view(self.tables, self.dtype)
 
@@ -200,9 +202,21 @@ class TopologySnapshot:
         rows = np.insert(kept, np.searchsorted(old[kept], keys),
                          old.size + np.arange(keys.size))
         merged = np.concatenate((old, keys))[rows]
-        return TopologySnapshot(
+        out = TopologySnapshot(
             merged % n, np.concatenate((self.tables, tables)).take(rows, 0),
             np.bincount(merged // n, minlength=n))
+        view = self.__dict__.get("affine")
+        if view is not None:
+            # an exact view stays exact iff the new arcs' tables are
+            # clipped shifts: check only those, and gather the kept
+            # rows' (w, cap) like the tables (a view that is None or not
+            # computed yet is checked in full on first use: removing the
+            # one non-affine arc can make it exact)
+            extra = affine_view(tables, out.dtype)
+            out.affine = None if extra is None else tuple(
+                np.concatenate(pair).take(rows, 0)
+                for pair in zip(view, extra))
+        return out
 
     def edges(self, nodes):
         """The activation edge layout of ``nodes`` (each with in-edges):
@@ -487,7 +501,12 @@ class VectorizedEngine:
 
     def _slot_segment(self, comp, t: int):
         """Flat read-time array over ``comp``'s active, degree > 0
-        importers at ``t``, aligned to the snapshot's edge layout.
+        importers at ``t``, aligned to the snapshot's edge layout: one
+        constant fill for a uniform-β step
+        (:meth:`~repro.core.schedule.Schedule.beta_uniform`), else one
+        call of the bulk hook
+        (:meth:`~repro.core.schedule.CompiledSchedule.beta_times_for`)
+        over the step's in-edges.
 
         Cached per (schedule, step): trials replicate schedules across
         starting states, and the pair list of a step is exactly the
@@ -503,17 +522,14 @@ class VectorizedEngine:
             topo = self._topo
             nodes = np.nonzero(comp.alpha_mask(t))[0]
             nodes = nodes[topo.deg[nodes] > 0]
-            total = int(topo.deg[nodes].sum())
             uniform = comp.beta_uniform(t)
             if uniform is not None:
-                seg = np.full(total, uniform, dtype=np.int64)
-            elif total:
-                src, off, deg = topo.src, topo.off, topo.deg
-                seg = np.concatenate(
-                    [comp.beta_times_for(t, i, src[off[i]:off[i] + deg[i]])
-                     for i in nodes.tolist()])
+                seg = np.full(int(topo.deg[nodes].sum()), uniform,
+                              dtype=np.int64)
             else:
-                seg = np.empty(0, dtype=np.int64)
+                edge_flat, _starts = topo.edges(nodes)
+                seg = comp.beta_times_for(t, nodes, topo.src[edge_flat],
+                                          topo.deg[nodes])
             cache[id(comp)] = seg
         return seg
 
@@ -570,10 +586,7 @@ class VectorizedEngine:
         every (trial, active node, in-edge) triple becomes one row of a
         flat extension matrix, reduced per activation with
         ``minimum.reduceat``.  Read times come from the compiled
-        schedules — one constant fill for uniform-β schedules
-        (:meth:`~repro.core.schedule.Schedule.beta_uniform`), a cached
-        in-neighbour slice otherwise
-        (:meth:`~repro.core.schedule.CompiledSchedule.beta_times_for`).
+        schedules, one array per (schedule, step) (:meth:`_slot_segment`).
 
         ``last_change``/``prev_read_min`` (the run state) are the batch
         analogue of the incremental engine's

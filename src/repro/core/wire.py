@@ -17,7 +17,8 @@ this module, which defines
   algebra's finite encoding, extending the batched engine's
   narrow-dtype trick to the wire), and its **chain** form for δ
   checkpoints (length-prefixed updates, each against the one before);
-  and
+  a δ window's active nodes and read-backs travel in the same narrow
+  dtypes (:func:`wire_dtype` reads the names its head gives); and
 * **byte accounting** — :class:`WireStats` tracks bytes, commands, and
   protocol rounds, plus the naive-equivalent byte count (full-block
   ``int32`` transfer) so the compression ratio is measurable and
@@ -63,6 +64,7 @@ __all__ = [
     "pack_payload",
     "unpack_payload",
     "carrier_dtype",
+    "wire_dtype",
     "encode_update",
     "decode_update",
     "encode_chain",
@@ -76,7 +78,7 @@ __all__ = [
 #: peers with a different version are rejected with
 #: :class:`WireVersionError`.  docs/wire.md lists what each version
 #: changed.
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 #: Frame magic.  Anything else at a frame boundary is a malformed peer.
 MAGIC = b"RSDW"
@@ -96,7 +98,7 @@ MSG_LOAD = 1          # topology snapshot (tables, sources, degrees, block)
 MSG_SIGMA_INIT = 2    # install a starting state (delta vs. all-invalid)
 MSG_SIGMA_ROUND = 3   # run one synchronous round over the dirty columns
 MSG_DELTA_INIT = 4    # install a delta ring (window size + start state)
-MSG_DELTA_STEPS = 5   # execute a window of activation steps
+MSG_DELTA_STEPS = 5   # execute a window of activation steps (binary tail)
 MSG_FETCH = 6         # ship the block at ring slot t (delta vs. acked)
 MSG_STOP = 7          # end of session
 MSG_PING = 8          # liveness probe (probation re-admission hello)
@@ -316,6 +318,15 @@ def carrier_dtype(carrier_size: int) -> np.dtype:
     if carrier_size <= 1 << 16:
         return _VALUE_DTYPES[1]
     return _VALUE_DTYPES[2]
+
+
+def wire_dtype(name) -> np.dtype:
+    """The wire value dtype a JSON head names (its ``dtype.str``, as
+    :func:`carrier_dtype` gives it), or :class:`WireFormatError`."""
+    for dtype in _VALUE_DTYPES:
+        if dtype.str == name:
+            return dtype
+    raise WireFormatError(f"unknown wire value dtype {name!r}")
 
 
 def _dtype_code(dtype: np.dtype) -> int:

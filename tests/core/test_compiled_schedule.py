@@ -18,6 +18,7 @@ from repro.core import (
     FixedDelaySchedule,
     RandomSchedule,
     RoundRobinSchedule,
+    Schedule,
     SynchronousSchedule,
     schedule_zoo,
 )
@@ -25,10 +26,13 @@ from repro.core import (
 np = pytest.importorskip("numpy")
 
 
-def _random_schedule(draw):
+_KINDS = ["sync", "round-robin", "fixed", "adversarial", "random"]
+
+
+def _random_schedule(draw, kind=None):
     n = draw(st.integers(min_value=1, max_value=9))
-    kind = draw(st.sampled_from(
-        ["sync", "round-robin", "fixed", "adversarial", "random"]))
+    if kind is None:
+        kind = draw(st.sampled_from(_KINDS))
     if kind == "sync":
         return SynchronousSchedule(n)
     if kind == "round-robin":
@@ -61,7 +65,9 @@ class TestEquivalenceContract:
                 for j in range(src.n):
                     assert comp.beta(t, i, j) == src.beta(t, i, j), (t, i, j)
             for i in src.alpha(t):
-                assert comp.beta_times(t, i).tolist() == src.beta_row(t, i)
+                assert comp.beta_times_for(
+                    t, [i], np.arange(src.n), [src.n]).tolist() == \
+                    src.beta_row(t, i)
         # queries past the horizon delegate wholesale
         beyond = horizon + data.draw(st.integers(1, 5))
         assert comp.alpha(beyond) == src.alpha(beyond)
@@ -109,6 +115,74 @@ class TestEquivalenceContract:
         assert derived >= 1
 
 
+class RowsOnlySchedule(Schedule):
+    """A user schedule that defines only ``alpha``/``beta``: it gets the
+    base bulk hook (per-row gather) and declares no staleness bound."""
+
+    def __init__(self, n, seed):
+        super().__init__(n)
+        self.seed = seed
+
+    def alpha(self, t):
+        act = {i for i in range(self.n) if (t * 5 + i + self.seed) % 3}
+        return frozenset(act or {t % self.n})
+
+    def beta(self, t, i, j):
+        return max(0, t - 1 - (t * 7 + i * 3 + j * 5 + self.seed) % 5)
+
+
+class TestBulkHook:
+    """The bulk hook ``beta_times_for(t, nodes, sources, counts)`` —
+    what the codes rungs read a whole step's β from — equals the object
+    form's β entry for entry."""
+
+    @pytest.mark.parametrize("kind", _KINDS + ["rows-only"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_equals_beta_entry_for_entry(self, kind, data):
+        if kind == "rows-only":
+            src = RowsOnlySchedule(data.draw(st.integers(1, 9)),
+                                   data.draw(st.integers(0, 50)))
+        else:
+            src = _random_schedule(data.draw, kind)
+        n = src.n
+        horizon = data.draw(st.integers(1, 40), label="horizon")
+        comp = CompiledSchedule(src, horizon)
+        # inside the horizon and past it
+        t = data.draw(st.integers(1, horizon + 10), label="t")
+        # any node subset (the empty one too), each node any sorted
+        # source subset (the empty one: a degree-0 node)
+        nodes = sorted(data.draw(st.sets(st.integers(0, n - 1)),
+                                 label="nodes"))
+        per_node = [sorted(data.draw(st.sets(st.integers(0, n - 1))))
+                    for _ in nodes]
+        sources = np.asarray([j for js in per_node for j in js],
+                             dtype=np.intp)
+        counts = np.asarray([len(js) for js in per_node], dtype=np.intp)
+        expect = [src.beta(t, i, j)
+                  for i, js in zip(nodes, per_node) for j in js]
+        for sched in (src, comp):
+            got = sched.beta_times_for(t, np.asarray(nodes, dtype=np.intp),
+                                       sources, counts)
+            assert got.dtype == np.int64
+            assert got.tolist() == expect
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_derived_bound_of_a_rows_only_schedule(self, data):
+        src = RowsOnlySchedule(data.draw(st.integers(1, 9)),
+                               data.draw(st.integers(0, 50)))
+        horizon = data.draw(st.integers(1, 60))
+        assert src.max_read_back() is None
+        comp = CompiledSchedule(src, horizon)
+        worst = 1
+        for t in range(1, horizon + 1):
+            for i in src.alpha(t):
+                for j in range(src.n):
+                    worst = max(worst, t - src.beta(t, i, j))
+        assert comp.max_read_back() == comp.derived_max_read_back() == worst
+
+
 class TestCompileMechanics:
     def test_step_eviction_recompiles_deterministically(self):
         """Revisiting an evicted step must answer identically — the
@@ -132,23 +206,27 @@ class TestCompileMechanics:
         assert CompiledSchedule.ensure(src, 10).source is src
 
     def test_beta_times_for_is_layout_independent(self):
-        """The sliced read-time view must answer per the *caller's*
-        source array — one compiled instance can serve engines over
-        different edge layouts (or the same network across topology
-        mutations)."""
+        """The bulk read times must answer per the *caller's* in-edges
+        — one compiled instance can serve engines over different edge
+        layouts (or the same network across topology mutations)."""
         src = RandomSchedule(8, seed=21, max_delay=4)
         comp = CompiledSchedule(src, horizon=50)
         a = np.asarray([0, 3, 5])
         b = np.asarray([1, 2, 6, 7])
         for t in (1, 9, 30):
             row = src.beta_row(t, 2)
-            assert comp.beta_times_for(t, 2, a).tolist() == \
-                [row[j] for j in a.tolist()]
-            assert comp.beta_times_for(t, 2, b).tolist() == \
-                [row[j] for j in b.tolist()]
-            # and again in the other order (no stale cache)
-            assert comp.beta_times_for(t, 2, a).tolist() == \
-                [row[j] for j in a.tolist()]
+            # a, b, then a again in the other order (no stale cache)
+            for sources in (a, b, a):
+                assert comp.beta_times_for(
+                    t, [2], sources, [sources.size]).tolist() == \
+                    [row[j] for j in sources.tolist()]
+            # and inside a two-node layout, either node first
+            for first, second in ((2, 5), (5, 2)):
+                times = comp.beta_times_for(t, [first, second],
+                                            np.concatenate((a, b)),
+                                            [a.size, b.size]).tolist()
+                assert times == [src.beta(t, first, j) for j in a] + \
+                    [src.beta(t, second, j) for j in b]
 
     def test_zoo_compiles(self):
         for src in schedule_zoo(7):

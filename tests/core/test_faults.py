@@ -601,8 +601,9 @@ class TestStrictAndTerminal:
         _require_fork()
         net, start, sched, ref = delta_ref
         real = remote_mod._shard_delta_steps
-        monkeypatch.setattr(remote_mod, "_shard_delta_steps",
-                            lambda state, steps: real(state, steps)[:-1])
+        monkeypatch.setattr(
+            remote_mod, "_shard_delta_steps",
+            lambda state, head, tail: real(state, head, tail)[:-1])
         eng = RemoteVectorizedEngine(net, workers=2, socket_timeout=5.0,
                                      strict=strict)
         try:
@@ -703,6 +704,89 @@ class TestStrictAndTerminal:
                 net, start, max_rounds=300, engine=eng))
             _assert_sigma_identical(res, ref, net)
             assert eng.degraded == []
+        finally:
+            eng.close()
+
+
+def _corrupt_first_window(monkeypatch, corrupt):
+    """The coordinator sends its first δ window through
+    ``corrupt(head, tail) -> (head, tail)``; every later command goes
+    out intact (so a heal replays the run on well-formed windows)."""
+    real = RemoteVectorizedEngine._broadcast
+    left = [1]
+
+    def broadcast(self, msg_type, head, tail=b""):
+        if msg_type == MSG_DELTA_STEPS and left[0]:
+            left[0] -= 1
+            head, tail = corrupt(head, tail)
+        real(self, msg_type, head, tail)
+
+    monkeypatch.setattr(RemoteVectorizedEngine, "_broadcast", broadcast)
+
+
+def _short_tail(head, tail):
+    return head, tail[:-1]
+
+
+def _moved_read_back(head, tail):
+    # one read-back moves from the last step that has one to another
+    # step: the tail still matches the head, the snapshot's degrees not
+    steps = head["steps"]
+    giver = next(step for step in reversed(steps) if step[2])
+    taker = steps[0] if steps[0] is not giver else steps[-1]
+    giver[2] -= 1
+    taker[2] += 1
+    return head, tail
+
+
+def _first_read_back(value):
+    def corrupt(head, tail):
+        node_dt, back_dt = (np.dtype(name) for name in head["dtypes"])
+        at = sum(step[1] for step in head["steps"]) * node_dt.itemsize
+        return head, (tail[:at] + np.asarray([value], back_dt).tobytes()
+                      + tail[at + back_dt.itemsize:])
+    return corrupt
+
+
+#: malformed δ windows: how the first one is damaged, and the worker's
+#: message for it
+_MALFORMED_WINDOWS = {
+    "tail-length": (_short_tail, "δ window tail is"),
+    "degree-sum": (_moved_read_back, "read-backs for active in-degree"),
+    "read-back-0": (_first_read_back(0), "reads back 0 steps, outside"),
+    "read-back-past-ring": (_first_read_back(255),
+                            "reads back 255 steps, outside"),
+}
+
+
+class TestMalformedDeltaWindow:
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("case", sorted(_MALFORMED_WINDOWS))
+    def test_malformed_window_is_never_folded(self, delta_ref, monkeypatch,
+                                              case, strict):
+        # the worker checks a δ window against its head and its snapshot
+        # before folding any step and relays a failed check as
+        # MSG_ERROR: healed bit-identically, or under strict the typed
+        # per-shard error — never a wrong fixed point, never a hang
+        net, start, sched, ref = delta_ref
+        corrupt, message = _MALFORMED_WINDOWS[case]
+        _corrupt_first_window(monkeypatch, corrupt)
+        eng = RemoteVectorizedEngine(net, workers=2, socket_timeout=5.0,
+                                     strict=strict)
+        try:
+            if strict:
+                with pytest.raises(RemoteWorkerError, match=message) as exc:
+                    _watchdog(lambda: eng.delta(sched, start,
+                                                max_steps=300))
+                assert "WireFormatError" in str(exc.value)
+                assert (eng._res.conns, eng._res.procs) == ([], [])
+            res = _watchdog(lambda: eng.delta(sched, start, max_steps=300))
+            _assert_delta_identical(res, ref, net)
+            if not strict:
+                assert [ev.code for ev in eng.degraded] == \
+                    ["worker-respawned"]
+                assert "worker-error fault" in eng.degraded[0].detail
+                assert message in eng.degraded[0].detail
         finally:
             eng.close()
 

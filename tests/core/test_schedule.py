@@ -1,5 +1,7 @@
 """Unit tests for Üresin–Dubois schedules (Section 3.1, axioms S1–S3)."""
 
+import hashlib
+
 import pytest
 
 from repro.core import (
@@ -102,6 +104,35 @@ class TestRandomSchedule:
             RandomSchedule(3, activation_prob=0.0)
         with pytest.raises(ValueError):
             RandomSchedule(3, max_delay=0)
+
+
+#: SHA-256 of every ``alpha(t)`` and ``beta_row(t, i)`` for t ≤ 200 of
+#: :data:`_PINNED_SCHEDULES`: the seed → schedule mapping of
+#: ``SCHEDULE_SEED_VERSION`` 2.  A hashing shortcut that moves any draw
+#: changes which schedule a seed names, and fails here.
+_PINNED_SCHEDULES = (
+    dict(n=32, seed=0, activation_prob=0.4, max_delay=4),       # the zoo's
+    dict(n=32, seed=1000, activation_prob=0.8, max_delay=7),    # two kinds
+    dict(n=1, seed=3),
+    dict(n=7, seed=42, max_delay=5, max_silence=3),
+    dict(n=64, seed=123_456_789, activation_prob=0.5, max_delay=6),
+)
+_SCHEDULE_DIGEST = ("962655ad9e9b6393bff238ee2685e710"
+                    "6eec6676382f5dc5a77c9aa48e49d0fb")
+
+
+class TestSeedMapping:
+    def test_seed_to_schedule_mapping_is_pinned(self):
+        assert RandomSchedule.SCHEDULE_SEED_VERSION == 2
+        digest = hashlib.sha256()
+        for params in _PINNED_SCHEDULES:
+            sched = RandomSchedule(**params)
+            for t in range(1, 201):
+                digest.update(f"{params} {t} {sorted(sched.alpha(t))}\n"
+                              .encode())
+                for i in range(sched.n):
+                    digest.update(f"{sched.beta_row(t, i)}\n".encode())
+        assert digest.hexdigest() == _SCHEDULE_DIGEST
 
 
 class TestZoo:

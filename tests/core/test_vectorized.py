@@ -518,10 +518,12 @@ class TestArcLogPatch:
     def test_patched_snapshot_equals_the_rebuild(self, data):
         """Random bursts of set/remove writes — re-sets of present arcs,
         removals of absent ones (no version bump), self-loops, clipped
-        shift and arbitrary tables — with engines joining at different
-        versions and refreshing at random points: every refreshed
-        snapshot is a new object equal to a from-scratch rebuild, and a
-        burst longer than the log falls back to that rebuild."""
+        shift and arbitrary tables, and writes that remove the only
+        non-affine arc or add the first one under a computed view —
+        with engines joining at different versions and refreshing at
+        random points: every refreshed snapshot is a new object equal
+        to a from-scratch rebuild, and a burst longer than the log
+        falls back to that rebuild."""
         import numpy as np
 
         levels = data.draw(st.integers(2, 5), label="levels")
@@ -539,6 +541,9 @@ class TestArcLogPatch:
                                            max_size=levels))
             return alg.table_edge(table + [levels])
 
+        shift = alg.table_edge([min(x + 1, levels)
+                                for x in range(levels + 1)])
+        odd = alg.table_edge([1, 0] + [levels] * (levels - 1))  # no shift
         net = Network(alg, n, name="patch-oracle")
         adj = net.adjacency
         for (i, k) in data.draw(st.lists(arc, unique=True), label="arcs"):
@@ -551,6 +556,26 @@ class TestArcLogPatch:
                     net.remove_edge(i, k)
                 else:
                     net.set_edge(i, k, edge())
+            toggle = data.draw(st.sampled_from(
+                [None, "remove the only odd arc", "add the first odd arc"]),
+                label="view toggle")
+            if toggle is not None:
+                # every arc a clipped shift (but one odd arc, when it is
+                # to be removed), every snapshot's view computed, then
+                # the one write that flips the view
+                for (i, k) in list(net.present_edges()):
+                    net.set_edge(i, k, shift)
+                i, k = data.draw(arc)
+                if toggle == "remove the only odd arc":
+                    net.set_edge(i, k, odd)
+                for eng in engines:
+                    eng.refresh()
+                    assert (eng._topo.affine is None) == \
+                        (toggle == "remove the only odd arc")
+                if toggle == "remove the only odd arc":
+                    net.remove_edge(i, k)
+                else:
+                    net.set_edge(i, k, odd)
             if data.draw(st.booleans(), label="outrun the log"):
                 fn = edge()
                 for _ in range(n * n + 1):      # more bumps than arcs

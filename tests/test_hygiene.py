@@ -1,17 +1,21 @@
-"""Source hygiene: no ``src/`` module imports a name it never uses.
+"""Source hygiene: no ``src/`` module imports a name it never uses, and
+the wire version has its row in docs/wire.md.
 
-A stdlib-``ast`` scan, so it needs no linter.  It looks at module-level
-imports (including those under a module-level ``if`` or ``try``) and
-counts a name as used when it appears as a name anywhere in the module,
-inside a string annotation, or in ``__all__``.  Package ``__init__``
-files re-export by design and are exempt, as is any import line marked
-``# noqa: F401``.
+The import check is a stdlib-``ast`` scan, so it needs no linter.  It
+looks at module-level imports (including those under a module-level
+``if`` or ``try``) and counts a name as used when it appears as a name
+anywhere in the module, inside a string annotation, or in ``__all__``.
+Package ``__init__`` files re-export by design and are exempt, as is
+any import line marked ``# noqa: F401``.
 """
 
 import ast
 from pathlib import Path
 
+from repro.core.wire import WIRE_VERSION
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+DOCS = SRC.parent / "docs"
 
 
 def _module_imports(tree):
@@ -70,3 +74,16 @@ def test_no_unused_module_imports():
             if name not in used and "noqa: F401" not in lines[line - 1]:
                 unused.append(f"{path.relative_to(SRC)}:{line}: {name}")
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_wire_version_table_ends_at_the_wire_version():
+    """The last row of docs/wire.md's version table names the version
+    the code speaks, so a version bump cannot ship without its row."""
+    lines = (DOCS / "wire.md").read_text(encoding="utf-8").splitlines()
+    at = lines.index("| version | change |")
+    rows = []
+    for line in lines[at + 2:]:         # past the header's separator
+        if not line.startswith("|"):
+            break
+        rows.append(line.split("|")[1].strip())
+    assert rows and rows[-1] == str(WIRE_VERSION), rows

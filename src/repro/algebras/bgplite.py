@@ -89,6 +89,18 @@ def valid(lp: int = 0, communities=(), path: Tuple[int, ...] = ()) -> BGPRoute:
     return BGPRoute(lp, frozenset(communities), tuple(path))
 
 
+def _rewrite(route, lp: int, communities):
+    """``route`` with a new level and community set, of the same type.
+
+    A plain :class:`BGPRoute` is built directly (the hot path of every
+    policy); any other representation, such as prepending's
+    ``PaddedRoute``, goes through :func:`dataclasses.replace`.
+    """
+    if type(route) is BGPRoute:
+        return BGPRoute(lp, communities, route.path)
+    return replace(route, lp=lp, communities=communities)
+
+
 # ----------------------------------------------------------------------
 # Condition language
 # ----------------------------------------------------------------------
@@ -200,9 +212,7 @@ class IncrPrefBy(Policy):
                 "language increasing (use the UnsafeSetPref control to break it)")
 
     def _apply_valid(self, route: BGPRoute):
-        # dataclasses.replace keeps the policy polymorphic over route
-        # representations (plain BGPRoute, PaddedRoute with prepending)
-        return replace(route, lp=route.lp + self.amount)
+        return _rewrite(route, route.lp + self.amount, route.communities)
 
 
 @dataclass(frozen=True)
@@ -210,8 +220,7 @@ class AddComm(Policy):
     community: int
 
     def _apply_valid(self, route: BGPRoute):
-        return replace(route,
-                       communities=route.communities | {self.community})
+        return _rewrite(route, route.lp, route.communities | {self.community})
 
 
 @dataclass(frozen=True)
@@ -219,8 +228,7 @@ class DelComm(Policy):
     community: int
 
     def _apply_valid(self, route: BGPRoute):
-        return replace(route,
-                       communities=route.communities - {self.community})
+        return _rewrite(route, route.lp, route.communities - {self.community})
 
 
 @dataclass(frozen=True)
@@ -259,7 +267,7 @@ class SetPref(Policy):
     value: int
 
     def _apply_valid(self, route: BGPRoute):
-        return replace(route, lp=self.value)
+        return _rewrite(route, self.value, route.communities)
 
 
 # ----------------------------------------------------------------------
@@ -289,15 +297,21 @@ class BGPLiteAlgebra(PathAlgebra):
 
     # -- choice: the paper's four-step decision procedure -------------------
 
-    def _key(self, r: BGPRoute):
-        return (r.lp, len(r.path), r.path, tuple(sorted(r.communities)))
-
     def choice(self, x: Route, y: Route) -> Route:
+        """Lower ``lp``, then the shorter path, then the lexicographically
+        smaller path; the sorted communities only break a full tie."""
         if x is INVALID:
             return y
         if y is INVALID:
             return x
-        return x if self._key(x) <= self._key(y) else y
+        if x.lp != y.lp:
+            return x if x.lp < y.lp else y
+        xp, yp = x.path, y.path
+        if xp != yp:
+            if len(xp) != len(yp):
+                return x if len(xp) < len(yp) else y
+            return x if xp < yp else y
+        return x if sorted(x.communities) <= sorted(y.communities) else y
 
     def equal(self, a: Route, b: Route) -> bool:
         return a == b

@@ -12,23 +12,43 @@ needs only the **dirty set**
     dirty(X_t) = { (k, j) : X_t[k][j] ≠ X_{t-1}[k][j] }
 
 and the cached :class:`~repro.core.state.NetworkTopology` out-neighbour
-lists.  The scheme:
+lists.  For the same reason only the *extensions* ``A[i][k](X[k][j])``
+under a dirty entry change from one round to the next, so
+:class:`IncrementalEngine` keeps one **column** of extensions per
+installed arc and each σ round
 
-* :func:`sigma_with_dirty` — one full σ round that *also* reports the
-  dirty set (used to seed an iteration, and after topology changes);
-* :func:`sigma_propagate` — one σ round that recomputes only entries
-  reachable from the dirty set, shares every untouched row object with
-  the previous state, and returns the next dirty set.  An **empty dirty
-  set is exactly σ-stability** (Definition 4), so fixed-point detection
-  is free — no per-round O(n²) ``equals`` scan.
+* re-extends only the (arc, destination) pairs under a dirty entry,
+* refolds ⊕ from the columns over only the entries those pairs feed,
+  sharing every untouched row object with the previous state, and
+* returns the next dirty set.  An **empty dirty set is exactly
+  σ-stability** (Definition 4), so fixed-point detection is free — no
+  per-round O(n²) ``equals`` scan.
 
-Invariant required by :func:`sigma_propagate`: ``state`` is
-``σ(previous)`` for some state ``previous`` and ``dirty`` is the set of
-entries where they differ.  The σ iteration maintains this by seeding
-with :func:`sigma_with_dirty`; after a mid-run ``set_edge`` /
-``remove_edge`` the invariant is void and the iteration must re-seed
-(the public drivers always start with a full round, so calling them
-again after a topology change is safe).
+The engine also keeps a **certificate**: the state its σ loop last
+returned as converged, the adjacency object, and ``adjacency.version``
+at that moment — the columns then extend that fixed point.  A σ run
+that starts from that very object after some writes is *warm*: by
+Eq. 5 only the rows importing over a changed arc can differ from the
+old fixed point, so the seed round re-extends only the arcs in the
+adjacency's arc log (:meth:`~repro.core.state.AdjacencyMatrix.arcs_since`)
+and refolds only their importers' rows.  Any other start (another
+object, another adjacency, a log that no longer reaches back) seeds
+cold: every arc is extended over the start and every row is folded.
+Only a converged run certifies; any other return clears the
+certificate and the columns.
+
+Reuse rests on two contracts the engines already kept: states produced
+by an engine are frozen (:class:`~repro.core.state.RoutingState`), so
+the certified object still holds the routes it was certified with, and
+edge functions are pure, so an extension whose input did not change
+need not be recomputed (the dirty set skipped unchanged rows on that
+basis before the columns existed).
+
+:func:`sigma_with_dirty` (a seed round) and :func:`sigma_propagate` (a
+propagation round) are the entry points: each runs one round on the
+engine it is given, or on a fresh one.  A
+:class:`~repro.session.RoutingSession` owns one engine for its
+lifetime, so its replays re-solve warm.
 
 :class:`BoundedHistory` is the memory half of the engine: δ's data-flow
 function β can only reach back a bounded number of steps on admissible
@@ -51,7 +71,7 @@ history states.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .state import Network, RoutingState
 
@@ -59,96 +79,229 @@ from .state import Network, RoutingState
 DirtySet = Set[Tuple[int, int]]
 
 
-def sigma_with_dirty(network: Network,
-                     state: RoutingState) -> Tuple[RoutingState, DirtySet]:
-    """One full σ round returning ``(σ(X), dirty)``.
+class IncrementalEngine:
+    """The incremental rung's σ engine: a column of extensions per
+    installed arc, and the certificate of its last fixed point.
+
+    :meth:`step` is one σ round and covers three cases:
+
+    * **cold seed** — ``dirty is None`` and ``state`` is not certified:
+      extend every arc over ``state`` (E·n edge-function calls) and
+      fold every row;
+    * **warm seed** — ``dirty is None``, ``state`` *is* the certified
+      fixed point, the adjacency is the same object and its arc log
+      reaches back to the certified version: re-extend only the logged
+      arcs (key ``i·n + k``), drop the removed ones, and refold only
+      their importers' rows;
+    * **propagate** — for each dirty ``(k, j)`` and each importer ``i``
+      of ``k``, re-extend column ``(i, k)`` at ``j``, then refold each
+      touched ``(i, j)`` from the columns.
+
+    Every fold runs ⊕ over ``in_edges[i]`` in ascending ``k``, exactly
+    as a full round does.  A refolded whole row replaces its
+    predecessor only if one of its entries changed; a propagated row
+    copies its predecessor and replaces only the changed entries.
+
+    Memory: the columns hold one route per (arc, destination), E·n
+    references plus the extended routes themselves, the same bound
+    :class:`DeltaRowCache` documents for δ.  Retained ``tracemalloc``
+    after one cold σ on a live session, without → with the columns:
+    171 → 379 KiB on ``elmokashfi-24`` under bgp-lite (E = 74),
+    86 → 1,145 KiB on G(100, 0.1) shortest paths (E = 1,016) and
+    475 → 2,741 KiB on G(60, 0.1) shortest-pv (E = 348).
+    :meth:`close` drops the columns and the certificate.
+    """
+
+    __slots__ = ("network", "_cols", "_outs", "_adj", "_version", "_over",
+                 "_last", "_fixed")
+
+    def __init__(self, network: Network):
+        self.network = network
+        self.close()
+
+    def close(self) -> None:
+        """Drop the columns and the certificate (idempotent)."""
+        self._cols: Dict[int, List] = {}  # arc i·n + k → its column
+        self._outs = None       # per k: (i, A[i][k], column), built lazily
+        self._adj = None        # the adjacency the columns follow ...
+        self._version = -1      # ... at this version
+        self._over = None       # the state the columns extend
+        self._last = None       # the state the last round returned
+        self._fixed = None      # the certified fixed point
+
+    def settle(self, fixed: Optional[RoutingState]) -> None:
+        """End a σ run: certify ``fixed``, the converged run's state,
+        whose columns the engine holds; ``None`` clears everything."""
+        adj = self.network.adjacency
+        if (fixed is not None and fixed is self._over and adj is self._adj
+                and adj.version == self._version):
+            self._fixed = fixed
+        else:
+            self.close()
+
+    def is_stable(self, state: RoutingState) -> bool:
+        """Definition 4 by one seed round (free when ``state`` is the
+        certified fixed point and nothing was written since).  A check
+        is not a σ run, so it certifies nothing and leaves no columns."""
+        _, dirty = sigma_with_dirty(self.network, state, self)
+        self.close()
+        return not dirty
+
+    def step(self, state: RoutingState,
+             dirty: Optional[DirtySet] = None) -> Tuple[RoutingState,
+                                                        DirtySet]:
+        """One σ round: ``(σ(state), dirty′)``, ``dirty′`` being the
+        entries where ``σ(state)`` differs from ``state``.
+
+        ``dirty=None`` seeds (warm or cold, see the class docstring).
+        Otherwise ``state`` must be ``σ(previous)`` and ``dirty`` their
+        difference; if this engine did not return ``state`` from its
+        last round at this topology, it extends every arc over
+        ``state`` first.
+        """
+        if dirty is not None and not dirty:
+            return state, set()
+        adj = self.network.adjacency
+        topo = adj.topology
+        rows = state.rows
+        same = adj is self._adj
+        version, fixed, last = self._version, self._fixed, self._last
+        # void until this round completes: a raise leaves no columns in use
+        self._fixed = self._last = self._over = None
+        if dirty is None:
+            arcs = (adj.arcs_since(version)
+                    if same and state is fixed else None)
+            if arcs is None:
+                self._extend(topo, rows)
+                touched = dict.fromkeys(range(len(rows)))
+            else:
+                touched = self._patch(adj, rows, arcs)
+        else:
+            if not (same and state is last and adj.version == version):
+                self._extend(topo, rows)
+            touched = self._reextend(topo, rows, dirty)
+        self._adj, self._version, self._over = adj, adj.version, state
+        nxt, new_dirty = self._fold(topo, rows, touched)
+        self._last = nxt
+        return nxt, new_dirty
+
+    def _extend(self, topo, rows) -> None:
+        """Cold: one column per installed arc over ``rows``."""
+        n = len(rows)
+        self._cols = {i * n + k: list(map(fn, rows[k]))
+                      for i, edges in enumerate(topo.in_edges)
+                      for k, fn in edges}
+        self._outs = None
+
+    def _patch(self, adj, rows, arcs) -> Dict[int, None]:
+        """Warm: re-extend the logged arcs over ``rows`` and drop the
+        removed ones; returns their importers as whole rows to refold."""
+        n = len(rows)
+        cols = self._cols
+        touched: Dict[int, None] = {}
+        for key in set(arcs):
+            i, k = divmod(key, n)
+            if adj.has_edge(i, k):
+                cols[key] = list(map(adj(i, k), rows[k]))
+            else:
+                cols.pop(key, None)
+            touched[i] = None
+        self._outs = None
+        return touched
+
+    def _reextend(self, topo, rows, dirty: DirtySet) -> Dict[int, Set[int]]:
+        """Propagate: re-extend column ``(i, k)`` at ``j`` for every
+        dirty ``(k, j)`` and importer ``i``; returns the touched
+        destinations by row."""
+        outs = self._outs
+        if outs is None:
+            n = len(rows)
+            cols = self._cols
+            outs = self._outs = [[] for _ in range(n)]
+            for i, edges in enumerate(topo.in_edges):
+                for k, fn in edges:
+                    outs[k].append((i, fn, cols[i * n + k]))
+        touched: Dict[int, Set[int]] = {}
+        for k, j in dirty:
+            x = rows[k][j]
+            for i, fn, col in outs[k]:
+                col[j] = fn(x)
+                dests = touched.get(i)
+                if dests is None:
+                    touched[i] = {j}
+                else:
+                    dests.add(j)
+        return touched
+
+    def _fold(self, topo, rows, touched) -> Tuple[RoutingState, DirtySet]:
+        """Refold ⊕ from the columns over the touched entries (``None``
+        for a whole row); every other row object is shared."""
+        alg = self.network.algebra
+        choice, equal = alg.choice, alg.equal
+        trivial, invalid = alg.trivial, alg.invalid
+        cols = self._cols
+        in_edges = topo.in_edges
+        n = len(rows)
+        new_rows = list(rows)
+        dirty: DirtySet = set()
+        for i, dests in touched.items():
+            base = i * n
+            srcs = [cols[base + k] for k, _fn in in_edges[i]]
+            old = rows[i]
+            row = list(old)
+            whole = dests is None
+            before = len(dirty)
+            for j in (range(n) if whole else dests):
+                if i == j:
+                    new = trivial      # Lemma 1: the diagonal stays 0̄
+                else:
+                    new = invalid
+                    for col in srcs:
+                        new = choice(new, col[j])
+                if not equal(new, old[j]):
+                    dirty.add((i, j))
+                elif not whole:
+                    continue
+                row[j] = new           # a whole row is rebuilt outright
+            if len(dirty) > before:
+                new_rows[i] = row
+        return RoutingState.adopt(new_rows), dirty
+
+
+def sigma_with_dirty(network: Network, state: RoutingState,
+                     engine: Optional[IncrementalEngine] = None
+                     ) -> Tuple[RoutingState, DirtySet]:
+    """One seed σ round returning ``(σ(X), dirty)``.
 
     ``dirty`` is the set of ``(i, j)`` entries where ``σ(X)`` differs
     from ``X`` under the algebra's route equality; rows with no changed
     entry are shared structurally with ``state``.  ``dirty == ∅`` iff
-    ``X`` is σ-stable.
+    ``X`` is σ-stable.  The round runs on ``engine`` (``network``'s
+    :class:`IncrementalEngine`; warm when it certified ``state``), or
+    cold on a fresh engine.  Edge functions must be pure.
     """
-    alg = network.algebra
-    n = network.n
-    topo = network.adjacency.topology
-    choice, equal = alg.choice, alg.equal
-    trivial, invalid = alg.trivial, alg.invalid
-    rows = state.rows
-    dirty: DirtySet = set()
-    new_rows: List[List] = []
-    for i in range(n):
-        # fold ⊕ over (k, A[i][k](X[k][j])) with hoisted source rows —
-        # an explicit loop, not best(genexp), keeps this hot path tight
-        sources = [(fn, rows[k]) for (k, fn) in topo.in_edges[i]]
-        old_row = rows[i]
-        row = []
-        row_changed = False
-        for j in range(n):
-            if i == j:
-                new = trivial
-            else:
-                new = invalid
-                for fn, src_row in sources:
-                    new = choice(new, fn(src_row[j]))
-            row.append(new)
-            if not equal(new, old_row[j]):
-                dirty.add((i, j))
-                row_changed = True
-        new_rows.append(row if row_changed else old_row)
-    return RoutingState.adopt(new_rows), dirty
+    if engine is None:
+        engine = IncrementalEngine(network)
+    return engine.step(state)
 
 
-def sigma_propagate(network: Network, state: RoutingState,
-                    dirty: DirtySet) -> Tuple[RoutingState, DirtySet]:
+def sigma_propagate(network: Network, state: RoutingState, dirty: DirtySet,
+                    engine: Optional[IncrementalEngine] = None
+                    ) -> Tuple[RoutingState, DirtySet]:
     """One incremental σ round: recompute only change-reachable entries.
 
     Requires the iteration invariant (``state = σ(previous)`` with
-    ``dirty`` their difference — see the module docstring).  Only
-    entries ``(i, j)`` with some dirty in-neighbour ``(k, j)``,
-    ``k ∈ in(i)``, can differ from ``state``; everything else — and
-    every untouched row *object* — is shared with ``state``.
+    ``dirty`` their difference).  Only entries ``(i, j)`` with some
+    dirty in-neighbour ``(k, j)``, ``k ∈ in(i)``, can differ from
+    ``state``; everything else — and every untouched row *object* — is
+    shared with ``state``.  On ``engine`` after its own previous round
+    this re-extends only the (arc, destination) pairs under ``dirty``;
+    a fresh engine (``engine=None``) first extends every arc over
+    ``state``.  Edge functions must be pure.
     """
-    if not dirty:
-        return state, set()
-    alg = network.algebra
-    topo = network.adjacency.topology
-    choice, equal = alg.choice, alg.equal
-    trivial, invalid = alg.trivial, alg.invalid
-    out_neighbours = topo.out_neighbours
-    rows = state.rows
-
-    # Which entries may change?  (i, j) for every i importing from a
-    # node whose route to j just changed, grouped by row.
-    touched: Dict[int, Set[int]] = {}
-    for (k, j) in dirty:
-        for i in out_neighbours[k]:
-            dests = touched.get(i)
-            if dests is None:
-                touched[i] = {j}
-            else:
-                dests.add(j)
-
-    new_rows = list(rows)            # share all row objects by default
-    new_dirty: DirtySet = set()
-    for i, dests in touched.items():
-        sources = [(fn, rows[k]) for (k, fn) in topo.in_edges[i]]
-        old_row = rows[i]
-        new_row = None
-        for j in dests:
-            if i == j:
-                new = trivial      # Lemma 1: the diagonal stays 0̄
-            else:
-                new = invalid
-                for fn, src_row in sources:
-                    new = choice(new, fn(src_row[j]))
-            if not equal(new, old_row[j]):
-                if new_row is None:
-                    new_row = list(old_row)
-                new_row[j] = new
-                new_dirty.add((i, j))
-        if new_row is not None:
-            new_rows[i] = new_row
-    return RoutingState.adopt(new_rows), new_dirty
+    if engine is None:
+        engine = IncrementalEngine(network)
+    return engine.step(state, dirty)
 
 
 class DeltaRowCache:

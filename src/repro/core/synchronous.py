@@ -28,13 +28,16 @@ object-model rungs:
   ``n²`` entries and a per-round entry compare detects the fixed point
   (and counts the round's churn).  Kept as the executable form of
   Eq. 5 and as the reference the other rungs are verified against.
-* ``incremental`` — delta propagation via :mod:`repro.core.incremental`:
-  after a seeding full round, each round recomputes only the entries
-  whose in-neighbours' routes changed in the previous round (the
-  *dirty set*), shares untouched row objects structurally, and
-  declares the fixed point the moment the dirty set is empty.  The
-  dirty set is exactly the round's changed entries, so its size is the
-  round's churn.
+* ``incremental`` — delta propagation on an
+  :class:`~repro.core.incremental.IncrementalEngine`: after a seeding
+  round, each round re-extends only the (arc, destination) pairs under
+  the entries that changed in the previous round (the *dirty set*),
+  refolds only the entries they feed, shares untouched row objects
+  structurally, and declares the fixed point the moment the dirty set
+  is empty.  The dirty set is exactly the round's changed entries, so
+  its size is the round's churn.  The engine certifies the fixed point
+  it converged to, so a run started from that very state after a
+  topology write seeds warm, from the adjacency's arc log.
 
 Every codes-based rung runs one σ loop,
 :func:`repro.core.vectorized.iterate_sigma_vectorized`: the vectorized
@@ -47,8 +50,9 @@ holding them to it.
 
 Both object rungs read neighbour structure from the cached
 :class:`~repro.core.state.NetworkTopology`, which is invalidated by
-``set_edge`` / ``remove_edge``, so iterating again after a topology
-change is always safe.
+``set_edge`` / ``remove_edge``, and the incremental engine checks
+``adjacency.version`` before it reuses anything, so iterating again
+after a topology change is always safe.
 """
 
 from __future__ import annotations
@@ -56,7 +60,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .incremental import sigma_propagate, sigma_with_dirty
+from .incremental import (
+    IncrementalEngine,
+    sigma_propagate,
+    sigma_with_dirty,
+)
 from .state import Network, RoutingState
 
 
@@ -124,13 +132,18 @@ def _iterate_sigma_resolved(network: Network, start: RoutingState,
 
     ``rung`` must be the ``chosen`` field of an
     :class:`~repro.core.capabilities.EngineResolution` — no further
-    fallback happens here.  The codes rungs run
-    :func:`~repro.core.vectorized.iterate_sigma_vectorized` on
-    ``engine_obj``, the rung's engine (the
+    fallback happens here.  ``engine_obj`` is the rung's engine (the
     :class:`~repro.session.RoutingSession` passes its managed
-    instances; without one, a fresh serial
+    instances; ``None`` on ``naive``).  The codes rungs run
+    :func:`~repro.core.vectorized.iterate_sigma_vectorized` on it
+    (without one, a fresh serial
     :class:`~repro.core.vectorized.VectorizedEngine` runs).  The
-    result's ``churn`` counts entry changes on every rung.
+    incremental rung runs its rounds through :func:`sigma_with_dirty`
+    and :func:`sigma_propagate` on its
+    :class:`~repro.core.incremental.IncrementalEngine` (without one, a
+    fresh engine), then certifies a converged run's state on it or
+    clears it.  The result's ``churn`` counts entry changes on every
+    rung.
     """
     if rung not in ("naive", "incremental"):
         # local import: vectorized imports SyncResult from this module
@@ -139,7 +152,9 @@ def _iterate_sigma_resolved(network: Network, start: RoutingState,
             network, start, max_rounds=max_rounds,
             keep_trajectory=keep_trajectory, detect_cycles=detect_cycles,
             engine=engine_obj)
-    incremental = rung == "incremental"
+    engine = None
+    if rung == "incremental":
+        engine = engine_obj or IncrementalEngine(network)
     alg = network.algebra
     current = start
     trajectory = [start] if keep_trajectory else None
@@ -147,11 +162,11 @@ def _iterate_sigma_resolved(network: Network, start: RoutingState,
     dirty = None
     churn = 0
     for k in range(max_rounds):
-        if incremental:
+        if engine is not None:
             if dirty is None:
-                nxt, dirty = sigma_with_dirty(network, current)
+                nxt, dirty = sigma_with_dirty(network, current, engine)
             else:
-                nxt, dirty = sigma_propagate(network, current, dirty)
+                nxt, dirty = sigma_propagate(network, current, dirty, engine)
             changed = len(dirty)
         else:
             nxt = sigma(network, current)
@@ -161,14 +176,20 @@ def _iterate_sigma_resolved(network: Network, start: RoutingState,
         if keep_trajectory:
             trajectory.append(nxt)
         if not changed:
-            return SyncResult(True, k, current, trajectory, churn)
+            result = SyncResult(True, k, current, trajectory, churn)
+            break
         churn += changed
         if detect_cycles:
             if nxt in seen:
-                return SyncResult(False, k + 1, nxt, trajectory, churn)
+                result = SyncResult(False, k + 1, nxt, trajectory, churn)
+                break
             seen[nxt] = k + 1
         current = nxt
-    return SyncResult(False, max_rounds, current, trajectory, churn)
+    else:
+        result = SyncResult(False, max_rounds, current, trajectory, churn)
+    if engine is not None:
+        engine.settle(result.state if result.converged else None)
+    return result
 
 
 def synchronous_fixed_point(network: Network,

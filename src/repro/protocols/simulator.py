@@ -80,10 +80,10 @@ class Simulator:
     directed link or a dict keyed by ``(sender, receiver)``; missing
     keys fall back to ``default_link``.
 
-    ``stability_engine`` is the codes-based engine the final σ-stability
-    check runs on — the one :meth:`repro.session.RoutingSession.simulate`
+    ``stability_engine`` is the engine the final σ-stability check runs
+    on — the one :meth:`repro.session.RoutingSession.simulate`
     negotiated and owns (never closed here).  Without one the check runs
-    the object-model dirty-set scan.
+    one seed round on a fresh incremental engine.
     """
 
     def __init__(self, network: Network, seed: int = 0,

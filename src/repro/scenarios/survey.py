@@ -8,13 +8,16 @@ through the session's negotiated grid rung (the batched tensor engine
 on finite algebras).
 
 ``oracle=True`` re-runs the whole cell on a second, independently built
-network with the engine pinned to the ``incremental`` rung — the
-object-model engine, which shares no code with the compiled-schedule δ
-step every codes rung runs — and requires bit-identical answers: every
-replay phase (rounds, churn, fixed point) and every grid trial
-(``converged``/``converged_at``/state) must match.  That is the
-acceptance property — the batched grid results are the per-trial
-session replay, exactly.
+network and requires bit-identical answers.  The reference replay runs
+on the ``naive`` rung — the paper's literal recursion, the root of the
+oracle chain, which shares no code with the incremental rung's columns
+or the codes rungs' kernels — and every replay phase (label, mutations,
+rounds, churn, fixed point) must match.  The reference grid runs trial
+by trial on the ``incremental`` rung — the object-model engine, which
+shares no code with the compiled-schedule δ step every codes rung runs
+— and every grid trial (``converged``/``converged_at``/state) must
+match.  That is the acceptance property — the batched grid results are
+the per-trial session replay, exactly.
 
 A failed cell never aborts the survey: it renders as ``FAIL`` in the
 table, counts into ``report.failed``, and drives the CLI's nonzero
@@ -117,15 +120,17 @@ def run_cell(topology: str, event: str, algebra: str, *, seed: int = 0,
                                   keep_results=oracle)
     oracle_ok = True
     if oracle:
-        # independent rebuild on the object-model rung: the per-trial
-        # session replay the batched grid must equal, computed by code
-        # the grid's δ kernel does not share
+        # independent rebuild: the replay again on naive, then the
+        # per-trial δ runs the batched grid must equal on the
+        # object-model rung, computed by code the grid's δ kernel does
+        # not share
         net2, factory2 = build_scenario_network(topology, algebra,
                                                 seed=seed)
-        with RoutingSession(net2, EngineSpec("incremental")) as ref:
+        with RoutingSession(net2, EngineSpec("naive")) as ref:
             replay2 = replay_events(
                 ref, [scenario_events()[event]()], factory2, seed=seed)
-            oracle_ok = _replays_agree(replay, replay2, alg)
+        oracle_ok = _replays_agree(replay, replay2, alg)
+        with RoutingSession(net2, EngineSpec("incremental")) as ref:
             for (sched, start), res in zip(trial_list, grid.results or []):
                 single = ref.delta(sched, start, max_steps=max_steps)
                 oracle_ok = oracle_ok and (
@@ -207,8 +212,8 @@ class SurveyReport:
             f"cells: {len(self.cells)}   failed: {len(self.failed)}   "
             f"oracle-checked: {checked}   elapsed: {self.elapsed_s:.1f}s")
         if self.oracle:
-            lines.append("ok* = batched grid bit-identical to per-trial "
-                         "session replay")
+            lines.append("ok* = replay equal to naive's, grid equal to "
+                         "per-trial incremental runs")
         return "\n".join(lines)
 
 

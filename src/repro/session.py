@@ -25,10 +25,12 @@ What the session owns:
   every report.  ``EngineSpec(strict=True)`` raises
   :class:`~repro.core.capabilities.UnsupportedEngineError` instead of
   falling back.
-* **Managed resources** — vectorized/batched engines, the parallel
-  worker pool (processes + shared-memory segments) and the remote
-  rung's TCP connections (plus any loopback worker subprocesses) are
-  built lazily, kept for the session's lifetime, and released by
+* **Managed resources** — the incremental rung's engine (its
+  extension columns and certified fixed point), vectorized/batched
+  engines, the parallel worker pool (processes + shared-memory
+  segments) and the remote rung's TCP connections (plus any loopback
+  worker subprocesses) are built lazily, kept for the session's
+  lifetime, and released by
   :meth:`close` / the context manager / a ``weakref.finalize``
   backstop.  Each engine owns its workers' lifecycle: it republishes
   its snapshot when ``adjacency.version`` moves and rebuilds a pool
@@ -473,14 +475,17 @@ class RoutingSession:
 
     def _engine_obj(self, resolution: EngineResolution):
         """The managed engine instance for a resolution's rung (``None``
-        for the object-model rungs), built on first use and kept for
-        the session's lifetime."""
+        for ``naive``, the paper's literal recursion), built on first
+        use and kept for the session's lifetime."""
         rung = resolution.chosen
-        if rung in ("naive", "incremental"):
+        if rung == "naive":
             return None
         eng = self._engines.get(rung)
         if eng is None:
-            if rung == "vectorized":
+            if rung == "incremental":
+                from .core.incremental import IncrementalEngine
+                eng = IncrementalEngine(self.network)
+            elif rung == "vectorized":
                 from .core.vectorized import VectorizedEngine
                 eng = VectorizedEngine(self.network)
             elif rung == "batched":
@@ -525,6 +530,12 @@ class RoutingSession:
         negotiated rung as it iterates (changed columns on the codes
         rungs, the dirty sets on ``incremental``, a per-round entry
         compare on ``naive``) — no trajectory is kept for it.
+
+        On ``incremental`` the session's engine certifies the fixed
+        point it converged to; a later call whose ``start`` *is* that
+        state object seeds warm (only the arcs written since are
+        re-extended and only their importers' rows refolded), and any
+        other ``start`` seeds cold.  Reports are identical either way.
         """
         self._check_open()
         _check_budget("max_rounds", max_rounds)
@@ -611,15 +622,15 @@ class RoutingSession:
         _check_budget("max_steps", max_steps)
         resolution = self.resolve("grid")
         t0 = perf_counter()
-        eng = self._engine_obj(resolution)
-        if eng is not None:
-            results = eng.delta_grid(trials, max_steps=max_steps,
-                                     stability_window=stability_window)
-        else:
+        if resolution.chosen in ("naive", "incremental"):
             results = [_delta_run_resolved(
                 net, sched, start, resolution.chosen, max_steps=max_steps,
                 stability_window=stability_window)
                 for sched, start in trials]
+        else:
+            results = self._engine_obj(resolution).delta_grid(
+                trials, max_steps=max_steps,
+                stability_window=stability_window)
         alg = net.algebra
         fixed_points: List[RoutingState] = []
         steps: List[int] = []
@@ -657,10 +668,12 @@ class RoutingSession:
 
         The session first solves the unmodified topology (the
         ``"initial"`` step), then for each phase applies its mutations
-        to the shared adjacency — bumping ``adjacency.version``, so the
-        incremental engines see exactly the dirty entries — and
-        re-solves σ *warm-started from the previous fixed point*,
-        counting the entry changes of each re-convergence.
+        to the shared adjacency — bumping ``adjacency.version`` and
+        logging the written arcs — and re-solves σ *warm-started from
+        the previous fixed point*, counting the entry changes of each
+        re-convergence.  On ``incremental`` the previous fixed point is
+        the one the session's engine certified, so each re-solve
+        re-extends only the written arcs in its seed round.
         """
         self._check_open()
         t0 = perf_counter()

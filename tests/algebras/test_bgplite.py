@@ -2,6 +2,7 @@
 and the safety-by-design claim."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -204,3 +205,77 @@ class TestRandomPolicyGenerator:
             pol = random_policy(rng, allow_reject=False)
             out = pol.apply(valid(1, {2}, (1, 0)))
             assert out is not INVALID
+
+
+def _replace_apply(policy, route):
+    """The policy semantics written with ``dataclasses.replace`` for
+    every rewrite: the reference the direct constructors must match."""
+    if route is INVALID or isinstance(policy, Reject):
+        return INVALID
+    if isinstance(policy, IncrPrefBy):
+        return replace(route, lp=route.lp + policy.amount)
+    if isinstance(policy, SetPref):
+        return replace(route, lp=policy.value)
+    if isinstance(policy, AddComm):
+        return replace(route, communities=route.communities
+                       | {policy.community})
+    if isinstance(policy, DelComm):
+        return replace(route, communities=route.communities
+                       - {policy.community})
+    if isinstance(policy, Compose):
+        return _replace_apply(policy.second,
+                              _replace_apply(policy.first, route))
+    assert isinstance(policy, If)
+    if policy.condition.evaluate(route):
+        return _replace_apply(policy.policy, route)
+    return route
+
+
+def _key_choice(x, y):
+    """⊕ as one key comparison, communities sorted on every call."""
+    if x is INVALID:
+        return y
+    if y is INVALID:
+        return x
+
+    def key(r):
+        return (r.lp, len(r.path), r.path, tuple(sorted(r.communities)))
+
+    return x if key(x) <= key(y) else y
+
+
+class TestHotPathsMatchReference:
+    """The policies' direct ``BGPRoute`` constructor and the lazy
+    decision procedure give what ``replace`` and the full sort key
+    give, on plain and on prepending's padded routes."""
+
+    def _policy(self, rng):
+        pol = random_policy(rng, n_nodes=6)
+        if rng.random() < 0.3:
+            pol = Compose(pol, SetPref(rng.randint(0, 5)))
+        return pol
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_policies_equal_replace(self, rng, padded):
+        from repro.algebras.prepending import PrependingBGPAlgebra
+        alg = (PrependingBGPAlgebra(n_nodes=6) if padded
+               else BGPLiteAlgebra(n_nodes=6))
+        for _ in range(3000):
+            route, pol = alg.sample_route(rng), self._policy(rng)
+            got, want = pol.apply(route), _replace_apply(pol, route)
+            assert got == want and type(got) is type(want), (pol, route)
+
+    def test_choice_equals_key_comparison(self, rng):
+        alg = BGPLiteAlgebra(n_nodes=4)
+
+        def route():
+            # narrow ranges so that every tie-break step is reached
+            if rng.random() < 0.05:
+                return INVALID
+            path = tuple(rng.sample(range(4), rng.randint(0, 2)))
+            return valid(rng.randint(0, 1),
+                         {c for c in range(3) if rng.random() < 0.5}, path)
+
+        for _ in range(5000):
+            x, y = route(), route()
+            assert alg.choice(x, y) is _key_choice(x, y), (x, y)

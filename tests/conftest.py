@@ -107,3 +107,36 @@ def bgp_net(n: int = 4, seed: int = 0, allow_reject: bool = False) -> Network:
                                 allow_reject=allow_reject)
             net.set_edge(i, j, alg.edge(i, j, pol))
     return net
+
+
+class ExtensionCounter:
+    """Counts edge-function calls: the cost unit of the object engines.
+
+    ``install(net)`` replaces every installed edge function by a
+    counting wrapper (do it before the first solve: each wrap is a
+    write); ``wrap(fn)`` wraps one function to install later; ``take()``
+    returns the calls since the last ``take`` and resets the count.
+    """
+
+    def __init__(self):
+        self.calls = 0
+
+    def wrap(self, fn):
+        def counted(route):
+            self.calls += 1
+            return fn(route)
+        return counted
+
+    def install(self, net: Network) -> "ExtensionCounter":
+        for i, k in list(net.present_edges()):
+            net.set_edge(i, k, self.wrap(net.edge(i, k)))
+        return self
+
+    def take(self) -> int:
+        calls, self.calls = self.calls, 0
+        return calls
+
+
+@pytest.fixture
+def extensions():
+    return ExtensionCounter()

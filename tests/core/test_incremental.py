@@ -11,12 +11,17 @@ import random
 
 import pytest
 
-from repro.algebras import BGPLiteAlgebra, ShortestPathsAlgebra
+from repro.algebras import (
+    BGPLiteAlgebra,
+    HopCountAlgebra,
+    ShortestPathsAlgebra,
+)
 from repro.algebras.bgplite import random_policy
 from repro.core import (
     AdversarialStaleSchedule,
     BoundedHistory,
     FixedDelaySchedule,
+    IncrementalEngine,
     RandomSchedule,
     RoundRobinSchedule,
     RoutingState,
@@ -150,6 +155,86 @@ class TestSigmaEquivalence:
         assert not dirty
         same, dirty2 = sigma_propagate(net, fp, set())
         assert same is fp and not dirty2
+
+
+def converge_counted(net, eng, start, extensions):
+    """σ to its fixed point on ``eng`` through the entry points,
+    certifying it; returns ``(fixed point, seed-round calls, [(calls,
+    Σ over dirty (k, j) of |out(k)|) per later round])``."""
+    outs = net.topology.out_neighbours
+    current = start
+    nxt, dirty = sigma_with_dirty(net, current, eng)
+    seed = extensions.take()
+    later = []
+    while dirty:
+        assert len(later) < 500, "σ did not converge"
+        current = nxt
+        expected = sum(len(outs[k]) for k, _j in dirty)
+        nxt, dirty = sigma_propagate(net, current, dirty, eng)
+        later.append((extensions.take(), expected))
+    eng.settle(current)
+    return current, seed, later
+
+
+class TestColumnCosts:
+    """The engine's cost, pinned as edge-function calls: a cold seed
+    extends every arc over every destination, a warm seed only the
+    written arcs, and a propagation round only the (arc, destination)
+    pairs under a dirty entry."""
+
+    NETS = {"hop-count": lambda: erdos_renyi(
+                HopCountAlgebra(16), 12, 0.3,
+                uniform_weight_factory(HopCountAlgebra(16), 1, 3), seed=3),
+            "bgplite": lambda: _bgp_net(n=8, p=0.35, seed=5)}
+
+    def _certified(self, name, extensions):
+        net = self.NETS[name]()
+        extensions.install(net)
+        eng = IncrementalEngine(net)
+        start = RoutingState.identity(net.algebra, net.n)
+        fp, seed, later = converge_counted(net, eng, start, extensions)
+        edges = len(list(net.present_edges()))
+        assert seed == edges * net.n            # cold: E·n
+        assert later and all(calls == want for calls, want in later)
+        return net, eng, fp
+
+    def _rewrite(self, net, i, k):
+        alg = net.algebra
+        if isinstance(alg, BGPLiteAlgebra):
+            return alg.edge(i, k)
+        return alg.edge(1)
+
+    @pytest.mark.parametrize("name", sorted(NETS))
+    def test_a_set_edge_costs_n_in_the_seed_round(self, name, extensions):
+        net, eng, fp = self._certified(name, extensions)
+        i, k = sorted(net.present_edges())[len(fp.rows)]
+        net.set_edge(i, k, extensions.wrap(self._rewrite(net, i, k)))
+        fp2, seed, later = converge_counted(net, eng, fp, extensions)
+        assert seed == net.n
+        assert all(calls == want for calls, want in later)
+        ref = RoutingSession(net, "naive").sigma(fp)
+        assert ref.rounds == len(later)
+        assert fp2.equals(ref.state, net.algebra)
+
+    @pytest.mark.parametrize("name", sorted(NETS))
+    def test_a_remove_edge_costs_nothing_in_the_seed_round(
+            self, name, extensions):
+        net, eng, fp = self._certified(name, extensions)
+        i, k = sorted(net.present_edges())[len(fp.rows)]
+        net.remove_edge(i, k)
+        fp2, seed, later = converge_counted(net, eng, fp, extensions)
+        assert seed == 0
+        assert all(calls == want for calls, want in later)
+        ref = RoutingSession(net, "naive").sigma(fp)
+        assert ref.rounds == len(later)
+        assert fp2.equals(ref.state, net.algebra)
+
+    def test_an_uncertified_start_seeds_cold(self, extensions):
+        net, eng, fp = self._certified("bgplite", extensions)
+        net.remove_edge(*sorted(net.present_edges())[0])
+        _fp2, seed, _later = converge_counted(net, eng, fp.copy(),
+                                              extensions)
+        assert seed == len(list(net.present_edges())) * net.n
 
 
 class TestTopologyChangeRegression:

@@ -62,6 +62,7 @@ if __name__ == "__main__":   # allow running without installing the package
 
 from repro.algebras import (
     BGPLiteAlgebra,
+    BoundedStratifiedAlgebra,
     HopCountAlgebra,
     ShortestPathsAlgebra,
     WidestPathsAlgebra,
@@ -682,12 +683,22 @@ def _batched_cases(scale: str) -> List[Dict]:
     if scale == "smoke":
         return []                        # tier-1 smoke stays tiny
     if scale == "quick":
+        strat = BoundedStratifiedAlgebra(max_level=3, max_distance=12)
         return [
             # correctness guard at a size quick can afford; only a
             # catastrophic floor applies at this scale
             dict(label="gnp-40/hop-count/grid-8", n_starts=2,
                  net=erdos_renyi(hop, 40, 0.25, w(hop), seed=31),
                  schedules=_dense_schedules, max_steps=1000),
+            # tables that are not clipped shifts (the fold's table take)
+            # and the full zoo, whose trials finish inside planned
+            # windows: each checked against its own single run
+            dict(label="gnp-24/stratified-bounded/zoo-grid-22",
+                 n_starts=2,
+                 net=erdos_renyi(strat, 24, 0.4,
+                                 lambda rng, _i, _j:
+                                 strat.sample_edge_function(rng), seed=1),
+                 schedules=lambda n: schedule_zoo(n), max_steps=2000),
         ]
     return [
         # the ISSUE 4 headline acceptance case: >= 16 trials, dense

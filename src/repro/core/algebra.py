@@ -153,7 +153,13 @@ class RoutingAlgebra(ABC):
     # ------------------------------------------------------------------
 
     def equal(self, a: Route, b: Route) -> bool:
-        """Route equality.  Default is ``==``; override for quotients."""
+        """Route equality.  Default is ``==``; override for quotients.
+
+        An override must stay a quotient of ``==`` — ``a == b`` implies
+        ``equal(a, b)`` — which :meth:`RoutingState.equals
+        <repro.core.state.RoutingState.equals>` relies on when it
+        compares whole rows with ``==`` first.
+        """
         return a == b
 
     def leq(self, a: Route, b: Route) -> bool:

@@ -255,7 +255,9 @@ def _delta_run_serial(network: Network, schedule: Schedule,
     ``stability_window`` defaults to (max read-back of the schedule) + 2:
     once the state has been constant for longer than every β read-back
     *and* is σ-stable, every future activation recomputes the same
-    entries, so the limit has provably been reached.
+    entries, so the limit has provably been reached.  The σ check runs
+    once per constant run: a state that failed it keeps failing it
+    until the state changes, so it is not checked again before then.
 
     By default the history is a ring buffer of the last
     ``max read-back + 2`` states (O(window · n²) memory).  The full
@@ -276,6 +278,7 @@ def _delta_run_serial(network: Network, schedule: Schedule,
                else BoundedHistory(start, window=max_read_back + 2))
     alg = network.algebra
     unchanged = 0
+    failed = False          # the current state already failed is_stable
     cache = None if strict else DeltaRowCache()
     for t in range(1, max_steps + 1):
         if strict:
@@ -286,11 +289,13 @@ def _delta_run_serial(network: Network, schedule: Schedule,
                                                cache)
         history.append(nxt)
         unchanged = 0 if changed else unchanged + 1
-        if unchanged >= stability_window and is_stable(network, nxt):
-            converged_at = t - unchanged
-            return AsyncResult(True, t, nxt, converged_at,
-                               history if keep_history else None,
-                               history_retained=len(history))
+        failed = failed and not changed
+        if unchanged >= stability_window and not failed:
+            if is_stable(network, nxt):
+                return AsyncResult(True, t, nxt, t - unchanged,
+                                   history if keep_history else None,
+                                   history_retained=len(history))
+            failed = True
     return AsyncResult(False, max_steps, history[max_steps], None,
                        history if keep_history else None,
                        history_retained=len(history))

@@ -422,9 +422,8 @@ def _shard_delta_steps(state: _ShardState, head: dict,
         raise RemoteError("delta steps before delta init")
     ring, W, topo = state.ring, state.window, state.topo
     ts, k, e, nodes, slot = _read_delta_window(state, head, tail)
-    has = topo.deg[nodes] > 0
-    edge_flat, starts = topo.edges(nodes[has])
-    src = topo.src[edge_flat]
+    has, edge_flat, starts = topo.layout(nodes)
+    rows = slot * state.n + topo.src[edge_flat]     # rows of the ring
     node_at = np.cumsum(k) - k
     edge_at = np.cumsum(e) - e
     has_at = np.cumsum(np.concatenate(([0], has)))
@@ -435,17 +434,17 @@ def _shard_delta_steps(state: _ShardState, head: dict,
         step = nodes[a0:a1]
         prev, nxt = ring[(t - 1) % W], ring[t % W]
         nxt[:] = prev
-        rows = np.full((step.size, state.width), state.invalid,
-                       dtype=ring.dtype)
+        out = np.full((step.size, state.width), state.invalid,
+                      dtype=ring.dtype)
         if e1 > e0:
-            rows[has[a0:a1]] = delta_fold(
-                ring, (slot[e0:e1], src[e0:e1]), edge_flat[e0:e1],
+            out[has[a0:a1]] = delta_fold(
+                ring, rows[e0:e1], edge_flat[e0:e1],
                 starts[has_at[a0]:has_at[a1]] - e0, topo.tables,
                 topo.affine)
         own = np.nonzero((step >= state.lo) & (step < state.hi))[0]
-        rows[own, step[own] - state.lo] = state.trivial
-        flags.append(bool((rows != prev[step]).any()))
-        nxt[step] = rows
+        out[own, step[own] - state.lo] = state.trivial
+        flags.append(bool((out != prev[step]).any()))
+        nxt[step] = out
     return flags
 
 
@@ -1361,13 +1360,13 @@ class RemoteVectorizedEngine(VectorizedEngine):
             except _ShardFault as fault:
                 self._heal(fault)
 
-    def _delta_begin(self, scheds, starts, windows):
+    def _delta_begin(self, plan, starts):
         """Start a run: the pool, then worker rings of the window plus
         the trial's read window, holding the start at slot 0 or — when a
         heal resumes the run — the last checkpoint's ring tail (full
         ``(n, n)`` slots, so any column layout re-encodes its blocks)."""
         self._attempt_pool()
-        W = DELTA_WINDOW + int(windows[0])
+        W = DELTA_WINDOW + int(plan.windows[0])
         ckpt = self._delta_ckpt
         if ckpt is None:
             mirror = starts[0].copy()
@@ -1387,18 +1386,20 @@ class RemoteVectorizedEngine(VectorizedEngine):
                 ckpt["t"], len(slot_ts), ckpt["t"])
         self.delta_ipc_commands = 0
         self.delta_ipc_steps = 0
-        return {"scheds": scheds, "windows": windows, "mirror": mirror,
-                "W": W, "shipped": 0}, t, unchanged
+        return {"plan": plan, "mirror": mirror, "W": W, "shipped": 0}, \
+            t, unchanged
 
     def _delta_window(self, run, t: int, count: int, live, unchanged,
                       sigma_ok, const_ok):
         """One :data:`~repro.core.wire.MSG_DELTA_STEPS` command of at
         most ``count`` steps from ``t``, yielding each step's changed
-        flag.  The command's head is each step's ``[t, active count,
-        edge count]`` and the names of the tail's two dtypes; its tail
-        is every step's active nodes, then every step's read-backs
-        ``t − β`` (the cached segments of :meth:`_slot_segment`), each in
-        the narrowest dtype that holds ``n − 1`` or the ring window
+        flag.  The steps come from the planner the in-process rungs
+        slice their windows from (``_DeltaPlan.wire`` in
+        :mod:`repro.core.vectorized`): the command's head
+        is each step's ``[t, active count, edge count]`` and the names of
+        the tail's two dtypes; its tail is every step's active nodes,
+        then every step's read-backs ``t − β``, each in the narrowest
+        dtype that holds ``n − 1`` or the ring window
         (:func:`~repro.core.wire.carrier_dtype`).  The window is cut
         before the first step that reads outside the ring (the loop
         raises only if it gets there); a reply that is not one boolean
@@ -1407,25 +1408,18 @@ class RemoteVectorizedEngine(VectorizedEngine):
         checkpoint.  No row is certified, so the loop probes the whole
         fetched state.
         """
-        comp = run["scheds"][0]
-        ts, nodes, backs = [], [], []
-        whole = True
-        for s in range(t, t + min(DELTA_WINDOW, count)):
-            if s > t and self._step_reads(run["scheds"], run["windows"],
-                                          live, s)[2] is not None:
-                whole = False
-                break
-            ts.append(s)
-            nodes.append(np.nonzero(comp.alpha_mask(s))[0])
-            backs.append(s - self._slot_segment(comp, s))
+        plan = run["plan"]
+        p = plan.wire(t, min(DELTA_WINDOW, count))
+        ts = list(range(t, t + p.steps))
+        edges = np.diff(p.edge_at)
+        back = np.repeat(np.asarray(ts), edges) - p.times
         node_dt = carrier_dtype(self._n)
         back_dt = carrier_dtype(run["W"] + 1)
         self._broadcast(MSG_DELTA_STEPS, {
-            "steps": [[s, a.size, b.size]
-                      for s, a, b in zip(ts, nodes, backs)],
+            "steps": [[s, a, e] for s, a, e in zip(
+                ts, np.diff(p.node_at).tolist(), edges.tolist())],
             "dtypes": [node_dt.str, back_dt.str],
-        }, np.concatenate(nodes).astype(node_dt).tobytes()
-            + np.concatenate(backs).astype(back_dt).tobytes())
+        }, p.nodes.astype(node_dt).tobytes() + back.astype(back_dt).tobytes())
         self.delta_ipc_commands += 1
         self.delta_ipc_steps += len(ts)
         changed = np.zeros((len(ts), 1), dtype=bool)
@@ -1444,10 +1438,11 @@ class RemoteVectorizedEngine(VectorizedEngine):
         self._barrier()
         yield from changed
         run["shipped"] += 1
-        if whole and DELTA_CKPT_EVERY > 0 and self._retries_left > 0 \
+        if p.stale is None and DELTA_CKPT_EVERY > 0 \
+                and self._retries_left > 0 \
                 and run["shipped"] % DELTA_CKPT_EVERY == 0:
             self._capture_delta_ckpt(run["mirror"], ts[-1],
-                                     int(run["windows"][0]),
+                                     int(plan.windows[0]),
                                      int(unchanged[0]))
 
     def _delta_state(self, run, b: int, t: int) -> "np.ndarray":

@@ -24,14 +24,22 @@ choices from a seed via counter-based hashing) so that δ runs are
 reproducible and β can be re-queried at will.
 
 :class:`CompiledSchedule` is the bridge between this object model and
-the array engines (the compiled δ step of :mod:`repro.core.vectorized`
-and the :mod:`repro.core.remote` coordinator): it precompiles any
-schedule over a finite horizon into per-step activation bitmask rows,
-hands over a whole step's β read times over given in-edges in one call
-(:meth:`Schedule.beta_times_for`, the protocol's bulk hook), keeps an
-equivalence contract to the object form (``alpha``/``beta`` answer
+the array engines (the δ planner of :mod:`repro.core.vectorized`, which
+the in-process step loop and the :mod:`repro.core.remote` coordinator
+share): it hands over a *window* of steps at once — the activation
+bitmask rows of ``count`` consecutive steps (:meth:`Schedule.alpha_masks`)
+and the β read times over given in-edges of many steps in one call
+(:meth:`Schedule.beta_times_for` with one step time per node) — keeps
+an equivalence contract to the object form (``alpha``/``beta`` answer
 identically) and *derives* ``max_read_back`` for schedules that
 declare none.
+
+Those array forms are closed forms of ``alpha`` and ``beta`` where a
+class has one.  A subclass that overrides ``alpha`` or ``beta`` but not
+their array forms would inherit closed forms of its parent's schedule,
+so it gets the base forms instead, which ask its own ``alpha`` and
+``beta`` (:meth:`Schedule.__init_subclass__`): the array engines run
+the schedule the object engines run.
 """
 
 from __future__ import annotations
@@ -71,24 +79,36 @@ _MASK64 = (1 << 64) - 1
 _SM_LANES: Dict[int, "object"] = {}
 _U30, _U27, _U31 = _np.uint64(30), _np.uint64(27), _np.uint64(31)
 _UM1, _UM2 = _np.uint64(_SM_MUL1), _np.uint64(_SM_MUL2)
-_U1, _UG = _np.uint64(1), _np.uint64(_SM_GAMMA)
+_UG = _np.uint64(_SM_GAMMA)
 
 
-def _splitmix_row(base: int, count: int):
-    """``count`` independent 64-bit draws from one row ``base``.
+def _splitmix_rows(bases, count: int):
+    """``count`` independent 64-bit draws from each row base in
+    ``bases`` (a uint64 array): a ``bases.shape + (count,)`` array.
 
-    The row-based form of counter hashing: one blake2b digest keys the
+    The row-based form of counter hashing: one blake2b digest keys each
     row (collision-resistant across (seed, tag, t, i) counters), and a
-    splitmix64 finalizer expands it into per-lane draws — numpy-
-    vectorizable, so a whole row of schedule decisions costs one hash
-    plus a handful of uint64 array ops instead of ``count`` digests.
-    Returns a uint64 ndarray.
+    splitmix64 finalizer expands it into per-lane draws — lane ``j`` is
+    ``splitmix(base + (j + 1)·γ)`` — numpy-vectorizable, so a whole row
+    of schedule decisions costs one hash plus a handful of uint64 array
+    ops instead of ``count`` digests.
     """
+    return _splitmix(bases[..., None] + _lanes(count))
+
+
+def _lanes(count: int):
+    """The lane offsets ``(j + 1)·γ`` of lanes ``j < count`` (cached)."""
     lanes = _SM_LANES.get(count)
     if lanes is None:
         lanes = _np.arange(1, count + 1, dtype=_np.uint64) * _UG
         _SM_LANES[count] = lanes
-    return _splitmix(_np.uint64(base & _MASK64) + lanes)
+    return lanes
+
+
+def _bases(digests):
+    """8-byte blake2b ``digests`` as one uint64 array of row bases —
+    :func:`_hash_int` of each hashed key, byte for byte."""
+    return _np.frombuffer(b"".join(digests), dtype=">u8").astype(_np.uint64)
 
 
 def _splitmix(z):
@@ -131,6 +151,11 @@ class _PerStepMemo:
         return row
 
 
+#: the array forms of each of a schedule's two functions
+_ARRAY_FORMS = {"alpha": ("alpha_masks",),
+                "beta": ("beta_row", "beta_uniform", "beta_times_for")}
+
+
 class Schedule(ABC):
     """Abstract (α, β) schedule over ``n`` nodes."""
 
@@ -138,6 +163,20 @@ class Schedule(ABC):
         if n <= 0:
             raise ValueError("schedule needs n >= 1 nodes")
         self.n = n
+
+    def __init_subclass__(cls, **kwargs):
+        """A class that overrides ``alpha`` (``beta``) keeps only the
+        array forms of it that it defines itself: any other is reset to
+        the base form, which asks the class's own function.  An
+        inherited closed form answers for the parent's schedule, which
+        would make the array engines run another schedule than the
+        object engines."""
+        super().__init_subclass__(**kwargs)
+        for name, forms in _ARRAY_FORMS.items():
+            if name in cls.__dict__:
+                for form in forms:
+                    if form not in cls.__dict__:
+                        setattr(cls, form, getattr(Schedule, form))
 
     @abstractmethod
     def alpha(self, t: int) -> FrozenSet[int]:
@@ -167,30 +206,53 @@ class Schedule(ABC):
         beta = self.beta
         return [beta(t, i, j) for j in range(self.n)]
 
-    def beta_times_for(self, t: int, nodes, sources, counts):
-        """Step ``t``'s read times over given in-edges, as one int64
-        array: the bulk hook the array engines call once per step.
+    def alpha_masks(self, t: int, count: int):
+        """The activation rows of steps ``t … t + count − 1``: a
+        ``(count, n)`` bool array whose row ``k`` marks ``α(t + k)``.
 
-        ``nodes`` are active nodes, ``counts[k]`` the number of in-edges
-        of ``nodes[k]``, and ``sources`` the exporters of those edges,
-        node by node (so ``counts`` sums to ``len(sources)``); entry
-        ``e`` is ``β(t, i, sources[e])`` for the node ``i`` edge ``e``
-        belongs to.  A uniform-β step is one constant fill
-        (:meth:`beta_uniform`); otherwise the base answer gathers from
-        each node's :meth:`beta_row`, so a schedule that defines only
-        ``alpha``/``beta`` answers here too.
+        The window form of :meth:`alpha`, which the array engines' δ
+        planner reads.  The base stacks :meth:`alpha`; a schedule with a
+        closed form overrides it.
         """
-        sources = _np.asarray(sources, dtype=_np.intp)
-        uniform = self.beta_uniform(t)
-        if uniform is not None:
-            return _np.full(sources.size, uniform, dtype=_np.int64)
+        masks = _np.zeros((count, self.n), dtype=bool)
+        for k in range(count):
+            act = self.alpha(t + k)
+            if act:
+                masks[k, list(act)] = True
+        return masks
+
+    def beta_times_for(self, t, nodes, sources, counts):
+        """Read times over given in-edges, as one int64 array: the bulk
+        hook the array engines call once per window of steps.
+
+        ``nodes`` are active nodes and ``t`` their step: one step for
+        all of them, or one step per node (``t[k]`` that of
+        ``nodes[k]``, a window of steps in one call).  ``counts[k]`` is
+        the number of in-edges of ``nodes[k]``, and ``sources`` the
+        exporters of those edges, node by node (so ``counts`` sums to
+        ``len(sources)``); entry ``e`` is ``β(t_k, i, sources[e])`` for
+        the node ``i`` edge ``e`` belongs to.  A uniform-β step is a
+        constant fill (:meth:`beta_uniform`); the nodes of any other
+        step gather from their :meth:`beta_row`, so a schedule that
+        defines only ``alpha``/``beta`` answers here too.
+        """
+        nodes = _np.asarray(nodes, dtype=_np.intp)
         counts = _np.asarray(counts, dtype=_np.intp)
-        read = counts > 0
-        rows = _np.array([self.beta_row(t, i)
-                          for i in _np.asarray(nodes)[read].tolist()],
-                         dtype=_np.int64).reshape(-1, self.n)
-        return rows[_np.repeat(_np.arange(rows.shape[0]), counts[read]),
-                    sources]
+        times = _np.broadcast_to(_np.asarray(t, dtype=_np.int64), nodes.shape)
+        steps, at = _np.unique(times, return_inverse=True)
+        uniform = [self.beta_uniform(s) for s in steps.tolist()]
+        ask = _np.asarray([u is None for u in uniform], dtype=bool)[at]
+        out = _np.repeat(_np.asarray([u or 0 for u in uniform],
+                                     dtype=_np.int64)[at], counts)
+        ask &= counts > 0
+        if ask.any():
+            rows = _np.array([self.beta_row(s, i) for s, i in zip(
+                times[ask].tolist(), nodes[ask].tolist())], dtype=_np.int64)
+            edges = _np.repeat(ask, counts)
+            out[edges] = rows[_np.repeat(_np.arange(rows.shape[0]),
+                                         counts[ask]),
+                              _np.asarray(sources, dtype=_np.intp)[edges]]
+        return out
 
     def beta_uniform(self, t: int) -> Optional[int]:
         """The common read time at ``t`` when β is independent of
@@ -275,6 +337,9 @@ class SynchronousSchedule(Schedule):
     def alpha(self, t: int) -> FrozenSet[int]:
         return frozenset(range(self.n))
 
+    def alpha_masks(self, t: int, count: int):
+        return _np.ones((count, self.n), dtype=bool)
+
     def beta(self, t: int, i: int, j: int) -> int:
         return t - 1
 
@@ -288,6 +353,13 @@ class SynchronousSchedule(Schedule):
         return f"SynchronousSchedule(n={self.n})"
 
 
+def _one_hot(nodes, n: int):
+    """``(len(nodes), n)`` bool rows, row ``k`` marking ``nodes[k]``."""
+    masks = _np.zeros((nodes.size, n), dtype=bool)
+    masks[_np.arange(nodes.size), nodes] = True
+    return masks
+
+
 class RoundRobinSchedule(Schedule):
     """One node activates per step, cyclically, reading latest data.
 
@@ -297,6 +369,9 @@ class RoundRobinSchedule(Schedule):
 
     def alpha(self, t: int) -> FrozenSet[int]:
         return frozenset({(t - 1) % self.n})
+
+    def alpha_masks(self, t: int, count: int):
+        return _one_hot(_np.arange(t - 1, t - 1 + count) % self.n, self.n)
 
     def beta(self, t: int, i: int, j: int) -> int:
         return t - 1
@@ -326,6 +401,9 @@ class FixedDelaySchedule(Schedule):
     def alpha(self, t: int) -> FrozenSet[int]:
         return frozenset(range(self.n))
 
+    def alpha_masks(self, t: int, count: int):
+        return _np.ones((count, self.n), dtype=bool)
+
     def beta(self, t: int, i: int, j: int) -> int:
         return max(0, t - self.delay)
 
@@ -354,13 +432,14 @@ class RandomSchedule(Schedule):
     Draws are *row-hashed and memoized*: one blake2b digest keys each
     per-``t`` activation row / per-``(t, i)`` delay row, a splitmix64
     finalizer expands it into independent per-lane draws
-    (:func:`_splitmix_row`, numpy-vectorized), and the rows of the
+    (:func:`_splitmix_rows`, numpy-vectorized), and the rows of the
     last few distinct ``t`` values are cached (:class:`_PerStepMemo`)
     — so a whole row of schedule decisions costs one hash plus array
     ops, and the strict δ recursion's ``n``-fold redundant β queries
-    hit the memo.  The array engines build no rows at all: the bulk
-    hook :meth:`beta_times_for` draws exactly the lanes of a step's
-    in-edges, the same values.  The schedule stays a deterministic
+    hit the memo.  The array engines build no rows at all: the window
+    hooks :meth:`alpha_masks` and :meth:`beta_times_for` draw a window
+    of steps at once — exactly the lanes of its in-edges for β — the
+    same values.  The schedule stays a deterministic
     pure function of its seed — but note the row-hash rework (seed
     version 2) changed *which* schedule each seed denotes relative to
     the earlier per-(t, i, j) blake2b draws: experiments pinned to old
@@ -393,30 +472,43 @@ class RandomSchedule(Schedule):
         self.max_silence = max_silence
         self._alpha_memo = _PerStepMemo()
         self._beta_memo = _PerStepMemo()
+        #: the suffix of row ``(t, i)``'s hash input, per node
+        self._node_keys = [str(i).encode() for i in range(n)]
 
     def alpha(self, t: int) -> FrozenSet[int]:
         memo = self._alpha_memo.row(t)
         cached = memo.get("alpha")
-        if cached is not None:
-            return cached
-        draws = _splitmix_row(_hash_int(self.seed, "act", t), self.n)
+        if cached is None:
+            # this class's closed form, which a subclass's alpha drops
+            cached = memo["alpha"] = frozenset(_np.flatnonzero(
+                RandomSchedule.alpha_masks(self, t, 1)[0]).tolist())
+        return cached
+
+    def alpha_masks(self, t: int, count: int):
+        """One blake2b per step keys its activation row, and one
+        splitmix over ``(count, n)`` lanes draws every row at once."""
+        steps = _np.arange(t, t + count)
         threshold = int(self.activation_prob * (2 ** 64))
-        forced = t % self.max_silence     # keeps S1 true at tiny probabilities
         if threshold > _MASK64:           # activation_prob == 1.0
-            mask = _np.ones(self.n, dtype=bool)
+            masks = _np.ones((count, self.n), dtype=bool)
         else:
-            mask = draws < _np.uint64(threshold)
-        mask |= (_np.arange(self.n) % self.max_silence) == forced
-        result = frozenset(_np.nonzero(mask)[0].tolist())
-        memo["alpha"] = result
-        return result
+            seed, blake2b = self.seed, hashlib.blake2b
+            masks = _splitmix_rows(_bases(
+                [blake2b(f"{seed}:act:{s}".encode(), digest_size=8).digest()
+                 for s in steps.tolist()]), self.n) < _np.uint64(threshold)
+        # a forced activation every max_silence steps keeps S1 true at
+        # tiny probabilities
+        masks |= (_np.arange(self.n) % self.max_silence)[None, :] == \
+            (steps % self.max_silence)[:, None]
+        return masks
 
     def _delay_row(self, t: int, i: int):
         """Node ``i``'s per-source delay draws at ``t`` (cached per t)."""
         memo = self._beta_memo.row(t)
         row = memo.get(i)
         if row is None:
-            draws = _splitmix_row(_hash_int(self.seed, "delay", t, i), self.n)
+            draws = _splitmix_rows(_np.uint64(
+                _hash_int(self.seed, "delay", t, i)), self.n)
             row = 1 + (draws % _np.uint64(self.max_delay)).astype(_np.int64)
             memo[i] = row
         return row
@@ -427,25 +519,34 @@ class RandomSchedule(Schedule):
     def beta_row(self, t: int, i: int) -> List[int]:
         return _np.maximum(0, t - self._delay_row(t, i)).tolist()
 
-    def beta_times_for(self, t: int, nodes, sources, counts):
+    def beta_times_for(self, t, nodes, sources, counts):
         """The bulk hook as one edge-wise splitmix.
 
         Lane ``j`` of row ``(t, i)`` is ``splitmix(h(t, i) + (j + 1)·γ)``
-        (:func:`_splitmix_row`), so a whole step is every node's row
+        (:func:`_splitmix_rows`), so a whole window is every node's row
         hash repeated over its in-edges plus ``(sources + 1)·γ``, put
         through the finalizer: the draws of :meth:`beta_row` without
-        building a row.  The row hashes are :func:`_hash_int`'s digests,
-        byte for byte, built from one per-step prefix.
+        building a row.  The row hashes are :func:`_hash_int`'s
+        digests, byte for byte: blake2b streams, so each step's prefix
+        ``"{seed}:delay:{t}:"`` is hashed once and copied per node.
         """
-        prefix = f"{self.seed}:delay:{t}:"
-        blake2b = hashlib.blake2b
-        bases = _np.frombuffer(b"".join(
-            [blake2b(f"{prefix}{i}".encode(), digest_size=8).digest()
-             for i in _np.asarray(nodes).tolist()]), dtype=">u8")
-        z = _np.repeat(bases.astype(_np.uint64), counts) + \
-            (_np.asarray(sources, dtype=_np.uint64) + _U1) * _UG
+        nodes = _np.asarray(nodes)
+        times = _np.broadcast_to(_np.asarray(t, dtype=_np.int64), nodes.shape)
+        blake2b, keys = hashlib.blake2b, self._node_keys
+        rows, last, prefix = [], None, None
+        for s, i in zip(times.tolist(), nodes.tolist()):
+            if s != last:
+                last = s
+                prefix = blake2b(f"{self.seed}:delay:{s}:".encode(),
+                                 digest_size=8)
+            row = prefix.copy()
+            row.update(keys[i])
+            rows.append(row.digest())
+        z = _np.repeat(_bases(rows), counts) + \
+            _lanes(self.n).take(_np.asarray(sources, dtype=_np.intp))
         draws = _splitmix(z) % _np.uint64(self.max_delay)
-        return _np.maximum(0, t - 1 - draws.astype(_np.int64))
+        return _np.maximum(0, _np.repeat(times, counts) - 1
+                           - draws.astype(_np.int64))
 
     def __repr__(self) -> str:
         return (f"RandomSchedule(n={self.n}, seed={self.seed}, "
@@ -468,6 +569,10 @@ class AdversarialStaleSchedule(Schedule):
     def alpha(self, t: int) -> FrozenSet[int]:
         phase = (t // self.burst) % self.n
         return frozenset({phase})
+
+    def alpha_masks(self, t: int, count: int):
+        return _one_hot((_np.arange(t, t + count) // self.burst) % self.n,
+                        self.n)
 
     def beta(self, t: int, i: int, j: int) -> int:
         return max(0, t - self.max_delay)
@@ -494,16 +599,16 @@ class CompiledSchedule(Schedule):
     which is exactly what throttles the array engines: a δ step wants
     the activation bits and the read times of every active in-edge as
     arrays, for many trials at once.  ``CompiledSchedule`` hands over,
-    per step ``t ∈ [1, horizon]``:
+    for a *window* of steps at once:
 
-    * the activation set **and** an ``(n,)`` bitmask row
-      (:meth:`alpha_mask` — stacked over steps this is the ``(T, n)``
-      activation bitmask of the schedule), compiled once per step;
-    * the step's β read times over the in-edges the caller names, in
-      one call (:meth:`beta_times_for`, the source's bulk hook) — the
-      per-edge read-back arrays a δ step gathers from.  They are not
-      cached here: the in-edges are the caller's edge layout, and the
-      δ loop caches each (schedule, step) for the trials that share it.
+    * the ``(count, n)`` activation bitmask rows of ``count``
+      consecutive steps (:meth:`alpha_masks`, the source's window hook);
+    * the read times over the in-edges the caller names, of one step
+      or of one step per node, in one call (:meth:`beta_times_for`, the
+      source's bulk hook) — the per-edge read-back arrays a δ window
+      gathers from.  Neither is cached here: the in-edges are the
+      caller's edge layout, and the δ planner keeps each (schedule,
+      step) for the trials that share it.
 
     Equivalence contract (held by
     ``tests/core/test_compiled_schedule.py``): for every ``t`` in the
@@ -519,11 +624,10 @@ class CompiledSchedule(Schedule):
     by construction — which is what lets ring-buffer engines run
     schedules the object form could only serve with a full history.
 
-    Compilation is lazy, one step at a time with a small sliding
-    cache, so a run that converges after 60 steps never pays for a
-    2000-step horizon, and memory stays O(steps_kept · n) however long
-    the horizon is (plus the full β rows the object form's ``beta``
-    has asked for, at most O(steps_kept · n²)).
+    The object form's answers are compiled lazily, one step at a time
+    with a small sliding cache, so memory stays O(steps_kept · n)
+    however long the horizon is (plus the full β rows ``beta`` has asked
+    for, at most O(steps_kept · n²)); the window forms keep nothing.
     """
 
     #: compiled steps kept alive; the recursion walks t forward, so a
@@ -551,25 +655,19 @@ class CompiledSchedule(Schedule):
     # ------------------------------------------------------------------
 
     def _step(self, t: int) -> tuple:
-        """``(act set, mask row, full-row dict)``: α compiled for the
-        step, and the full β rows the object form's ``beta`` has read
+        """``(act set, full-row dict)``: α compiled for the step, and
+        the full β rows the object form's ``beta`` has read
         (:meth:`_row`); the array engines never fill that dict."""
         memo = self._steps.row(t)
         step = memo.get(t)
         if step is None:
-            src = self.source
-            act = frozenset(src.alpha(t))
-            mask = _np.zeros(self.n, dtype=bool)
-            if act:
-                mask[list(act)] = True
-            step = (act, mask, {})
-            memo[t] = step
+            step = memo[t] = (frozenset(self.source.alpha(t)), {})
         return step
 
     def _row(self, t: int, i: int):
         """Node ``i``'s full read-time row at ``t``, for :meth:`beta`
         (cached per step)."""
-        rows = self._step(t)[2]
+        rows = self._step(t)[1]
         row = rows.get(i)
         if row is None:
             row = rows[i] = self.source.beta_row(t, i)
@@ -593,18 +691,18 @@ class CompiledSchedule(Schedule):
         return self.source.beta_uniform(t)
 
     # ------------------------------------------------------------------
-    # Array forms (what the compiled δ step and the remote coordinator
-    # consume)
+    # Window forms (what the δ planner of the codes rungs consumes)
     # ------------------------------------------------------------------
 
-    def alpha_mask(self, t: int):
-        """``(n,)`` bool activation row for ``t`` (within the horizon)."""
-        return self._step(t)[1]
+    def alpha_masks(self, t: int, count: int):
+        """The source's ``(count, n)`` activation rows from ``t`` — the
+        same inside the horizon and past it."""
+        return self.source.alpha_masks(t, count)
 
-    def beta_times_for(self, t: int, nodes, sources, counts):
-        """Step ``t``'s read times over the given in-edges, as one int64
-        array: the source's bulk hook (:meth:`Schedule.beta_times_for`),
-        inside the horizon or past it."""
+    def beta_times_for(self, t, nodes, sources, counts):
+        """The source's read times over the given in-edges
+        (:meth:`Schedule.beta_times_for`), inside the horizon or past
+        it."""
         return self.source.beta_times_for(t, nodes, sources, counts)
 
     # ------------------------------------------------------------------
@@ -620,25 +718,31 @@ class CompiledSchedule(Schedule):
     def derived_max_read_back(self) -> int:
         """The staleness bound the *active reads* attain in the horizon.
 
-        One full pass over the source, one bulk-hook call per step over
-        the active nodes' full rows (no rows are retained — only the
-        running maximum); O(horizon · |α| · n) β evaluations, paid only
-        for schedules that declare no bound, and once per source
-        schedule and horizon: every compiled form of one schedule object
-        shares the result (:data:`_DERIVED_BOUNDS`).
+        One full pass over the source through the hooks the δ planner
+        reads (:meth:`alpha_masks`, :meth:`beta_times_for` over the
+        active nodes' full rows, a window of steps per call), so the
+        ring is sized for the reads that run; no rows are retained —
+        only the running maximum.  O(horizon · |α| · n) β evaluations,
+        paid only for schedules that declare no bound, and once per
+        source schedule and horizon: every compiled form of one
+        schedule object shares the result (:data:`_DERIVED_BOUNDS`).
         """
         bounds = _DERIVED_BOUNDS.setdefault(self.source, {})
         worst = bounds.get(self.horizon)
         if worst is None:
-            src, n = self.source, self.n
+            n = self.n
+            # steps per call: about 64k read times
+            chunk = max(1, (1 << 16) // (n * n))
             worst = 1
-            for t in range(1, self.horizon + 1):
-                nodes = sorted(src.alpha(t))
-                if nodes:
-                    times = src.beta_times_for(
-                        t, nodes, _np.tile(_np.arange(n), len(nodes)),
-                        _np.full(len(nodes), n))
-                    worst = max(worst, t - int(times.min()))
+            for t in range(1, self.horizon + 1, chunk):
+                steps, nodes = _np.nonzero(self.alpha_masks(
+                    t, min(chunk, self.horizon + 1 - t)))
+                if nodes.size:
+                    times = self.beta_times_for(
+                        t + steps, nodes, _np.tile(_np.arange(n), nodes.size),
+                        _np.full(nodes.size, n))
+                    worst = max(worst, int(
+                        (_np.repeat(t + steps, n) - times).max()))
             bounds[self.horizon] = worst
         return worst
 

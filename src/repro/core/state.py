@@ -316,10 +316,14 @@ class RoutingState:
     def equals(self, other: "RoutingState", algebra: RoutingAlgebra) -> bool:
         """Element-wise equality under the algebra's route equality.
 
-        Returns on the first mismatch; the bound ``algebra.equal`` is
-        hoisted out of the loop, and rows shared structurally between
-        the two states (common under the incremental engines) are
-        skipped by identity without touching their entries.
+        Returns on the first mismatch.  A row is first compared whole
+        with ``==`` (list equality, at C speed), which is exact because
+        every algebra's ``equal`` is ``==`` or a quotient of it
+        (:meth:`~repro.core.algebra.RoutingAlgebra.equal`); only rows
+        that differ under ``==`` are walked entry by entry with the
+        hoisted ``algebra.equal``.  Rows shared structurally between the
+        two states (common under the incremental engines) are skipped by
+        identity.
         """
         if self is other:
             return True
@@ -327,7 +331,7 @@ class RoutingState:
             return False
         equal = algebra.equal
         for mine, theirs in zip(self.rows, other.rows):
-            if mine is theirs:
+            if mine is theirs or mine == theirs:
                 continue
             for a, b in zip(mine, theirs):
                 if not equal(a, b):

@@ -32,13 +32,19 @@ round, :meth:`VectorizedEngine._advance`, and
 are the loop's one-round cases.  Likewise
 :meth:`VectorizedEngine.delta_grid` is the one δ loop: a rung supplies
 only how a run starts, a window of steps and the state at a step.  δ
-runs on one kernel, the *compiled-schedule step*: a
-precompiled schedule hands over activation bitmasks and β read-time
-arrays, and every activation of a step becomes one flat gather against a
-ring of historic code matrices, extended through the edge tables and
-folded with ``np.minimum.reduceat`` (:func:`delta_fold`).  A single run
-is the grid of one trial, and in process a grid's trials stack along
-the batch axis of one ring, folded in cache-sized tiles.
+runs on one kernel, the *compiled-schedule step*: every activation of a
+step becomes one flat gather against a ring of historic code matrices,
+extended through the edge tables and folded with
+``np.minimum.reduceat`` (:func:`delta_fold`).  What a step activates
+and reads depends only on the schedules and the snapshot, so one
+planner (:class:`_DeltaPlan`) computes it for a window of steps at a
+time — each (schedule, step) once, through the schedules' window hooks
+(:meth:`~repro.core.schedule.Schedule.alpha_masks`,
+:meth:`~repro.core.schedule.CompiledSchedule.beta_times_for`) — and
+both the in-process step loop and the remote coordinator slice their
+steps from it; a step then pays only for what depends on the state.  A
+single run is the grid of one trial, and in process a grid's trials
+stack along the batch axis of one ring, folded in cache-sized tiles.
 
 Primitives and transports
 -------------------------
@@ -47,10 +53,12 @@ Every codes-rung primitive is written once, here:
 
 * :class:`TopologySnapshot` — one adjacency version in the flat edge
   layout, with its one export/restore pair for worker processes and
-  its activation edge layout (:meth:`TopologySnapshot.edges`);
+  its activation edge layout (:meth:`TopologySnapshot.layout`);
 * :func:`sigma_block_round` — the column-block σ round (kernel
   :func:`delta_fold`, Lemma 1 diagonal, changed columns);
-* :func:`delta_fold` — the one kernel, of δ's steps and σ's rounds.
+* :func:`delta_fold` — the one kernel, of δ's steps and σ's rounds;
+* :class:`_DeltaPlan` — the one δ planner, of the in-process windows
+  and the remote coordinator's.
 
 This is the **vectorized** rung of the engine ladder.  The batched
 rung (:class:`BatchedVectorizedEngine`) is this rung under another
@@ -106,11 +114,20 @@ FOLD_TILE = 1 << 18
 RING_BUDGET = 64 << 20
 
 
-def _concat_ranges(counts):
-    """``concatenate([arange(c) for c in counts])`` without a Python loop."""
-    total = int(counts.sum())
-    ends = np.cumsum(counts)
-    return np.arange(total) - np.repeat(ends - counts, counts)
+def _index_dtype(bound: int):
+    """int32 when every index below ``bound`` fits in it, else intp."""
+    return np.int32 if bound < 1 << 31 else np.intp
+
+
+def _ranges(begin, size, dtype):
+    """``(concatenate([arange(b, b + s) for b, s in zip(begin, size)]),
+    where each range starts in it)`` without a Python loop, in
+    ``dtype``."""
+    ends = np.cumsum(size, dtype=dtype)
+    starts = ends - size.astype(dtype, copy=False)
+    idx = np.repeat((begin - starts).astype(dtype, copy=False), size)
+    idx += np.arange(idx.size, dtype=dtype)
+    return idx, starts
 
 
 def affine_view(tables, dtype):
@@ -175,7 +192,7 @@ class TopologySnapshot:
         Verified *element-wise* against the real tables (see
         :func:`affine_view`), so the fast path is exact or unused —
         never approximate.  When it holds, the δ kernel's per-element
-        table gather (a 2-D fancy index, the most expensive op in the δ
+        table gather (a flat ``take``, the most expensive op in the δ
         step) becomes two SIMD-friendly arithmetic ops, in δ's steps and
         σ's rounds alike.  Computed on first use, once per snapshot —
         or, for a snapshot :meth:`patched` from one with an exact view,
@@ -218,13 +235,21 @@ class TopologySnapshot:
                 for pair in zip(view, extra))
         return out
 
-    def edges(self, nodes):
-        """The activation edge layout of ``nodes`` (each with in-edges):
-        ``(edge_flat, starts)`` — every in-edge of every node, node by
-        node, and where each node's run begins."""
+    def layout(self, nodes):
+        """The activation edge layout of active ``nodes`` (any nodes, in
+        any order — a window's steps one after another):
+        ``(has, edge_flat, starts)`` — which of them have in-edges,
+        every in-edge of each of those, node by node, and where each
+        one's run begins, in int32 where the snapshot's edges fit.  The
+        one layout of every δ path: the planner, the σ probe and the
+        remote worker's window."""
         d = self.deg[nodes]
-        return (np.repeat(self.off[nodes], d) + _concat_ranges(d),
-                np.cumsum(d) - d)
+        has = d > 0
+        if not has.all():
+            nodes, d = nodes[has], d[has]
+        edge_flat, starts = _ranges(self.off[nodes], d,
+                                    _index_dtype(self.src.size))
+        return has, edge_flat, starts
 
     def export(self):
         """``(meta, tables)``: the JSON-able half of the snapshot and its
@@ -267,7 +292,7 @@ def sigma_block_round(topo: TopologySnapshot, block, cols, lo: int,
     new = np.full(sub.shape, invalid_code, dtype=_DTYPE)
     if topo.src.size:
         new[topo.importers] = delta_fold(
-            sub, (topo.src,), np.arange(topo.src.size), topo.starts,
+            sub, topo.src, np.arange(topo.src.size), topo.starts,
             topo.tables, topo.affine)
     new[lo + cols, np.arange(cols.size)] = trivial_code  # Lemma 1
     block[:, cols] = new
@@ -278,12 +303,14 @@ def delta_fold(ring, reads, edge_flat, starts, tables, affine=None):
     """The δ kernel: gather every activation's historic reads, extend
     them through their edges and ⊕ (= ``min`` on codes) per activation.
 
-    ``reads`` is a tuple of integer index arrays, one per leading axis
-    of ``ring``, so ``ring[reads]`` is a fresh ``(edges, width)`` copy —
-    row ``e`` is the code row read along edge ``edge_flat[e]`` — and
-    each activation's edges are one consecutive run starting at
-    ``starts`` (:meth:`TopologySnapshot.edges`).  The extension is a
-    table gather, or with ``affine=(w, cap)`` (see
+    ``reads`` holds one flat row index per edge, over all leading axes
+    of ``ring`` (``ring.reshape(-1, width)[reads]``, a fresh ``(edges,
+    width)`` copy: row ``e`` is the code row read along edge
+    ``edge_flat[e]``), and each activation's edges are one consecutive
+    run starting at ``starts``
+    (:meth:`TopologySnapshot.layout`).  The extension is one flat
+    ``take`` from the edge tables (index ``edge · size + code``, in
+    int32 when the tables fit), or with ``affine=(w, cap)`` (see
     :attr:`TopologySnapshot.affine`) the exact clipped shift
     ``min(x + w, cap)``, computed in place in that copy.
 
@@ -298,9 +325,10 @@ def delta_fold(ring, reads, edge_flat, starts, tables, affine=None):
     """
     width, total, acts = ring.shape[-1], edge_flat.size, starts.size
     rows = ring.reshape(-1, width)          # a view: rings are contiguous
-    flat = np.ravel_multi_index(reads, ring.shape[:-1])
     out = np.empty((acts, width),
                    dtype=ring.dtype if affine is not None else tables.dtype)
+    size, cells = tables.shape[-1], tables.reshape(-1)
+    cell_dtype = _index_dtype(tables.size)
     per_tile = max(1, FOLD_TILE // width)   # edges per tile
     a0 = 0
     while a0 < acts:
@@ -310,17 +338,266 @@ def delta_fold(ring, reads, edge_flat, starts, tables, affine=None):
             np.searchsorted(starts, e0 + per_tile, side="right")) - 1)
         e1 = int(starts[a1]) if a1 < acts else total
         edges = edge_flat[e0:e1]
-        ext = rows.take(flat[e0:e1], axis=0)
+        ext = rows.take(reads[e0:e1], axis=0)
         if affine is not None:
             w, cap = affine
             np.add(ext, w[edges], out=ext)
             np.minimum(ext, cap[edges], out=ext)
         else:
-            ext = tables[edges[:, None], ext]
+            base = edges.astype(cell_dtype, copy=False) * size
+            ext = cells.take(ext + base[:, None])
         np.minimum.reduceat(ext, starts[a0:a1] - e0, axis=0,
                             out=out[a0:a1])
         a0 = a1
     return out
+
+
+# ----------------------------------------------------------------------
+# The δ planner: what a window of steps reads, planned once
+# ----------------------------------------------------------------------
+
+
+class _StepPlan:
+    """One schedule's δ steps ``t … t + steps − 1`` on one snapshot,
+    planned as arrays with one call of each window hook
+    (:meth:`~repro.core.schedule.Schedule.alpha_masks`,
+    :meth:`~repro.core.schedule.CompiledSchedule.beta_times_for`).
+
+    Step after step: the active nodes (``nodes``, ascending within a
+    step; step ``t + k``'s start at ``node_at[k]``), split into those
+    with in-edges (``act`` with their in-degrees ``deg`` and earliest
+    read times ``read_min``; ``act_at``) and those without (``zero``;
+    ``zero_at``), and the in-edges of the first kind in the snapshot's
+    layout (``edge``, their exporters ``src`` and read times ``times``;
+    ``edge_at``).  ``count`` steps are asked for.  With a ``budget`` the
+    plan stops before the step whose in-edges would pass it (one step
+    at least).  It always stops before the first step with a read
+    outside the schedule's ring ``window`` — ``s < 0`` violates S2,
+    ``s >= t`` reads the future, ``s < t − window`` is evicted (as in
+    :class:`~repro.core.incremental.BoundedHistory`) — and records that
+    step and its first such read time as ``stale``.
+
+    Given the in-process ``ring`` — ``(slots, rows, dtype)``: a history
+    ring of ``slots`` slots of ``rows`` rows, and the dtype its row
+    indices fit in — the plan keeps, instead of the read times, each
+    read's ring row less its trial's offset (``flat``: ``(s mod
+    slots)·rows + k``), and its node indices in that dtype.
+    """
+
+    def __init__(self, topo: TopologySnapshot, comp, window: int, t: int,
+                 count: int, budget: Optional[int] = None, ring=None):
+        masks = comp.alpha_masks(t, count)
+        if budget is not None:
+            need = np.cumsum(masks.dot(topo.deg))
+            masks = masks[:max(1, int(np.searchsorted(need, budget,
+                                                      side="right")))]
+        k, nodes = np.nonzero(masks)
+        has, edge, starts = topo.layout(nodes)
+        act_k, act = (k, nodes) if has.all() else (k[has], nodes[has])
+        deg = topo.deg[act]
+        src = topo.src[edge]
+        times = (comp.beta_times_for(t + act_k, act, src, deg) if act.size
+                 else np.empty(0, dtype=np.int64))
+        back = np.repeat(t + act_k, deg) - times          # t − β
+        self.t, self.steps, self.stale = t, masks.shape[0], None
+        if times.size and (back.min() < 1 or back.max() > window
+                           or times.min() < 0):
+            e = np.flatnonzero((back < 1) | (back > window) | (times < 0))[0]
+            s = int(times[e] + back[e])
+            self.steps, self.stale = s - t, (s, int(times[e]))
+        grid = np.arange(self.steps + 1)
+        self.node_at = np.searchsorted(k, grid)
+        self.act_at = np.searchsorted(act_k, grid)
+        self.zero_at = self.node_at - self.act_at
+        self.edge_at = np.append(starts, edge.size)[self.act_at]
+        a, e = self.act_at[-1], self.edge_at[-1]
+        self.nodes = nodes[:self.node_at[-1]]
+        self.act, self.deg = act[:a], deg[:a]
+        self.zero = nodes[~has][:self.zero_at[-1]]
+        times = times[:e]
+        self.edge, self.src = edge[:e], src[:e]
+        self.read_min = (np.minimum.reduceat(times, starts[:a]) if a
+                         else np.empty(0, dtype=np.int64))
+        if ring is None:
+            self.times = times
+        else:
+            slots, rows, dtype = ring
+            self.act, self.zero, self.src = (
+                x.astype(dtype) for x in (self.act, self.zero, self.src))
+            # (s mod slots)·rows by lookup: a modulo per read costs more
+            lo = max(0, t - window)
+            ring_rows = (np.arange(lo, t + self.steps, dtype=dtype)
+                         % slots * rows).astype(dtype)
+            self.flat = ring_rows.take(times - lo) + self.src
+
+
+def _stacked(offsets, q, base, steps: int):
+    """Where each (step, live trial) pair's rows lie, step-major: the
+    indices into the concatenation of every group's window slice, each
+    row's ``base`` (that of its trial) and where each step's rows
+    start.  ``offsets[g]`` are group ``g``'s per-step offsets in its
+    slice, ``q`` each live trial's group."""
+    own = offsets[q]                               # (trials, steps + 1)
+    sizes = own[:, 1:] - own[:, :-1]
+    begin = own[:, :-1] + (np.cumsum(offsets[:, -1])
+                           - offsets[:, -1])[q, None]
+    size = sizes.T.ravel()
+    idx, _starts = _ranges(begin.T.ravel(), size, np.intp)
+    step_at = np.zeros(steps + 1, dtype=np.intp)
+    np.cumsum(sizes.sum(axis=0), out=step_at[1:])
+    rows = np.repeat(np.broadcast_to(base, (steps, base.size)).ravel(), size)
+    return idx, rows, step_at
+
+
+class _Window:
+    """The stacked layout of steps ``t … t + steps − 1`` over a stack's
+    ``live`` trials, sliced from the per-schedule plans with array ops.
+
+    Step-major, then trial by trial: per activation with in-edges its
+    ``pair`` (row ``b·n + i`` of a ``(B·n, n)`` ring slot), node,
+    degree, earliest read time and where its in-edges start in its
+    step; per in-edge its table ``edge``, ``lc`` (the ``b·n + k`` row
+    of its source) and ``flat`` (that row in the read's ring slot,
+    ``(s mod W)·B·n + b·n + k``); per activation without in-edges its
+    ``zero_pair``.  ``act_at``/``edge_at``/``zero_at`` are each step's
+    offsets, as lists.
+    """
+
+    def __init__(self, live, t: int, steps: int, plans, q, n: int, dtype):
+        self.live, self.t, self.steps = live, t, steps
+        base = (live * n).astype(dtype)
+
+        def family(offsets, names):
+            slices, cols = [], [[] for _ in names]
+            for p in plans:
+                at_p = getattr(p, offsets)[t - p.t:t - p.t + steps + 1]
+                lo, hi = at_p[[0, -1]].tolist()
+                slices.append(at_p - lo)
+                for col, name in zip(cols, names):
+                    col.append(getattr(p, name)[lo:hi])
+            idx, rows, step_at = _stacked(np.stack(slices), q, base, steps)
+            return ([np.concatenate(col).take(idx) for col in cols], rows,
+                    step_at)
+
+        (self.node, self.deg, self.read_min), rows, act_at = family(
+            "act_at", ("act", "deg", "read_min"))
+        (self.edge, src, flat), edge_rows, edge_at = family(
+            "edge_at", ("edge", "src", "flat"))
+        if any(p.zero_at[-1] for p in plans):
+            (zero,), zero_rows, zero_at = family("zero_at", ("zero",))
+            self.zero_pair = zero_rows + zero
+        else:       # every active node has in-edges
+            self.zero_pair, zero_at = rows[:0], np.zeros(steps + 1, np.intp)
+        self.pair = rows + self.node
+        self.lc, self.flat = src + edge_rows, flat + edge_rows
+        self.starts = (np.cumsum(self.deg) - self.deg - np.repeat(
+            edge_at[:-1], np.diff(act_at))).astype(self.edge.dtype)
+        self.act_at, self.edge_at, self.zero_at = \
+            act_at.tolist(), edge_at.tolist(), zero_at.tolist()
+
+
+class _DeltaPlan:
+    """The δ planner of one stack of trials: the codes rungs' one
+    source of what a step activates and reads.
+
+    Trials that share a compiled schedule form a group.  A group's
+    steps are planned a window at a time (:class:`_StepPlan`), each
+    plan asking for twice the steps the group's last one kept (8 at
+    first), and kept until the stack has stepped past them, so each
+    (schedule, step) is planned once however many trials share it.
+    The in-process windows (:meth:`stack`) stack the live trials'
+    plans; a trial that finishes inside one leaves it as it is, and the
+    loop resumes it for the trials left.  They are bounded by a budget
+    of planned in-edges, per schedule and per stack, of
+    ``FOLD_TILE // 8``: about as many bytes of int32 indices as a fold
+    tile holds codes.  The remote coordinator plans its windows whole
+    (:meth:`wire`).  A read outside a trial's ring window raises
+    :class:`LookupError` only when a live trial reaches that step.
+    """
+
+    def __init__(self, topo: TopologySnapshot, lo: int, scheds, windows):
+        self.topo, self.lo, self.windows = topo, lo, windows
+        index: dict = {}
+        self.group = np.asarray([index.setdefault(id(comp), len(index))
+                                 for comp in scheds], dtype=np.intp)
+        self.comps = list({id(comp): comp for comp in scheds}.values())
+        self.group_window = windows[np.unique(self.group,
+                                              return_index=True)[1]]
+        #: slots of the in-process history ring: one past the widest
+        #: read window
+        self.slots = int(windows.max()) + 1
+        #: the dtype of the stacked indices: every ring row fits in it
+        self.dtype = _index_dtype(self.slots * len(scheds) * topo.deg.size)
+        self.budget = max(1, FOLD_TILE // 8)
+        self._plans: List[Optional[_StepPlan]] = [None] * len(self.comps)
+        self._window: Optional[_Window] = None
+
+    def _stale(self, b: int, t: int, s: int) -> LookupError:
+        return LookupError(
+            f"δ history for time {s} is outside trial {self.lo + b}'s "
+            f"ring window (window={int(self.windows[b])}, t={t}); "
+            "the schedule reads further back than its "
+            "declared max_read_back — run "
+            "RoutingSession.delta(..., strict=True) to keep "
+            "the full history")
+
+    def _plan(self, g: int, t: int, count: int) -> _StepPlan:
+        """Group ``g``'s plan holding step ``t`` (or stale at it), laid
+        out for the stack's ring."""
+        p = self._plans[g]
+        if p is None or t > p.t + p.steps or \
+                (t == p.t + p.steps and p.stale is None):
+            # twice the steps the last plan kept: the budget cuts a
+            # plan, and the steps past its cut are drawn for nothing
+            span = 8 if p is None else 2 * max(1, p.steps)
+            self._plans[g] = None           # let the old plan go first
+            p = self._plans[g] = _StepPlan(
+                self.topo, self.comps[g], int(self.group_window[g]), t,
+                min(span, count), self.budget,
+                (self.slots, self.group.size * self.topo.deg.size,
+                 self.dtype))
+        return p
+
+    def stack(self, live, t: int, count: int) -> _Window:
+        """The window holding step ``t``: the last one, when the stack
+        left it early because a trial finished (the trials left are a
+        subset of its own), or else the next one of at most ``count``
+        steps from ``t`` over the ``live`` trials (ascending), which
+        ends where a live group's plan ends and within the stack's
+        budget.  Raises the stale read of the lowest live trial that
+        reads outside its ring at ``t``."""
+        win = self._window
+        if win is not None and win.t < t < win.t + win.steps:
+            return win      # the stack left it early: a trial finished
+        groups = self.group[live]
+        live_groups = np.unique(groups)
+        plans = [self._plan(g, t, count) for g in live_groups.tolist()]
+        q = np.searchsorted(live_groups, groups)
+        stale = np.asarray([p.stale is not None and p.stale[0] == t
+                            for p in plans])
+        if stale.any():
+            j = int(np.flatnonzero(stale[q])[0])
+            raise self._stale(int(live[j]), t, plans[q[j]].stale[1])
+        steps = min(min(p.t + p.steps for p in plans) - t, count)
+        edges = np.stack([p.edge_at[t - p.t:t - p.t + steps + 1]
+                          for p in plans])
+        per_step = np.bincount(q, minlength=len(plans)).dot(
+            np.diff(edges, axis=1))
+        steps = max(1, int(np.searchsorted(np.cumsum(per_step), self.budget,
+                                           side="right")))
+        self._window = _Window(live, t, steps, plans, q, self.topo.deg.size,
+                               self.dtype)
+        return self._window
+
+    def wire(self, t: int, count: int) -> _StepPlan:
+        """Trial 0's next ``count`` steps from ``t``, planned whole and
+        cut before a step that reads outside its ring: a remote window.
+        Raises the stale read when it is at ``t`` itself."""
+        p = _StepPlan(self.topo, self.comps[0], int(self.group_window[0]),
+                      t, count)
+        if p.steps == 0:
+            raise self._stale(0, t, p.stale[1])
+        return p
 
 
 def supports_vectorized(algebra: RoutingAlgebra) -> bool:
@@ -499,94 +776,44 @@ class VectorizedEngine:
     # δ
     # ------------------------------------------------------------------
 
-    def _slot_segment(self, comp, t: int):
-        """Flat read-time array over ``comp``'s active, degree > 0
-        importers at ``t``, aligned to the snapshot's edge layout: one
-        constant fill for a uniform-β step
-        (:meth:`~repro.core.schedule.Schedule.beta_uniform`), else one
-        call of the bulk hook
-        (:meth:`~repro.core.schedule.CompiledSchedule.beta_times_for`)
-        over the step's in-edges.
-
-        Cached per (schedule, step): trials replicate schedules across
-        starting states, and the pair list of a step is exactly the
-        per-trial concatenation of these segments, so the β work of a
-        step is paid once per *distinct* schedule, not once per trial.
-        The cache lives for one stack (:meth:`_delta_stack` resets it)."""
-        cache = self._seg_cache
-        if cache.get("t") != t:
-            cache.clear()
-            cache["t"] = t
-        seg = cache.get(id(comp))
-        if seg is None:
-            topo = self._topo
-            nodes = np.nonzero(comp.alpha_mask(t))[0]
-            nodes = nodes[topo.deg[nodes] > 0]
-            uniform = comp.beta_uniform(t)
-            if uniform is not None:
-                seg = np.full(int(topo.deg[nodes].sum()), uniform,
-                              dtype=np.int64)
-            else:
-                edge_flat, _starts = topo.edges(nodes)
-                seg = comp.beta_times_for(t, nodes, topo.src[edge_flat],
-                                          topo.deg[nodes])
-            cache[id(comp)] = seg
-        return seg
-
-    def _step_reads(self, scheds, windows, live, t: int):
-        """``(slot, rep, stale)`` of step ``t`` over the ``live`` trials,
-        cached for the step like the segments: every read time (the
-        trials' cached segments in turn, so b-major / i-ascending like
-        the step's activations), the trial of each read, and the
-        ``(trial, read time)`` of the first read outside its trial's
-        ring window — ``s < 0`` violates S2, ``s >= t`` reads the
-        future, ``s < t - window`` is evicted (as in
-        :class:`~repro.core.incremental.BoundedHistory`) — or ``None``."""
-        key = live.tobytes()
-        reads = self._seg_cache.get(key)
-        if reads is None or self._seg_cache["t"] != t:
-            segs = [self._slot_segment(scheds[b], t) for b in live.tolist()]
-            slot = np.concatenate(segs)
-            rep = np.repeat(live, [seg.size for seg in segs])
-            bad = (slot < 0) | (slot >= t) | (t - slot > windows[rep])
-            k = int(np.argmax(bad)) if bad.any() else None
-            reads = self._seg_cache[key] = (
-                slot, rep, None if k is None else (int(rep[k]), int(slot[k])))
-        return reads
-
     # -- the three δ hooks of a rung (here: in process) ------------------
 
-    def _delta_begin(self, scheds, starts, windows):
+    def _delta_begin(self, plan: _DeltaPlan, starts):
         """How a δ run starts: every trial's start codes at slot 0 of
-        one ``(W, B, n, n)`` history ring, ``W`` one past the widest
-        read window.  Returns ``(run, t, unchanged)``: the run state the
-        other hooks take, the first step, and the unchanged-step count
-        the run starts from."""
+        one ``(W, B, n, n)`` history ring, ``W`` the planner's ring
+        slots (one past the widest read window).  Returns ``(run, t,
+        unchanged)``: the run state the other hooks take, the first
+        step, and the unchanged-step count the run starts from."""
         B, n = len(starts), self._n
-        ring = np.empty((int(windows.max()) + 1, B, n, n),
-                        dtype=self._topo.dtype)
+        ring = np.empty((plan.slots, B, n, n), dtype=self._topo.dtype)
         ring[0] = np.stack(starts)
         # read-diff skip state (see _delta_window): row k of trial b
         # last changed at step last_change[b, k] (the start counts as a
         # change at 0); prev_read_min[b, i] = earliest read time of i's
         # previous activation (-1 = never activated, never skippable)
-        return (ring, scheds, windows, np.zeros((B, n), dtype=np.int64),
+        return (ring, plan, np.zeros((B, n), dtype=np.int64),
                 np.full((B, n), -1, dtype=np.int64)), 1, 0
 
     def _delta_window(self, run, t: int, count: int, live, unchanged,
                       sigma_ok, const_ok):
-        """One window of at most ``count`` steps from ``t``: a generator
-        of per-step ``(B,)`` changed flags.  In process a window is one
-        step for every live trial over the stacked ring.
+        """One window of at most ``count`` steps from ``t`` over the
+        ``live`` trials: a generator of per-step ``(B,)`` changed flags.
+        In process the window is the planner's
+        (:meth:`_DeltaPlan.stack`): everything a step activates and
+        reads is planned for all its steps before the first, so a step
+        runs only what depends on the state — the skip, the fold, the
+        compare, the writes and the certificates.  The caller stops
+        drawing when a trial finishes; the next call resumes the same
+        window for the trials left, whose rows alone it folds (the
+        finished trial's ride along unfolded to the window's end).
 
         Slot ``t % W`` is written from slot ``(t - 1) % W``; trials
         whose state has been constant for a full ring skip that copy
         (every slot already holds their state), and active rows are
-        overwritten in place.  The whole step is one fused gather/fold:
-        every (trial, active node, in-edge) triple becomes one row of a
-        flat extension matrix, reduced per activation with
-        ``minimum.reduceat``.  Read times come from the compiled
-        schedules, one array per (schedule, step) (:meth:`_slot_segment`).
+        overwritten in place.  A step is one fused gather/fold: every
+        (trial, active node, in-edge) triple is one row of a flat
+        extension matrix, reduced per activation with
+        ``minimum.reduceat`` (:func:`delta_fold`).
 
         ``last_change``/``prev_read_min`` (the run state) are the batch
         analogue of the incremental engine's
@@ -613,80 +840,81 @@ class VectorizedEngine:
         the uncertified rows — usually none after a full quiet window —
         instead of recomputing σ over the whole ``(n, n)`` state.
         """
-        ring, scheds, windows, last_change, prev_read_min = run
-        n = self._n
+        ring, plan, last_change, prev_read_min = run
+        win = plan.stack(live, t, count)
+        n, topo = self._n, self._topo
         W, B = ring.shape[:2]
-        prev, nxt = ring[(t - 1) % W], ring[t % W]
-        copy = live[unchanged[live] < W]
-        if copy.size:
-            nxt[copy] = prev[copy]
-        changed = np.zeros(B, dtype=bool)
-        act = np.zeros((B, n), dtype=bool)
-        for b in live:
-            act[b] = scheds[b].alpha_mask(t)
-        pairs_b, pairs_i = np.nonzero(act)
-        topo = self._topo
-        d = topo.deg[pairs_i]
-        has_edges = d > 0
-        eb, ei, ed = pairs_b[has_edges], pairs_i[has_edges], d[has_edges]
-        zb, zi = pairs_b[~has_edges], pairs_i[~has_edges]
-
-        cert = None
-        if eb.size:
-            edge_flat, starts = topo.edges(ei)
-            slot, rep_b, _stale = self._step_reads(scheds, windows, live, t)
-            src_flat = topo.src[edge_flat]
-            # -- read-diff skip (vectorized DeltaRowCache) --------------
-            # sound because entry (i, j) is a pure fold of the sources'
-            # reads: if no source row changed anywhere in the span
-            # between the previous activation's reads and this one's,
-            # the fold recomputes the row it already produced.
-            read_min = np.minimum.reduceat(slot, starts)
-            lc_max = np.maximum.reduceat(last_change[rep_b, src_flat],
-                                         starts)
-            # pre-skip views for the σ-residual certificate, evaluated
-            # at the end of the step against the post-update last_change
-            cert = (eb, ei, rep_b, src_flat, starts, read_min)
-            skip = lc_max <= np.minimum(read_min, prev_read_min[eb, ei])
-            prev_read_min[eb, ei] = read_min
-            if skip.any():
-                keep = ~skip
-                keep_edges = np.repeat(keep, ed)
-                eb, ei, ed = eb[keep], ei[keep], ed[keep]
-                edge_flat = edge_flat[keep_edges]
-                src_flat = src_flat[keep_edges]
-                slot = slot[keep_edges]
-                rep_b = rep_b[keep_edges]
-                starts = np.cumsum(ed) - ed
-        if eb.size:
-            folded = delta_fold(ring, (slot % W, rep_b, src_flat), edge_flat,
-                                starts, topo.tables, topo.affine)
-            folded[np.arange(ei.size), ei] = self.trivial_code
-            hit = (folded != prev[eb, ei, :]).any(axis=1)
-            nxt[eb, ei, :] = folded
-            changed[eb[hit]] = True
-            last_change[eb[hit], ei[hit]] = t
-        if zb.size:
-            rows = np.full((zb.size, n), self.invalid_code,
-                           dtype=ring.dtype)
-            rows[np.arange(zb.size), zi] = self.trivial_code
-            hit = (rows != prev[zb, zi, :]).any(axis=1)
-            nxt[zb, zi, :] = rows
-            changed[zb[hit]] = True
-            last_change[zb[hit], zi[hit]] = t
-            const_ok[zb, zi] = True
-        # any change invalidates the trial's certificates (a source may
-        # have moved under a certified row) — reset BEFORE recording this
-        # step's, which already account for every change up to and
-        # including t
-        sigma_ok[changed] = False
-        if cert is not None:
-            ceb, cei, crep_b, csrc, cstarts, cread_min = cert
-            lc_post = np.maximum.reduceat(last_change[crep_b, csrc],
-                                          cstarts)
-            ok = lc_post <= cread_min
-            sigma_ok[ceb[ok], cei[ok]] = True
-        yield changed
+        slots = ring.reshape(W, B * n, n)      # (trial, node) rows
+        cells = ring.reshape(-1, n)
+        last, prm = last_change.reshape(-1), prev_read_min.reshape(-1)
+        certified, constant = sigma_ok.reshape(-1), const_ok.reshape(-1)
+        act_at, edge_at, zero_at = win.act_at, win.edge_at, win.zero_at
+        gone = None         # the window's trials that have finished
+        if live.size < win.live.size:
+            gone = np.ones(B, dtype=bool)
+            gone[live] = False
+        for k in range(t - win.t, win.steps):
+            now = win.t + k
+            prev, nxt = slots[(now - 1) % W], slots[now % W]
+            copy = live[unchanged[live] < W]
+            if copy.size:
+                ring[now % W, copy] = ring[(now - 1) % W, copy]
+            changed = np.zeros(B, dtype=bool)
+            a0, a1, e0, e1 = act_at[k], act_at[k + 1], edge_at[k], \
+                edge_at[k + 1]
+            if a1 > a0:
+                pair, starts = win.pair[a0:a1], win.starts[a0:a1]
+                lc, read_min = win.lc[e0:e1], win.read_min[a0:a1]
+                # -- read-diff skip (vectorized DeltaRowCache) ----------
+                # sound because entry (i, j) is a pure fold of the
+                # sources' reads: if no source row changed anywhere in
+                # the span between the previous activation's reads and
+                # this one's, the fold recomputes the row it already
+                # produced.
+                skip = np.maximum.reduceat(last.take(lc), starts) <= \
+                    np.minimum(read_min, prm.take(pair))
+                prm[pair] = read_min
+                if gone is not None:
+                    skip |= gone[pair // n]
+                rows, flat, edge = pair, win.flat[e0:e1], win.edge[e0:e1]
+                node, folds = win.node[a0:a1], starts
+                if skip.any():
+                    keep = ~skip
+                    deg = win.deg[a0:a1][keep]
+                    edges = np.repeat(keep, win.deg[a0:a1])
+                    rows, flat, edge = pair[keep], flat[edges], edge[edges]
+                    node, folds = node[keep], np.cumsum(deg) - deg
+                if rows.size:
+                    folded = delta_fold(cells, flat, edge, folds,
+                                        topo.tables, topo.affine)
+                    folded[np.arange(rows.size), node] = self.trivial_code
+                    hit = rows[(folded != prev[rows]).any(axis=1)]
+                    nxt[rows] = folded
+                    changed[hit // n] = True
+                    last[hit] = now
+            pair = win.zero_pair[zero_at[k]:zero_at[k + 1]]
+            if gone is not None:
+                pair = pair[~gone[pair // n]]
+            if pair.size:           # a node without in-edges: a constant row
+                fixed = np.full((pair.size, n), self.invalid_code,
+                                dtype=ring.dtype)
+                fixed[np.arange(pair.size), pair % n] = self.trivial_code
+                hit = pair[(fixed != prev[pair]).any(axis=1)]
+                nxt[pair] = fixed
+                changed[hit // n] = True
+                last[hit] = now
+                constant[pair] = True
+            # any change invalidates the trial's certificates (a source
+            # may have moved under a certified row) — reset BEFORE
+            # recording this step's, which already account for every
+            # change up to and including this step
+            sigma_ok[changed] = False
+            if a1 > a0:
+                pair = win.pair[a0:a1]
+                certified[pair[np.maximum.reduceat(
+                    last.take(win.lc[e0:e1]), win.starts[a0:a1])
+                    <= win.read_min[a0:a1]]] = True
+            yield changed
 
     def _delta_state(self, run, b: int, t: int) -> "np.ndarray":
         """Trial ``b``'s code matrix at step ``t`` (its ring slot)."""
@@ -701,10 +929,9 @@ class VectorizedEngine:
         σ-residual certificates (see :meth:`_delta_window`) miss."""
         topo = self._topo
         out = np.full((rows.size, self._n), self.invalid_code, dtype=_DTYPE)
-        has = topo.deg[rows] > 0
-        if has.any():
-            edge_flat, starts = topo.edges(rows[has])
-            out[has] = delta_fold(C, (topo.src[edge_flat],), edge_flat,
+        has, edge_flat, starts = topo.layout(rows)
+        if edge_flat.size:
+            out[has] = delta_fold(C, topo.src[edge_flat], edge_flat,
                                   starts, topo.tables, topo.affine)
         out[np.arange(rows.size), rows] = self.trivial_code
         return out
@@ -765,15 +992,22 @@ class VectorizedEngine:
     def _delta_stack(self, lo: int, scheds, starts, windows, sws,
                      max_steps: int) -> List[AsyncResult]:
         """Run one stack of trials, the grid's from ``lo`` on: raise
-        :class:`LookupError` when a trial reaches a read outside its
-        read window, and stop a trial once it has been constant for its
-        stability window and is σ-stable (the probe skips rows the step
-        certified), or after ``max_steps``.  A rung supplies three
-        hooks: how a run starts (:meth:`_delta_begin`), one window of
-        steps yielding per-step changed flags (:meth:`_delta_window`)
-        and a trial's code matrix at step ``t`` (:meth:`_delta_state`)
-        — here trials stack along the batch axis of one ring and a
-        window is one fused step.
+        :class:`LookupError` when a live trial reaches a read outside
+        its read window, and stop a trial once it has been constant for
+        its stability window and is σ-stable (the probe skips rows the
+        step certified), or after ``max_steps``.  A rung supplies three
+        hooks: how a run starts (:meth:`_delta_begin`, given the stack's
+        planner :class:`_DeltaPlan`), one window of steps yielding
+        per-step changed flags (:meth:`_delta_window`) and a trial's
+        code matrix at step ``t`` (:meth:`_delta_state`) — here trials
+        stack along the batch axis of one ring and a window is the
+        planner's.  A window is left as soon as a trial finishes, so a
+        finished trial is never stepped or probed again.
+
+        A trial is probed when it first completes its stability window
+        after a change, and not again until its state changes: while
+        its state X stands, σ(X) ≠ X stands, and no certificate can
+        cover the row that failed.
         """
         B, n = len(scheds), self._n
         # until a trial takes a step it ends where it started
@@ -781,49 +1015,47 @@ class VectorizedEngine:
         converged = np.zeros(B, dtype=bool)
         steps_res = np.full(B, max_steps, dtype=np.int64)
         conv_at: List[Optional[int]] = [None] * B
-        self._seg_cache: dict = {}       # per-(schedule, step) β segments
-        run, t, start_unchanged = self._delta_begin(scheds, final, windows)
+        plan = _DeltaPlan(self._topo, lo, scheds, windows)
+        run, t, start_unchanged = self._delta_begin(plan, final)
         unchanged = np.full(B, start_unchanged, dtype=np.int64)
+        # whose current state already failed a probe: on a resumed run,
+        # the state at t - 1 was probed iff it had been constant for its
+        # stability window (it failed, or the trial would be done)
+        failed = (unchanged >= sws) if t > 1 else np.zeros(B, dtype=bool)
         done = np.zeros(B, dtype=bool)
         # σ-residual certificates (see _delta_window): rows already
         # provably equal to their σ-row
         sigma_ok = np.zeros((B, n), dtype=bool)
         const_ok = np.zeros((B, n), dtype=bool)
         while t <= max_steps:
-            live = np.nonzero(~done)[0]
+            live = np.flatnonzero(~done)
             if live.size == 0:
                 break
-            stale = self._step_reads(scheds, windows, live, t)[2]
-            if stale is not None:
-                b, s = stale
-                raise LookupError(
-                    f"δ history for time {s} is outside trial {lo + b}'s "
-                    f"ring window (window={int(windows[b])}, t={t}); "
-                    "the schedule reads further back than its "
-                    "declared max_read_back — run "
-                    "RoutingSession.delta(..., strict=True) to keep "
-                    "the full history")
             for changed in self._delta_window(
                     run, t, max_steps - t + 1, live, unchanged,
                     sigma_ok, const_ok):
-                unchanged[live] = np.where(changed[live], 0,
-                                           unchanged[live] + 1)
-                for b in live[unchanged[live] >= sws[live]].tolist():
+                unchanged += 1
+                unchanged[changed] = 0
+                failed[changed] = False
+                finished = False
+                for b in np.flatnonzero((unchanged >= sws)
+                                        & ~(failed | done)).tolist():
                     state = self._delta_state(run, b, t)
-                    rest = np.nonzero(~(sigma_ok[b] | const_ok[b]))[0]
+                    rest = np.flatnonzero(~(sigma_ok[b] | const_ok[b]))
                     if rest.size:
                         if not (self._sigma_rows(state, rest)
                                 == state[rest]).all():
+                            failed[b] = True
                             continue
                         sigma_ok[b, rest] = True
-                    done[b] = converged[b] = True
+                    done[b] = converged[b] = finished = True
                     steps_res[b] = t
                     conv_at[b] = t - int(unchanged[b])
                     final[b] = state.copy()
                 t += 1
-                if done[live].all():
+                if finished:
                     break
-        for b in np.nonzero(~done)[0].tolist():
+        for b in np.flatnonzero(~done).tolist():
             final[b] = self._delta_state(run, b, max_steps).copy()
         return [AsyncResult(bool(converged[b]), int(steps_res[b]),
                             self.decode_state(final[b]), conv_at[b], None,

@@ -1,6 +1,8 @@
 """Unit tests for δ (Section 3.1): recursion, recovery of σ, convergence,
 and the history-ring staleness guard of the codes-based rungs."""
 
+import random
+
 import pytest
 
 from repro.algebras import HopCountAlgebra
@@ -20,7 +22,7 @@ from repro.core import (
 from repro.core.schedule import Schedule
 from repro.session import EngineSpec, RoutingSession
 from repro.topologies import erdos_renyi, uniform_weight_factory
-from tests.conftest import finite_net, hop_net
+from tests.conftest import bgp_net, finite_net, hop_net
 
 
 class TestDeltaRecoversSigma:
@@ -271,3 +273,56 @@ class TestRingStaleness:
             # a run that genuinely reaches its violation still fails
             with pytest.raises(LookupError):
                 s.delta(_LiesLate(net.n, bad_from=2), start, max_steps=400)
+
+
+# ----------------------------------------------------------------------
+# The object rungs' stability check runs once per constant run
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rung", ["naive", "incremental"])
+def test_one_stability_check_per_constant_run(rung, monkeypatch, extensions):
+    """A state that failed ``is_stable`` keeps failing it until it
+    changes, so each constant run is checked once, when it first spans
+    the stability window — and each check is one cold σ round of edge
+    calls.  The run ends where checking at every step ended it."""
+    from repro.core import asynchronous
+
+    net = bgp_net(6, seed=3)
+    extensions.install(net)
+    alg, n = net.algebra, net.n
+    start = random_state(alg, n, random.Random(4))
+    extensions.take()
+    assert not is_stable(net, start)
+    round_cost = extensions.take()
+    checks = []
+    real = asynchronous.is_stable
+
+    def counted(network, state):
+        extensions.take()
+        ok = real(network, state)
+        checks.append(extensions.take())
+        return ok
+
+    monkeypatch.setattr(asynchronous, "is_stable", counted)
+    with RoutingSession(net, rung) as s:
+        res = s.delta(RoundRobinSchedule(n), start, max_steps=400,
+                      keep_history=True)
+    monkeypatch.undo()
+    assert res.converged
+    window = 3                        # declared read-back 1, plus 2
+    unchanged, first = 0, []
+    for t in range(1, res.steps + 1):
+        same = res.history[t].equals(res.history[t - 1], alg)
+        unchanged = unchanged + 1 if same else 0
+        if unchanged == window:
+            first.append(t)
+    assert checks == [round_cost] * len(first)
+    # the first step of a constant run, once it spans the window, that
+    # is σ-stable: where a check at every such step stops the run
+    stop = next(t for t in range(1, res.steps + 1)
+                if t - window >= 0 and all(
+                    res.history[s].equals(res.history[t], alg)
+                    for s in range(t - window, t))
+                and is_stable(net, res.history[t]))
+    assert (res.steps, res.converged_at) == (stop, first[-1] - window)

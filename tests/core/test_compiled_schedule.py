@@ -59,7 +59,7 @@ class TestEquivalenceContract:
         comp = CompiledSchedule(src, horizon)
         for t in range(1, horizon + 1):
             assert comp.alpha(t) == src.alpha(t), t
-            mask = comp.alpha_mask(t)
+            mask = comp.alpha_masks(t, 1)[0]
             assert set(np.nonzero(mask)[0].tolist()) == set(src.alpha(t))
             for i in range(src.n):
                 for j in range(src.n):
@@ -261,3 +261,103 @@ class TestRandomScheduleMemo:
             sched.beta(t, 0, 0)
         assert early == [sched.beta(2, i, j)
                          for i in range(5) for j in range(5)]
+
+
+_SUBCLASS_KINDS = ["alpha-subclass", "beta-subclass"]
+
+
+def _subclassed(src, kind):
+    """A subclass of ``src``'s class that overrides only ``alpha`` (a
+    round robin backwards, with a second node every third step) or only
+    ``beta`` (a per-(t, i, j) delay), and otherwise ``src`` itself."""
+    if kind == "alpha-subclass":
+        def alpha(self, t):
+            n = self.n
+            return frozenset({-t % n, (t // 3) % n} if t % 3 == 0
+                             else {-t % n})
+        body = {"alpha": alpha}
+    else:
+        def beta(self, t, i, j):
+            return max(0, t - 1 - (t + 2 * i + 3 * j) % 4)
+        body = {"beta": beta}
+    sub = type(f"Sub{type(src).__name__}", (type(src),), body)
+    mine = object.__new__(sub)
+    mine.__dict__.update(src.__dict__)
+    return mine
+
+
+def _window_reads(sched, t, count):
+    """Every active node of steps t … t + count − 1 (step by step) with
+    a random source subset, as the δ planner hands them to β."""
+    masks = sched.alpha_masks(t, count)
+    steps, nodes = np.nonzero(masks)
+    rng = np.random.default_rng(t * 7919 + count)
+    per_node = [np.flatnonzero(rng.random(sched.n) < 0.6) for _ in nodes]
+    sources = (np.concatenate(per_node) if per_node
+               else np.empty(0, dtype=np.intp))
+    counts = np.asarray([js.size for js in per_node], dtype=np.intp)
+    return t + steps, nodes, sources, counts, per_node
+
+
+class TestWindowHooks:
+    """The window hooks — ``alpha_masks(t, count)`` and β over one step
+    time per node — equal the per-step forms, for every schedule class,
+    inside and past a compiled horizon."""
+
+    @pytest.mark.parametrize("kind", _KINDS + ["rows-only"])
+    @pytest.mark.parametrize("subclass", [None] + _SUBCLASS_KINDS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_window_hooks_equal_the_per_step_forms(self, kind, subclass,
+                                                   data):
+        """Of every class, and of a subclass that overrides only
+        ``alpha`` or only ``beta`` (its parent's closed forms would run
+        another schedule)."""
+        if kind == "rows-only":
+            src = RowsOnlySchedule(data.draw(st.integers(1, 9), label="n"),
+                                   data.draw(st.integers(0, 50),
+                                             label="seed"))
+        else:
+            src = _random_schedule(data.draw, kind)
+        if subclass is not None:
+            src = _subclassed(src, subclass)
+        horizon = data.draw(st.integers(1, 40), label="horizon")
+        comp = CompiledSchedule(src, horizon)
+        # windows inside the horizon, across its end and past it
+        t = data.draw(st.integers(1, horizon + 10), label="t")
+        count = data.draw(st.integers(1, 30), label="count")
+        for sched in (src, comp):
+            masks = sched.alpha_masks(t, count)
+            assert masks.shape == (count, src.n) and masks.dtype == bool
+            for k in range(count):
+                assert set(np.flatnonzero(masks[k]).tolist()) == \
+                    set(src.alpha(t + k)), (t, k)
+        times, nodes, sources, counts, per_node = _window_reads(
+            src, t, count)
+        expect = [src.beta(int(s), int(i), int(j))
+                  for s, i, js in zip(times, nodes, per_node) for j in js]
+        for sched in (src, comp):
+            got = sched.beta_times_for(times, nodes, sources, counts)
+            assert got.dtype == np.int64 and got.tolist() == expect
+            for s in range(t, t + count):
+                uniform = sched.beta_uniform(s)
+                assert uniform is None or all(
+                    src.beta(s, i, j) == uniform
+                    for i in range(src.n) for j in range(src.n))
+                assert sched.beta_row(s, 0) == \
+                    [src.beta(s, 0, j) for j in range(src.n)]
+
+    def test_window_of_random_schedule_matches_rows_at_scale(self):
+        """The zoo's random schedules at the benchmark's size: one
+        window of 64 steps draws exactly ``alpha`` and ``beta_row``."""
+        for src in schedule_zoo(32, seeds=(5, 22))[5:]:
+            masks = src.alpha_masks(1, 64)
+            steps, nodes = np.nonzero(masks)
+            assert [set(np.flatnonzero(m).tolist()) for m in masks] == \
+                [set(src.alpha(t)) for t in range(1, 65)]
+            sources = np.tile(np.arange(32), nodes.size)
+            times = CompiledSchedule(src, 10).beta_times_for(
+                1 + steps, nodes, sources, np.full(nodes.size, 32))
+            assert times.reshape(-1, 32).tolist() == \
+                [src.beta_row(int(t), int(i))
+                 for t, i in zip(1 + steps, nodes)]

@@ -1066,6 +1066,55 @@ class TestDeltaCheckpoint:
         finally:
             eng.close()
 
+    def test_resume_does_not_reprobe_a_state_that_failed(self,
+                                                          monkeypatch):
+        # the σ probe runs once per constant run: a heal that resumes
+        # from a checkpoint at which the state had already failed its
+        # probe (t = 60 here) does not probe it again until it changes,
+        # so the healed run probes at no step the clean run did not
+        from repro.core import AdversarialStaleSchedule
+        from repro.core.vectorized import VectorizedEngine
+
+        net = _net(9)
+        start = RoutingState.identity(net.algebra, net.n)
+        sched = AdversarialStaleSchedule(net.n, max_delay=2, burst=4)
+        probed, at = [], []
+        fetch = RemoteVectorizedEngine._delta_state
+        rows = VectorizedEngine._sigma_rows
+
+        def noting_fetch(eng, run, b, t):
+            at[:] = [t]
+            return fetch(eng, run, b, t)
+
+        def counting_rows(eng, C, which):
+            probed.append(at[0])
+            return rows(eng, C, which)
+
+        monkeypatch.setattr(RemoteVectorizedEngine, "_delta_state",
+                            noting_fetch)
+        monkeypatch.setattr(VectorizedEngine, "_sigma_rows", counting_rows)
+        monkeypatch.setattr(remote_mod, "DELTA_CKPT_EVERY", 1)
+        monkeypatch.setattr(remote_mod, "DELTA_WINDOW", 4)
+        with RemoteVectorizedEngine(net, workers=2,
+                                    socket_timeout=5.0) as eng:
+            ref = _watchdog(lambda: eng.delta(sched, start, max_steps=300))
+        clean = list(probed)
+        assert clean[0] == 60 and clean[-1] == ref.steps   # 60 failed
+        probed.clear()
+        plan = {"seed": 5, "rules": [{
+            "kind": "drop", "role": "coordinator", "op": "send",
+            "msg_type": MSG_DELTA_STEPS, "round": 32, "shard": 1}]}
+        eng = RemoteVectorizedEngine(net, workers=2, socket_timeout=1.0,
+                                     fault_plan=plan)
+        try:
+            res = _watchdog(lambda: eng.delta(sched, start, max_steps=300))
+            assert eng.delta_ckpt_resumes == 1
+            assert eng.delta_resumed_from == 60
+            _assert_delta_identical(res, ref, net)
+        finally:
+            eng.close()
+        assert set(probed) <= set(clean)
+
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
     def test_every_delta_window_advances_the_fault_round(self, window,
                                                          monkeypatch):

@@ -352,9 +352,9 @@ _PIN_ARCS = (
 #: :meth:`TestWirePin.test_coordinator_frames_are_pinned`, and their
 #: count.  A deliberate wire change updates both together with the
 #: version table in docs/wire.md.
-_PIN_FRAMES = 206
-_PIN_DIGEST = ("eec67b4e1cdb319da2657f500c6965ac"
-               "f605db4628da95efb2e2899aea6db440")
+_PIN_FRAMES = 166
+_PIN_DIGEST = ("f47d6865adba6415de8848d21a50f306"
+               "d7e29123a6d9b33a65057ea837ee528f")
 
 
 class TestWirePin:

@@ -1,8 +1,14 @@
 """Unit tests for routing states, adjacency matrices and networks."""
 
+import copy
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebras import HopCountAlgebra
+from repro.cli import ALGEBRAS
 from repro.core import AdjacencyMatrix, ConstantEdge, Network, RoutingState
 
 
@@ -145,3 +151,36 @@ class TestRoutingState:
         X = RoutingState.identity(self.alg, 2)
         out = X.pretty()
         assert "node 0" in out and "node 1" in out
+
+
+class TestEqualsComparesRowsFirst:
+    @given(name=st.sampled_from(sorted(ALGEBRAS)),
+           seed=st.integers(0, 2 ** 16), n=st.integers(1, 5),
+           other=st.sampled_from(["same rows", "deep copy", "one entry",
+                                  "fresh"]))
+    @settings(max_examples=120, deadline=None)
+    def test_equals_is_the_element_loop(self, name, seed, n, other):
+        """Comparing whole rows with ``==`` first answers exactly as the
+        entry-by-entry ``algebra.equal`` loop, for every registry
+        algebra: on equal states (sharing route objects or not), on
+        states one entry apart and on unrelated ones."""
+        alg = ALGEBRAS[name]()[0]
+        rng = random.Random(seed)
+        mine = RoutingState.from_function(lambda i, j: alg.sample_route(rng),
+                                          n)
+        if other == "same rows":
+            theirs = RoutingState([list(row) for row in mine.rows])
+        elif other == "deep copy":
+            theirs = copy.deepcopy(mine)
+        elif other == "one entry":
+            rows = [list(row) for row in mine.rows]
+            rows[rng.randrange(n)][rng.randrange(n)] = alg.sample_route(rng)
+            theirs = RoutingState(rows)
+        else:
+            theirs = RoutingState.from_function(
+                lambda i, j: alg.sample_route(rng), n)
+        loop = all(alg.equal(a, b) for ra, rb in zip(mine.rows, theirs.rows)
+                   for a, b in zip(ra, rb))
+        assert mine.equals(theirs, alg) == theirs.equals(mine, alg) == loop
+        if other in ("same rows", "deep copy"):
+            assert loop

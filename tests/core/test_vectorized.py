@@ -481,8 +481,9 @@ class TestFoldTiling:
 
         def fold(budget):
             with mock.patch.object(vectorized, "FOLD_TILE", budget):
-                return vectorized.delta_fold(ring, reads, edge_flat, starts,
-                                             tables, affine)
+                return vectorized.delta_fold(
+                    ring, np.ravel_multi_index(reads, ring.shape[:-1]),
+                    edge_flat, starts, tables, affine)
 
         whole = fold(edges * width)
         tiled = fold(tile)
@@ -734,3 +735,197 @@ class TestSigmaOnTheFold:
         assert (got.converged, got.rounds, got.churn) == \
             (ref.converged, ref.rounds, ref.churn)
         assert got.state == ref.state
+
+
+# ----------------------------------------------------------------------
+# The δ planner: windows of planned steps, stale reads, probe once
+# ----------------------------------------------------------------------
+
+
+class _StaleAt(FixedDelaySchedule):
+    """Synchronous but for step ``bad``, whose every read goes 9 back —
+    outside the ring its declared read-back of 1 sizes."""
+
+    def __init__(self, n, bad):
+        super().__init__(n, delay=1)
+        self.bad = bad
+
+    def beta(self, t, i, j):
+        return max(0, t - 9) if t == self.bad else t - 1
+
+    def beta_uniform(self, t):
+        return self.beta(t, 0, 0)
+
+
+def _stale_message(time, trial, t):
+    return (f"δ history for time {time} is outside trial {trial}'s ring "
+            f"window (window=3, t={t}); the schedule reads further back "
+            "than its declared max_read_back — run "
+            "RoutingSession.delta(..., strict=True) to keep the full "
+            "history")
+
+
+class TestDeltaPlanner:
+    def test_stale_read_raises_only_when_a_live_trial_reaches_it(self):
+        """A read outside the ring inside a planned window raises the
+        unchanged LookupError when a live trial reaches its step, naming
+        the lowest such trial; a trial that converges first — or a stale
+        step past every trial's end — raises nothing."""
+        from repro.core import BatchedVectorizedEngine
+
+        net = _hop_net(12, p=0.25, seed=5)
+        alg, n = net.algebra, net.n
+        start = RoutingState.identity(alg, n)
+        eng = BatchedVectorizedEngine(net)
+        (ref,) = eng.delta_grid([(SynchronousSchedule(n), start)])
+        assert ref.converged and ref.steps >= 6
+        late = _StaleAt(n, ref.steps + 1)
+        got = eng.delta_grid([(SynchronousSchedule(n), start),
+                              (late, start)])
+        for res in got:
+            assert (res.converged, res.steps, res.converged_at) == \
+                (ref.converged, ref.steps, ref.converged_at)
+            assert res.state.equals(ref.state, alg)
+        bad = ref.steps - 1          # inside the first planned window
+        with pytest.raises(LookupError) as exc:
+            eng.delta_grid([(late, start), (SynchronousSchedule(n), start),
+                            (_StaleAt(n, bad), start),
+                            (_StaleAt(n, bad), start)])
+        assert str(exc.value) == _stale_message(0, 2, bad)
+
+    def test_a_trial_finishing_mid_window_keeps_its_single_run(
+            self, monkeypatch):
+        """Trials that finish inside a planned window leave it at their
+        finish: their steps, convergence step and state equal their runs
+        alone, under the default budget and under one that cuts windows
+        to a step."""
+        from repro.core import (
+            BatchedVectorizedEngine,
+            schedule_zoo,
+            vectorized,
+        )
+        from repro.core.asynchronous import random_state
+
+        net = _hop_net(14, p=0.3, seed=9)
+        alg, n = net.algebra, net.n
+        starts = [RoutingState.identity(alg, n),
+                  random_state(alg, n, random.Random(3))]
+        trials = [(sched, x) for x in starts for sched in schedule_zoo(n)]
+        eng = BatchedVectorizedEngine(net)
+        alone = [eng.delta_grid([trial], max_steps=800)[0]
+                 for trial in trials]
+        windows = []
+        stack = vectorized._DeltaPlan.stack
+
+        def recording(plan, live, t, count):
+            win = stack(plan, live, t, count)
+            windows.append((win.t, win.t + win.steps))
+            return win
+
+        monkeypatch.setattr(vectorized._DeltaPlan, "stack", recording)
+        for tile in (vectorized.FOLD_TILE, 8):
+            monkeypatch.setattr(vectorized, "FOLD_TILE", tile)
+            windows.clear()
+            grid = eng.delta_grid(trials, max_steps=800)
+            for res, ref in zip(grid, alone):
+                assert (res.converged, res.steps, res.converged_at,
+                        res.history_retained) == \
+                    (ref.converged, ref.steps, ref.converged_at,
+                     ref.history_retained)
+                assert res.state.equals(ref.state, alg)
+            if tile > 8:
+                # a trial finished strictly inside a window others ran on
+                assert any(lo <= r.steps < hi - 1
+                           for r in grid for lo, hi in windows)
+
+    def test_sigma_probe_runs_once_per_constant_run(self, monkeypatch):
+        """A round-robin and adversarial grid probes each trial's state
+        at most once per constant run: a state that failed the probe is
+        not probed again until it changes — and every result equals the
+        literal recursion's."""
+        import numpy as np
+
+        from repro.core import (
+            AdversarialStaleSchedule,
+            BatchedVectorizedEngine,
+            RoundRobinSchedule,
+        )
+        from repro.core.asynchronous import random_state
+
+        net = _hop_net(10, p=0.3, seed=6)
+        alg, n = net.algebra, net.n
+        scheds = [RoundRobinSchedule(n),
+                  AdversarialStaleSchedule(n, max_delay=6, burst=2)]
+        starts = [RoutingState.identity(alg, n),
+                  random_state(alg, n, random.Random(8))]
+        trials = [(sched, x) for x in starts for sched in scheds]
+        runs = np.zeros(len(trials), dtype=np.int64)   # constant-run ids
+        probed, current = [], []
+        window = VectorizedEngine._delta_window
+        state = VectorizedEngine._delta_state
+        rows = VectorizedEngine._sigma_rows
+
+        def counting_window(eng, run, t, count, live, *rest):
+            for changed in window(eng, run, t, count, live, *rest):
+                runs[changed] += 1
+                yield changed
+
+        def noting_state(eng, run, b, t):
+            current[:] = [b]
+            return state(eng, run, b, t)
+
+        def counting_rows(eng, C, which):
+            probed.append((current[0], int(runs[current[0]])))
+            return rows(eng, C, which)
+
+        monkeypatch.setattr(VectorizedEngine, "_delta_window",
+                            counting_window)
+        monkeypatch.setattr(VectorizedEngine, "_delta_state", noting_state)
+        monkeypatch.setattr(VectorizedEngine, "_sigma_rows", counting_rows)
+        grid = BatchedVectorizedEngine(net).delta_grid(trials,
+                                                       max_steps=2000)
+        monkeypatch.undo()
+        assert probed and len(set(probed)) == len(probed)
+        with RoutingSession(net, "naive") as ref_s:
+            for (sched, x), res in zip(trials, grid):
+                ref = ref_s.delta(sched, x, max_steps=2000, strict=True)
+                assert (res.converged, res.steps, res.converged_at) == \
+                    (ref.converged, ref.steps, ref.converged_at)
+                assert res.state.equals(ref.state, alg)
+
+    def test_a_subclass_runs_its_own_alpha_and_beta(self):
+        """A subclass that overrides only ``alpha`` (round robin
+        backwards) or only ``beta`` (synchronous, reading half-way back)
+        runs its own schedule on the codes rungs, not its parent's
+        closed forms: every trial of the grid equals the literal
+        recursion step for step."""
+        from repro.core import RoundRobinSchedule
+        from repro.core.asynchronous import random_state
+
+        class Backwards(RoundRobinSchedule):
+            def alpha(self, t):
+                return frozenset({-t % self.n})
+
+        class HalfTime(SynchronousSchedule):
+            def beta(self, t, i, j):
+                return t // 2
+
+            def max_read_back(self):
+                return None
+
+        for seed in (6, 8):
+            net = _hop_net(8, p=0.4, seed=seed)
+            alg, n = net.algebra, net.n
+            starts = [RoutingState.identity(alg, n),
+                      random_state(alg, n, random.Random(3))]
+            trials = [(sched, x) for x in starts
+                      for sched in (Backwards(n), HalfTime(n))]
+            with RoutingSession(net, "vectorized") as s:
+                grid = s.delta_grid(trials, max_steps=300, keep_results=True)
+            assert grid.resolution.chosen == "vectorized"
+            with RoutingSession(net, "naive") as ref_s:
+                for (sched, x), res in zip(trials, grid.results):
+                    ref = ref_s.delta(sched, x, max_steps=300, strict=True)
+                    assert (res.converged, res.steps, res.converged_at) == \
+                        (ref.converged, ref.steps, ref.converged_at)
+                    assert res.state.equals(ref.state, alg)

@@ -1003,6 +1003,74 @@ def bench_batched_case(case: Dict, repeats: int) -> Dict:
     )
 
 
+def _warm_sigma_cases(scale: str) -> List[Dict]:
+    """σ after a write, cold and warm (run-only; no committed row).
+
+    One hop-count G(n, p) network takes alternating one-arc writes —
+    remove an arc, then re-install it — and after each is re-solved on
+    the vectorized rung twice: cold from the identity, and warm from
+    the fixed point the previous warm solve returned (the engine's
+    certificate, so only the written arc's importer row is recomputed
+    first).  Theorem 7 holds on hop count, so both reach one fixed
+    point; the gate wants them equal and the warm solves at least
+    ``warm_sigma.speedup`` times faster in total.
+    """
+    hop = HopCountAlgebra(16)
+    n, p, writes = (24, 0.3, 4) if scale == "smoke" else (200, 0.2, 8)
+    return [dict(label=f"gnp-{n}/hop-count/sigma-after-write", n=n,
+                 writes=writes,
+                 net=erdos_renyi(hop, n, p, uniform_weight_factory(hop, 1, 3),
+                                 seed=11))]
+
+
+def bench_warm_sigma_case(case: Dict) -> Dict:
+    import random as _random
+
+    net, writes = case["net"], case["writes"]
+    alg = net.algebra
+    arcs = sorted(net.present_edges())
+    rng = _random.Random(7)
+    cold_s = warm_s = 0.0
+    equal = True
+    rounds = {"cold": [], "warm": []}
+    with RoutingSession(net, EngineSpec("vectorized")) as cold, \
+            RoutingSession(net, EngineSpec("vectorized")) as warm:
+        fp = warm.sigma().state
+        removed = None
+        for _ in range(writes):
+            if removed is None:
+                i, k = removed = arcs[rng.randrange(len(arcs))]
+                fn = net.edge(i, k)
+                net.remove_edge(i, k)
+            else:
+                net.set_edge(*removed, fn)
+                removed = None
+            t0 = time.perf_counter()
+            c = cold.sigma()
+            t1 = time.perf_counter()
+            w = warm.sigma(fp)
+            t2 = time.perf_counter()
+            cold_s += t1 - t0
+            warm_s += t2 - t1
+            rounds["cold"].append(c.rounds)
+            rounds["warm"].append(w.rounds)
+            equal = (equal and c.converged and w.converged
+                     and w.state.equals(c.state, alg))
+            fp = w.state
+    return dict(
+        case=case["label"],
+        n=net.n,
+        arcs=len(arcs),
+        writes=writes,
+        cold_s=round(cold_s, 6),
+        warm_s=round(warm_s, 6),
+        warm_vs_cold=round(cold_s / warm_s, 2) if warm_s > 0 else None,
+        cold_rounds=rounds["cold"],
+        warm_rounds=rounds["warm"],
+        fixed_points_equal=equal,
+    )
+
+
 def bench_windowed_ipc(scale: str) -> Optional[Dict]:
     """Windowed remote δ: worker commands per schedule step at the
     default window (16), on 2 loopback TCP workers.
@@ -1087,8 +1155,10 @@ def run_suite(scale: str = "full", repeats: Optional[int] = None) -> Dict:
     }
     ipc = bench_windowed_ipc(scale)
     report["windowed_ipc"] = [ipc] if ipc else []
+    report["warm_sigma"] = [bench_warm_sigma_case(c)
+                            for c in _warm_sigma_cases(scale)]
     report["meta"]["all_fixed_points_equal"] = all(
-        r["fixed_points_equal"] for column in COLUMNS
+        r["fixed_points_equal"] for column in COLUMNS + RUN_COLUMNS
         for r in report[column])
     return report
 
@@ -1190,6 +1260,14 @@ def _print_report(report: Dict) -> None:
               f"{r['ipc_commands']:>3} IPC commands "
               f"({r['steps_per_command']}x amortised, window="
               f"{r['window']})  {mark}")
+    for r in report.get("warm_sigma", []):
+        mark = "✓" if r["fixed_points_equal"] else "✗ MISMATCH"
+        print(f"{r['case']:<40} {r['writes']:>3} writes  "
+              f"{_fmt_seconds(r['cold_s'])} (cold) "
+              f"{_fmt_seconds(r['warm_s'])} (warm) "
+              f"{_fmt_speedup(r['warm_vs_cold'])}  rounds "
+              f"{max(r['cold_rounds'])} → {max(r['warm_rounds'])} (max)  "
+              f"{mark}")
     print("  * = PR 1 headline (n=100 sparse random)   "
           "† = PR 2 finite headline (vectorized vs incremental)   "
           "‡ = PR 3 parallel headline (n≥400, workers vs vectorized)   "
@@ -1211,6 +1289,10 @@ BASELINE = Path(__file__).resolve().parent.parent / "BENCH_core.json"
 #: the report columns, in report order
 COLUMNS = ("sigma", "delta", "parallel", "batched", "remote", "service",
            "faults", "scenarios", "windowed_ipc")
+
+#: columns only a fresh run is held to (the committed baseline
+#: predates them, and a full run adds them to it)
+RUN_COLUMNS = ("warm_sigma",)
 
 #: which report a gate holds: the committed baseline, a fresh quick
 #: run (``--quick`` and the CI steps that re-measure a column), or both
@@ -1412,6 +1494,13 @@ GATES: Tuple[Gate, ...] = (
     Gate("faults.heal-p99", COMMITTED, "faults",
          _flag("headline_faults", ran=True), "heal_ms.p99", "<=", 5000.0,
          "time-to-heal over the ceiling (the supervisor thrashes)"),
+    # warm σ: a re-solve after a write from the last fixed point
+    Gate("warm_sigma.agreement", RUN, "warm_sigma", _every,
+         "fixed_points_equal", "==", True,
+         "warm and cold σ after a write disagree"),
+    Gate("warm_sigma.speedup", RUN, "warm_sigma", _measured("warm_vs_cold"),
+         "warm_vs_cold", ">=", 2.0,
+         "a warm σ after a write is under 2x the cold one"),
 )
 
 #: gates by name
@@ -1470,6 +1559,8 @@ _QUICK_RERUN = {
                        for case in _remote_cases("quick")],
     "windowed_ipc": lambda: [row for row in [bench_windowed_ipc("quick")]
                              if row],
+    "warm_sigma": lambda: [bench_warm_sigma_case(case)
+                           for case in _warm_sigma_cases("quick")],
 }
 
 

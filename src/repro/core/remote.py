@@ -1310,6 +1310,11 @@ class RemoteVectorizedEngine(VectorizedEngine):
                 self._heal(fault)
                 full = True
 
+    def _certify(self, state: RoutingState, C: "np.ndarray") -> None:
+        """Keep no certificate, so every σ run here seeds cold: a round
+        with ``dirty`` given runs on the matrix the shards computed
+        last, which a warm seed round (computed here) would not be."""
+
     # -- δ ---------------------------------------------------------------
 
     def _capture_delta_ckpt(self, M: "np.ndarray", t_bar: int,

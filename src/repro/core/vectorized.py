@@ -77,15 +77,20 @@ unsupported algebras (``no-finite-encoding``), while constructing
 :class:`~repro.core.algebra.UnsupportedAlgebraError` with the reason.
 
 Cache discipline: the snapshot is derived from the adjacency matrix and
-replaced whenever ``adjacency.version`` moves (checked by
-:meth:`VectorizedEngine.refresh` at the top of every public entry
-point), so mid-run ``set_edge`` / ``remove_edge`` can never leave a
-stale table behind — the vectorized mirror of the
-:class:`~repro.core.state.NetworkTopology` invalidation contract.  The
+replaced whenever ``adjacency.version`` moves, or the network holds
+another adjacency object (checked by :meth:`VectorizedEngine.refresh`
+at the top of every public entry point), so mid-run ``set_edge`` /
+``remove_edge`` can never leave a stale table behind — the vectorized
+mirror of the :class:`~repro.core.state.NetworkTopology` contract.  The
 new snapshot is the old one patched for the arcs in the adjacency's
 arc log since its version, so a one-arc write costs at most one edge
-table and one O(E) merge; only construction, or a log that no longer
-reaches back that far, rebuilds every table.
+table and one O(E) merge; only construction, another adjacency object,
+or a log that no longer reaches back that far, rebuilds every table.
+
+The snapshot also carries the premise of Theorem 7 —
+:attr:`TopologySnapshot.breach`, the first arc that is not strictly
+increasing — which a patch re-checks only for the arcs it changed;
+:meth:`repro.session.RoutingSession.unique_fixed_point` reads it.
 """
 
 from __future__ import annotations
@@ -128,6 +133,24 @@ def _ranges(begin, size, dtype):
     idx = np.repeat((begin - starts).astype(dtype, copy=False), size)
     idx += np.arange(idx.size, dtype=dtype)
     return idx, starts
+
+
+def increase_breach(tables):
+    """``(row, code)`` of the first table that breaks strict increase
+    (Definition 3 on codes), or ``None`` when none does.
+
+    Codes number routes in preference order with ∞̄ last, so a table
+    ``T`` strictly increases iff ``T[c] > c`` for every code ``c`` below
+    ∞̄; it must also keep ``T[∞̄] = ∞̄``, reported as the code ∞̄.
+    """
+    invalid = tables.shape[1] - 1
+    low = tables[:, :invalid] <= np.arange(invalid, dtype=tables.dtype)
+    bad = low.any(axis=1) | (tables[:, invalid] != invalid)
+    if not bad.any():
+        return None
+    e = int(bad.argmax())
+    codes = np.flatnonzero(low[e])
+    return e, int(codes[0]) if codes.size else invalid
 
 
 def affine_view(tables, dtype):
@@ -200,6 +223,26 @@ class TopologySnapshot:
         """
         return affine_view(self.tables, self.dtype)
 
+    @cached_property
+    def breach(self):
+        """The first installed arc whose table breaks strict increase,
+        as ``(i, k, code, image)`` — ``T_ik[code] = image`` — or
+        ``None`` when every table strictly increases (see
+        :func:`increase_breach`): the premise of Theorem 7 on this
+        snapshot, checked exactly, never assumed.
+
+        Computed on first use, once per snapshot — or, for a snapshot
+        :meth:`patched` from one without a breach, carried through the
+        patch after checking only the new arcs (a snapshot with a
+        breach is checked in full: removing the arc can clear it).
+        """
+        found = increase_breach(self.tables)
+        if found is None:
+            return None
+        e, code = found
+        i = int(np.searchsorted(self.off + self.deg, e, side="right"))
+        return i, int(self.src[e]), code, int(self.tables[e, code])
+
     def patched(self, drop, keys, tables) -> "TopologySnapshot":
         """A new snapshot: this one without the arcs ``drop`` and with
         the arcs ``keys`` and their dense ``tables`` merged in.
@@ -233,6 +276,16 @@ class TopologySnapshot:
             out.affine = None if extra is None else tuple(
                 np.concatenate(pair).take(rows, 0)
                 for pair in zip(view, extra))
+        if "breach" in self.__dict__ and self.breach is None:
+            # the kept arcs strictly increase: the first breach, if
+            # any, is the new arcs' first (``keys`` ascend)
+            found = increase_breach(tables)
+            if found is None:
+                out.breach = None
+            else:
+                e, code = found
+                i, k = divmod(int(keys[e]), n)
+                out.breach = (i, k, code, int(tables[e, code]))
         return out
 
     def layout(self, nodes):
@@ -628,6 +681,11 @@ class VectorizedEngine:
     moves (:meth:`refresh`).  States cross the boundary via
     :meth:`encode_state` / :meth:`decode_state`.
 
+    It also keeps a *certificate*: the state its σ loop last returned
+    as converged, with that state's code matrix, the adjacency object
+    and ``adjacency.version`` at that moment.  A σ run that starts from
+    that very object seeds warm (see :func:`iterate_sigma_vectorized`).
+
     δ has one loop, :meth:`delta_grid` (a single run is the grid of
     one trial), and every codes-based rung that runs δ in process
     (vectorized, parallel, batched) steps it with this class's hooks.
@@ -654,7 +712,11 @@ class VectorizedEngine:
         self.encoding = builder()        # raises for non-finite carriers
         self.trivial_code = self.encoding.trivial_code
         self.invalid_code = self.encoding.invalid_code
+        self._adj = None                 # the adjacency the snapshot is of
         self._version: Optional[int] = None
+        #: ``(state, codes, adjacency, version)`` of the last converged
+        #: σ run (see :meth:`_seed`); ``codes`` is read-only
+        self._fixed = None
         self.refresh()
 
     # ------------------------------------------------------------------
@@ -662,22 +724,25 @@ class VectorizedEngine:
     # ------------------------------------------------------------------
 
     def refresh(self) -> None:
-        """Bring the topology snapshot up to ``adjacency.version``.
+        """Bring the topology snapshot up to the network's adjacency
+        object at its current ``version``.
 
         The arcs logged since the snapshot's version
         (:meth:`~repro.core.state.AdjacencyMatrix.arcs_since`) are
         patched into a new snapshot (:meth:`TopologySnapshot.patched`):
         an edge table is built only for a changed arc that is present
-        now.  At construction, and when the log no longer reaches back
-        to the snapshot's version, every arc is patched into an empty
-        snapshot instead.
+        now.  At construction, when the network holds another adjacency
+        object than the snapshot's (its versions and log describe other
+        arcs), and when the log no longer reaches back to the
+        snapshot's version, every arc is patched into an empty snapshot
+        instead.
         """
         adjacency = self.network.adjacency
-        if self._version == adjacency.version:
+        if adjacency is self._adj and self._version == adjacency.version:
             return
         n = self._n = self.network.n
-        arcs = (None if self._version is None
-                else adjacency.arcs_since(self._version))
+        arcs = (adjacency.arcs_since(self._version)
+                if adjacency is self._adj else None)
         if arcs is None:
             topo = TopologySnapshot(
                 np.empty(0, dtype=np.intp),
@@ -702,7 +767,7 @@ class VectorizedEngine:
             touched, np.asarray(keys, dtype=np.intp),
             np.asarray(tables, dtype=_DTYPE).reshape(
                 len(keys), self.encoding.size))
-        self._version = adjacency.version
+        self._adj, self._version = adjacency, adjacency.version
 
     # ------------------------------------------------------------------
     # State codecs
@@ -734,11 +799,26 @@ class VectorizedEngine:
                 "outside the finite carrier") from None
         return np.asarray(rows, dtype=_DTYPE)
 
-    def decode_state(self, matrix: "np.ndarray") -> RoutingState:
-        """``(n, n)`` int code matrix → ``RoutingState``."""
+    def decode_state(self, matrix: "np.ndarray",
+                     like=None) -> RoutingState:
+        """``(n, n)`` int code matrix → ``RoutingState``.
+
+        With ``like=(codes, state)`` — a state and its code matrix —
+        only the rows whose codes differ from ``codes`` are decoded;
+        every other row object is shared with ``state`` (equal codes are
+        equal routes), as the incremental engines share rows
+        (:meth:`~repro.core.state.RoutingState.adopt`).
+        """
         codes = self.encoding.codes
-        return RoutingState.adopt(
-            [[codes[c] for c in row] for row in matrix.tolist()])
+        if like is None:
+            return RoutingState.adopt(
+                [[codes[c] for c in row] for row in matrix.tolist()])
+        ref_codes, ref = like
+        rows = list(ref.rows)
+        moved = np.flatnonzero((matrix != ref_codes).any(axis=1)).tolist()
+        for i, row in zip(moved, matrix[moved].tolist()):
+            rows[i] = [codes[c] for c in row]
+        return RoutingState.adopt(rows)
 
     # ------------------------------------------------------------------
     # σ
@@ -760,6 +840,49 @@ class VectorizedEngine:
         changed = sigma_block_round(self._topo, nxt, cols, 0,
                                     self.trivial_code, self.invalid_code)
         return (nxt if changed.size else C), changed
+
+    def _seed(self, start: RoutingState):
+        """``(codes, rows)``: a σ run's start codes and, for a warm seed,
+        the rows its first round recomputes (``None`` seeds cold).
+
+        Warm when ``start`` *is* the certified state, the network holds
+        the certified adjacency object and its arc log reaches back to
+        the certified version: the codes are the certified ones, and
+        only the importers ``i`` of the logged arcs ``i·n + k`` can
+        differ from σ(start) — by Eq. 5 every other row of σ(start) is
+        computed from the same in-arcs as when ``start`` was σ-stable.
+        That holds for any algebra, so a warm run reports exactly what
+        a cold run from ``start`` reports.
+        """
+        fixed = self._fixed
+        if fixed is not None:
+            state, codes, adjacency, version = fixed
+            if start is state and adjacency is self.network.adjacency:
+                arcs = adjacency.arcs_since(version)
+                if arcs is not None:
+                    return codes, np.unique(
+                        np.asarray(arcs, dtype=np.intp) // self._n)
+        return self.encode_state(start), None
+
+    def _seed_round(self, C: "np.ndarray", rows: "np.ndarray"):
+        """The warm seed's first round: ``(σ(C), changed columns)`` with
+        σ recomputed over ``rows`` only (:meth:`_sigma_rows`) and every
+        other row carried over — the rest of the run is the rung's
+        :meth:`_advance` over the changed columns.  ``C`` is never
+        written."""
+        new = self._sigma_rows(C, rows)
+        diff = new != C[rows]
+        if not diff.any():
+            return C, rows[:0]
+        nxt = C.copy()
+        nxt[rows] = new
+        return nxt, np.flatnonzero(diff.any(axis=0))
+
+    def _certify(self, state: RoutingState, C: "np.ndarray") -> None:
+        """Keep ``state`` — a converged run's, with its codes ``C`` — as
+        the certificate a later run may seed from."""
+        C.flags.writeable = False       # shared with the next run
+        self._fixed = (state, C, self.network.adjacency, self._version)
 
     def sigma(self, state: RoutingState) -> RoutingState:
         """One σ round (decoded), on this engine's round; the
@@ -1106,29 +1229,42 @@ def iterate_sigma_vectorized(network: Network, start: RoutingState,
     that.  Pass ``engine`` to run on a prebuilt engine of any codes rung
     (its caches auto-refresh on topology changes); without one, a
     serial :class:`VectorizedEngine` is built for the call.
+
+    A converged run certifies its state on the engine.  A later run
+    whose ``start`` *is* that state seeds warm
+    (:meth:`VectorizedEngine._seed`): it takes the certified codes
+    without encoding, its first round recomputes only the rows of the
+    arcs written since (:meth:`VectorizedEngine._seed_round`), and its
+    states are decoded sharing every row whose codes did not move.
+    Its report is the cold run's from the same start.
     """
     eng = engine if engine is not None else VectorizedEngine(network)
     eng.refresh()
-    C = eng.encode_state(start)
+    C, rows = eng._seed(start)
+    like = None if rows is None else (C, start)
     trajectory: Optional[List[RoutingState]] = \
         [start] if keep_trajectory else None
     seen = {C.tobytes(): 0} if detect_cycles else None
     churn = 0
     dirty = None
     for k in range(max_rounds):
-        nxt, dirty = eng._advance(C, dirty)
+        if rows is not None:
+            (nxt, dirty), rows = eng._seed_round(C, rows), None
+        else:
+            nxt, dirty = eng._advance(C, dirty)
         if keep_trajectory:
-            trajectory.append(eng.decode_state(nxt))
+            trajectory.append(eng.decode_state(nxt, like))
         if dirty.size == 0:
-            return SyncResult(True, k, eng.decode_state(C), trajectory,
-                              churn)
+            state = eng.decode_state(C, like)
+            eng._certify(state, C)
+            return SyncResult(True, k, state, trajectory, churn)
         churn += int((nxt[:, dirty] != C[:, dirty]).sum())
         if detect_cycles:
             key = nxt.tobytes()
             if key in seen:
-                return SyncResult(False, k + 1, eng.decode_state(nxt),
+                return SyncResult(False, k + 1, eng.decode_state(nxt, like),
                                   trajectory, churn)
             seen[key] = k + 1
         C = nxt
-    return SyncResult(False, max_rounds, eng.decode_state(C), trajectory,
-                      churn)
+    return SyncResult(False, max_rounds, eng.decode_state(C, like),
+                      trajectory, churn)

@@ -16,6 +16,12 @@ against the old topology (stale keys can never be looked up again; the
 whole per-session cache is dropped eagerly so memory tracks the live
 topology).
 
+A default ``sigma``/``routes`` solve after a write may start from the
+session's last fixed point instead of the identity (the reply
+says ``warm``): only when the session certifies a unique fixed point
+(Theorem 7) and ``max_rounds`` covers the bound that proves, so the
+answer is the cold one.  The warm state lives in memory only.
+
 Concurrency model: the event loop only parses frames and consults
 caches; fixed-point computes run in the default thread-pool executor
 under a per-session :class:`asyncio.Lock`, so concurrent clients on one
@@ -76,6 +82,7 @@ from .protocol import (
     FATAL_CODES,
     MAX_LINE,
     SERVICE_VERSION,
+    DigestMemo,
     ServiceError,
     encode_frame,
     error_reply,
@@ -103,7 +110,7 @@ class _SessionEntry:
 
     __slots__ = ("sid", "network", "session", "factory", "lock", "cache",
                  "hits", "misses", "invalidated", "mutations", "params",
-                 "mutation_log", "state_cache")
+                 "mutation_log", "state_cache", "fixed", "digest_memo")
 
     def __init__(self, sid: str, network, session: RoutingSession,
                  factory, params: Dict[str, Any]):
@@ -128,6 +135,12 @@ class _SessionEntry:
         #: digest; ``sigma`` and every ``routes`` row/column at one
         #: version share one solve and one hash of the n×n state.
         self.state_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
+        #: the state of the last converged solve, any version and any
+        #: start: where the next default solve starts when Theorem 7
+        #: holds (memory only, never persisted)
+        self.fixed = None
+        #: the rows the last solve's digest hashed (see state_digest)
+        self.digest_memo = DigestMemo()
 
     @property
     def version(self) -> int:
@@ -940,23 +953,39 @@ class RoutingServiceDaemon:
 
     def _solve(self, entry: _SessionEntry, verb: str,
                start_seed: Optional[int], max_rounds: int) -> Tuple:
-        """``(SigmaReport, digest)`` of the σ solve at the entry's
+        """``(SigmaReport, digest, warm)`` of the σ solve at the entry's
         topology version — computed once per ``(version, start_seed,
         max_rounds)`` and shared by ``sigma`` and every ``routes``
-        slice through the entry's state cache."""
+        slice through the entry's state cache.
+
+        A default solve (no ``start_seed``) denotes σ from the identity.
+        It starts instead from the state of the entry's last converged
+        solve, whatever its start (``warm``), when the session certifies
+        a unique fixed point (Theorem 7,
+        :meth:`~repro.session.RoutingSession.unique_fixed_point`) and
+        ``max_rounds`` is at least the bound that proves: σ then reaches
+        the same fixed point from any start, so only ``rounds`` and the
+        time differ.  A seeded request is never substituted."""
         skey = (entry.version, start_seed, max_rounds)
         solved = entry.state_cache.get(skey)
         if solved is not None:
             entry.state_cache.move_to_end(skey)
             return solved
-        start = start_state(entry.network, start_seed)
+        warm = False
         try:
+            if start_seed is None and entry.fixed is not None:
+                unique = entry.session.unique_fixed_point()
+                warm = unique.holds and max_rounds >= unique.bound
+            start = entry.fixed if warm else \
+                start_state(entry.network, start_seed)
             report = entry.session.sigma(start, max_rounds=max_rounds)
         except Exception as exc:
             raise ServiceError(ERR_ENGINE,
                                f"{verb} failed: {exc}") from None
-        solved = entry.state_cache[skey] = (report,
-                                            state_digest(report.state))
+        if report.converged:
+            entry.fixed = report.state
+        solved = entry.state_cache[skey] = (
+            report, state_digest(report.state, entry.digest_memo), warm)
         while len(entry.state_cache) > 4:
             entry.state_cache.popitem(last=False)
         return solved
@@ -964,11 +993,12 @@ class RoutingServiceDaemon:
     def _compute_sigma(self, entry: _SessionEntry,
                        start_seed: Optional[int], max_rounds: int,
                        include_state: bool) -> Dict[str, Any]:
-        report, digest = self._solve(entry, "sigma", start_seed, max_rounds)
+        report, digest, warm = self._solve(entry, "sigma", start_seed,
+                                           max_rounds)
         body = {"ok": True, "verb": "sigma", "session": entry.sid,
                 "version": entry.version,
                 "converged": report.converged, "rounds": report.rounds,
-                "engine": report.resolution.chosen,
+                "warm": warm, "engine": report.resolution.chosen,
                 "compute_ms": report.elapsed_s * 1e3,
                 "digest": digest}
         if include_state:
@@ -981,13 +1011,14 @@ class RoutingServiceDaemon:
                         dest: Optional[int]) -> Dict[str, Any]:
         """One row/column of the fixed point as route strings — O(n)
         on the wire against ``include_state``'s O(n²)."""
-        report, digest = self._solve(entry, "routes", start_seed,
-                                     max_rounds)
+        report, digest, warm = self._solve(entry, "routes", start_seed,
+                                           max_rounds)
         state = report.state
         routes = state.row(node) if node is not None else state.column(dest)
         return {"ok": True, "verb": "routes", "session": entry.sid,
                 "version": entry.version, "converged": report.converged,
-                "rounds": report.rounds, "node": node, "dest": dest,
+                "rounds": report.rounds, "warm": warm,
+                "node": node, "dest": dest,
                 "routes": [str(r) for r in routes],
                 "digest": digest}
 

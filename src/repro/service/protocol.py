@@ -67,6 +67,7 @@ __all__ = [
     "start_state",
     "state_matrix",
     "state_digest",
+    "DigestMemo",
     "percentile",
 ]
 
@@ -208,15 +209,44 @@ def state_matrix(state: RoutingState) -> List[List[str]]:
     return [[str(route) for route in row] for row in state.rows]
 
 
-def state_digest(state: RoutingState) -> str:
+class DigestMemo:
+    """The rows :func:`state_digest` hashed last, for the next call.
+
+    Holds the last digested state itself, so its row objects stay
+    alive and an identity match can never be a reused ``id``.
+    """
+
+    __slots__ = ("state", "rows")
+
+    def __init__(self):
+        self.state: Optional[RoutingState] = None
+        self.rows: List[bytes] = []
+
+
+def state_digest(state: RoutingState,
+                 memo: Optional[DigestMemo] = None) -> str:
     """A short hex digest of :func:`state_matrix` — what cached replies
     carry instead of the full matrix, and what the bit-identity tests
-    compare across the service boundary."""
-    h = hashlib.sha256()
-    for row in state.rows:
-        h.update("\x1f".join(str(route) for route in row).encode("utf-8"))
-        h.update(b"\x1e")
-    return h.hexdigest()
+    compare across the service boundary.
+
+    With a ``memo`` (one per session), a row that *is* the row the
+    previous call saw at the same index reuses its bytes instead of
+    rendering every route again — the engines share unchanged row
+    objects between successive states — and the memo then holds this
+    state.  The digest is the same with or without one.
+    """
+    old = memo.state.rows if memo is not None and memo.state is not None \
+        and memo.state.n == state.n else None
+    rows = []
+    for i, row in enumerate(state.rows):
+        if old is not None and row is old[i]:
+            rows.append(memo.rows[i])
+        else:
+            rows.append("\x1f".join(str(route) for route in row)
+                        .encode("utf-8") + b"\x1e")
+    if memo is not None:
+        memo.state, memo.rows = state, rows
+    return hashlib.sha256(b"".join(rows)).hexdigest()
 
 
 def percentile(values: List[float], q: float) -> float:

@@ -392,6 +392,26 @@ class SimulationReport:
         return self.result.convergence_time
 
 
+@dataclass(frozen=True)
+class UniqueFixedPoint:
+    """Outcome of :meth:`RoutingSession.unique_fixed_point`: whether
+    Theorem 7's premise holds on the snapshot σ runs on, so that σ
+    reaches one fixed point from *any* start.
+
+    ``bound`` is the ``max_rounds`` within which σ from any start
+    provably converges and detects it (``None`` when ``holds`` is
+    false).  A refusal carries a stable ``code`` — like
+    :class:`~repro.core.capabilities.SkippedRung`'s —
+    ``not-strictly-increasing``, ``invalid-not-absorbing`` or
+    ``no-finite-encoding``, and ``detail``, the human sentence.
+    """
+
+    holds: bool
+    bound: Optional[int] = None
+    code: Optional[str] = None
+    detail: str = ""
+
+
 # ----------------------------------------------------------------------
 # The session
 # ----------------------------------------------------------------------
@@ -531,11 +551,15 @@ class RoutingSession:
         rungs, the dirty sets on ``incremental``, a per-round entry
         compare on ``naive``) — no trajectory is kept for it.
 
-        On ``incremental`` the session's engine certifies the fixed
-        point it converged to; a later call whose ``start`` *is* that
-        state object seeds warm (only the arcs written since are
-        re-extended and only their importers' rows refolded), and any
-        other ``start`` seeds cold.  Reports are identical either way.
+        Every rung but ``naive`` and ``remote`` certifies the fixed
+        point it converged to on the session's engine; a later call
+        whose ``start`` *is* that state object, on the same adjacency
+        object, seeds warm from the arcs written since — on
+        ``incremental`` only those arcs are re-extended and only their
+        importers' rows refolded; on the codes rungs the first round
+        recomputes only those importers' rows, and only the rows whose
+        codes moved are decoded.  Any other ``start`` (``start.copy()``
+        included) seeds cold.  Reports are identical either way.
         """
         self._check_open()
         _check_budget("max_rounds", max_rounds)
@@ -553,6 +577,53 @@ class RoutingSession:
             state=result.state, resolution=resolution,
             elapsed_s=perf_counter() - t0, trajectory=result.trajectory,
             churn=result.churn, result=result, **self._remote_run(resolution))
+
+    def unique_fixed_point(self) -> UniqueFixedPoint:
+        """Whether σ on this session reaches one fixed point from every
+        start (Theorem 7): a :class:`UniqueFixedPoint`.
+
+        Checked exactly, on the topology snapshot of the codes engine σ
+        resolves to, never assumed: every installed arc's table must
+        strictly increase every code below ∞̄ and keep ∞̄
+        (:attr:`~repro.core.vectorized.TopologySnapshot.breach`; a
+        write re-checks only the arcs it changed).  Then the DV
+        ultrametric height ``size − code`` takes at most ``size``
+        values and σ strictly contracts on orbits (Theorem 4), so σ from
+        any start stops changing within ``size − 1`` rounds and any
+        ``max_rounds >= size`` — the ``bound`` — detects it.  When σ
+        resolves to an object rung there is no snapshot to check
+        (``no-finite-encoding``; path algebras stay on the object-model
+        checks, :meth:`verify`).
+        """
+        self._check_open()
+        resolution = self.resolve("sigma")
+        if resolution.chosen in ("naive", "incremental"):
+            skipped = [s.detail for s in resolution.skipped
+                       if s.code == "no-finite-encoding"]
+            return UniqueFixedPoint(
+                False, code="no-finite-encoding",
+                detail=skipped[0] if skipped else
+                f"σ runs on the {resolution.chosen} rung, which keeps no "
+                "codes snapshot to check")
+        eng = self._engine_obj(resolution)
+        eng.refresh()
+        breach = eng._topo.breach
+        if breach is None:
+            return UniqueFixedPoint(
+                True, bound=eng.encoding.size,
+                detail=f"every installed arc strictly increases all "
+                f"{eng.encoding.size} codes")
+        i, k, code, image = breach
+        decode = eng.encoding.decode
+        if code == eng.invalid_code:
+            return UniqueFixedPoint(
+                False, code="invalid-not-absorbing",
+                detail=f"arc ({i}, {k}) maps the invalid route to "
+                f"{decode(image)!r} (code {image})")
+        return UniqueFixedPoint(
+            False, code="not-strictly-increasing",
+            detail=f"arc ({i}, {k}) maps code {code} ({decode(code)!r}) "
+            f"to code {image} ({decode(image)!r}), not above it")
 
     # -- δ ---------------------------------------------------------------
 

@@ -31,6 +31,7 @@ class TestSmokeSuite:
         assert "service" in report
         assert "windowed_ipc" in report
         assert "scenarios" in report
+        assert report["warm_sigma"]
         assert report["meta"]["cpu_count"] >= 1
         for row in report["sigma"]:
             assert row["fixed_points_equal"], row["case"]
@@ -92,9 +93,22 @@ def _skip_remote(report):
     report["remote"][0]["skipped"] = "no loopback workers"
 
 
+def _warm_row(**past):
+    """The committed baseline predates the run-only ``warm_sigma``
+    column: give it one passing row, with ``past`` pushing one field
+    over its gate."""
+    def push(report):
+        report["warm_sigma"] = [dict(
+            {"case": "gnp-200/hop-count/sigma-after-write",
+             "fixed_points_equal": True, "warm_vs_cold": 10.0}, **past)]
+    return push
+
+
 _PUSH = {"parallel.scaling": _slow_pool,
          "parallel.skip-reason": _skip_headline,
-         "remote.ran": _skip_remote}
+         "remote.ran": _skip_remote,
+         "warm_sigma.agreement": _warm_row(fixed_points_equal=False),
+         "warm_sigma.speedup": _warm_row(warm_vs_cold=1.5)}
 
 
 def _push(report, gate):

@@ -929,3 +929,330 @@ class TestDeltaPlanner:
                     assert (res.converged, res.steps, res.converged_at) == \
                         (ref.converged, ref.steps, ref.converged_at)
                     assert res.state.equals(ref.state, alg)
+
+
+# ----------------------------------------------------------------------
+# The warm seed: σ from the certified fixed point after a write
+# ----------------------------------------------------------------------
+
+
+def _same_sigma(got, ref):
+    """A σ report field for field, trajectory included."""
+    assert (got.converged, got.rounds, got.churn) == \
+        (ref.converged, ref.rounds, ref.churn)
+    assert got.state == ref.state
+    assert (got.trajectory is None) == (ref.trajectory is None)
+    if ref.trajectory is not None:
+        assert got.trajectory == ref.trajectory
+
+
+def _count_seed_rounds(monkeypatch):
+    """Count the warm seed's first rounds (every rung's, by the class
+    every codes engine inherits it from)."""
+    calls = []
+    seed_round = VectorizedEngine._seed_round
+
+    def counted(self, C, rows):
+        calls.append(rows.size)
+        return seed_round(self, C, rows)
+
+    monkeypatch.setattr(VectorizedEngine, "_seed_round", counted)
+    return calls
+
+
+def _drawn_edge(data, alg, move_invalid=False):
+    """An edge of the FiniteLevelAlgebra ``alg``: a strictly increasing
+    clipped shift or an arbitrary table; with ``move_invalid``, maybe
+    one that also maps the invalid route into the carrier."""
+    levels = alg.levels
+    if data.draw(st.booleans(), label="increasing"):
+        w = data.draw(st.integers(1, levels))
+        table = [min(x + w, levels) for x in range(levels)]
+    else:
+        table = data.draw(st.lists(st.integers(0, levels), min_size=levels,
+                                   max_size=levels))
+    if move_invalid and data.draw(st.booleans(), label="move invalid"):
+        from repro.core.algebra import FunctionEdge
+        image = tuple(table) + (data.draw(st.integers(0, levels - 1)),)
+        return FunctionEdge(image.__getitem__, "moves-invalid")
+    return alg.table_edge(table + [levels])
+
+
+class TestWarmSeed:
+    @pytest.mark.parametrize("spec", [
+        pytest.param(EngineSpec("vectorized"), id="vectorized"),
+        pytest.param(EngineSpec("parallel", workers=2),
+                     marks=pytest.mark.parallel, id="parallel"),
+    ])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_a_warm_run_reports_what_a_cold_run_reports(self, spec, data):
+        """Bursts of writes — sets, removals, re-sets of present arcs,
+        removals of absent ones, non-increasing tables, and bursts
+        longer than the arc log — then σ from the certified fixed point:
+        the report (converged, rounds, churn, state, trajectory) is a
+        fresh session's from the same start."""
+        levels = data.draw(st.integers(2, 5), label="levels")
+        n = data.draw(st.integers(2, 6), label="n")
+        alg = FiniteLevelAlgebra(levels)
+        arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+
+        def edge():
+            return _drawn_edge(data, alg)
+
+        net = Network(alg, n, name="warm-oracle")
+        for (i, k) in data.draw(st.lists(arc, unique=True), label="arcs"):
+            net.set_edge(i, k, edge())
+        kw = dict(max_rounds=4 * n * (levels + 1), keep_trajectory=True)
+        with RoutingSession(net, spec) as session:
+            fp = session.sigma(**kw).state
+            for _burst in range(3):
+                for _ in range(data.draw(st.integers(0, 6), label="writes")):
+                    i, k = data.draw(arc)
+                    if data.draw(st.booleans(), label="remove"):
+                        net.remove_edge(i, k)
+                    else:
+                        net.set_edge(i, k, edge())
+                if data.draw(st.booleans(), label="outrun the log"):
+                    fn = edge()
+                    for _ in range(n * n + 1):
+                        net.set_edge(0, 0, fn)
+                got = session.sigma(fp, **kw)
+                assert got.resolution.chosen == spec.engine
+                _same_sigma(got, RoutingSession(net, "vectorized")
+                            .sigma(fp, **kw))
+                if got.converged:
+                    fp = got.state
+
+    def test_only_the_certified_object_seeds_warm(self, monkeypatch):
+        """σ from the certified fixed point seeds warm, with a first
+        round over the written arc's importer only; a copy of it, or a
+        fixed point another run has since replaced as the certificate,
+        seeds cold — and every report is the cold one."""
+        net = _hop_net(12, p=0.4, seed=1)
+        alg = net.algebra
+        seeds = _count_seed_rounds(monkeypatch)
+        with RoutingSession(net, "vectorized") as session:
+            fp = session.sigma().state
+            assert seeds == []
+            i, k = next(iter(net.present_edges()))
+            net.remove_edge(i, k)
+            warm = session.sigma(fp)
+            assert seeds == [1]                 # row i only
+            _same_sigma(warm, RoutingSession(net, "vectorized").sigma(fp))
+            copied = session.sigma(warm.state.copy())
+            assert seeds == [1]                 # a copy: cold
+            again = session.sigma(copied.state)     # nothing written since
+            assert seeds == [1, 0] and again.rounds == 0
+            assert all(a is b for a, b in zip(again.state.rows,
+                                              copied.state.rows))
+            net.set_edge(i, k, alg.edge(1))
+            stale = session.sigma(warm.state)   # no longer the certificate
+            assert seeds == [1, 0]
+            _same_sigma(stale, RoutingSession(net, "naive").sigma(
+                warm.state))
+
+    def test_the_remote_rung_never_seeds(self, monkeypatch):
+        """The remote shards hold the matrix of the round they last
+        ran, which a seed round computed by the coordinator would not
+        be: a remote σ from its own fixed point runs cold, and its
+        reports are naive's."""
+        net = _hop_net(10, p=0.4, seed=3)
+        seeds = _count_seed_rounds(monkeypatch)
+        with RoutingSession(net, EngineSpec("remote",
+                                            remote_workers=2)) as session:
+            fp = session.sigma().state
+            net.set_edge(0, net.n - 1, net.algebra.edge(1))
+            got = session.sigma(fp)
+        assert seeds == []
+        _same_sigma(got, RoutingSession(net, "naive").sigma(fp))
+
+    def test_the_decode_shares_every_row_that_did_not_move(self):
+        """A warm run's fixed point shares each row object whose codes
+        equal the certified state's, and decodes only the others."""
+        net = _hop_net(16, p=0.3, seed=4)
+        with RoutingSession(net, "vectorized") as session:
+            fp = session.sigma().state
+            for i, k in sorted(net.present_edges()):  # one that moves it
+                trial = net.copy()
+                trial.remove_edge(i, k)
+                if RoutingSession(trial, "naive").sigma(fp).rounds:
+                    break
+            net.remove_edge(i, k)
+            moved = session.sigma(fp).state
+        same = [a is b for a, b in zip(moved.rows, fp.rows)]
+        assert same == [a == b for a, b in zip(moved.rows, fp.rows)]
+        assert not all(same)
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(EngineSpec("vectorized"), id="vectorized"),
+        pytest.param(EngineSpec("parallel", workers=2),
+                     marks=pytest.mark.parallel, id="parallel"),
+    ])
+    def test_another_adjacency_object_seeds_cold(self, spec):
+        """Two copies of one network written to the same version, then
+        the session's adjacency swapped for the other copy: the codes
+        rungs rebuild their snapshot (the version alone does not say
+        the arcs are the same) and seed cold, so σ from the old fixed
+        point is naive's on the swapped-in matrix."""
+        base = _hop_net(12, p=0.4, seed=3)
+        alg = base.algebra
+        ref_fp = RoutingSession(base, "naive").sigma().state
+        # an arc whose heavier weight moves the fixed point
+        for i, k in sorted(base.present_edges()):
+            twin = base.copy()
+            twin.set_edge(i, k, alg.edge(alg.bound))
+            if RoutingSession(twin, "naive").sigma(ref_fp).rounds:
+                break
+        net = base.copy()
+        net.set_edge(i, k, net.edge(i, k))
+        assert net.adjacency.version == twin.adjacency.version
+        with RoutingSession(net, spec) as session:
+            fp = session.sigma().state
+            session.network.adjacency = twin.adjacency
+            moved = session.sigma(fp)
+        ref = RoutingSession(twin, "naive").sigma(fp)
+        assert moved.rounds > 0
+        _same_sigma(moved, ref)
+
+
+# ----------------------------------------------------------------------
+# Theorem 7's premise, certified on the codes snapshot
+# ----------------------------------------------------------------------
+
+
+class TestUniqueFixedPoint:
+    def test_one_non_increasing_arc_flips_the_capability(self):
+        from repro.core.algebra import FunctionEdge
+
+        net = _hop_net(10, p=0.4, seed=2)
+        alg = net.algebra
+        with RoutingSession(net, "vectorized") as session:
+            ok = session.unique_fixed_point()
+            assert (ok.holds, ok.bound, ok.code) == (True, alg.bound + 1,
+                                                     None)
+            i, k = sorted(net.present_edges())[4]
+            before = net.edge(i, k)
+            net.set_edge(i, k, FunctionEdge(lambda route: route, "stay"))
+            broken = session.unique_fixed_point()
+            assert (broken.holds, broken.bound, broken.code) == \
+                (False, None, "not-strictly-increasing")
+            assert f"arc ({i}, {k}) maps code 0 " in broken.detail
+            net.remove_edge(i, k)
+            assert session.unique_fixed_point() == ok
+            net.set_edge(i, k, before)
+            assert session.unique_fixed_point() == ok
+
+    def test_an_arc_that_moves_the_invalid_route(self):
+        from repro.core.algebra import FunctionEdge
+
+        net = _hop_net(8, p=0.4, seed=5)
+        bound = net.algebra.bound
+        net.set_edge(3, 1, FunctionEdge(
+            lambda x: bound - 1 if x == bound else min(x + 1, bound),
+            "revive"))
+        got = RoutingSession(net, "vectorized").unique_fixed_point()
+        assert (got.holds, got.code) == (False, "invalid-not-absorbing")
+        assert "arc (3, 1)" in got.detail
+
+    def test_object_rungs_have_no_snapshot_to_check(self):
+        got = RoutingSession(_hop_net(6), "incremental").unique_fixed_point()
+        assert (got.holds, got.bound, got.code) == \
+            (False, None, "no-finite-encoding")
+        sp = ShortestPathsAlgebra()
+        net = erdos_renyi(sp, 6, 0.4, uniform_weight_factory(sp, 1, 4),
+                          seed=1)
+        got = RoutingSession(net).unique_fixed_point()
+        assert (got.holds, got.code) == (False, "no-finite-encoding")
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_a_patched_breach_equals_the_full_check(self, data):
+        """Bursts of writes with strictly increasing and arbitrary
+        tables, the check computed before every refresh: each patched
+        snapshot's breach is a from-scratch snapshot's, and one without
+        a breach carries its answer through the patch."""
+        levels = data.draw(st.integers(2, 5), label="levels")
+        n = data.draw(st.integers(1, 5), label="n")
+        alg = FiniteLevelAlgebra(levels)
+        arc = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+
+        def edge():
+            return _drawn_edge(data, alg, move_invalid=True)
+
+        net = Network(alg, n, name="breach-oracle")
+        for (i, k) in data.draw(st.lists(arc, unique=True), label="arcs"):
+            net.set_edge(i, k, edge())
+        eng = VectorizedEngine(net)
+        for _burst in range(4):
+            old, version = eng._topo, eng._version
+            clean = old.breach is None
+            for _ in range(data.draw(st.integers(0, 6), label="writes")):
+                i, k = data.draw(arc)
+                if data.draw(st.booleans(), label="remove"):
+                    net.remove_edge(i, k)
+                else:
+                    net.set_edge(i, k, edge())
+            patched = net.adjacency.arcs_since(version) is not None
+            eng.refresh()
+            if eng._topo is not old and clean and patched:
+                assert "breach" in eng._topo.__dict__     # carried
+            assert eng._topo.breach == VectorizedEngine(net)._topo.breach
+
+
+def _code_distance(size, A, B):
+    """Section 4.1's ``D(X, Y)`` on code matrices: the masked max of the
+    height ``size − code`` of the better route of each differing entry."""
+    import numpy as np
+
+    diff = A != B
+    return int((size - np.minimum(A, B))[diff].max()) if diff.any() else 0
+
+
+class TestTheoremFourOnCodes:
+    """The premise of the daemon's ``max_rounds >= size`` gate: on a
+    strictly increasing finite algebra σ strictly contracts on orbits
+    under the DV ultrametric, whose height on codes is ``size − code``,
+    so from any start σ stops changing within ``size − 1`` rounds."""
+
+    @pytest.mark.parametrize("algebra", ["hop-count", "reliable",
+                                         "stratified-bounded"])
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_rounds_and_distances_from_any_start(self, algebra, data):
+        import numpy as np
+
+        from repro.cli import build_network
+        from repro.core.ultrametric import DistanceVectorUltrametric
+
+        n = data.draw(st.integers(2, 10), label="n")
+        net, factory = build_network(algebra, "random", n,
+                                     data.draw(st.integers(0, 99)))
+        with RoutingSession(net, "vectorized") as session:
+            assert session.unique_fixed_point().holds
+            eng = session._engines["vectorized"]
+            size = eng.encoding.size
+            rnd = np.random.default_rng(data.draw(st.integers(0, 2 ** 31)))
+            starts = [eng.decode_state(
+                rnd.integers(0, size, (n, n)).astype(np.int32))]
+            fp = session.sigma().state
+            i, k = data.draw(st.sampled_from(
+                [(a, b) for a in range(n) for b in range(n)]))
+            if data.draw(st.booleans(), label="remove"):
+                net.remove_edge(i, k)
+            else:
+                net.set_edge(i, k, factory(random.Random(i * n + k), i, k))
+            starts.append(fp)                   # a warm start
+            dv = DistanceVectorUltrametric(net.algebra) if n <= 8 else None
+            for start in starts:
+                report = session.sigma(start, keep_trajectory=True,
+                                       max_rounds=size)
+                assert report.converged and report.rounds <= size - 1
+                codes = [eng.encode_state(x) for x in report.trajectory]
+                ds = [_code_distance(size, a, b)
+                      for a, b in zip(codes, codes[1:])]
+                assert ds[-1] == 0 and all(ds[:-1])
+                assert all(a > b for a, b in zip(ds, ds[1:]))
+                if dv is not None:
+                    assert ds == [dv.state_distance(a, b) for a, b in zip(
+                        report.trajectory, report.trajectory[1:])]

@@ -454,6 +454,39 @@ class TestKill9Recovery:
                 proc.wait(timeout=15)
             proc.stdout.close()
 
+    def test_the_warm_state_is_memory_only(self, tmp_path):
+        """A default solve after a write answers warm; after a kill -9
+        and a restart the first default solve (a state-cache miss) is
+        cold, with the same digest."""
+        proc, host, port = _spawn_serve(tmp_path)
+        try:
+            with ServiceClient(host, port) as c:
+                sid = c.load("hop-count", n=12, topology="random",
+                             seed=5)["session"]
+                assert c.sigma(sid)["warm"] is False
+                c.set_edge(sid, 0, 3, edge_seed=21)
+                first = c.sigma(sid)
+                assert first["warm"] is True
+                c.snapshot()
+            _kill9(proc)
+
+            proc, host, port = _spawn_serve(tmp_path)
+            _wait_ready(host, port)
+            with ServiceClient(host, port) as c:
+                c.load("hop-count", n=12, topology="random", seed=5)
+                assert c.sigma(sid)["cached"] is True   # the stored body
+                again = c.sigma(sid, include_state=True)
+                assert again["cached"] is False
+                assert again["warm"] is False
+                assert again["digest"] == first["digest"]
+                c.shutdown()
+            assert proc.wait(timeout=15) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=15)
+            proc.stdout.close()
+
     def test_sigkill_mid_mutation_stream_replays_the_tail(self,
                                                           tmp_path):
         proc, host, port = _spawn_serve(tmp_path,

@@ -413,6 +413,150 @@ class TestBitIdentity:
                 direct.schedule_seed_version)
 
 
+def _mirror(algebra, topology, n, seed, writes):
+    """The network a daemon session holds after ``writes`` (its
+    ``[verb, i, k, edge_seed]`` records), built the way the daemon
+    builds and mutates it."""
+    from repro.cli import build_network
+    network, factory = build_network(algebra, topology, n, seed)
+    for verb, i, k, edge_seed in writes:
+        if verb == "set_edge":
+            network.set_edge(i, k, factory(random.Random(edge_seed), i, k))
+        else:
+            network.remove_edge(i, k)
+    return network
+
+
+class TestWarmSolve:
+    """A default ``sigma``/``routes`` solve after a write starts from the
+    session's last fixed point when Theorem 7 holds (``warm``); its
+    digest and state are the cold solve's, its ``rounds`` its own."""
+
+    LOAD = ("hop-count", "random", 16, 4)
+
+    def _load(self, c):
+        algebra, topology, n, seed = self.LOAD
+        return c.load(algebra, n=n, topology=topology, seed=seed)["session"]
+
+    def _writes(self, c, sid, count, rng):
+        net = _mirror(*self.LOAD, [])
+        arcs = sorted(net.present_edges())
+        writes = []
+        for step in range(count):
+            i, k = arcs[rng.randrange(len(arcs))]
+            if step % 2:
+                edge_seed = rng.randrange(1 << 20)
+                c.set_edge(sid, i, k, edge_seed=edge_seed)
+                writes.append(["set_edge", i, k, edge_seed])
+            else:
+                c.remove_edge(sid, i, k)
+                writes.append(["remove_edge", i, k, None])
+        return writes
+
+    def test_default_solves_after_writes_are_warm(self, daemon):
+        from repro.service.protocol import state_matrix
+
+        rng = random.Random(5)
+        writes = []
+        with ServiceClient(port=daemon.port) as c:
+            sid = self._load(c)
+            first = c.sigma(sid)
+            assert first["warm"] is False          # nothing to start from
+            for _ in range(6):
+                writes += self._writes(c, sid, 1, rng)
+                served = c.sigma(sid, include_state=True)
+                routes = c.routes(sid, node=2)
+                net = _mirror(*self.LOAD, writes)
+                cold = RoutingSession(net, "naive").sigma()
+                assert served["warm"] is True and routes["warm"] is True
+                assert served["cached"] is False
+                assert served["converged"] is True
+                assert served["digest"] == routes["digest"] == \
+                    state_digest(cold.state)
+                assert served["state"] == state_matrix(cold.state)
+                assert served["rounds"] <= 16       # size − 1 (Theorem 4)
+
+    def test_no_certificate_or_a_short_budget_solves_cold(self, daemon):
+        """With a non-increasing arc installed the capability refuses,
+        and with ``max_rounds`` below its bound the gate does: the
+        solve starts from the identity, ``rounds`` and all."""
+        from repro.core.algebra import FunctionEdge
+
+        rng = random.Random(9)
+        with ServiceClient(port=daemon.port) as c:
+            sid = self._load(c)
+            c.sigma(sid)
+            writes = self._writes(c, sid, 1, rng)
+            size = 17                               # hop-count<16>: 0..16
+            short = c.sigma(sid, max_rounds=size - 1)
+            net = _mirror(*self.LOAD, writes)
+            ref = RoutingSession(net, "naive").sigma(max_rounds=size - 1)
+            assert short["warm"] is False
+            assert (short["rounds"], short["digest"]) == \
+                (ref.rounds, state_digest(ref.state))
+            assert c.sigma(sid, max_rounds=size)["warm"] is True
+            # the next set_edge installs an arc that maps every route
+            # to itself: not strictly increasing
+            entry = daemon._sessions[sid]
+            entry.factory = lambda _rng, _i, _k: FunctionEdge(
+                lambda route: route, "stay")
+            i, k = sorted(net.present_edges())[0]
+            c.set_edge(sid, i, k, edge_seed=1)
+            assert entry.session.unique_fixed_point().code == \
+                "not-strictly-increasing"
+            served = c.sigma(sid)
+            routes = c.routes(sid, dest=0)
+            net.set_edge(i, k, FunctionEdge(lambda route: route, "stay"))
+            ref = RoutingSession(net, "naive").sigma()
+            assert served["warm"] is False and routes["warm"] is False
+            assert (served["rounds"], served["digest"]) == \
+                (ref.rounds, state_digest(ref.state))
+
+    def test_a_seeded_request_is_never_substituted(self, daemon):
+        from repro.service.protocol import start_state
+
+        with ServiceClient(port=daemon.port) as c:
+            sid = self._load(c)
+            c.sigma(sid)
+            writes = self._writes(c, sid, 2, random.Random(2))
+            served = c.sigma(sid, start_seed=3)
+        net = _mirror(*self.LOAD, writes)
+        ref = RoutingSession(net, "naive").sigma(start_state(net, 3))
+        assert served["warm"] is False
+        assert (served["rounds"], served["digest"]) == \
+            (ref.rounds, state_digest(ref.state))
+
+    def test_a_default_solve_after_a_seeded_one_seeds_warm(
+            self, daemon, monkeypatch):
+        """A seeded solve's fixed point is the engine's certificate, and
+        under Theorem 7 as good a start as any: the next default solve
+        after a write starts from it and seeds warm on the codes rung
+        (one first round over the written rows only)."""
+        from repro.core.vectorized import VectorizedEngine
+
+        seeds = []
+        seed_round = VectorizedEngine._seed_round
+
+        def counted(self, C, rows):
+            seeds.append(rows.size)
+            return seed_round(self, C, rows)
+
+        monkeypatch.setattr(VectorizedEngine, "_seed_round", counted)
+        rng = random.Random(3)
+        with ServiceClient(port=daemon.port) as c:
+            sid = self._load(c)
+            c.sigma(sid)
+            writes = self._writes(c, sid, 1, rng)
+            assert c.sigma(sid, start_seed=3)["warm"] is False
+            assert seeds == []                  # a seeded start: cold
+            writes += self._writes(c, sid, 1, rng)
+            served = c.sigma(sid)
+        net = _mirror(*self.LOAD, writes)
+        assert served["warm"] is True and seeds == [1]
+        assert served["digest"] == \
+            state_digest(RoutingSession(net, "naive").sigma().state)
+
+
 class TestRoutesVerb:
     """Per-destination route queries: one row/column of the cached
     fixed point — O(n) on the wire instead of include_state's O(n²)."""
@@ -461,9 +605,9 @@ class TestRoutesVerb:
         digest = daemon_mod.state_digest
         solve = RoutingSession.sigma
 
-        def counting_digest(state):
+        def counting_digest(state, *memo):
             hashed.append(state)
-            return digest(state)
+            return digest(state, *memo)
 
         def counting_sigma(session, *args, **kwargs):
             solves.append(session)

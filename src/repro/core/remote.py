@@ -1395,14 +1395,15 @@ class RemoteVectorizedEngine(VectorizedEngine):
             t, unchanged
 
     def _delta_window(self, run, t: int, count: int, live, unchanged,
-                      sigma_ok, const_ok):
+                      failed, sigma_ok, const_ok):
         """One :data:`~repro.core.wire.MSG_DELTA_STEPS` command of at
-        most ``count`` steps from ``t``, yielding each step's changed
-        flag.  The steps come from the planner the in-process rungs
-        slice their windows from (``_DeltaPlan.wire`` in
-        :mod:`repro.core.vectorized`): the command's head
-        is each step's ``[t, active count, edge count]`` and the names of
-        the tail's two dtypes; its tail is every step's active nodes,
+        most ``count`` steps from ``t``, yielding each step as a level
+        of one step (its ``(1, 1)`` changed flags), so the loop may
+        probe after any of them.  The steps come from the planner the
+        in-process rungs slice their windows from (``_DeltaPlan.wire``
+        in :mod:`repro.core.vectorized`): the command's head is each
+        step's ``[t, active count, edge count]`` and the names of the
+        tail's two dtypes; its tail is every step's active nodes,
         then every step's read-backs ``t − β``, each in the narrowest
         dtype that holds ``n − 1`` or the ring window
         (:func:`~repro.core.wire.carrier_dtype`).  The window is cut
@@ -1441,7 +1442,7 @@ class RemoteVectorizedEngine(VectorizedEngine):
                 raise _ShardFault(idx, exc, kind="format") from exc
             changed[:, 0] |= flags
         self._barrier()
-        yield from changed
+        yield from changed[:, None]
         run["shipped"] += 1
         if p.stale is None and DELTA_CKPT_EVERY > 0 \
                 and self._retries_left > 0 \

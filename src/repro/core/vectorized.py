@@ -41,10 +41,14 @@ planner (:class:`_DeltaPlan`) computes it for a window of steps at a
 time — each (schedule, step) once, through the schedules' window hooks
 (:meth:`~repro.core.schedule.Schedule.alpha_masks`,
 :meth:`~repro.core.schedule.CompiledSchedule.beta_times_for`) — and
-both the in-process step loop and the remote coordinator slice their
-steps from it; a step then pays only for what depends on the state.  A
-single run is the grid of one trial, and in process a grid's trials
-stack along the batch axis of one ring, folded in cache-sized tiles.
+both the in-process windows and the remote coordinator slice their
+steps from it.  In process a window then folds a *level* at a time:
+consecutive steps whose every read is settled before the first of
+them, which δ's reads (S2) let run as one step — the sequential part
+of δ is its dependency levels, not its steps — and a level pays only
+for what depends on the state.  A single run is the grid of one
+trial, and in process a grid's trials stack along the batch axis of
+one ring, folded in cache-sized tiles.
 
 Primitives and transports
 -------------------------
@@ -378,11 +382,11 @@ def delta_fold(ring, reads, edge_flat, starts, tables, affine=None):
     """
     width, total, acts = ring.shape[-1], edge_flat.size, starts.size
     rows = ring.reshape(-1, width)          # a view: rings are contiguous
+    per_tile = max(1, FOLD_TILE // width)   # edges per tile
+    if total <= per_tile:
+        return _fold_tile(rows, reads, edge_flat, starts, tables, affine)
     out = np.empty((acts, width),
                    dtype=ring.dtype if affine is not None else tables.dtype)
-    size, cells = tables.shape[-1], tables.reshape(-1)
-    cell_dtype = _index_dtype(tables.size)
-    per_tile = max(1, FOLD_TILE // width)   # edges per tile
     a0 = 0
     while a0 < acts:
         # the activations a0 .. a1 - 1: as many as fit in one tile
@@ -390,19 +394,25 @@ def delta_fold(ring, reads, edge_flat, starts, tables, affine=None):
         a1 = acts if total - e0 <= per_tile else max(a0 + 1, int(
             np.searchsorted(starts, e0 + per_tile, side="right")) - 1)
         e1 = int(starts[a1]) if a1 < acts else total
-        edges = edge_flat[e0:e1]
-        ext = rows.take(reads[e0:e1], axis=0)
-        if affine is not None:
-            w, cap = affine
-            np.add(ext, w[edges], out=ext)
-            np.minimum(ext, cap[edges], out=ext)
-        else:
-            base = edges.astype(cell_dtype, copy=False) * size
-            ext = cells.take(ext + base[:, None])
-        np.minimum.reduceat(ext, starts[a0:a1] - e0, axis=0,
-                            out=out[a0:a1])
+        _fold_tile(rows, reads[e0:e1], edge_flat[e0:e1],
+                   starts[a0:a1] - e0, tables, affine, out[a0:a1])
         a0 = a1
     return out
+
+
+def _fold_tile(rows, reads, edges, starts, tables, affine, out=None):
+    """One tile of :func:`delta_fold`: gather, extend, ⊕ per
+    activation (into ``out`` when given)."""
+    ext = rows.take(reads, axis=0)
+    if affine is not None:
+        w, cap = affine
+        np.add(ext, w[edges], out=ext)
+        np.minimum(ext, cap[edges], out=ext)
+    else:
+        base = edges.astype(_index_dtype(tables.size), copy=False) \
+            * tables.shape[-1]
+        ext = tables.reshape(-1).take(ext + base[:, None])
+    return np.minimum.reduceat(ext, starts, axis=0, out=out)
 
 
 # ----------------------------------------------------------------------
@@ -432,9 +442,16 @@ class _StepPlan:
 
     Given the in-process ``ring`` — ``(slots, rows, dtype)``: a history
     ring of ``slots`` slots of ``rows`` rows, and the dtype its row
-    indices fit in — the plan keeps, instead of the read times, each
-    read's ring row less its trial's offset (``flat``: ``(s mod
-    slots)·rows + k``), and its node indices in that dtype.
+    indices fit in — the plan also keeps each read's ring row less its
+    trial's offset (``flat``: ``(s mod slots)·rows + k``), its node
+    indices in that dtype, and its dependencies: per step, ``dep``, the
+    latest step of the plan at which a node the step reads was
+    activated at or before that read's time (``t − 1`` when there is
+    none; one ``maximum.accumulate`` over the masks and one gather over
+    the reads).  Every read of a step ``u`` whose ``dep`` is below
+    ``t0`` is *settled* from ``t0`` on: no activation in ``t0 … s``
+    wrote the row it reads at ``s``, so ``u`` may fold with the steps
+    from ``t0`` (a *level*, :meth:`VectorizedEngine._delta_window`).
     """
 
     def __init__(self, topo: TopologySnapshot, comp, window: int, t: int,
@@ -453,7 +470,10 @@ class _StepPlan:
                  else np.empty(0, dtype=np.int64))
         back = np.repeat(t + act_k, deg) - times          # t − β
         self.t, self.steps, self.stale = t, masks.shape[0], None
-        if times.size and (back.min() < 1 or back.max() > window
+        #: the shortest read-back: at 2 or more no step can depend on
+        #: the one before it
+        self.nearest = int(back.min()) if back.size else window
+        if times.size and (self.nearest < 1 or back.max() > window
                            or times.min() < 0):
             e = np.flatnonzero((back < 1) | (back > window) | (times < 0))[0]
             s = int(times[e] + back[e])
@@ -467,21 +487,43 @@ class _StepPlan:
         self.nodes = nodes[:self.node_at[-1]]
         self.act, self.deg = act[:a], deg[:a]
         self.zero = nodes[~has][:self.zero_at[-1]]
-        times = times[:e]
+        self.times = times = times[:e]
         self.edge, self.src = edge[:e], src[:e]
         self.read_min = (np.minimum.reduceat(times, starts[:a]) if a
                          else np.empty(0, dtype=np.int64))
         if ring is None:
-            self.times = times
-        else:
-            slots, rows, dtype = ring
-            self.act, self.zero, self.src = (
-                x.astype(dtype) for x in (self.act, self.zero, self.src))
-            # (s mod slots)·rows by lookup: a modulo per read costs more
-            lo = max(0, t - window)
-            ring_rows = (np.arange(lo, t + self.steps, dtype=dtype)
-                         % slots * rows).astype(dtype)
-            self.flat = ring_rows.take(times - lo) + self.src
+            return
+        slots, rows, dtype = ring
+        self.act, self.zero, self.src = (
+            x.astype(dtype) for x in (self.act, self.zero, self.src))
+        lo = max(0, t - window)         # the earliest time a read takes
+        # (s mod slots)·rows by lookup: a modulo per read costs more
+        ring_rows = (np.arange(lo, t + self.steps, dtype=dtype)
+                     % slots * rows).astype(dtype)
+        self.flat = ring_rows.take(times - lo) + self.src
+        self._masks, self._lo = masks[:self.steps], lo
+
+    @cached_property
+    def dep(self):
+        """Each step's dependency (see the class docstring), as steps of
+        the plan; computed the first time a window asks."""
+        t, lo, masks = self.t, self._lo, self._masks
+        n = masks.shape[1]
+        # per time from lo and node: the latest step of the plan at or
+        # before it that activated the node (−1: none)
+        latest = np.full((t - lo + self.steps, n), -1, dtype=np.int32)
+        mark = latest[t - lo:]
+        np.multiply(masks, np.arange(1, self.steps + 1,
+                                     dtype=np.int32)[:, None], out=mark)
+        np.maximum.accumulate(mark, axis=0, out=mark)
+        mark -= 1
+        dep = np.full(self.steps, -1, dtype=np.int64)
+        busy = np.flatnonzero(np.diff(self.edge_at))
+        if busy.size:
+            dep[busy] = np.maximum.reduceat(
+                latest.reshape(-1).take((self.times - lo) * n + self.src),
+                self.edge_at[busy])
+        return dep + t
 
 
 def _stacked(offsets, q, base, steps: int):
@@ -507,46 +549,106 @@ class _Window:
     ``live`` trials, sliced from the per-schedule plans with array ops.
 
     Step-major, then trial by trial: per activation with in-edges its
-    ``pair`` (row ``b·n + i`` of a ``(B·n, n)`` ring slot), node,
-    degree, earliest read time and where its in-edges start in its
-    step; per in-edge its table ``edge``, ``lc`` (the ``b·n + k`` row
-    of its source) and ``flat`` (that row in the read's ring slot,
-    ``(s mod W)·B·n + b·n + k``); per activation without in-edges its
-    ``zero_pair``.  ``act_at``/``edge_at``/``zero_at`` are each step's
-    offsets, as lists.
+    ``pair`` (row ``b·n + i`` of a ``(B·n, n)`` ring slot), ``trial``
+    ``b``, node, degree, earliest read time, ``step`` (in the window)
+    and where its in-edges start in the window; per in-edge its table
+    ``edge``, ``lc`` (the ``b·n + k`` row of its source) and ``flat``
+    (that row in the read's ring slot, ``(s mod W)·B·n + b·n + k``);
+    per activation without in-edges its ``zero_pair`` and
+    ``zero_step``.  ``act_at``/``edge_at``/``zero_at`` are each step's
+    offsets, as lists, and ``plans`` each live group's plan (``q``:
+    each live trial's group among them).  What only a level of more
+    than one step reads — each in-edge's read ``time``, each step's
+    ``newest`` read and each activation's ``repeats`` — is built the
+    first time one asks for it.
     """
 
     def __init__(self, live, t: int, steps: int, plans, q, n: int, dtype):
-        self.live, self.t, self.steps = live, t, steps
+        self.live, self.t, self.steps, self.q = live, t, steps, q
         base = (live * n).astype(dtype)
 
         def family(offsets, names):
-            slices, cols = [], [[] for _ in names]
+            slices, cols, spans = [], [[] for _ in names], []
             for p in plans:
                 at_p = getattr(p, offsets)[t - p.t:t - p.t + steps + 1]
                 lo, hi = at_p[[0, -1]].tolist()
                 slices.append(at_p - lo)
+                spans.append((p, lo, hi))
                 for col, name in zip(cols, names):
                     col.append(getattr(p, name)[lo:hi])
             idx, rows, step_at = _stacked(np.stack(slices), q, base, steps)
             return ([np.concatenate(col).take(idx) for col in cols], rows,
-                    step_at)
+                    step_at, (idx, spans))
 
-        (self.node, self.deg, self.read_min), rows, act_at = family(
+        (self.node, self.deg, self.read_min), rows, act_at, _ = family(
             "act_at", ("act", "deg", "read_min"))
-        (self.edge, src, flat), edge_rows, edge_at = family(
+        (self.edge, src, flat), edge_rows, edge_at, self._edges = family(
             "edge_at", ("edge", "src", "flat"))
+        at = np.arange(steps)
         if any(p.zero_at[-1] for p in plans):
-            (zero,), zero_rows, zero_at = family("zero_at", ("zero",))
+            (zero,), zero_rows, zero_at, _ = family("zero_at", ("zero",))
             self.zero_pair = zero_rows + zero
         else:       # every active node has in-edges
             self.zero_pair, zero_at = rows[:0], np.zeros(steps + 1, np.intp)
+        self.zero_step = np.repeat(at, np.diff(zero_at))
         self.pair = rows + self.node
+        self.trial = rows // n
+        self.step = np.repeat(at, np.diff(act_at))
         self.lc, self.flat = src + edge_rows, flat + edge_rows
-        self.starts = (np.cumsum(self.deg) - self.deg - np.repeat(
-            edge_at[:-1], np.diff(act_at))).astype(self.edge.dtype)
+        self.starts = (np.cumsum(self.deg) - self.deg).astype(self.edge.dtype)
+        self.plans = plans
         self.act_at, self.edge_at, self.zero_at = \
             act_at.tolist(), edge_at.tolist(), zero_at.tolist()
+
+    def dep(self, groups) -> List[int]:
+        """The latest :attr:`_StepPlan.dep` of the plans ``groups`` over
+        the window's steps, as a list.  It reads first the plans whose
+        reads may reach the step before (by :attr:`_StepPlan.nearest`)
+        and stops once every step depends on the one before it: such a
+        step joins no level whatever the other plans read, so a plan
+        that never cuts a level may never compute its dependencies."""
+        t, steps = self.t, self.steps
+        joinable = np.arange(t - 1, t + steps - 1)[1:]
+        out = None
+        for g in sorted(groups, key=lambda g: self.plans[g].nearest):
+            p = self.plans[g]
+            dep = p.dep[t - p.t:t - p.t + steps]
+            out = dep if out is None else np.maximum(out, dep)
+            if not (out[1:] < joinable).any():
+                break
+        return out.tolist()
+
+    @cached_property
+    def time(self):
+        """Each in-edge's read time."""
+        idx, spans = self._edges
+        return np.concatenate([p.times[lo:hi]
+                               for p, lo, hi in spans]).take(idx)
+
+    @cached_property
+    def newest(self):
+        """Each step's latest read time (−1 when it reads nothing), as a
+        list."""
+        out = np.full(self.steps, -1, dtype=np.int64)
+        edge_at = np.asarray(self.edge_at)
+        busy = np.flatnonzero(np.diff(edge_at))
+        if busy.size:
+            out[busy] = np.maximum.reduceat(self.time, edge_at[busy])
+        return out.tolist()
+
+    @cached_property
+    def repeats(self):
+        """``(prev, next)``: per activation, the index of its pair's
+        previous and next activation in the window (−1 and the
+        activation count when there is none)."""
+        pair = self.pair
+        order = np.argsort(pair, kind="stable")
+        same = pair[order[1:]] == pair[order[:-1]]
+        prev = np.full(pair.size, -1, dtype=np.intp)
+        nxt = np.full(pair.size, pair.size, dtype=np.intp)
+        prev[order[1:][same]] = order[:-1][same]
+        nxt[order[:-1][same]] = order[1:][same]
+        return prev, nxt
 
 
 class _DeltaPlan:
@@ -559,17 +661,23 @@ class _DeltaPlan:
     first), and kept until the stack has stepped past them, so each
     (schedule, step) is planned once however many trials share it.
     The in-process windows (:meth:`stack`) stack the live trials'
-    plans; a trial that finishes inside one leaves it as it is, and the
-    loop resumes it for the trials left.  They are bounded by a budget
-    of planned in-edges, per schedule and per stack, of
-    ``FOLD_TILE // 8``: about as many bytes of int32 indices as a fold
-    tile holds codes.  The remote coordinator plans its windows whole
-    (:meth:`wire`).  A read outside a trial's ring window raises
-    :class:`LookupError` only when a live trial reaches that step.
+    plans, with each step's dependency (``dep``) for the window to cut
+    into levels (:meth:`VectorizedEngine._delta_window`); a trial that
+    finishes inside one leaves it as it is, and the loop resumes it for
+    the trials left.  They are bounded by a budget of planned in-edges,
+    per schedule and per stack, of ``FOLD_TILE // 8``: about as many
+    bytes of int32 indices as a fold tile holds codes.  The remote
+    coordinator plans its windows whole (:meth:`wire`) and steps them
+    one step at a time, so its plans compute no dependencies.
+    A read outside a trial's ring window raises :class:`LookupError`
+    only when a live trial reaches that step.  ``windows`` and
+    ``stability`` are the trials' read and stability windows.
     """
 
-    def __init__(self, topo: TopologySnapshot, lo: int, scheds, windows):
+    def __init__(self, topo: TopologySnapshot, lo: int, scheds, windows,
+                 stability):
         self.topo, self.lo, self.windows = topo, lo, windows
+        self.stability = stability
         index: dict = {}
         self.group = np.asarray([index.setdefault(id(comp), len(index))
                                  for comp in scheds], dtype=np.intp)
@@ -918,28 +1026,82 @@ class VectorizedEngine:
                 np.full((B, n), -1, dtype=np.int64)), 1, 0
 
     def _delta_window(self, run, t: int, count: int, live, unchanged,
-                      sigma_ok, const_ok):
+                      failed, sigma_ok, const_ok):
         """One window of at most ``count`` steps from ``t`` over the
-        ``live`` trials: a generator of per-step ``(B,)`` changed flags.
-        In process the window is the planner's
+        ``live`` trials: a generator of each level's ``(steps, B)``
+        changed flags.  In process the window is the planner's
         (:meth:`_DeltaPlan.stack`): everything a step activates and
-        reads is planned for all its steps before the first, so a step
-        runs only what depends on the state — the skip, the fold, the
-        compare, the writes and the certificates.  The caller stops
-        drawing when a trial finishes; the next call resumes the same
-        window for the trials left, whose rows alone it folds (the
-        finished trial's ride along unfolded to the window's end).
+        reads is planned for all its steps before the first, so a level
+        runs only what depends on the state (:meth:`_delta_level`).  The
+        caller stops drawing when a trial finishes; the next call
+        resumes the same window for the trials left, whose rows alone it
+        folds (the finished trial's ride along unfolded to the window's
+        end).
 
-        Slot ``t % W`` is written from slot ``(t - 1) % W``; trials
-        whose state has been constant for a full ring skip that copy
-        (every slot already holds their state), and active rows are
-        overwritten in place.  A step is one fused gather/fold: every
-        (trial, active node, in-edge) triple is one row of a flat
-        extension matrix, reduced per activation with
-        ``minimum.reduceat`` (:func:`delta_fold`).
+        The window folds one *level* at a time: the longest run of
+        steps ``t0 … t1 − 1`` in which every read of every live group
+        is *settled* — no activation in ``t0 … s`` wrote the row it
+        reads at ``s`` (the groups' ``dep`` is below ``t0`` at every
+        step after the first) — and no live trial can complete its
+        stability window before ``t1 − 1``: a trial that changes at
+        ``t0`` completes it ``sws`` steps later, a constant one that has
+        not failed a probe when its constant run does.  By S2 an
+        activation depends only on the rows it reads, so a level's
+        activations read rows that stood before it and fold as one: the
+        sequential part of δ is its dependency levels, not its steps.
+        A one-step level is one step of δ, and a trial is probed only
+        after a level's last step.  ``unchanged`` and ``failed`` (whose
+        current state failed a probe) are the caller's, read at each
+        level.
+        """
+        ring, plan, last_change, prev_read_min = run
+        win = plan.stack(live, t, count)
+        W, B = ring.shape[:2]
+        gone = None         # the window's trials that have finished
+        groups = range(len(win.plans))
+        if live.size < win.live.size:
+            gone = np.ones(B, dtype=bool)
+            gone[live] = False
+            groups = np.unique(win.q[~gone[win.live]]).tolist()
+        dep = win.dep(groups)
+        sws = plan.stability[live]
+        views = (ring, ring.reshape(W, B * self._n, self._n),
+                 last_change.reshape(-1), prev_read_min.reshape(-1),
+                 sigma_ok, sigma_ok.reshape(-1), const_ok.reshape(-1))
+        k0 = t - win.t
+        while k0 < win.steps:
+            t0, k1 = win.t + k0, k0 + 1
+            while k1 < win.steps and dep[k1] < t0:
+                k1 += 1
+            held = unchanged[live]
+            if k1 > k0 + 1:
+                # the first step a live trial may be probed after: a
+                # failed one must change first (at t0 at the earliest)
+                due = t0 - 1 + int((sws - np.where(failed[live], -1,
+                                                   held)).min())
+                k1 = min(k1, due - win.t + 1)
+            yield self._delta_level(views, win, k0, k1, live[held < W],
+                                    gone)
+            k0 = k1
 
-        ``last_change``/``prev_read_min`` (the run state) are the batch
-        analogue of the incremental engine's
+    def _delta_level(self, views, win: _Window, k0: int, k1: int, copy,
+                     gone):
+        """The level of steps ``t0 = win.t + k0 … t1 − 1`` (see
+        :meth:`_delta_window`) as one read-diff skip, one fold
+        (:func:`delta_fold`: every (trial, active node, in-edge) triple
+        is one row of a flat extension matrix, reduced per activation),
+        one compare-and-write and one certificate update; returns its
+        ``(t1 − t0, B)`` changed flags.
+
+        *Fold before writing.*  Every read is folded from the ring as
+        the level found it: one at ``s < t0`` from its own slot, a
+        settled one at ``s >= t0`` from slot ``t0 − 1``.  The level's
+        writes run up to ``t1 − t0`` slots ahead, over slots a read
+        still reaches back to (up to ``W − 1``), so writing first could
+        overwrite them.
+
+        *Skip.*  ``last_change``/``prev_read_min`` (the run state) are
+        the batch analogue of the incremental engine's
         :class:`~repro.core.incremental.DeltaRowCache`:
         ``last_change[b, k]`` is the last step trial ``b``'s row ``k``
         changed, ``prev_read_min[b, i]`` the earliest read time of
@@ -948,96 +1110,168 @@ class VectorizedEngine:
         current ones recomputes the same row (entry-wise σ over equal
         inputs), so the pair is *skipped* — no gather, no fold, no
         compare — which is what turns high-activation-rate schedules'
-        long quiet phases from O(E · n) into O(E) per step.
+        long quiet phases from O(E · n) into O(E) per step.  The reads
+        are settled, so the test takes the sources' last changes from
+        before the level; a pair activated earlier in the level has that
+        activation's earliest read as its previous one.
 
-        ``sigma_ok``/``const_ok`` fuse the σ-stability probe into the
-        step (the *σ-residual certificate*): an activation whose every
-        source row's **post-step** last change is at or before the
-        activation's earliest read computed its row against the
+        *Writes.*  Each activation's row goes into its step's slot and
+        every later slot of the level up to the node's next activation
+        (of the last ``W``: the ring keeps no more); it changed at its
+        step ``u`` if it differs from the node's row at ``u − 1``.  The
+        slots start as copies of slot ``t0 − 1``, made for the live
+        trials whose state has not been constant for a full ring (every
+        slot of the others holds their state), as one slice of trials.
+
+        *Certificates.*  ``sigma_ok``/``const_ok`` fuse the σ-stability
+        probe into the fold (the *σ-residual certificate*): an
+        activation whose every source row's last change is at or before
+        the activation's earliest read computed its row against the
         *current* source rows, i.e. the row already equals its σ-row —
         ``sigma_ok[b, i]`` records that.  Any change in trial ``b``
-        invalidates all its certificates (a source may have moved);
+        invalidates its certificates (a source may have moved), so a
+        level keeps the ones recorded at or after the trial's last
+        change in it, checked on the last changes at the level's end;
         rows with no in-edges always produce the same constant σ-row,
         so one activation certifies them permanently (``const_ok``).
-        The candidate probe in :meth:`delta_grid` then σ-checks only
-        the uncertified rows — usually none after a full quiet window —
-        instead of recomputing σ over the whole ``(n, n)`` state.
+        The probe in :meth:`_delta_stack` then σ-checks only the
+        uncertified rows — usually none after a full quiet window —
+        instead of the whole ``(n, n)`` state.
         """
-        ring, plan, last_change, prev_read_min = run
-        win = plan.stack(live, t, count)
+        ring, slots, last, prm, sigma_ok, certified, constant = views
         n, topo = self._n, self._topo
         W, B = ring.shape[:2]
-        slots = ring.reshape(W, B * n, n)      # (trial, node) rows
-        cells = ring.reshape(-1, n)
-        last, prm = last_change.reshape(-1), prev_read_min.reshape(-1)
-        certified, constant = sigma_ok.reshape(-1), const_ok.reshape(-1)
-        act_at, edge_at, zero_at = win.act_at, win.edge_at, win.zero_at
-        gone = None         # the window's trials that have finished
-        if live.size < win.live.size:
-            gone = np.ones(B, dtype=bool)
-            gone[live] = False
-        for k in range(t - win.t, win.steps):
-            now = win.t + k
-            prev, nxt = slots[(now - 1) % W], slots[now % W]
-            copy = live[unchanged[live] < W]
-            if copy.size:
-                ring[now % W, copy] = ring[(now - 1) % W, copy]
-            changed = np.zeros(B, dtype=bool)
-            a0, a1, e0, e1 = act_at[k], act_at[k + 1], edge_at[k], \
-                edge_at[k + 1]
-            if a1 > a0:
-                pair, starts = win.pair[a0:a1], win.starts[a0:a1]
-                lc, read_min = win.lc[e0:e1], win.read_min[a0:a1]
-                # -- read-diff skip (vectorized DeltaRowCache) ----------
-                # sound because entry (i, j) is a pure fold of the
-                # sources' reads: if no source row changed anywhere in
-                # the span between the previous activation's reads and
-                # this one's, the fold recomputes the row it already
-                # produced.
-                skip = np.maximum.reduceat(last.take(lc), starts) <= \
-                    np.minimum(read_min, prm.take(pair))
+        steps, t0 = k1 - k0, win.t + k0
+        multi = steps > 1
+        a0, a1 = win.act_at[k0], win.act_at[k1]
+        z0, z1 = win.zero_at[k0], win.zero_at[k1]
+        ran = []        # (rows, their new rows, their steps in the window)
+        twice = False   # whether a row of them runs twice in the level
+        if a1 > a0:
+            e0, e1 = win.edge_at[k0], win.edge_at[k1]
+            pair, read_min = win.pair[a0:a1], win.read_min[a0:a1]
+            starts, lc = win.starts[a0:a1] - e0, win.lc[e0:e1]
+            prior = prm.take(pair)
+            again = None    # which activations repeat a pair of the level
+            if multi:
+                prev, nxt = win.repeats
+                prev = prev[a0:a1]
+                again = prev >= a0
+                if np.count_nonzero(again):
+                    prior = np.where(again, win.read_min.take(prev), prior)
+                    final = nxt[a0:a1] >= a1
+                    prm[pair[final]] = read_min[final]
+                else:
+                    again = None
+            if again is None:
                 prm[pair] = read_min
-                if gone is not None:
-                    skip |= gone[pair // n]
-                rows, flat, edge = pair, win.flat[e0:e1], win.edge[e0:e1]
-                node, folds = win.node[a0:a1], starts
-                if skip.any():
-                    keep = ~skip
-                    deg = win.deg[a0:a1][keep]
-                    edges = np.repeat(keep, win.deg[a0:a1])
-                    rows, flat, edge = pair[keep], flat[edges], edge[edges]
-                    node, folds = node[keep], np.cumsum(deg) - deg
-                if rows.size:
-                    folded = delta_fold(cells, flat, edge, folds,
-                                        topo.tables, topo.affine)
-                    folded[np.arange(rows.size), node] = self.trivial_code
-                    hit = rows[(folded != prev[rows]).any(axis=1)]
-                    nxt[rows] = folded
-                    changed[hit // n] = True
-                    last[hit] = now
-            pair = win.zero_pair[zero_at[k]:zero_at[k + 1]]
+            # -- read-diff skip (vectorized DeltaRowCache) --------------
+            # sound because entry (i, j) is a pure fold of the sources'
+            # reads: if no source row changed anywhere in the span
+            # between the previous activation's reads and this one's,
+            # the fold recomputes the row it already produced
+            src_last = np.maximum.reduceat(last.take(lc), starts)
+            skip = src_last <= np.minimum(read_min, prior)
             if gone is not None:
-                pair = pair[~gone[pair // n]]
-            if pair.size:           # a node without in-edges: a constant row
-                fixed = np.full((pair.size, n), self.invalid_code,
-                                dtype=ring.dtype)
-                fixed[np.arange(pair.size), pair % n] = self.trivial_code
-                hit = pair[(fixed != prev[pair]).any(axis=1)]
-                nxt[pair] = fixed
-                changed[hit // n] = True
-                last[hit] = now
-                constant[pair] = True
-            # any change invalidates the trial's certificates (a source
-            # may have moved under a certified row) — reset BEFORE
-            # recording this step's, which already account for every
-            # change up to and including this step
-            sigma_ok[changed] = False
-            if a1 > a0:
-                pair = win.pair[a0:a1]
-                certified[pair[np.maximum.reduceat(
-                    last.take(win.lc[e0:e1]), win.starts[a0:a1])
-                    <= win.read_min[a0:a1]]] = True
-            yield changed
+                skip |= gone[win.trial[a0:a1]]
+            skipped = np.count_nonzero(skip)
+            if skipped < skip.size:
+                rows, node, at = pair, win.node[a0:a1], win.step[a0:a1]
+                flat, edge, folds = win.flat[e0:e1], win.edge[e0:e1], starts
+                if multi and max(win.newest[k0 + 1:k1]) >= t0:
+                    # a settled read at t0 or later: the row at t0 − 1
+                    flat = np.where(win.time[e0:e1] >= t0,
+                                    lc + (t0 - 1) % W * B * n, flat)
+                if skipped:
+                    keep = ~skip
+                    deg = win.deg[a0:a1]
+                    edges = keep.repeat(deg)
+                    deg = deg[keep]
+                    rows, node, at = rows[keep], node[keep], at[keep]
+                    flat, edge = flat[edges], edge[edges]
+                    folds = deg.cumsum() - deg
+                    if again is not None:
+                        again = again[keep]
+                twice = again is not None and bool(np.count_nonzero(again))
+                new = delta_fold(ring, flat, edge, folds, topo.tables,
+                                 topo.affine)
+                new[np.arange(rows.size), node] = self.trivial_code
+                ran.append((rows, new, at))
+        if z1 > z0:
+            zero, at = win.zero_pair[z0:z1], win.zero_step[z0:z1]
+            if gone is not None:
+                kept = ~gone[zero // n]
+                zero, at = zero[kept], at[kept]
+            if zero.size:       # a node without in-edges: a constant row
+                new = np.full((zero.size, n), self.invalid_code,
+                              dtype=ring.dtype)
+                new[np.arange(zero.size), zero % n] = self.trivial_code
+                constant[zero] = True
+                ran.append((zero, new, at))
+                twice = twice or multi
+        hit = order = None
+        if ran:
+            rows, new, at = ran[0] if len(ran) == 1 else (
+                np.concatenate(x) for x in zip(*ran))
+            before = slots[(t0 - 1) % W].take(rows, axis=0)
+            if twice:
+                # a row's activations in step order: the row before each
+                # is its previous one's
+                order = np.lexsort((at, rows))
+                same = rows[order[1:]] == rows[order[:-1]]
+                before[order[1:][same]] = new[order[:-1][same]]
+            moved = (new != before).any(axis=1)
+            if order is not None:
+                moved = moved[order]
+            hit = moved.nonzero()[0]
+            if hit.size == 0:
+                hit = None
+            elif order is not None:
+                hit = order[hit]                # by row, then step
+        if copy.size:
+            # the trials from the first to the last to copy: the others
+            # among them hold their state in every slot, or have finished
+            c0, c1 = copy[0], copy[-1] + 1
+            src = ring[(t0 - 1) % W, c0:c1]
+            if steps < W:
+                first, count = t0 % W, steps
+            else:
+                first, count, src = (t0 + steps) % W, W, src.copy()
+            ring[first:first + count, c0:c1] = src
+            if first + count > W:
+                ring[:first + count - W, c0:c1] = src
+        flags = np.zeros((steps, B), dtype=bool)
+        if hit is not None:
+            rows, at, new = rows[hit], at[hit] - k0, new[hit]
+            trials = rows // n
+            upto = steps    # each change stands until the row's next one
+            if order is None:
+                last[rows] = t0 + at if multi else t0
+            else:           # by row, then step: a row may change twice
+                same = rows[1:] == rows[:-1]
+                upto = np.full(rows.size, steps)
+                upto[:-1][same] = at[1:][same]
+                np.maximum.at(last, rows, t0 + at)
+            if multi:
+                col = np.arange(max(0, steps - W), steps)[:, None]
+                u, h = ((col >= at) & (col < upto)).nonzero()
+                slots[(t0 + col[u, 0]) % W, rows[h]] = new[h]
+            else:
+                slots[t0 % W][rows] = new
+            flags[at, trials] = True
+        changed = flags.any(axis=0) if multi else flags[0]
+        sigma_ok[changed] = False
+        if a1 > a0:
+            if hit is not None:
+                src_last = np.maximum.reduceat(last.take(lc), starts)
+            ok = src_last <= read_min
+            if multi and hit is not None:
+                # only what the level recorded since the trial last changed
+                since = np.full(B, -1)
+                np.maximum.at(since, trials, at)
+                ok &= win.step[a0:a1] - k0 >= since[win.trial[a0:a1]]
+            certified[pair[ok]] = True
+        return flags
 
     def _delta_state(self, run, b: int, t: int) -> "np.ndarray":
         """Trial ``b``'s code matrix at step ``t`` (its ring slot)."""
@@ -1118,14 +1352,18 @@ class VectorizedEngine:
         :class:`LookupError` when a live trial reaches a read outside
         its read window, and stop a trial once it has been constant for
         its stability window and is σ-stable (the probe skips rows the
-        step certified), or after ``max_steps``.  A rung supplies three
+        levels certified), or after ``max_steps``.  A rung supplies three
         hooks: how a run starts (:meth:`_delta_begin`, given the stack's
-        planner :class:`_DeltaPlan`), one window of steps yielding
-        per-step changed flags (:meth:`_delta_window`) and a trial's
-        code matrix at step ``t`` (:meth:`_delta_state`) — here trials
-        stack along the batch axis of one ring and a window is the
-        planner's.  A window is left as soon as a trial finishes, so a
-        finished trial is never stepped or probed again.
+        planner :class:`_DeltaPlan`), one window of steps yielding the
+        ``(steps, B)`` changed flags of consecutive steps after whose
+        last alone a trial may be probed (:meth:`_delta_window`: in
+        process a level at a time, on the remote rung a step at a time)
+        and a trial's code matrix at step ``t`` (:meth:`_delta_state`) —
+        here trials stack along the batch axis of one ring and a window
+        is the planner's.  Each yield moves the unchanged counts and the
+        failed probes with one array update.  A window is left as soon
+        as a trial finishes, so a finished trial is never stepped or
+        probed again.
 
         A trial is probed when it first completes its stability window
         after a change, and not again until its state changes: while
@@ -1138,7 +1376,7 @@ class VectorizedEngine:
         converged = np.zeros(B, dtype=bool)
         steps_res = np.full(B, max_steps, dtype=np.int64)
         conv_at: List[Optional[int]] = [None] * B
-        plan = _DeltaPlan(self._topo, lo, scheds, windows)
+        plan = _DeltaPlan(self._topo, lo, scheds, windows, sws)
         run, t, start_unchanged = self._delta_begin(plan, final)
         unchanged = np.full(B, start_unchanged, dtype=np.int64)
         # whose current state already failed a probe: on a resumed run,
@@ -1154,16 +1392,23 @@ class VectorizedEngine:
             live = np.flatnonzero(~done)
             if live.size == 0:
                 break
-            for changed in self._delta_window(
-                    run, t, max_steps - t + 1, live, unchanged,
+            for flags in self._delta_window(
+                    run, t, max_steps - t + 1, live, unchanged, failed,
                     sigma_ok, const_ok):
-                unchanged += 1
-                unchanged[changed] = 0
-                failed[changed] = False
+                steps = len(flags)
+                t += steps
+                unchanged += steps
+                changed = flags.any(axis=0) if steps > 1 else flags[0]
+                if np.count_nonzero(changed):
+                    # steps since each changed trial's last change
+                    unchanged[changed] = flags[::-1, changed].argmax(
+                        axis=0) if steps > 1 else 0
+                    failed[changed] = False
+                now = t - 1
                 finished = False
-                for b in np.flatnonzero((unchanged >= sws)
-                                        & ~(failed | done)).tolist():
-                    state = self._delta_state(run, b, t)
+                for b in ((unchanged >= sws)
+                          & ~(failed | done)).nonzero()[0].tolist():
+                    state = self._delta_state(run, b, now)
                     rest = np.flatnonzero(~(sigma_ok[b] | const_ok[b]))
                     if rest.size:
                         if not (self._sigma_rows(state, rest)
@@ -1172,10 +1417,9 @@ class VectorizedEngine:
                             continue
                         sigma_ok[b, rest] = True
                     done[b] = converged[b] = finished = True
-                    steps_res[b] = t
-                    conv_at[b] = t - int(unchanged[b])
+                    steps_res[b] = now
+                    conv_at[b] = now - int(unchanged[b])
                     final[b] = state.copy()
-                t += 1
                 if finished:
                     break
         for b in np.flatnonzero(~done).tolist():

@@ -22,11 +22,13 @@ says ``warm``): only when the session certifies a unique fixed point
 (Theorem 7) and ``max_rounds`` covers the bound that proves, so the
 answer is the cold one.  The warm state lives in memory only.
 
-Concurrency model: the event loop only parses frames and consults
-caches; fixed-point computes run in the default thread-pool executor
-under a per-session :class:`asyncio.Lock`, so concurrent clients on one
-warm session serialize safely (first one computes, the rest hit the
-cache) while other sessions and connections stay responsive.
+Concurrency model: the event loop only parses frames, consults caches
+and builds the O(n) reply of a ``routes`` (or a ``sigma`` without
+``include_state``) whose solve is already cached; fixed-point computes
+run in the default thread-pool executor under a per-session
+:class:`asyncio.Lock`, so concurrent clients on one warm session
+serialize safely (first one computes, the rest hit the cache) while
+other sessions and connections stay responsive.
 
 Durability (``state_dir=...`` / ``repro.cli serve --state-dir``): every
 admitted ``load`` / ``set_edge`` / ``remove_edge`` is appended to a
@@ -869,9 +871,14 @@ class RoutingServiceDaemon:
         start_seed = _int_field(req, "start_seed", None)
         include_state = bool(req.get("include_state", False))
         sched_spec: Optional[Dict[str, Any]] = None
+        # a reply at most O(n) to build from a σ solve: that solve's
+        # max_rounds (None for a delta, a convergence or include_state)
+        slice_of: Optional[int] = None
         if verb == "sigma":
             max_rounds = _int_field(req, "max_rounds", 10_000, minimum=0)
             knobs: Tuple = (max_rounds,)
+            if not include_state:
+                slice_of = max_rounds
             compute = partial(self._compute_sigma, entry, start_seed,
                               max_rounds, include_state)
         elif verb == "routes":
@@ -893,6 +900,7 @@ class RoutingServiceDaemon:
             node = axis if node is not None else None
             dest = axis if node is None else None
             knobs = (max_rounds, node, dest)
+            slice_of = max_rounds
             compute = partial(self._compute_routes, entry, start_seed,
                               max_rounds, node, dest)
         elif verb == "delta":
@@ -935,8 +943,14 @@ class RoutingServiceDaemon:
                     entry.cache.move_to_end(key)
                     return dict(cached, id=req_id, cached=True)
                 entry.misses += 1
-                body = await asyncio.get_running_loop().run_in_executor(
-                    None, compute)
+                if slice_of is not None and (entry.version, start_seed,
+                                             slice_of) in entry.state_cache:
+                    # the solve is cached: building the reply here costs
+                    # less than a round trip to the executor
+                    body = compute()
+                else:
+                    body = await asyncio.get_running_loop() \
+                        .run_in_executor(None, compute)
                 entry.cache[key] = body
                 while len(entry.cache) > self.cache_entries:
                     entry.cache.popitem(last=False)

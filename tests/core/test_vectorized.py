@@ -7,7 +7,7 @@ the non-finite guard/fallback behaviour, and Hypothesis properties:
 random :class:`~repro.algebras.finite.FiniteLevelAlgebra` lookup-table
 networks under random schedules must reproduce the ``strict=True``
 history semantics exactly, including ``max_read_back`` ring-buffer
-bounding.
+bounding and δ folded a level at a time.
 """
 
 import random
@@ -30,6 +30,7 @@ from repro.core import (
     Network,
     RandomSchedule,
     RoutingState,
+    Schedule,
     SynchronousSchedule,
     UnsupportedAlgebraError,
     VectorizedEngine,
@@ -39,6 +40,13 @@ from repro.core import (
 from repro.protocols.simulator import Simulator
 from repro.session import EngineSpec, RoutingSession
 from repro.topologies import erdos_renyi, uniform_weight_factory
+from tests.core.test_compiled_schedule import (
+    _KINDS,
+    _SUBCLASS_KINDS,
+    RowsOnlySchedule,
+    _random_schedule,
+    _subclassed,
+)
 
 
 def _hop_net(n=10, p=0.3, seed=0, bound=16):
@@ -743,24 +751,25 @@ class TestSigmaOnTheFold:
 
 
 class _StaleAt(FixedDelaySchedule):
-    """Synchronous but for step ``bad``, whose every read goes 9 back —
-    outside the ring its declared read-back of 1 sizes."""
+    """A fixed delay (synchronous by default) but for step ``bad``, whose
+    every read goes 9 back — outside the ring its declared read-back of
+    ``delay`` sizes."""
 
-    def __init__(self, n, bad):
-        super().__init__(n, delay=1)
+    def __init__(self, n, bad, delay=1):
+        super().__init__(n, delay=delay)
         self.bad = bad
 
     def beta(self, t, i, j):
-        return max(0, t - 9) if t == self.bad else t - 1
+        return max(0, t - 9) if t == self.bad else max(0, t - self.delay)
 
     def beta_uniform(self, t):
         return self.beta(t, 0, 0)
 
 
-def _stale_message(time, trial, t):
+def _stale_message(time, trial, t, window=3):
     return (f"δ history for time {time} is outside trial {trial}'s ring "
-            f"window (window=3, t={t}); the schedule reads further back "
-            "than its declared max_read_back — run "
+            f"window (window={window}, t={t}); the schedule reads further "
+            "back than its declared max_read_back — run "
             "RoutingSession.delta(..., strict=True) to keep the full "
             "history")
 
@@ -866,9 +875,9 @@ class TestDeltaPlanner:
         rows = VectorizedEngine._sigma_rows
 
         def counting_window(eng, run, t, count, live, *rest):
-            for changed in window(eng, run, t, count, live, *rest):
-                runs[changed] += 1
-                yield changed
+            for flags in window(eng, run, t, count, live, *rest):
+                runs[flags.any(axis=0)] += 1
+                yield flags
 
         def noting_state(eng, run, b, t):
             current[:] = [b]
@@ -929,6 +938,384 @@ class TestDeltaPlanner:
                     assert (res.converged, res.steps, res.converged_at) == \
                         (ref.converged, ref.steps, ref.converged_at)
                     assert res.state.equals(ref.state, alg)
+
+
+# ----------------------------------------------------------------------
+# δ by levels: consecutive steps whose reads are all settled fold as one
+# ----------------------------------------------------------------------
+
+
+def _assert_literal(net, trials, results, max_steps):
+    """Each result is the strict literal recursion's: converged, steps,
+    convergence step and state, and the ring's retained history (the
+    declared read-back + 2 steps, where strict keeps every step)."""
+    alg = net.algebra
+    with RoutingSession(net, "naive") as ref_s:
+        for (sched, x), res in zip(trials, results):
+            ref = ref_s.delta(sched, x, max_steps=max_steps, strict=True)
+            assert (res.converged, res.steps, res.converged_at) == \
+                (ref.converged, ref.steps, ref.converged_at)
+            assert res.history_retained == \
+                min(ref.steps + 1, sched.max_read_back() + 2)
+            assert res.state.equals(ref.state, alg)
+
+
+def _record_levels(patch):
+    """Record every level's ``(t0, t1, ring slots)`` while ``patch``
+    (``monkeypatch.setattr`` or an exit stack's ``mock.patch.object``)
+    holds the recorder in place."""
+    levels = []
+    level = VectorizedEngine._delta_level
+
+    def recording(eng, views, win, k0, k1, *rest):
+        levels.append((win.t + k0, win.t + k1, views[0].shape[0]))
+        return level(eng, views, win, k0, k1, *rest)
+
+    patch(VectorizedEngine, "_delta_level", recording)
+    return levels
+
+
+class _Stutter(Schedule):
+    """``width`` adjacent nodes active for ``burst`` steps in a row, each
+    edge read a hashed 1 … ``max_delay`` steps back: a node runs several
+    times within one level, and its earliest read may move back from one
+    activation to the next."""
+
+    def __init__(self, n, seed, burst=3, width=2, max_delay=5):
+        super().__init__(n)
+        self.seed, self.burst, self.width = seed, burst, width
+        self.max_delay = max_delay
+
+    def alpha(self, t):
+        first = (t // self.burst) * self.width
+        return frozenset((first + w) % self.n for w in range(self.width))
+
+    def beta(self, t, i, j):
+        return max(0, t - 1 - (t * 7 + i * 3 + j * 5 + self.seed)
+                   % self.max_delay)
+
+
+def _stutter_case(seed):
+    """A :class:`_Stutter` trial drawn from ``seed``: on a network of
+    arbitrary tables or a hop-count one, from a random or the identity
+    start, with its ``max_steps``."""
+    from repro.core.asynchronous import random_state
+
+    rng = random.Random(seed)
+    n = rng.randint(3, 7)
+    if rng.random() < 0.6:
+        levels = rng.randint(2, 5)
+        alg = FiniteLevelAlgebra(levels)
+        net = Network(alg, n, name="stutter")
+        for i in range(n):
+            for j in range(n):
+                if i != j and rng.random() < 0.5:
+                    net.set_edge(i, j, alg.table_edge(
+                        [rng.randint(0, levels) for _ in range(levels)]
+                        + [levels]))
+    else:
+        net = _hop_net(n, p=0.5, seed=seed)
+    alg = net.algebra
+    sched = _Stutter(n, rng.randint(0, 99), burst=rng.randint(2, 4),
+                     width=rng.randint(1, 2), max_delay=rng.randint(2, 6))
+    start = (random_state(alg, n, random.Random(seed)) if rng.random() < 0.7
+             else RoutingState.identity(alg, n))
+    return net, [(sched, start)], rng.randint(5, 60)
+
+
+class TestDeltaLevels:
+    """δ folds one level at a time — the longest run of steps whose
+    every read is settled and before which no trial can be probed — and
+    every result equals the literal recursion's."""
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_mixed_stacks_equal_the_literal_recursion(self, data):
+        """Stacks mixing schedules that fold several steps per level
+        (fixed delays of 2 or more, adversarial, round robin, stutter)
+        with ones
+        that never do (synchronous, random), from identity and random
+        starts, under the default and a tiny fold tile, to a
+        ``max_steps`` that may end inside a level."""
+        from contextlib import ExitStack
+        from unittest import mock
+
+        from repro.core import (
+            AdversarialStaleSchedule,
+            BatchedVectorizedEngine,
+            RoundRobinSchedule,
+            vectorized,
+        )
+        from repro.core.asynchronous import random_state
+
+        if data.draw(st.booleans(), label="hop-count"):
+            net = _hop_net(data.draw(st.integers(3, 10), label="n"), p=0.35,
+                           seed=data.draw(st.integers(0, 99), label="net"))
+        else:
+            net = data.draw(finite_table_networks())
+        alg, n = net.algebra, net.n
+
+        def schedule(kind):
+            if kind == "fixed":
+                return FixedDelaySchedule(n, delay=data.draw(st.integers(2, 5)))
+            if kind == "adversarial":
+                return AdversarialStaleSchedule(
+                    n, max_delay=data.draw(st.integers(1, 7)),
+                    burst=data.draw(st.integers(1, 3)))
+            if kind == "round-robin":
+                return RoundRobinSchedule(n)
+            if kind == "stutter":
+                return _Stutter(n, data.draw(st.integers(0, 99)),
+                                burst=data.draw(st.integers(2, 4)),
+                                width=data.draw(st.integers(1, 2)),
+                                max_delay=data.draw(st.integers(2, 6)))
+            if kind == "sync":
+                return SynchronousSchedule(n)
+            return RandomSchedule(
+                n, seed=data.draw(st.integers(0, 2 ** 16)),
+                activation_prob=data.draw(st.sampled_from([0.3, 0.7])),
+                max_delay=data.draw(st.integers(1, 4)))
+
+        folding = ["fixed", "adversarial", "round-robin", "stutter"]
+        kinds = data.draw(st.lists(st.sampled_from(folding + [
+            "sync", "random"]), max_size=3), label="kinds")
+        kinds.append(data.draw(st.sampled_from(folding)))
+        trials = []
+        for kind in kinds:
+            sched = schedule(kind)
+            for start in data.draw(st.lists(st.sampled_from(
+                    ["identity", "random"]), min_size=1, max_size=2)):
+                trials.append((sched, RoutingState.identity(alg, n)
+                               if start == "identity" else random_state(
+                                   alg, n, random.Random(len(trials)))))
+        max_steps = data.draw(st.integers(1, 60), label="max_steps")
+        tile = data.draw(st.sampled_from([vectorized.FOLD_TILE, 8]))
+        with ExitStack() as stack:
+            stack.enter_context(mock.patch.object(vectorized, "FOLD_TILE",
+                                                  tile))
+            levels = _record_levels(
+                lambda *a: stack.enter_context(mock.patch.object(*a)))
+            results = BatchedVectorizedEngine(net).delta_grid(
+                trials, max_steps=max_steps)
+        assert sum(t1 - t0 for t0, t1, _ in levels) <= max_steps
+        _assert_literal(net, trials, results, max_steps)
+
+    def test_a_lone_stale_schedule_folds_before_it_writes(self,
+                                                          monkeypatch):
+        """``AdversarialStaleSchedule(max_delay=6, burst=2)`` alone folds
+        levels of 6 steps and more on a 9-slot ring: a level's writes
+        reach the slots its reads take, so they come after its fold."""
+        from repro.core import AdversarialStaleSchedule, BatchedVectorizedEngine
+        from repro.core.asynchronous import random_state
+
+        net = _hop_net(10, p=0.3, seed=6)
+        alg, n = net.algebra, net.n
+        sched = AdversarialStaleSchedule(n, max_delay=6, burst=2)
+        levels = _record_levels(monkeypatch.setattr)
+        for start in (RoutingState.identity(alg, n),
+                      random_state(alg, n, random.Random(8))):
+            levels.clear()
+            got = BatchedVectorizedEngine(net).delta_grid([(sched, start)])
+            assert {slots for *_, slots in levels} == {9}
+            assert max(t1 - t0 for t0, t1, _ in levels) >= 6
+            monkeypatch.undo()
+            _assert_literal(net, [(sched, start)], got, 2000)
+            levels = _record_levels(monkeypatch.setattr)
+
+    def _grid(self, monkeypatch):
+        """Round robin and adversarial from identity and a random start
+        (net seed 6): its levels, each probe's ``(trial, step, passed)``
+        and its results."""
+        from repro.core import (
+            AdversarialStaleSchedule,
+            BatchedVectorizedEngine,
+            RoundRobinSchedule,
+        )
+        from repro.core.asynchronous import random_state
+
+        net = _hop_net(10, p=0.3, seed=6)
+        alg, n = net.algebra, net.n
+        trials = [(sched, x)
+                  for x in (RoutingState.identity(alg, n),
+                            random_state(alg, n, random.Random(8)))
+                  for sched in (AdversarialStaleSchedule(n, max_delay=6,
+                                                         burst=2),
+                                RoundRobinSchedule(n))]
+        levels = _record_levels(monkeypatch.setattr)
+        probes, at = [], []
+        state, rows = VectorizedEngine._delta_state, \
+            VectorizedEngine._sigma_rows
+
+        def noting_state(eng, run, b, t):
+            at[:] = [b, t]
+            return state(eng, run, b, t)
+
+        def noting_rows(eng, C, which):
+            out = rows(eng, C, which)
+            probes.append((*at, bool((out == C[which]).all())))
+            return out
+
+        monkeypatch.setattr(VectorizedEngine, "_delta_state", noting_state)
+        monkeypatch.setattr(VectorizedEngine, "_sigma_rows", noting_rows)
+        results = BatchedVectorizedEngine(net).delta_grid(trials)
+        monkeypatch.undo()
+        _assert_literal(net, trials, results, 2000)
+        return levels, probes, results
+
+    def test_a_trial_finishing_at_a_level_end_leaves_the_rest_running(
+            self, monkeypatch):
+        """A trial converges on the last step of a level of several
+        steps while the others run on from the next step."""
+        levels, _probes, results = self._grid(monkeypatch)
+        ends = {t1 - 1 for t0, t1, _ in levels if t1 - t0 > 1}
+        last = max(r.steps for r in results)
+        assert any(r.converged and r.steps in ends and r.steps < last
+                   for r in results)
+
+    def test_a_probe_fails_at_a_level_end(self, monkeypatch):
+        """A state constant for its stability window but not σ-stable
+        fails its probe after the last step of a level of several steps,
+        and is not probed again until it changes."""
+        levels, probes, _results = self._grid(monkeypatch)
+        ends = {t1 - 1 for t0, t1, _ in levels if t1 - t0 > 1}
+        assert any(not passed and t in ends for _b, t, passed in probes)
+        failed = [(b, t) for b, t, passed in probes if not passed]
+        assert len(set(failed)) == len(failed)
+
+    def test_a_pair_run_earlier_in_the_level_is_its_own_prior(self):
+        """The skip of a node's second activation in a level compares
+        against its first one's earliest read, not the one before the
+        level: here the first reads further back than the one before it,
+        and the second must not be skipped."""
+        from repro.core import BatchedVectorizedEngine
+
+        net, trials, max_steps = _stutter_case(354)
+        got = BatchedVectorizedEngine(net).delta_grid(trials,
+                                                      max_steps=max_steps)
+        _assert_literal(net, trials, got, max_steps)
+
+    def test_a_level_drops_certificates_from_before_a_change(self):
+        """A certificate recorded before the trial's last change in a
+        level is dropped even where its row's sources stood still: here
+        the row changed again after it, reading further back, and the
+        probe must check it."""
+        from repro.core import BatchedVectorizedEngine
+
+        net, trials, max_steps = _stutter_case(514)
+        got = BatchedVectorizedEngine(net).delta_grid(trials,
+                                                      max_steps=max_steps)
+        _assert_literal(net, trials, got, max_steps)
+
+    def test_a_stale_step_a_level_would_fold_raises_at_that_step(
+            self, monkeypatch):
+        """A read outside the ring at the second step of what would be
+        a two-step level (a delay of 2) raises the unchanged LookupError
+        when the trial reaches that step: the level stops before it."""
+        from repro.core import BatchedVectorizedEngine
+        from repro.core.asynchronous import random_state
+
+        net = _hop_net(12, p=0.25, seed=5)
+        alg, n = net.algebra, net.n
+        start = random_state(alg, n, random.Random(2))
+        levels = _record_levels(monkeypatch.setattr)
+        (ref,) = BatchedVectorizedEngine(net).delta_grid(
+            [(FixedDelaySchedule(n, delay=2), start)])
+        assert ref.steps > 6 and (5, 7, 5) in levels
+        levels.clear()
+        with pytest.raises(LookupError) as exc:
+            BatchedVectorizedEngine(net).delta_grid(
+                [(_StaleAt(n, 6, delay=2), start)])
+        assert str(exc.value) == _stale_message(0, 0, 6, window=4)
+        assert levels[-1][:2] == (5, 6)
+
+
+class TestLevelCounts:
+    """What levels buy, pinned as counts."""
+
+    @pytest.mark.parametrize("kind", _KINDS + ["rows-only"])
+    @pytest.mark.parametrize("subclass", [None] + _SUBCLASS_KINDS)
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_planned_dependency_is_the_brute_force_one(self, kind,
+                                                       subclass, data):
+        """A plan's ``dep`` — per step, the latest step of the plan that
+        activated a node the step reads, at or before that read — is the
+        scan over every (step, activation, read), for every schedule
+        class and for subclasses overriding only α or only β."""
+        import numpy as np
+
+        from repro.core import CompiledSchedule
+        from repro.core.vectorized import _StepPlan
+
+        if kind == "rows-only":
+            src = RowsOnlySchedule(data.draw(st.integers(1, 9), label="n"),
+                                   data.draw(st.integers(0, 50),
+                                             label="seed"))
+        else:
+            src = _random_schedule(data.draw, kind)
+        if subclass is not None:
+            src = _subclassed(src, subclass)
+        n = src.n
+        net = _hop_net(n, p=0.5, seed=data.draw(st.integers(0, 99)))
+        horizon = data.draw(st.integers(1, 40), label="horizon")
+        t = data.draw(st.integers(1, horizon + 10), label="t")
+        count = data.draw(st.integers(1, 30), label="count")
+        plan = _StepPlan(VectorizedEngine(net)._topo,
+                         CompiledSchedule(src, horizon), t + count, t, count,
+                         ring=(t + count + 1, n, np.int32))
+        assert plan.steps == count
+        sources = {i: [k for (i2, k) in net.adjacency.present_edges()
+                       if i2 == i] for i in range(n)}
+        for step in range(plan.steps):
+            u = t + step
+            want = t - 1
+            for i in src.alpha(u):
+                for k in sources[i]:
+                    s = src.beta(u, i, k)
+                    want = max([want] + [v for v in range(t, s + 1)
+                                         if k in src.alpha(v)])
+            assert plan.dep[step] == want, (u, kind, subclass)
+
+    def test_grid_absolute_folds_once_per_level(self, monkeypatch):
+        """On the grid-absolute benchmark's shape (stratified-bounded
+        G(32, 0.4), net seed 1, the zoo of seeds ``(s, s + 17)`` from
+        identity and a random start) a window calls ``delta_fold`` at
+        most once per level, and there are at most half as many levels
+        as steps."""
+        from repro.cli import build_network
+        from repro.core import BatchedVectorizedEngine, schedule_zoo, vectorized
+        from repro.core.asynchronous import random_state
+
+        net, _factory = build_network("stratified-bounded", "random", 32, 1)
+        alg, n = net.algebra, net.n
+        counts = {"folds": 0, "levels": 0, "steps": 0}
+        inside = []
+        fold, level = vectorized.delta_fold, VectorizedEngine._delta_level
+
+        def counting_fold(*args):
+            counts["folds"] += bool(inside)
+            return fold(*args)
+
+        def counting_level(eng, views, win, k0, k1, *rest):
+            counts["levels"] += 1
+            counts["steps"] += k1 - k0
+            inside.append(True)
+            try:
+                return level(eng, views, win, k0, k1, *rest)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(vectorized, "delta_fold", counting_fold)
+        monkeypatch.setattr(VectorizedEngine, "_delta_level", counting_level)
+        for s in (7, 12345):
+            starts = [RoutingState.identity(alg, n),
+                      random_state(alg, n, random.Random(s))]
+            trials = [(sched, x) for x in starts
+                      for sched in schedule_zoo(n, seeds=(s, s + 17))]
+            results = BatchedVectorizedEngine(net).delta_grid(trials)
+            assert all(r.converged for r in results)
+        assert counts["folds"] <= counts["levels"]
+        assert 2 * counts["levels"] <= counts["steps"]
 
 
 # ----------------------------------------------------------------------

@@ -629,6 +629,41 @@ class TestRoutesVerb:
         # sigma's compute_ms is the time of the one shared solve
         assert full["compute_ms"] == first["compute_ms"]
 
+    def test_cached_solve_reads_skip_the_executor(self, daemon,
+                                                  monkeypatch):
+        """At one topology version the first ``routes`` solves in the
+        executor; the next seven slice the cached solve on the event
+        loop, and reply what a solve would."""
+        computes = []
+        submit = asyncio.BaseEventLoop.run_in_executor
+
+        def counting_submit(loop, executor, fn, *args):
+            computes.append(getattr(fn, "func", fn).__name__)
+            return submit(loop, executor, fn, *args)
+
+        monkeypatch.setattr(asyncio.BaseEventLoop, "run_in_executor",
+                            counting_submit)
+        with ServiceClient(port=daemon.port) as c:
+            sid = c.load("hop-count", n=12, topology="random",
+                         seed=3)["session"]
+            computes.clear()
+            replies = [c.routes(sid, node=i) for i in range(8)]
+            assert computes == ["_compute_routes"]
+            bare = c.sigma(sid)
+            assert computes == ["_compute_routes"]
+            c.sigma(sid, include_state=True)
+            assert computes == ["_compute_routes", "_compute_sigma"]
+        from repro.cli import build_network
+        network, _factory = build_network("hop-count", "random", 12, 3)
+        with RoutingSession(network) as session:
+            direct = session.sigma().state
+        assert all(not r["cached"] for r in replies)
+        assert [r["routes"] for r in replies] == \
+            [[str(x) for x in direct.row(i)] for i in range(8)]
+        assert {r["digest"] for r in replies} == \
+            {bare["digest"], state_digest(direct)}
+        assert {r["version"] for r in replies} == {bare["version"]}
+
     def test_routes_axis_validation(self, daemon):
         with ServiceClient(port=daemon.port) as c:
             sid = c.load("hop-count", n=8, topology="ring")["session"]

@@ -1,5 +1,6 @@
-"""Source hygiene: no ``src/`` module imports a name it never uses, and
-the wire version has its row in docs/wire.md.
+"""Source hygiene: no ``src/`` module imports a name it never uses, the
+wire version has its row in docs/wire.md, and no shipped file cites a
+ROADMAP item by number (the items are renumbered as the roadmap moves).
 
 The import check is a stdlib-``ast`` scan, so it needs no linter.  It
 looks at module-level imports (including those under a module-level
@@ -10,6 +11,7 @@ any import line marked ``# noqa: F401``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 from repro.core.wire import WIRE_VERSION
@@ -87,3 +89,30 @@ def test_wire_version_table_ends_at_the_wire_version():
             break
         rows.append(line.split("|")[1].strip())
     assert rows and rows[-1] == str(WIRE_VERSION), rows
+
+
+#: a ROADMAP item cited by number: "ROADMAP item 2", "ROADMAP items
+#: 3b/3c", "ROADMAP #5", "item 4 of the ROADMAP"
+_ROADMAP_ITEM = re.compile(
+    r"ROADMAP(?:\.md)?(?:'s)?\s+(?:items?\s*|#\s*)?\d"
+    r"|\bitems?\s+\d+[a-z]?\s+(?:of|in|on)\s+(?:the\s+)?ROADMAP",
+    re.IGNORECASE)
+
+
+def test_no_shipped_file_cites_a_roadmap_item_number():
+    """docs/, src/, examples/ and benchmarks/ name what is left open in
+    words: the ROADMAP renumbers its items, so a number goes stale."""
+    root = SRC.parent
+    cited = []
+    for top in ("docs", "src", "examples", "benchmarks"):
+        for path in sorted((root / top).rglob("*")):
+            if not path.is_file() or path.suffix not in (
+                    ".py", ".md", ".rst", ".txt", ".json", ".ini", ".cfg",
+                    ".toml", ".sh", ".yml", ".yaml"):
+                continue
+            for no, line in enumerate(path.read_text(
+                    encoding="utf-8").splitlines(), 1):
+                if _ROADMAP_ITEM.search(line):
+                    cited.append(f"{path.relative_to(root)}:{no}: "
+                                 f"{line.strip()[:80]}")
+    assert not cited, "ROADMAP item numbers:\n" + "\n".join(cited)

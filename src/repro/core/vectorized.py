@@ -470,10 +470,7 @@ class _StepPlan:
                  else np.empty(0, dtype=np.int64))
         back = np.repeat(t + act_k, deg) - times          # t − β
         self.t, self.steps, self.stale = t, masks.shape[0], None
-        #: the shortest read-back: at 2 or more no step can depend on
-        #: the one before it
-        self.nearest = int(back.min()) if back.size else window
-        if times.size and (self.nearest < 1 or back.max() > window
+        if times.size and (back.min() < 1 or back.max() > window
                            or times.min() < 0):
             e = np.flatnonzero((back < 1) | (back > window) | (times < 0))[0]
             s = int(times[e] + back[e])
@@ -501,29 +498,21 @@ class _StepPlan:
         ring_rows = (np.arange(lo, t + self.steps, dtype=dtype)
                      % slots * rows).astype(dtype)
         self.flat = ring_rows.take(times - lo) + self.src
-        self._masks, self._lo = masks[:self.steps], lo
-
-    @cached_property
-    def dep(self):
-        """Each step's dependency (see the class docstring), as steps of
-        the plan; computed the first time a window asks."""
-        t, lo, masks = self.t, self._lo, self._masks
         n = masks.shape[1]
         # per time from lo and node: the latest step of the plan at or
         # before it that activated the node (−1: none)
         latest = np.full((t - lo + self.steps, n), -1, dtype=np.int32)
         mark = latest[t - lo:]
-        np.multiply(masks, np.arange(1, self.steps + 1,
-                                     dtype=np.int32)[:, None], out=mark)
+        np.multiply(masks[:self.steps], np.arange(
+            1, self.steps + 1, dtype=np.int32)[:, None], out=mark)
         np.maximum.accumulate(mark, axis=0, out=mark)
         mark -= 1
-        dep = np.full(self.steps, -1, dtype=np.int64)
+        self.dep = np.full(self.steps, t - 1, dtype=np.int64)
         busy = np.flatnonzero(np.diff(self.edge_at))
         if busy.size:
-            dep[busy] = np.maximum.reduceat(
-                latest.reshape(-1).take((self.times - lo) * n + self.src),
+            self.dep[busy] += 1 + np.maximum.reduceat(
+                latest.reshape(-1).take((times - lo) * n + self.src),
                 self.edge_at[busy])
-        return dep + t
 
 
 def _stacked(offsets, q, base, steps: int):
@@ -602,21 +591,11 @@ class _Window:
 
     def dep(self, groups) -> List[int]:
         """The latest :attr:`_StepPlan.dep` of the plans ``groups`` over
-        the window's steps, as a list.  It reads first the plans whose
-        reads may reach the step before (by :attr:`_StepPlan.nearest`)
-        and stops once every step depends on the one before it: such a
-        step joins no level whatever the other plans read, so a plan
-        that never cuts a level may never compute its dependencies."""
+        the window's steps, as a list."""
         t, steps = self.t, self.steps
-        joinable = np.arange(t - 1, t + steps - 1)[1:]
-        out = None
-        for g in sorted(groups, key=lambda g: self.plans[g].nearest):
-            p = self.plans[g]
-            dep = p.dep[t - p.t:t - p.t + steps]
-            out = dep if out is None else np.maximum(out, dep)
-            if not (out[1:] < joinable).any():
-                break
-        return out.tolist()
+        return np.max([p.dep[t - p.t:t - p.t + steps]
+                       for p in (self.plans[g] for g in groups)],
+                      axis=0).tolist()
 
     @cached_property
     def time(self):
@@ -1079,7 +1058,7 @@ class VectorizedEngine:
                 # failed one must change first (at t0 at the earliest)
                 due = t0 - 1 + int((sws - np.where(failed[live], -1,
                                                    held)).min())
-                k1 = min(k1, due - win.t + 1)
+                k1 = max(k0 + 1, min(k1, due - win.t + 1))
             yield self._delta_level(views, win, k0, k1, live[held < W],
                                     gone)
             k0 = k1
@@ -1246,26 +1225,22 @@ class VectorizedEngine:
             trials = rows // n
             upto = steps    # each change stands until the row's next one
             if order is None:
-                last[rows] = t0 + at if multi else t0
+                last[rows] = t0 + at
             else:           # by row, then step: a row may change twice
                 same = rows[1:] == rows[:-1]
                 upto = np.full(rows.size, steps)
                 upto[:-1][same] = at[1:][same]
                 np.maximum.at(last, rows, t0 + at)
-            if multi:
-                col = np.arange(max(0, steps - W), steps)[:, None]
-                u, h = ((col >= at) & (col < upto)).nonzero()
-                slots[(t0 + col[u, 0]) % W, rows[h]] = new[h]
-            else:
-                slots[t0 % W][rows] = new
+            col = np.arange(max(0, steps - W), steps)[:, None]
+            u, h = ((col >= at) & (col < upto)).nonzero()
+            slots[(t0 + col[u, 0]) % W, rows[h]] = new[h]
             flags[at, trials] = True
-        changed = flags.any(axis=0) if multi else flags[0]
-        sigma_ok[changed] = False
+        sigma_ok[flags.any(axis=0)] = False
         if a1 > a0:
             if hit is not None:
                 src_last = np.maximum.reduceat(last.take(lc), starts)
             ok = src_last <= read_min
-            if multi and hit is not None:
+            if hit is not None:
                 # only what the level recorded since the trial last changed
                 since = np.full(B, -1)
                 np.maximum.at(since, trials, at)
@@ -1398,11 +1373,10 @@ class VectorizedEngine:
                 steps = len(flags)
                 t += steps
                 unchanged += steps
-                changed = flags.any(axis=0) if steps > 1 else flags[0]
+                changed = flags.any(axis=0)
                 if np.count_nonzero(changed):
                     # steps since each changed trial's last change
-                    unchanged[changed] = flags[::-1, changed].argmax(
-                        axis=0) if steps > 1 else 0
+                    unchanged[changed] = flags[::-1, changed].argmax(axis=0)
                     failed[changed] = False
                 now = t - 1
                 finished = False

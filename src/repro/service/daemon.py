@@ -133,7 +133,8 @@ class _SessionEntry:
         self.mutation_log: List[List[Any]] = []
         #: small LRU of σ solves (``SigmaReport`` objects, never
         #: persisted — snapshots carry only JSON reply bodies) keyed by
-        #: ``(version, start_seed, max_rounds)``, each stored with its
+        #: :meth:`solve_key`, ``(version, start_seed, max_rounds)``,
+        #: each stored with its
         #: digest; ``sigma`` and every ``routes`` row/column at one
         #: version share one solve and one hash of the n×n state.
         self.state_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
@@ -147,6 +148,10 @@ class _SessionEntry:
     @property
     def version(self) -> int:
         return self.network.adjacency.version
+
+    def solve_key(self, start_seed: Optional[int], max_rounds: int) -> Tuple:
+        """The :attr:`state_cache` key of a σ solve at this version."""
+        return (self.version, start_seed, max_rounds)
 
     def apply(self, verb: str, i, k, edge_seed=None) -> int:
         """Apply one ``set_edge`` / ``remove_edge`` and log it — the
@@ -943,8 +948,8 @@ class RoutingServiceDaemon:
                     entry.cache.move_to_end(key)
                     return dict(cached, id=req_id, cached=True)
                 entry.misses += 1
-                if slice_of is not None and (entry.version, start_seed,
-                                             slice_of) in entry.state_cache:
+                if slice_of is not None and entry.solve_key(
+                        start_seed, slice_of) in entry.state_cache:
                     # the solve is cached: building the reply here costs
                     # less than a round trip to the executor
                     body = compute()
@@ -980,7 +985,7 @@ class RoutingServiceDaemon:
         ``max_rounds`` is at least the bound that proves: σ then reaches
         the same fixed point from any start, so only ``rounds`` and the
         time differ.  A seeded request is never substituted."""
-        skey = (entry.version, start_seed, max_rounds)
+        skey = entry.solve_key(start_seed, max_rounds)
         solved = entry.state_cache.get(skey)
         if solved is not None:
             entry.state_cache.move_to_end(skey)

@@ -945,14 +945,15 @@ class TestDeltaPlanner:
 # ----------------------------------------------------------------------
 
 
-def _assert_literal(net, trials, results, max_steps):
+def _assert_literal(net, trials, results, max_steps, stability_window=None):
     """Each result is the strict literal recursion's: converged, steps,
     convergence step and state, and the ring's retained history (the
     declared read-back + 2 steps, where strict keeps every step)."""
     alg = net.algebra
     with RoutingSession(net, "naive") as ref_s:
         for (sched, x), res in zip(trials, results):
-            ref = ref_s.delta(sched, x, max_steps=max_steps, strict=True)
+            ref = ref_s.delta(sched, x, max_steps=max_steps, strict=True,
+                              stability_window=stability_window)
             assert (res.converged, res.steps, res.converged_at) == \
                 (ref.converged, ref.steps, ref.converged_at)
             assert res.history_retained == \
@@ -1205,6 +1206,35 @@ class TestDeltaLevels:
         got = BatchedVectorizedEngine(net).delta_grid(trials,
                                                       max_steps=max_steps)
         _assert_literal(net, trials, got, max_steps)
+
+    @pytest.mark.parametrize("window", [0, 1])
+    def test_a_short_stability_window_cuts_levels_to_one_step_at_least(
+            self, window):
+        """With a stability window of 0 or 1 a trial may be probed after
+        the first step, so the probe cut would end a level before it
+        starts: a level keeps one step, and the start is never probed.
+        Fixed delay 2 and round robin, from the identity, a random start
+        and the fixed point, stacked and alone."""
+        from repro.core import BatchedVectorizedEngine, RoundRobinSchedule
+        from repro.core.asynchronous import random_state
+
+        net = _hop_net(10, p=0.3, seed=6)
+        alg, n = net.algebra, net.n
+        identity = RoutingState.identity(alg, n)
+        with RoutingSession(net, "naive") as s:
+            fixed = s.sigma(identity).state
+        trials = [(sched, x)
+                  for sched in (FixedDelaySchedule(n, delay=2),
+                                RoundRobinSchedule(n))
+                  for x in (identity, fixed,
+                            random_state(alg, n, random.Random(8)))]
+        eng = BatchedVectorizedEngine(net)
+        stacked = eng.delta_grid(trials, stability_window=window)
+        _assert_literal(net, trials, stacked, 2000, stability_window=window)
+        for trial in trials:
+            alone = eng.delta_grid([trial], stability_window=window)
+            _assert_literal(net, [trial], alone, 2000,
+                            stability_window=window)
 
     def test_a_stale_step_a_level_would_fold_raises_at_that_step(
             self, monkeypatch):

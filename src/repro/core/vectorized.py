@@ -1231,17 +1231,21 @@ class VectorizedEngine:
                 upto = np.full(rows.size, steps)
                 upto[:-1][same] = at[1:][same]
                 np.maximum.at(last, rows, t0 + at)
-            col = np.arange(max(0, steps - W), steps)[:, None]
-            u, h = ((col >= at) & (col < upto)).nonzero()
-            slots[(t0 + col[u, 0]) % W, rows[h]] = new[h]
+            if multi:
+                col = np.arange(max(0, steps - W), steps)[:, None]
+                u, h = ((col >= at) & (col < upto)).nonzero()
+                slots[(t0 + col[u, 0]) % W, rows[h]] = new[h]
+            else:   # most levels are one step: one slot, nothing to fill
+                slots[t0 % W][rows] = new
             flags[at, trials] = True
         sigma_ok[flags.any(axis=0)] = False
         if a1 > a0:
             if hit is not None:
                 src_last = np.maximum.reduceat(last.take(lc), starts)
             ok = src_last <= read_min
-            if hit is not None:
+            if multi and hit is not None:
                 # only what the level recorded since the trial last changed
+                # (a one-step level records every certificate at its step)
                 since = np.full(B, -1)
                 np.maximum.at(since, trials, at)
                 ok &= win.step[a0:a1] - k0 >= since[win.trial[a0:a1]]
